@@ -203,6 +203,33 @@ func TestFleetChaosHedgeStraggler(t *testing.T) {
 	}
 }
 
+// TestFleetChaosHedgePrimaryWins is the other side of the hedge race: the
+// primary is slow enough to trigger a hedge but still answers before the
+// hedge copy does. The hedge is counted, the win is not.
+func TestFleetChaosHedgePrimaryWins(t *testing.T) {
+	if netFaultsArmed() {
+		t.Skip("network fault injection armed; targeted hedge accounting is not deterministic")
+	}
+	coord, tr, urls := liveFleet(t, 2, func(cfg *Config) {
+		cfg.HedgeAfter = 25 * time.Millisecond
+	})
+	// Replica 0 wins the empty-fleet tie-break and answers after 100 ms —
+	// past the hedge delay; the hedge copy on replica 1 stalls far longer.
+	tr.SetDelay(hostOf(urls[0]), 100*time.Millisecond)
+	tr.SetDelay(hostOf(urls[1]), 2*time.Second)
+
+	if _, err := coord.Predict(context.Background(), inputVec(1)); err != nil {
+		t.Fatalf("hedged predict: %v", err)
+	}
+	st := coord.Stats()
+	if st.Hedges != 1 || st.HedgeWins != 0 {
+		t.Fatalf("hedges=%d hedgeWins=%d, want 1/0: the primary's reply won", st.Hedges, st.HedgeWins)
+	}
+	if st.Forwarded != 1 {
+		t.Fatalf("forwarded %d, want 1 (exactly one reply)", st.Forwarded)
+	}
+}
+
 // TestFleetChaosNetworkFaultsOneReply arms the probabilistic network points
 // (the CI soak configuration arms them process-wide instead) and hammers
 // the fleet: drops and delays on the coordinator→replica path must never

@@ -309,6 +309,7 @@ func (c *Coordinator) healthLoop() {
 			return
 		case <-ticks:
 			c.pollAll()
+			server.AckTick(c.clock)
 		}
 	}
 }

@@ -14,7 +14,7 @@ type coordMetrics struct {
 	forwarded atomic.Int64 // queries answered through the fleet
 	retries   atomic.Int64 // attempts re-routed to a different replica
 	hedges    atomic.Int64 // straggler hedges launched
-	hedgeWins atomic.Int64 // queries whose winning reply came from a hedge race
+	hedgeWins atomic.Int64 // queries whose winning reply came from the hedge copy
 	ejections atomic.Int64 // replicas ejected by the failure threshold
 	rejoins   atomic.Int64 // ejected replicas readmitted
 	shed      atomic.Int64 // queries the coordinator itself refused

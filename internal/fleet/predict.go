@@ -90,17 +90,18 @@ func (c *Coordinator) sendHedged(ctx context.Context, idx int, url string, input
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
-		resp server.PredictResponse
-		err  *attemptErr
+		resp  server.PredictResponse
+		err   *attemptErr
+		hedge bool // produced by the hedge copy, not the primary
 	}
 	results := make(chan outcome, 2)
-	launch := func(i int, u string) {
+	launch := func(i int, u string, hedge bool) {
 		go func() {
 			r, e := c.forward(hctx, i, u, input)
-			results <- outcome{r, e}
+			results <- outcome{r, e, hedge}
 		}()
 	}
-	launch(idx, url)
+	launch(idx, url, false)
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	launched, outstanding := 1, 1
@@ -110,7 +111,7 @@ func (c *Coordinator) sendHedged(ctx context.Context, idx int, url string, input
 		case o := <-results:
 			outstanding--
 			if o.err == nil {
-				if launched > 1 {
+				if o.hedge {
 					c.metrics.hedgeWins.Add(1)
 				}
 				return o.resp, nil
@@ -131,7 +132,7 @@ func (c *Coordinator) sendHedged(ctx context.Context, idx int, url string, input
 			}
 			tried[bidx] = true
 			c.metrics.hedges.Add(1)
-			launch(bidx, burl)
+			launch(bidx, burl, true)
 			launched, outstanding = 2, outstanding+1
 		case <-ctx.Done():
 			return server.PredictResponse{}, &attemptErr{err: ctx.Err()}

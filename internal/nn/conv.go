@@ -236,11 +236,21 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue)
 	// per-sample lowering wins — each sample's column matrix is consumed by
 	// its GEMM while still cache-hot, with the same fused epilogue.
 	if tb <= 1 || !convWideGemm(aOut, tb*spatial, colRows) {
-		col := arena.GetUninit(colRows, spatial)
+		// A point-wise convolution's column matrix is the input itself
+		// ([aIn × h·w], row stride h·w): hand it to the GEMM as B, no copy.
+		pointwise := c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
+		var col []float64
+		if !pointwise {
+			col = arena.GetUninit(colRows, spatial).Data
+		}
 		for b := 0; b < batch; b++ {
 			src := x.Data[b*inPlane : (b+1)*inPlane]
-			tensor.Im2ColInto(src, aIn, h, w, c.KH, c.KW, c.Stride, c.Pad, col.Data, spatial, 0)
-			gemm(spatial, col.Data, spatial, y.Data[b*outPlane:(b+1)*outPlane], spatial)
+			if pointwise {
+				col = src
+			} else {
+				tensor.Im2ColInto(src, aIn, h, w, c.KH, c.KW, c.Stride, c.Pad, col, spatial, 0)
+			}
+			gemm(spatial, col, spatial, y.Data[b*outPlane:(b+1)*outPlane], spatial)
 		}
 		return y
 	}

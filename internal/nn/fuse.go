@@ -22,9 +22,9 @@ import (
 //	Dense → ReLU                                     ⇒  one GEMM with bias,
 //	    rescale and clamp in the epilogue.
 //	GroupNorm/BatchNorm/SwitchableBatchNorm → ReLU   ⇒  the clamp rides the
-//	    normalization's write pass. (GroupNorm statistics are per-sample and
-//	    data-dependent, so the normalization itself can never fold into the
-//	    preceding GEMM; this is the best available fusion.)
+//	    normalization's write pass (tensor.NormAffine). GroupNorm statistics
+//	    are per-sample and data-dependent, so the normalization itself can
+//	    never fold into the preceding GEMM and stays a pass of its own.
 //
 // The fused view is for the read-only inference path: its Infer is
 // numerically within 1e-12 of the unfused chain (bit-identical except where

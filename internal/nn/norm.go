@@ -34,7 +34,6 @@ type GroupNorm struct {
 	aC        int
 	batch     int
 	hw        int
-	rank4     bool
 	origShape []int
 }
 
@@ -60,71 +59,27 @@ func NewGroupNorm(c, normGroups int, spec SliceSpec, eps float64) *GroupNorm {
 	return g
 }
 
-func (g *GroupNorm) shapeIn(x *tensor.Tensor, want int) (batch, hw int) {
-	switch x.Rank() {
-	case 4:
-		if x.Dim(1) != want {
-			panic(fmt.Sprintf("nn: GroupNorm input %v, want %d channels", x.Shape, want))
-		}
-		g.rank4 = true
-		return x.Dim(0), x.Dim(2) * x.Dim(3)
-	case 2:
-		if x.Dim(1) != want {
-			panic(fmt.Sprintf("nn: GroupNorm input %v, want %d features", x.Shape, want))
-		}
-		g.rank4 = false
-		return x.Dim(0), 1
-	default:
-		panic(fmt.Sprintf("nn: GroupNorm input rank %d unsupported", x.Rank()))
+// activeGroups returns the number of normalization groups inside the active
+// width aC.
+func (g *GroupNorm) activeGroups(aC int) int {
+	gs := g.C / g.NormGroups // channels per normalization group
+	if aC%gs != 0 {
+		panic(fmt.Sprintf("nn: GroupNorm: active width %d not divisible by group size %d", aC, gs))
 	}
+	return aC / gs
 }
 
 // Forward normalizes the active channels group-wise per sample.
 func (g *GroupNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	r := ctx.EffRate()
-	g.aC = g.Spec.Active(r, g.C)
-	g.batch, g.hw = g.shapeIn(x, g.aC)
+	g.aC = g.Spec.Active(ctx.EffRate(), g.C)
+	g.batch, g.hw = normShape("GroupNorm", x, g.aC)
 	g.origShape = append([]int(nil), x.Shape...)
-	gs := g.C / g.NormGroups // channels per normalization group
-	if g.aC%gs != 0 {
-		panic(fmt.Sprintf("nn: GroupNorm: active width %d not divisible by group size %d", g.aC, gs))
-	}
-	ag := g.aC / gs // active normalization groups
-	n := gs * g.hw  // elements per (sample, group)
+	ag := g.activeGroups(g.aC)
 
 	y := tensor.New(x.Shape...)
 	g.xhat = tensor.New(x.Shape...)
 	g.invStd = make([]float64, g.batch*ag)
-
-	plane := g.aC * g.hw
-	gamma, beta := g.Gamma.Value.Data, g.Beta.Value.Data
-	for b := 0; b < g.batch; b++ {
-		src := x.Data[b*plane : (b+1)*plane]
-		dst := y.Data[b*plane : (b+1)*plane]
-		xh := g.xhat.Data[b*plane : (b+1)*plane]
-		for gi := 0; gi < ag; gi++ {
-			seg := src[gi*n : (gi+1)*n]
-			mu := 0.0
-			for _, v := range seg {
-				mu += v
-			}
-			mu /= float64(n)
-			va := 0.0
-			for _, v := range seg {
-				d := v - mu
-				va += d * d
-			}
-			va /= float64(n)
-			is := 1 / math.Sqrt(va+g.Eps)
-			g.invStd[b*ag+gi] = is
-			for j, v := range seg {
-				ch := gi*gs + j/g.hw
-				h := (v - mu) * is
-				xh[gi*n+j] = h
-				dst[gi*n+j] = gamma[ch]*h + beta[ch]
-			}
-		}
-	}
+	g.normalize(y.Data, g.xhat.Data, g.invStd, x.Data, g.batch, ag, g.hw, false)
 	return y
 }
 
@@ -138,59 +93,45 @@ func (g *GroupNorm) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 // the normalization's write pass, which removes the separate ReLU layer's
 // full read+write sweep over the activation. GroupNorm statistics are
 // per-sample and data-dependent, so unlike BatchNorm the normalization
-// itself can never fold into the preceding convolution's GEMM epilogue —
-// this pass fusion is the best available.
+// itself can never fold into the preceding convolution's GEMM epilogue.
 func (g *GroupNorm) inferAct(ctx *Context, x *tensor.Tensor, relu bool) *tensor.Tensor {
-	r := ctx.EffRate()
-	aC := g.Spec.Active(r, g.C)
+	aC := g.Spec.Active(ctx.EffRate(), g.C)
 	batch, hw := normShape("GroupNorm", x, aC)
-	gs := g.C / g.NormGroups
-	if aC%gs != 0 {
-		panic(fmt.Sprintf("nn: GroupNorm: active width %d not divisible by group size %d", aC, gs))
-	}
-	ag := aC / gs
-	n := gs * hw
-
+	ag := g.activeGroups(aC)
 	y := arenaOf(ctx).GetUninit(x.Shape...)
-	plane := aC * hw
+	g.normalize(y.Data, nil, nil, x.Data, batch, ag, hw, relu)
+	return y
+}
+
+// normalize is the one kernel behind Forward and Infer, so the two agree bit
+// for bit. Per (sample, group): a two-pass mean and variance over the group's
+// contiguous segment (tensor.Sum, tensor.SumSqDev), then one scale-shift pass
+// per channel plane (tensor.NormAffine) with that channel's γ and β — the
+// channel is a loop index, not a per-element division. xhat and invStd, when
+// non-nil, receive the backward state.
+func (g *GroupNorm) normalize(dst, xhat, invStd, src []float64, batch, ag, hw int, relu bool) {
+	gs := g.C / g.NormGroups
+	n := gs * hw // elements per (sample, group)
 	gamma, beta := g.Gamma.Value.Data, g.Beta.Value.Data
 	for b := 0; b < batch; b++ {
-		src := x.Data[b*plane : (b+1)*plane]
-		dst := y.Data[b*plane : (b+1)*plane]
 		for gi := 0; gi < ag; gi++ {
-			seg := src[gi*n : (gi+1)*n]
-			mu := 0.0
-			for _, v := range seg {
-				mu += v
-			}
-			mu /= float64(n)
-			va := 0.0
-			for _, v := range seg {
-				d := v - mu
-				va += d * d
-			}
-			va /= float64(n)
+			off := (b*ag + gi) * n
+			seg := src[off : off+n]
+			mu := tensor.Sum(seg) / float64(n)
+			va := tensor.SumSqDev(seg, mu) / float64(n)
 			is := 1 / math.Sqrt(va+g.Eps)
-			if relu {
-				for j, v := range seg {
-					ch := gi*gs + j/hw
-					o := gamma[ch]*((v-mu)*is) + beta[ch]
-					// !(o > 0): NaN clamps to 0, like the ReLU layer.
-					if !(o > 0) {
-						o = 0
-					}
-					dst[gi*n+j] = o
-				}
-			} else {
-				for j, v := range seg {
-					ch := gi*gs + j/hw
-					h := (v - mu) * is
-					dst[gi*n+j] = gamma[ch]*h + beta[ch]
+			if invStd != nil {
+				invStd[b*ag+gi] = is
+			}
+			for j := 0; j < gs; j++ {
+				ch, lo := gi*gs+j, off+j*hw
+				tensor.NormAffine(dst[lo:lo+hw], src[lo:lo+hw], mu, is, gamma[ch], beta[ch], relu)
+				if xhat != nil {
+					tensor.NormAffine(xhat[lo:lo+hw], src[lo:lo+hw], mu, is, 1, 0, false)
 				}
 			}
 		}
 	}
-	return y
 }
 
 // normShape validates a normalization input of rank 4 ([B, C, H, W]) or
@@ -217,36 +158,40 @@ func normShape(name string, x *tensor.Tensor, want int) (batch, hw int) {
 func (g *GroupNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	gs := g.C / g.NormGroups
 	ag := g.aC / gs
-	n := gs * g.hw
-	plane := g.aC * g.hw
+	hw := g.hw
+	n := gs * hw
 	dx := tensor.New(g.origShape...)
 	gamma := g.Gamma.Value.Data
 	dgamma, dbeta := g.Gamma.Grad.Data, g.Beta.Grad.Data
 
 	for b := 0; b < g.batch; b++ {
-		gseg := dy.Data[b*plane : (b+1)*plane]
-		xh := g.xhat.Data[b*plane : (b+1)*plane]
-		dseg := dx.Data[b*plane : (b+1)*plane]
 		for gi := 0; gi < ag; gi++ {
 			is := g.invStd[b*ag+gi]
-			// First pass: parameter grads and the two reduction terms.
+			off := (b*ag + gi) * n
+			// First pass, channel by channel: parameter grads and the two
+			// reduction terms of the group.
 			sumDxhat, sumDxhatXhat := 0.0, 0.0
-			for j := 0; j < n; j++ {
-				ch := gi*gs + j/g.hw
-				gv := gseg[gi*n+j]
-				hv := xh[gi*n+j]
-				dgamma[ch] += gv * hv
-				dbeta[ch] += gv
-				dxh := gv * gamma[ch]
-				sumDxhat += dxh
-				sumDxhatXhat += dxh * hv
+			for j := 0; j < gs; j++ {
+				ch, lo := gi*gs+j, off+j*hw
+				gv, hv := dy.Data[lo:lo+hw], g.xhat.Data[lo:lo+hw]
+				sumG := tensor.Sum(gv)
+				sumGH := 0.0
+				for i, v := range gv {
+					sumGH += v * hv[i]
+				}
+				dgamma[ch] += sumGH
+				dbeta[ch] += sumG
+				sumDxhat += gamma[ch] * sumG
+				sumDxhatXhat += gamma[ch] * sumGH
 			}
 			mDxhat := sumDxhat / float64(n)
 			mDxhatXhat := sumDxhatXhat / float64(n)
-			for j := 0; j < n; j++ {
-				ch := gi*gs + j/g.hw
-				dxh := gseg[gi*n+j] * gamma[ch]
-				dseg[gi*n+j] = is * (dxh - mDxhat - xh[gi*n+j]*mDxhatXhat)
+			for j := 0; j < gs; j++ {
+				ch, lo := gi*gs+j, off+j*hw
+				gv, hv, dv := dy.Data[lo:lo+hw], g.xhat.Data[lo:lo+hw], dx.Data[lo:lo+hw]
+				for i, v := range gv {
+					dv[i] = is * (v*gamma[ch] - mDxhat - hv[i]*mDxhatXhat)
+				}
 			}
 		}
 	}
@@ -312,29 +257,12 @@ func NewBatchNorm(c int, spec SliceSpec) *BatchNorm {
 	return b
 }
 
-func (b *BatchNorm) shapeIn(x *tensor.Tensor, want int) (batch, hw int) {
-	switch x.Rank() {
-	case 4:
-		if x.Dim(1) != want {
-			panic(fmt.Sprintf("nn: BatchNorm input %v, want %d channels", x.Shape, want))
-		}
-		return x.Dim(0), x.Dim(2) * x.Dim(3)
-	case 2:
-		if x.Dim(1) != want {
-			panic(fmt.Sprintf("nn: BatchNorm input %v, want %d features", x.Shape, want))
-		}
-		return x.Dim(0), 1
-	default:
-		panic(fmt.Sprintf("nn: BatchNorm input rank %d unsupported", x.Rank()))
-	}
-}
-
 // Forward normalizes per channel, with batch statistics during training and
 // running estimates during evaluation.
 func (b *BatchNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	r := ctx.EffRate()
 	b.aC = b.Spec.Active(r, b.C)
-	b.batch, b.hw = b.shapeIn(x, b.aC)
+	b.batch, b.hw = normShape("BatchNorm", x, b.aC)
 	b.origShape = append([]int(nil), x.Shape...)
 	b.training = ctx != nil && ctx.Training
 	plane := b.aC * b.hw
@@ -382,17 +310,24 @@ func (b *BatchNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		}
 		return y
 	}
-	for c := 0; c < b.aC; c++ {
+	b.evalInto(y.Data, x.Data, b.aC, b.batch, b.hw, false)
+	return y
+}
+
+// evalInto normalizes with the running estimates, one scale-shift pass per
+// (channel, sample) plane — the kernel shared by the evaluation-mode Forward
+// and the inference path, so the two agree bit for bit.
+func (b *BatchNorm) evalInto(dst, src []float64, aC, batch, hw int, relu bool) {
+	plane := aC * hw
+	gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
+	for c := 0; c < aC; c++ {
 		is := 1 / math.Sqrt(b.RunVar.Data[c]+b.Eps)
 		mu := b.RunMean.Data[c]
-		for s := 0; s < b.batch; s++ {
-			off := s*plane + c*b.hw
-			for j := 0; j < b.hw; j++ {
-				y.Data[off+j] = gamma[c]*(x.Data[off+j]-mu)*is + beta[c]
-			}
+		for s := 0; s < batch; s++ {
+			off := s*plane + c*hw
+			tensor.NormAffine(dst[off:off+hw], src[off:off+hw], mu, is, gamma[c], beta[c], relu)
 		}
 	}
-	return y
 }
 
 // Infer normalizes with the running estimates on the read-only inference
@@ -404,33 +339,10 @@ func (b *BatchNorm) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 // inferAct is Infer with an optionally fused trailing ReLU (one write pass
 // instead of a separate ReLU read+write sweep).
 func (b *BatchNorm) inferAct(ctx *Context, x *tensor.Tensor, relu bool) *tensor.Tensor {
-	r := ctx.EffRate()
-	aC := b.Spec.Active(r, b.C)
+	aC := b.Spec.Active(ctx.EffRate(), b.C)
 	batch, hw := normShape("BatchNorm", x, aC)
-	plane := aC * hw
 	y := arenaOf(ctx).GetUninit(x.Shape...)
-	gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
-	for c := 0; c < aC; c++ {
-		is := 1 / math.Sqrt(b.RunVar.Data[c]+b.Eps)
-		mu := b.RunMean.Data[c]
-		for s := 0; s < batch; s++ {
-			off := s*plane + c*hw
-			if relu {
-				for j := 0; j < hw; j++ {
-					o := gamma[c]*(x.Data[off+j]-mu)*is + beta[c]
-					// !(o > 0): NaN clamps to 0, like the ReLU layer.
-					if !(o > 0) {
-						o = 0
-					}
-					y.Data[off+j] = o
-				}
-			} else {
-				for j := 0; j < hw; j++ {
-					y.Data[off+j] = gamma[c]*(x.Data[off+j]-mu)*is + beta[c]
-				}
-			}
-		}
-	}
+	b.evalInto(y.Data, x.Data, aC, batch, hw, relu)
 	return y
 }
 

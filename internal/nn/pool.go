@@ -33,35 +33,7 @@ func (m *MaxPool2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		m.argmax = make([]int, y.Size())
 	}
 	m.argmax = m.argmax[:y.Size()]
-	for s := 0; s < b; s++ {
-		for ch := 0; ch < c; ch++ {
-			plane := x.Data[(s*c+ch)*h*w : (s*c+ch+1)*h*w]
-			outBase := (s*c + ch) * m.outH * m.outW
-			for oy := 0; oy < m.outH; oy++ {
-				for ox := 0; ox < m.outW; ox++ {
-					best := math.Inf(-1)
-					bestIdx := 0
-					for ky := 0; ky < m.K; ky++ {
-						for kx := 0; kx < m.K; kx++ {
-							iy := oy*m.Stride + ky
-							ix := ox*m.Stride + kx
-							if iy >= h || ix >= w {
-								continue
-							}
-							v := plane[iy*w+ix]
-							if v > best {
-								best = v
-								bestIdx = iy*w + ix
-							}
-						}
-					}
-					o := outBase + oy*m.outW + ox
-					y.Data[o] = best
-					m.argmax[o] = (s*c+ch)*h*w + bestIdx
-				}
-			}
-		}
-	}
+	m.pool(y.Data, m.argmax, x.Data, b*c, h, w)
 	return y
 }
 
@@ -74,31 +46,107 @@ func (m *MaxPool2D) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	outH := tensor.ConvOutSize(h, m.K, m.Stride, 0)
 	outW := tensor.ConvOutSize(w, m.K, m.Stride, 0)
 	y := arenaOf(ctx).GetUninit(b, c, outH, outW)
-	for s := 0; s < b; s++ {
-		for ch := 0; ch < c; ch++ {
-			plane := x.Data[(s*c+ch)*h*w : (s*c+ch+1)*h*w]
-			outBase := (s*c + ch) * outH * outW
-			for oy := 0; oy < outH; oy++ {
-				for ox := 0; ox < outW; ox++ {
-					best := math.Inf(-1)
-					for ky := 0; ky < m.K; ky++ {
-						for kx := 0; kx < m.K; kx++ {
-							iy := oy*m.Stride + ky
-							ix := ox*m.Stride + kx
-							if iy >= h || ix >= w {
-								continue
-							}
-							if v := plane[iy*w+ix]; v > best {
-								best = v
-							}
+	m.pool(y.Data, nil, x.Data, b*c, h, w)
+	return y
+}
+
+// pool max-pools planes [h, w] images of src into dst and, when argmax is
+// non-nil, records each maximum's flat index into src. A maximum is the first
+// tap, in row-major window order, that is greater than all before it; NaN is
+// never greater, and an all-NaN window yields −Inf at its first position.
+// There is no padding and the output size rounds down, so a window overhangs
+// its plane only when the plane is smaller than the window; the general loop
+// clips it then.
+func (m *MaxPool2D) pool(dst []float64, argmax []int, src []float64, planes, h, w int) {
+	outH := tensor.ConvOutSize(h, m.K, m.Stride, 0)
+	outW := tensor.ConvOutSize(w, m.K, m.Stride, 0)
+	if m.K == 2 && m.Stride == 2 && h >= 2 && w >= 2 {
+		pool2x2(dst, argmax, src, planes, h, w, outH, outW)
+		return
+	}
+	m.poolWindows(dst, argmax, src, planes, h, w, outH, outW)
+}
+
+// poolWindows is pool for any window and stride, one clipped window per
+// output. It is also the oracle pool2x2 is tested against.
+func (m *MaxPool2D) poolWindows(dst []float64, argmax []int, src []float64, planes, h, w, outH, outW int) {
+	for p := 0; p < planes; p++ {
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				iy, ix := oy*m.Stride, ox*m.Stride
+				first := p*h*w + iy*w + ix
+				best, bestIdx := math.Inf(-1), first
+				kh, kw := min(m.K, h-iy), min(m.K, w-ix)
+				for ky := 0; ky < kh; ky++ {
+					row := src[first+ky*w : first+ky*w+kw]
+					for kx, v := range row {
+						if v > best {
+							best, bestIdx = v, first+ky*w+kx
 						}
 					}
-					y.Data[outBase+oy*outW+ox] = best
+				}
+				o := (p*outH+oy)*outW + ox
+				dst[o] = best
+				if argmax != nil {
+					argmax[o] = bestIdx
 				}
 			}
 		}
 	}
-	return y
+}
+
+// pool2x2 is pool for the 2×2 stride-2 window every model here uses, on
+// planes of at least 2×2: two input rows walked side by side, four compares
+// per output and no clipping, same tap order as the general loop and so the
+// same results. The loop without argmax is a copy on purpose: carrying the
+// index through the compares costs the inference path 10–80 %
+// (BenchmarkMaxPoolInfer).
+func pool2x2(dst []float64, argmax []int, src []float64, planes, h, w, outH, outW int) {
+	for p := 0; p < planes; p++ {
+		for oy := 0; oy < outH; oy++ {
+			base := p*h*w + 2*oy*w
+			r0 := src[base : base+2*outW]
+			r1 := src[base+w : base+w+2*outW]
+			out := dst[(p*outH+oy)*outW : (p*outH+oy+1)*outW]
+			if argmax == nil {
+				for ox := range out {
+					best := math.Inf(-1)
+					if v := r0[2*ox]; v > best {
+						best = v
+					}
+					if v := r0[2*ox+1]; v > best {
+						best = v
+					}
+					if v := r1[2*ox]; v > best {
+						best = v
+					}
+					if v := r1[2*ox+1]; v > best {
+						best = v
+					}
+					out[ox] = best
+				}
+				continue
+			}
+			am := argmax[(p*outH+oy)*outW : (p*outH+oy+1)*outW]
+			for ox := range out {
+				best, bestIdx := math.Inf(-1), base+2*ox
+				if v := r0[2*ox]; v > best {
+					best = v
+				}
+				if v := r0[2*ox+1]; v > best {
+					best, bestIdx = v, base+2*ox+1
+				}
+				if v := r1[2*ox]; v > best {
+					best, bestIdx = v, base+w+2*ox
+				}
+				if v := r1[2*ox+1]; v > best {
+					best, bestIdx = v, base+w+2*ox+1
+				}
+				out[ox] = best
+				am[ox] = bestIdx
+			}
+		}
+	}
 }
 
 // Backward routes each gradient to its argmax position.
@@ -126,20 +174,9 @@ func (g *GlobalAvgPool) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: GlobalAvgPool input %v, want rank 4", x.Shape))
 	}
-	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	g.inShape = append([]int(nil), x.Shape...)
-	y := tensor.New(b, c)
-	hw := h * w
-	for s := 0; s < b; s++ {
-		for ch := 0; ch < c; ch++ {
-			seg := x.Data[(s*c+ch)*hw : (s*c+ch+1)*hw]
-			sum := 0.0
-			for _, v := range seg {
-				sum += v
-			}
-			y.Data[s*c+ch] = sum / float64(hw)
-		}
-	}
+	y := tensor.New(x.Dim(0), x.Dim(1))
+	planeMeans(y.Data, x.Data, x.Dim(2)*x.Dim(3))
 	return y
 }
 
@@ -148,20 +185,16 @@ func (g *GlobalAvgPool) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: GlobalAvgPool input %v, want rank 4", x.Shape))
 	}
-	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	y := arenaOf(ctx).GetUninit(b, c)
-	hw := h * w
-	for s := 0; s < b; s++ {
-		for ch := 0; ch < c; ch++ {
-			seg := x.Data[(s*c+ch)*hw : (s*c+ch+1)*hw]
-			sum := 0.0
-			for _, v := range seg {
-				sum += v
-			}
-			y.Data[s*c+ch] = sum / float64(hw)
-		}
-	}
+	y := arenaOf(ctx).GetUninit(x.Dim(0), x.Dim(1))
+	planeMeans(y.Data, x.Data, x.Dim(2)*x.Dim(3))
 	return y
+}
+
+// planeMeans writes the mean of each consecutive hw-element plane of src.
+func planeMeans(dst, src []float64, hw int) {
+	for i := range dst {
+		dst[i] = tensor.Sum(src[i*hw:(i+1)*hw]) / float64(hw)
+	}
 }
 
 // Backward distributes each gradient uniformly over the pooled plane.

@@ -97,12 +97,12 @@ func TestCascadeLatencyAdmissionAndDegradation(t *testing.T) {
 	if rej != 0 {
 		t.Fatalf("empty server rejected %d", rej)
 	}
-	tickSync(s, clk, time.Second)
+	clk.Tick(time.Second)
 	w1, rej := submit(1, 20)
 	if rej != 0 {
 		t.Fatalf("backlog 0.25 s should still admit 20, rejected %d", rej)
 	}
-	tickSync(s, clk, time.Second)
+	clk.Tick(time.Second)
 	// Window 2: 0.5 s of backlog outlasts the next close, the remaining
 	// budget holds 8 lower-bound queries, QueueFactor 2 doubles it: 16
 	// admitted, 4 shed — admission trips on in-flight work, not just
@@ -111,7 +111,7 @@ func TestCascadeLatencyAdmissionAndDegradation(t *testing.T) {
 	if len(w2) != 16 || rej != 4 {
 		t.Fatalf("saturated window admitted %d / rejected %d, want 16/4", len(w2), rej)
 	}
-	tickSync(s, clk, time.Second)
+	clk.Tick(time.Second)
 	// Window 3 is one query. Pre-fix it would be served at r=1 with a fresh
 	// T/2 budget; the backlog-aware policy degrades it to 0.5 and records
 	// the degradation.
@@ -119,7 +119,7 @@ func TestCascadeLatencyAdmissionAndDegradation(t *testing.T) {
 	if rej != 0 {
 		t.Fatalf("one query within remaining slack was rejected")
 	}
-	tickSync(s, clk, time.Second)
+	clk.Tick(time.Second)
 
 	st := s.Stats()
 	if st.Rejected != 4 {
@@ -199,7 +199,7 @@ func TestTickerNeverBlocksOnParkedWindows(t *testing.T) {
 			t.Fatalf("window %d: %v", k, err)
 		}
 		chans = append(chans, ch)
-		tickSync(s, clk, time.Second) // deadlocks here pre-fix once the buffer fills
+		clk.Tick(time.Second) // deadlocks here pre-fix once the buffer fills
 	}
 	if st := s.Stats(); st.PeakBacklogWindows < windows-1 {
 		t.Fatalf("peak backlog %d, want ≥ %d parked windows", st.PeakBacklogWindows, windows-1)
@@ -228,7 +228,7 @@ func TestMaxBacklogWindowsSafetyValve(t *testing.T) {
 			t.Fatalf("window %d below the valve: %v", k, err)
 		}
 		chans = append(chans, ch)
-		tickSync(s, clk, time.Second)
+		clk.Tick(time.Second)
 	}
 	// The model/reality contrast the valve exists for: the estimated
 	// horizon shows at most the latest window's work (it drains with the
@@ -283,7 +283,7 @@ func TestConcurrentWindowsPartitionWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		chans = append(chans, ch)
-		tickSync(s, clk, time.Second)
+		clk.Tick(time.Second)
 	}
 	// Both windows are in the scheduler; with two workers the pool splits
 	// one worker per window. Wait until both shards are genuinely blocked

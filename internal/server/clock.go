@@ -32,18 +32,20 @@ func (realClock) Ticker(d time.Duration) (<-chan time.Time, func()) {
 }
 
 // FakeClock is a manually advanced clock for deterministic tests: Tick
-// delivers exactly one window boundary and blocks until the batcher has
-// consumed it, so a test can interleave Submit calls and window closes
+// delivers exactly one window boundary and blocks until the consumer has
+// finished the work that boundary triggers (AckTick), so a test can
+// interleave Submit calls, window closes and reads of the server's state
 // without races or sleeps.
 type FakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-	c   chan time.Time
+	mu   sync.Mutex
+	now  time.Time
+	c    chan time.Time
+	done chan struct{}
 }
 
 // NewFakeClock starts a fake clock at the given instant.
 func NewFakeClock(start time.Time) *FakeClock {
-	return &FakeClock{now: start, c: make(chan time.Time)}
+	return &FakeClock{now: start, c: make(chan time.Time), done: make(chan struct{})}
 }
 
 // Now returns the fake current time.
@@ -67,12 +69,23 @@ func (f *FakeClock) Advance(d time.Duration) {
 	f.mu.Unlock()
 }
 
-// Tick advances the clock by d and delivers one window boundary, blocking
-// until the consumer (the batcher) receives it.
+// Tick advances the clock by d and delivers one window boundary, returning
+// once the consumer has processed it: for the batcher, the window is closed,
+// its decision taken and its batch handed to the scheduler.
 func (f *FakeClock) Tick(d time.Duration) {
 	f.mu.Lock()
 	f.now = f.now.Add(d)
 	now := f.now
 	f.mu.Unlock()
 	f.c <- now
+	<-f.done
+}
+
+// AckTick reports that the work triggered by the tick just received from c's
+// Ticker is done. Every consumer of a Ticker calls it once per tick; it
+// releases a FakeClock's Tick and does nothing on any other clock.
+func AckTick(c Clock) {
+	if f, ok := c.(*FakeClock); ok {
+		f.done <- struct{}{}
+	}
 }

@@ -11,14 +11,6 @@ import (
 	"modelslicing/internal/slicing"
 )
 
-// tickSync delivers one window boundary and waits until the batcher has
-// taken the window's scheduling decision — not merely received the tick —
-// so the next window's submissions cannot race into the closing window.
-func tickSync(s *Server, clk *FakeClock, d time.Duration) {
-	clk.Tick(d)
-	<-s.tickDone
-}
-
 // TestLockstepSimulationAndLiveServerAgree is the drift guard for the
 // backlog model: the clock-free simulation and the live server under a
 // FakeClock are driven with the same arrival trace — window k's queries
@@ -68,7 +60,7 @@ func TestLockstepSimulationAndLiveServerAgree(t *testing.T) {
 			}
 			perWindow[k] = append(perWindow[k], ch)
 		}
-		tickSync(s, clk, time.Second)
+		clk.Tick(time.Second)
 	}
 
 	for k := range arrivals {
@@ -135,7 +127,7 @@ func TestLockstepSlackGauges(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tickSync(s, clk, time.Second)
+		clk.Tick(time.Second)
 	}
 	st := s.Stats()
 	last := sim.Ticks[len(sim.Ticks)-1]

@@ -58,7 +58,7 @@ func TestLockstepDecisionRecordsAgree(t *testing.T) {
 				t.Fatalf("window %d submit %d: %v", k, j, err)
 			}
 		}
-		tickSync(s, clk, time.Second)
+		clk.Tick(time.Second)
 	}
 
 	simRecs, liveRecs := simRec.Snapshot(), s.Recorder().Snapshot()
@@ -105,7 +105,7 @@ func TestDebugDecisionsExplainsCascade(t *testing.T) {
 		for j := 0; j < n; j++ {
 			_, _ = s.Submit(input(int64(100*k + j))) // window 2 sheds 4; fine
 		}
-		tickSync(s, clk, time.Second)
+		clk.Tick(time.Second)
 	}
 
 	resp, err := http.Get(ts.URL + "/debug/decisions")

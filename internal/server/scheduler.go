@@ -44,7 +44,7 @@ type scheduler struct {
 	tasks   []*task   // window shards in window-close order
 	free    []*worker // idle workers
 	active  []*task   // shards currently executing (watchdog scan set)
-	jobs    int       // windows enqueued but not yet settled
+	jobs    int       // windows enqueued whose replies have not gone out yet
 	running int       // non-abandoned shards currently executing
 	closed  bool      // no further enqueues (shutdown)
 
@@ -242,9 +242,6 @@ func (d *scheduler) failShard(t *task, err error, now time.Time) {
 	}
 	if t.job.remaining.Add(-1) == 0 {
 		d.finish(t.job)
-		d.mu.Lock()
-		d.jobs--
-		d.mu.Unlock()
 		d.notify()
 	}
 }
@@ -289,8 +286,7 @@ func (d *scheduler) run(t *task, wk *worker) {
 		s.noteShardOK()
 	}
 
-	last := t.job.remaining.Add(-1) == 0
-	if last {
+	if t.job.remaining.Add(-1) == 0 {
 		d.finish(t.job)
 	}
 	d.mu.Lock()
@@ -302,9 +298,6 @@ func (d *scheduler) run(t *task, wk *worker) {
 	}
 	d.free = append(d.free, wk)
 	d.running--
-	if last {
-		d.jobs--
-	}
 	d.mu.Unlock()
 	d.notify()
 }
@@ -364,10 +357,16 @@ func (d *scheduler) execute(t *task, wk *worker) (dropped []*query, err error) {
 // it measured at startup. t(r) keeps learning even (especially) while
 // backlog staggers shards across busy pools, where a naive wall-clock
 // measurement would be inflated by queueing.
+//
+// The window leaves the backlog gauge before its replies go out, so a caller
+// holding one of them never reads the window as still parked.
 func (d *scheduler) finish(job *batchJob) {
 	s := d.srv
 	workerBusy := time.Duration(job.workerNanos.Load())
 	s.cal.Observe(job.decision.Rate, len(job.queries), workerBusy/time.Duration(job.shards))
+	d.mu.Lock()
+	d.jobs--
+	d.mu.Unlock()
 	s.settle(job, workerBusy)
 }
 

@@ -293,7 +293,6 @@ type Server struct {
 
 	sched    *scheduler
 	quit     chan struct{}
-	tickDone chan struct{} // one token per processed tick (test synchronization)
 	stopOnce sync.Once
 }
 
@@ -394,7 +393,6 @@ func New(cfg Config) (*Server, error) {
 		recorder: obs.NewRecorder(cfg.DecisionLog),
 		started:  started,
 		quit:     make(chan struct{}),
-		tickDone: make(chan struct{}, 1),
 	}
 	if cfg.SampleTime != nil {
 		s.cal = newStaticCalibrator(deploy, cfg.SampleTime)
@@ -776,12 +774,7 @@ func (s *Server) batchLoop() {
 			// shard.
 			s.sched.scanStuck(s.clock.Now())
 			s.closeWindow()
-			// Non-blocking token for tests that must know the window
-			// decision has been taken before they act on the next window.
-			select {
-			case s.tickDone <- struct{}{}:
-			default:
-			}
+			AckTick(s.clock)
 		}
 	}
 }
@@ -869,20 +862,34 @@ func (s *Server) settle(job *batchJob, workerBusy time.Duration) {
 	s.inflight -= n
 	s.mu.Unlock()
 
+	// Count first, answer second: whoever holds a reply finds it already
+	// in the counters (a /metrics read after a /predict reply, say).
 	now := s.clock.Now()
 	misses, failed := int64(0), int64(0)
 	for _, q := range job.queries {
-		latency := now.Sub(q.enqueued)
-		miss := latency > s.cfg.SLO
-		if miss {
+		if now.Sub(q.enqueued) > s.cfg.SLO {
 			misses++
 		}
+		if q.err != nil {
+			failed++
+		}
+	}
+	s.metrics.sloMisses.Add(misses)
+	s.metrics.failedQueries.Add(failed)
+	acc, haveAcc := 0.0, false
+	if s.cfg.AccuracyAt != nil {
+		acc, haveAcc = s.cfg.AccuracyAt(job.decision.Rate), true
+	}
+	s.metrics.recordBatch(n, job.decision, workerBusy, acc, haveAcc)
+
+	for _, q := range job.queries {
+		latency := now.Sub(q.enqueued)
 		s.tracer.Observe(job.decision.Rate, job.window,
 			q.enqueued, q.windowClose, q.computeStart, q.computeEnd, now)
 		res := Result{
 			Rate:     job.decision.Rate,
 			Latency:  latency,
-			SLOMiss:  miss,
+			SLOMiss:  latency > s.cfg.SLO,
 			Queued:   q.windowClose.Sub(q.enqueued),
 			Dispatch: q.computeStart.Sub(q.windowClose),
 			Compute:  q.computeEnd.Sub(q.computeStart),
@@ -893,19 +900,11 @@ func (s *Server) settle(job *batchJob, workerBusy time.Duration) {
 		// be writing it, and the error outcome is already decided.
 		if q.err != nil {
 			res.Err = q.err
-			failed++
 		} else {
 			res.Output = q.result
 		}
 		q.done <- res
 	}
-	s.metrics.sloMisses.Add(misses)
-	s.metrics.failedQueries.Add(failed)
-	acc, haveAcc := 0.0, false
-	if s.cfg.AccuracyAt != nil {
-		acc, haveAcc = s.cfg.AccuracyAt(job.decision.Rate), true
-	}
-	s.metrics.recordBatch(n, job.decision, workerBusy, acc, haveAcc)
 }
 
 // run forwards one shard as a single batch at the given rate through the

@@ -23,6 +23,61 @@ func Im2Col(src []float64, channels, h, w, kh, kw, stride, pad int, col []float6
 // spatial extent is too small. Every element of the band is written
 // (padding taps included), so the destination may be uninitialized.
 func Im2ColInto(src []float64, channels, h, w, kh, kw, stride, pad int, col []float64, ldcol, colOff int) {
+	if stride == 1 && kw == 2*pad+1 && h+2*pad >= kh {
+		im2colShift(src, channels, h, w, kh, kw, pad, col, ldcol, colOff)
+		return
+	}
+	im2colRows(src, channels, h, w, kh, kw, stride, pad, col, ldcol, colOff)
+}
+
+// im2colShift is Im2ColInto for stride 1 with the output as wide as the input
+// (kw = 2·pad+1, every "same" convolution). Source and destination rows then
+// share one stride, so a kernel tap (ki, kj) is the whole plane shifted by
+// (ki−pad)·w + (kj−pad): one bulk copy per (channel, tap) instead of one per
+// output row. The copy drags each row's out-of-range columns in from the
+// neighbouring row; those few elements, and the rows above and below the
+// image, are zeroed afterwards. Results equal im2colRows exactly.
+func im2colShift(src []float64, channels, h, w, kh, kw, pad int, col []float64, ldcol, colOff int) {
+	outH := h + 2*pad - kh + 1
+	band := outH * w
+	idx := 0
+	for c := 0; c < channels; c++ {
+		plane := src[c*h*w : (c+1)*h*w]
+		for ki := 0; ki < kh; ki++ {
+			// oy ∈ [oyLo, oyHi) reads a row inside the image.
+			oyLo := min(max(pad-ki, 0), outH)
+			oyHi := max(min(h+pad-ki, outH), oyLo)
+			for kj := 0; kj < kw; kj++ {
+				dst := col[idx*ldcol+colOff : idx*ldcol+colOff+band]
+				idx++
+				// ox ∈ [lo, hi) reads a column inside the row.
+				lo := min(max(pad-kj, 0), w)
+				hi := max(min(w+pad-kj, w), lo)
+				if oyLo == oyHi || lo == hi {
+					clear(dst)
+					continue
+				}
+				shift := (ki-pad)*w + kj - pad
+				first, last := oyLo*w+lo, (oyHi-1)*w+hi
+				clear(dst[:first])
+				copy(dst[first:last], plane[first+shift:last+shift])
+				clear(dst[last:])
+				// The gap is a column or two: plain stores beat a clear call.
+				gap := w - hi + lo
+				for p := oyLo*w + hi; p < last; p += w {
+					for q := p; q < p+gap; q++ {
+						dst[q] = 0
+					}
+				}
+			}
+		}
+	}
+}
+
+// im2colRows is the general Im2ColInto — any stride, any output width — one
+// copy or gather per output row. It is also the oracle im2colShift is tested
+// against.
+func im2colRows(src []float64, channels, h, w, kh, kw, stride, pad int, col []float64, ldcol, colOff int) {
 	outH := (h+2*pad-kh)/stride + 1
 	outW := (w+2*pad-kw)/stride + 1
 	// For a fixed kernel tap kj, the in-range output columns are those with

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -212,6 +213,85 @@ func TestIm2ColIntoMatchesPerSample(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestIm2ColShiftMatchesRows pins the stride-1 fast path to the general
+// row-by-row loop: exact equality over random shapes — single-row and
+// single-column images, no padding, padding beyond the kernel's height, taps
+// that never reach the image — into a band of a wider matrix whose other
+// columns must stay untouched.
+func TestIm2ColShiftMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	shifted := 0
+	for iter := 0; iter < 3000; iter++ {
+		c := 1 + rng.Intn(3)
+		h, w := 1+rng.Intn(7), 1+rng.Intn(7)
+		pad := rng.Intn(4)
+		kh, kw := 1+rng.Intn(6), 2*pad+1
+		if iter%5 == 0 {
+			kw = 1 + rng.Intn(6) // mostly off the fast path: the dispatch must still agree
+		}
+		outH, outW := ConvOutSize(h, kh, 1, pad), ConvOutSize(w, kw, 1, pad)
+		if h+2*pad < kh || w+2*pad < kw {
+			continue
+		}
+		if kw == 2*pad+1 {
+			shifted++
+		}
+		spatial := outH * outW
+		colOff := rng.Intn(5)
+		ldcol := colOff + spatial + rng.Intn(5)
+		rows := c * kh * kw
+		src := randSlice(c*h*w, rng)
+		got := randSlice(rows*ldcol, rng) // garbage start
+		want := append([]float64(nil), got...)
+		Im2ColInto(src, c, h, w, kh, kw, 1, pad, got, ldcol, colOff)
+		im2colRows(src, c, h, w, kh, kw, 1, pad, want, ldcol, colOff)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("c=%d h=%d w=%d kh=%d kw=%d pad=%d ldcol=%d colOff=%d: col[%d,%d] = %g, want %g",
+					c, h, w, kh, kw, pad, ldcol, colOff, i/ldcol, i%ldcol, got[i], want[i])
+			}
+		}
+	}
+	if shifted < 1000 {
+		t.Fatalf("only %d cases took the fast path", shifted)
+	}
+	src, col := randSlice(4*8*8, rng), make([]float64, 4*9*8*8)
+	if allocs := testing.AllocsPerRun(20, func() { Im2ColInto(src, 4, 8, 8, 3, 3, 1, 1, col, 64, 0) }); allocs != 0 {
+		t.Fatalf("Im2ColInto allocates %v times per call, want 0", allocs)
+	}
+}
+
+// vggMiniConvShapes are the eight convolution inputs of VGG13Mini at full
+// width: channels and the square spatial extent. The first is the unsliced
+// network input.
+var vggMiniConvShapes = []struct {
+	channels, hw int
+	sliced       bool
+}{
+	{3, 16, false}, {8, 16, true}, {8, 16, true}, {16, 16, true},
+	{16, 8, true}, {32, 8, true}, {32, 4, true}, {64, 4, true},
+}
+
+func BenchmarkIm2Col(b *testing.B) {
+	rng := rand.New(rand.NewSource(32))
+	for li, s := range vggMiniConvShapes {
+		for _, r := range []float64{0.25, 1} {
+			c := s.channels
+			if s.sliced {
+				c = int(float64(c) * r)
+			}
+			src := randSlice(c*s.hw*s.hw, rng)
+			col := make([]float64, c*9*s.hw*s.hw)
+			b.Run(fmt.Sprintf("conv%d_%dx%dx%d_r%g", li+1, c, s.hw, s.hw, r), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					Im2ColInto(src, c, s.hw, s.hw, 3, 3, 1, 1, col, s.hw*s.hw, 0)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(col)), "ns/element")
+			})
 		}
 	}
 }

@@ -54,3 +54,10 @@ func axpyQuad1F32(c0 []float64, b0, b1, b2, b3 []float32, a0 []float64) {
 func axpyQuad1AssignF32(c0 []float64, b0, b1, b2, b3 []float32, a0 []float64) {
 	panic("tensor: no vector kernel")
 }
+
+func sumAVX(x []float64) float64                  { panic("tensor: no vector kernel") }
+func sumSqDevAVX(x []float64, mu float64) float64 { panic("tensor: no vector kernel") }
+
+func normAffineAVX(dst, x []float64, mu, invStd, gamma, beta float64, relu bool) {
+	panic("tensor: no vector kernel")
+}
