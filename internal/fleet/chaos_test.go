@@ -302,11 +302,26 @@ func TestFleetHTTPSurface(t *testing.T) {
 		t.Fatalf("predict through coordinator: status %d output %v", resp.StatusCode, out.Output)
 	}
 
-	// Malformed input relays the replica's 400.
-	resp = post("/predict", `{"input":[1,2]}`)
+	// The query string reaches the replica: ?debug=1 through the coordinator
+	// carries the stage breakdown, as it does against a replica directly.
+	resp = post("/predict?debug=1", string(body))
+	out = server.PredictResponse{}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad input through coordinator: status %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || out.Stages == nil {
+		t.Fatalf("?debug=1 through coordinator: status %d stages %v", resp.StatusCode, out.Stages)
+	}
+
+	// Malformed input relays the replica's 400 — wrong length and, now that
+	// the coordinator no longer parses the body itself, broken JSON alike.
+	for _, bad := range []string{`{"input":[1,2]}`, `not json`} {
+		resp = post("/predict", bad)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad input %q through coordinator: status %d, want 400", bad, resp.StatusCode)
+		}
 	}
 
 	resp, err := http.Get(front.URL + "/metrics")
@@ -318,7 +333,7 @@ func TestFleetHTTPSurface(t *testing.T) {
 	resp.Body.Close()
 	text := buf.String()
 	for _, w := range []string{
-		"msfleet_forwarded_total 1",
+		"msfleet_forwarded_total 2",
 		"msfleet_retries_total",
 		"msfleet_hedges_total",
 		"msfleet_ejections_total",
@@ -326,7 +341,7 @@ func TestFleetHTTPSurface(t *testing.T) {
 		"msfleet_shed_total",
 		`msfleet_replica_up{replica="` + urls[0] + `"} 1`,
 		`msfleet_replica_routed_total{replica="` + urls[0] + `"}`,
-		"msfleet_query_latency_seconds_count 1",
+		"msfleet_query_latency_seconds_count 2",
 	} {
 		if !strings.Contains(text, w) {
 			t.Fatalf("fleet metrics missing %q:\n%s", w, text)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,7 +9,9 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"modelslicing/internal/server"
@@ -83,6 +86,10 @@ type Config struct {
 type replica struct {
 	url   string
 	model *serving.ReplicaModel
+	// table is the t(r) table model.Policy.SampleTime was last built from;
+	// polled is the health loop's scratch, touched by that goroutine alone.
+	table  []server.RateTime
+	polled statePoll
 
 	consecFails int
 	consecOK    int
@@ -107,6 +114,9 @@ type Coordinator struct {
 	rng       *rand.Rand
 
 	metrics coordMetrics
+	// hedgeNs caches the adaptive hedge delay (read per query, moves slowly);
+	// hedgeNext is the clock time, ns since started, of its next recompute.
+	hedgeNs, hedgeNext atomic.Int64
 
 	quit     chan struct{}
 	stopOnce sync.Once
@@ -163,6 +173,7 @@ func New(cfg Config) (*Coordinator, error) {
 		rng:     rand.New(rand.NewSource(1)),
 		quit:    make(chan struct{}),
 	}
+	c.hedgeNs.Store(int64(2 * cfg.SLO))
 	go c.healthLoop()
 	return c, nil
 }
@@ -187,18 +198,15 @@ func (c *Coordinator) sinceStart(t time.Time) float64 {
 // still a member) reseeds its model in place; indices stay stable for the
 // queries in flight.
 func (c *Coordinator) AddReplica(baseURL string) error {
-	st, err := c.fetchState(baseURL)
-	if err != nil {
+	var poll statePoll
+	if err := c.fetchState(baseURL, &poll); err != nil {
 		return fmt.Errorf("fleet: join %s: %w", baseURL, err)
 	}
+	st := &poll.State
 	now := c.clock.Now()
 	nowF := c.sinceStart(now)
 	model := &serving.ReplicaModel{
-		Policy: serving.Policy{
-			Rates:      slicing.RateList(st.Rates),
-			Window:     st.WindowS,
-			SampleTime: server.SampleTimeTable(st.SampleTimes),
-		},
+		Policy:    serving.Policy{Rates: slicing.RateList(st.Rates), Window: st.WindowS},
 		Penalized: st.CircuitOpen || st.Stopping,
 	}
 	model.Backlog.Extend(nowF, st.BacklogAheadS)
@@ -208,13 +216,26 @@ func (c *Coordinator) AddReplica(baseURL string) error {
 		if r.url == baseURL {
 			r.left = false
 			r.consecFails, r.consecOK = 0, 0
-			*r.model = *model
+			*r.model = *model // clears the cost curve; setTable rebuilds it
+			r.setTable(st.SampleTimes)
 			return nil
 		}
 	}
+	r := &replica{url: baseURL, model: model}
+	r.setTable(st.SampleTimes)
 	c.cluster.Replicas = append(c.cluster.Replicas, model)
-	c.replicas = append(c.replicas, &replica{url: baseURL, model: model})
+	c.replicas = append(c.replicas, r)
 	return nil
+}
+
+// setTable installs a polled t(r) table as the replica's cost curve, rebuilt
+// only when it moved (an idle replica reports the same one). Holds c.mu.
+func (r *replica) setTable(ts []server.RateTime) {
+	if r.model.Policy.SampleTime != nil && slices.Equal(r.table, ts) {
+		return
+	}
+	r.table = append(r.table[:0], ts...)
+	r.model.Policy.SampleTime = server.SampleTimeTable(r.table)
 }
 
 // RemoveReplica takes a replica out of rotation administratively. The entry
@@ -250,14 +271,14 @@ func (c *Coordinator) advanceLocked(nowF float64) {
 // route books one query into the fleet model and returns the chosen
 // replica. skip lists replica indices this query must avoid (already tried,
 // or the hedge primary).
-func (c *Coordinator) route(skip map[int]bool) (int, string, bool) {
+func (c *Coordinator) route(skip []int) (int, string, bool) {
 	now := c.clock.Now()
 	nowF := c.sinceStart(now)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.advanceLocked(nowF)
 	closeT := float64(c.curWindow+1) * c.windowS()
-	rd, ok := c.cluster.Route(nowF, closeT, func(i int) bool { return skip[i] })
+	rd, ok := c.cluster.Route(nowF, closeT, func(i int) bool { return slices.Contains(skip, i) })
 	if !ok {
 		return -1, "", false
 	}
@@ -324,7 +345,8 @@ func (c *Coordinator) pollAll() {
 	}
 	c.mu.Unlock()
 	for _, r := range members {
-		st, err := c.fetchState(r.url)
+		st := &r.polled.State
+		err := c.fetchState(r.url, &r.polled)
 		now := c.clock.Now()
 		c.mu.Lock()
 		if r.left { // removed while we polled
@@ -339,7 +361,7 @@ func (c *Coordinator) pollAll() {
 		r.consecFails = 0
 		r.consecOK++
 		r.model.Penalized = st.CircuitOpen || st.Stopping
-		r.model.Policy.SampleTime = server.SampleTimeTable(st.SampleTimes)
+		r.setTable(st.SampleTimes)
 		if r.model.Ejected && r.consecOK >= c.cfg.RejoinAfter {
 			// Rejoin: back into rotation with a fresh horizon seeded from
 			// the replica's own report — whatever happened while it was
@@ -355,27 +377,36 @@ func (c *Coordinator) pollAll() {
 	}
 }
 
-// fetchState polls one replica's /state.
-func (c *Coordinator) fetchState(baseURL string) (server.State, error) {
-	var st server.State
+// statePoll is the reusable storage of one /state poll: the reply's bytes and
+// the State decoded from them (encoding/json reuses its slices' capacity).
+type statePoll struct {
+	server.State
+	raw bytes.Buffer
+}
+
+// fetchState polls one replica's /state into p.
+func (c *Coordinator) fetchState(baseURL string, p *statePoll) error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.StateTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/state", nil)
 	if err != nil {
-		return st, err
+		return err
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return st, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("state: HTTP %d", resp.StatusCode)
+		return fmt.Errorf("state: HTTP %d", resp.StatusCode)
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
-		return st, err
+	p.raw.Reset()
+	if _, err := p.raw.ReadFrom(io.LimitReader(resp.Body, 1<<20)); err != nil {
+		return err
 	}
-	return st, nil
+	// A field the reply omits must read as zero, not as the last poll's.
+	p.State = server.State{Rates: p.Rates[:0], SampleTimes: p.SampleTimes[:0]}
+	return json.Unmarshal(p.raw.Bytes(), &p.State)
 }
 
 // backoff returns the capped exponential retry delay with jitter for the

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 
 	"modelslicing/internal/server"
 )
@@ -35,21 +37,29 @@ func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "use POST", http.StatusMethodNotAllowed)
 		return
 	}
-	var req server.PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+	// The body is neither parsed nor re-encoded here: the replica that
+	// serves it is the one place the input vector's text is read.
+	var body bytes.Buffer
+	if !server.ReadPredictBody(w, r, &body, maxBodyBytes) {
 		return
 	}
-	resp, err := c.Predict(r.Context(), req.Input)
+	reply, err := c.predictBytes(r.Context(), body.Bytes(), r.URL.RawQuery)
+	var aerr *attemptErr
+	failed := errors.As(err, &aerr)
 	switch {
 	case err == nil:
-		writeJSON(w, resp)
+		w.Header()["Content-Type"] = jsonContentType
+		_, _ = w.Write(reply) // a client that left is not the fleet's error
 	case errors.Is(err, ErrSaturated), errors.Is(err, ErrNoReplicas):
-		w.Header().Set("Retry-After", "1")
+		// The soonest horizon the shedding replicas derived, if there is one.
+		secs := 1
+		if failed {
+			secs = max(secs, aerr.retryAfter)
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		writeJSONStatus(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error()})
 	default:
-		var aerr *attemptErr
-		if errors.As(err, &aerr) && !aerr.retryable {
+		if failed && !aerr.retryable {
 			// The replica judged the request malformed; relay that verdict.
 			writeJSONStatus(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 			return
@@ -118,12 +128,12 @@ func (c *Coordinator) handleReplicas(w http.ResponseWriter, r *http.Request) {
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeJSONStatus(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }

@@ -7,25 +7,42 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
 	"modelslicing/internal/server"
 )
 
+// maxBodyBytes caps a /predict body in either direction.
+const maxBodyBytes = 8 << 20
+
+var jsonContentType = []string{"application/json"}
+
 // attemptErr is one failed forwarding attempt, classified for the retry
 // policy: transport errors and replica-side 5xx are retryable on a different
 // replica; a 4xx is the caller's fault and is not. saturated marks a 503 —
 // when every attempt ends saturated, the fleet-level answer is ErrSaturated,
-// the only condition under which the coordinator sheds.
+// the only condition under which the coordinator sheds — and retryAfter is
+// the smallest Retry-After (whole seconds, 0 if none) the shedding replicas
+// derived from their horizons.
 type attemptErr struct {
-	err       error
-	retryable bool
-	saturated bool
+	err        error
+	retryable  bool
+	saturated  bool
+	retryAfter int
 }
 
 func (e *attemptErr) Error() string { return e.err.Error() }
 func (e *attemptErr) Unwrap() error { return e.err }
+
+// sooner merges two Retry-After values, 0 meaning none.
+func sooner(a, b int) int {
+	if a == 0 || (b != 0 && b < a) {
+		return b
+	}
+	return a
+}
 
 // Predict routes one query through the fleet and returns the replica's
 // answer. The fleet-level contract mirrors the single-node one: every call
@@ -33,26 +50,52 @@ func (e *attemptErr) Unwrap() error { return e.err }
 // stalled, or shed along the way. Transient failures are retried on a
 // replica the query has not touched (capped exponential backoff + jitter);
 // a straggling attempt is hedged to the next-best replica after HedgeAfter
-// and the first reply wins.
+// and the first reply wins. It is predictBytes with the encoding done here;
+// the HTTP handler passes the client's bytes through instead.
 func (c *Coordinator) Predict(ctx context.Context, input []float64) (server.PredictResponse, error) {
+	var out server.PredictResponse
+	body, err := json.Marshal(server.PredictRequest{Input: input})
+	if err != nil {
+		return out, err
+	}
+	reply, err := c.predictBytes(ctx, body, "")
+	if err != nil {
+		return out, err
+	}
+	if err := json.Unmarshal(reply, &out); err != nil {
+		return out, fmt.Errorf("fleet: bad reply: %w", err)
+	}
+	return out, nil
+}
+
+// predictBytes is Predict on the wire format: body is a /predict request
+// body, posted as is on every attempt (it is not pooled: net/http may still
+// be reading a request body after Do has returned, so only the collector
+// knows when the last copy is done with it); rawQuery is the client's query
+// string; the result is a replica's 200 reply, verbatim.
+func (c *Coordinator) predictBytes(ctx context.Context, body []byte, rawQuery string) ([]byte, error) {
 	start := time.Now()
-	tried := make(map[int]bool)
+	tried := make([]int, 0, 4)
 	var last *attemptErr
-	sawSaturated := false
+	sawSaturated, retryAfter := false, 0
 	for attempt := 0; ; attempt++ {
 		idx, url, ok := c.route(tried)
 		if !ok {
 			break // every replica in rotation has been tried (or none exists)
 		}
-		tried[idx] = true
-		resp, aerr := c.sendHedged(ctx, idx, url, input, tried)
+		tried = append(tried, idx)
+		reply, hedged, aerr := c.sendHedged(ctx, idx, url, body, rawQuery, tried)
+		if hedged >= 0 {
+			tried = append(tried, hedged)
+		}
 		if aerr == nil {
 			c.metrics.latency.Observe(time.Since(start))
 			c.metrics.forwarded.Add(1)
-			return resp, nil
+			return reply, nil
 		}
 		last = aerr
 		sawSaturated = sawSaturated || aerr.saturated
+		retryAfter = sooner(retryAfter, aerr.retryAfter)
 		if !aerr.retryable || attempt >= c.cfg.RetryMax {
 			break
 		}
@@ -61,18 +104,19 @@ func (c *Coordinator) Predict(ctx context.Context, input []float64) (server.Pred
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
-				return server.PredictResponse{}, ctx.Err()
+				return nil, ctx.Err()
 			}
 		}
 	}
 	c.metrics.shed.Add(1)
 	switch {
 	case sawSaturated:
-		return server.PredictResponse{}, fmt.Errorf("%w: %w", ErrSaturated, last)
+		last.retryAfter = retryAfter
+		return nil, fmt.Errorf("%w: %w", ErrSaturated, last)
 	case last != nil:
-		return server.PredictResponse{}, last
+		return nil, last
 	default:
-		return server.PredictResponse{}, ErrNoReplicas
+		return nil, ErrNoReplicas
 	}
 }
 
@@ -82,29 +126,32 @@ func (c *Coordinator) Predict(ctx context.Context, input []float64) (server.Pred
 // whichever reply lands first wins — the loser's request is canceled through
 // the shared context. The channel is buffered to the number of launched
 // copies, so a losing goroutine never blocks on a caller that has left.
-func (c *Coordinator) sendHedged(ctx context.Context, idx int, url string, input []float64, tried map[int]bool) (server.PredictResponse, *attemptErr) {
+// hedged is the replica the hedge copy went to, -1 if none was launched.
+func (c *Coordinator) sendHedged(ctx context.Context, idx int, url string, body []byte, rawQuery string, tried []int) (reply []byte, hedged int, err *attemptErr) {
+	hedged = -1
 	delay := c.hedgeDelay()
 	if delay < 0 {
-		return c.forward(ctx, idx, url, input)
+		reply, err = c.forward(ctx, idx, url, body, rawQuery)
+		return reply, hedged, err
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
-		resp  server.PredictResponse
+		reply []byte
 		err   *attemptErr
 		hedge bool // produced by the hedge copy, not the primary
 	}
 	results := make(chan outcome, 2)
 	launch := func(i int, u string, hedge bool) {
 		go func() {
-			r, e := c.forward(hctx, i, u, input)
+			r, e := c.forward(hctx, i, u, body, rawQuery)
 			results <- outcome{r, e, hedge}
 		}()
 	}
 	launch(idx, url, false)
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
-	launched, outstanding := 1, 1
+	launched, outstanding, retryAfter := 1, 1, 0
 	var firstErr *attemptErr
 	for {
 		select {
@@ -114,13 +161,15 @@ func (c *Coordinator) sendHedged(ctx context.Context, idx int, url string, input
 				if o.hedge {
 					c.metrics.hedgeWins.Add(1)
 				}
-				return o.resp, nil
+				return o.reply, hedged, nil
 			}
+			retryAfter = sooner(retryAfter, o.err.retryAfter)
 			if firstErr == nil || !o.err.saturated {
 				firstErr = o.err
 			}
 			if outstanding == 0 {
-				return server.PredictResponse{}, firstErr
+				firstErr.retryAfter = retryAfter
+				return nil, hedged, firstErr
 			}
 		case <-timer.C:
 			if launched > 1 {
@@ -130,12 +179,12 @@ func (c *Coordinator) sendHedged(ctx context.Context, idx int, url string, input
 			if !ok {
 				continue // nowhere to hedge to; keep waiting on the primary
 			}
-			tried[bidx] = true
+			hedged = bidx
 			c.metrics.hedges.Add(1)
 			launch(bidx, burl, true)
 			launched, outstanding = 2, outstanding+1
 		case <-ctx.Done():
-			return server.PredictResponse{}, &attemptErr{err: ctx.Err()}
+			return nil, hedged, &attemptErr{err: ctx.Err()}
 		}
 	}
 }
@@ -143,7 +192,7 @@ func (c *Coordinator) sendHedged(ctx context.Context, idx int, url string, input
 // hedgeDelay resolves the straggler threshold: the configured fixed value,
 // -1 when hedging is disabled, or the adaptive p95 of observed fleet
 // latency (2·SLO until 16 samples exist — early traffic should not hedge on
-// a noisy estimate).
+// a noisy estimate), recomputed at most once per HealthEvery of clock time.
 func (c *Coordinator) hedgeDelay() time.Duration {
 	if c.cfg.HedgeAfter != 0 {
 		if c.cfg.HedgeAfter < 0 {
@@ -151,62 +200,70 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 		}
 		return c.cfg.HedgeAfter
 	}
-	snap := c.metrics.latency.Snapshot()
-	if snap.Count < 16 {
-		return 2 * c.cfg.SLO
+	now := int64(c.clock.Now().Sub(c.started))
+	if next := c.hedgeNext.Load(); now >= next && c.hedgeNext.CompareAndSwap(next, now+int64(c.cfg.HealthEvery)) {
+		d := 2 * c.cfg.SLO
+		if snap := c.metrics.latency.Snapshot(); snap.Count >= 16 {
+			d = snap.Quantile(0.95)
+		}
+		c.hedgeNs.Store(int64(d))
 	}
-	return snap.Quantile(0.95)
+	return time.Duration(c.hedgeNs.Load())
 }
 
 // forward performs one HTTP attempt against one replica and classifies the
 // outcome. Transport-level failures also feed the ejection state machine —
 // a replica that eats queries should leave rotation before the health
-// poller notices.
-func (c *Coordinator) forward(ctx context.Context, idx int, baseURL string, input []float64) (server.PredictResponse, *attemptErr) {
-	var out server.PredictResponse
-	body, err := json.Marshal(server.PredictRequest{Input: input})
-	if err != nil {
-		return out, &attemptErr{err: err}
-	}
+// poller notices. A 200's body is handed back unparsed.
+func (c *Coordinator) forward(ctx context.Context, idx int, baseURL string, body []byte, rawQuery string) ([]byte, *attemptErr) {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.PredictTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, baseURL+"/predict", bytes.NewReader(body))
-	if err != nil {
-		return out, &attemptErr{err: err}
+	target := baseURL + "/predict"
+	if rawQuery != "" {
+		target += "?" + rawQuery
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req, err := http.NewRequestWithContext(actx, http.MethodPost, target, bytes.NewReader(body))
+	if err != nil {
+		return nil, &attemptErr{err: err}
+	}
+	req.Header["Content-Type"] = jsonContentType
 	resp, err := c.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The caller (or the winning hedge copy) canceled us; that says
 			// nothing about the replica's health.
-			return out, &attemptErr{err: ctx.Err()}
+			return nil, &attemptErr{err: ctx.Err()}
 		}
 		c.recordNetFailure(idx)
-		return out, &attemptErr{err: fmt.Errorf("fleet: %s: %w", baseURL, err), retryable: true}
+		return nil, &attemptErr{err: fmt.Errorf("fleet: %s: %w", baseURL, err), retryable: true}
 	}
 	defer resp.Body.Close()
 	c.recordNetOK(idx)
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&out); err != nil {
-			return out, &attemptErr{err: fmt.Errorf("fleet: %s: bad reply: %w", baseURL, err), retryable: true}
+		reply, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+		if err == nil && len(reply) == 0 {
+			err = io.ErrUnexpectedEOF
 		}
-		return out, nil
+		if err != nil {
+			return nil, &attemptErr{err: fmt.Errorf("fleet: %s: bad reply: %w", baseURL, err), retryable: true}
+		}
+		return reply, nil
 	case resp.StatusCode == http.StatusServiceUnavailable:
-		return out, &attemptErr{
+		secs, _ := strconv.Atoi(resp.Header.Get("Retry-After")) // 0 (none) if absent or malformed
+		return nil, &attemptErr{
 			err:       fmt.Errorf("fleet: %s shed the query: %s", baseURL, readErr(resp.Body)),
-			retryable: true, saturated: true,
+			retryable: true, saturated: true, retryAfter: max(secs, 0),
 		}
 	case resp.StatusCode >= 500:
 		// Shard failure on the replica (panic, stuck, expired): the replica
 		// has already repaired itself; the query deserves a different one.
-		return out, &attemptErr{
+		return nil, &attemptErr{
 			err:       fmt.Errorf("fleet: %s failed the query: %s", baseURL, readErr(resp.Body)),
 			retryable: true,
 		}
 	default:
-		return out, &attemptErr{err: fmt.Errorf("fleet: %s: HTTP %d: %s", baseURL, resp.StatusCode, readErr(resp.Body))}
+		return nil, &attemptErr{err: fmt.Errorf("fleet: %s: HTTP %d: %s", baseURL, resp.StatusCode, readErr(resp.Body))}
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"time"
-
-	"modelslicing/internal/server"
 )
 
 // SwapResult records one replica's promotion during a rolling fleet swap.
@@ -96,12 +94,13 @@ func (c *Coordinator) swapOne(ctx context.Context, baseURL string) (SwapResult, 
 func (c *Coordinator) gatePromotion(ctx context.Context, r *replica, want SwapResult) error {
 	deadline := time.Now().Add(c.cfg.PredictTimeout)
 	for {
-		st, err := c.fetchState(r.url)
+		var st statePoll
+		err := c.fetchState(r.url, &st)
 		if err == nil && st.ModelEpoch == want.Epoch && st.ModelCRC == want.CRC &&
 			!st.Stopping && !st.CircuitOpen {
 			c.mu.Lock()
 			if !r.left {
-				r.model.Policy.SampleTime = server.SampleTimeTable(st.SampleTimes)
+				r.setTable(st.SampleTimes)
 				r.model.Penalized = false
 			}
 			c.mu.Unlock()

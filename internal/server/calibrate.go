@@ -110,6 +110,17 @@ func (c *Calibrator) Ramp(n int) {
 	c.mu.Unlock()
 }
 
+// appendTimes appends the current estimates to dst as t(r) table rows, in
+// map order.
+func (c *Calibrator) appendTimes(dst []RateTime) []RateTime {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for r, t := range c.perSample {
+		dst = append(dst, RateTime{Rate: r, Seconds: t})
+	}
+	return dst
+}
+
 // Snapshot returns a copy of the current per-rate estimates (for /metrics).
 func (c *Calibrator) Snapshot() map[float64]float64 {
 	c.mu.RLock()

@@ -75,11 +75,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "use POST", http.StatusMethodNotAllowed)
 		return
 	}
-	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
+	// pb goes back to the pool unless the request ends with its query still
+	// inside the engine (the client left, or the shard failed): the batcher,
+	// or an abandoned shard's zombie worker, may yet read the input vector,
+	// and a later request must not be writing it then.
+	pb, recycle := predictBufs.Get().(*predictBuf), true
+	defer func() {
+		if recycle {
+			predictBufs.Put(pb)
+		}
+	}()
 	// The wire format is a flat row-major vector; rebuild the model's
 	// single-sample shape before submitting (Submit validates the full
 	// shape, not just the element count).
@@ -87,13 +92,23 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	for _, d := range s.cfg.InputShape {
 		want *= d
 	}
-	if len(req.Input) != want {
-		http.Error(w, fmt.Sprintf("input has %d elements, model wants %d (shape %v)",
-			len(req.Input), want, s.cfg.InputShape), http.StatusBadRequest)
+	// A float64 prints in at most 24 bytes; 32 leaves room for separators.
+	if !ReadPredictBody(w, r, &pb.raw, int64(want)*32+4096) {
 		return
 	}
-	x := tensor.FromSlice(req.Input, s.cfg.InputShape...)
-	ch, err := s.Submit(x)
+	in, err := parsePredict(pb.raw.Bytes(), pb.in)
+	if err != nil {
+		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	pb.in = in
+	if len(in) != want {
+		http.Error(w, fmt.Sprintf("input has %d elements, model wants %d (shape %v)",
+			len(in), want, s.cfg.InputShape), http.StatusBadRequest)
+		return
+	}
+	pb.x = tensor.Tensor{Shape: s.cfg.InputShape, Data: in}
+	ch, err := s.Submit(&pb.x)
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		// Shed with the evidence attached: a horizon-derived backoff hint
@@ -126,6 +141,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 				"rate":       res.Rate,
 				"latency_ms": float64(res.Latency.Microseconds()) / 1e3,
 			})
+			recycle = false
 			return
 		}
 		resp := PredictResponse{
@@ -135,20 +151,36 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			LatencyMs: float64(res.Latency.Microseconds()) / 1e3,
 			SLOMiss:   res.SLOMiss,
 		}
-		if r.URL.Query().Get("debug") == "1" {
+		var stages PredictStages
+		// RawQuery first: Query() builds a map per call.
+		if r.URL.RawQuery != "" && r.URL.Query().Get("debug") == "1" {
 			ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-			resp.Stages = &PredictStages{
+			stages = PredictStages{
 				QueuedMs:   ms(res.Queued),
 				DispatchMs: ms(res.Dispatch),
 				ComputeMs:  ms(res.Compute),
 				SettleMs:   ms(res.Settle),
 			}
+			resp.Stages = &stages
 		}
-		writeJSON(w, resp)
+		pb.raw.Reset()
+		out, err := appendPredictResponse(pb.raw.AvailableBuffer(), &resp)
+		if err != nil {
+			// An empty 200 would read as a broken replica and be retried
+			// across the fleet; say what happened instead.
+			writeJSONStatus(w, http.StatusInternalServerError, map[string]any{
+				"error": err.Error(),
+				"rate":  res.Rate,
+			})
+			return
+		}
+		w.Header()["Content-Type"] = jsonContentType
+		_, _ = w.Write(out) // a client that left is not the server's error
 	case <-r.Context().Done():
 		// Client gave up; the result channel is buffered so the
 		// dispatcher is never blocked by the abandonment.
 		http.Error(w, "client cancelled", 499)
+		recycle = false
 	}
 }
 
@@ -175,7 +207,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 // handleTrace streams the sampled query spans as a Chrome trace_event JSON
 // array.
 func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	_ = s.tracer.WriteTraceEvents(w)
 }
 
@@ -228,12 +260,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeJSONStatus(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }

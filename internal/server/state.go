@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -56,17 +55,17 @@ type State struct {
 	Swaps      int64  `json:"swaps"`
 }
 
-// State snapshots the coordinator-facing replica state.
+// State snapshots the coordinator-facing replica state. Rates is the
+// server's own list, shared read-only: a coordinator polls this every health
+// interval, so the snapshot copies only what changes.
 func (s *Server) State() State {
 	now := s.clock.Now()
 	st := State{
-		SLOms:    float64(s.cfg.SLO.Microseconds()) / 1e3,
-		WindowS:  s.policy.Window,
-		Headroom: s.cfg.Headroom,
-		Rates:    append([]float64(nil), s.cfg.Rates...),
-	}
-	for r, t := range s.cal.Snapshot() {
-		st.SampleTimes = append(st.SampleTimes, RateTime{Rate: r, Seconds: t})
+		SLOms:       float64(s.cfg.SLO.Microseconds()) / 1e3,
+		WindowS:     s.policy.Window,
+		Headroom:    s.cfg.Headroom,
+		Rates:       s.cfg.Rates,
+		SampleTimes: s.cal.appendTimes(make([]RateTime, 0, len(s.cfg.Rates))),
 	}
 	sortRateTimes(st.SampleTimes)
 	s.mu.Lock()
@@ -77,8 +76,9 @@ func (s *Server) State() State {
 	st.CircuitOpen = s.circuitOpen
 	st.Stopping = s.stopping
 	st.ModelEpoch = s.info.Epoch
-	st.ModelCRC = fmt.Sprintf("%08x", s.info.CRC)
+	crc := s.info.CRC
 	s.mu.Unlock()
+	st.ModelCRC = strconv.FormatUint(1<<32|uint64(crc), 16)[1:] // %08x
 	st.Swaps = s.metrics.swaps.Load()
 	st.BacklogWindows = s.sched.depth()
 	return st
