@@ -14,8 +14,8 @@ import (
 //
 //	queue    submission → window close   (waiting for the T/2 batch to form)
 //	dispatch window close → compute start (shard-queue wait in the scheduler)
-//	compute  compute start → compute end  (inference on a worker)
-//	settle   compute end → reply          (window settle and channel delivery)
+//	compute  compute start → compute end  (the query's shard on a worker)
+//	settle   compute end → reply          (shard accounting and channel delivery)
 const (
 	StageQueue = iota
 	StageDispatch

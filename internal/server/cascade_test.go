@@ -18,13 +18,26 @@ import (
 // for a model that runs far slower than the calibrator promised, so closed
 // windows pile up behind an in-flight batch exactly like a production
 // overrun.
-type gateLayer struct{ tokens chan struct{} }
+type gateLayer struct {
+	tokens   chan struct{}
+	openOnce sync.Once
+	// passed, when set before any traffic, runs inside Infer once the token
+	// has arrived — between the shard's start and end stamps.
+	passed func()
+}
+
+// release lets one Infer call — one shard — through; open lets all through.
+func (g *gateLayer) release() { g.tokens <- struct{}{} }
+func (g *gateLayer) open()    { g.openOnce.Do(func() { close(g.tokens) }) }
 
 func (g *gateLayer) Forward(_ *nn.Context, x *tensor.Tensor) *tensor.Tensor  { return x }
 func (g *gateLayer) Backward(_ *nn.Context, d *tensor.Tensor) *tensor.Tensor { return d }
 func (g *gateLayer) Params() []*nn.Param                                     { return nil }
 func (g *gateLayer) Infer(_ *nn.Context, x *tensor.Tensor) *tensor.Tensor {
 	<-g.tokens
+	if g.passed != nil {
+		g.passed()
+	}
 	return x
 }
 
@@ -33,6 +46,17 @@ func (g *gateLayer) Infer(_ *nn.Context, x *tensor.Tensor) *tensor.Tensor {
 // maxBacklog sets Config.MaxBacklogWindows (0 = the default).
 func gatedServer(t *testing.T, queueFactor float64, maxBacklog int) (*Server, *FakeClock, func(), func()) {
 	t.Helper()
+	s, clk, gate := gatedServerWith(t, func(c *Config) {
+		c.QueueFactor = queueFactor
+		c.MaxBacklogWindows = maxBacklog
+	})
+	return s, clk, gate.release, gate.open
+}
+
+// gatedServerWith is gatedServer with the rest of the Config open to the
+// caller, returning the gate itself.
+func gatedServerWith(t *testing.T, mutate func(*Config)) (*Server, *FakeClock, *gateLayer) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	gate := &gateLayer{tokens: make(chan struct{})}
 	model := nn.NewSequential(
@@ -40,25 +64,22 @@ func gatedServer(t *testing.T, queueFactor float64, maxBacklog int) (*Server, *F
 		nn.NewDense(4, 3, nn.Fixed(), nn.Fixed(), true, rng),
 	)
 	clk := NewFakeClock(time.Unix(0, 0))
-	s, err := New(Config{
-		Model:             model,
-		Rates:             slicing.NewRateList(0.25, 4),
-		InputShape:        []int{4},
-		SLO:               2 * time.Second,
-		Workers:           1,
-		Clock:             clk,
-		SampleTime:        func(r float64) float64 { return r * r },
-		QueueFactor:       queueFactor,
-		MaxBacklogWindows: maxBacklog,
-	})
+	cfg := Config{
+		Model:      model,
+		Rates:      slicing.NewRateList(0.25, 4),
+		InputShape: []int{4},
+		SLO:        2 * time.Second,
+		Workers:    1,
+		Clock:      clk,
+		SampleTime: func(r float64) float64 { return r * r },
+	}
+	mutate(&cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var openOnce sync.Once
-	open := func() { openOnce.Do(func() { close(gate.tokens) }) }
-	release := func() { gate.tokens <- struct{}{} }
-	t.Cleanup(func() { open(); s.Stop() })
-	return s, clk, release, open
+	t.Cleanup(func() { gate.open(); s.Stop() })
+	return s, clk, gate
 }
 
 // TestCascadeLatencyAdmissionAndDegradation is the regression test for the
@@ -136,9 +157,12 @@ func TestCascadeLatencyAdmissionAndDegradation(t *testing.T) {
 	}
 
 	// Drain one window per fake second: each settle happens a full window
-	// later than a healthy pipeline would manage.
+	// later than a healthy pipeline would manage. The gate takes one token per
+	// shard, and a lone worker gets minShard-sized shards.
 	drain := func(chans []<-chan Result) []Result {
-		release()
+		for range (len(chans) + minShard - 1) / minShard {
+			release()
+		}
 		out := make([]Result, 0, len(chans))
 		for _, ch := range chans {
 			out = append(out, <-ch)

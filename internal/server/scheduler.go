@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"sync"
@@ -13,9 +14,10 @@ import (
 )
 
 // scheduler is the dispatch half of the server: closed windows are sliced
-// into pool-sized shards on a single FIFO work queue, drained by whichever
-// workers are idle. Its contracts fix the serving-window latency cascade and
-// bound every failure to the shard it happened in:
+// oldest-query-first into work-sized shards on a single FIFO work queue,
+// drained by whichever workers are idle, and each shard's queries are answered
+// the moment it finishes. Its contracts fix the serving-window latency cascade
+// and bound every failure to the shard it happened in:
 //
 //   - enqueue never blocks, so the batch ticker keeps closing windows no
 //     matter how far processing has fallen behind (the old fixed-size
@@ -35,7 +37,8 @@ import (
 //     is abandoned (its queries answered with an error, its worker replaced
 //     by a fresh one so the pool never shrinks) rather than allowed to hold
 //     the window hostage. Either way every query of the window still gets
-//     exactly one reply, and the other shards are untouched.
+//     exactly one reply — from whoever won its shard's ownership CAS — and
+//     the other shards are untouched.
 type scheduler struct {
 	srv  *Server
 	pool int // total workers, for shard sizing
@@ -65,10 +68,20 @@ const (
 type task struct {
 	job     *batchJob
 	shard   []*query
-	started time.Time     // stamped when a worker picks the shard up
-	state   atomic.Int32  // taskRunning → taskDone | taskAbandoned
-	abandon chan struct{} // closed by the watchdog; releases injected stalls
+	started time.Time    // stamped when a worker picks the shard up
+	state   atomic.Int32 // taskRunning → taskDone | taskAbandoned
+	// abandon releases an injected stall when the watchdog gives up on the
+	// shard. Nothing else ever waits on it, so execute makes it (under mu)
+	// only while the stall point is armed.
+	abandon chan struct{}
 }
+
+// Shard sizing (see enqueue): a shard is about shardWork of one worker's
+// estimated time, never fewer than minShard samples.
+const (
+	minShard  = 16
+	shardWork = 2e-3 // seconds
+)
 
 // newScheduler takes ownership of the worker pool and starts the loop.
 func newScheduler(srv *Server, workers []*worker) *scheduler {
@@ -83,44 +96,48 @@ func newScheduler(srv *Server, workers []*worker) *scheduler {
 	return d
 }
 
-// enqueue slices one closed window into at most pool shards and appends
-// them to the work queue. It never blocks, and it returns the
-// windows-in-flight depth including the new window — measured under the
-// queue lock, so the caller's peak-backlog watermark cannot miss a
-// concurrent dequeue. The shard size mirrors what runBatchOn would give
-// every worker on an idle pool; under backlog the same shards simply start
-// staggered as workers free up.
+// enqueue slices one closed window into shards and appends them to the work
+// queue. It never blocks, and it returns the windows-in-flight depth
+// including the new window — measured under the queue lock, so the caller's
+// peak-backlog watermark cannot miss a concurrent dequeue.
+//
+// Queries sit in arrival order, so shards cut front to back run (and are
+// answered) oldest first. A shard holds about shardWork of one worker's
+// estimated time — the calibrator's t(r) is pool-effective, so one worker
+// spends pool·t(r) a sample — but no fewer than minShard samples (below that
+// the per-pass fixed cost shows) and no more than ⌈n/pool⌉ (a lone window
+// still spreads across the whole idle pool).
 //
 // A closed scheduler (mid- or post-shutdown) fails the window immediately
-// with ErrStopped instead of parking shards no one will drain — the
-// never-a-hung-channel half of the Submit contract, for the one path that
-// could otherwise strand a window.
+// with ErrStopped, as one shard, instead of parking shards no one will drain
+// — the never-a-hung-channel half of the Submit contract, for the one path
+// that could otherwise strand a window.
 func (d *scheduler) enqueue(job *batchJob) (depth int) {
 	n := len(job.queries)
 	per := (n + d.pool - 1) / d.pool
-	job.shards = (n + per - 1) / per
-	job.remaining.Store(int32(job.shards))
+	if t := d.srv.cal.SampleTime(job.decision.Rate) * float64(d.pool); t > 0 {
+		per = int(min(max(shardWork/t, minShard), float64(per)))
+	}
+	shards := (n + per - 1) / per
 	d.mu.Lock()
+	d.jobs++
 	if d.closed {
 		d.mu.Unlock()
+		job.begin(1)
 		now := d.srv.clock.Now()
 		for _, q := range job.queries {
 			q.err = ErrStopped
 			q.computeStart, q.computeEnd = now, now
 		}
-		job.remaining.Store(0)
-		d.srv.settle(job, 0)
+		d.srv.reply(job, job.queries)
 		return 0
 	}
-	for lo := 0; lo < n; lo += per {
-		hi := min(lo+per, n)
-		d.tasks = append(d.tasks, &task{
-			job:     job,
-			shard:   job.queries[lo:hi],
-			abandon: make(chan struct{}),
-		})
+	job.begin(shards)
+	tasks := make([]task, shards)
+	for i := range tasks {
+		tasks[i].job, tasks[i].shard = job, job.queries[i*per:min((i+1)*per, n)]
+		d.tasks = append(d.tasks, &tasks[i])
 	}
-	d.jobs++
 	depth = d.jobs
 	d.mu.Unlock()
 	d.notify()
@@ -207,9 +224,9 @@ func (d *scheduler) scanStuck(now time.Time) {
 	kept := d.active[:0]
 	for _, t := range d.active {
 		if now.Sub(t.started) >= after && t.state.CompareAndSwap(taskRunning, taskAbandoned) {
-			close(t.abandon)
-			d.running--
-			d.free = append(d.free, d.srv.newWorker())
+			if t.abandon != nil {
+				close(t.abandon)
+			}
 			victims = append(victims, t)
 			continue
 		}
@@ -217,22 +234,29 @@ func (d *scheduler) scanStuck(now time.Time) {
 	}
 	d.active = kept
 	d.mu.Unlock()
+	if len(victims) == 0 {
+		return
+	}
 	for _, t := range victims {
 		d.srv.metrics.stuckShards.Add(1)
 		d.srv.metrics.workersReplaced.Add(1)
 		d.srv.noteShardFailure()
 		d.failShard(t, fmt.Errorf("%w after %v", ErrShardStuck, after), now)
 	}
-	if len(victims) > 0 {
-		d.notify()
+	// The shards stop counting as running only once their replies are out:
+	// a drained scheduler (Stop returning) means nothing is left to answer.
+	d.mu.Lock()
+	d.running -= len(victims)
+	for range victims {
+		d.free = append(d.free, d.srv.newWorker())
 	}
+	d.mu.Unlock()
+	d.notify()
 }
 
-// failShard answers every query of an abandoned shard with err and settles
-// the window if this was its last outstanding shard. The query error writes
-// happen before the remaining-counter decrement that publishes the shard —
-// the same ordering the result writes rely on. The zombie worker goroutine,
-// having lost the state CAS, will touch none of these fields.
+// failShard answers every query of an abandoned shard with err. The zombie
+// worker goroutine, having lost the state CAS, will touch none of the fields
+// written here.
 func (d *scheduler) failShard(t *task, err error, now time.Time) {
 	for _, q := range t.shard {
 		if q.err == nil {
@@ -240,14 +264,14 @@ func (d *scheduler) failShard(t *task, err error, now time.Time) {
 		}
 		q.computeStart, q.computeEnd = t.started, now
 	}
-	if t.job.remaining.Add(-1) == 0 {
-		d.finish(t.job)
-		d.notify()
-	}
+	// The zombie may still be walking t.shard: hold one reply count forever,
+	// so the window's query slice is never cleared and reused under it.
+	t.job.unreplied.Add(1)
+	d.srv.reply(t.job, t.shard)
 }
 
-// run executes one shard; whoever finishes a window's last shard settles
-// the whole window. Compute runs under execute's recover, so a panicking
+// run executes one shard and, if it still owns the shard afterwards, answers
+// the shard's queries. Compute runs under execute's recover, so a panicking
 // kernel or model layer fails its shard — error results, circuit
 // bookkeeping — instead of killing the process.
 func (d *scheduler) run(t *task, wk *worker) {
@@ -265,10 +289,6 @@ func (d *scheduler) run(t *task, wk *worker) {
 		return
 	}
 	t.job.workerNanos.Add(int64(end.Sub(start)))
-	// Span stamps and error outcomes for the shard's queries: written before
-	// the remaining counter's atomic decrement below, which is what publishes
-	// the shard to the settling goroutine — same ordering q.result already
-	// relies on.
 	for _, q := range dropped {
 		q.err = ErrExpired
 		s.metrics.expiredDropped.Add(1)
@@ -278,6 +298,9 @@ func (d *scheduler) run(t *task, wk *worker) {
 		if err != nil && q.err == nil {
 			q.err = err
 		}
+		// The input is in the batch tensor (or will never be read); a caller
+		// that keeps Result.Output, which lives in q, must not keep it too.
+		q.x = nil
 	}
 	if err != nil {
 		s.metrics.workerPanics.Add(1)
@@ -285,10 +308,8 @@ func (d *scheduler) run(t *task, wk *worker) {
 	} else {
 		s.noteShardOK()
 	}
+	s.reply(t.job, t.shard)
 
-	if t.job.remaining.Add(-1) == 0 {
-		d.finish(t.job)
-	}
 	d.mu.Lock()
 	for i, a := range d.active {
 		if a == t {
@@ -328,21 +349,33 @@ func (d *scheduler) execute(t *task, wk *worker) (dropped []*query, err error) {
 	if delay := faults.Delay(faults.SlowCompute); delay > 0 {
 		time.Sleep(delay)
 	}
-	if faults.Stall(faults.ShardStall, t.abandon) && t.state.Load() == taskAbandoned {
-		// Released because the watchdog gave up on us; don't compute.
+	if faults.Active(faults.ShardStall) {
+		d.mu.Lock()
+		t.abandon = make(chan struct{})
+		d.mu.Unlock()
+	}
+	if t.state.Load() == taskAbandoned ||
+		faults.Stall(faults.ShardStall, t.abandon) && t.state.Load() == taskAbandoned {
+		// The watchdog gave up on us (releasing the stall, if it came after
+		// the channel above existed); don't compute.
 		return nil, nil
 	}
 	shard := t.shard
 	if s.cfg.DropExpired {
-		alive := make([]*query, 0, len(shard))
-		for _, q := range shard {
-			if s.clock.Now().Sub(q.enqueued) > s.cfg.SLO {
-				dropped = append(dropped, q)
-				continue
+		expired := func(q *query) bool { return s.clock.Now().Sub(q.enqueued) > s.cfg.SLO }
+		// Nothing has expired on the common path: scan first, copy only from
+		// the first expired query on.
+		if i := slices.IndexFunc(shard, expired); i >= 0 {
+			alive := append(make([]*query, 0, len(shard)), shard[:i]...)
+			for _, q := range shard[i:] {
+				if expired(q) {
+					dropped = append(dropped, q)
+				} else {
+					alive = append(alive, q)
+				}
 			}
-			alive = append(alive, q)
+			shard = alive
 		}
-		shard = alive
 	}
 	if len(shard) > 0 {
 		wk.run(t.job.shared, shard, t.job.decision.Rate, s.cfg.InputShape)
@@ -350,24 +383,30 @@ func (d *scheduler) execute(t *task, wk *worker) (dropped []*query, err error) {
 	return dropped, nil
 }
 
-// finish folds a completed window back into the server: the calibrator
-// sees the pool-effective batch time — accumulated worker·time divided by
-// the shard count (the concurrency the batch could actually use; the pool
-// size for any window at least one shard per worker) — the same quantity
-// it measured at startup. t(r) keeps learning even (especially) while
-// backlog staggers shards across busy pools, where a naive wall-clock
-// measurement would be inflated by queueing.
+// finish is the window-level half of settling, run by whoever finishes a
+// window's last shard, before that shard's replies go out: the calibrator
+// sees the pool-effective batch time — accumulated worker·time divided by the
+// concurrency the window could actually use, its shard count up to the pool
+// size — the same quantity it measured at startup. t(r) keeps learning even
+// (especially) while backlog staggers shards across busy pools, where a naive
+// wall-clock measurement would be inflated by queueing.
 //
-// The window leaves the backlog gauge before its replies go out, so a caller
-// holding one of them never reads the window as still parked.
+// The window leaves the backlog gauge, and enters the batch counters, before
+// its last replies go out, so a caller holding all of them never reads the
+// window as still parked.
 func (d *scheduler) finish(job *batchJob) {
 	s := d.srv
+	n := len(job.queries)
 	workerBusy := time.Duration(job.workerNanos.Load())
-	s.cal.Observe(job.decision.Rate, len(job.queries), workerBusy/time.Duration(job.shards))
+	s.cal.Observe(job.decision.Rate, n, workerBusy/time.Duration(min(job.shards, d.pool)))
 	d.mu.Lock()
 	d.jobs--
 	d.mu.Unlock()
-	s.settle(job, workerBusy)
+	acc, haveAcc := 0.0, false
+	if s.cfg.AccuracyAt != nil {
+		acc, haveAcc = s.cfg.AccuracyAt(job.decision.Rate), true
+	}
+	s.metrics.recordBatch(n, job.decision, workerBusy, acc, haveAcc)
 }
 
 // newWorker builds a replacement worker (weights travel with each shard, so

@@ -207,21 +207,26 @@ type Result struct {
 	SLOMiss bool
 	// Stage breakdown of Latency (Queued+Dispatch+Compute+Settle == Latency):
 	// Queued is submission → window close (waiting for the batch to form),
-	// Dispatch is window close → shard compute start (scheduler queue wait),
-	// Compute is the shard's inference time, and Settle is compute end →
-	// reply delivery.
+	// Dispatch is window close → the query's shard starting to compute (the
+	// scheduler queue, including the earlier shards of its own window),
+	// Compute is that shard's inference time, and Settle is the shard's
+	// compute end → reply delivery.
 	Queued, Dispatch, Compute, Settle time.Duration
 }
 
-// query is one in-flight request. The span stamps (windowClose,
-// computeStart, computeEnd) are written by the batcher and the scheduler
-// before the synchronization points that publish the query onward, so the
-// settle path reads them race-free and the tracing adds zero allocations.
+// query is one in-flight request. The span stamps are written by the batcher
+// (windowClose, before the window is enqueued) and by the owner of the
+// query's shard (computeStart, computeEnd), who is also the one to reply, so
+// the reply path reads them race-free and the tracing adds zero allocations.
 type query struct {
-	x        *tensor.Tensor
+	x        *tensor.Tensor // nil once the shard's owner has no more use for it
 	enqueued time.Time
 	done     chan Result
-	result   *tensor.Tensor
+	// out is the reply tensor, a view of the shard's output block; it and
+	// its one-element shape live in the query so a reply costs no allocation
+	// of its own (Result.Output is &out).
+	out      tensor.Tensor
+	outShape [1]int
 	err      error // shard failure or deadline drop; set by whoever owns the shard
 
 	windowClose  time.Time // stamped when the query's T/2 window closes
@@ -241,13 +246,22 @@ type batchJob struct {
 	// see the new one.
 	shared *slicing.Shared
 	window int64 // T/2 sequence number of the window this batch closed
-	// shards is how many pieces the window was sliced into; remaining
-	// counts the unfinished ones, and whoever finishes the last settles
-	// the window. workerNanos accumulates worker·time across the shards
-	// for utilization and calibration.
-	shards      int
-	remaining   atomic.Int32
-	workerNanos atomic.Int64
+	// shards is how many pieces the window was sliced into. remaining counts
+	// those not yet finished — whoever finishes the last does the
+	// window-level accounting — and unreplied those whose replies are not all
+	// out yet: after the last, nobody reads queries and the slice is reused.
+	// workerNanos accumulates worker·time across the shards for utilization
+	// and calibration.
+	shards               int
+	remaining, unreplied atomic.Int32
+	workerNanos          atomic.Int64
+}
+
+// begin sets the shard count before the window's shards become visible.
+func (j *batchJob) begin(shards int) {
+	j.shards = shards
+	j.remaining.Store(int32(shards))
+	j.unreplied.Store(int32(shards))
 }
 
 // worker owns one activation arena; the weights it reads arrive with each
@@ -275,9 +289,13 @@ type Server struct {
 	recorder *obs.Recorder
 	started  time.Time
 
-	mu       sync.Mutex
-	winSeq   int64 // next T/2 window sequence number (every tick consumes one)
-	pending  []*query
+	mu      sync.Mutex
+	winSeq  int64 // next T/2 window sequence number (every tick consumes one)
+	pending []*query
+	// spare holds up to two emptied query slices of settled windows for
+	// closeWindow to hand back to pending, so a window does not regrow its
+	// slice from nothing.
+	spare    [][]*query
 	inflight int             // queries dispatched but not yet answered
 	backlog  serving.Backlog // estimated completion horizon of dispatched work
 	info     ModelInfo       // identity of the artifact shared was built from
@@ -289,7 +307,7 @@ type Server struct {
 	// closes again once a shard has succeeded (circuitFails back to 0) and
 	// the backlog horizon has drained past the current window close.
 	circuitOpen  bool
-	circuitFails int
+	circuitFails atomic.Int32 // written under mu or to 0; read anywhere
 
 	sched    *scheduler
 	quit     chan struct{}
@@ -604,8 +622,8 @@ func (s *Server) RetryAfter(now time.Time) time.Duration {
 func (s *Server) noteShardFailure() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.circuitFails++
-	if s.cfg.CircuitThreshold > 0 && !s.circuitOpen && s.circuitFails >= s.cfg.CircuitThreshold {
+	fails := int(s.circuitFails.Add(1))
+	if s.cfg.CircuitThreshold > 0 && !s.circuitOpen && fails >= s.cfg.CircuitThreshold {
 		s.circuitOpen = true
 		s.metrics.circuitTrips.Add(1)
 	}
@@ -613,10 +631,12 @@ func (s *Server) noteShardFailure() {
 
 // noteShardOK resets the consecutive-failure count; the circuit itself
 // closes at the next window close, once the backlog horizon has drained.
+// Every successful shard comes through here, so the healthy path is one
+// atomic load and never touches the Submit lock.
 func (s *Server) noteShardOK() {
-	s.mu.Lock()
-	s.circuitFails = 0
-	s.mu.Unlock()
+	if s.circuitFails.Load() != 0 {
+		s.circuitFails.Store(0)
+	}
 }
 
 // CircuitOpen reports whether the brownout circuit is currently open.
@@ -792,14 +812,17 @@ func (s *Server) closeWindow() {
 	// Circuit recovery: a shard has succeeded since the trip (fails reset)
 	// and the backlog horizon has drained past this close — the brownout
 	// ladder's floor is no longer needed.
-	if s.circuitOpen && s.circuitFails == 0 && s.backlog.Ahead(s.sinceStart(now)) == 0 {
+	if s.circuitOpen && s.circuitFails.Load() == 0 && s.backlog.Ahead(s.sinceStart(now)) == 0 {
 		s.circuitOpen = false
 	}
 	batch := s.pending
-	s.pending = nil
 	if len(batch) == 0 {
 		s.mu.Unlock()
 		return
+	}
+	s.pending = nil
+	if k := len(s.spare); k > 0 {
+		s.pending, s.spare = s.spare[k-1], s.spare[:k-1]
 	}
 	d := s.decide(len(batch), batch[0].enqueued, now)
 	s.inflight += len(batch)
@@ -851,22 +874,25 @@ func (s *Server) flush() {
 	s.closeWindow()
 }
 
-// settle answers every query of a processed window and folds the batch into
-// the aggregate counters. Latency is measured against the injected clock —
-// the same source the windows tick on — and includes the queueing delay the
-// batch spent behind the windows in flight ahead of it. workerBusy is the
-// window's accumulated worker·time.
-func (s *Server) settle(job *batchJob, workerBusy time.Duration) {
-	n := len(job.queries)
+// reply answers the queries of one shard, whose owner — the worker that ran
+// it, the watchdog that abandoned it, or enqueue on a closed scheduler — has
+// stamped them, and folds them into the counters. Latency is measured against
+// the injected clock — the same source the windows tick on — and includes the
+// queueing delay spent behind the windows, and this window's own shards,
+// ahead of it.
+func (s *Server) reply(job *batchJob, shard []*query) {
 	s.mu.Lock()
-	s.inflight -= n
+	s.inflight -= len(shard)
 	s.mu.Unlock()
+	if job.remaining.Add(-1) == 0 {
+		s.sched.finish(job)
+	}
 
 	// Count first, answer second: whoever holds a reply finds it already
 	// in the counters (a /metrics read after a /predict reply, say).
 	now := s.clock.Now()
 	misses, failed := int64(0), int64(0)
-	for _, q := range job.queries {
+	for _, q := range shard {
 		if now.Sub(q.enqueued) > s.cfg.SLO {
 			misses++
 		}
@@ -876,13 +902,8 @@ func (s *Server) settle(job *batchJob, workerBusy time.Duration) {
 	}
 	s.metrics.sloMisses.Add(misses)
 	s.metrics.failedQueries.Add(failed)
-	acc, haveAcc := 0.0, false
-	if s.cfg.AccuracyAt != nil {
-		acc, haveAcc = s.cfg.AccuracyAt(job.decision.Rate), true
-	}
-	s.metrics.recordBatch(n, job.decision, workerBusy, acc, haveAcc)
 
-	for _, q := range job.queries {
+	for _, q := range shard {
 		latency := now.Sub(q.enqueued)
 		s.tracer.Observe(job.decision.Rate, job.window,
 			q.enqueued, q.windowClose, q.computeStart, q.computeEnd, now)
@@ -895,15 +916,24 @@ func (s *Server) settle(job *batchJob, workerBusy time.Duration) {
 			Compute:  q.computeEnd.Sub(q.computeStart),
 			Settle:   now.Sub(q.computeEnd),
 		}
-		// A failed query carries its error and no output. q.result is not
+		// A failed query carries its error and no output. q.out is not
 		// read on this path: an abandoned shard's zombie worker may still
 		// be writing it, and the error outcome is already decided.
 		if q.err != nil {
 			res.Err = q.err
 		} else {
-			res.Output = q.result
+			res.Output = &q.out
 		}
 		q.done <- res
+	}
+	if job.unreplied.Add(-1) == 0 {
+		// Cleared so the answered queries are not pinned until reuse.
+		clear(job.queries)
+		s.mu.Lock()
+		if len(s.spare) < 2 {
+			s.spare = append(s.spare, job.queries[:0])
+		}
+		s.mu.Unlock()
 	}
 }
 
@@ -912,7 +942,7 @@ func (s *Server) settle(job *batchJob, workerBusy time.Duration) {
 // whole shard — then scatters the output rows back to the queries. Batch and
 // activation buffers come from the worker's arena; the results outlive the
 // pass, so they are heap-allocated — as one contiguous block per shard
-// (one data allocation instead of one per query), with each query's result a
+// (one data allocation instead of one per query), with each query's out a
 // per-row view of the block.
 func (wk *worker) run(shared *slicing.Shared, shard []*query, rate float64, inputShape []int) {
 	n := len(shard)
@@ -927,7 +957,8 @@ func (wk *worker) run(shared *slicing.Shared, shard []*query, rate float64, inpu
 	block := make([]float64, n*classes)
 	copy(block, y.Data[:n*classes])
 	for i, q := range shard {
-		q.result = tensor.FromSlice(block[i*classes:(i+1)*classes], classes)
+		q.outShape[0] = classes
+		q.out = tensor.Tensor{Shape: q.outShape[:], Data: block[i*classes : (i+1)*classes]}
 	}
 	wk.arena.Reset()
 }

@@ -106,7 +106,7 @@ func TestWorkerRunMatchesDirectInference(t *testing.T) {
 		wk.run(shared, queries, r, []int{6})
 		want := shared.Infer(r, batch, nil)
 		for i, q := range queries {
-			row := q.result
+			row := q.out
 			for j := range row.Data {
 				if row.Data[j] != want.Data[i*4+j] {
 					t.Fatalf("rate %v query %d: sharded result diverges from direct inference", r, i)
