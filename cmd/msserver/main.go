@@ -59,6 +59,7 @@ import (
 	"modelslicing/internal/persist"
 	"modelslicing/internal/server"
 	"modelslicing/internal/slicing"
+	"modelslicing/internal/tensor"
 )
 
 func main() {
@@ -71,7 +72,7 @@ func main() {
 	workers := flag.Int("workers", 0, "batch shards (0 = min(4, GOMAXPROCS))")
 	queueFactor := flag.Float64("queue-factor", 1, "admission bound as a multiple of the lower-bound window capacity")
 	fixedRate := flag.Float64("fixed-rate", 0, "pin serving to one rate (fixed-width baseline; 0 = elastic)")
-	tier := flag.String("tier", "", "GEMM engine tier: exact|fma|f32 (empty = MS_ENGINE_TIER, default exact)")
+	tier := flag.String("tier", "", "GEMM engine tier: exact|fma (empty = MS_ENGINE_TIER, default exact)")
 	traceSample := flag.Int("trace-sample", 16, "sample every k-th query's span into /debug/trace (negative disables the ring)")
 	dropExpired := flag.Bool("drop-expired", false, "answer queries whose SLO already expired with an error instead of computing them late")
 	verify := flag.Bool("verify", true, "CRC-sweep mapped checkpoints before serving them (disable for the pure O(1) cold start)")
@@ -83,6 +84,11 @@ func main() {
 	if *coordinator {
 		runCoordinator(*addr, *slo, *replicaList)
 		return
+	}
+	// Refuse a bad -tier before spending seconds training or loading a model.
+	if _, err := tensor.ParseTier(*tier); err != nil {
+		fmt.Fprintf(os.Stderr, "msserver: %v\n", err)
+		os.Exit(2)
 	}
 
 	rng := rand.New(rand.NewSource(*seed))

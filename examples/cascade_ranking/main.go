@@ -6,7 +6,7 @@
 // representation (quantified in the Figure 8 experiment) — the property
 // that gives the paper its aggregate-recall win. At this example's mini
 // scale the per-stage precision of the sliced subnets has not fully
-// converged (see EXPERIMENTS.md, Table 5 note), so the recall comparison
+// converged, so the recall comparison
 // favours whichever cascade has the stronger stage-1 precision; the cost
 // and consistency mechanics are what this program demonstrates.
 package main
@@ -37,7 +37,7 @@ func main() {
 	rates := ms.NewRateList(0.25, 4)
 	// The cascade deploys the three widths from 0.5 up (the paper's cascade
 	// also starts above the weakest width); 60 epochs lets the mini-scale
-	// slicing training converge (see EXPERIMENTS.md, Table 4 note).
+	// slicing training converge.
 	stageRates := []float64(rates[1:])
 	epochs := 60
 

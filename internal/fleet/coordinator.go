@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -196,10 +197,12 @@ func (c *Coordinator) sinceStart(t time.Time) float64 {
 // Equation-3 model — the calibrated t(r) table becomes a serving.Policy, the
 // polled horizon seeds a serving.Backlog. Re-adding a URL that left (or is
 // still a member) reseeds its model in place; indices stay stable for the
-// queries in flight.
+// queries in flight. A /state request lost in transit is retried like a
+// forwarded query (retryLost), so one dropped packet does not fail a join.
 func (c *Coordinator) AddReplica(baseURL string) error {
 	var poll statePoll
-	if err := c.fetchState(baseURL, &poll); err != nil {
+	err := c.retryLost(c.quit, func() error { return c.fetchState(baseURL, &poll) })
+	if err != nil {
 		return fmt.Errorf("fleet: join %s: %w", baseURL, err)
 	}
 	st := &poll.State
@@ -407,6 +410,27 @@ func (c *Coordinator) fetchState(baseURL string, p *statePoll) error {
 	// A field the reply omits must read as zero, not as the last poll's.
 	p.State = server.State{Rates: p.Rates[:0], SampleTimes: p.SampleTimes[:0]}
 	return json.Unmarshal(p.raw.Bytes(), &p.State)
+}
+
+// retryLost gives a control-plane call — join's /state GET, the swap POST —
+// the predict path's bounded retry: up to RetryMax further attempts, backoff
+// between them, stopping when done closes. Only a request or reply lost in
+// transit (the client's *url.Error) is retried; a replica that answered, with
+// whatever status, is not asked again. Health polls stay single-shot: their
+// failures are what ejection counts.
+func (c *Coordinator) retryLost(done <-chan struct{}, call func() error) error {
+	for attempt := 0; ; attempt++ {
+		err := call()
+		var lost *url.Error
+		if !errors.As(err, &lost) || attempt >= c.cfg.RetryMax {
+			return err
+		}
+		select {
+		case <-time.After(c.backoff(attempt)):
+		case <-done:
+			return err
+		}
+	}
 }
 
 // backoff returns the capped exponential retry delay with jitter for the

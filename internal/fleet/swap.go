@@ -41,7 +41,11 @@ func (c *Coordinator) SwapAll(ctx context.Context) ([]SwapResult, error) {
 	c.mu.Unlock()
 	done := []SwapResult{}
 	for _, r := range members {
-		res, err := c.swapOne(ctx, r.url)
+		var res SwapResult
+		err := c.retryLost(ctx.Done(), func() (err error) {
+			res, err = c.swapOne(ctx, r.url)
+			return err
+		})
 		if err == nil {
 			err = c.gatePromotion(ctx, r, res)
 		}
@@ -56,7 +60,9 @@ func (c *Coordinator) SwapAll(ctx context.Context) ([]SwapResult, error) {
 }
 
 // swapOne triggers one replica's hot swap and returns the identity it
-// reports having promoted to.
+// reports having promoted to. The POST is idempotent — the replica re-opens
+// the same checkpoint path however often it is asked — which is what lets
+// SwapAll send it again when a request or reply is lost in transit.
 func (c *Coordinator) swapOne(ctx context.Context, baseURL string) (SwapResult, error) {
 	res := SwapResult{URL: baseURL}
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.PredictTimeout)

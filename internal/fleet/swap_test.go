@@ -2,9 +2,12 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -151,5 +154,70 @@ func TestFleetRollingSwap(t *testing.T) {
 	}
 	if len(results) != 2 {
 		t.Fatalf("aborted roll promoted %d replicas, want the 2 ahead of the failure", len(results))
+	}
+}
+
+// lossyTransport loses the first `lose` requests to every (method, path) it
+// carries before any byte moves, then delivers the rest.
+type lossyTransport struct {
+	lose int
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func (l *lossyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	key := req.Method + " " + req.URL.Path
+	l.mu.Lock()
+	if l.seen == nil {
+		l.seen = make(map[string]int)
+	}
+	l.seen[key]++
+	n := l.seen[key]
+	l.mu.Unlock()
+	if n <= l.lose {
+		return nil, errors.New("injected: request lost")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestControlPlaneRetriesLostRequests pins the control plane's bounded
+// retry: a join's /state GET and a roll's swap POST lost in transit are sent
+// again (the soak configuration drops 5% of requests), the swap still runs
+// once on the replica, and a replica that stays unreachable fails the join
+// after exactly 1+RetryMax attempts.
+func TestControlPlaneRetriesLostRequests(t *testing.T) {
+	info := server.ModelInfo{Epoch: 3, CRC: 0xfeed, Path: "b.ckpt"}
+	s := swappableReplica(t, 1, 2, info)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	lossy := &lossyTransport{lose: 2}
+	coord, err := New(Config{SLO: 50 * time.Millisecond, Transport: lossy, RetryMax: 2, RetryBase: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Stop)
+	if err := coord.AddReplica(ts.URL); err != nil {
+		t.Fatalf("join with two lost /state requests: %v", err)
+	}
+	results, err := coord.SwapAll(context.Background())
+	if err != nil || len(results) != 1 {
+		t.Fatalf("SwapAll with two lost swap POSTs = %+v, %v; want one promotion", results, err)
+	}
+	if st := s.State(); st.ModelEpoch != 3 || st.Swaps != 1 {
+		t.Fatalf("replica reports epoch %d swaps %d, want 3/1", st.ModelEpoch, st.Swaps)
+	}
+
+	dead := &lossyTransport{lose: 1 << 30}
+	coord2, err := New(Config{SLO: 50 * time.Millisecond, Transport: dead, RetryMax: 2, RetryBase: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord2.Stop)
+	if err := coord2.AddReplica(ts.URL); err == nil {
+		t.Fatal("join succeeded over a transport that loses every request")
+	}
+	if got := dead.seen["GET /state"]; got != 3 {
+		t.Fatalf("unreachable join made %d attempts, want 1+RetryMax = 3", got)
 	}
 }

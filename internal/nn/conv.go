@@ -199,15 +199,12 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue)
 	// every worker and both lowerings) unless the context pins the unpacked
 	// engine.
 	tier := ctx.EffTier()
-	var pw tensor.Packed
+	var pw *tensor.PackedMat
 	if usePack(ctx) {
-		k := packKey{aOut, colRows, packTierOf(tier)}
+		k := packKey{aOut, colRows}
 		pw = c.packs.lookup(k)
 		if pw == nil {
-			pw = c.packs.build(k, func() tensor.Packed {
-				if k.tier == tensor.TierF32 {
-					return tensor.PackA32(aOut, colRows, c.W.Value.Data, ldW)
-				}
+			pw = c.packs.build(k, func() *tensor.PackedMat {
 				return tensor.PackA(aOut, colRows, c.W.Value.Data, ldW)
 			})
 		}
@@ -364,9 +361,6 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 // packCacheBytes reports the resident per-width pack memory (see
 // PackCacheBytes).
 func (c *Conv2D) packCacheBytes() int64 { return c.packs.bytes() }
-
-// packCacheTierBytes splits the resident pack memory by pack precision.
-func (c *Conv2D) packCacheTierBytes() [tensor.NumTiers]int64 { return c.packs.bytesByTier() }
 
 // Params returns the learnable parameters.
 func (c *Conv2D) Params() []*Param {

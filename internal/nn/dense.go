@@ -121,13 +121,10 @@ func (d *Dense) inferFused(ctx *Context, x *tensor.Tensor, relu bool) *tensor.Te
 	}
 	tier := ctx.EffTier()
 	if usePack(ctx) && tensor.GemmTBPrefersPacked(batch, aOut, aIn) {
-		k := packKey{aOut, aIn, packTierOf(tier)}
+		k := packKey{aOut, aIn}
 		pm := d.packs.lookup(k)
 		if pm == nil {
-			pm = d.packs.build(k, func() tensor.Packed {
-				if k.tier == tensor.TierF32 {
-					return tensor.PackTB32(aOut, aIn, d.W.Value.Data, d.In)
-				}
+			pm = d.packs.build(k, func() *tensor.PackedMat {
 				return tensor.PackTB(aOut, aIn, d.W.Value.Data, d.In)
 			})
 		}
@@ -141,9 +138,6 @@ func (d *Dense) inferFused(ctx *Context, x *tensor.Tensor, relu bool) *tensor.Te
 // packCacheBytes reports the resident per-width pack memory (see
 // PackCacheBytes).
 func (d *Dense) packCacheBytes() int64 { return d.packs.bytes() }
-
-// packCacheTierBytes splits the resident pack memory by pack precision.
-func (d *Dense) packCacheTierBytes() [tensor.NumTiers]int64 { return d.packs.bytesByTier() }
 
 // Backward accumulates dW, dB and returns dx[B × aIn].
 func (d *Dense) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {

@@ -46,8 +46,8 @@ type Context struct {
 	NoPack bool
 	// Tier selects the GEMM engine tier for the inference path (Layer.Infer
 	// and the fused serving views): tensor.TierExact (zero value) keeps the
-	// bit-exact engine, TierFMA and TierF32 trade pinned accuracy budgets
-	// for throughput (see tensor/tier.go). Training always runs exact.
+	// bit-exact engine, TierFMA trades a pinned accuracy budget for
+	// throughput (see tensor/tier.go). Training always runs exact.
 	Tier tensor.EngineTier
 }
 

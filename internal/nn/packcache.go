@@ -9,49 +9,37 @@ import (
 
 // Per-width persistent weight-pack caching. A weight-bearing layer serves
 // every slice rate from prefix views of one parent buffer; the packed-GEMM
-// path (tensor.Packed) additionally wants each active prefix laid out in
+// path (tensor.PackedMat) additionally wants each active prefix laid out in
 // micro-panel order. Since weights are immutable at inference time, each
 // active width is packed exactly once — lazily, on the first pass that uses
 // it — and the pack is then shared read-only by every goroutine serving that
-// width. Memory is O(active-prefix) per deployed width and pack precision,
-// reported through PackCacheBytes / PackCacheTierBytes.
+// width. Memory is O(active-prefix) per deployed width, reported through
+// PackCacheBytes.
 //
 // Cache coherence follows the same contract as the fused serving view
 // (nn.Fuse): a model must not be trained while it serves. The training path
 // (Forward) drops the owner's packs, so the train → serve sequence always
 // rebuilds them from the post-training weights.
 
-// packKey identifies one active width of a weight matrix at one pack
-// precision: the packed operand's logical dimensions plus the normalized
-// pack tier (see packTierOf).
+// packKey identifies one active width of a weight matrix by the packed
+// operand's logical dimensions. The exact and fma tiers read the same f64
+// panels — only the inner loop differs — so they share one pack per width.
 type packKey struct {
 	rows, depth int
-	tier        tensor.EngineTier
 }
 
-// packTierOf maps an engine tier to the pack precision it consumes. The
-// exact and fma tiers read the same f64 panels — only the inner loop
-// differs — so they share one pack per width; the f32 tier needs its own
-// scaled-float32 panels.
-func packTierOf(t tensor.EngineTier) tensor.EngineTier {
-	if t == tensor.TierF32 {
-		return tensor.TierF32
-	}
-	return tensor.TierExact
-}
-
-// packCache lazily builds and serves per-(width, tier) packs of an immutable
-// weight buffer. Reads are lock-free (copy-on-write map behind an atomic
+// packCache lazily builds and serves per-width packs of an immutable weight
+// buffer. Reads are lock-free (copy-on-write map behind an atomic
 // pointer) so the steady-state inference path stays allocation- and
 // contention-free; builds serialize on a mutex, so each key is packed exactly
 // once no matter how many workers race to first use it.
 type packCache struct {
 	mu sync.Mutex
-	m  atomic.Pointer[map[packKey]tensor.Packed]
+	m  atomic.Pointer[map[packKey]*tensor.PackedMat]
 }
 
 // lookup returns the cached pack for the key, or nil. Never allocates.
-func (pc *packCache) lookup(k packKey) tensor.Packed {
+func (pc *packCache) lookup(k packKey) *tensor.PackedMat {
 	mp := pc.m.Load()
 	if mp == nil {
 		return nil
@@ -61,7 +49,7 @@ func (pc *packCache) lookup(k packKey) tensor.Packed {
 
 // build returns the pack for the key, constructing and publishing it under
 // the once-per-key lock if a concurrent builder has not already done so.
-func (pc *packCache) build(k packKey, mk func() tensor.Packed) tensor.Packed {
+func (pc *packCache) build(k packKey, mk func() *tensor.PackedMat) *tensor.PackedMat {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if mp := pc.m.Load(); mp != nil {
@@ -70,7 +58,7 @@ func (pc *packCache) build(k packKey, mk func() tensor.Packed) tensor.Packed {
 		}
 	}
 	p := mk()
-	next := make(map[packKey]tensor.Packed)
+	next := make(map[packKey]*tensor.PackedMat)
 	if mp := pc.m.Load(); mp != nil {
 		for kk, vv := range *mp {
 			next[kk] = vv
@@ -106,19 +94,6 @@ func (pc *packCache) bytes() int64 {
 	return t
 }
 
-// bytesByTier splits the resident panel storage by pack precision.
-func (pc *packCache) bytesByTier() [tensor.NumTiers]int64 {
-	var out [tensor.NumTiers]int64
-	mp := pc.m.Load()
-	if mp == nil {
-		return out
-	}
-	for k, p := range *mp {
-		out[k.tier] += int64(p.Bytes())
-	}
-	return out
-}
-
 // usePack reports whether the context allows the persistent packed-weight
 // path (on by default; slicing.Shared's escape hatch and benchmarks disable
 // it to expose the unpacked engine).
@@ -129,7 +104,6 @@ func usePack(ctx *Context) bool {
 // packOwner is implemented by layers that hold a persistent pack cache.
 type packOwner interface {
 	packCacheBytes() int64
-	packCacheTierBytes() [tensor.NumTiers]int64
 }
 
 // PackCacheBytes sums the resident packed-panel bytes held by l and, for the
@@ -161,45 +135,6 @@ func PackCacheBytes(l Layer) int64 {
 		}
 	case packOwner:
 		t = v.packCacheBytes()
-	}
-	return t
-}
-
-// PackCacheTierBytes is PackCacheBytes split by pack precision: index
-// tensor.TierExact holds the f64 panels (shared by the exact and fma
-// engines), index tensor.TierF32 the scaled-float32 panels.
-func PackCacheTierBytes(l Layer) [tensor.NumTiers]int64 {
-	var t [tensor.NumTiers]int64
-	add := func(child Layer) {
-		ct := PackCacheTierBytes(child)
-		for i := range t {
-			t[i] += ct[i]
-		}
-	}
-	switch v := l.(type) {
-	case *Sequential:
-		for _, c := range v.Layers {
-			add(c)
-		}
-	case *Residual:
-		add(v.Body)
-		if v.Short != nil {
-			add(v.Short)
-		}
-	case *FusedConvAct:
-		for _, c := range v.src {
-			add(c)
-		}
-	case *FusedDenseAct:
-		for _, c := range v.src {
-			add(c)
-		}
-	case *FusedNormAct:
-		for _, c := range v.src {
-			add(c)
-		}
-	case packOwner:
-		t = v.packCacheTierBytes()
 	}
 	return t
 }

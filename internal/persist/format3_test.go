@@ -57,7 +57,7 @@ func TestOpenBindServesSavedModel(t *testing.T) {
 func TestOpenRejectsLegacyAndGarbage(t *testing.T) {
 	dir := t.TempDir()
 	v2 := filepath.Join(dir, "v2.bin")
-	if err := SaveV2(v2, testModel(21)); err != nil {
+	if err := saveV2(v2, testModel(21)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(v2); err != ErrLegacyFormat {
@@ -108,7 +108,7 @@ func TestV1CrossLoadsToV3(t *testing.T) {
 	dir := t.TempDir()
 	src := testModel(24)
 	v2 := filepath.Join(dir, "v2.bin")
-	if err := SaveV2(v2, src); err != nil {
+	if err := saveV2(v2, src); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(v2)

@@ -51,23 +51,6 @@ func SaveEpoch(path string, params []*nn.Param, epoch uint64) error {
 	return writeAtomic(path, e.b)
 }
 
-// SaveV2 writes the legacy v2 format (magic + records + whole-file CRC32
-// trailer). It exists for cross-format tests and the cold-start benchmark;
-// new checkpoints should use Save.
-func SaveV2(path string, params []*nn.Param) error {
-	e := encPool.Get().(*encBuf)
-	defer encPool.Put(e)
-	e.b = e.b[:0]
-	e.b = append(e.b, magicV2...)
-	var buf bytes.Buffer
-	if err := writeBody(&buf, params); err != nil {
-		return err
-	}
-	e.b = append(e.b, buf.Bytes()...)
-	e.u32(crc32.ChecksumIEEE(e.b))
-	return writeAtomic(path, e.b)
-}
-
 // writeAtomic publishes data at path via the temp-fsync-rename dance.
 func writeAtomic(path string, data []byte) error {
 	if err := faults.ErrOn(faults.DiskError); err != nil {
@@ -120,30 +103,6 @@ func syncDir(dir string) error {
 	}
 	defer d.Close()
 	_ = d.Sync()
-	return nil
-}
-
-// writeBody writes the parameter sections (everything after the magic).
-func writeBody(w io.Writer, params []*nn.Param) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(params))); err != nil {
-		return err
-	}
-	for _, p := range params {
-		if err := writeString(w, p.Name); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(p.Value.Shape))); err != nil {
-			return err
-		}
-		for _, d := range p.Value.Shape {
-			if err := binary.Write(w, binary.LittleEndian, uint32(d)); err != nil {
-				return err
-			}
-		}
-		if err := binary.Write(w, binary.LittleEndian, p.Value.Data); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -227,14 +186,6 @@ func readBody(r io.Reader, params []*nn.Param) error {
 		}
 	}
 	return nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := w.Write([]byte(s))
-	return err
 }
 
 func readString(r io.Reader) (string, error) {

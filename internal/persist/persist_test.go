@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -151,6 +152,25 @@ func TestSaveIsAtomicUnderCrashDebris(t *testing.T) {
 	}
 }
 
+// saveV2 writes the legacy v2 format (magic + records + whole-file CRC32
+// trailer) — the fixture writer for the cross-version tests; the library
+// itself only reads this format.
+func saveV2(path string, params []*nn.Param) error {
+	var e encBuf
+	e.b = append(e.b, magicV2...)
+	e.u32(uint32(len(params)))
+	for _, p := range params {
+		e.str(p.Name)
+		e.u32(uint32(len(p.Value.Shape)))
+		for _, d := range p.Value.Shape {
+			e.u32(uint32(d))
+		}
+		e.floats(p.Value.Data)
+	}
+	e.u32(crc32.ChecksumIEEE(e.b))
+	return os.WriteFile(path, e.b, 0o644)
+}
+
 func TestLoadAcceptsLegacyV1(t *testing.T) {
 	// A pre-checksum checkpoint (magic MSLC0001, no CRC trailer) must keep
 	// loading. Build one by rewriting a v2 file: swap the magic and drop the
@@ -158,7 +178,7 @@ func TestLoadAcceptsLegacyV1(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.bin")
 	src := testModel(11)
-	if err := SaveV2(path, src); err != nil {
+	if err := saveV2(path, src); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -125,7 +125,6 @@ func TestHTTPMetricsAndHealth(t *testing.T) {
 		"msserver_degraded_batches_total",
 		`msserver_engine_tier{tier="exact"} 1`,
 		`msserver_engine_tier{tier="fma"} 0`,
-		`msserver_pack_cache_tier_bytes{tier="f32"}`,
 		`msserver_gemm_kernel_total{tier="exact",kernel="scalar"}`,
 		`msserver_gemm_kernel_total{tier="fma",kernel="vector"}`,
 		// Failure-domain surface: a healthy run exposes the counters at

@@ -161,11 +161,8 @@ type Stats struct {
 	// SampleTimes is the calibrator's current per-rate t(r) in seconds.
 	SampleTimes map[float64]float64
 	// PackCacheBytes is the resident per-width weight-pack memory the
-	// shared model is holding for the packed GEMM path; PackCacheTierBytes
-	// splits it by pack precision (f64 panels shared by the exact and fma
-	// engines vs the f32 tier's scaled-float32 panels).
-	PackCacheBytes     int64
-	PackCacheTierBytes [tensor.NumTiers]int64
+	// shared model is holding for the packed GEMM path.
+	PackCacheBytes int64
 	// EngineTier is the GEMM engine tier inference runs at.
 	EngineTier tensor.EngineTier
 	// GemmKernels are the process-wide per-tier micro-kernel dispatch
@@ -312,13 +309,6 @@ func (s Stats) prometheus() string {
 			active = 1
 		}
 		b = append(b, fmt.Sprintf("msserver_engine_tier{tier=%q} %d\n", tier, active)...)
-	}
-	b = append(b, "# HELP msserver_pack_cache_tier_bytes Resident weight-pack memory per pack precision.\n# TYPE msserver_pack_cache_tier_bytes gauge\n"...)
-	for tier := tensor.EngineTier(0); tier < tensor.NumTiers; tier++ {
-		if tier == tensor.TierFMA {
-			continue // the fma engine reads the exact tier's f64 panels
-		}
-		b = append(b, fmt.Sprintf("msserver_pack_cache_tier_bytes{tier=%q} %d\n", tier, s.PackCacheTierBytes[tier])...)
 	}
 	b = append(b, "# HELP msserver_gemm_kernel_total Process-wide GEMM micro-kernel dispatches per engine tier (all engines in this process, calibration included).\n# TYPE msserver_gemm_kernel_total counter\n"...)
 	for tier := tensor.EngineTier(0); tier < tensor.NumTiers; tier++ {

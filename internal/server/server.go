@@ -100,7 +100,7 @@ type Config struct {
 	// FixedRate pins the policy to a single rate when > 0 — the
 	// fixed-width provisioning baseline the paper argues against.
 	FixedRate float64
-	// Tier selects the GEMM engine tier ("exact", "fma", "f32"); empty
+	// Tier selects the GEMM engine tier ("exact", "fma"); empty
 	// defaults to MS_ENGINE_TIER (exact when unset). The tier is applied
 	// before startup calibration, so the measured t(r) reflects the engine
 	// that will serve traffic.
@@ -738,7 +738,7 @@ func (s *Server) Stats() Stats {
 	st.SampleTimes = s.cal.Snapshot()
 	es := shared.Stats()
 	st.PackCacheBytes, st.PackedEngine = es.PackCacheBytes, es.Packed
-	st.PackCacheTierBytes, st.EngineTier = es.PackCacheTierBytes, es.Tier
+	st.EngineTier = es.Tier
 	for _, wk := range s.workers {
 		st.ArenaBytes += wk.arena.HighWaterBytes()
 	}

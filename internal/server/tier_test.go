@@ -38,8 +38,13 @@ func TestServerTierConfig(t *testing.T) {
 		t.Fatalf("calibration measured %d rates, want %d", len(st.SampleTimes), len(cfg.Rates))
 	}
 
-	cfg.Tier = "bf16"
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "bf16") {
-		t.Fatalf("unknown tier: err = %v, want parse failure naming the tier", err)
+	// "f32" was a tier once; it is refused with ParseTier's message like any
+	// other unknown spelling (msserver -tier f32 prints it and exits 2).
+	for _, name := range []string{"bf16", "f32"} {
+		cfg.Tier = name
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), "unknown engine tier") || !strings.Contains(err.Error(), name) {
+			t.Fatalf("tier %q: err = %v, want ParseTier's refusal naming the tier", name, err)
+		}
 	}
 }

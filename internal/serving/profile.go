@@ -26,7 +26,7 @@ func MeasureSampleTimes(model nn.Layer, rates slicing.RateList, inShape []int, b
 // MeasureSharedSampleTimes is MeasureSampleTimes over a caller-built Shared,
 // so the calibration runs with the caller's serving configuration (in
 // particular a SetPacked or SetTier choice) instead of a fresh default
-// handle: t(r) is measured per engine tier, since the fast tiers shift the
+// handle: t(r) is measured per engine tier, since the fma tier shifts the
 // whole curve.
 func MeasureSharedSampleTimes(shared *slicing.Shared, inShape []int, batch int) func(r float64) float64 {
 	rates := shared.Rates()

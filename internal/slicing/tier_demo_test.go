@@ -10,10 +10,8 @@ import (
 )
 
 // TestDemoModelTierAccuracyDelta is the end-to-end accuracy-budget check on
-// a real trained model: serving the demo MLP on a fast tier must not move
-// test-set predictions. The fma tier must agree on every argmax; the f32
-// tier may flip at most 1% of samples near decision boundaries (observed: 0),
-// bounding its accuracy delta by the same 1%.
+// a real trained model: serving the demo MLP on the fma tier must not move
+// test-set predictions — it must agree with the exact tier on every argmax.
 func TestDemoModelTierAccuracyDelta(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the demo model")
@@ -44,7 +42,7 @@ func TestDemoModelTierAccuracyDelta(t *testing.T) {
 		for _, tc := range []struct {
 			tier     tensor.EngineTier
 			maxFlips int
-		}{{tensor.TierFMA, 0}, {tensor.TierF32, n / 100}} {
+		}{{tensor.TierFMA, 0}} {
 			shared.SetTier(tc.tier)
 			got := shared.Infer(r, x, nil)
 			flips := 0

@@ -9,17 +9,14 @@ import (
 	"modelslicing/internal/tensor"
 )
 
-// End-to-end accuracy gates for the fast tiers, pinned against the exact
+// End-to-end accuracy gate for the fma tier, pinned against the exact
 // unpacked oracle at every deployable rate. Measured deviations on the
-// miniCNN sit around 1e-15 (fma) and 1e-6 (f32); the gates leave two to
-// three orders of headroom while still catching a broken accuracy budget.
-const (
-	fmaSharedTol = 1e-9
-	f32SharedTol = 1e-4
-)
+// miniCNN sit around 1e-15; the gate leaves orders of headroom while still
+// catching a broken accuracy budget.
+const fmaSharedTol = 1e-9
 
 // TestSharedTierAccuracyGates pins the tier contract end to end: a Shared
-// serving on a fast tier must stay within the tier's pinned tolerance of the
+// serving on the fma tier must stay within the tier's pinned tolerance of the
 // exact engine at every deployable rate.
 func TestSharedTierAccuracyGates(t *testing.T) {
 	rng := rand.New(rand.NewSource(700))
@@ -33,7 +30,7 @@ func TestSharedTierAccuracyGates(t *testing.T) {
 	for _, tc := range []struct {
 		tier tensor.EngineTier
 		tol  float64
-	}{{tensor.TierFMA, fmaSharedTol}, {tensor.TierF32, f32SharedTol}} {
+	}{{tensor.TierFMA, fmaSharedTol}} {
 		fast := NewShared(model, rates)
 		fast.SetTier(tc.tier)
 		arenaF := tensor.NewArena()
@@ -62,29 +59,18 @@ func TestSharedTierAccuracyGates(t *testing.T) {
 			t.Fatalf("Stats().Tier = %v, want %v", st.Tier, tc.tier)
 		}
 	}
-
-	// After serving exact/fma (shared f64 packs) and f32 (own packs), the
-	// per-precision split must account for every resident byte.
-	byTier := oracle.PackCacheTierBytes()
-	if byTier[tensor.TierExact] == 0 || byTier[tensor.TierF32] == 0 {
-		t.Fatalf("expected both pack precisions resident, got %v", byTier)
-	}
-	if sum := byTier[tensor.TierExact] + byTier[tensor.TierFMA] + byTier[tensor.TierF32]; sum != oracle.PackCacheBytes() {
-		t.Fatalf("tier buckets sum to %d, PackCacheBytes = %d", sum, oracle.PackCacheBytes())
-	}
 }
 
-// TestSharedTierPackRace hammers the (width, tier) pack-build race: workers
-// serving all three tiers hit a fresh model simultaneously, so first touches
-// of every (width, precision) key race into the builders (run with -race in
-// CI). Every tier is deterministic, so all workers must agree bit-for-bit
-// per (tier, rate).
+// TestSharedTierPackRace hammers the per-width pack-build race: workers
+// serving both tiers hit a fresh model simultaneously, so first touches of
+// every width race into the builders (run with -race in CI). Every tier is
+// deterministic, so all workers must agree bit-for-bit per (tier, rate).
 func TestSharedTierPackRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(701))
 	rates := NewRateList(0.25, 4)
 	model := miniCNN(rng)
 
-	tiers := []tensor.EngineTier{tensor.TierExact, tensor.TierFMA, tensor.TierF32}
+	tiers := []tensor.EngineTier{tensor.TierExact, tensor.TierFMA}
 	views := make([]*Shared, len(tiers))
 	for i, tier := range tiers {
 		views[i] = NewShared(model, rates) // same model: the caches are shared
@@ -104,8 +90,8 @@ func TestSharedTierPackRace(t *testing.T) {
 			defer wg.Done()
 			arena := tensor.NewArena()
 			outs[w] = make([]*tensor.Tensor, len(tiers)*len(rates))
-			// Stagger tier order across workers so distinct precisions of
-			// the same width race each other, not just same-key builders.
+			// Stagger tier order across workers so both tiers race into
+			// the same width's builder.
 			for ti := range tiers {
 				v := views[(w+ti)%len(tiers)]
 				for ri, r := range rates {
@@ -139,7 +125,7 @@ func TestSharedTierZeroAlloc(t *testing.T) {
 	rates := NewRateList(0.25, 4)
 	shared := NewShared(miniCNN(rng), rates)
 	arena := tensor.NewArena()
-	for _, tier := range []tensor.EngineTier{tensor.TierExact, tensor.TierFMA, tensor.TierF32} {
+	for _, tier := range []tensor.EngineTier{tensor.TierExact, tensor.TierFMA} {
 		shared.SetTier(tier)
 		for _, r := range rates {
 			x := randInput(rng, 4, 3, 8, 8)

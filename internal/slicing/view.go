@@ -38,8 +38,8 @@ type Shared struct {
 	// memory stays O(params + packs), with packs reported by PackCacheBytes.
 	noPack bool
 	// tier selects the GEMM engine tier every inference pass runs at
-	// (tensor/tier.go): exact by default, fma or f32 when the operator
-	// accepts the tier's pinned accuracy budget for its throughput.
+	// (tensor/tier.go): exact by default, fma when the operator accepts the
+	// tier's pinned accuracy budget for its throughput.
 	tier tensor.EngineTier
 }
 
@@ -60,7 +60,7 @@ func (s *Shared) Model() nn.Layer { return s.model }
 
 // SetPacked toggles the persistent packed-weight GEMM path (on by default).
 // Disabling it forces every pass through the unpacked engine — the A/B
-// oracle for the packed path and the msbench -packed=false escape hatch.
+// oracle for the packed path.
 // Call before serving; the flag is read concurrently by inference workers.
 func (s *Shared) SetPacked(on bool) { s.noPack = !on }
 
@@ -68,7 +68,7 @@ func (s *Shared) SetPacked(on bool) { s.noPack = !on }
 // The default comes from MS_ENGINE_TIER at construction (exact when unset or
 // on hosts without FMA). Call before serving; like SetPacked, the value is
 // read concurrently by inference workers. Switching tiers keeps already-built
-// packs — the (width, tier) cache key isolates the tiers' pack precisions.
+// packs — both tiers stream the same f64 panels.
 func (s *Shared) SetTier(t tensor.EngineTier) { s.tier = t }
 
 // Tier returns the engine tier inference passes run at.
@@ -76,36 +76,26 @@ func (s *Shared) Tier() tensor.EngineTier { return s.tier }
 
 // PackCacheBytes reports the resident per-width weight-pack memory this
 // Shared's model is holding — the O(packs) term of the serving memory story,
-// exposed per rate by msbench and as a gauge on the server's /metrics.
+// exposed as a gauge on the server's /metrics.
 func (s *Shared) PackCacheBytes() int64 { return nn.PackCacheBytes(s.model) }
 
-// PackCacheTierBytes splits PackCacheBytes by pack precision (index
-// tensor.TierExact: f64 panels shared by the exact and fma engines; index
-// tensor.TierF32: scaled-float32 panels).
-func (s *Shared) PackCacheTierBytes() [tensor.NumTiers]int64 {
-	return nn.PackCacheTierBytes(s.model)
-}
-
 // EngineStats summarizes the shared engine's resource posture for the
-// observability layer: resident pack memory (total and split by pack
-// precision), whether the packed GEMM path is active, the engine tier, and
-// how many rates the one weight set is serving.
+// observability layer: resident pack memory, whether the packed GEMM path is
+// active, the engine tier, and how many rates the one weight set is serving.
 type EngineStats struct {
-	PackCacheBytes     int64
-	PackCacheTierBytes [tensor.NumTiers]int64
-	Packed             bool
-	Tier               tensor.EngineTier
-	Rates              int
+	PackCacheBytes int64
+	Packed         bool
+	Tier           tensor.EngineTier
+	Rates          int
 }
 
 // Stats snapshots the engine-level counters the serving metrics report.
 func (s *Shared) Stats() EngineStats {
 	return EngineStats{
-		PackCacheBytes:     s.PackCacheBytes(),
-		PackCacheTierBytes: s.PackCacheTierBytes(),
-		Packed:             !s.noPack,
-		Tier:               s.tier,
-		Rates:              len(s.rates),
+		PackCacheBytes: s.PackCacheBytes(),
+		Packed:         !s.noPack,
+		Tier:           s.tier,
+		Rates:          len(s.rates),
 	}
 }
 

@@ -74,7 +74,7 @@ const (
 // Dense→ReLU chain into a single pass over the output instead of one extra
 // full memory sweep per post-op.
 //
-// Epilogues exist only on the assign-mode entry points (GemmEx, GemmTBEx):
+// Epilogues exist only on the assign-mode entry points (GemmExT, GemmTBExT):
 // applying an affine or clamp step to an accumulating C would also transform
 // whatever the caller had accumulated so far.
 type Epilogue struct {
@@ -118,34 +118,25 @@ var packPool = sync.Pool{
 	},
 }
 
-// Gemm computes C[m×n] += A[m×k] · B[k×n] on the exact tier.
+// Gemm computes C[m×n] += A[m×k] · B[k×n] on the exact tier. The
+// accumulating products (Gemm, GemmTA, GemmTB) are the training path and
+// always run exact; only the assign-mode entry points below take a tier.
 func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	GemmT(TierExact, m, n, k, a, lda, b, ldb, c, ldc)
-}
-
-// GemmT is Gemm on an explicit engine tier: TierExact reproduces Gemm bit
-// for bit; the fast tiers contract each multiply-add into a fused one (see
-// tier.go for the accuracy contract). Tier selection is per call — no global
-// state — so exact and fast products can interleave freely.
-func GemmT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	checkMat("Gemm A", m, k, lda, len(a))
 	checkMat("Gemm B", k, n, ldb, len(b))
 	checkMat("Gemm C", m, n, ldc, len(c))
-	gemmParallel(tier, m, n, k, a, lda, false, b, ldb, false, c, ldc, false, nil)
+	gemmParallel(TierExact, m, n, k, a, lda, false, b, ldb, false, c, ldc, false, nil)
 }
 
-// GemmEx computes C[m×n] = epilogue(A[m×k] · B[k×n]) — assign mode (β=0): C
-// is fully overwritten, so callers may pass uninitialized storage
-// (Arena.GetUninit) and skip the zero-fill pass. The epilogue (which may be
-// nil) is applied to each C panel while it is still cache-hot. The
-// accumulation order per element is identical to Gemm into a zeroed C, so
-// results are bit-identical to the unfused sequence when the epilogue steps
-// match.
-func GemmEx(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
-	GemmExT(TierExact, m, n, k, a, lda, b, ldb, c, ldc, ep)
-}
-
-// GemmExT is GemmEx on an explicit engine tier (see GemmT).
+// GemmExT computes C[m×n] = epilogue(A[m×k] · B[k×n]) on an explicit engine
+// tier — assign mode (β=0): C is fully overwritten, so callers may pass
+// uninitialized storage (Arena.GetUninit) and skip the zero-fill pass. The
+// epilogue (which may be nil) is applied to each C panel while it is still
+// cache-hot. On TierExact the accumulation order per element is identical to
+// Gemm into a zeroed C, so results are bit-identical to the unfused sequence
+// when the epilogue steps match; TierFMA contracts each multiply-add into a
+// fused one (see tier.go for the accuracy contract). Tier selection is per
+// call — no global state — so exact and fast products can interleave freely.
 func GemmExT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
 	checkMat("GemmEx A", m, k, lda, len(a))
 	checkMat("GemmEx B", k, n, ldb, len(b))
@@ -155,29 +146,18 @@ func GemmExT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ld
 		ep = nil
 	}
 	if k == 0 {
-		// An empty sum still owes the caller a fully written C (assign-mode
-		// contract): zero the product region, then run the epilogue.
-		for i := 0; i < m; i++ {
-			clear(c[i*ldc : i*ldc+n])
-		}
-		if ep != nil {
-			applyEpilogue(m, n, c, ldc, ep, 0, 0)
-		}
+		gemmAssignEmptyK(m, n, c, ldc, ep)
 		return
 	}
 	gemmParallel(tier, m, n, k, a, lda, false, b, ldb, false, c, ldc, true, ep)
 }
 
-// GemmTBEx computes C[m×n] = epilogue(A · Bᵀ) where B is stored as [n×k] —
-// the assign-mode, fused-epilogue variant of GemmTB (see GemmEx).
-func GemmTBEx(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
-	GemmTBExT(TierExact, m, n, k, a, lda, b, ldb, c, ldc, ep)
-}
-
-// GemmTBExT is GemmTBEx on an explicit engine tier (see GemmT). Products
-// below the small-GEMM threshold stay on the exact strided dot kernel at
-// every tier: there is no bandwidth or FLOP win to buy accuracy with at
-// those sizes, so the fast tiers are exact there by design.
+// GemmTBExT computes C[m×n] = epilogue(A · Bᵀ) where B is stored as [n×k] —
+// the assign-mode, fused-epilogue variant of GemmTB on an explicit engine
+// tier (see GemmExT). Products below the small-GEMM threshold stay on the
+// exact strided dot kernel at every tier: there is no bandwidth or FLOP win
+// to buy accuracy with at those sizes, so the fma tier is exact there by
+// design.
 func GemmTBExT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
 	checkMat("GemmTBEx A", m, k, lda, len(a))
 	checkMat("GemmTBEx B", n, k, ldb, len(b))
@@ -205,7 +185,7 @@ func gemmFanout(m, n int) (rowW, colW int) {
 }
 
 // gemmShouldFanout is the fan-out policy shared by every parallel entry
-// point (gemmParallel, GemmPackedEx, GemmTBPackedEx, GemmWillParallelize):
+// point (gemmParallel, GemmPackedExT, GemmTBPackedExT, GemmWillParallelize):
 // it admits a split only when some dimension yields more than one worker and
 // the arithmetic amortizes the spawns.
 func gemmShouldFanout(m, n, k int) (rowW, colW int, ok bool) {
@@ -503,12 +483,10 @@ func gemmBlocked(tier EngineTier, m, n, k int, a []float64, lda int, aTrans bool
 }
 
 // gemmPanelT routes one micro-panel to the requested tier's kernel family:
-// the exact tier's AVX/scalar pair (gemmPanel) or the fast tiers' fused
-// FMA/math.FMA pair (gemmPanelFMA — TierF32 lands here too when its operands
-// are plain f64, i.e. any unpacked product, where f32 adds nothing over fma).
-// It also counts the vector-vs-scalar decision per tier; both kernel
-// families share the vecMinCols narrow-panel threshold, so the counters
-// mirror the dispatch exactly.
+// the exact tier's AVX/scalar pair (gemmPanel) or the fma tier's fused
+// FMA/math.FMA pair (gemmPanelFMA). It also counts the vector-vs-scalar
+// decision per tier; both kernel families share the vecMinCols narrow-panel
+// threshold, so the counters mirror the dispatch exactly.
 func gemmPanelT(tier EngineTier, rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	if tier == TierExact {
 		if useAVX && ncb >= vecMinCols {

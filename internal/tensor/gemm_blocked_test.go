@@ -227,7 +227,7 @@ func epilogueCase(rng *rand.Rand, mask, m, n int) *Epilogue {
 // naively), starting from a garbage-filled destination to prove assign mode
 // overwrites every element.
 func gemmExCase(t *testing.T, name string, m, n, k, lda, ldb, ldc int, ep *Epilogue,
-	kernel func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue),
+	kernel func(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue),
 	ref func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int),
 	aRows, aCols, bRows, bCols int) {
 	t.Helper()
@@ -247,7 +247,7 @@ func gemmExCase(t *testing.T, name string, m, n, k, lda, ldb, ldc int, ep *Epilo
 		}
 	}
 
-	kernel(m, n, k, a, lda, b, ldb, cGot, ldc, ep)
+	kernel(TierExact, m, n, k, a, lda, b, ldb, cGot, ldc, ep)
 	ref(m, n, k, a, lda, b, ldb, cWant, ldc)
 	epilogueRef(m, n, cWant, ldc, ep)
 
@@ -285,9 +285,9 @@ func TestGemmExEpilogueCombinations(t *testing.T) {
 		for mask := 0; mask < 64; mask++ {
 			ep := epilogueCase(rng, mask, s.m, s.n)
 			lda, ldb, ldc := s.k+s.pad, s.n+s.pad, s.n+s.pad
-			gemmExCase(t, "GemmEx", s.m, s.n, s.k, lda, ldb, ldc, ep, GemmEx, gemmRef, s.m, s.k, s.k, s.n)
+			gemmExCase(t, "GemmEx", s.m, s.n, s.k, lda, ldb, ldc, ep, GemmExT, gemmRef, s.m, s.k, s.k, s.n)
 			// GemmTBEx: B stored [n×k], so ldb ≥ k.
-			gemmExCase(t, "GemmTBEx", s.m, s.n, s.k, lda, s.k+s.pad, ldc, ep, GemmTBEx, gemmTBRef, s.m, s.k, s.n, s.k)
+			gemmExCase(t, "GemmTBEx", s.m, s.n, s.k, lda, s.k+s.pad, ldc, ep, GemmTBExT, gemmTBRef, s.m, s.k, s.n, s.k)
 		}
 	}
 }
@@ -316,8 +316,8 @@ func TestGemmExRandomShapes(t *testing.T) {
 		}
 		ep := epilogueCase(rng, rng.Intn(64), m, n)
 		padA, padB, padC := rng.Intn(8), rng.Intn(8), rng.Intn(8)
-		gemmExCase(t, "GemmEx", m, n, k, k+padA, n+padB, n+padC, ep, GemmEx, gemmRef, m, k, k, n)
-		gemmExCase(t, "GemmTBEx", m, n, k, k+padA, k+padB, n+padC, ep, GemmTBEx, gemmTBRef, m, k, n, k)
+		gemmExCase(t, "GemmEx", m, n, k, k+padA, n+padB, n+padC, ep, GemmExT, gemmRef, m, k, k, n)
+		gemmExCase(t, "GemmTBEx", m, n, k, k+padA, k+padB, n+padC, ep, GemmTBExT, gemmTBRef, m, k, n, k)
 	}
 }
 
@@ -336,7 +336,7 @@ func TestGemmExBitIdenticalToGemm(t *testing.T) {
 		Gemm(m, n, k, a, k, b, n, want, n)
 		got := make([]float64, m*n)
 		fillRand(rng, got)
-		GemmEx(m, n, k, a, k, b, n, got, n, nil)
+		GemmExT(TierExact, m, n, k, a, k, b, n, got, n, nil)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("m=%d n=%d k=%d: GemmEx[%d]=%g, Gemm=%g", m, n, k, i, got[i], want[i])
@@ -350,7 +350,7 @@ func TestGemmExBitIdenticalToGemm(t *testing.T) {
 // GemmTBEx's simple path already does.
 func TestGemmExEmptyK(t *testing.T) {
 	c := []float64{7, 7, 7, 7, 7, 7}
-	GemmEx(2, 2, 0, nil, 0, nil, 2, c, 3, &Epilogue{RowShift: []float64{1, 2}})
+	GemmExT(TierExact, 2, 2, 0, nil, 0, nil, 2, c, 3, &Epilogue{RowShift: []float64{1, 2}})
 	want := []float64{1, 1, 7, 2, 2, 7} // ldc=3: slack column untouched
 	for i := range want {
 		if c[i] != want[i] {
@@ -358,7 +358,7 @@ func TestGemmExEmptyK(t *testing.T) {
 		}
 	}
 	c2 := []float64{7, 7, 7, 7}
-	GemmTBEx(2, 2, 0, nil, 0, nil, 0, c2, 2, nil)
+	GemmTBExT(TierExact, 2, 2, 0, nil, 0, nil, 0, c2, 2, nil)
 	for i, v := range c2 {
 		if v != 0 {
 			t.Fatalf("GemmTBEx k=0: c[%d] = %g, want 0", i, v)
@@ -376,7 +376,7 @@ func TestEpilogueVectorChecks(t *testing.T) {
 			t.Fatal("GemmEx accepted a short RowScale")
 		}
 	}()
-	GemmEx(3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{RowScale: make([]float64, 2)})
+	GemmExT(TierExact, 3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{RowScale: make([]float64, 2)})
 }
 
 // TestMatVecChecks verifies the unified shape-error reporting of the

@@ -10,8 +10,8 @@ package tensor
 
 // vecMinCols is the narrowest C panel worth a vector call: below it the
 // per-call overhead (slice setup, broadcast reloads) beats the lane win. The
-// threshold is shared by every vector family — the exact tier's AVX kernels
-// and the fast tiers' FMA/F32 kernels (kernel_fma.go) — because the overhead
+// threshold is shared by both vector families — the exact tier's AVX kernels
+// and the fma tier's FMA kernels (kernel_fma.go) — because the overhead
 // it amortizes (per-call setup against per-lane wins) is the same regardless
 // of which instruction the inner loop retires.
 const vecMinCols = 8

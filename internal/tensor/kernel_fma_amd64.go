@@ -1,17 +1,15 @@
 package tensor
 
-// FMA backend of the axpy micro-kernel (the fast tiers' vector path). Unlike
+// FMA backend of the axpy micro-kernel (the fma tier's vector path). Unlike
 // the AVX kernels of kernel_amd64.go, each lane here contracts every
 // multiply-add into one VFMADD231PD — acc = fma(a, b, acc), rounded once —
-// matching the math.FMA chain the fast tiers' scalar loops evaluate, so the
-// fma and f32 tiers are bit-deterministic across the vector/scalar dispatch
-// boundary even though they are not bit-identical to the exact tier. The F32
-// variants take float32 B panels and widen each lane to f64 on load
-// (VCVTPS2PD); accumulation stays f64 throughout. Detection is at process
+// matching the math.FMA chain the fma tier's scalar loops evaluate, so the
+// tier is bit-deterministic across the vector/scalar dispatch boundary even
+// though it is not bit-identical to the exact tier. Detection is at process
 // start via CPUID; non-FMA hosts stay on the math.FMA scalar loops.
 
 // useFMA gates the fused vector kernels; overridable in tests to pin the
-// vector/scalar determinism of the fast tiers.
+// vector/scalar determinism of the fma tier.
 var useFMA = cpuHasFMA()
 
 // cpuHasFMA reports whether the CPU supports FMA3 alongside AVX and the OS
@@ -63,48 +61,3 @@ func fmaDot4x8(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []f
 //
 //go:noescape
 func fmaDot4x8Assign(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []float64)
-
-// fmaDot4x8B32 is fmaDot4x8 over a float32 B panel: B lanes widen to f64 on
-// load (VCVTPS2PD, exact), so the arithmetic — and the result, given equal
-// inputs — is identical to fmaDot4x8 on pre-widened operands. A PackedMat32
-// scale is folded into a0..a3 by the caller.
-//
-//go:noescape
-func fmaDot4x8B32(kcb int, a0, a1, a2, a3 []float64, b []float32, ldb int, c0, c1, c2, c3 []float64)
-
-// fmaDot4x8B32Assign is fmaDot4x8B32 with β=0. kcb must be ≥ 1.
-//
-//go:noescape
-func fmaDot4x8B32Assign(kcb int, a0, a1, a2, a3 []float64, b []float32, ldb int, c0, c1, c2, c3 []float64)
-
-// cvtPD2PS narrows dst[i] = float32(src[i]) for i in [0, len(src)) with
-// round-to-nearest-even — bit-identical to Go's conversion, ~4 lanes per
-// cycle instead of the scalar loop's one. len(dst) must be ≥ len(src).
-//
-//go:noescape
-func cvtPD2PS(dst []float32, src []float64)
-
-// axpyQuad2F32 is axpyQuad2FMA over float32 B panels: each B lane is widened
-// to f64 (exact) before the fused multiply-add, so the arithmetic — and the
-// result, given equal inputs — is identical to axpyQuad2FMA on pre-widened
-// operands. The per-panel scale of a PackedMat32 is folded into a0/a1 by the
-// caller. These serve the f32 row and column tails the 4×8 dot kernel
-// cannot cover (fewer than 4 C rows, or fewer than 8 columns).
-//
-//go:noescape
-func axpyQuad2F32(c0, c1 []float64, b0, b1, b2, b3 []float32, a0, a1 []float64)
-
-// axpyQuad2AssignF32 is axpyQuad2F32 with β=0.
-//
-//go:noescape
-func axpyQuad2AssignF32(c0, c1 []float64, b0, b1, b2, b3 []float32, a0, a1 []float64)
-
-// axpyQuad1F32 is the one-row form of axpyQuad2F32.
-//
-//go:noescape
-func axpyQuad1F32(c0 []float64, b0, b1, b2, b3 []float32, a0 []float64)
-
-// axpyQuad1AssignF32 is axpyQuad1F32 with β=0.
-//
-//go:noescape
-func axpyQuad1AssignF32(c0 []float64, b0, b1, b2, b3 []float32, a0 []float64)

@@ -1,9 +1,8 @@
-// FMA axpy micro-kernels (fast-tier vector path). Each lane evaluates the
+// FMA axpy micro-kernels (fma-tier vector path). Each lane evaluates the
 // fused chain acc = fma(a3,b3, fma(a2,b2, fma(a1,b1, fma(a0,b0, acc)))) —
 // one rounding per multiply-add, matching math.FMA in the scalar loops — so
-// the fast tiers stay bit-deterministic across the vector/scalar boundary.
-// The F32 variants widen float32 B lanes to f64 on load (VCVTPS2PD, exact);
-// accumulation is f64 everywhere. See kernel_fma_amd64.go for contracts.
+// the fma tier stays bit-deterministic across the vector/scalar boundary.
+// See kernel_fma_amd64.go for contracts.
 
 #include "textflag.h"
 
@@ -443,463 +442,5 @@ adstore:
 	VMOVUPD Y5, 32(BX)
 	VMOVUPD Y6, (DX)
 	VMOVUPD Y7, 32(DX)
-	VZEROUPPER
-	RET
-
-// func fmaDot4x8B32(kcb int, a0, a1, a2, a3 []float64, b []float32, ldb int, c0, c1, c2, c3 []float64)
-//
-// fmaDot4x8 over a float32 B panel: each group of four B lanes widens to
-// f64 on load (VCVTPS2PD, exact), halving the streamed B bytes. Pack
-// scales are folded into the a rows by the caller.
-TEXT ·fmaDot4x8B32(SB), NOSPLIT, $0-232
-	MOVQ kcb+0(FP), CX
-	MOVQ a0_base+8(FP), R8
-	MOVQ a1_base+32(FP), R9
-	MOVQ a2_base+56(FP), R10
-	MOVQ a3_base+80(FP), R11
-	MOVQ b_base+104(FP), SI
-	MOVQ ldb+128(FP), R12
-	SHLQ $2, R12
-	MOVQ c0_base+136(FP), DI
-	MOVQ c1_base+160(FP), AX
-	MOVQ c2_base+184(FP), BX
-	MOVQ c3_base+208(FP), DX
-
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD (AX), Y2
-	VMOVUPD 32(AX), Y3
-	VMOVUPD (BX), Y4
-	VMOVUPD 32(BX), Y5
-	VMOVUPD (DX), Y6
-	VMOVUPD 32(DX), Y7
-
-fdloop:
-	VCVTPS2PD    (SI), Y8
-	VCVTPS2PD    16(SI), Y9
-	VBROADCASTSD (R8), Y10
-	VBROADCASTSD (R9), Y11
-	VBROADCASTSD (R10), Y12
-	VBROADCASTSD (R11), Y13
-	VFMADD231PD  Y8, Y10, Y0
-	VFMADD231PD  Y9, Y10, Y1
-	VFMADD231PD  Y8, Y11, Y2
-	VFMADD231PD  Y9, Y11, Y3
-	VFMADD231PD  Y8, Y12, Y4
-	VFMADD231PD  Y9, Y12, Y5
-	VFMADD231PD  Y8, Y13, Y6
-	VFMADD231PD  Y9, Y13, Y7
-	ADDQ         $8, R8
-	ADDQ         $8, R9
-	ADDQ         $8, R10
-	ADDQ         $8, R11
-	ADDQ         R12, SI
-	DECQ         CX
-	JNZ          fdloop
-
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, (AX)
-	VMOVUPD Y3, 32(AX)
-	VMOVUPD Y4, (BX)
-	VMOVUPD Y5, 32(BX)
-	VMOVUPD Y6, (DX)
-	VMOVUPD Y7, 32(DX)
-	VZEROUPPER
-	RET
-
-// func fmaDot4x8B32Assign(kcb int, a0, a1, a2, a3 []float64, b []float32, ldb int, c0, c1, c2, c3 []float64)
-//
-// fmaDot4x8B32 with β=0 (see fmaDot4x8Assign). kcb must be ≥ 1.
-TEXT ·fmaDot4x8B32Assign(SB), NOSPLIT, $0-232
-	MOVQ kcb+0(FP), CX
-	MOVQ a0_base+8(FP), R8
-	MOVQ a1_base+32(FP), R9
-	MOVQ a2_base+56(FP), R10
-	MOVQ a3_base+80(FP), R11
-	MOVQ b_base+104(FP), SI
-	MOVQ ldb+128(FP), R12
-	SHLQ $2, R12
-	MOVQ c0_base+136(FP), DI
-	MOVQ c1_base+160(FP), AX
-	MOVQ c2_base+184(FP), BX
-	MOVQ c3_base+208(FP), DX
-
-	VCVTPS2PD    (SI), Y8
-	VCVTPS2PD    16(SI), Y9
-	VBROADCASTSD (R8), Y10
-	VBROADCASTSD (R9), Y11
-	VBROADCASTSD (R10), Y12
-	VBROADCASTSD (R11), Y13
-	VMULPD       Y8, Y10, Y0
-	VMULPD       Y9, Y10, Y1
-	VMULPD       Y8, Y11, Y2
-	VMULPD       Y9, Y11, Y3
-	VMULPD       Y8, Y12, Y4
-	VMULPD       Y9, Y12, Y5
-	VMULPD       Y8, Y13, Y6
-	VMULPD       Y9, Y13, Y7
-	ADDQ         $8, R8
-	ADDQ         $8, R9
-	ADDQ         $8, R10
-	ADDQ         $8, R11
-	ADDQ         R12, SI
-	DECQ         CX
-	JZ           fadstore
-
-fadloop:
-	VCVTPS2PD    (SI), Y8
-	VCVTPS2PD    16(SI), Y9
-	VBROADCASTSD (R8), Y10
-	VBROADCASTSD (R9), Y11
-	VBROADCASTSD (R10), Y12
-	VBROADCASTSD (R11), Y13
-	VFMADD231PD  Y8, Y10, Y0
-	VFMADD231PD  Y9, Y10, Y1
-	VFMADD231PD  Y8, Y11, Y2
-	VFMADD231PD  Y9, Y11, Y3
-	VFMADD231PD  Y8, Y12, Y4
-	VFMADD231PD  Y9, Y12, Y5
-	VFMADD231PD  Y8, Y13, Y6
-	VFMADD231PD  Y9, Y13, Y7
-	ADDQ         $8, R8
-	ADDQ         $8, R9
-	ADDQ         $8, R10
-	ADDQ         $8, R11
-	ADDQ         R12, SI
-	DECQ         CX
-	JNZ          fadloop
-
-fadstore:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, (AX)
-	VMOVUPD Y3, 32(AX)
-	VMOVUPD Y4, (BX)
-	VMOVUPD Y5, 32(BX)
-	VMOVUPD Y6, (DX)
-	VMOVUPD Y7, 32(DX)
-	VZEROUPPER
-	RET
-
-// func axpyQuad2F32(c0, c1 []float64, b0, b1, b2, b3 []float32, a0, a1 []float64)
-TEXT ·axpyQuad2F32(SB), NOSPLIT, $0-192
-	MOVQ c0_base+0(FP), DI
-	MOVQ c0_len+8(FP), CX
-	MOVQ c1_base+24(FP), SI
-	MOVQ b0_base+48(FP), R8
-	MOVQ b1_base+72(FP), R9
-	MOVQ b2_base+96(FP), R10
-	MOVQ b3_base+120(FP), R11
-	MOVQ a0_base+144(FP), R12
-	MOVQ a1_base+168(FP), R13
-
-	VBROADCASTSD 0(R12), Y0
-	VBROADCASTSD 8(R12), Y1
-	VBROADCASTSD 16(R12), Y2
-	VBROADCASTSD 24(R12), Y3
-	VBROADCASTSD 0(R13), Y4
-	VBROADCASTSD 8(R13), Y5
-	VBROADCASTSD 16(R13), Y6
-	VBROADCASTSD 24(R13), Y7
-
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-4, DX
-
-floop4:
-	CMPQ AX, DX
-	JGE  ftail
-	// Widen four f32 B lanes per operand to f64 (exact conversion).
-	VCVTPS2PD (R8)(AX*4), Y8
-	VCVTPS2PD (R9)(AX*4), Y9
-	VCVTPS2PD (R10)(AX*4), Y10
-	VCVTPS2PD (R11)(AX*4), Y11
-
-	VMOVUPD     (DI)(AX*8), Y12
-	VFMADD231PD Y8, Y0, Y12
-	VFMADD231PD Y9, Y1, Y12
-	VFMADD231PD Y10, Y2, Y12
-	VFMADD231PD Y11, Y3, Y12
-	VMOVUPD     Y12, (DI)(AX*8)
-
-	VMOVUPD     (SI)(AX*8), Y12
-	VFMADD231PD Y8, Y4, Y12
-	VFMADD231PD Y9, Y5, Y12
-	VFMADD231PD Y10, Y6, Y12
-	VFMADD231PD Y11, Y7, Y12
-	VMOVUPD     Y12, (SI)(AX*8)
-
-	ADDQ $4, AX
-	JMP  floop4
-
-ftail:
-	CMPQ AX, CX
-	JGE  fdone
-	VCVTSS2SD (R8)(AX*4), X8, X8
-	VCVTSS2SD (R9)(AX*4), X9, X9
-	VCVTSS2SD (R10)(AX*4), X10, X10
-	VCVTSS2SD (R11)(AX*4), X11, X11
-
-	VMOVSD      (DI)(AX*8), X12
-	VFMADD231SD X8, X0, X12
-	VFMADD231SD X9, X1, X12
-	VFMADD231SD X10, X2, X12
-	VFMADD231SD X11, X3, X12
-	VMOVSD      X12, (DI)(AX*8)
-
-	VMOVSD      (SI)(AX*8), X12
-	VFMADD231SD X8, X4, X12
-	VFMADD231SD X9, X5, X12
-	VFMADD231SD X10, X6, X12
-	VFMADD231SD X11, X7, X12
-	VMOVSD      X12, (SI)(AX*8)
-
-	INCQ AX
-	JMP  ftail
-
-fdone:
-	VZEROUPPER
-	RET
-
-// func axpyQuad2AssignF32(c0, c1 []float64, b0, b1, b2, b3 []float32, a0, a1 []float64)
-TEXT ·axpyQuad2AssignF32(SB), NOSPLIT, $0-192
-	MOVQ c0_base+0(FP), DI
-	MOVQ c0_len+8(FP), CX
-	MOVQ c1_base+24(FP), SI
-	MOVQ b0_base+48(FP), R8
-	MOVQ b1_base+72(FP), R9
-	MOVQ b2_base+96(FP), R10
-	MOVQ b3_base+120(FP), R11
-	MOVQ a0_base+144(FP), R12
-	MOVQ a1_base+168(FP), R13
-
-	VBROADCASTSD 0(R12), Y0
-	VBROADCASTSD 8(R12), Y1
-	VBROADCASTSD 16(R12), Y2
-	VBROADCASTSD 24(R12), Y3
-	VBROADCASTSD 0(R13), Y4
-	VBROADCASTSD 8(R13), Y5
-	VBROADCASTSD 16(R13), Y6
-	VBROADCASTSD 24(R13), Y7
-
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-4, DX
-
-faloop4:
-	CMPQ AX, DX
-	JGE  fatail
-	VCVTPS2PD (R8)(AX*4), Y8
-	VCVTPS2PD (R9)(AX*4), Y9
-	VCVTPS2PD (R10)(AX*4), Y10
-	VCVTPS2PD (R11)(AX*4), Y11
-
-	VMULPD      Y8, Y0, Y12
-	VFMADD231PD Y9, Y1, Y12
-	VFMADD231PD Y10, Y2, Y12
-	VFMADD231PD Y11, Y3, Y12
-	VMOVUPD     Y12, (DI)(AX*8)
-
-	VMULPD      Y8, Y4, Y12
-	VFMADD231PD Y9, Y5, Y12
-	VFMADD231PD Y10, Y6, Y12
-	VFMADD231PD Y11, Y7, Y12
-	VMOVUPD     Y12, (SI)(AX*8)
-
-	ADDQ $4, AX
-	JMP  faloop4
-
-fatail:
-	CMPQ AX, CX
-	JGE  fadone
-	VCVTSS2SD (R8)(AX*4), X8, X8
-	VCVTSS2SD (R9)(AX*4), X9, X9
-	VCVTSS2SD (R10)(AX*4), X10, X10
-	VCVTSS2SD (R11)(AX*4), X11, X11
-
-	VMULSD      X8, X0, X12
-	VFMADD231SD X9, X1, X12
-	VFMADD231SD X10, X2, X12
-	VFMADD231SD X11, X3, X12
-	VMOVSD      X12, (DI)(AX*8)
-
-	VMULSD      X8, X4, X12
-	VFMADD231SD X9, X5, X12
-	VFMADD231SD X10, X6, X12
-	VFMADD231SD X11, X7, X12
-	VMOVSD      X12, (SI)(AX*8)
-
-	INCQ AX
-	JMP  fatail
-
-fadone:
-	VZEROUPPER
-	RET
-
-// func axpyQuad1F32(c0 []float64, b0, b1, b2, b3 []float32, a0 []float64)
-TEXT ·axpyQuad1F32(SB), NOSPLIT, $0-144
-	MOVQ c0_base+0(FP), DI
-	MOVQ c0_len+8(FP), CX
-	MOVQ b0_base+24(FP), R8
-	MOVQ b1_base+48(FP), R9
-	MOVQ b2_base+72(FP), R10
-	MOVQ b3_base+96(FP), R11
-	MOVQ a0_base+120(FP), R12
-
-	VBROADCASTSD 0(R12), Y0
-	VBROADCASTSD 8(R12), Y1
-	VBROADCASTSD 16(R12), Y2
-	VBROADCASTSD 24(R12), Y3
-
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-4, DX
-
-frloop4:
-	CMPQ AX, DX
-	JGE  frtail
-	VCVTPS2PD (R8)(AX*4), Y8
-	VCVTPS2PD (R9)(AX*4), Y9
-	VCVTPS2PD (R10)(AX*4), Y10
-	VCVTPS2PD (R11)(AX*4), Y11
-
-	VMOVUPD     (DI)(AX*8), Y12
-	VFMADD231PD Y8, Y0, Y12
-	VFMADD231PD Y9, Y1, Y12
-	VFMADD231PD Y10, Y2, Y12
-	VFMADD231PD Y11, Y3, Y12
-	VMOVUPD     Y12, (DI)(AX*8)
-
-	ADDQ $4, AX
-	JMP  frloop4
-
-frtail:
-	CMPQ AX, CX
-	JGE  frdone
-	VCVTSS2SD (R8)(AX*4), X8, X8
-	VCVTSS2SD (R9)(AX*4), X9, X9
-	VCVTSS2SD (R10)(AX*4), X10, X10
-	VCVTSS2SD (R11)(AX*4), X11, X11
-
-	VMOVSD      (DI)(AX*8), X12
-	VFMADD231SD X8, X0, X12
-	VFMADD231SD X9, X1, X12
-	VFMADD231SD X10, X2, X12
-	VFMADD231SD X11, X3, X12
-	VMOVSD      X12, (DI)(AX*8)
-
-	INCQ AX
-	JMP  frtail
-
-frdone:
-	VZEROUPPER
-	RET
-
-// func axpyQuad1AssignF32(c0 []float64, b0, b1, b2, b3 []float32, a0 []float64)
-TEXT ·axpyQuad1AssignF32(SB), NOSPLIT, $0-144
-	MOVQ c0_base+0(FP), DI
-	MOVQ c0_len+8(FP), CX
-	MOVQ b0_base+24(FP), R8
-	MOVQ b1_base+48(FP), R9
-	MOVQ b2_base+72(FP), R10
-	MOVQ b3_base+96(FP), R11
-	MOVQ a0_base+120(FP), R12
-
-	VBROADCASTSD 0(R12), Y0
-	VBROADCASTSD 8(R12), Y1
-	VBROADCASTSD 16(R12), Y2
-	VBROADCASTSD 24(R12), Y3
-
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-4, DX
-
-fsloop4:
-	CMPQ AX, DX
-	JGE  fstail
-	VCVTPS2PD (R8)(AX*4), Y8
-	VCVTPS2PD (R9)(AX*4), Y9
-	VCVTPS2PD (R10)(AX*4), Y10
-	VCVTPS2PD (R11)(AX*4), Y11
-
-	VMULPD      Y8, Y0, Y12
-	VFMADD231PD Y9, Y1, Y12
-	VFMADD231PD Y10, Y2, Y12
-	VFMADD231PD Y11, Y3, Y12
-	VMOVUPD     Y12, (DI)(AX*8)
-
-	ADDQ $4, AX
-	JMP  fsloop4
-
-fstail:
-	CMPQ AX, CX
-	JGE  fsdone
-	VCVTSS2SD (R8)(AX*4), X8, X8
-	VCVTSS2SD (R9)(AX*4), X9, X9
-	VCVTSS2SD (R10)(AX*4), X10, X10
-	VCVTSS2SD (R11)(AX*4), X11, X11
-
-	VMULSD      X8, X0, X12
-	VFMADD231SD X9, X1, X12
-	VFMADD231SD X10, X2, X12
-	VFMADD231SD X11, X3, X12
-	VMOVSD      X12, (DI)(AX*8)
-
-	INCQ AX
-	JMP  fstail
-
-fsdone:
-	VZEROUPPER
-	RET
-
-// func cvtPD2PS(dst []float32, src []float64)
-//
-// Narrows dst[i] = float32(src[i]) for i in [0, len(src)) — VCVTPD2PS rounds
-// to nearest even, exactly Go's float64→float32 conversion, so the vector
-// and scalar tile casts produce identical bits. len(dst) must be ≥ len(src).
-TEXT ·cvtPD2PS(SB), NOSPLIT, $0-48
-	MOVQ dst_base+0(FP), DI
-	MOVQ src_base+24(FP), SI
-	MOVQ src_len+32(FP), CX
-	XORQ AX, AX
-
-cvloop16:
-	LEAQ 16(AX), DX
-	CMPQ DX, CX
-	JG   cvloop4
-
-	VCVTPD2PSY (SI)(AX*8), X0
-	VCVTPD2PSY 32(SI)(AX*8), X1
-	VCVTPD2PSY 64(SI)(AX*8), X2
-	VCVTPD2PSY 96(SI)(AX*8), X3
-	VMOVUPS    X0, (DI)(AX*4)
-	VMOVUPS    X1, 16(DI)(AX*4)
-	VMOVUPS    X2, 32(DI)(AX*4)
-	VMOVUPS    X3, 48(DI)(AX*4)
-
-	ADDQ $16, AX
-	JMP  cvloop16
-
-cvloop4:
-	LEAQ 4(AX), DX
-	CMPQ DX, CX
-	JG   cvtail
-
-	VCVTPD2PSY (SI)(AX*8), X0
-	VMOVUPS    X0, (DI)(AX*4)
-
-	ADDQ $4, AX
-	JMP  cvloop4
-
-cvtail:
-	CMPQ AX, CX
-	JGE  cvdone
-	VCVTSD2SS (SI)(AX*8), X0, X0
-	VMOVSS    X0, (DI)(AX*4)
-	INCQ AX
-	JMP  cvtail
-
-cvdone:
 	VZEROUPPER
 	RET

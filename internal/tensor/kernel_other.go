@@ -4,8 +4,8 @@ package tensor
 
 // Non-amd64 hosts have no vector backend; the engine stays on the scalar
 // micro-kernels (useAVX/useFMA false means the stubs below are never
-// reached). The fast tiers still work — their scalar loops use math.FMA,
-// which is correctly rounded in software — they just bring no speedup.
+// reached). The fma tier still works — its scalar loops use math.FMA,
+// which is correctly rounded in software — it just brings no speedup.
 var (
 	useAVX = false
 	useFMA = false
@@ -26,32 +26,6 @@ func fmaDot4x8(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []f
 }
 
 func fmaDot4x8Assign(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []float64) {
-	panic("tensor: no vector kernel")
-}
-
-func fmaDot4x8B32(kcb int, a0, a1, a2, a3 []float64, b []float32, ldb int, c0, c1, c2, c3 []float64) {
-	panic("tensor: no vector kernel")
-}
-
-func fmaDot4x8B32Assign(kcb int, a0, a1, a2, a3 []float64, b []float32, ldb int, c0, c1, c2, c3 []float64) {
-	panic("tensor: no vector kernel")
-}
-
-func cvtPD2PS(dst []float32, src []float64) { panic("tensor: no vector kernel") }
-
-func axpyQuad2F32(c0, c1 []float64, b0, b1, b2, b3 []float32, a0, a1 []float64) {
-	panic("tensor: no vector kernel")
-}
-
-func axpyQuad2AssignF32(c0, c1 []float64, b0, b1, b2, b3 []float32, a0, a1 []float64) {
-	panic("tensor: no vector kernel")
-}
-
-func axpyQuad1F32(c0 []float64, b0, b1, b2, b3 []float32, a0 []float64) {
-	panic("tensor: no vector kernel")
-}
-
-func axpyQuad1AssignF32(c0 []float64, b0, b1, b2, b3 []float32, a0 []float64) {
 	panic("tensor: no vector kernel")
 }
 

@@ -32,13 +32,13 @@ func TestVectorKernelBitIdenticalToScalar(t *testing.T) {
 		case 0:
 			Gemm(s.m, s.n, s.k, a, lda, b, ldb, dst, ldc)
 		case 1:
-			GemmEx(s.m, s.n, s.k, a, lda, b, ldb, dst, ldc, ep)
+			GemmExT(TierExact, s.m, s.n, s.k, a, lda, b, ldb, dst, ldc, ep)
 		case 2:
-			GemmTBEx(s.m, s.n, s.k, a, lda, bt, s.k+s.pad, dst, ldc, ep)
+			GemmTBExT(TierExact, s.m, s.n, s.k, a, lda, bt, s.k+s.pad, dst, ldc, ep)
 		case 3:
-			GemmPackedEx(s.m, s.n, s.k, PackA(s.m, s.k, a, lda), b, ldb, dst, ldc, ep)
+			GemmPackedExT(TierExact, s.m, s.n, s.k, PackA(s.m, s.k, a, lda), b, ldb, dst, ldc, ep)
 		case 4:
-			GemmTBPackedEx(s.m, s.n, s.k, a, lda, PackTB(s.n, s.k, bt, s.k+s.pad), dst, ldc, ep)
+			GemmTBPackedExT(TierExact, s.m, s.n, s.k, a, lda, PackTB(s.n, s.k, bt, s.k+s.pad), dst, ldc, ep)
 		}
 	}
 	for _, s := range shapes {

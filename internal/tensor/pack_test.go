@@ -8,8 +8,8 @@ import (
 
 // packedCase runs one (m,n,k,ld,epilogue) configuration through both packed
 // entry points and demands BIT-identical results against the unpacked blocked
-// engine (gemmParallel in assign mode — the path GemmEx always takes and
-// GemmTBEx takes above its small-product threshold). The packed layout
+// engine (gemmParallel in assign mode — the path GemmExT always takes and
+// GemmTBExT takes above its small-product threshold). The packed layout
 // preserves the engine's per-element accumulation order, so the comparison is
 // exact equality, not a tolerance.
 func packedCase(t *testing.T, m, n, k, lda, ldbT, ldbS, ldc int, ep *Epilogue) {
@@ -37,7 +37,7 @@ func packedCase(t *testing.T, m, n, k, lda, ldbT, ldbS, ldc int, ep *Epilogue) {
 	fillRand(rng, want)
 	got := append([]float64(nil), want...)
 	gemmParallel(TierExact, m, n, k, a, lda, false, bs, ldbS, false, want, ldc, true, ep)
-	GemmPackedEx(m, n, k, PackA(m, k, a, lda), bs, ldbS, got, ldc, ep)
+	GemmPackedExT(TierExact, m, n, k, PackA(m, k, a, lda), bs, ldbS, got, ldc, ep)
 	check("GemmPackedEx", got, want)
 
 	// GemmTBPackedEx (streamed A · packed Bᵀ) vs the unpacked blocked engine.
@@ -45,14 +45,8 @@ func packedCase(t *testing.T, m, n, k, lda, ldbT, ldbS, ldc int, ep *Epilogue) {
 	fillRand(rng, want2)
 	got2 := append([]float64(nil), want2...)
 	gemmParallel(TierExact, m, n, k, a, lda, false, bt, ldbT, true, want2, ldc, true, ep)
-	GemmTBPackedEx(m, n, k, a, lda, PackTB(n, k, bt, ldbT), got2, ldc, ep)
+	GemmTBPackedExT(TierExact, m, n, k, a, lda, PackTB(n, k, bt, ldbT), got2, ldc, ep)
 	check("GemmTBPackedEx", got2, want2)
-
-	// PackB of the straight operand must behave exactly like PackTB of its
-	// transpose — same tiles, same consumer.
-	got3 := append([]float64(nil), want...)
-	GemmTBPackedEx(m, n, k, a, lda, PackB(k, n, bs, ldbS), got3, ldc, ep)
-	check("GemmTBPackedEx/PackB", got3, want)
 }
 
 // TestPackedGemmDeterministicShapes sweeps shapes across the kc/nc panel
@@ -136,7 +130,7 @@ func TestPackedGemmAllEpilogueMasks(t *testing.T) {
 // entry points: zeros plus epilogue, slack columns untouched.
 func TestPackedGemmEmptyK(t *testing.T) {
 	c := []float64{7, 7, 7, 7, 7, 7}
-	GemmPackedEx(2, 2, 0, PackA(2, 0, nil, 0), nil, 2, c, 3, &Epilogue{RowShift: []float64{1, 2}})
+	GemmPackedExT(TierExact, 2, 2, 0, PackA(2, 0, nil, 0), nil, 2, c, 3, &Epilogue{RowShift: []float64{1, 2}})
 	want := []float64{1, 1, 7, 2, 2, 7}
 	for i := range want {
 		if c[i] != want[i] {
@@ -144,7 +138,7 @@ func TestPackedGemmEmptyK(t *testing.T) {
 		}
 	}
 	c2 := []float64{7, 7, 7, 7}
-	GemmTBPackedEx(2, 2, 0, nil, 0, PackTB(2, 0, nil, 0), c2, 2, nil)
+	GemmTBPackedExT(TierExact, 2, 2, 0, nil, 0, PackTB(2, 0, nil, 0), c2, 2, nil)
 	for i, v := range c2 {
 		if v != 0 {
 			t.Fatalf("GemmTBPackedEx k=0: c[%d] = %g, want 0", i, v)
@@ -170,13 +164,13 @@ func TestPackedGemmShapeChecks(t *testing.T) {
 		}()
 		fn()
 	}
-	GemmPackedEx(6, 4, 8, pa, b, 4, c, 4, nil)   // well-formed
-	GemmTBPackedEx(6, 4, 8, a, 8, pb, c, 4, nil) // well-formed
-	expectPanic("wrong m", func() { GemmPackedEx(5, 4, 8, pa, b, 4, c, 4, nil) })
-	expectPanic("wrong k", func() { GemmPackedEx(6, 4, 7, pa, b, 4, c, 4, nil) })
-	expectPanic("layout mixup A", func() { GemmTBPackedEx(6, 8, 8, a, 8, pa, c, 8, nil) })
-	expectPanic("layout mixup B", func() { GemmPackedEx(8, 4, 4, pb, b, 4, c, 4, nil) })
-	expectPanic("nil pack", func() { GemmPackedEx(6, 4, 8, nil, b, 4, c, 4, nil) })
+	GemmPackedExT(TierExact, 6, 4, 8, pa, b, 4, c, 4, nil)   // well-formed
+	GemmTBPackedExT(TierExact, 6, 4, 8, a, 8, pb, c, 4, nil) // well-formed
+	expectPanic("wrong m", func() { GemmPackedExT(TierExact, 5, 4, 8, pa, b, 4, c, 4, nil) })
+	expectPanic("wrong k", func() { GemmPackedExT(TierExact, 6, 4, 7, pa, b, 4, c, 4, nil) })
+	expectPanic("layout mixup A", func() { GemmTBPackedExT(TierExact, 6, 8, 8, a, 8, pa, c, 8, nil) })
+	expectPanic("layout mixup B", func() { GemmPackedExT(TierExact, 8, 4, 4, pb, b, 4, c, 4, nil) })
+	expectPanic("nil pack", func() { GemmPackedExT(TierExact, 6, 4, 8, nil, b, 4, c, 4, nil) })
 }
 
 // TestPackedMatDims pins the accessor contract and the exact (unpadded)
@@ -190,13 +184,13 @@ func TestPackedMatDims(t *testing.T) {
 	if p.Bytes() != 70*300*8 {
 		t.Fatalf("PackA bytes = %d, want %d", p.Bytes(), 70*300*8)
 	}
-	b := make([]float64, 300*70)
-	pb := PackB(300, 70, b, 70)
+	b := make([]float64, 70*300)
+	pb := PackTB(70, 300, b, 300)
 	if r, c := pb.Dims(); r != 300 || c != 70 {
-		t.Fatalf("PackB dims = %d×%d, want 300×70", r, c)
+		t.Fatalf("PackTB dims = %d×%d, want 300×70", r, c)
 	}
 	if pb.Bytes() != 300*70*8 {
-		t.Fatalf("PackB bytes = %d, want %d", pb.Bytes(), 300*70*8)
+		t.Fatalf("PackTB bytes = %d, want %d", pb.Bytes(), 300*70*8)
 	}
 }
 
@@ -212,7 +206,7 @@ func TestPackedGemmSharedConcurrent(t *testing.T) {
 	fillRand(rng, b)
 	pa := PackA(m, k, a, k)
 	want := make([]float64, m*n)
-	GemmPackedEx(m, n, k, pa, b, n, want, n, nil)
+	GemmPackedExT(TierExact, m, n, k, pa, b, n, want, n, nil)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -221,9 +215,9 @@ func TestPackedGemmSharedConcurrent(t *testing.T) {
 			defer wg.Done()
 			c := make([]float64, m*n)
 			for it := 0; it < 20; it++ {
-				GemmPackedEx(m, n, k, pa, b, n, c, n, &Epilogue{ReLU: it%2 == 0})
+				GemmPackedExT(TierExact, m, n, k, pa, b, n, c, n, &Epilogue{ReLU: it%2 == 0})
 			}
-			GemmPackedEx(m, n, k, pa, b, n, c, n, nil)
+			GemmPackedExT(TierExact, m, n, k, pa, b, n, c, n, nil)
 			for i := range want {
 				if c[i] != want[i] {
 					t.Errorf("concurrent packed GEMM diverged at %d", i)
@@ -275,13 +269,13 @@ func benchConvShape(b *testing.B, m, n, k int, packed bool) {
 		pa := PackA(m, k, w, k)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			GemmPackedEx(m, n, k, pa, col, n, c, n, ep)
+			GemmPackedExT(TierExact, m, n, k, pa, col, n, c, n, ep)
 		}
 		return
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmEx(m, n, k, w, k, col, n, c, n, ep)
+		GemmExT(TierExact, m, n, k, w, k, col, n, c, n, ep)
 	}
 }
 
@@ -302,7 +296,7 @@ func BenchmarkDenseGemmUnpacked32x256x256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmTBEx(m, n, k, a, k, w, k, c, n, nil)
+		GemmTBExT(TierExact, m, n, k, a, k, w, k, c, n, nil)
 	}
 }
 func BenchmarkDenseGemmPacked32x256x256(b *testing.B) {
@@ -317,6 +311,6 @@ func BenchmarkDenseGemmPacked32x256x256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmTBPackedEx(m, n, k, a, k, pb, c, n, nil)
+		GemmTBPackedExT(TierExact, m, n, k, a, k, pb, c, n, nil)
 	}
 }

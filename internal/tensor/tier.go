@@ -7,33 +7,24 @@ import (
 )
 
 // Engine tiers. The exact tier is the engine the rest of the repo was built
-// on: scalar-identical AVX mul/add kernels, f64 packed panels, results
-// bit-reproducible against the pure-Go oracle. The fast tiers trade that
-// bit-exactness for throughput under a documented accuracy budget:
+// on: scalar-identical AVX mul/add kernels, results bit-reproducible against
+// the pure-Go oracle. The fma tier trades that bit-exactness for throughput
+// under a documented accuracy budget: it keeps f64 operands and accumulation
+// but contracts each multiply-add of the quad-axpy into a fused multiply-add
+// (VFMADD on hardware, math.FMA in the scalar positions), halving the
+// rounding steps and the arithmetic latency chain. Deviation from the exact
+// engine is bounded by the dropped intermediate roundings — order 1e-16
+// relative per flop, observed ≤1e-12 relative through every serving model,
+// gated at 1e-9.
 //
-//   - TierFMA keeps f64 operands and accumulation but contracts each
-//     multiply-add of the quad-axpy into a fused multiply-add (VFMADD on
-//     hardware, math.FMA in the scalar positions), halving the rounding
-//     steps and the arithmetic latency chain. Deviation from the exact
-//     engine is bounded by the dropped intermediate roundings — order 1e-16
-//     relative per flop, observed ≤1e-12 relative through every serving
-//     model, gated at 1e-9.
-//   - TierF32 additionally stores immutable weight packs as float32 panels
-//     with one f64 scale per panel (PackedMat32), halving pack bytes and
-//     streamed weight traffic. Panels are widened back to f64 on load and
-//     accumulation stays f64, so the error is one f32 quantization of the
-//     weights — order 2^-24 relative, observed ≤1e-5 relative end to end,
-//     gated at 1e-4.
-//
-// Both fast tiers are deterministic: every scalar position (k-tails, narrow
+// The fma tier is deterministic: every scalar position (k-tails, narrow
 // panels, non-FMA hosts) uses math.FMA, which is correctly rounded even in
-// software, so a fast-tier product is bit-stable across the vector/scalar
+// software, so an fma-tier product is bit-stable across the vector/scalar
 // dispatch boundary, GOMAXPROCS, and hosts. Only the exact tier is
 // bit-identical to the pre-tier engine.
 
-// EngineTier selects the kernel/pack family for a single GEMM call. The
-// zero value is the exact tier, so untiered callers keep their old
-// semantics.
+// EngineTier selects the kernel family for a single GEMM call. The zero
+// value is the exact tier, so untiered callers keep their old semantics.
 type EngineTier uint8
 
 const (
@@ -41,23 +32,18 @@ const (
 	TierExact EngineTier = iota
 	// TierFMA uses fused multiply-add kernels over f64 operands.
 	TierFMA
-	// TierF32 adds float32 packed weight panels (widen-on-load) to the FMA
-	// kernels; unpacked operands degrade gracefully to TierFMA semantics.
-	TierF32
 
-	// NumTiers bounds per-tier arrays (kernel counters, pack byte gauges).
-	NumTiers = 3
+	// NumTiers bounds per-tier arrays (kernel counters).
+	NumTiers = 2
 )
 
-// String returns the tier's config-file spelling ("exact", "fma", "f32").
+// String returns the tier's config-file spelling ("exact", "fma").
 func (t EngineTier) String() string {
 	switch t {
 	case TierExact:
 		return "exact"
 	case TierFMA:
 		return "fma"
-	case TierF32:
-		return "f32"
 	}
 	return fmt.Sprintf("tier(%d)", uint8(t))
 }
@@ -70,15 +56,13 @@ func ParseTier(s string) (EngineTier, error) {
 		return TierExact, nil
 	case "fma":
 		return TierFMA, nil
-	case "f32":
-		return TierF32, nil
 	}
-	return TierExact, fmt.Errorf("tensor: unknown engine tier %q (want exact, fma, or f32)", s)
+	return TierExact, fmt.Errorf("tensor: unknown engine tier %q (want exact or fma)", s)
 }
 
 // TierFromEnv reads the MS_ENGINE_TIER environment variable and returns the
 // requested tier, downgrading to TierExact when the variable is unset,
-// unparsable, or names a fast tier on a host without FMA hardware (where the
+// unparsable, or names the fma tier on a host without FMA hardware (where the
 // software-FMA fallback would be correct but slower than the exact engine —
 // the opposite of what an opt-in fast tier promises). This is the default
 // tier for new slicing.Shared instances, letting CI sweep the whole test
@@ -94,9 +78,9 @@ func TierFromEnv() EngineTier {
 // HasAVX reports whether the exact tier's vector kernels are available.
 func HasAVX() bool { return useAVX }
 
-// HasFMA reports whether the fast tiers' fused kernels are available in
-// hardware. Fast tiers still run without it (math.FMA software fallback,
-// same bits) but lose their speed advantage.
+// HasFMA reports whether the fma tier's fused kernels are available in
+// hardware. The tier still runs without it (math.FMA software fallback,
+// same bits) but loses its speed advantage.
 func HasFMA() bool { return useFMA }
 
 // Per-tier kernel dispatch counters, indexed by EngineTier. One count per
@@ -110,7 +94,7 @@ var (
 // KernelCounters is the per-tier slice of the engine's dispatch counters.
 type KernelCounters struct {
 	// Vector counts micro-panel dispatches that took the tier's vector
-	// kernel (AVX for exact, FMA for the fast tiers).
+	// kernel (AVX for exact, FMA for fma).
 	Vector int64
 	// Scalar counts dispatches that stayed on the pure-Go loops: narrow
 	// panels (below vecMinCols) and hosts without the needed ISA.

@@ -6,28 +6,29 @@ import (
 	"testing"
 )
 
-// Accuracy gates for the fast tiers at the kernel level, pinned empirically
+// Accuracy gate for the fma tier at the kernel level, pinned empirically
 // (see DESIGN.md §12): measured deviations sit 3+ orders of magnitude below
-// these, so a regression that breaks the tier contract trips loudly.
-const (
-	fmaKernelTol = 1e-9 // fma vs exact, relative to max|C|
-	f32KernelTol = 1e-4 // f32 packs vs exact, relative to max|C|
-)
+// it, so a regression that breaks the tier contract trips loudly.
+const fmaKernelTol = 1e-9 // fma vs exact, relative to max|C|
 
 func TestTierParseAndString(t *testing.T) {
 	for _, tc := range []struct {
 		s    string
 		want EngineTier
-	}{{"", TierExact}, {"exact", TierExact}, {"fma", TierFMA}, {"f32", TierF32}} {
+	}{{"", TierExact}, {"exact", TierExact}, {"fma", TierFMA}} {
 		got, err := ParseTier(tc.s)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseTier(%q) = %v, %v; want %v", tc.s, got, err, tc.want)
 		}
 	}
-	if _, err := ParseTier("int8"); err == nil {
-		t.Fatal("ParseTier accepted an unknown tier")
+	// "f32" named a tier this engine once had; it is refused like any other
+	// unknown spelling.
+	for _, s := range []string{"int8", "f32"} {
+		if _, err := ParseTier(s); err == nil {
+			t.Fatalf("ParseTier accepted the unknown tier %q", s)
+		}
 	}
-	for tier, want := range map[EngineTier]string{TierExact: "exact", TierFMA: "fma", TierF32: "f32"} {
+	for tier, want := range map[EngineTier]string{TierExact: "exact", TierFMA: "fma"} {
 		if tier.String() != want {
 			t.Fatalf("String() = %q, want %q", tier.String(), want)
 		}
@@ -35,15 +36,13 @@ func TestTierParseAndString(t *testing.T) {
 }
 
 func TestTierFromEnv(t *testing.T) {
-	cases := map[string]EngineTier{"": TierExact, "exact": TierExact, "nonsense": TierExact}
+	cases := map[string]EngineTier{"": TierExact, "exact": TierExact, "nonsense": TierExact, "f32": TierExact}
 	if HasFMA() {
 		cases["fma"] = TierFMA
-		cases["f32"] = TierF32
 	} else {
-		// Fast tiers downgrade on non-FMA hosts: software math.FMA would be
-		// correct but slower than the exact engine.
+		// The fma tier downgrades on non-FMA hosts: software math.FMA would
+		// be correct but slower than the exact engine.
 		cases["fma"] = TierExact
-		cases["f32"] = TierExact
 	}
 	for env, want := range cases {
 		t.Setenv("MS_ENGINE_TIER", env)
@@ -68,11 +67,11 @@ var tierShapes = []struct{ m, n, k, pad int }{
 	{130, 130, 130, 7}, // above the parallel threshold
 }
 
-// TestFastTierFlipBitIdentical pins the fast tiers' determinism contract:
+// TestFastTierFlipBitIdentical pins the fma tier's determinism contract:
 // flipping useFMA (vector kernels vs math.FMA scalar loops) must not change
-// a single bit, for both f64 operands and f32 packs, across shapes, strides,
-// and every epilogue combination. This is what lets one tolerance, measured
-// once, stand for every host and GOMAXPROCS.
+// a single bit, across shapes, strides, and every epilogue combination. This
+// is what lets one tolerance, measured once, stand for every host and
+// GOMAXPROCS.
 func TestFastTierFlipBitIdentical(t *testing.T) {
 	if !useFMA {
 		t.Skip("host has no FMA: only the scalar path exists, nothing to flip")
@@ -88,23 +87,17 @@ func TestFastTierFlipBitIdentical(t *testing.T) {
 		fillRand(rng, b)
 		fillRand(rng, bt)
 		ep := epilogueCase(rng, rng.Intn(64), s.m, s.n)
-		ptb := PackTB32(s.n, s.k, bt, ldbT)
-		pa := PackA32(s.m, s.k, a, lda)
 
 		type op struct {
 			name string
 			run  func(c []float64)
 		}
 		ops := []op{
-			{"GemmT/fma", func(c []float64) { GemmT(TierFMA, s.m, s.n, s.k, a, lda, b, ldb, c, ldc) }},
+			{"accumulate/fma", func(c []float64) {
+				gemmParallel(TierFMA, s.m, s.n, s.k, a, lda, false, b, ldb, false, c, ldc, false, nil)
+			}},
 			{"GemmExT/fma", func(c []float64) { GemmExT(TierFMA, s.m, s.n, s.k, a, lda, b, ldb, c, ldc, ep) }},
 			{"GemmTBExT/fma", func(c []float64) { GemmTBExT(TierFMA, s.m, s.n, s.k, a, lda, bt, ldbT, c, ldc, ep) }},
-			{"GemmTBPackedExT/f32", func(c []float64) {
-				GemmTBPackedExT(TierF32, s.m, s.n, s.k, a, lda, ptb, c, ldc, ep)
-			}},
-			{"GemmPackedExT/f32", func(c []float64) {
-				GemmPackedExT(TierF32, s.m, s.n, s.k, pa, b, ldb, c, ldc, ep)
-			}},
 		}
 		for _, o := range ops {
 			vec := make([]float64, s.m*ldc+8)
@@ -155,7 +148,7 @@ func TestFMATierToleranceVsExact(t *testing.T) {
 			ep := epilogueCase(rng, mask, m, n)
 			want := make([]float64, m*ldc+4)
 			got := make([]float64, len(want))
-			GemmEx(m, n, k, a, lda, b, ldb, want, ldc, ep)
+			GemmExT(TierExact, m, n, k, a, lda, b, ldb, want, ldc, ep)
 			GemmExT(TierFMA, m, n, k, a, lda, b, ldb, got, ldc, ep)
 			if rel := tierMaxRel(m, n, ldc, got, want); rel > fmaKernelTol {
 				t.Fatalf("fma tier m=%d n=%d k=%d mask=%d: rel error %.3g > %g", m, n, k, mask, rel, fmaKernelTol)
@@ -164,121 +157,17 @@ func TestFMATierToleranceVsExact(t *testing.T) {
 	}
 }
 
-// TestF32TierToleranceVsExact property-tests the f32 packed paths (both
-// orientations) against the exact oracle, including shapes whose tiles cross
-// the per-panel scale boundaries.
-func TestF32TierToleranceVsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, s := range tierShapes {
-		for _, mask := range []int{0, 7, 21, 42, 63, rng.Intn(64)} {
-			m, n, k := s.m, s.n, s.k
-			lda, ldc := k+s.pad, n+s.pad
-			ldbT := k + s.pad
-			ldb := n + s.pad
-			a := make([]float64, m*lda+4)
-			bt := make([]float64, n*ldbT+4)
-			b := make([]float64, k*ldb+4)
-			fillRand(rng, a)
-			fillRand(rng, bt)
-			fillRand(rng, b)
-			ep := epilogueCase(rng, mask, m, n)
-
-			// Dense orientation: A · Bᵀ with a PackTB32 right operand.
-			want := make([]float64, m*ldc+4)
-			got := make([]float64, len(want))
-			GemmEx(m, n, k, a, lda, transposeTB(n, k, bt, ldbT), n, want, ldc, ep)
-			GemmTBPackedExT(TierF32, m, n, k, a, lda, PackTB32(n, k, bt, ldbT), got, ldc, ep)
-			if rel := tierMaxRel(m, n, ldc, got, want); rel > f32KernelTol {
-				t.Fatalf("f32 TB m=%d n=%d k=%d mask=%d: rel error %.3g > %g", m, n, k, mask, rel, f32KernelTol)
-			}
-
-			// Conv orientation: A · B with a PackA32 left operand.
-			want2 := make([]float64, m*ldc+4)
-			got2 := make([]float64, len(want2))
-			GemmEx(m, n, k, a, lda, b, ldb, want2, ldc, ep)
-			GemmPackedExT(TierF32, m, n, k, PackA32(m, k, a, lda), b, ldb, got2, ldc, ep)
-			if rel := tierMaxRel(m, n, ldc, got2, want2); rel > f32KernelTol {
-				t.Fatalf("f32 A m=%d n=%d k=%d mask=%d: rel error %.3g > %g", m, n, k, mask, rel, f32KernelTol)
-			}
-		}
-	}
-}
-
-// transposeTB materializes Bᵀ[k×n] from a [n×k]-stored operand so the exact
-// GemmEx oracle can consume it.
-func transposeTB(n, k int, b []float64, ldb int) []float64 {
-	bt := make([]float64, k*n)
-	for j := 0; j < n; j++ {
-		for p := 0; p < k; p++ {
-			bt[p*n+j] = b[j*ldb+p]
-		}
-	}
-	return bt
-}
-
-// TestPack32RoundTrip verifies the per-panel scale layout: every element of
-// both pack orientations must reconstruct to its source within one float32
-// quantization (plus the scale division's f64 rounding).
-func TestPack32RoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	const tol = 1.3e-7 // 2^-24 (f32) + 2^-53 (divide), with headroom
-	n, k := 300, 270   // crosses both the nc and kc panel boundaries
-	w := make([]float64, n*k)
-	fillRand(rng, w)
-	// Magnitude spread across tiles: per-panel scales must track it.
-	for i := range w {
-		if i%3 == 0 {
-			w[i] *= 1e6
-		}
-	}
-	ptb := PackTB32(n, k, w, k)
-	nJc := (n + ncBlock - 1) / ncBlock
-	for j := 0; j < n; j++ {
-		for p := 0; p < k; p++ {
-			pc := p / kcBlock * kcBlock
-			jc := j / ncBlock * ncBlock
-			kcb := min(kcBlock, k-pc)
-			ncb := min(ncBlock, n-jc)
-			s := ptb.scales[(pc/kcBlock)*nJc+jc/ncBlock]
-			got := float64(ptb.data[pc*n+kcb*jc+(p-pc)*ncb+(j-jc)]) * s
-			if d := math.Abs(got - w[j*k+p]); d > tol*math.Max(math.Abs(w[j*k+p]), s*1e-10) {
-				t.Fatalf("PackTB32 [%d,%d]: got %g want %g (scale %g)", j, p, got, w[j*k+p], s)
-			}
-		}
-	}
-	m := 130
-	aw := make([]float64, m*k)
-	fillRand(rng, aw)
-	pa := PackA32(m, k, aw, k)
-	for i := 0; i < m; i++ {
-		for p := 0; p < k; p++ {
-			pc := p / kcBlock * kcBlock
-			kcb := min(kcBlock, k-pc)
-			s := pa.scales[pc/kcBlock]
-			got := float64(pa.data[m*pc+i*kcb+(p-pc)]) * s
-			if d := math.Abs(got - aw[i*k+p]); d > tol*math.Max(math.Abs(aw[i*k+p]), s*1e-10) {
-				t.Fatalf("PackA32 [%d,%d]: got %g want %g (scale %g)", i, p, got, aw[i*k+p], s)
-			}
-		}
-	}
-	if ptb.Bytes() >= PackTB(n, k, w, k).Bytes()*3/4 {
-		t.Fatalf("PackTB32 bytes %d not ~half of PackTB %d", ptb.Bytes(), PackTB(n, k, w, k).Bytes())
-	}
-}
-
 // TestNarrowPanelTakesScalarPath is the regression test for the shared
 // narrow-panel threshold: a 7-column panel (below vecMinCols) must take the
-// scalar path under the exact, fma, and f32 tiers alike, and a wide panel
+// scalar path under the exact and fma tiers alike, and a wide panel
 // must take the vector path wherever the hardware allows it.
 func TestNarrowPanelTakesScalarPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	m, n, k := 16, 7, 30
 	a := make([]float64, m*k)
 	b := make([]float64, k*n)
-	bt := make([]float64, n*k)
 	fillRand(rng, a)
 	fillRand(rng, b)
-	fillRand(rng, bt)
 	c := make([]float64, m*n)
 
 	delta := func(run func()) [NumTiers]KernelCounters {
@@ -293,36 +182,25 @@ func TestNarrowPanelTakesScalarPath(t *testing.T) {
 	}
 
 	for _, tier := range []EngineTier{TierExact, TierFMA} {
-		d := delta(func() { GemmT(tier, m, n, k, a, k, b, n, c, n) })
+		d := delta(func() { GemmExT(tier, m, n, k, a, k, b, n, c, n, nil) })
 		if d[tier].Scalar == 0 || d[tier].Vector != 0 {
 			t.Fatalf("tier %v, 7-column panel: kernel deltas %+v, want scalar>0 vector=0", tier, d)
 		}
-	}
-	d := delta(func() { GemmTBPackedExT(TierF32, m, n, k, a, k, PackTB32(n, k, bt, k), c, n, nil) })
-	if d[TierF32].Scalar == 0 || d[TierF32].Vector != 0 {
-		t.Fatalf("tier f32, 7-column panel: kernel deltas %+v, want scalar>0 vector=0", d)
 	}
 
 	// Wide panels engage the vector kernels when the hardware has them.
 	wn := 64
 	wb := make([]float64, k*wn)
-	wbt := make([]float64, wn*k)
 	fillRand(rng, wb)
-	fillRand(rng, wbt)
 	wc := make([]float64, m*wn)
 	if HasAVX() {
-		if d := delta(func() { GemmT(TierExact, m, wn, k, a, k, wb, wn, wc, wn) }); d[TierExact].Vector == 0 {
+		if d := delta(func() { GemmExT(TierExact, m, wn, k, a, k, wb, wn, wc, wn, nil) }); d[TierExact].Vector == 0 {
 			t.Fatalf("exact tier, wide panel: kernel deltas %+v, want vector>0", d)
 		}
 	}
 	if HasFMA() {
-		if d := delta(func() { GemmT(TierFMA, m, wn, k, a, k, wb, wn, wc, wn) }); d[TierFMA].Vector == 0 {
+		if d := delta(func() { GemmExT(TierFMA, m, wn, k, a, k, wb, wn, wc, wn, nil) }); d[TierFMA].Vector == 0 {
 			t.Fatalf("fma tier, wide panel: kernel deltas %+v, want vector>0", d)
-		}
-		if d := delta(func() {
-			GemmTBPackedExT(TierF32, m, wn, k, a, k, PackTB32(wn, k, wbt, k), wc, wn, nil)
-		}); d[TierF32].Vector == 0 {
-			t.Fatalf("f32 tier, wide panel: kernel deltas %+v, want vector>0", d)
 		}
 	}
 }
@@ -338,19 +216,13 @@ func TestFastTierZeroAlloc(t *testing.T) {
 	m, n, k := 64, 64, 64 // blocked, below the parallel threshold
 	a := make([]float64, m*k)
 	b := make([]float64, k*n)
-	bt := make([]float64, n*k)
 	fillRand(rng, a)
 	fillRand(rng, b)
-	fillRand(rng, bt)
 	c := make([]float64, m*n)
 	ep := &Epilogue{RowShift: make([]float64, m), ReLU: true}
-	ptb := PackTB32(n, k, bt, k)
-	pa := PackA32(m, k, a, k)
 
 	for name, fn := range map[string]func(){
-		"GemmExT/fma":         func() { GemmExT(TierFMA, m, n, k, a, k, b, n, c, n, ep) },
-		"GemmTBPackedExT/f32": func() { GemmTBPackedExT(TierF32, m, n, k, a, k, ptb, c, n, ep) },
-		"GemmPackedExT/f32":   func() { GemmPackedExT(TierF32, m, n, k, pa, b, n, c, n, ep) },
+		"GemmExT/fma": func() { GemmExT(TierFMA, m, n, k, a, k, b, n, c, n, ep) },
 	} {
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
 			t.Fatalf("%s: %v allocs/op, want 0", name, allocs)

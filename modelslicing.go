@@ -139,19 +139,16 @@ func NewArena() *Arena { return tensor.NewArena() }
 
 // EngineTier selects the GEMM engine's speed/accuracy trade-off for a
 // Shared (Shared.SetTier): TierExact is bit-exact, TierFMA contracts
-// multiply-adds (≤1e-9 relative vs exact), TierF32 adds scaled-float32
-// weight packs with f64 accumulation (≤1e-4, half the pack bytes). See
-// DESIGN.md §12.
+// multiply-adds (≤1e-9 relative vs exact). See DESIGN.md §12.
 type EngineTier = tensor.EngineTier
 
 // The engine tiers, in ascending speed / descending accuracy order.
 const (
 	TierExact = tensor.TierExact
 	TierFMA   = tensor.TierFMA
-	TierF32   = tensor.TierF32
 )
 
-// ParseTier maps "exact", "fma" or "f32" to its EngineTier.
+// ParseTier maps "exact" or "fma" to its EngineTier.
 func ParseTier(s string) (EngineTier, error) { return tensor.ParseTier(s) }
 
 // MeasureSampleTimes calibrates per-sample inference seconds t(r) at every
