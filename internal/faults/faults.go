@@ -14,7 +14,8 @@
 // one of:
 //
 //	(empty) or on — fire on every call
-//	pX            — fire with probability X in [0,1] (deterministic seeded rng)
+//	pX            — fire with probability X in [0,1] (deterministic: each
+//	                armed point rolls its own rng, seeded from its name)
 //	everyN        — fire on every Nth call
 //	firstN        — fire on the first N calls, then never again
 //
@@ -26,6 +27,7 @@ package faults
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"sort"
@@ -101,13 +103,16 @@ type state struct {
 	calls   int64 // calls since the point was last armed
 	fired   int64
 	release chan struct{} // closed on Disable/Reset, freeing stalled sites
+	// rng rolls this point's pX decisions. One stream per point, reseeded
+	// from the point's name at every arming, keeps a point's firing sequence
+	// independent of how often any other point is consulted.
+	rng *rand.Rand
 }
 
 var (
 	mu    sync.Mutex
 	armed atomic.Int32 // armed points; the zero fast path keeps sites free
 	table = map[Point]*state{}
-	rng   = rand.New(rand.NewSource(1))
 )
 
 func init() {
@@ -180,6 +185,9 @@ func Enable(p Point, modeSpec string) error {
 	st.mode = m
 	st.calls = 0
 	st.release = make(chan struct{})
+	h := fnv.New64a()
+	h.Write([]byte(p))
+	st.rng = rand.New(rand.NewSource(int64(h.Sum64())))
 	return nil
 }
 
@@ -214,7 +222,6 @@ func Reset() {
 		}
 	}
 	table = map[Point]*state{}
-	rng = rand.New(rand.NewSource(1))
 }
 
 // Set replaces the whole registry configuration with one MS_FAULTS spelling.
@@ -266,7 +273,7 @@ func Should(p Point) bool {
 	case 'a':
 		fire = true
 	case 'p':
-		fire = rng.Float64() < st.mode.p
+		fire = st.rng.Float64() < st.mode.p
 	case 'e':
 		fire = st.calls%st.mode.n == 0
 	case 'f':

@@ -89,6 +89,32 @@ func TestProbabilityModeIsDeterministicAcrossResets(t *testing.T) {
 	}
 }
 
+// TestProbabilityStreamsArePerPoint: a pX point's firing sequence depends only
+// on its own calls, so consulting another armed point in between — net-delay
+// on the same request path as net-drop, say — does not shift which calls fire.
+func TestProbabilityStreamsArePerPoint(t *testing.T) {
+	defer Reset()
+	roll := func(interleave bool) []bool {
+		if err := Set("net-drop=p0.5,net-delay=p0.5"); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]bool, 64)
+		for i := range out {
+			out[i] = Should(NetDrop)
+			if interleave {
+				Should(NetDelay)
+			}
+		}
+		return out
+	}
+	alone, interleaved := roll(false), roll(true)
+	for i := range alone {
+		if alone[i] != interleaved[i] {
+			t.Fatalf("net-drop call %d: fired=%v alone, %v with net-delay interleaved", i, alone[i], interleaved[i])
+		}
+	}
+}
+
 func TestDisarmedFastPathCostsNothingAndFiresNothing(t *testing.T) {
 	Reset()
 	for _, p := range Points() {

@@ -177,10 +177,14 @@ func parseV3(data []byte, path string) (*Checkpoint, error) {
 		}
 		s.kind = kind
 		s.shape = make([]int, rank)
+		// No section can hold more floats than the file has bytes for, so
+		// the element count is capped there — which also keeps n·8 from
+		// wrapping into a length that matches.
+		maxElems := len(data) / 8
 		n := 1
 		for j := range s.shape {
 			d, err := r.uint32()
-			if err != nil || d == 0 || d > 1<<28 {
+			if err != nil || d == 0 || d > 1<<28 || n > maxElems/int(d) {
 				return nil, fmt.Errorf("persist: %s: section %q: bad shape", path, s.name)
 			}
 			s.shape[j] = int(d)
@@ -197,7 +201,7 @@ func parseV3(data []byte, path string) (*Checkpoint, error) {
 		if s.length != uint64(n)*8 {
 			return nil, fmt.Errorf("persist: %s: section %q: length %d does not match shape %v", path, s.name, s.length, s.shape)
 		}
-		if s.off%sectionAlign != 0 || s.off < prevEnd || s.off+s.length > uint64(len(data)) {
+		if s.off%sectionAlign != 0 || s.off < prevEnd || s.off > uint64(len(data)) || s.length > uint64(len(data))-s.off {
 			return nil, fmt.Errorf("persist: %s: section %q: bad offset/length (torn checkpoint?)", path, s.name)
 		}
 		prevEnd = s.off + s.length

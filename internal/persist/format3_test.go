@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -244,6 +246,122 @@ func TestVerifyRejectsBitFlipAtEverySectionBoundary(t *testing.T) {
 			t.Fatalf("v3 with byte %d flipped loaded without error", off)
 		}
 	}
+}
+
+// rawSection is one hand-written entry of a v3 section table.
+type rawSection struct {
+	name        string
+	dims        []uint32
+	off, length uint64
+}
+
+// v3Image assembles a v3 file around a hand-written section table — what a
+// buggy or hostile writer could produce — with a valid header CRC, zero
+// padded to size bytes. Payload CRCs are 0, the CRC of an empty payload.
+func v3Image(secs []rawSection, size int) []byte {
+	var e encBuf
+	e.b = append(e.b, magicV3...)
+	e.u64(0) // hdrLen, patched below
+	e.u64(0) // epoch
+	e.u32(uint32(len(secs)))
+	for _, s := range secs {
+		e.str(s.name)
+		e.u32(sectionKindF64)
+		e.u32(uint32(len(s.dims)))
+		for _, d := range s.dims {
+			e.u32(d)
+		}
+		e.u64(s.off)
+		e.u64(s.length)
+		e.u32(0)
+	}
+	binary.LittleEndian.PutUint64(e.b[len(magicV3):], uint64(len(e.b)-len(magicV3)-8))
+	e.u32(crc32.ChecksumIEEE(e.b))
+	e.padTo(size)
+	return e.b
+}
+
+// TestParseV3RejectsWrappingSectionTable feeds the parser section tables
+// whose size arithmetic wraps, under a valid header CRC so only the bounds
+// checks stand in the way: a [2²⁸, 2²⁸, 32] shape whose 2⁶¹ elements times 8
+// wrap to the recorded length 0, and an offset whose sum with its length
+// wraps back inside the file.
+func TestParseV3RejectsWrappingSectionTable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{
+		{"element count overflows", v3Image([]rawSection{{"w", []uint32{1 << 28, 1 << 28, 32}, 128, 0}}, 128)},
+		{"offset+length wraps", v3Image([]rawSection{
+			{"a", []uint32{8}, ^uint64(sectionAlign - 1), 64},
+			{"b", []uint32{8}, 128, 64},
+		}, 192)},
+	} {
+		if ck, err := parseV3(tc.img, tc.name); err == nil {
+			t.Fatalf("%s: parseV3 accepted a %d-section table %+v", tc.name, len(ck.sections), ck.sections)
+		}
+		if err := loadV3(tc.img, tc.name, testModel(37)); err == nil {
+			t.Fatalf("%s: loadV3 accepted the image", tc.name)
+		}
+	}
+}
+
+// FuzzParseV3 throws arbitrary bytes at the checkpoint header parser. Any
+// input that carries the v3 magic and a hdrLen that fits gets its header CRC
+// rewritten, so mutations reach the section table instead of dying at the
+// checksum. Whatever parseV3 accepts must be a sound layout, and neither
+// Verify nor loadV3 may panic on it.
+func FuzzParseV3(f *testing.F) {
+	// A two-section model keeps the seed image near 200 bytes: the fuzzer
+	// minimizes every new input in time quadratic in its length.
+	model := []*nn.Param{
+		{Name: "w", Value: tensor.FromSlice([]float64{1, -2, 3, -4, 5, -6}, 3, 2)},
+		{Name: "b", Value: tensor.FromSlice([]float64{0.5, -0.25, 0.125}, 3)},
+	}
+	var e encBuf
+	encodeV3(&e, model, 3)
+	for _, n := range []int{len(e.b), len(e.b) - 1, len(e.b) / 2, len(magicV3) + 12, len(magicV3), 0} {
+		f.Add(append([]byte(nil), e.b[:n]...))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		data := append([]byte(nil), in...)
+		var hdrEnd uint64
+		if len(data) >= len(magicV3)+8 && string(data[:len(magicV3)]) == magicV3 {
+			hdrLen := binary.LittleEndian.Uint64(data[len(magicV3):])
+			hdrEnd = uint64(len(magicV3)) + 8 + hdrLen
+			if hdrLen <= uint64(len(data)) && hdrEnd+4 <= uint64(len(data)) {
+				binary.LittleEndian.PutUint32(data[hdrEnd:], crc32.ChecksumIEEE(data[:hdrEnd]))
+			}
+		}
+		ck, err := parseV3(data, "fuzz")
+		if err != nil {
+			return
+		}
+		size := uint64(len(data))
+		prevEnd := hdrEnd + 4
+		for _, s := range ck.sections {
+			elems := uint64(1)
+			for _, d := range s.shape {
+				if d <= 0 || elems > size/8/uint64(d) {
+					t.Fatalf("section %q: shape %v exceeds a %d-byte file", s.name, s.shape, size)
+				}
+				elems *= uint64(d)
+			}
+			switch {
+			case s.off%sectionAlign != 0:
+				t.Fatalf("section %q: offset %d not %d-byte aligned", s.name, s.off, sectionAlign)
+			case s.off < prevEnd:
+				t.Fatalf("section %q: offset %d before the previous end %d", s.name, s.off, prevEnd)
+			case s.length != 8*elems:
+				t.Fatalf("section %q: length %d for shape %v", s.name, s.length, s.shape)
+			case s.off > size || s.length > size-s.off:
+				t.Fatalf("section %q: [%d, +%d) past the %d-byte file", s.name, s.off, s.length, size)
+			}
+			prevEnd = s.off + s.length
+		}
+		_ = ck.Verify()
+		_ = loadV3(data, "fuzz", model)
+	})
 }
 
 func TestLoadIntoForeignModelCopiesOnWrite(t *testing.T) {

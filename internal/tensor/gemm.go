@@ -9,9 +9,11 @@ import (
 
 // The GEMM kernels below operate on raw row-major slices so that layers can
 // address sliced (prefix) sub-matrices of larger weight buffers without
-// copying. All kernels accumulate into the destination (C += ...), which is
-// what gradient accumulation across scheduled subnets needs; callers zero the
-// destination when plain assignment is wanted.
+// copying. Every micro-kernel accumulates into the destination (C += ...),
+// which is what gradient accumulation across scheduled subnets needs; the
+// assign-mode (β=0) entry points get plain assignment by zeroing each C tile
+// in the tile loop, just before its first k-panel, so one kernel per tier
+// serves both modes.
 //
 // ld* are leading dimensions (row strides) of the underlying buffers, which
 // may exceed the logical number of columns when a prefix slice of a wider
@@ -167,7 +169,8 @@ func GemmTBExT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, 
 		ep = nil
 	}
 	if m*n*k < smallGemmFlops {
-		gemmTBSimpleAssign(m, n, k, a, lda, b, ldb, c, ldc)
+		zeroTile(m, n, c, ldc)
+		gemmTBSimple(m, n, k, a, lda, b, ldb, c, ldc)
 		if ep != nil {
 			applyEpilogue(m, n, c, ldc, ep, 0, 0)
 		}
@@ -344,28 +347,12 @@ func gemmTBSimple(m, n, k int, a []float64, lda int, b []float64, ldb int, c []f
 	}
 }
 
-// gemmTBSimpleAssign is gemmTBSimple with β=0: identical accumulation order,
-// but the result overwrites C (0 + s ≡ s, so it is bit-compatible with the
-// accumulate kernel on a zeroed C).
-func gemmTBSimpleAssign(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	for i := 0; i < m; i++ {
-		ai := a[i*lda : i*lda+k]
-		ci := c[i*ldc : i*ldc+n]
-		for j := 0; j < n; j++ {
-			bj := b[j*ldb : j*ldb+k]
-			var s0, s1, s2, s3 float64
-			p := 0
-			for ; p+3 < k; p += 4 {
-				s0 += ai[p] * bj[p]
-				s1 += ai[p+1] * bj[p+1]
-				s2 += ai[p+2] * bj[p+2]
-				s3 += ai[p+3] * bj[p+3]
-			}
-			for ; p < k; p++ {
-				s0 += ai[p] * bj[p]
-			}
-			ci[j] = s0 + s1 + s2 + s3
-		}
+// zeroTile clears a rows×cols tile of C with row stride ldc — the β=0 half of
+// an assign-mode product, run just before the tile's first accumulating
+// k-panel so the kernel that follows finds it cache-hot.
+func zeroTile(rows, cols int, c []float64, ldc int) {
+	for i := 0; i < rows; i++ {
+		clear(c[i*ldc : i*ldc+cols])
 	}
 }
 
@@ -421,8 +408,8 @@ func gemmParallel(tier EngineTier, m, n, k int, a []float64, lda int, aTrans boo
 // panels first. The ic loop only subdivides the rows when a packed Aᵀ block
 // must fit the pool buffer (GemmTA); otherwise it runs once over all rows.
 //
-// With assign set, the first k-panel overwrites C (β=0) instead of
-// accumulating, so callers may hand in uninitialized storage. A non-nil
+// With assign set, each C tile is zeroed just before its first k-panel
+// (β=0), so callers may hand in uninitialized storage. A non-nil
 // epilogue is applied to each C tile right after its final k-panel, while
 // the tile is still cache-hot; rowOff/colOff locate this call's C window
 // inside the epilogue's vectors when a parallel caller has split the
@@ -470,10 +457,9 @@ func gemmBlocked(tier EngineTier, m, n, k int, a []float64, lda int, aTrans bool
 					bp = b[pc*ldb+jc:]
 				}
 				if assign && first {
-					gemmPanelAssignT(tier, mcb, ncb, kcb, ablk, ldab, bp, ldbp, c[ic*ldc+jc:], ldc)
-				} else {
-					gemmPanelT(tier, mcb, ncb, kcb, ablk, ldab, bp, ldbp, c[ic*ldc+jc:], ldc)
+					zeroTile(mcb, ncb, c[ic*ldc+jc:], ldc)
 				}
+				gemmPanelT(tier, mcb, ncb, kcb, ablk, ldab, bp, ldbp, c[ic*ldc+jc:], ldc)
 				if last && ep != nil {
 					applyEpilogue(mcb, ncb, c[ic*ldc+jc:], ldc, ep, rowOff+ic, colOff+jc)
 				}
@@ -503,25 +489,6 @@ func gemmPanelT(tier EngineTier, rows, ncb, kcb int, a []float64, lda int, b []f
 		kernelScalarCount[tier].Add(1)
 	}
 	gemmPanelFMA(rows, ncb, kcb, a, lda, b, ldb, c, ldc)
-}
-
-// gemmPanelAssignT is gemmPanelT for the β=0 first k-panel.
-func gemmPanelAssignT(tier EngineTier, rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if tier == TierExact {
-		if useAVX && ncb >= vecMinCols {
-			kernelVectorCount[TierExact].Add(1)
-		} else {
-			kernelScalarCount[TierExact].Add(1)
-		}
-		gemmPanelAssign(rows, ncb, kcb, a, lda, b, ldb, c, ldc)
-		return
-	}
-	if useFMA && ncb >= vecMinCols {
-		kernelVectorCount[tier].Add(1)
-	} else {
-		kernelScalarCount[tier].Add(1)
-	}
-	gemmPanelAssignFMA(rows, ncb, kcb, a, lda, b, ldb, c, ldc)
 }
 
 // gemmPanel is the 2×4 axpy micro-kernel: C[rows×ncb] += A[rows×kcb] ·
@@ -573,109 +540,6 @@ func gemmPanel(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c
 // sweep over one C row).
 func gemmPanelRow(ncb, kcb int, ai []float64, b []float64, ldb int, ci []float64) {
 	p := 0
-	for ; p+4 <= kcb; p += 4 {
-		a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-		b0 := b[p*ldb : p*ldb+ncb]
-		b1 := b[(p+1)*ldb : (p+1)*ldb+ncb]
-		b2 := b[(p+2)*ldb : (p+2)*ldb+ncb]
-		b3 := b[(p+3)*ldb : (p+3)*ldb+ncb]
-		for j, bv := range b0 {
-			ci[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
-		}
-	}
-	for ; p < kcb; p++ {
-		av := ai[p]
-		bp := b[p*ldb : p*ldb+ncb]
-		for j, bv := range bp {
-			ci[j] += av * bv
-		}
-	}
-}
-
-// gemmPanelAssign is gemmPanel with β=0: the first k-group of each C row
-// pair assigns instead of accumulating, and the remaining k-groups
-// accumulate exactly as gemmPanel does. Grouping and order match gemmPanel,
-// so the result is bit-compatible with running gemmPanel on a zeroed C.
-func gemmPanelAssign(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if useAVX && ncb >= vecMinCols {
-		gemmPanelAssignAVX(rows, ncb, kcb, a, lda, b, ldb, c, ldc)
-		return
-	}
-	i := 0
-	for ; i+2 <= rows; i += 2 {
-		ai0 := a[i*lda : i*lda+kcb]
-		ai1 := a[(i+1)*lda : (i+1)*lda+kcb]
-		ci0 := c[i*ldc : i*ldc+ncb]
-		ci1 := c[(i+1)*ldc : (i+1)*ldc+ncb]
-		p := 0
-		if kcb >= 4 {
-			a00, a01, a02, a03 := ai0[0], ai0[1], ai0[2], ai0[3]
-			a10, a11, a12, a13 := ai1[0], ai1[1], ai1[2], ai1[3]
-			b0 := b[0:ncb]
-			b1 := b[ldb : ldb+ncb]
-			b2 := b[2*ldb : 2*ldb+ncb]
-			b3 := b[3*ldb : 3*ldb+ncb]
-			for j, bv := range b0 {
-				b1v, b2v, b3v := b1[j], b2[j], b3[j]
-				ci0[j] = a00*bv + a01*b1v + a02*b2v + a03*b3v
-				ci1[j] = a10*bv + a11*b1v + a12*b2v + a13*b3v
-			}
-			p = 4
-		} else {
-			a0v, a1v := ai0[0], ai1[0]
-			for j, bv := range b[0:ncb] {
-				ci0[j] = a0v * bv
-				ci1[j] = a1v * bv
-			}
-			p = 1
-		}
-		for ; p+4 <= kcb; p += 4 {
-			a00, a01, a02, a03 := ai0[p], ai0[p+1], ai0[p+2], ai0[p+3]
-			a10, a11, a12, a13 := ai1[p], ai1[p+1], ai1[p+2], ai1[p+3]
-			b0 := b[p*ldb : p*ldb+ncb]
-			b1 := b[(p+1)*ldb : (p+1)*ldb+ncb]
-			b2 := b[(p+2)*ldb : (p+2)*ldb+ncb]
-			b3 := b[(p+3)*ldb : (p+3)*ldb+ncb]
-			for j, bv := range b0 {
-				b1v, b2v, b3v := b1[j], b2[j], b3[j]
-				ci0[j] += a00*bv + a01*b1v + a02*b2v + a03*b3v
-				ci1[j] += a10*bv + a11*b1v + a12*b2v + a13*b3v
-			}
-		}
-		for ; p < kcb; p++ {
-			a0v, a1v := ai0[p], ai1[p]
-			bp := b[p*ldb : p*ldb+ncb]
-			for j, bv := range bp {
-				ci0[j] += a0v * bv
-				ci1[j] += a1v * bv
-			}
-		}
-	}
-	if i < rows {
-		gemmPanelAssignRow(ncb, kcb, a[i*lda:i*lda+kcb], b, ldb, c[i*ldc:i*ldc+ncb])
-	}
-}
-
-// gemmPanelAssignRow is the single-row tail of gemmPanelAssign.
-func gemmPanelAssignRow(ncb, kcb int, ai []float64, b []float64, ldb int, ci []float64) {
-	p := 0
-	if kcb >= 4 {
-		a0, a1, a2, a3 := ai[0], ai[1], ai[2], ai[3]
-		b0 := b[0:ncb]
-		b1 := b[ldb : ldb+ncb]
-		b2 := b[2*ldb : 2*ldb+ncb]
-		b3 := b[3*ldb : 3*ldb+ncb]
-		for j, bv := range b0 {
-			ci[j] = a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
-		}
-		p = 4
-	} else {
-		av := ai[0]
-		for j, bv := range b[0:ncb] {
-			ci[j] = av * bv
-		}
-		p = 1
-	}
 	for ; p+4 <= kcb; p += 4 {
 		a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
 		b0 := b[p*ldb : p*ldb+ncb]

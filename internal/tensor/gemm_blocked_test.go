@@ -322,24 +322,56 @@ func TestGemmExRandomShapes(t *testing.T) {
 }
 
 // TestGemmExBitIdenticalToGemm pins the assign-mode contract the inference
-// path relies on: with no epilogue, GemmEx over garbage equals Gemm over
-// zeros bit for bit (same kernels, same accumulation order).
+// path relies on: with no epilogue, every assign entry point over garbage
+// equals the accumulating product over zeros on the same tier, bit for bit —
+// down to the sign of an exact zero. Row 0 of A is all negative and column 0
+// of B all +0, so C[0,0] sums only −0 products: accumulating into a zeroed C
+// gives +0 (0 + −0), and so must assign mode.
 func TestGemmExBitIdenticalToGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, s := range [][3]int{{5, 9, 3}, {16, 256, 72}, {64, 64, 300}, {130, 130, 130}} {
-		m, n, k := s[0], s[1], s[2]
-		a := make([]float64, m*k)
-		b := make([]float64, k*n)
-		fillRand(rng, a)
-		fillRand(rng, b)
-		want := make([]float64, m*n)
-		Gemm(m, n, k, a, k, b, n, want, n)
-		got := make([]float64, m*n)
-		fillRand(rng, got)
-		GemmExT(TierExact, m, n, k, a, k, b, n, got, n, nil)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("m=%d n=%d k=%d: GemmEx[%d]=%g, Gemm=%g", m, n, k, i, got[i], want[i])
+	shapes := [][3]int{{5, 9, 3}, {65, 7, 300}, {16, 256, 72}, {64, 64, 300}, {130, 130, 130}}
+	for _, tier := range []EngineTier{TierExact, TierFMA} {
+		for _, s := range shapes {
+			m, n, k := s[0], s[1], s[2]
+			a := make([]float64, m*k)
+			b := make([]float64, k*n)  // [k×n]
+			bt := make([]float64, n*k) // [n×k], the GemmTB orientation
+			fillRand(rng, a)
+			fillRand(rng, b)
+			fillRand(rng, bt)
+			for p := 0; p < k; p++ {
+				a[p] = -math.Abs(a[p]) - 1
+				b[p*n] = 0
+				bt[p] = 0
+			}
+			acc := func(c []float64) { gemmParallel(tier, m, n, k, a, k, false, b, n, false, c, n, false, nil) }
+			accTB := func(c []float64) { gemmParallel(tier, m, n, k, a, k, false, bt, k, true, c, n, false, nil) }
+			for _, op := range []struct {
+				name        string
+				assign, acc func(c []float64)
+			}{
+				{"GemmExT", func(c []float64) { GemmExT(tier, m, n, k, a, k, b, n, c, n, nil) }, acc},
+				{"GemmPackedExT", func(c []float64) { GemmPackedExT(tier, m, n, k, PackA(m, k, a, k), b, n, c, n, nil) }, acc},
+				{"GemmTBExT", func(c []float64) { GemmTBExT(tier, m, n, k, a, k, bt, k, c, n, nil) }, func(c []float64) {
+					if m*n*k < smallGemmFlops {
+						gemmTBSimple(m, n, k, a, k, bt, k, c, n) // GemmTBExT's small-product path
+						return
+					}
+					accTB(c)
+				}},
+				{"GemmTBPackedExT", func(c []float64) { GemmTBPackedExT(tier, m, n, k, a, k, PackTB(n, k, bt, k), c, n, nil) }, accTB},
+			} {
+				want := make([]float64, m*n)
+				op.acc(want)
+				got := make([]float64, m*n)
+				fillRand(rng, got) // garbage: a tile that was not zeroed shows
+				op.assign(got)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s/%v m=%d n=%d k=%d: assign[%d]=%g, accumulate into zeros=%g",
+							op.name, tier, m, n, k, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}

@@ -26,17 +26,7 @@ func cpuHasAVX() bool
 //go:noescape
 func axpyQuad2AVX(c0, c1, b0, b1, b2, b3, a0, a1 []float64)
 
-// axpyQuad2AssignAVX is axpyQuad2AVX with β=0: the results overwrite c0/c1.
-//
-//go:noescape
-func axpyQuad2AssignAVX(c0, c1, b0, b1, b2, b3, a0, a1 []float64)
-
 // axpyQuad1AVX is the one-row form of axpyQuad2AVX.
 //
 //go:noescape
 func axpyQuad1AVX(c0, b0, b1, b2, b3, a0 []float64)
-
-// axpyQuad1AssignAVX is axpyQuad1AVX with β=0.
-//
-//go:noescape
-func axpyQuad1AssignAVX(c0, b0, b1, b2, b3, a0 []float64)

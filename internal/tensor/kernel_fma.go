@@ -111,120 +111,3 @@ func gemmPanelFMAScalar(rows, ncb, kcb int, a []float64, lda int, b []float64, l
 		}
 	}
 }
-
-// gemmPanelAssignFMA is gemmPanelFMA with β=0: each element's chain seeds
-// with a·b at k=0 (one rounding, no C load) and fuses from k=1 on.
-func gemmPanelAssignFMA(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if !(useFMA && ncb >= vecMinCols) {
-		gemmPanelAssignFMAScalar(rows, ncb, kcb, a, lda, b, ldb, c, ldc)
-		return
-	}
-	i := 0
-	for ; i+4 <= rows; i += 4 {
-		a0 := a[i*lda : i*lda+kcb]
-		a1 := a[(i+1)*lda : (i+1)*lda+kcb]
-		a2 := a[(i+2)*lda : (i+2)*lda+kcb]
-		a3 := a[(i+3)*lda : (i+3)*lda+kcb]
-		ci := i * ldc
-		j := 0
-		for ; j+8 <= ncb; j += 8 {
-			fmaDot4x8Assign(kcb, a0, a1, a2, a3, b[j:], ldb,
-				c[ci+j:ci+j+8], c[ci+ldc+j:ci+ldc+j+8],
-				c[ci+2*ldc+j:ci+2*ldc+j+8], c[ci+3*ldc+j:ci+3*ldc+j+8])
-		}
-		if j < ncb {
-			gemmPanelAssignFMAAxpy(4, ncb-j, kcb, a[i*lda:], lda, b[j:], ldb, c[ci+j:], ldc)
-		}
-	}
-	if i < rows {
-		gemmPanelAssignFMAAxpy(rows-i, ncb, kcb, a[i*lda:], lda, b, ldb, c[i*ldc:], ldc)
-	}
-}
-
-// gemmPanelAssignFMAAxpy is the quad-axpy tail path of gemmPanelAssignFMA.
-func gemmPanelAssignFMAAxpy(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	i := 0
-	for ; i+2 <= rows; i += 2 {
-		ai0 := a[i*lda : i*lda+kcb]
-		ai1 := a[(i+1)*lda : (i+1)*lda+kcb]
-		ci0 := c[i*ldc : i*ldc+ncb]
-		ci1 := c[(i+1)*ldc : (i+1)*ldc+ncb]
-		p := 0
-		if kcb >= 4 {
-			axpyQuad2AssignFMA(ci0, ci1,
-				b[0:ncb], b[ldb:ldb+ncb], b[2*ldb:2*ldb+ncb], b[3*ldb:3*ldb+ncb],
-				ai0[0:4], ai1[0:4])
-			p = 4
-		} else {
-			a0v, a1v := ai0[0], ai1[0]
-			for j, bv := range b[0:ncb] {
-				ci0[j] = a0v * bv
-				ci1[j] = a1v * bv
-			}
-			p = 1
-		}
-		for ; p+4 <= kcb; p += 4 {
-			axpyQuad2FMA(ci0, ci1,
-				b[p*ldb:p*ldb+ncb], b[(p+1)*ldb:(p+1)*ldb+ncb],
-				b[(p+2)*ldb:(p+2)*ldb+ncb], b[(p+3)*ldb:(p+3)*ldb+ncb],
-				ai0[p:p+4], ai1[p:p+4])
-		}
-		for ; p < kcb; p++ {
-			a0v, a1v := ai0[p], ai1[p]
-			bp := b[p*ldb : p*ldb+ncb]
-			for j, bv := range bp {
-				ci0[j] = math.FMA(a0v, bv, ci0[j])
-				ci1[j] = math.FMA(a1v, bv, ci1[j])
-			}
-		}
-	}
-	if i < rows {
-		ai := a[i*lda : i*lda+kcb]
-		ci := c[i*ldc : i*ldc+ncb]
-		p := 0
-		if kcb >= 4 {
-			axpyQuad1AssignFMA(ci,
-				b[0:ncb], b[ldb:ldb+ncb], b[2*ldb:2*ldb+ncb], b[3*ldb:3*ldb+ncb],
-				ai[0:4])
-			p = 4
-		} else {
-			av := ai[0]
-			for j, bv := range b[0:ncb] {
-				ci[j] = av * bv
-			}
-			p = 1
-		}
-		for ; p+4 <= kcb; p += 4 {
-			axpyQuad1FMA(ci,
-				b[p*ldb:p*ldb+ncb], b[(p+1)*ldb:(p+1)*ldb+ncb],
-				b[(p+2)*ldb:(p+2)*ldb+ncb], b[(p+3)*ldb:(p+3)*ldb+ncb],
-				ai[p:p+4])
-		}
-		for ; p < kcb; p++ {
-			av := ai[p]
-			bp := b[p*ldb : p*ldb+ncb]
-			for j, bv := range bp {
-				ci[j] = math.FMA(av, bv, ci[j])
-			}
-		}
-	}
-}
-
-// gemmPanelAssignFMAScalar is the pure-Go fallback of gemmPanelAssignFMA.
-func gemmPanelAssignFMAScalar(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	for i := 0; i < rows; i++ {
-		ai := a[i*lda : i*lda+kcb]
-		ci := c[i*ldc : i*ldc+ncb]
-		av := ai[0]
-		for j, bv := range b[0:ncb] {
-			ci[j] = av * bv
-		}
-		for p := 1; p < kcb; p++ {
-			av := ai[p]
-			bp := b[p*ldb : p*ldb+ncb]
-			for j, bv := range bp {
-				ci[j] = math.FMA(av, bv, ci[j])
-			}
-		}
-	}
-}

@@ -26,21 +26,10 @@ func cpuHasFMA() bool
 //go:noescape
 func axpyQuad2FMA(c0, c1, b0, b1, b2, b3, a0, a1 []float64)
 
-// axpyQuad2AssignFMA is axpyQuad2FMA with β=0: the chain seeds with
-// a[0]·b0[j] (one rounding) instead of loading C.
-//
-//go:noescape
-func axpyQuad2AssignFMA(c0, c1, b0, b1, b2, b3, a0, a1 []float64)
-
 // axpyQuad1FMA is the one-row form of axpyQuad2FMA.
 //
 //go:noescape
 func axpyQuad1FMA(c0, b0, b1, b2, b3, a0 []float64)
-
-// axpyQuad1AssignFMA is axpyQuad1FMA with β=0.
-//
-//go:noescape
-func axpyQuad1AssignFMA(c0, b0, b1, b2, b3, a0 []float64)
 
 // fmaDot4x8 is the C-resident 4×8 dot micro-kernel: it computes, for four C
 // row slices c0..c3 (each at least 8 wide) against four A row slices a0..a3
@@ -55,9 +44,3 @@ func axpyQuad1AssignFMA(c0, b0, b1, b2, b3, a0 []float64)
 //
 //go:noescape
 func fmaDot4x8(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []float64)
-
-// fmaDot4x8Assign is fmaDot4x8 with β=0: each chain seeds with a·b at k=0
-// (one rounding) instead of loading C. kcb must be ≥ 1.
-//
-//go:noescape
-func fmaDot4x8Assign(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []float64)

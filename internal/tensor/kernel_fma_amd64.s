@@ -2,7 +2,8 @@
 // fused chain acc = fma(a3,b3, fma(a2,b2, fma(a1,b1, fma(a0,b0, acc)))) —
 // one rounding per multiply-add, matching math.FMA in the scalar loops — so
 // the fma tier stays bit-deterministic across the vector/scalar boundary.
-// See kernel_fma_amd64.go for contracts.
+// Every kernel accumulates into C; the assign-mode (β=0) products zero their
+// C tile before the first k-panel. See kernel_fma_amd64.go for contracts.
 
 #include "textflag.h"
 
@@ -112,82 +113,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpyQuad2AssignFMA(c0, c1, b0, b1, b2, b3, a0, a1 []float64)
-TEXT ·axpyQuad2AssignFMA(SB), NOSPLIT, $0-192
-	MOVQ c0_base+0(FP), DI
-	MOVQ c0_len+8(FP), CX
-	MOVQ c1_base+24(FP), SI
-	MOVQ b0_base+48(FP), R8
-	MOVQ b1_base+72(FP), R9
-	MOVQ b2_base+96(FP), R10
-	MOVQ b3_base+120(FP), R11
-	MOVQ a0_base+144(FP), R12
-	MOVQ a1_base+168(FP), R13
-
-	VBROADCASTSD 0(R12), Y0
-	VBROADCASTSD 8(R12), Y1
-	VBROADCASTSD 16(R12), Y2
-	VBROADCASTSD 24(R12), Y3
-	VBROADCASTSD 0(R13), Y4
-	VBROADCASTSD 8(R13), Y5
-	VBROADCASTSD 16(R13), Y6
-	VBROADCASTSD 24(R13), Y7
-
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-4, DX
-
-aloop4:
-	CMPQ AX, DX
-	JGE  atail
-	VMOVUPD (R8)(AX*8), Y8
-	VMOVUPD (R9)(AX*8), Y9
-	VMOVUPD (R10)(AX*8), Y10
-	VMOVUPD (R11)(AX*8), Y11
-
-	// Row 0: chain seeded with a0·b0 (β=0).
-	VMULPD      Y8, Y0, Y12
-	VFMADD231PD Y9, Y1, Y12
-	VFMADD231PD Y10, Y2, Y12
-	VFMADD231PD Y11, Y3, Y12
-	VMOVUPD     Y12, (DI)(AX*8)
-
-	VMULPD      Y8, Y4, Y12
-	VFMADD231PD Y9, Y5, Y12
-	VFMADD231PD Y10, Y6, Y12
-	VFMADD231PD Y11, Y7, Y12
-	VMOVUPD     Y12, (SI)(AX*8)
-
-	ADDQ $4, AX
-	JMP  aloop4
-
-atail:
-	CMPQ AX, CX
-	JGE  adone
-	VMOVSD (R8)(AX*8), X8
-	VMOVSD (R9)(AX*8), X9
-	VMOVSD (R10)(AX*8), X10
-	VMOVSD (R11)(AX*8), X11
-
-	VMULSD      X8, X0, X12
-	VFMADD231SD X9, X1, X12
-	VFMADD231SD X10, X2, X12
-	VFMADD231SD X11, X3, X12
-	VMOVSD      X12, (DI)(AX*8)
-
-	VMULSD      X8, X4, X12
-	VFMADD231SD X9, X5, X12
-	VFMADD231SD X10, X6, X12
-	VFMADD231SD X11, X7, X12
-	VMOVSD      X12, (SI)(AX*8)
-
-	INCQ AX
-	JMP  atail
-
-adone:
-	VZEROUPPER
-	RET
-
 // func axpyQuad1FMA(c0, b0, b1, b2, b3, a0 []float64)
 TEXT ·axpyQuad1FMA(SB), NOSPLIT, $0-144
 	MOVQ c0_base+0(FP), DI
@@ -247,63 +172,6 @@ rdone:
 	VZEROUPPER
 	RET
 
-// func axpyQuad1AssignFMA(c0, b0, b1, b2, b3, a0 []float64)
-TEXT ·axpyQuad1AssignFMA(SB), NOSPLIT, $0-144
-	MOVQ c0_base+0(FP), DI
-	MOVQ c0_len+8(FP), CX
-	MOVQ b0_base+24(FP), R8
-	MOVQ b1_base+48(FP), R9
-	MOVQ b2_base+72(FP), R10
-	MOVQ b3_base+96(FP), R11
-	MOVQ a0_base+120(FP), R12
-
-	VBROADCASTSD 0(R12), Y0
-	VBROADCASTSD 8(R12), Y1
-	VBROADCASTSD 16(R12), Y2
-	VBROADCASTSD 24(R12), Y3
-
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-4, DX
-
-sloop4:
-	CMPQ AX, DX
-	JGE  stail
-	VMOVUPD (R8)(AX*8), Y8
-	VMOVUPD (R9)(AX*8), Y9
-	VMOVUPD (R10)(AX*8), Y10
-	VMOVUPD (R11)(AX*8), Y11
-
-	VMULPD      Y8, Y0, Y12
-	VFMADD231PD Y9, Y1, Y12
-	VFMADD231PD Y10, Y2, Y12
-	VFMADD231PD Y11, Y3, Y12
-	VMOVUPD     Y12, (DI)(AX*8)
-
-	ADDQ $4, AX
-	JMP  sloop4
-
-stail:
-	CMPQ AX, CX
-	JGE  sdone
-	VMOVSD (R8)(AX*8), X8
-	VMOVSD (R9)(AX*8), X9
-	VMOVSD (R10)(AX*8), X10
-	VMOVSD (R11)(AX*8), X11
-
-	VMULSD      X8, X0, X12
-	VFMADD231SD X9, X1, X12
-	VFMADD231SD X10, X2, X12
-	VFMADD231SD X11, X3, X12
-	VMOVSD      X12, (DI)(AX*8)
-
-	INCQ AX
-	JMP  stail
-
-sdone:
-	VZEROUPPER
-	RET
-
 // func fmaDot4x8(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []float64)
 //
 // C-resident 4×8 dot micro-kernel: eight YMM accumulators (4 C rows × 8
@@ -359,81 +227,6 @@ dloop:
 	DECQ         CX
 	JNZ          dloop
 
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, (AX)
-	VMOVUPD Y3, 32(AX)
-	VMOVUPD Y4, (BX)
-	VMOVUPD Y5, 32(BX)
-	VMOVUPD Y6, (DX)
-	VMOVUPD Y7, 32(DX)
-	VZEROUPPER
-	RET
-
-// func fmaDot4x8Assign(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []float64)
-//
-// fmaDot4x8 with β=0: the accumulators seed with a·b at k=0 (one rounding,
-// no C load) and fuse from k=1 on. kcb must be ≥ 1.
-TEXT ·fmaDot4x8Assign(SB), NOSPLIT, $0-232
-	MOVQ kcb+0(FP), CX
-	MOVQ a0_base+8(FP), R8
-	MOVQ a1_base+32(FP), R9
-	MOVQ a2_base+56(FP), R10
-	MOVQ a3_base+80(FP), R11
-	MOVQ b_base+104(FP), SI
-	MOVQ ldb+128(FP), R12
-	SHLQ $3, R12
-	MOVQ c0_base+136(FP), DI
-	MOVQ c1_base+160(FP), AX
-	MOVQ c2_base+184(FP), BX
-	MOVQ c3_base+208(FP), DX
-
-	VMOVUPD      (SI), Y8
-	VMOVUPD      32(SI), Y9
-	VBROADCASTSD (R8), Y10
-	VBROADCASTSD (R9), Y11
-	VBROADCASTSD (R10), Y12
-	VBROADCASTSD (R11), Y13
-	VMULPD       Y8, Y10, Y0
-	VMULPD       Y9, Y10, Y1
-	VMULPD       Y8, Y11, Y2
-	VMULPD       Y9, Y11, Y3
-	VMULPD       Y8, Y12, Y4
-	VMULPD       Y9, Y12, Y5
-	VMULPD       Y8, Y13, Y6
-	VMULPD       Y9, Y13, Y7
-	ADDQ         $8, R8
-	ADDQ         $8, R9
-	ADDQ         $8, R10
-	ADDQ         $8, R11
-	ADDQ         R12, SI
-	DECQ         CX
-	JZ           adstore
-
-adloop:
-	VMOVUPD      (SI), Y8
-	VMOVUPD      32(SI), Y9
-	VBROADCASTSD (R8), Y10
-	VBROADCASTSD (R9), Y11
-	VBROADCASTSD (R10), Y12
-	VBROADCASTSD (R11), Y13
-	VFMADD231PD  Y8, Y10, Y0
-	VFMADD231PD  Y9, Y10, Y1
-	VFMADD231PD  Y8, Y11, Y2
-	VFMADD231PD  Y9, Y11, Y3
-	VFMADD231PD  Y8, Y12, Y4
-	VFMADD231PD  Y9, Y12, Y5
-	VFMADD231PD  Y8, Y13, Y6
-	VFMADD231PD  Y9, Y13, Y7
-	ADDQ         $8, R8
-	ADDQ         $8, R9
-	ADDQ         $8, R10
-	ADDQ         $8, R11
-	ADDQ         R12, SI
-	DECQ         CX
-	JNZ          adloop
-
-adstore:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, (AX)

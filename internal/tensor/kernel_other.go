@@ -11,21 +11,13 @@ var (
 	useFMA = false
 )
 
-func axpyQuad2AVX(c0, c1, b0, b1, b2, b3, a0, a1 []float64)       { panic("tensor: no vector kernel") }
-func axpyQuad2AssignAVX(c0, c1, b0, b1, b2, b3, a0, a1 []float64) { panic("tensor: no vector kernel") }
-func axpyQuad1AVX(c0, b0, b1, b2, b3, a0 []float64)               { panic("tensor: no vector kernel") }
-func axpyQuad1AssignAVX(c0, b0, b1, b2, b3, a0 []float64)         { panic("tensor: no vector kernel") }
+func axpyQuad2AVX(c0, c1, b0, b1, b2, b3, a0, a1 []float64) { panic("tensor: no vector kernel") }
+func axpyQuad1AVX(c0, b0, b1, b2, b3, a0 []float64)         { panic("tensor: no vector kernel") }
 
-func axpyQuad2FMA(c0, c1, b0, b1, b2, b3, a0, a1 []float64)       { panic("tensor: no vector kernel") }
-func axpyQuad2AssignFMA(c0, c1, b0, b1, b2, b3, a0, a1 []float64) { panic("tensor: no vector kernel") }
-func axpyQuad1FMA(c0, b0, b1, b2, b3, a0 []float64)               { panic("tensor: no vector kernel") }
-func axpyQuad1AssignFMA(c0, b0, b1, b2, b3, a0 []float64)         { panic("tensor: no vector kernel") }
+func axpyQuad2FMA(c0, c1, b0, b1, b2, b3, a0, a1 []float64) { panic("tensor: no vector kernel") }
+func axpyQuad1FMA(c0, b0, b1, b2, b3, a0 []float64)         { panic("tensor: no vector kernel") }
 
 func fmaDot4x8(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []float64) {
-	panic("tensor: no vector kernel")
-}
-
-func fmaDot4x8Assign(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []float64) {
 	panic("tensor: no vector kernel")
 }
 

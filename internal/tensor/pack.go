@@ -184,9 +184,7 @@ func GemmTBPackedExT(tier EngineTier, m, n, k int, a []float64, lda int, pb *Pac
 // gemmAssignEmptyK fulfils the assign-mode contract for k = 0: the empty sum
 // overwrites the product region with zeros, then the epilogue runs.
 func gemmAssignEmptyK(m, n int, c []float64, ldc int, ep *Epilogue) {
-	for i := 0; i < m; i++ {
-		clear(c[i*ldc : i*ldc+n])
-	}
+	zeroTile(m, n, c, ldc)
 	if ep != nil {
 		applyEpilogue(m, n, c, ldc, ep, 0, 0)
 	}
@@ -207,10 +205,9 @@ func gemmBlockedPackedA(tier EngineTier, rows, rowLo, n, k int, pa *PackedMat, b
 		for jc := 0; jc < n; jc += ncBlock {
 			ncb := min(ncBlock, n-jc)
 			if first {
-				gemmPanelAssignT(tier, rows, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
-			} else {
-				gemmPanelT(tier, rows, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
+				zeroTile(rows, ncb, c[jc:], ldc)
 			}
+			gemmPanelT(tier, rows, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
 			if last && ep != nil {
 				applyEpilogue(rows, ncb, c[jc:], ldc, ep, rowLo, colOff+jc)
 			}
@@ -230,10 +227,9 @@ func gemmBlockedPackedACols(tier EngineTier, m, cols, k int, pa *PackedMat, b []
 		for jc := 0; jc < cols; jc += ncBlock {
 			ncb := min(ncBlock, cols-jc)
 			if first {
-				gemmPanelAssignT(tier, m, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
-			} else {
-				gemmPanelT(tier, m, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
+				zeroTile(m, ncb, c[jc:], ldc)
 			}
+			gemmPanelT(tier, m, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
 			if last && ep != nil {
 				applyEpilogue(m, ncb, c[jc:], ldc, ep, 0, colOff+jc)
 			}
@@ -258,10 +254,9 @@ func gemmBlockedPackedB(tier EngineTier, m, cols, colLo, k int, a []float64, lda
 			ncb := min(ncBlock, cols-jcl)
 			bp := pb.data[pc*n+kcb*jc:]
 			if first {
-				gemmPanelAssignT(tier, m, ncb, kcb, a[pc:], lda, bp, ncb, c[jcl:], ldc)
-			} else {
-				gemmPanelT(tier, m, ncb, kcb, a[pc:], lda, bp, ncb, c[jcl:], ldc)
+				zeroTile(m, ncb, c[jcl:], ldc)
 			}
+			gemmPanelT(tier, m, ncb, kcb, a[pc:], lda, bp, ncb, c[jcl:], ldc)
 			if last && ep != nil {
 				applyEpilogue(m, ncb, c[jcl:], ldc, ep, rowOff, jc)
 			}
