@@ -1,8 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section 5) on the synthetic stand-in workloads, printing the
 // same rows/series the paper reports next to the paper's reference values.
-// See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-// recorded paper-vs-measured comparison.
+// `msbench -list` prints the experiment index.
 package experiments
 
 import (
@@ -65,9 +64,10 @@ func (s Scale) String() string {
 
 // cnnSizing bundles the knobs of a CNN experiment at one scale. The noise
 // and learning-rate values were calibrated so that the mini models reach
-// their accuracy plateau within the epoch budget on 2 CPU cores (see
-// EXPERIMENTS.md); augmentation is disabled below Medium scale because at a
-// few hundred samples it delays convergence past the budget.
+// their accuracy plateau within the epoch budget on 2 CPU cores (re-run them
+// with `msbench -exp <id>`, ids from `msbench -list`); augmentation is
+// disabled below Medium scale because at a few hundred samples it delays
+// convergence past the budget.
 type cnnSizing struct {
 	TrainN, TestN int
 	Epochs        int

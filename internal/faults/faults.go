@@ -140,7 +140,8 @@ func parseMode(s string) (mode, error) {
 		return mode{kind: 'a'}, nil
 	case strings.HasPrefix(s, "p"):
 		p, err := strconv.ParseFloat(s[1:], 64)
-		if err != nil || p < 0 || p > 1 {
+		// Written so NaN, which fails every comparison, is rejected too.
+		if err != nil || !(p >= 0 && p <= 1) {
 			return mode{}, fmt.Errorf("bad probability %q", s)
 		}
 		return mode{kind: 'p', p: p}, nil
@@ -163,13 +164,28 @@ func parseMode(s string) (mode, error) {
 
 // Enable arms one point with the given mode spelling ("" means always).
 func Enable(p Point, modeSpec string) error {
+	m, err := parsePoint(p, modeSpec)
+	if err != nil {
+		return err
+	}
+	arm(p, m)
+	return nil
+}
+
+// parsePoint validates one point=mode pair without touching the registry.
+func parsePoint(p Point, modeSpec string) (mode, error) {
 	if !valid(p) {
-		return fmt.Errorf("faults: unknown point %q", p)
+		return mode{}, fmt.Errorf("faults: unknown point %q", p)
 	}
 	m, err := parseMode(modeSpec)
 	if err != nil {
-		return fmt.Errorf("faults: %s: %w", p, err)
+		return mode{}, fmt.Errorf("faults: %s: %w", p, err)
 	}
+	return m, nil
+}
+
+// arm installs a parsed mode on one point.
+func arm(p Point, m mode) {
 	mu.Lock()
 	defer mu.Unlock()
 	st := table[p]
@@ -188,7 +204,6 @@ func Enable(p Point, modeSpec string) error {
 	h := fnv.New64a()
 	h.Write([]byte(p))
 	st.rng = rand.New(rand.NewSource(int64(h.Sum64())))
-	return nil
 }
 
 // Disable disarms one point and releases any goroutine stalled on it. Fired
@@ -225,21 +240,31 @@ func Reset() {
 }
 
 // Set replaces the whole registry configuration with one MS_FAULTS spelling.
-// Counters are cleared; an empty spec disarms everything.
+// Counters are cleared; an empty spec disarms everything. Set is all or
+// nothing: every pair is parsed before any point is armed, so a spec with one
+// bad pair returns its error and leaves every point disarmed.
 func Set(spec string) error {
 	Reset()
-	if strings.TrimSpace(spec) == "" {
-		return nil
+	type pointMode struct {
+		p Point
+		m mode
 	}
+	var plan []pointMode
 	for _, pair := range strings.Split(spec, ",") {
 		pair = strings.TrimSpace(pair)
 		if pair == "" {
 			continue
 		}
 		name, modeSpec, _ := strings.Cut(pair, "=")
-		if err := Enable(Point(strings.TrimSpace(name)), strings.TrimSpace(modeSpec)); err != nil {
+		p := Point(strings.TrimSpace(name))
+		m, err := parsePoint(p, strings.TrimSpace(modeSpec))
+		if err != nil {
 			return err
 		}
+		plan = append(plan, pointMode{p, m})
+	}
+	for _, pm := range plan {
+		arm(pm.p, pm.m)
 	}
 	return nil
 }

@@ -205,3 +205,64 @@ func TestNetworkFaultPointsSpelling(t *testing.T) {
 		t.Fatalf("Delay(NetDelay) = %v, want NetDelayDuration %v", d, NetDelayDuration)
 	}
 }
+
+// TestSetIsAllOrNothing: a spec whose later pair is bad must not leave its
+// earlier pairs armed — otherwise init reports "ignoring MS_FAULTS" while
+// the points before the typo fire anyway.
+func TestSetIsAllOrNothing(t *testing.T) {
+	defer Reset()
+	if err := Set("worker-panic=on,net-drop=bogus"); err == nil {
+		t.Fatal("Set accepted a bad mode")
+	}
+	if Active(WorkerPanic) || Should(WorkerPanic) {
+		t.Fatal("rejected Set left worker-panic armed")
+	}
+	if s := Summary(); s != "" {
+		t.Fatalf("rejected Set left %q armed", s)
+	}
+}
+
+// TestSetRejectsNaNProbability: NaN fails both p < 0 and p > 1, so a range
+// check spelled that way lets it through.
+func TestSetRejectsNaNProbability(t *testing.T) {
+	defer Reset()
+	for _, spec := range []string{"net-drop=pNaN", "net-drop=pnan", "net-drop=p+Inf"} {
+		if err := Set(spec); err == nil {
+			t.Errorf("Set(%q) accepted", spec)
+		}
+		if Active(NetDrop) {
+			t.Errorf("Set(%q) left net-drop armed", spec)
+		}
+	}
+}
+
+// FuzzSet: Set never panics, and either it fails and every point is
+// disarmed, or it succeeds and exactly the points the spec names are armed.
+func FuzzSet(f *testing.F) {
+	for _, seed := range []string{
+		"", "worker-panic", "worker-panic=p0.1,shard-stall=first2,disk-error",
+		"net-drop=pNaN", "worker-panic=on,net-drop=bogus", " slow-compute = every3 ,,",
+		"=on", "replica-down=first0", "calibration-skew=p1,calibration-skew=on",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		defer Reset()
+		err := Set(spec)
+		named := map[Point]bool{}
+		if err == nil {
+			for _, pair := range strings.Split(spec, ",") {
+				if pair = strings.TrimSpace(pair); pair != "" {
+					name, _, _ := strings.Cut(pair, "=")
+					named[Point(strings.TrimSpace(name))] = true
+				}
+			}
+		}
+		for _, p := range Points() {
+			if Active(p) != named[p] {
+				t.Fatalf("Set(%q) err=%v: %s armed=%v, named=%v", spec, err, p, Active(p), named[p])
+			}
+		}
+		_ = Summary()
+	})
+}

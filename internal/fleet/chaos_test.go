@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -27,13 +28,12 @@ func liveReplica(t *testing.T) (*server.Server, *httptest.Server) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	s, err := server.New(server.Config{
-		Model:           models.NewMLP(4, []int{8, 8}, 3, 4, rng),
-		Rates:           slicing.NewRateList(0.25, 4),
-		InputShape:      []int{4},
-		SLO:             200 * time.Millisecond,
-		Workers:         2,
-		SampleTime:      func(r float64) float64 { return 0.002 * r * r },
-		DrainSweepEvery: 5 * time.Millisecond,
+		Model:      models.NewMLP(4, []int{8, 8}, 3, 4, rng),
+		Rates:      slicing.NewRateList(0.25, 4),
+		InputShape: []int{4},
+		SLO:        200 * time.Millisecond,
+		Workers:    2,
+		SampleTime: func(r float64) float64 { return 0.002 * r * r },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -380,5 +380,44 @@ func TestFleetHTTPSurface(t *testing.T) {
 	resp.Body.Close()
 	if health.Replicas != 1 || health.Live != 1 {
 		t.Fatalf("healthz after leave %+v, want 1/1", health)
+	}
+}
+
+// TestStopClosesReplicaConnections: a stopped coordinator leaves no
+// keep-alive connection open on its replicas. Stop waits for the health loop
+// (which may be mid-poll) and then closes the idle connections; before, a
+// replica held the join's and the polls' idle connection until the
+// transport's 90 s idle timeout.
+func TestStopClosesReplicaConnections(t *testing.T) {
+	var open atomic.Int64
+	ts := httptest.NewUnstartedServer(fakeReplica(t, server.NewFakeClock(time.Unix(0, 0))).Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		switch st {
+		case http.StateNew:
+			open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			open.Add(-1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	coord, err := New(Config{SLO: 50 * time.Millisecond, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.AddReplica(ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	if open.Load() == 0 {
+		t.Fatal("no connection to the replica before Stop; the test cannot see a leak")
+	}
+	coord.Stop()
+	deadline := time.Now().Add(time.Second)
+	for open.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica still holds %d open connections 1 s after Stop", open.Load())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

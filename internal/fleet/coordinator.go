@@ -40,8 +40,8 @@ type Config struct {
 	// derate theirs; it should match the replicas' setting. 0 means 1.
 	Headroom float64
 	// Transport carries coordinator→replica requests; nil means a fresh
-	// fleet.Transport over http.DefaultTransport (tests inject their own to
-	// partition replicas).
+	// fleet.Transport over a clone of http.DefaultTransport (tests inject
+	// their own to partition replicas).
 	Transport http.RoundTripper
 	// Clock supplies time; nil means the wall clock. The lockstep test
 	// injects a server.FakeClock and advances it window by window.
@@ -49,11 +49,6 @@ type Config struct {
 	// HealthEvery is the health-poll interval (GET /state per replica).
 	// Default SLO/2 — one poll per routing window.
 	HealthEvery time.Duration
-	// StateTimeout bounds one health poll; default SLO.
-	StateTimeout time.Duration
-	// PredictTimeout bounds one forwarded query attempt; default 8·SLO
-	// (a replica may legitimately hold a query for ~T plus backlog).
-	PredictTimeout time.Duration
 	// FailThreshold ejects a replica after this many consecutive failures
 	// (failed health polls or transport errors on forwarded queries).
 	// Default 3.
@@ -67,11 +62,10 @@ type Config struct {
 	// Default 2.
 	RetryMax int
 	// RetryBase seeds the capped exponential backoff between retries
-	// (base·2^attempt plus up to 50% jitter, capped at RetryCap). Default
-	// SLO/16; RetryCap default SLO/2. Negative RetryBase disables the
-	// sleep (retries go immediately — deterministic tests).
+	// (base·2^attempt plus up to 50% jitter, capped at SLO/2). Default
+	// SLO/16. Negative RetryBase disables the sleep (retries go
+	// immediately — deterministic tests).
 	RetryBase time.Duration
-	RetryCap  time.Duration
 	// HedgeAfter controls straggler hedging: after this long without a
 	// reply, a second copy of the query is sent to the next-best replica
 	// and the first reply wins (the loser is canceled). 0 derives the
@@ -120,8 +114,13 @@ type Coordinator struct {
 	hedgeNs, hedgeNext atomic.Int64
 
 	quit     chan struct{}
+	loopDone chan struct{} // closed when healthLoop returns
 	stopOnce sync.Once
 }
+
+// predictTimeout bounds one forwarded attempt: 8·SLO, since a replica may
+// legitimately hold a query for ~T plus backlog.
+func (c *Coordinator) predictTimeout() time.Duration { return 8 * c.cfg.SLO }
 
 // New starts a coordinator with an empty replica set; add members with
 // AddReplica. Release it with Stop.
@@ -136,19 +135,15 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.Headroom = 1
 	}
 	if cfg.Transport == nil {
-		cfg.Transport = &Transport{}
+		// A private connection pool: closing its idle connections (Stop,
+		// RemoveReplica, ejection) touches no other client in the process.
+		cfg.Transport = &Transport{Inner: http.DefaultTransport.(*http.Transport).Clone()}
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = server.RealClock()
 	}
 	if cfg.HealthEvery <= 0 {
 		cfg.HealthEvery = cfg.SLO / 2
-	}
-	if cfg.StateTimeout <= 0 {
-		cfg.StateTimeout = cfg.SLO
-	}
-	if cfg.PredictTimeout <= 0 {
-		cfg.PredictTimeout = 8 * cfg.SLO
 	}
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
@@ -162,27 +157,29 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RetryBase == 0 {
 		cfg.RetryBase = cfg.SLO / 16
 	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = cfg.SLO / 2
-	}
 	c := &Coordinator{
-		cfg:     cfg,
-		clock:   cfg.Clock,
-		client:  &http.Client{Transport: cfg.Transport},
-		started: cfg.Clock.Now(),
-		cluster: &serving.Cluster{SLO: cfg.SLO.Seconds(), Headroom: cfg.Headroom},
-		rng:     rand.New(rand.NewSource(1)),
-		quit:    make(chan struct{}),
+		cfg:      cfg,
+		clock:    cfg.Clock,
+		client:   &http.Client{Transport: cfg.Transport},
+		started:  cfg.Clock.Now(),
+		cluster:  &serving.Cluster{SLO: cfg.SLO.Seconds(), Headroom: cfg.Headroom},
+		rng:      rand.New(rand.NewSource(1)),
+		quit:     make(chan struct{}),
+		loopDone: make(chan struct{}),
 	}
 	c.hedgeNs.Store(int64(2 * cfg.SLO))
 	go c.healthLoop()
 	return c, nil
 }
 
-// Stop halts the health loop. In-flight forwarded queries finish on their
+// Stop halts the health loop, waits for it to exit, and then closes the
+// idle keep-alive connections to the replicas, so a stopped coordinator
+// holds no sockets open on them. In-flight forwarded queries finish on their
 // own contexts.
 func (c *Coordinator) Stop() {
 	c.stopOnce.Do(func() { close(c.quit) })
+	<-c.loopDone
+	c.client.CloseIdleConnections()
 }
 
 // windowS is the wall routing window T/2 on the policy axis.
@@ -243,19 +240,25 @@ func (r *replica) setTable(ts []server.RateTime) {
 
 // RemoveReplica takes a replica out of rotation administratively. The entry
 // is tombstoned, not deleted, so replica indices held by in-flight queries
-// stay valid; AddReplica with the same URL revives it.
+// stay valid; AddReplica with the same URL revives it. Idle keep-alive
+// connections are closed, so the departed replica is not left holding one.
 func (c *Coordinator) RemoveReplica(baseURL string) bool {
+	removed := false
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, r := range c.replicas {
 		if r.url == baseURL && !r.left {
 			r.left = true
 			r.model.Ejected = true
 			r.model.Pending = 0
-			return true
+			removed = true
+			break
 		}
 	}
-	return false
+	c.mu.Unlock()
+	if removed {
+		c.client.CloseIdleConnections()
+	}
+	return removed
 }
 
 // advanceLocked performs the lazy window close: pending routing state
@@ -295,8 +298,11 @@ func (c *Coordinator) route(skip []int) (int, string, bool) {
 // that eats queries is ejected without waiting out health-poll intervals.
 func (c *Coordinator) recordNetFailure(idx int) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.failLocked(c.replicas[idx])
+	ejected := c.failLocked(c.replicas[idx])
+	c.mu.Unlock()
+	if ejected {
+		c.client.CloseIdleConnections()
+	}
 }
 
 func (c *Coordinator) recordNetOK(idx int) {
@@ -308,16 +314,22 @@ func (c *Coordinator) recordNetOK(idx int) {
 
 // failLocked advances one replica's failure count and ejects it at the
 // threshold: out of rotation, pending bookings forgotten (those queries are
-// being retried elsewhere). Callers hold c.mu.
-func (c *Coordinator) failLocked(r *replica) {
+// being retried elsewhere). It reports an ejection, after which the caller
+// closes the idle connections once it has released c.mu (the transport may
+// be caller-supplied code). net/http closes idle connections per pool, not
+// per host, so the other replicas' idle connections go too; they are
+// re-dialled on next use. Callers hold c.mu.
+func (c *Coordinator) failLocked(r *replica) (ejected bool) {
 	r.consecOK = 0
 	r.consecFails++
-	if !r.model.Ejected && r.consecFails >= c.cfg.FailThreshold {
-		r.model.Ejected = true
-		r.model.Pending = 0
-		r.ejected++
-		c.metrics.ejections.Add(1)
+	if r.model.Ejected || r.consecFails < c.cfg.FailThreshold {
+		return false
 	}
+	r.model.Ejected = true
+	r.model.Pending = 0
+	r.ejected++
+	c.metrics.ejections.Add(1)
+	return true
 }
 
 // healthLoop polls every member's /state each HealthEvery: successes refresh
@@ -325,6 +337,7 @@ func (c *Coordinator) failLocked(r *replica) {
 // ejection. Under a fake clock that is only advanced (never ticked) the loop
 // stays dormant — the lockstep tests run the routing arithmetic pure.
 func (c *Coordinator) healthLoop() {
+	defer close(c.loopDone)
 	ticks, stop := c.clock.Ticker(c.cfg.HealthEvery)
 	defer stop()
 	for {
@@ -357,8 +370,11 @@ func (c *Coordinator) pollAll() {
 			continue
 		}
 		if err != nil {
-			c.failLocked(r)
+			ejected := c.failLocked(r)
 			c.mu.Unlock()
+			if ejected {
+				c.client.CloseIdleConnections()
+			}
 			continue
 		}
 		r.consecFails = 0
@@ -387,9 +403,9 @@ type statePoll struct {
 	raw bytes.Buffer
 }
 
-// fetchState polls one replica's /state into p.
+// fetchState polls one replica's /state into p, bounded by one SLO.
 func (c *Coordinator) fetchState(baseURL string, p *statePoll) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.StateTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.SLO)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/state", nil)
 	if err != nil {
@@ -440,8 +456,8 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 		return 0
 	}
 	d := c.cfg.RetryBase << attempt
-	if d > c.cfg.RetryCap || d <= 0 {
-		d = c.cfg.RetryCap
+	if retryCap := c.cfg.SLO / 2; d > retryCap || d <= 0 {
+		d = retryCap
 	}
 	c.mu.Lock()
 	jitter := time.Duration(c.rng.Int63n(int64(d)/2 + 1))

@@ -216,7 +216,7 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 // a replica that eats queries should leave rotation before the health
 // poller notices. A 200's body is handed back unparsed.
 func (c *Coordinator) forward(ctx context.Context, idx int, baseURL string, body []byte, rawQuery string) ([]byte, *attemptErr) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.PredictTimeout)
+	actx, cancel := context.WithTimeout(ctx, c.predictTimeout())
 	defer cancel()
 	target := baseURL + "/predict"
 	if rawQuery != "" {

@@ -65,7 +65,7 @@ func (c *Coordinator) SwapAll(ctx context.Context) ([]SwapResult, error) {
 // SwapAll send it again when a request or reply is lost in transit.
 func (c *Coordinator) swapOne(ctx context.Context, baseURL string) (SwapResult, error) {
 	res := SwapResult{URL: baseURL}
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.PredictTimeout)
+	ctx, cancel := context.WithTimeout(ctx, c.predictTimeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/admin/swap", nil)
 	if err != nil {
@@ -98,7 +98,7 @@ func (c *Coordinator) swapOne(ctx context.Context, baseURL string) (SwapResult, 
 // (like hedging), so the gate polls on wall time even under an injected
 // clock; the swap POST is synchronous, so the first poll normally settles it.
 func (c *Coordinator) gatePromotion(ctx context.Context, r *replica, want SwapResult) error {
-	deadline := time.Now().Add(c.cfg.PredictTimeout)
+	deadline := time.Now().Add(c.predictTimeout())
 	for {
 		var st statePoll
 		err := c.fetchState(r.url, &st)

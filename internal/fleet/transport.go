@@ -45,6 +45,23 @@ type Transport struct {
 	delay map[string]time.Duration
 }
 
+// inner returns the round tripper requests are delegated to.
+func (t *Transport) inner() http.RoundTripper {
+	if t.Inner != nil {
+		return t.Inner
+	}
+	return http.DefaultTransport
+}
+
+// CloseIdleConnections closes the inner round tripper's idle keep-alive
+// connections, when it keeps any; http.Client.CloseIdleConnections reaches
+// it through here.
+func (t *Transport) CloseIdleConnections() {
+	if ci, ok := t.inner().(interface{ CloseIdleConnections() }); ok {
+		ci.CloseIdleConnections()
+	}
+}
+
 // SetDown marks a replica host (URL host:port) unreachable: requests to it
 // fail with a connection error before any bytes move, exactly what a dead
 // process or a partition looks like to the coordinator.
@@ -97,9 +114,5 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, req.Context().Err()
 		}
 	}
-	inner := t.Inner
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	return inner.RoundTrip(req)
+	return t.inner().RoundTrip(req)
 }

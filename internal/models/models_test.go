@@ -3,6 +3,7 @@ package models
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"modelslicing/internal/cost"
@@ -249,4 +250,46 @@ func TestNNLMRejectsUnknownCell(t *testing.T) {
 		}
 	}()
 	NewNNLM(cfg, rng)
+}
+
+// TestVGGSharedInferAllocFree is the whole-model allocation gate of the
+// serving path: once packs and arena are warm, a batch-8 VGG13Mini pass
+// through Shared.Infer allocates nothing at any rate. Mallocs are read from
+// runtime.ReadMemStats rather than testing.AllocsPerRun, which pins
+// GOMAXPROCS to 1 and so cannot see allocations that only happen when the
+// engine has more than one P to spread work over.
+func TestVGGSharedInferAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	rng := rand.New(rand.NewSource(18))
+	m, _ := NewVGG(VGG13Mini(4, NormGroup, 1), rng)
+	rates := slicing.NewRateList(0.25, 4)
+	shared := slicing.NewShared(m, rates)
+	x := tensor.New(8, 3, 16, 16)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	arena := tensor.NewArena()
+	pass := func(r float64) {
+		shared.Infer(r, x, arena)
+		arena.Reset()
+	}
+	for _, r := range rates {
+		pass(r)
+		pass(r)
+	}
+	const passes = 20
+	var before, after runtime.MemStats
+	for _, r := range rates {
+		runtime.ReadMemStats(&before)
+		for i := 0; i < passes; i++ {
+			pass(r)
+		}
+		runtime.ReadMemStats(&after)
+		if mallocs := after.Mallocs - before.Mallocs; mallocs >= passes {
+			t.Errorf("r=%v: %d mallocs over %d passes (GOMAXPROCS=%d), want fewer than one per pass",
+				r, mallocs, passes, runtime.GOMAXPROCS(0))
+		}
+	}
 }

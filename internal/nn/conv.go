@@ -26,8 +26,7 @@ type Conv2D struct {
 
 	// packs caches the per-width micro-panel packs of W as the GEMM's A
 	// operand: each active (aOut, aIn·KH·KW) prefix is packed once
-	// (tensor.PackA) and then served read-only to every worker — both the
-	// per-sample and the whole-batch lowering stream the same pack. Training
+	// (tensor.PackA) and then served read-only to every worker. Training
 	// invalidates it (see Forward).
 	packs packCache
 
@@ -143,26 +142,11 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-// convScratchCap bounds the im2col scratch a single conv lowering may hold,
-// in float64 elements (1 Mi elements = 8 MiB). Whole-batch lowering packs the
-// entire batch into one column matrix; when colRows·batch·spatial exceeds the
-// cap, the batch is tiled into the largest sample count that fits, so huge
-// batches cannot blow up the arena's high-water mark. Variable so tests can
-// shrink it to force multi-tile runs.
-var convScratchCap = 1 << 20
-
-// convWideGemm decides whether the whole-batch (wide) GEMM layout is worth
-// its extra memory traffic for a tile of the given product shape — i.e.
-// whether the engine would fan it out across goroutines. Swappable so tests
-// can force either lowering on any host.
-var convWideGemm = tensor.GemmWillParallelize
-
-// Infer computes y[B, aOut, outH, outW] on the read-only inference path by
-// lowering the whole batch at once: one im2col matrix of shape
-// [aIn·KH·KW × B·outH·outW] (tiled by convScratchCap) feeds a single wide
-// GEMM, whose n dimension is large enough for the blocked engine's panel
-// reuse and goroutine fan-out to engage even when the per-sample spatial
-// extent is tiny. The bias is applied as a fused GEMM epilogue.
+// Infer computes y[B, aOut, outH, outW] on the read-only inference path,
+// one sample at a time: each sample's [aIn·KH·KW × outH·outW] column matrix
+// is consumed by its GEMM while still cache-hot and the product lands
+// directly in that sample's output plane. The bias is applied as a fused
+// GEMM epilogue.
 func (c *Conv2D) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	var ep *tensor.Epilogue
 	if c.B != nil {
@@ -171,7 +155,7 @@ func (c *Conv2D) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	return c.inferFused(ctx, x, ep)
 }
 
-// inferFused is the whole-batch lowering behind Infer with a caller-supplied
+// inferFused is the per-sample lowering behind Infer with a caller-supplied
 // GEMM epilogue (which must already include the conv bias when it is
 // non-nil — the fusion pass folds it into the normalization shift).
 func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue) *tensor.Tensor {
@@ -184,8 +168,8 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue)
 	h, w := x.Dim(2), x.Dim(3)
 	outH, outW := c.OutShape(h, w)
 	arena := arenaOf(ctx)
-	// Every output element is written by the assign-mode GEMM (directly or
-	// via the tile scatter), so the buffers can skip the arena's zero fill.
+	// Every output element is written by the assign-mode GEMM, so the output
+	// can skip the arena's zero fill.
 	y := arena.GetUninit(batch, aOut, outH, outW)
 
 	inPlane := aIn * h * w
@@ -196,8 +180,7 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue)
 
 	// The weight is the product's A operand and immutable for the life of
 	// the pass: stream the per-width persistent pack (built once, shared by
-	// every worker and both lowerings) unless the context pins the unpacked
-	// engine.
+	// every worker) unless the context pins the unpacked engine.
 	tier := ctx.EffTier()
 	var pw *tensor.PackedMat
 	if usePack(ctx) {
@@ -209,72 +192,25 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue)
 			})
 		}
 	}
-	gemm := func(n int, col []float64, ldb int, dst []float64, ldc int) {
+	// A point-wise convolution's column matrix is the input itself
+	// ([aIn × h·w], row stride h·w): hand it to the GEMM as B, no copy.
+	pointwise := c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
+	var col []float64
+	if !pointwise {
+		col = arena.GetUninit(colRows, spatial).Data
+	}
+	for b := 0; b < batch; b++ {
+		src := x.Data[b*inPlane : (b+1)*inPlane]
+		if pointwise {
+			col = src
+		} else {
+			tensor.Im2Col(src, aIn, h, w, c.KH, c.KW, c.Stride, c.Pad, col)
+		}
+		dst := y.Data[b*outPlane : (b+1)*outPlane]
 		if pw != nil {
-			tensor.GemmPackedExT(tier, aOut, n, colRows, pw, col, ldb, dst, ldc, ep)
-			return
-		}
-		tensor.GemmExT(tier, aOut, n, colRows, c.W.Value.Data, ldW, col, ldb, dst, ldc, ep)
-	}
-
-	// Tile the batch so the lowering scratch stays under convScratchCap.
-	// The wide layout holds both the im2col matrix (colRows rows) and the
-	// channel-major output tile (aOut rows) at tb·spatial columns each, so
-	// both enter the divisor — otherwise a small-kernel/wide-output conv
-	// (colRows ≪ aOut) could blow the cap through the scatter buffer alone.
-	tb := batch
-	if perSample := (colRows + aOut) * spatial; perSample > 0 && perSample*tb > convScratchCap {
-		tb = max(convScratchCap/perSample, 1)
-	}
-	// The whole-batch layout only pays off when its wide GEMM actually fans
-	// out across cores: it streams the full tile's columns through memory
-	// and scatters the channel-major result back into y. When the product
-	// would run serially anyway (small shapes, single-core hosts), the
-	// per-sample lowering wins — each sample's column matrix is consumed by
-	// its GEMM while still cache-hot, with the same fused epilogue.
-	if tb <= 1 || !convWideGemm(aOut, tb*spatial, colRows) {
-		// A point-wise convolution's column matrix is the input itself
-		// ([aIn × h·w], row stride h·w): hand it to the GEMM as B, no copy.
-		pointwise := c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
-		var col []float64
-		if !pointwise {
-			col = arena.GetUninit(colRows, spatial).Data
-		}
-		for b := 0; b < batch; b++ {
-			src := x.Data[b*inPlane : (b+1)*inPlane]
-			if pointwise {
-				col = src
-			} else {
-				tensor.Im2ColInto(src, aIn, h, w, c.KH, c.KW, c.Stride, c.Pad, col, spatial, 0)
-			}
-			gemm(spatial, col, spatial, y.Data[b*outPlane:(b+1)*outPlane], spatial)
-		}
-		return y
-	}
-	col := arena.GetUninit(colRows, tb*spatial)
-	// Multi-sample tiles produce [aOut × nb·spatial] in channel-major tile
-	// layout; rows are scattered back into y's sample-major layout with one
-	// contiguous copy per (channel, sample).
-	out := arena.GetUninit(aOut, tb*spatial)
-	for b0 := 0; b0 < batch; b0 += tb {
-		nb := min(tb, batch-b0)
-		tileCols := nb * spatial
-		for bb := 0; bb < nb; bb++ {
-			src := x.Data[(b0+bb)*inPlane : (b0+bb+1)*inPlane]
-			tensor.Im2ColInto(src, aIn, h, w, c.KH, c.KW, c.Stride, c.Pad, col.Data, tileCols, bb*spatial)
-		}
-		if nb == 1 {
-			// A single-sample tile's layout matches y directly.
-			gemm(spatial, col.Data, tileCols, y.Data[b0*outPlane:(b0+1)*outPlane], spatial)
-			continue
-		}
-		gemm(tileCols, col.Data, tileCols, out.Data, tileCols)
-		for oc := 0; oc < aOut; oc++ {
-			row := out.Data[oc*tileCols : (oc+1)*tileCols]
-			for bb := 0; bb < nb; bb++ {
-				dst := y.Data[(b0+bb)*outPlane+oc*spatial:]
-				copy(dst[:spatial], row[bb*spatial:(bb+1)*spatial])
-			}
+			tensor.GemmPackedExT(tier, aOut, spatial, colRows, pw, col, spatial, dst, spatial, ep)
+		} else {
+			tensor.GemmExT(tier, aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial, ep)
 		}
 	}
 	return y

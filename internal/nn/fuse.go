@@ -193,7 +193,7 @@ type FusedConvAct struct {
 	src            []Layer
 }
 
-// Infer runs the fused chain through the whole-batch conv lowering.
+// Infer runs the fused chain through the per-sample conv lowering.
 func (f *FusedConvAct) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	ep := tensor.Epilogue{ReLU: f.relu}
 	if f.scales != nil {

@@ -186,39 +186,6 @@ func TestFusedResidualRecursion(t *testing.T) {
 	}
 }
 
-// TestConvWideLoweringMatches forces the whole-batch (wide GEMM + scatter)
-// lowering — which only engages by itself on multi-core hosts — and checks
-// it against the per-sample lowering bit for bit, including the
-// convScratchCap tiling rule with ragged final tiles.
-func TestConvWideLoweringMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	conv := NewConv2D(4, 8, 3, 3, 1, 1, Fixed(), Sliced(4), true, rng)
-	x := randTensor(rng, 5, 4, 6, 6)
-	ctx := Eval(1)
-	want := conv.Infer(ctx, x) // per-sample lowering on single-core hosts
-
-	origWide, origCap := convWideGemm, convScratchCap
-	defer func() { convWideGemm, convScratchCap = origWide, origCap }()
-	convWideGemm = func(m, n, k int) bool { return true }
-
-	spatial := 6 * 6
-	colRows := 4 * 9
-	for _, cap := range []int{1 << 20, colRows * spatial * 2, colRows * spatial, 1} {
-		convScratchCap = cap
-		arena := tensor.NewArena()
-		for pass := 0; pass < 2; pass++ {
-			got := conv.Infer(&Context{Rate: 1, Arena: arena}, x)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("cap=%d pass=%d: wide lowering differs at %d: %g vs %g",
-						cap, pass, i, got.Data[i], want.Data[i])
-				}
-			}
-			arena.Reset()
-		}
-	}
-}
-
 // TestFusedForwardBackwardDelegate verifies the fused view remains a
 // well-formed training Layer: Forward matches the original chain and
 // Backward accumulates into the shared parameters.
@@ -258,8 +225,7 @@ func TestFusedForwardBackwardDelegate(t *testing.T) {
 }
 
 // TestFusedInferAllocsFree pins the fused path's zero-allocation steady
-// state (in particular: the stack epilogues must not escape to the heap via
-// the GEMM fan-out closures).
+// state (in particular: the stack epilogues must not escape to the heap).
 func TestFusedInferAllocsFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	net := NewSequential(

@@ -139,12 +139,9 @@ func TestMaxPool2x2MatchesGeneralLoop(t *testing.T) {
 
 // TestConv1x1SkipsIm2Col pins the point-wise bypass: the per-sample lowering
 // hands the input plane to the GEMM directly — bit-identical to the im2col
-// route (Forward, and the whole-batch lowering), with no column scratch in
-// the arena.
+// route (Forward), with no column scratch in the arena.
 func TestConv1x1SkipsIm2Col(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
-	origWide := convWideGemm
-	defer func() { convWideGemm = origWide }()
 	for _, bias := range []bool{false, true} {
 		c := NewConv2D(8, 12, 1, 1, 1, 0, Sliced(4), Sliced(4), bias, rng)
 		if bias {
@@ -153,7 +150,6 @@ func TestConv1x1SkipsIm2Col(t *testing.T) {
 		for _, r := range inferRates {
 			aIn, aOut := c.Active(r)
 			x := randTensor(rng, 3, aIn, 5, 5)
-			convWideGemm = func(m, n, k int) bool { return false }
 			checkInferMatchesForward(t, "Conv1x1 per-sample", c, x, r, 0)
 			arena := tensor.NewArena()
 			c.Infer(&Context{Rate: r, Arena: arena}, x)
@@ -161,8 +157,6 @@ func TestConv1x1SkipsIm2Col(t *testing.T) {
 			if got, want := arena.HighWaterBytes(), int64(8*3*aOut*25); got != want {
 				t.Fatalf("r=%v: arena holds %d bytes, want %d (the output alone)", r, got, want)
 			}
-			convWideGemm = func(m, n, k int) bool { return true }
-			checkInferMatchesForward(t, "Conv1x1 whole-batch", c, x, r, 0)
 		}
 	}
 }

@@ -95,12 +95,13 @@ func TestChaosPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestChaosWatchdogReplacesStuckShard: a shard stalled past StuckAfter is
-// abandoned — its queries answered with ErrShardStuck, its worker replaced —
-// and the server keeps serving with a whole pool.
+// TestChaosWatchdogReplacesStuckShard: a shard stalled past the watchdog
+// bound (8·SLO = 16 s here) is abandoned — its queries answered with
+// ErrShardStuck, its worker replaced — and the server keeps serving with a
+// whole pool.
 func TestChaosWatchdogReplacesStuckShard(t *testing.T) {
 	defer faults.Reset()
-	s, clk := testServer(t, func(c *Config) { c.StuckAfter = 3 * time.Second })
+	s, clk := testServer(t, nil)
 	if err := faults.Enable(faults.ShardStall, "first1"); err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +111,15 @@ func TestChaosWatchdogReplacesStuckShard(t *testing.T) {
 	}
 	clk.Tick(time.Second) // window closes at t=1, shard dispatched and stalls
 	waitFired(t, faults.ShardStall, 1)
-	clk.Tick(time.Second) // t=2: age 1s, under the bound
+	for i := 0; i < 15; i++ {
+		clk.Tick(time.Second) // up to t=16: age 15s, under the bound
+	}
 	select {
 	case res := <-ch:
 		t.Fatalf("shard answered before the watchdog bound: %v", res.Err)
 	default:
 	}
-	clk.Tick(time.Second) // t=3: age 2s
-	clk.Tick(time.Second) // t=4: age 3s ≥ StuckAfter → abandoned
+	clk.Tick(time.Second) // t=17: age 16s ≥ 8·SLO → abandoned
 	res := <-ch
 	if !errors.Is(res.Err, ErrShardStuck) {
 		t.Fatalf("stuck shard answered err=%v, want ErrShardStuck", res.Err)
@@ -144,12 +146,12 @@ func TestChaosWatchdogReplacesStuckShard(t *testing.T) {
 // once a shard succeeds and the backlog horizon drains.
 func TestChaosCircuitBrownout(t *testing.T) {
 	defer faults.Reset()
-	s, clk := testServer(t, func(c *Config) { c.CircuitThreshold = 2 })
+	s, clk := testServer(t, nil)
 	if err := faults.Enable(faults.WorkerPanic, "on"); err != nil {
 		t.Fatal(err)
 	}
-	// Two windows, one panicking shard each → two consecutive failures.
-	for i := 0; i < 2; i++ {
+	// Three windows, one panicking shard each → three consecutive failures.
+	for i := 0; i < 3; i++ {
 		ch, err := s.Submit(input(int64(i)))
 		if err != nil {
 			t.Fatal(err)
@@ -160,7 +162,7 @@ func TestChaosCircuitBrownout(t *testing.T) {
 		}
 	}
 	if !s.CircuitOpen() {
-		t.Fatal("circuit still closed after two consecutive shard failures")
+		t.Fatal("circuit still closed after three consecutive shard failures")
 	}
 	faults.Disable(faults.WorkerPanic)
 
@@ -202,10 +204,9 @@ func TestChaosCircuitBrownout(t *testing.T) {
 // of computed late.
 func TestChaosDropExpiredDeadline(t *testing.T) {
 	defer faults.Reset()
-	s, clk := testServer(t, func(c *Config) {
-		c.DropExpired = true
-		c.StuckAfter = -1 // the stall below is deliberate; keep the watchdog out
-	})
+	// The stall below is deliberate; it ends at t=4, long before the
+	// watchdog's 8·SLO = 16 s bound.
+	s, clk := testServer(t, func(c *Config) { c.DropExpired = true })
 	if err := faults.Enable(faults.ShardStall, "first2"); err != nil {
 		t.Fatal(err)
 	}
@@ -318,14 +319,17 @@ func TestChaosShutdownSubmitRaceHammer(t *testing.T) {
 // after Reset, and no leaked goroutines.
 func TestChaosSoakEveryFaultPoint(t *testing.T) {
 	defer faults.Reset()
+	// shard-stall runs at a 5 ms SLO, so the watchdog's 8·SLO bound (40 ms)
+	// falls well inside the 150 ms soak and must fire.
 	points := []struct {
 		point faults.Point
 		mode  string
+		slo   time.Duration
 	}{
-		{faults.WorkerPanic, "p0.3"},
-		{faults.ShardStall, "every4"},
-		{faults.SlowCompute, "p0.5"},
-		{faults.CalibrationSkew, "p0.5"},
+		{faults.WorkerPanic, "p0.3", 40 * time.Millisecond},
+		{faults.ShardStall, "every4", 5 * time.Millisecond},
+		{faults.SlowCompute, "p0.5", 40 * time.Millisecond},
+		{faults.CalibrationSkew, "p0.5", 40 * time.Millisecond},
 	}
 	faults.SlowComputeDelay = 2 * time.Millisecond
 	before := runtime.NumGoroutine()
@@ -335,10 +339,9 @@ func TestChaosSoakEveryFaultPoint(t *testing.T) {
 			Model:            testServerModel(),
 			Rates:            testServerRates(),
 			InputShape:       []int{4},
-			SLO:              40 * time.Millisecond,
+			SLO:              tc.slo,
 			Workers:          2,
 			QueueFactor:      64,
-			StuckAfter:       60 * time.Millisecond,
 			CalibrationBatch: 2,
 			SampleTime:       func(r float64) float64 { return 1e-5 },
 		})
@@ -379,6 +382,9 @@ func TestChaosSoakEveryFaultPoint(t *testing.T) {
 		time.Sleep(150 * time.Millisecond)
 		close(stop)
 		wg.Wait()
+		if tc.point == faults.ShardStall && s.Stats().StuckShards == 0 {
+			t.Errorf("%s: the watchdog abandoned no shard", tc.point)
+		}
 		faults.Reset() // release any stalled shard the watchdog hasn't reached
 		for i, ch := range chans {
 			select {

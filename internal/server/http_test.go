@@ -114,8 +114,6 @@ func TestHTTPMetricsAndHealth(t *testing.T) {
 		`msserver_sample_time_seconds{rate="0.25"}`,
 		"# TYPE msserver_queue_depth gauge",
 		"# TYPE msserver_pack_cache_bytes gauge",
-		"msserver_gemm_fanouts_total",
-		"msserver_gemm_fanout_workers_total",
 		"# TYPE msserver_backlog_windows gauge",
 		"# TYPE msserver_backlog_seconds gauge",
 		"# TYPE msserver_backlog_peak_windows gauge",

@@ -168,12 +168,6 @@ type Stats struct {
 	// GemmKernels are the process-wide per-tier micro-kernel dispatch
 	// counters (vector vs scalar), shared by every engine in the process.
 	GemmKernels [tensor.NumTiers]tensor.KernelCounters
-	// GemmFanouts / GemmFanoutWorkers are the process-wide GEMM fan-out
-	// counters (tensor.GemmStats): products split across goroutines, and
-	// workers spawned — shared by every engine in the process (including
-	// startup calibration), not attributable to one server instance.
-	GemmFanouts       int64
-	GemmFanoutWorkers int64
 	// Windows is the number of T/2 scheduling windows closed so far
 	// (empty windows included — every tick consumes one).
 	Windows int64
@@ -292,8 +286,6 @@ func (s Stats) prometheus() string {
 	gauge("msserver_mean_rate", "Query-weighted mean served slice rate.", s.MeanRate)
 	gauge("msserver_utilization", "Worker pool mean busy fraction (worker time over pool time).", s.Utilization)
 	gauge("msserver_pack_cache_bytes", "Resident per-width weight-pack memory for the packed GEMM path.", float64(s.PackCacheBytes))
-	counter("msserver_gemm_fanouts_total", "Process-wide GEMM products split across goroutines (all engines in this process, calibration included).", s.GemmFanouts)
-	counter("msserver_gemm_fanout_workers_total", "Process-wide worker goroutines spawned by GEMM fan-outs.", s.GemmFanoutWorkers)
 	counter("msserver_windows_total", "T/2 scheduling windows closed (empty windows included).", s.Windows)
 	packed := 0.0
 	if s.PackedEngine {

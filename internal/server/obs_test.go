@@ -28,7 +28,7 @@ func TestLockstepDecisionRecordsAgree(t *testing.T) {
 	rates := slicing.NewRateList(0.25, 4)
 	arrivals := []int{3, 20, 1, 1, 0, 17, 2, 1, 5, 16, 1, 0, 1}
 
-	simRec := obs.NewRecorder(64)
+	simRec := obs.NewRecorder(decisionLog) // Depth derives from the ring: sizes must match
 	sim := serving.Simulate(serving.Config{
 		LatencySLO: 2, FullSampleTime: 1, Rates: rates, Recorder: simRec,
 	}, arrivals)
@@ -45,7 +45,6 @@ func TestLockstepDecisionRecordsAgree(t *testing.T) {
 		SampleTime:        func(r float64) float64 { return r * r },
 		QueueFactor:       1000,
 		MaxBacklogWindows: 1000,
-		DecisionLog:       64, // Depth derives from the ring: sizes must match
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"time"
 
@@ -155,7 +156,7 @@ func (d *scheduler) shutdown() {
 	d.mu.Unlock()
 	d.notify()
 	go func() {
-		t := time.NewTicker(d.srv.cfg.DrainSweepEvery)
+		t := time.NewTicker(drainSweepEvery)
 		defer t.Stop()
 		for {
 			select {
@@ -206,19 +207,16 @@ func (d *scheduler) loop() {
 	}
 }
 
-// scanStuck is the watchdog: any shard executing longer than the configured
-// StuckAfter bound is abandoned — its queries answered with ErrShardStuck,
+// scanStuck is the watchdog: any shard executing longer than
+// stuckAfterSLOs·SLO is abandoned — its queries answered with ErrShardStuck,
 // its worker written off and replaced by a fresh one so the pool never
 // shrinks. The worker goroutine itself cannot be killed; when (if) it
 // eventually returns it finds the CAS lost and discards everything it
 // computed. Driven from the batch ticker (the injected clock, so fake-clock
 // tests exercise it deterministically) and from a real-time sweep during
-// shutdown. A non-positive bound disables the watchdog.
+// shutdown.
 func (d *scheduler) scanStuck(now time.Time) {
-	after := d.srv.cfg.StuckAfter
-	if after <= 0 {
-		return
-	}
+	after := stuckAfterSLOs * d.srv.cfg.SLO
 	var victims []*task
 	d.mu.Lock()
 	kept := d.active[:0]
@@ -275,8 +273,15 @@ func (d *scheduler) failShard(t *task, err error, now time.Time) {
 // kernel or model layer fails its shard — error results, circuit
 // bookkeeping — instead of killing the process.
 func (d *scheduler) run(t *task, wk *worker) {
+	// A shard is pure compute with no blocking call inside, and loop starts
+	// it with go, so it runs ahead of everything queued on its P. Yield once
+	// first: the load generator, HTTP intake and the batcher get a CPU
+	// before the shard holds it for the whole pass. Compute is timed from
+	// after the yield, so the wait never reaches the calibrator; t.started
+	// stays the watchdog's pick-up stamp.
+	runtime.Gosched()
 	s := d.srv
-	start := t.started
+	start := s.clock.Now()
 	dropped, err := d.execute(t, wk)
 	end := s.clock.Now()
 

@@ -105,19 +105,6 @@ type Config struct {
 	// before startup calibration, so the measured t(r) reflects the engine
 	// that will serve traffic.
 	Tier string
-	// StuckAfter is the watchdog bound: a shard executing longer than this
-	// is abandoned — its queries answered with ErrShardStuck, its worker
-	// written off and replaced — so one wedged kernel cannot hold windows
-	// hostage forever. Zero defaults to 8·SLO (far past any feasible
-	// batch); negative disables the watchdog.
-	StuckAfter time.Duration
-	// DrainSweepEvery is the real-time interval of the shutdown-drain
-	// watchdog sweep: the batch ticker that normally drives the watchdog
-	// has exited by then, so a dedicated ticker keeps scanning for wedged
-	// shards until the queue drains. Chaos and shutdown tests shrink it so
-	// a stalled shard is reclaimed without waiting out wall-clock defaults.
-	// Zero defaults to 50ms.
-	DrainSweepEvery time.Duration
 	// DropExpired drops queries whose SLO deadline has already passed at
 	// the moment a worker would start computing them: they receive
 	// ErrExpired instead of a late answer, and the worker's time goes to
@@ -125,12 +112,6 @@ type Config struct {
 	// changes from a late output to an error, which not every client
 	// prefers.
 	DropExpired bool
-	// CircuitThreshold is how many consecutive shard failures (panics or
-	// watchdog-detected stalls) trip the brownout circuit: while open, the
-	// rate is pinned to the floor and admission sheds at half its budget;
-	// the circuit closes once a shard succeeds and the backlog horizon has
-	// drained. Zero defaults to 3; negative disables the circuit.
-	CircuitThreshold int
 	// AccuracyAt maps a rate to its measured accuracy for quality
 	// accounting; nil disables it.
 	AccuracyAt func(r float64) float64
@@ -146,33 +127,53 @@ type Config struct {
 	// CalibrationBatch is the batch size used to measure t(r) at startup
 	// (default 32); ignored when SampleTime is set.
 	CalibrationBatch int
-	// DecisionLog is the window-decision flight recorder's ring size: the
-	// last DecisionLog scheduling decisions stay reconstructible via
-	// /debug/decisions. Default 256.
-	DecisionLog int
 	// TraceSampleEvery samples every k-th query's full span into the trace
 	// ring dumped by /debug/trace. 0 means the default of 16; negative
 	// disables the ring (the per-stage histograms stay on — they are
 	// lock-free and allocation-free regardless).
 	TraceSampleEvery int
-	// TraceLog is the trace ring size (sampled spans retained). Default 256.
-	TraceLog int
 	// ModelInfo identifies the model artifact being served (checkpoint
 	// epoch, content CRC, path); surfaced on /healthz, /state and /metrics,
 	// and replaced wholesale by Swap. Zero value: an in-process model.
 	ModelInfo ModelInfo
-	// SwapRampWindows is the recalibration ramp after a Swap: for this many
-	// non-empty windows the calibrator weighs fresh observations heavily
-	// (rampAlpha instead of the steady-state EWMA), so t(r) converges onto
-	// the new model within the ramp instead of over hundreds of batches.
-	// Default 8.
-	SwapRampWindows int
 	// SwapSource, when non-nil, builds the replacement model for a
 	// triggered swap (POST /admin/swap; SIGHUP in msserver) — typically by
 	// re-opening the checkpoint path. Nil disables triggered swaps;
 	// Server.Swap remains callable directly.
 	SwapSource func() (*slicing.Shared, ModelInfo, error)
 }
+
+// Fixed serving parameters. Each was a Config field once; no caller ever set
+// one to anything but its default.
+const (
+	// stuckAfterSLOs is the watchdog bound in SLOs: a shard executing longer
+	// than this is abandoned — its queries answered with ErrShardStuck, its
+	// worker written off and replaced — so one wedged kernel cannot hold
+	// windows hostage forever. 8·SLO is far past any feasible batch.
+	stuckAfterSLOs = 8
+	// drainSweepEvery is the real-time interval of the shutdown-drain
+	// watchdog sweep: the batch ticker that normally drives the watchdog
+	// has exited by then, so a dedicated ticker keeps scanning for wedged
+	// shards until the queue drains.
+	drainSweepEvery = 50 * time.Millisecond
+	// circuitThreshold is how many consecutive shard failures (panics or
+	// watchdog-detected stalls) trip the brownout circuit: while open, the
+	// rate is pinned to the floor and admission sheds at half its budget;
+	// the circuit closes once a shard succeeds and the backlog horizon has
+	// drained.
+	circuitThreshold = 3
+	// decisionLog is the window-decision flight recorder's ring size: the
+	// last decisionLog scheduling decisions stay reconstructible via
+	// /debug/decisions.
+	decisionLog = 256
+	// traceLog is the trace ring size (sampled spans retained).
+	traceLog = 256
+	// swapRampWindows is the recalibration ramp after a Swap: for this many
+	// non-empty windows the calibrator weighs fresh observations heavily
+	// (rampAlpha instead of the steady-state EWMA), so t(r) converges onto
+	// the new model within the ramp instead of over hundreds of batches.
+	swapRampWindows = 8
+)
 
 // ModelInfo identifies the model artifact a server is serving.
 type ModelInfo struct {
@@ -302,7 +303,7 @@ type Server struct {
 	rampLeft int             // non-empty windows left in the post-swap recalibration ramp
 	stopping bool
 	// Brownout circuit: circuitFails counts consecutive failed shards
-	// (panic or stuck); at CircuitThreshold the circuit opens — the rate is
+	// (panic or stuck); at circuitThreshold the circuit opens — the rate is
 	// pinned to the floor and admission sheds at half budget — and it
 	// closes again once a shard has succeeded (circuitFails back to 0) and
 	// the backlog horizon has drained past the current window close.
@@ -350,15 +351,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Headroom == 0 {
 		cfg.Headroom = 1
 	}
-	if cfg.StuckAfter == 0 {
-		cfg.StuckAfter = 8 * cfg.SLO
-	}
-	if cfg.DrainSweepEvery <= 0 {
-		cfg.DrainSweepEvery = 50 * time.Millisecond
-	}
-	if cfg.CircuitThreshold == 0 {
-		cfg.CircuitThreshold = 3
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = realClock{}
 	}
@@ -395,9 +387,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TraceSampleEvery == 0 {
 		cfg.TraceSampleEvery = 16
 	}
-	if cfg.SwapRampWindows <= 0 {
-		cfg.SwapRampWindows = 8
-	}
 
 	started := cfg.Clock.Now()
 	s := &Server{
@@ -407,8 +396,8 @@ func New(cfg Config) (*Server, error) {
 		workers:  workers,
 		clock:    cfg.Clock,
 		metrics:  newMetrics(cfg.Workers),
-		tracer:   obs.NewTracer(cfg.Rates, started, cfg.TraceSampleEvery, cfg.TraceLog),
-		recorder: obs.NewRecorder(cfg.DecisionLog),
+		tracer:   obs.NewTracer(cfg.Rates, started, cfg.TraceSampleEvery, traceLog),
+		recorder: obs.NewRecorder(decisionLog),
 		started:  started,
 		quit:     make(chan struct{}),
 	}
@@ -475,7 +464,7 @@ func measureSampleTimes(cal *Calibrator, workers []*worker, shared *slicing.Shar
 // Before publishing ns, Swap recalibrates t(r) for it — static SampleTime
 // configs are re-queried, measured configs re-time each rate on a temporary
 // worker pool so live traffic keeps its workers — and arms the calibrator's
-// recalibration ramp (Config.SwapRampWindows) so the first post-ramp windows
+// recalibration ramp (swapRampWindows) so the first post-ramp windows
 // decide on estimates that track the new model rather than the old one's
 // stale EWMA. The old model's backing checkpoint (if mmap-ed) must stay open
 // until its last in-flight window settles; msserver simply keeps old
@@ -514,11 +503,11 @@ func (s *Server) Swap(ns *slicing.Shared, info ModelInfo) error {
 		}
 		measureSampleTimes(s.cal, tmp, ns, deploy, s.cfg.InputShape, s.cfg.CalibrationBatch)
 	}
-	s.cal.Ramp(s.cfg.SwapRampWindows)
+	s.cal.Ramp(swapRampWindows)
 	s.mu.Lock()
 	s.shared = ns
 	s.info = info
-	s.rampLeft = s.cfg.SwapRampWindows
+	s.rampLeft = swapRampWindows
 	s.mu.Unlock()
 	s.metrics.swaps.Add(1)
 	return nil
@@ -538,7 +527,7 @@ func (s *Server) SLO() time.Duration { return s.cfg.SLO }
 func (s *Server) Calibrator() *Calibrator { return s.cal }
 
 // Recorder exposes the window-decision flight recorder: the last
-// Config.DecisionLog scheduling decisions with their full inputs and the
+// decisionLog scheduling decisions with their full inputs and the
 // derived degradation reason.
 func (s *Server) Recorder() *obs.Recorder { return s.recorder }
 
@@ -618,12 +607,12 @@ func (s *Server) RetryAfter(now time.Time) time.Duration {
 }
 
 // noteShardFailure feeds the brownout circuit: consecutive shard failures
-// (panics, watchdog-abandoned stalls) past CircuitThreshold open it.
+// (panics, watchdog-abandoned stalls) past circuitThreshold open it.
 func (s *Server) noteShardFailure() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fails := int(s.circuitFails.Add(1))
-	if s.cfg.CircuitThreshold > 0 && !s.circuitOpen && fails >= s.cfg.CircuitThreshold {
+	if !s.circuitOpen && fails >= circuitThreshold {
 		s.circuitOpen = true
 		s.metrics.circuitTrips.Add(1)
 	}
@@ -742,9 +731,7 @@ func (s *Server) Stats() Stats {
 	for _, wk := range s.workers {
 		st.ArenaBytes += wk.arena.HighWaterBytes()
 	}
-	gc := tensor.GemmStats()
-	st.GemmFanouts, st.GemmFanoutWorkers = gc.Fanouts, gc.FanoutWorkers
-	st.GemmKernels = gc.Kernels
+	st.GemmKernels = tensor.GemmStats().Kernels
 	st.Latency = s.tracer.Total()
 	for i := 0; i < obs.NumStages; i++ {
 		st.StageLatency = append(st.StageLatency, StageLatency{

@@ -95,10 +95,7 @@ func TestShardRepliesStreamInSubmitOrder(t *testing.T) {
 // shards. Its queries get ErrShardStuck, the first and third shards their
 // outputs, and the window is recorded and observed exactly once.
 func TestShardWatchdogAbandonsMiddle(t *testing.T) {
-	s, clk, gate := gatedServerWith(t, func(c *Config) {
-		c.QueueFactor = 4
-		c.StuckAfter = 3 * time.Second
-	})
+	s, clk, gate := gatedServerWith(t, func(c *Config) { c.QueueFactor = 4 })
 	// Let the static calibrator take observations — they need worker time
 	// that is not zero — and count them by the ramp they use up.
 	gate.passed = func() { clk.Advance(time.Millisecond) }
@@ -115,7 +112,7 @@ func TestShardWatchdogAbandonsMiddle(t *testing.T) {
 	// The second shard waits at the gate; tick until the watchdog gives up
 	// on it. Tick returns once the scan, replies included, is done.
 	for ticks := 0; len(chans[minShard]) == 0; ticks++ {
-		if ticks == 10 {
+		if ticks == 20 {
 			t.Fatal("watchdog never abandoned the gated shard")
 		}
 		clk.Tick(time.Second)

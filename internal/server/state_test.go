@@ -164,20 +164,10 @@ func TestHTTPOverloadRetryAfter(t *testing.T) {
 	}
 }
 
-// TestDrainSweepEveryConfigurable pins the shutdown-drain sweep interval:
-// the former hard-coded 50 ms is now the default of Config.DrainSweepEvery,
-// and a configured value drives the real-time watchdog sweep that lets Stop
-// reclaim a shard wedged during shutdown.
-func TestDrainSweepEveryConfigurable(t *testing.T) {
-	s, _ := testServer(t, nil)
-	if got := s.cfg.DrainSweepEvery; got != 50*time.Millisecond {
-		t.Fatalf("default DrainSweepEvery %v, want 50ms", got)
-	}
-
-	s, clk := testServer(t, func(c *Config) {
-		c.DrainSweepEvery = 2 * time.Millisecond
-		c.StuckAfter = 3 * time.Second
-	})
+// TestDrainSweepReclaimsStuckShard pins the shutdown-drain sweep: the
+// real-time watchdog sweep lets Stop reclaim a shard wedged during shutdown.
+func TestDrainSweepReclaimsStuckShard(t *testing.T) {
+	s, clk := testServer(t, nil)
 	if err := faults.Enable(faults.ShardStall, "first1"); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +181,7 @@ func TestDrainSweepEveryConfigurable(t *testing.T) {
 	// Move time past the watchdog bound WITHOUT a window tick: the batch
 	// ticker is about to exit, so only the drain sweep can see the stuck
 	// shard. Stop must still return promptly.
-	clk.Advance(4 * time.Second)
+	clk.Advance(17 * time.Second) // past the 8·SLO = 16 s bound
 	done := make(chan struct{})
 	go func() { s.Stop(); close(done) }()
 	select {

@@ -12,7 +12,7 @@ import (
 // TestSharedFusedMatchesUnfusedOracle is the end-to-end equivalence bound of
 // the fused serving path: for every model family and every deployable rate,
 // Shared.Infer (peephole-fused: epilogue GEMMs, folded BatchNorm, fused
-// activations, whole-batch conv lowering) must agree with the unfused layer
+// activations, per-sample conv lowering) must agree with the unfused layer
 // graph (Shared.InferUnfused) to ≤1e-12.
 func TestSharedFusedMatchesUnfusedOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(500))

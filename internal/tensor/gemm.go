@@ -2,9 +2,7 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // The GEMM kernels below operate on raw row-major slices so that layers can
@@ -31,8 +29,10 @@ import (
 // for GemmTA, Bᵀ for GemmTB) are packed into row-major panels from a buffer
 // pool so the micro-kernel always streams contiguously — or, for immutable
 // inference weights, packed once and for all into a persistent PackedMat
-// (pack.go); and the row range fans out across goroutines once the problem
-// is big enough to amortize the spawns.
+// (pack.go). Every product runs on the calling goroutine. Serving's
+// parallelism is the server's shards; in training only Conv2D splits the
+// batch (nn.parallelFor), and Dense and the recurrent layers run each
+// whole-batch product on one goroutine.
 
 // Blocking parameters.
 const (
@@ -47,14 +47,6 @@ const (
 	// below this m·n·k the transpose-copy overhead dominates and the simple
 	// strided loops win.
 	smallGemmFlops = 48 * 48 * 48
-	// parallelGemmFlops gates goroutine fan-out of the row range.
-	parallelGemmFlops = 96 * 96 * 96
-	// minRowsPerWorker keeps fan-out from shredding tiny row counts.
-	minRowsPerWorker = 8
-	// minColsPerWorker keeps the column fan-out (used when the row count is
-	// too small to split, e.g. a conv product with few output channels and a
-	// whole batch of im2col columns) from shredding tiny column counts.
-	minColsPerWorker = 64
 )
 
 // Epilogue describes a fused transform applied to every element of C while
@@ -127,7 +119,7 @@ func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, 
 	checkMat("Gemm A", m, k, lda, len(a))
 	checkMat("Gemm B", k, n, ldb, len(b))
 	checkMat("Gemm C", m, n, ldc, len(c))
-	gemmParallel(TierExact, m, n, k, a, lda, false, b, ldb, false, c, ldc, false, nil)
+	gemmBlocked(TierExact, m, n, k, a, lda, false, b, ldb, false, c, ldc, false, nil)
 }
 
 // GemmExT computes C[m×n] = epilogue(A[m×k] · B[k×n]) on an explicit engine
@@ -151,7 +143,7 @@ func GemmExT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ld
 		gemmAssignEmptyK(m, n, c, ldc, ep)
 		return
 	}
-	gemmParallel(tier, m, n, k, a, lda, false, b, ldb, false, c, ldc, true, ep)
+	gemmBlocked(tier, m, n, k, a, lda, false, b, ldb, false, c, ldc, true, ep)
 }
 
 // GemmTBExT computes C[m×n] = epilogue(A · Bᵀ) where B is stored as [n×k] —
@@ -176,53 +168,16 @@ func GemmTBExT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, 
 		}
 		return
 	}
-	gemmParallel(tier, m, n, k, a, lda, false, b, ldb, true, c, ldc, true, ep)
+	gemmBlocked(tier, m, n, k, a, lda, false, b, ldb, true, c, ldc, true, ep)
 }
 
-// gemmFanout returns how many workers the row and column splits each admit
-// for a C[m×n] product under the current GOMAXPROCS — the single source of
-// the fan-out gate shared by gemmParallel and GemmWillParallelize.
-func gemmFanout(m, n int) (rowW, colW int) {
-	workers := runtime.GOMAXPROCS(0)
-	return min(workers, m/minRowsPerWorker), min(workers, n/minColsPerWorker)
-}
-
-// gemmShouldFanout is the fan-out policy shared by every parallel entry
-// point (gemmParallel, GemmPackedExT, GemmTBPackedExT, GemmWillParallelize):
-// it admits a split only when some dimension yields more than one worker and
-// the arithmetic amortizes the spawns.
-func gemmShouldFanout(m, n, k int) (rowW, colW int, ok bool) {
-	rowW, colW = gemmFanout(m, n)
-	return rowW, colW, (rowW > 1 || colW > 1) && m*n*k >= parallelGemmFlops
-}
-
-// GemmWillParallelize reports whether a product of the given shape clears
-// the fan-out thresholds under the current GOMAXPROCS — i.e. whether the
-// engine would split it across goroutines (by rows or columns). Callers with
-// a choice of lowering (a convolution can run one wide whole-batch GEMM or a
-// cache-hotter per-sample sequence) use this to pick: the wide layout only
-// pays for its extra memory traffic when the fan-out actually engages.
-func GemmWillParallelize(m, n, k int) bool {
-	_, _, ok := gemmShouldFanout(m, n, k)
-	return ok
-}
-
-// gemmFanoutCount / gemmFanoutWorkers count the products the engine split
-// across goroutines and the worker goroutines spawned for them — exported
-// through GemmStats so the serving layer can report how often the elastic
-// widths actually engage the fan-out path.
-var (
-	gemmFanoutCount   atomic.Int64
-	gemmFanoutWorkers atomic.Int64
-)
-
-// GemmCounters is a snapshot of the engine's global fan-out and kernel
-// dispatch counters.
+// GemmCounters is a snapshot of the engine's global kernel dispatch
+// counters.
 type GemmCounters struct {
-	// Fanouts counts GEMM calls that split across goroutines.
+	// Fanouts is always 0: the engine no longer splits a product across
+	// goroutines. The field stays only because the benchmark harness still
+	// reads it for its tensor.fanouts_per_pass_r100 metric.
 	Fanouts int64
-	// FanoutWorkers counts the worker goroutines those calls spawned.
-	FanoutWorkers int64
 	// Kernels counts micro-panel kernel dispatches per tier (indexed by
 	// EngineTier), split by whether the vector kernel or the scalar
 	// fallback ran — the serving layer surfaces these as
@@ -230,12 +185,9 @@ type GemmCounters struct {
 	Kernels [NumTiers]KernelCounters
 }
 
-// GemmStats returns the process-wide GEMM fan-out and dispatch counters.
+// GemmStats returns the process-wide GEMM dispatch counters.
 func GemmStats() GemmCounters {
-	gc := GemmCounters{
-		Fanouts:       gemmFanoutCount.Load(),
-		FanoutWorkers: gemmFanoutWorkers.Load(),
-	}
+	var gc GemmCounters
 	for t := 0; t < NumTiers; t++ {
 		gc.Kernels[t] = KernelCounters{
 			Vector: kernelVectorCount[t].Load(),
@@ -243,38 +195,6 @@ func GemmStats() GemmCounters {
 		}
 	}
 	return gc
-}
-
-// gemmFanoutRun partitions [0, total) into chunk-sized ranges, runs each on
-// its own goroutine, and waits — the fan-out scaffolding shared by every
-// parallel GEMM entry point. The epilogue reaches the workers by value: a
-// go-closure over the caller's pointer would force every caller's stack
-// epilogue to the heap even on the serial path, so each worker receives its
-// own copy and run gets a pointer to that copy (nil when ep was nil).
-func gemmFanoutRun(total, chunk int, ep *Epilogue, run func(lo, hi int, ep *Epilogue)) {
-	var epv Epilogue
-	hasEp := ep != nil
-	if hasEp {
-		epv = *ep
-	}
-	var wg sync.WaitGroup
-	workers := 0
-	for lo := 0; lo < total; lo += chunk {
-		hi := min(lo+chunk, total)
-		workers++
-		wg.Add(1)
-		go func(lo, hi int, epv Epilogue) {
-			defer wg.Done()
-			var wep *Epilogue
-			if hasEp {
-				wep = &epv
-			}
-			run(lo, hi, wep)
-		}(lo, hi, epv)
-	}
-	gemmFanoutCount.Add(1)
-	gemmFanoutWorkers.Add(int64(workers))
-	wg.Wait()
 }
 
 // GemmTA computes C[m×n] += Aᵀ · B where A is stored as [k×m].
@@ -286,7 +206,7 @@ func GemmTA(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64
 		gemmTASimple(m, n, k, a, lda, b, ldb, c, ldc)
 		return
 	}
-	gemmParallel(TierExact, m, n, k, a, lda, true, b, ldb, false, c, ldc, false, nil)
+	gemmBlocked(TierExact, m, n, k, a, lda, true, b, ldb, false, c, ldc, false, nil)
 }
 
 // GemmTB computes C[m×n] += A · Bᵀ where B is stored as [n×k].
@@ -298,7 +218,7 @@ func GemmTB(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64
 		gemmTBSimple(m, n, k, a, lda, b, ldb, c, ldc)
 		return
 	}
-	gemmParallel(TierExact, m, n, k, a, lda, false, b, ldb, true, c, ldc, false, nil)
+	gemmBlocked(TierExact, m, n, k, a, lda, false, b, ldb, true, c, ldc, false, nil)
 }
 
 // --- simple strided paths for small transposed products ---
@@ -358,49 +278,6 @@ func zeroTile(rows, cols int, c []float64, ldc int) {
 
 // --- blocked engine ---
 
-// gemmParallel fans the product out across goroutines when the problem is
-// large enough, then runs the serial blocked engine per chunk. Each worker
-// packs its own panels, so no synchronization beyond the final wait is
-// needed; transposed panels are re-packed per worker, an O(k·n) duplication
-// that is noise next to the O(m·n·k/P) compute per worker.
-//
-// The split dimension is whichever of rows and columns admits more workers:
-// a dense product (large m) splits rows as before, while a whole-batch conv
-// lowering (m = output channels, often < 2·minRowsPerWorker, with n = batch ×
-// spatial columns) splits columns — disjoint C column ranges are just as
-// race-free as disjoint row ranges, and the epilogue offsets follow the
-// split.
-func gemmParallel(tier EngineTier, m, n, k int, a []float64, lda int, aTrans bool, b []float64, ldb int, bTrans bool, c []float64, ldc int, assign bool, ep *Epilogue) {
-	rowW, colW, ok := gemmShouldFanout(m, n, k)
-	if !ok {
-		gemmBlocked(tier, m, n, k, a, lda, aTrans, b, ldb, bTrans, c, ldc, assign, ep, 0, 0)
-		return
-	}
-	if rowW >= colW {
-		gemmFanoutRun(m, (m+rowW-1)/rowW, ep, func(lo, hi int, wep *Epilogue) {
-			rows := hi - lo
-			if aTrans {
-				// A is [k×m]; a row offset of the logical product is a
-				// column offset in storage.
-				gemmBlocked(tier, rows, n, k, a[lo:], lda, true, b, ldb, bTrans, c[lo*ldc:], ldc, assign, wep, lo, 0)
-			} else {
-				gemmBlocked(tier, rows, n, k, a[lo*lda:], lda, false, b, ldb, bTrans, c[lo*ldc:], ldc, assign, wep, lo, 0)
-			}
-		})
-		return
-	}
-	gemmFanoutRun(n, (n+colW-1)/colW, ep, func(lo, hi int, wep *Epilogue) {
-		cols := hi - lo
-		if bTrans {
-			// B is [n×k]; a column offset of the logical product is a
-			// row offset in storage.
-			gemmBlocked(tier, m, cols, k, a, lda, aTrans, b[lo*ldb:], ldb, true, c[lo:], ldc, assign, wep, 0, lo)
-		} else {
-			gemmBlocked(tier, m, cols, k, a, lda, aTrans, b[lo:], ldb, false, c[lo:], ldc, assign, wep, 0, lo)
-		}
-	})
-}
-
 // gemmBlocked runs C (+)= op(A)·op(B) one (kc × nc) B panel at a time: the
 // panel stays L2-resident while the C rows sweep across it, and C is
 // revisited only k/kc times. Straight operands stream directly from the
@@ -411,10 +288,8 @@ func gemmParallel(tier EngineTier, m, n, k int, a []float64, lda int, aTrans boo
 // With assign set, each C tile is zeroed just before its first k-panel
 // (β=0), so callers may hand in uninitialized storage. A non-nil
 // epilogue is applied to each C tile right after its final k-panel, while
-// the tile is still cache-hot; rowOff/colOff locate this call's C window
-// inside the epilogue's vectors when a parallel caller has split the
-// product.
-func gemmBlocked(tier EngineTier, m, n, k int, a []float64, lda int, aTrans bool, b []float64, ldb int, bTrans bool, c []float64, ldc int, assign bool, ep *Epilogue, rowOff, colOff int) {
+// the tile is still cache-hot.
+func gemmBlocked(tier EngineTier, m, n, k int, a []float64, lda int, aTrans bool, b []float64, ldb int, bTrans bool, c []float64, ldc int, assign bool, ep *Epilogue) {
 	var aPack, bPack []float64
 	if aTrans {
 		buf := packPool.Get().(*[]float64)
@@ -461,7 +336,7 @@ func gemmBlocked(tier EngineTier, m, n, k int, a []float64, lda int, aTrans bool
 				}
 				gemmPanelT(tier, mcb, ncb, kcb, ablk, ldab, bp, ldbp, c[ic*ldc+jc:], ldc)
 				if last && ep != nil {
-					applyEpilogue(mcb, ncb, c[ic*ldc+jc:], ldc, ep, rowOff+ic, colOff+jc)
+					applyEpilogue(mcb, ncb, c[ic*ldc+jc:], ldc, ep, ic, jc)
 				}
 			}
 		}

@@ -344,8 +344,8 @@ func TestGemmExBitIdenticalToGemm(t *testing.T) {
 				b[p*n] = 0
 				bt[p] = 0
 			}
-			acc := func(c []float64) { gemmParallel(tier, m, n, k, a, k, false, b, n, false, c, n, false, nil) }
-			accTB := func(c []float64) { gemmParallel(tier, m, n, k, a, k, false, bt, k, true, c, n, false, nil) }
+			acc := func(c []float64) { gemmBlocked(tier, m, n, k, a, k, false, b, n, false, c, n, false, nil) }
+			accTB := func(c []float64) { gemmBlocked(tier, m, n, k, a, k, false, bt, k, true, c, n, false, nil) }
 			for _, op := range []struct {
 				name        string
 				assign, acc func(c []float64)

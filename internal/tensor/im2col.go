@@ -10,19 +10,17 @@ package tensor
 func Im2Col(src []float64, channels, h, w, kh, kw, stride, pad int, col []float64) (outH, outW int) {
 	outH = (h+2*pad-kh)/stride + 1
 	outW = (w+2*pad-kw)/stride + 1
-	Im2ColInto(src, channels, h, w, kh, kw, stride, pad, col, outH*outW, 0)
+	im2colInto(src, channels, h, w, kh, kw, stride, pad, col, outH*outW, 0)
 	return outH, outW
 }
 
-// Im2ColInto unrolls one image into columns [colOff, colOff+outH·outW) of a
-// wider column matrix whose row stride is ldcol. Packing a whole batch side
-// by side (one sample per column band, ldcol = batch·outH·outW) turns the
-// per-sample convolution GEMMs into a single wide product over
-// [channels·kh·kw × batch·outH·outW] — wide enough for the blocked engine's
-// panel reuse and goroutine fan-out to engage on shapes whose per-sample
-// spatial extent is too small. Every element of the band is written
-// (padding taps included), so the destination may be uninitialized.
-func Im2ColInto(src []float64, channels, h, w, kh, kw, stride, pad int, col []float64, ldcol, colOff int) {
+// im2colInto unrolls one image into columns [colOff, colOff+outH·outW) of a
+// column matrix whose row stride is ldcol. Im2Col is the ldcol = outH·outW,
+// colOff = 0 case and the only caller outside the tests, which use a band of
+// a wider matrix to check that nothing outside it is written. Every element
+// of the band is written (padding taps included), so the destination may be
+// uninitialized.
+func im2colInto(src []float64, channels, h, w, kh, kw, stride, pad int, col []float64, ldcol, colOff int) {
 	if stride == 1 && kw == 2*pad+1 && h+2*pad >= kh {
 		im2colShift(src, channels, h, w, kh, kw, pad, col, ldcol, colOff)
 		return
@@ -30,7 +28,7 @@ func Im2ColInto(src []float64, channels, h, w, kh, kw, stride, pad int, col []fl
 	im2colRows(src, channels, h, w, kh, kw, stride, pad, col, ldcol, colOff)
 }
 
-// im2colShift is Im2ColInto for stride 1 with the output as wide as the input
+// im2colShift is im2colInto for stride 1 with the output as wide as the input
 // (kw = 2·pad+1, every "same" convolution). Source and destination rows then
 // share one stride, so a kernel tap (ki, kj) is the whole plane shifted by
 // (ki−pad)·w + (kj−pad): one bulk copy per (channel, tap) instead of one per
@@ -74,7 +72,7 @@ func im2colShift(src []float64, channels, h, w, kh, kw, pad int, col []float64, 
 	}
 }
 
-// im2colRows is the general Im2ColInto — any stride, any output width — one
+// im2colRows is the general im2colInto — any stride, any output width — one
 // copy or gather per output row. It is also the oracle im2colShift is tested
 // against.
 func im2colRows(src []float64, channels, h, w, kh, kw, stride, pad int, col []float64, ldcol, colOff int) {

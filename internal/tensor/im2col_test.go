@@ -172,9 +172,9 @@ func TestInitializers(t *testing.T) {
 	}
 }
 
-// TestIm2ColIntoMatchesPerSample pins the whole-batch packing: unrolling B
-// samples side by side into one wide column matrix (row stride
-// batch·spatial) must produce, in every sample's column band, exactly what
+// TestIm2ColIntoMatchesPerSample pins the band form: unrolling B samples
+// side by side into one wide column matrix (row stride batch·spatial) must
+// produce, in every sample's column band, exactly what
 // the per-sample Im2Col produces — including explicit zeros for padding taps
 // over an uninitialized (garbage) destination.
 func TestIm2ColIntoMatchesPerSample(t *testing.T) {
@@ -199,7 +199,7 @@ func TestIm2ColIntoMatchesPerSample(t *testing.T) {
 		srcs := make([][]float64, tc.batch)
 		for b := range srcs {
 			srcs[b] = randSlice(tc.c*tc.h*tc.w, rng)
-			Im2ColInto(srcs[b], tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, wide, ldcol, b*spatial)
+			im2colInto(srcs[b], tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, wide, ldcol, b*spatial)
 		}
 		single := make([]float64, colRows*spatial)
 		for b := range srcs {
@@ -247,7 +247,7 @@ func TestIm2ColShiftMatchesRows(t *testing.T) {
 		src := randSlice(c*h*w, rng)
 		got := randSlice(rows*ldcol, rng) // garbage start
 		want := append([]float64(nil), got...)
-		Im2ColInto(src, c, h, w, kh, kw, 1, pad, got, ldcol, colOff)
+		im2colInto(src, c, h, w, kh, kw, 1, pad, got, ldcol, colOff)
 		im2colRows(src, c, h, w, kh, kw, 1, pad, want, ldcol, colOff)
 		for i := range got {
 			if got[i] != want[i] {
@@ -260,8 +260,8 @@ func TestIm2ColShiftMatchesRows(t *testing.T) {
 		t.Fatalf("only %d cases took the fast path", shifted)
 	}
 	src, col := randSlice(4*8*8, rng), make([]float64, 4*9*8*8)
-	if allocs := testing.AllocsPerRun(20, func() { Im2ColInto(src, 4, 8, 8, 3, 3, 1, 1, col, 64, 0) }); allocs != 0 {
-		t.Fatalf("Im2ColInto allocates %v times per call, want 0", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { im2colInto(src, 4, 8, 8, 3, 3, 1, 1, col, 64, 0) }); allocs != 0 {
+		t.Fatalf("im2colInto allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -288,7 +288,7 @@ func BenchmarkIm2Col(b *testing.B) {
 			col := make([]float64, c*9*s.hw*s.hw)
 			b.Run(fmt.Sprintf("conv%d_%dx%dx%d_r%g", li+1, c, s.hw, s.hw, r), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					Im2ColInto(src, c, s.hw, s.hw, 3, 3, 1, 1, col, s.hw*s.hw, 0)
+					im2colInto(src, c, s.hw, s.hw, 3, 3, 1, 1, col, s.hw*s.hw, 0)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(col)), "ns/element")
 			})

@@ -22,8 +22,7 @@ import "fmt"
 // share.)
 //
 // A PackedMat is immutable after construction and safe for any number of
-// concurrent readers; parallel fan-out shares the one pack across workers
-// instead of re-packing per worker.
+// concurrent readers: every server shard streams the same pack.
 
 // PackedMat is an operand repacked into the blocked engine's micro-panel
 // layout. Two layouts exist, chosen by the constructor:
@@ -96,10 +95,8 @@ func GemmTBPrefersPacked(m, n, k int) bool { return m*n*k >= smallGemmFlops }
 // with a pre-packed A operand (PackA) and a streamed B — assign mode, like
 // GemmExT. This is the convolution orientation: the immutable weight matrix
 // is A, the per-call im2col matrix is B. Results are bit-identical to GemmExT
-// on the same tier and operands, at any GOMAXPROCS: the packed panels
-// preserve the blocked engine's per-element accumulation order, and a
-// parallel split shares the one pack across workers instead of re-packing
-// per worker.
+// on the same tier and operands: the packed panels preserve the blocked
+// engine's per-element accumulation order.
 func GemmPackedExT(tier EngineTier, m, n, k int, pa *PackedMat, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
 	if pa == nil || !pa.aLayout {
 		panic("tensor: GemmPackedEx: A operand is not an A-layout pack (PackA)")
@@ -117,33 +114,15 @@ func GemmPackedExT(tier EngineTier, m, n, k int, pa *PackedMat, b []float64, ldb
 		gemmAssignEmptyK(m, n, c, ldc, ep)
 		return
 	}
-	rowW, colW, ok := gemmShouldFanout(m, n, k)
-	if !ok {
-		gemmBlockedPackedA(tier, m, 0, n, k, pa, b, ldb, c, ldc, ep, 0)
-		return
-	}
-	if rowW >= colW {
-		// Row split: each worker reads its row range of the shared pack
-		// (row lo of a k-panel sits at lo·kcb inside the panel).
-		gemmFanoutRun(m, (m+rowW-1)/rowW, ep, func(lo, hi int, wep *Epilogue) {
-			gemmBlockedPackedA(tier, hi-lo, lo, n, k, pa, b, ldb, c[lo*ldc:], ldc, wep, 0)
-		})
-		return
-	}
-	// Column split: B and C are offset per worker; the A pack needs no
-	// offset at all — every worker streams the same panels.
-	gemmFanoutRun(n, (n+colW-1)/colW, ep, func(lo, hi int, wep *Epilogue) {
-		gemmBlockedPackedACols(tier, m, hi-lo, k, pa, b[lo:], ldb, c[lo:], ldc, wep, lo)
-	})
+	gemmBlockedPackedA(tier, m, n, k, pa, b, ldb, c, ldc, ep)
 }
 
 // GemmTBPackedExT computes C[m×n] = epilogue(A · Bᵀ) on an explicit engine
 // tier with B pre-packed (PackTB of the [n×k]-stored operand) and a streamed
 // A — assign mode, like GemmTBExT. This is the dense-layer orientation: the
 // immutable [Out × In] weight is Bᵀ, the activations are A. Results are
-// bit-identical to the unpacked blocked engine (the gemmParallel path
-// GemmTBExT takes above its small-product threshold) on the same tier and
-// operands, at any GOMAXPROCS.
+// bit-identical to the unpacked blocked engine (the path GemmTBExT takes
+// above its small-product threshold) on the same tier and operands.
 func GemmTBPackedExT(tier EngineTier, m, n, k int, a []float64, lda int, pb *PackedMat, c []float64, ldc int, ep *Epilogue) {
 	if pb == nil || pb.aLayout {
 		panic("tensor: GemmTBPackedEx: B operand is not a B-layout pack (PackTB)")
@@ -161,24 +140,7 @@ func GemmTBPackedExT(tier EngineTier, m, n, k int, a []float64, lda int, pb *Pac
 		gemmAssignEmptyK(m, n, c, ldc, ep)
 		return
 	}
-	rowW, colW, ok := gemmShouldFanout(m, n, k)
-	if !ok {
-		gemmBlockedPackedB(tier, m, n, 0, k, a, lda, pb, c, ldc, ep, 0)
-		return
-	}
-	if rowW >= colW {
-		gemmFanoutRun(m, (m+rowW-1)/rowW, ep, func(lo, hi int, wep *Epilogue) {
-			gemmBlockedPackedB(tier, hi-lo, n, 0, k, a[lo*lda:], lda, pb, c[lo*ldc:], ldc, wep, lo)
-		})
-		return
-	}
-	// Column split aligned to the pack's nc tiles, so every worker's jc
-	// loop lands on tile starts of the shared pack.
-	chunk := (n + colW - 1) / colW
-	chunk = (chunk + ncBlock - 1) / ncBlock * ncBlock
-	gemmFanoutRun(n, chunk, ep, func(lo, hi int, wep *Epilogue) {
-		gemmBlockedPackedB(tier, m, hi-lo, lo, k, a, lda, pb, c[lo:], ldc, wep, 0)
-	})
+	gemmBlockedPackedB(tier, m, n, k, a, lda, pb, c, ldc, ep)
 }
 
 // gemmAssignEmptyK fulfils the assign-mode contract for k = 0: the empty sum
@@ -190,75 +152,45 @@ func gemmAssignEmptyK(m, n int, c []float64, ldc int, ep *Epilogue) {
 	}
 }
 
-// gemmBlockedPackedA is the serial blocked engine over a packed A: C[rows×n]
-// = A[rowLo:rowLo+rows, :]·B under the epilogue, with c pointing at the
-// window's top-left element. Loop structure and per-element accumulation
-// order match gemmBlocked with a streamed non-transposed A exactly; only the
-// A addressing differs (contiguous panels, ld = kcb).
-func gemmBlockedPackedA(tier EngineTier, rows, rowLo, n, k int, pa *PackedMat, b []float64, ldb int, c []float64, ldc int, ep *Epilogue, colOff int) {
-	m := pa.rows
-	for pc := 0; pc < k; pc += kcBlock {
-		kcb := min(kcBlock, k-pc)
-		first := pc == 0
-		last := pc+kcb == k
-		ablk := pa.data[m*pc+rowLo*kcb:]
-		for jc := 0; jc < n; jc += ncBlock {
-			ncb := min(ncBlock, n-jc)
-			if first {
-				zeroTile(rows, ncb, c[jc:], ldc)
-			}
-			gemmPanelT(tier, rows, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
-			if last && ep != nil {
-				applyEpilogue(rows, ncb, c[jc:], ldc, ep, rowLo, colOff+jc)
-			}
-		}
-	}
-}
-
-// gemmBlockedPackedACols is gemmBlockedPackedA for a column split: the
-// worker's B/C windows start at logical column colOff, while the full-height
-// A pack is shared untranslated.
-func gemmBlockedPackedACols(tier EngineTier, m, cols, k int, pa *PackedMat, b []float64, ldb int, c []float64, ldc int, ep *Epilogue, colOff int) {
+// gemmBlockedPackedA is the blocked engine over a packed A: C[m×n] =
+// A·B under the epilogue. Loop structure and per-element accumulation order
+// match gemmBlocked with a streamed non-transposed A exactly; only the A
+// addressing differs (contiguous panels, ld = kcb).
+func gemmBlockedPackedA(tier EngineTier, m, n, k int, pa *PackedMat, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
 	for pc := 0; pc < k; pc += kcBlock {
 		kcb := min(kcBlock, k-pc)
 		first := pc == 0
 		last := pc+kcb == k
 		ablk := pa.data[m*pc:]
-		for jc := 0; jc < cols; jc += ncBlock {
-			ncb := min(ncBlock, cols-jc)
+		for jc := 0; jc < n; jc += ncBlock {
+			ncb := min(ncBlock, n-jc)
 			if first {
 				zeroTile(m, ncb, c[jc:], ldc)
 			}
 			gemmPanelT(tier, m, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
 			if last && ep != nil {
-				applyEpilogue(m, ncb, c[jc:], ldc, ep, 0, colOff+jc)
+				applyEpilogue(m, ncb, c[jc:], ldc, ep, 0, jc)
 			}
 		}
 	}
 }
 
-// gemmBlockedPackedB is the serial blocked engine over a packed B: C[m×cols]
-// = A·B[:, colLo:colLo+cols] under the epilogue, with c pointing at the
-// window's top-left element and rowOff locating it in the epilogue's row
-// vectors. colLo must be a multiple of ncBlock (or 0) so the jc loop lands on
-// the pack's tile starts; the serial caller passes 0 and the parallel caller
-// aligns its split.
-func gemmBlockedPackedB(tier EngineTier, m, cols, colLo, k int, a []float64, lda int, pb *PackedMat, c []float64, ldc int, ep *Epilogue, rowOff int) {
-	n := pb.cols
+// gemmBlockedPackedB is the blocked engine over a packed B: C[m×n] = A·B
+// under the epilogue, with the jc loop landing on the pack's tile starts.
+func gemmBlockedPackedB(tier EngineTier, m, n, k int, a []float64, lda int, pb *PackedMat, c []float64, ldc int, ep *Epilogue) {
 	for pc := 0; pc < k; pc += kcBlock {
 		kcb := min(kcBlock, k-pc)
 		first := pc == 0
 		last := pc+kcb == k
-		for jcl := 0; jcl < cols; jcl += ncBlock {
-			jc := colLo + jcl
-			ncb := min(ncBlock, cols-jcl)
+		for jc := 0; jc < n; jc += ncBlock {
+			ncb := min(ncBlock, n-jc)
 			bp := pb.data[pc*n+kcb*jc:]
 			if first {
-				zeroTile(m, ncb, c[jcl:], ldc)
+				zeroTile(m, ncb, c[jc:], ldc)
 			}
-			gemmPanelT(tier, m, ncb, kcb, a[pc:], lda, bp, ncb, c[jcl:], ldc)
+			gemmPanelT(tier, m, ncb, kcb, a[pc:], lda, bp, ncb, c[jc:], ldc)
 			if last && ep != nil {
-				applyEpilogue(m, ncb, c[jcl:], ldc, ep, rowOff, jc)
+				applyEpilogue(m, ncb, c[jc:], ldc, ep, 0, jc)
 			}
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 // packedCase runs one (m,n,k,ld,epilogue) configuration through both packed
 // entry points and demands BIT-identical results against the unpacked blocked
-// engine (gemmParallel in assign mode — the path GemmExT always takes and
+// engine (gemmBlocked in assign mode — the path GemmExT always takes and
 // GemmTBExT takes above its small-product threshold). The packed layout
 // preserves the engine's per-element accumulation order, so the comparison is
 // exact equality, not a tolerance.
@@ -36,7 +36,7 @@ func packedCase(t *testing.T, m, n, k, lda, ldbT, ldbS, ldc int, ep *Epilogue) {
 	want := make([]float64, (m-1)*ldc+n+3)
 	fillRand(rng, want)
 	got := append([]float64(nil), want...)
-	gemmParallel(TierExact, m, n, k, a, lda, false, bs, ldbS, false, want, ldc, true, ep)
+	gemmBlocked(TierExact, m, n, k, a, lda, false, bs, ldbS, false, want, ldc, true, ep)
 	GemmPackedExT(TierExact, m, n, k, PackA(m, k, a, lda), bs, ldbS, got, ldc, ep)
 	check("GemmPackedEx", got, want)
 
@@ -44,7 +44,7 @@ func packedCase(t *testing.T, m, n, k, lda, ldbT, ldbS, ldc int, ep *Epilogue) {
 	want2 := make([]float64, (m-1)*ldc+n+3)
 	fillRand(rng, want2)
 	got2 := append([]float64(nil), want2...)
-	gemmParallel(TierExact, m, n, k, a, lda, false, bt, ldbT, true, want2, ldc, true, ep)
+	gemmBlocked(TierExact, m, n, k, a, lda, false, bt, ldbT, true, want2, ldc, true, ep)
 	GemmTBPackedExT(TierExact, m, n, k, a, lda, PackTB(n, k, bt, ldbT), got2, ldc, ep)
 	check("GemmTBPackedEx", got2, want2)
 }
@@ -195,7 +195,7 @@ func TestPackedMatDims(t *testing.T) {
 }
 
 // TestPackedGemmSharedConcurrent hammers one pack from many goroutines — the
-// fan-out workers and the per-width cache both rely on a PackedMat being
+// server's shards and the per-width cache both rely on a PackedMat being
 // freely shareable. Run under -race in CI.
 func TestPackedGemmSharedConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
@@ -227,29 +227,6 @@ func TestPackedGemmSharedConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestGemmStatsCounts verifies the fan-out counters move only when a product
-// actually splits.
-func TestGemmStatsCounts(t *testing.T) {
-	before := GemmStats()
-	a := make([]float64, 4*4)
-	b := make([]float64, 4*4)
-	c := make([]float64, 4*4)
-	Gemm(4, 4, 4, a, 4, b, 4, c, 4) // far below every threshold
-	mid := GemmStats()
-	if mid.Fanouts != before.Fanouts {
-		t.Fatalf("tiny Gemm bumped the fan-out counter")
-	}
-	if GemmWillParallelize(256, 256, 256) {
-		big := make([]float64, 256*256)
-		cb := make([]float64, 256*256)
-		Gemm(256, 256, 256, big, 256, big, 256, cb, 256)
-		after := GemmStats()
-		if after.Fanouts <= mid.Fanouts || after.FanoutWorkers <= mid.FanoutWorkers {
-			t.Fatalf("parallel Gemm did not bump the fan-out counters: %+v -> %+v", mid, after)
-		}
-	}
 }
 
 // --- benchmarks: packed vs unpacked on the serving shapes ---

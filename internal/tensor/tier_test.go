@@ -94,7 +94,7 @@ func TestFastTierFlipBitIdentical(t *testing.T) {
 		}
 		ops := []op{
 			{"accumulate/fma", func(c []float64) {
-				gemmParallel(TierFMA, s.m, s.n, s.k, a, lda, false, b, ldb, false, c, ldc, false, nil)
+				gemmBlocked(TierFMA, s.m, s.n, s.k, a, lda, false, b, ldb, false, c, ldc, false, nil)
 			}},
 			{"GemmExT/fma", func(c []float64) { GemmExT(TierFMA, s.m, s.n, s.k, a, lda, b, ldb, c, ldc, ep) }},
 			{"GemmTBExT/fma", func(c []float64) { GemmTBExT(TierFMA, s.m, s.n, s.k, a, lda, bt, ldbT, c, ldc, ep) }},
