@@ -283,14 +283,23 @@ func Active(p Point) bool {
 // Should rolls one firing decision for the point and counts it when it fires.
 // The disarmed fast path is a single atomic load.
 func Should(p Point) bool {
+	fire, _ := roll(p)
+	return fire
+}
+
+// roll is Should, also returning the release channel of the arming that
+// fired. Both come from one critical section, so a Disable or Reset racing
+// with a firing Stall closes the channel the site waits on instead of
+// leaving it nothing (or a nil state) to wait on.
+func roll(p Point) (bool, chan struct{}) {
 	if armed.Load() == 0 {
-		return false
+		return false, nil
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	st := table[p]
 	if st == nil || st.mode.kind == 0 {
-		return false
+		return false, nil
 	}
 	st.calls++
 	fire := false
@@ -304,10 +313,11 @@ func Should(p Point) bool {
 	case 'f':
 		fire = st.calls <= st.mode.n
 	}
-	if fire {
-		st.fired++
+	if !fire {
+		return false, nil
 	}
-	return fire
+	st.fired++
+	return true, st.release
 }
 
 // ErrOn returns an injected error when the point fires, nil otherwise — the
@@ -337,12 +347,10 @@ func Delay(p Point) time.Duration {
 // first — and reports whether it stalled at all. A nil cancel means only
 // disarming releases the site.
 func Stall(p Point, cancel <-chan struct{}) bool {
-	if !Should(p) {
+	fire, rel := roll(p)
+	if !fire {
 		return false
 	}
-	mu.Lock()
-	rel := table[p].release
-	mu.Unlock()
 	select {
 	case <-rel:
 	case <-cancel:

@@ -1,8 +1,8 @@
 package faults
 
 import (
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -138,20 +138,44 @@ func TestStallReleasedByDisable(t *testing.T) {
 	if err := Enable(ShardStall, ""); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	stalled := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		close(stalled)
-		if !Stall(ShardStall, nil) {
-			t.Error("armed Stall did not stall")
-		}
-	}()
-	<-stalled
-	time.Sleep(5 * time.Millisecond) // let the goroutine reach the select
+	done := make(chan bool)
+	go func() { done <- Stall(ShardStall, nil) }()
+	// Stall takes its release channel in the critical section that counts
+	// the firing, so once the count shows, Disable must free it.
+	for Fired(ShardStall) != 1 {
+		runtime.Gosched()
+	}
 	Disable(ShardStall)
-	wg.Wait() // hangs here if Disable does not release the stall
+	if !<-done { // hangs here if Disable does not release the stall
+		t.Error("armed Stall did not stall")
+	}
+}
+
+// TestStallRacesDisarm disarms a point while a Stall on it is firing, with no
+// ordering between the two: whether the disarm lands before the firing, in
+// the middle of it or after, the site must return.
+func TestStallRacesDisarm(t *testing.T) {
+	defer Reset()
+	for i := 0; i < 200; i++ {
+		if err := Enable(ShardStall, ""); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			Stall(ShardStall, nil)
+			close(done)
+		}()
+		if i%2 == 0 {
+			Disable(ShardStall)
+		} else {
+			Reset()
+		}
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("iteration %d: Stall still blocked after its point was disarmed", i)
+		}
+	}
 }
 
 func TestStallReleasedByCancel(t *testing.T) {

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"time"
 
 	"modelslicing/internal/tensor"
 )
@@ -36,9 +38,14 @@ type Context struct {
 	// RNG drives stochastic layers (dropout). May be nil outside training.
 	RNG *rand.Rand
 	// Arena, when non-nil, supplies output and scratch buffers for the
-	// inference path (Layer.Infer): activations come from the reusable slab
-	// instead of the heap and are valid until the caller's Arena.Reset.
-	// Forward ignores it.
+	// inference path (Layer.Infer): activations come from the reusable slabs
+	// instead of the heap. The outermost Sequential of a pass releases each
+	// layer's activations once the layer after it has run, so an
+	// intermediate is valid only until that loop moves on; the pass's
+	// returned output, and whatever was taken from the arena before the
+	// pass, stay valid until the caller's Arena.Reset. A layer's output is
+	// either new arena (or heap) storage or a view of its input's storage
+	// from its first element (Flatten, eval Dropout). Forward ignores it.
 	Arena *tensor.Arena
 	// NoPack disables the persistent packed-weight GEMM path for this pass,
 	// forcing the unpacked engine (benchmark escape hatch and A/B oracle;
@@ -49,6 +56,12 @@ type Context struct {
 	// bit-exact engine, TierFMA trades a pinned accuracy budget for
 	// throughput (see tensor/tier.go). Training always runs exact.
 	Tier tensor.EngineTier
+
+	// inPass is set while the outermost Sequential.Infer of an arena-backed
+	// pass runs; nested Sequentials (Residual bodies) see it and keep plain
+	// bump allocation, so each outermost layer allocates from one half and
+	// a block's input outlives its body.
+	inPass bool
 }
 
 // EffTier returns the engine tier, nil-safe (nil context means exact).
@@ -225,12 +238,56 @@ func (s *Sequential) Params() []*Param {
 	return ps
 }
 
+// yieldAfter is how long an arena-backed pass holds its P before the next
+// layer boundary hands it back to the Go scheduler. A pass has no blocking
+// call, so without the yield the load generator, HTTP intake and batcher
+// sharing the cores wait for sysmon's preemption; a yield per layer instead
+// would cost a quarter-width pass, whose layers run for ~10 µs.
+const yieldAfter = time.Millisecond
+
 // Infer runs all layers in order on the read-only inference path.
+//
+// The outermost call with an arena keeps two layers' activations live, not
+// all of them: it marks the arena on entry and, before each later layer,
+// flips to the other half and releases it to the mark, which frees the
+// previous layer's input and the scratch of the one before. A layer whose
+// output views its input (Flatten, eval Dropout) flips back unreleased.
+// Nothing below the mark — the caller's batch, an earlier pass's output — is
+// released, and nested calls (Residual bodies) allocate plain bump. The same
+// boundary yields the P once the pass has held it for yieldAfter.
 func (s *Sequential) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = Infer(l, ctx, x)
+	a := arenaOf(ctx)
+	if a == nil || ctx.inPass {
+		for _, l := range s.Layers {
+			x = Infer(l, ctx, x)
+		}
+		return x
+	}
+	ctx.inPass = true
+	defer func() { ctx.inPass = false }()
+	m := a.Mark()
+	held := time.Now()
+	for i, l := range s.Layers {
+		if i > 0 {
+			a.Flip(m, true)
+			if time.Since(held) >= yieldAfter {
+				runtime.Gosched()
+				held = time.Now()
+			}
+		}
+		y := Infer(l, ctx, x)
+		if sharesStorage(x.Data, y.Data) {
+			a.Flip(m, false)
+		}
+		x = y
 	}
 	return x
+}
+
+// sharesStorage reports whether y is a view of x's storage. Fresh arena and
+// heap buffers overlap no live tensor, so they never match.
+func sharesStorage(x, y []float64) bool {
+	return len(x) > 0 && len(y) > 0 && &x[0] == &y[0]
 }
 
 // ForwardPrefix runs only the first n layers (used by early-exit baselines).

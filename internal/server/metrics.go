@@ -174,7 +174,9 @@ type Stats struct {
 	// PackedEngine reports whether the packed-weight GEMM path is active.
 	PackedEngine bool
 	// ArenaBytes is the summed high-water activation-arena footprint across
-	// the worker pool.
+	// the worker pool, both halves of each arena included: per worker, the
+	// largest shard batch plus two layers' activations and scratch (a
+	// served pass releases the rest as it goes).
 	ArenaBytes int64
 	// Latency is the all-queries submission-to-reply latency histogram;
 	// StageLatency breaks it down per pipeline stage and RateLatency per

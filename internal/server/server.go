@@ -925,12 +925,13 @@ func (s *Server) reply(job *batchJob, shard []*query) {
 }
 
 // run forwards one shard as a single batch at the given rate through the
-// given shared zero-copy inference path — one batched GEMM per layer for the
-// whole shard — then scatters the output rows back to the queries. Batch and
-// activation buffers come from the worker's arena; the results outlive the
-// pass, so they are heap-allocated — as one contiguous block per shard
-// (one data allocation instead of one per query), with each query's out a
-// per-row view of the block.
+// given shared zero-copy inference path — one batched GEMM per dense layer,
+// one per sample per convolution — then scatters the output rows back to the
+// queries. Batch and activation buffers come from the worker's arena (the
+// batch is taken before the pass, so the pass never releases it); the
+// results outlive the pass, so they are heap-allocated — as one contiguous
+// block per shard (one data allocation instead of one per query), with each
+// query's out a per-row view of the block.
 func (wk *worker) run(shared *slicing.Shared, shard []*query, rate float64, inputShape []int) {
 	n := len(shard)
 	shape := [8]int{n}

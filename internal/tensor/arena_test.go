@@ -89,6 +89,120 @@ func TestArenaWrapSharesData(t *testing.T) {
 	}
 }
 
+// pingPong runs one layer loop the way nn.Sequential.Infer does: layer i
+// takes sizes[i] elements (filled with i+1) from the half it flips to, and
+// the half is released to the entry mark first. It returns every layer's
+// output.
+func pingPong(a *Arena, sizes ...int) []*Tensor {
+	m := a.Mark()
+	outs := make([]*Tensor, len(sizes))
+	for i, n := range sizes {
+		if i > 0 {
+			a.Flip(m, true)
+		}
+		outs[i] = a.Get(n)
+		for j := range outs[i].Data {
+			outs[i].Data[j] = float64(i + 1)
+		}
+	}
+	return outs
+}
+
+func TestArenaReleaseReusesHalfAndRezeroes(t *testing.T) {
+	a := NewArena()
+	pingPong(a, 8, 8, 8)
+	a.Reset()
+	outs := pingPong(a, 8, 8, 8)
+	// Layers 0 and 2 ran on half 0 with layer 1 in between: the release
+	// handed layer 2 layer 0's storage.
+	if &outs[0].Data[0] != &outs[2].Data[0] {
+		t.Fatal("a released half was not reused")
+	}
+	if &outs[1].Data[0] == &outs[0].Data[0] {
+		t.Fatal("adjacent layers share storage")
+	}
+	// Layer 2 filled its storage with 3s; release it again and Get must
+	// hand back zeros.
+	m := ArenaMark{}
+	a.Flip(m, true)
+	a.Flip(m, true)
+	y := a.Get(8)
+	if &y.Data[0] != &outs[2].Data[0] {
+		t.Fatal("release to the cycle start did not reuse the slab")
+	}
+	for i, v := range y.Data {
+		if v != 0 {
+			t.Fatalf("reused memory not zeroed at %d: %g", i, v)
+		}
+	}
+}
+
+func TestArenaMarkProtectsEarlierAllocations(t *testing.T) {
+	a := NewArena()
+	for cycle := 0; cycle < 3; cycle++ {
+		batch := a.Get(16)
+		for i := range batch.Data {
+			batch.Data[i] = -1
+		}
+		// A second half-1 allocation before the mark must survive too.
+		a.Flip(a.Mark(), false)
+		held := a.Get(4)
+		held.Data[0] = -2
+		a.Flip(a.Mark(), false)
+		pingPong(a, 10, 12, 14, 16, 18, 20, 22)
+		for i, v := range batch.Data {
+			if v != -1 {
+				t.Fatalf("cycle %d: batch element %d overwritten with %g", cycle, i, v)
+			}
+		}
+		if held.Data[0] != -2 {
+			t.Fatalf("cycle %d: half-1 allocation below the mark overwritten", cycle)
+		}
+		a.Reset()
+	}
+}
+
+func TestArenaSpillSizesHalvesToPeak(t *testing.T) {
+	a := NewArena()
+	// Half 0 holds layers 0, 2, 4: its peak is one layer (50), its
+	// cumulative allocation 150; half 1 holds layers 1 and 3 (peak 30).
+	pingPong(a, 50, 30, 50, 30, 50)
+	a.Reset()
+	if got := a.Footprint(); got != 80 {
+		t.Fatalf("footprint %d after a spilling ping-pong cycle, want 50+30", got)
+	}
+	if got := a.HighWaterBytes(); got != 8*80 {
+		t.Fatalf("high water %d bytes, want %d", got, 8*80)
+	}
+	pingPong(a, 50, 30, 50, 30, 50)
+	a.Reset()
+	if got := a.Footprint(); got != 80 {
+		t.Fatalf("footprint %d after a repeat cycle, want 80", got)
+	}
+}
+
+func TestArenaFlippingCycleAllocFree(t *testing.T) {
+	a := NewArena()
+	cycle := func() {
+		x := a.Get(8, 4)
+		m := a.Mark()
+		for i := 0; i < 6; i++ {
+			a.Flip(m, true)
+			y := a.GetUninit(8, 16)
+			_ = a.Get(16)
+			_ = a.Wrap(y.Data, 128)
+		}
+		a.Flip(m, false)
+		_ = x
+		a.Reset()
+	}
+	cycle()
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady-state flipping cycle allocates %v times, want 0", allocs)
+	}
+}
+
 func TestArenaGetUninitReusesSlabWithoutClearing(t *testing.T) {
 	a := NewArena()
 	a.Get(16) // first cycle spills to the heap and grows the slab on Reset
