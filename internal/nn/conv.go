@@ -82,9 +82,15 @@ func (c *Conv2D) OutShape(h, w int) (int, int) {
 // leak between steps.
 var im2colPool = sync.Pool{New: func() any { return new([]float64) }}
 
-// im2colGet hands out a pooled buffer of at least n elements.
-func im2colGet(n int) *[]float64 {
-	buf := im2colPool.Get().(*[]float64)
+// gradPool recycles Backward's worker-private dW+dB accumulator. It is
+// kept apart from im2colPool so weight-sized buffers never promote column
+// buffers (or the reverse). Callers zero what they accumulate into.
+var gradPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// poolGet hands out a buffer of at least n elements from one of the pools
+// above.
+func poolGet(pool *sync.Pool, n int) *[]float64 {
+	buf := pool.Get().(*[]float64)
 	if cap(*buf) < n {
 		*buf = make([]float64, n)
 	}
@@ -117,7 +123,7 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	var cols [maxBatchWorkers][]float64
 	var bufs [maxBatchWorkers]*[]float64
 	for i := 0; i < nw; i++ {
-		bufs[i] = im2colGet(colRows * spatial)
+		bufs[i] = poolGet(&im2colPool, colRows*spatial)
 		cols[i] = (*bufs[i])[:colRows*spatial]
 	}
 	parallelFor(batch, func(worker, b int) {
@@ -231,22 +237,24 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	ldW := c.In * c.KH * c.KW
 
 	nw := maxWorkers(batch)
-	// Worker-local scratch: pooled im2col and dcol buffers (dcol is zeroed
-	// in the loop before its accumulating GEMM), plus a private dW (and dB)
-	// accumulator to avoid write races; reduced after the loop.
-	var cols, dcols [maxBatchWorkers][]float64
+	// Worker-local scratch, all pooled: im2col and dcol buffers (dcol is
+	// zeroed in the loop before its accumulating GEMM), plus a private dW
+	// (and dB) accumulator to avoid write races, reduced after the loop. The
+	// dW accumulator covers only the active aOut × colRows block, packed
+	// with row stride colRows, so its size and the reduction scale with r².
+	var cols, dcols, dws, dbs [maxBatchWorkers][]float64
 	var bufs [2 * maxBatchWorkers]*[]float64
-	dws := make([][]float64, nw)
-	dbs := make([][]float64, nw)
+	var gradBufs [maxBatchWorkers]*[]float64
+	dwLen := c.aOut * colRows
 	for i := 0; i < nw; i++ {
-		bufs[2*i] = im2colGet(colRows * spatial)
-		bufs[2*i+1] = im2colGet(colRows * spatial)
+		bufs[2*i] = poolGet(&im2colPool, colRows*spatial)
+		bufs[2*i+1] = poolGet(&im2colPool, colRows*spatial)
 		cols[i] = (*bufs[2*i])[:colRows*spatial]
 		dcols[i] = (*bufs[2*i+1])[:colRows*spatial]
-		dws[i] = make([]float64, len(c.W.Grad.Data))
-		if c.B != nil {
-			dbs[i] = make([]float64, c.aOut)
-		}
+		gradBufs[i] = poolGet(&gradPool, dwLen+c.aOut)
+		grad := (*gradBufs[i])[:dwLen+c.aOut]
+		clear(grad)
+		dws[i], dbs[i] = grad[:dwLen], grad[dwLen:]
 	}
 	parallelFor(batch, func(worker, b int) {
 		col := cols[worker]
@@ -255,7 +263,7 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 		tensor.Im2Col(src, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, col)
 		g := dy.Data[b*outPlane : (b+1)*outPlane]
 		// dW += dy_b · colᵀ
-		tensor.GemmTB(c.aOut, colRows, spatial, g, spatial, col, spatial, dws[worker], ldW)
+		tensor.GemmTB(c.aOut, colRows, spatial, g, spatial, col, spatial, dws[worker], colRows)
 		// dcol = Wᵀ · dy_b
 		for i := range dcol {
 			dcol[i] = 0
@@ -275,10 +283,12 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 		}
 	})
 	for i := 0; i < nw; i++ {
-		gw := c.W.Grad.Data
-		for j, v := range dws[i] {
-			if v != 0 {
-				gw[j] += v
+		for oc := 0; oc < c.aOut; oc++ {
+			gw := c.W.Grad.Data[oc*ldW : oc*ldW+colRows]
+			for j, v := range dws[i][oc*colRows : (oc+1)*colRows] {
+				if v != 0 {
+					gw[j] += v
+				}
 			}
 		}
 		if c.B != nil {
@@ -288,8 +298,10 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	for i := 0; i < 2*nw; i++ {
-		im2colPool.Put(bufs[i])
+	for i := 0; i < nw; i++ {
+		im2colPool.Put(bufs[2*i])
+		im2colPool.Put(bufs[2*i+1])
+		gradPool.Put(gradBufs[i])
 	}
 	return dx
 }

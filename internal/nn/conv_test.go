@@ -71,6 +71,22 @@ func TestConv2DGradCheckSliced(t *testing.T) {
 	}
 }
 
+// TestConv2DGradCheckBothBackwardRoutes gradchecks a quarter-width pair of
+// 4-group convolutions: the first has aOut = 2, so its dW (GemmTB, m = aOut)
+// and dcol (GemmTA, k = aOut) products take the strided loops; the second
+// has aOut = 4 and takes the blocked engine for both.
+func TestConv2DGradCheckBothBackwardRoutes(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	net := &Sequential{Layers: []Layer{
+		NewConv2D(4, 8, 3, 3, 1, 1, Sliced(4), Sliced(4), true, rng),
+		NewConv2D(8, 16, 3, 3, 1, 1, Sliced(4), Sliced(4), true, rng),
+	}}
+	x := randTensor(rng, 2, 1, 5, 5)
+	if err := CheckGradients(net, Train(0.25, rng), x, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConv2DGradCheck1x1(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	c := Conv1x1(4, 4, 1, Sliced(2), Sliced(2), rng)

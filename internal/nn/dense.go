@@ -74,21 +74,14 @@ func (d *Dense) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	if d.Rescale && d.aIn < d.In {
 		d.scale = float64(d.In) / float64(d.aIn)
 	}
+	// y = scale · x·Wᵀ + b over the sliced prefix of W, on the exact-tier
+	// kernel and epilogue Infer uses, so the two paths agree bit for bit.
 	y := tensor.New(d.batch, d.aOut)
-	// y += x · Wᵀ using the sliced prefix of W.
-	tensor.GemmTB(d.batch, d.aOut, d.aIn, x.Data, d.aIn, d.W.Value.Data, d.In, y.Data, d.aOut)
-	if d.scale != 1 {
-		y.Scale(d.scale)
-	}
+	ep := tensor.Epilogue{Alpha: d.scale}
 	if d.B != nil {
-		b := d.B.Value.Data
-		for i := 0; i < d.batch; i++ {
-			row := y.Row(i)
-			for j := 0; j < d.aOut; j++ {
-				row[j] += b[j]
-			}
-		}
+		ep.ColShift = d.B.Value.Data
 	}
+	tensor.GemmTBExT(tensor.TierExact, d.batch, d.aOut, d.aIn, x.Data, d.aIn, d.W.Value.Data, d.In, y.Data, d.aOut, &ep)
 	return y
 }
 

@@ -176,7 +176,7 @@ func TestConvForwardScratchRecycled(t *testing.T) {
 	// The pool must now hold a buffer big enough for this layer's scratch —
 	// evidence Forward/Backward returned theirs instead of dropping them.
 	colRows, spatial := 3*9, 8*8
-	buf := im2colGet(1)
+	buf := poolGet(&im2colPool, 1)
 	defer im2colPool.Put(buf)
 	if cap(*buf) < colRows*spatial {
 		t.Fatalf("pooled scratch cap %d, want ≥ %d — Forward/Backward did not recycle", cap(*buf), colRows*spatial)

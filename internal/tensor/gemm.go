@@ -43,10 +43,19 @@ const (
 	ncBlock = 256
 	mcBlock = 256
 
-	// smallGemmFlops gates the packed path for the transposed variants:
-	// below this m·n·k the transpose-copy overhead dominates and the simple
-	// strided loops win.
+	// smallGemmFlops gates only the inference-side Bᵀ products (GemmTBExT
+	// and GemmTBPrefersPacked): below this m·n·k a small serving Dense
+	// product runs faster on the strided dot loop than on a packed panel.
+	// The accumulating training products route by shape instead (GemmTA,
+	// GemmTB).
 	smallGemmFlops = 48 * 48 * 48
+
+	// minPanelRows is the shape rule of the accumulating transposed
+	// products: the blocked engine pays one transpose-pack per panel, which
+	// needs at least a full quad of k-rows (GemmTA) or of C rows reusing the
+	// packed Bᵀ panel (GemmTB) to earn back. Thinner products keep the
+	// strided loops (DESIGN §7 has the shape sweep).
+	minPanelRows = 4
 )
 
 // Epilogue describes a fused transform applied to every element of C while
@@ -197,24 +206,30 @@ func GemmStats() GemmCounters {
 	return gc
 }
 
-// GemmTA computes C[m×n] += Aᵀ · B where A is stored as [k×m].
+// GemmTA computes C[m×n] += Aᵀ · B where A is stored as [k×m]. Only a
+// product with fewer than four k-rows stays on the strided axpy loop: the
+// quad-axpy kernel consumes k four rows at a time, so below that the blocked
+// path would be a scalar tail behind a pack.
 func GemmTA(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	checkMat("GemmTA A", k, m, lda, len(a))
 	checkMat("GemmTA B", k, n, ldb, len(b))
 	checkMat("GemmTA C", m, n, ldc, len(c))
-	if m*n*k < smallGemmFlops {
+	if k < minPanelRows {
 		gemmTASimple(m, n, k, a, lda, b, ldb, c, ldc)
 		return
 	}
 	gemmBlocked(TierExact, m, n, k, a, lda, true, b, ldb, false, c, ldc, false, nil)
 }
 
-// GemmTB computes C[m×n] += A · Bᵀ where B is stored as [n×k].
+// GemmTB computes C[m×n] += A · Bᵀ where B is stored as [n×k]. Only a
+// product with fewer than four C rows stays on the strided dot loop: the
+// packed Bᵀ panel must be reused by at least four rows to pay for its
+// transpose.
 func GemmTB(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	checkMat("GemmTB A", m, k, lda, len(a))
 	checkMat("GemmTB B", n, k, ldb, len(b))
 	checkMat("GemmTB C", m, n, ldc, len(c))
-	if m*n*k < smallGemmFlops {
+	if m < minPanelRows {
 		gemmTBSimple(m, n, k, a, lda, b, ldb, c, ldc)
 		return
 	}

@@ -69,6 +69,15 @@ func gemmCase(t *testing.T, name string, m, n, k, lda, ldb, ldc int,
 	kernel, ref func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int),
 	aRows, aCols, bRows, bCols int) {
 	t.Helper()
+	gemmCaseTol(t, name, m, n, k, lda, ldb, ldc, kernel, ref, aRows, aCols, bRows, bCols, 0)
+}
+
+// gemmCaseTol is gemmCase with an explicit absolute tolerance (0 keeps the
+// default 1e-10·√k).
+func gemmCaseTol(t *testing.T, name string, m, n, k, lda, ldb, ldc int,
+	kernel, ref func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int),
+	aRows, aCols, bRows, bCols int, maxErr float64) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(int64(m*1000003 + n*1009 + k)))
 	a := make([]float64, (aRows-1)*lda+aCols+7)
 	b := make([]float64, (bRows-1)*ldb+bCols+7)
@@ -81,7 +90,10 @@ func gemmCase(t *testing.T, name string, m, n, k, lda, ldb, ldc int,
 	kernel(m, n, k, a, lda, b, ldb, cGot, ldc)
 	ref(m, n, k, a, lda, b, ldb, cWant, ldc)
 
-	tol := 1e-10 * math.Sqrt(float64(k))
+	tol := maxErr
+	if tol == 0 {
+		tol = 1e-10 * math.Sqrt(float64(k))
+	}
 	for i := range cGot {
 		row, col := i/ldc, i%ldc
 		inRegion := row < m && col < n
@@ -107,8 +119,8 @@ func TestGemmAgainstReference(t *testing.T) {
 		{3, 5, 7, 0},
 		{4, 4, 4, 3},
 		{16, 16, 16, 0},
-		{31, 33, 29, 5},     // ragged, below blocked threshold
-		{48, 48, 48, 0},     // at the blocked threshold boundary
+		{31, 33, 29, 5},     // ragged, below GemmTBExT's small-product threshold
+		{48, 48, 48, 0},     // at GemmTBExT's small-product threshold
 		{64, 64, 64, 9},     // blocked, ragged ld
 		{65, 67, 63, 1},     // blocked, every edge panel ragged
 		{128, 32, 256, 0},   // full kc run
@@ -124,6 +136,26 @@ func TestGemmAgainstReference(t *testing.T) {
 		gemmCase(t, "GemmTA", s.m, s.n, s.k, s.m+s.pad, ldb, ldc, GemmTA, gemmTARef, s.k, s.m, s.k, s.n)
 		// GemmTB: B stored [n×k], so ldb ≥ k.
 		gemmCase(t, "GemmTB", s.m, s.n, s.k, lda, s.k+s.pad, ldc, GemmTB, gemmTBRef, s.m, s.k, s.n, s.k)
+	}
+}
+
+// TestGemmTransposedShapeRule sweeps the accumulating transposed products
+// across their route boundary: GemmTA keeps the strided loop only for k < 4
+// and GemmTB only for m < 4, so k, m ∈ {1…6} runs both sides, at padded
+// leading dimensions, against the naive loops.
+func TestGemmTransposedShapeRule(t *testing.T) {
+	const pad = 3
+	for d := 1; d <= 6; d++ {
+		for _, n := range []int{1, 7, 16, 64, 300} {
+			for _, other := range []int{2, 9, 72} {
+				// GemmTA: k = d, A stored [k×m].
+				m, k := other, d
+				gemmCaseTol(t, "GemmTA", m, n, k, m+pad, n+pad, n+pad, GemmTA, gemmTARef, k, m, k, n, 1e-12)
+				// GemmTB: m = d, B stored [n×k].
+				m, k = d, other
+				gemmCaseTol(t, "GemmTB", m, n, k, k+pad, k+pad, n+pad, GemmTB, gemmTBRef, m, k, n, k, 1e-12)
+			}
+		}
 	}
 }
 
@@ -463,4 +495,60 @@ func BenchmarkGemmTB256(b *testing.B) { benchGemmSize(b, 256, GemmTB) }
 
 func BenchmarkGemmRef256(b *testing.B) { benchGemmSize(b, 256, gemmRef) }
 
-var _ = fmt.Sprintf // keep fmt linked for debug sessions
+// vggConvShapes lists VGG13Mini's eight 3×3 convolutions as (input
+// channels, output channels, output side); the first layer's input is never
+// sliced, every other width slices in four groups.
+var vggConvShapes = [8][3]int{
+	{3, 8, 16}, {8, 8, 16}, {8, 16, 16}, {16, 16, 16},
+	{16, 32, 8}, {32, 32, 8}, {32, 64, 4}, {64, 64, 4},
+}
+
+// BenchmarkGemmBackwardShapes times the strided loops against the blocked
+// engine on every VGG13Mini conv backward product at r ∈ {0.25, 0.5, 1}:
+// dW through GemmTB (m = aOut, n = aIn·9, k = spatial) and dcol through
+// GemmTA (m = aIn·9, n = spatial, k = aOut). It is the sweep behind the
+// shape rule in GemmTA/GemmTB (DESIGN §7): blocked loses only where the
+// routed dimension — GemmTB's m, GemmTA's k — is below 4.
+func BenchmarkGemmBackwardShapes(b *testing.B) {
+	type route struct {
+		name string
+		run  func(m, n, k int, a []float64, lda int, bm []float64, ldb int, c []float64, ldc int)
+	}
+	taRoutes := []route{{"simple", gemmTASimple}, {"blocked", func(m, n, k int, a []float64, lda int, bm []float64, ldb int, c []float64, ldc int) {
+		gemmBlocked(TierExact, m, n, k, a, lda, true, bm, ldb, false, c, ldc, false, nil)
+	}}}
+	tbRoutes := []route{{"simple", gemmTBSimple}, {"blocked", func(m, n, k int, a []float64, lda int, bm []float64, ldb int, c []float64, ldc int) {
+		gemmBlocked(TierExact, m, n, k, a, lda, false, bm, ldb, true, c, ldc, false, nil)
+	}}}
+	rng := rand.New(rand.NewSource(1))
+	for li, s := range vggConvShapes {
+		for _, r := range []float64{0.25, 0.5, 1} {
+			aIn, aOut := s[0], int(float64(s[1])*r)
+			if li > 0 {
+				aIn = int(float64(s[0]) * r)
+			}
+			colRows, spatial := aIn*9, s[2]*s[2]
+			g := make([]float64, aOut*spatial)      // dy_b [aOut × spatial]
+			col := make([]float64, colRows*spatial) // im2col [colRows × spatial]
+			w := make([]float64, aOut*colRows)      // W prefix [aOut × colRows]
+			fillRand(rng, g)
+			fillRand(rng, col)
+			fillRand(rng, w)
+			bench := func(op string, rt route, m, n, k int, a []float64, lda int, bm []float64, ldb int) {
+				c := make([]float64, m*n)
+				b.Run(fmt.Sprintf("conv%d/r%.2f/%s/m%d_n%d_k%d/%s", li+1, r, op, m, n, k, rt.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						rt.run(m, n, k, a, lda, bm, ldb, c, n)
+					}
+					b.ReportMetric(2*float64(m*n*k)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOPS")
+				})
+			}
+			for _, rt := range tbRoutes {
+				bench("TB", rt, aOut, colRows, spatial, g, spatial, col, spatial)
+			}
+			for _, rt := range taRoutes {
+				bench("TA", rt, colRows, spatial, aOut, w, colRows, g, spatial)
+			}
+		}
+	}
+}
