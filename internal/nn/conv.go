@@ -119,6 +119,10 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	colRows := c.aIn * c.KH * c.KW
 	ldW := c.In * c.KH * c.KW
 
+	var bias []float64
+	if c.B != nil {
+		bias = c.B.Value.Data
+	}
 	nw := maxWorkers(batch)
 	var cols [maxBatchWorkers][]float64
 	var bufs [maxBatchWorkers]*[]float64
@@ -131,16 +135,7 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		src := x.Data[b*inPlane : (b+1)*inPlane]
 		tensor.Im2Col(src, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, col)
 		dst := y.Data[b*outPlane : (b+1)*outPlane]
-		tensor.Gemm(c.aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial)
-		if c.B != nil {
-			for oc := 0; oc < c.aOut; oc++ {
-				bias := c.B.Value.Data[oc]
-				plane := dst[oc*spatial : (oc+1)*spatial]
-				for i := range plane {
-					plane[i] += bias
-				}
-			}
-		}
+		tensor.GemmExT(tensor.TierExact, c.aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial, &tensor.Epilogue{RowShift: bias})
 	})
 	for i := 0; i < nw; i++ {
 		im2colPool.Put(bufs[i])
@@ -178,26 +173,41 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue)
 	// can skip the arena's zero fill.
 	y := arena.GetUninit(batch, aOut, outH, outW)
 
-	inPlane := aIn * h * w
-	outPlane := aOut * outH * outW
-	spatial := outH * outW
-	colRows := aIn * c.KH * c.KW
-	ldW := c.In * c.KH * c.KW
-
 	// The weight is the product's A operand and immutable for the life of
 	// the pass: stream the per-width persistent pack (built once, shared by
 	// every worker) unless the context pins the unpacked engine.
 	tier := ctx.EffTier()
 	var pw *tensor.PackedMat
 	if usePack(ctx) {
+		colRows := aIn * c.KH * c.KW
 		k := packKey{aOut, colRows}
 		pw = c.packs.lookup(k)
 		if pw == nil {
 			pw = c.packs.build(k, func() *tensor.PackedMat {
-				return tensor.PackA(aOut, colRows, c.W.Value.Data, ldW)
+				return tensor.PackA(aOut, colRows, c.W.Value.Data, c.In*c.KH*c.KW)
 			})
 		}
 	}
+	if pw != nil && tier == tensor.TierExact && c.sameConv() {
+		c.inferShift(arena, x, y, pw, ep)
+	} else {
+		c.inferIm2col(arena, tier, x, y, pw, ep)
+	}
+	return y
+}
+
+// inferIm2col is the column-matrix lowering of inferFused: each sample's
+// [aIn·KH·KW × outH·outW] column matrix is built and consumed by its GEMM
+// while still cache-hot, the product landing in the sample's output plane. A
+// nil pw runs the unpacked engine on the weight prefix.
+func (c *Conv2D) inferIm2col(arena *tensor.Arena, tier tensor.EngineTier, x, y *tensor.Tensor, pw *tensor.PackedMat, ep *tensor.Epilogue) {
+	batch, aIn, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	aOut := y.Dim(1)
+	spatial := y.Dim(2) * y.Dim(3)
+	inPlane := aIn * h * w
+	outPlane := aOut * spatial
+	colRows := aIn * c.KH * c.KW
+	ldW := c.In * c.KH * c.KW
 	// A point-wise convolution's column matrix is the input itself
 	// ([aIn × h·w], row stride h·w): hand it to the GEMM as B, no copy.
 	pointwise := c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
@@ -219,7 +229,83 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue)
 			tensor.GemmExT(tier, aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial, ep)
 		}
 	}
-	return y
+}
+
+// sameConv reports whether the layer is a stride-1 "same" convolution: the
+// served pass lowers it as shifted rows (inferShift) and Backward takes its
+// data gradient as a convolution. BenchmarkConvInferLowering found no
+// VGG13Mini shape, at any rate, where im2col serves faster beyond noise
+// (DESIGN §8), so the lowering has no further shape rule.
+func (c *Conv2D) sameConv() bool {
+	return c.Stride == 1 && c.Pad > 0 && c.KH == 2*c.Pad+1 && c.KW == c.KH
+}
+
+// shiftGridCols is how wide inferShift lets one product's grid grow by
+// stacking samples: a quarter-width 4×4 conv would otherwise run its kernels
+// on 20-column panels, where the per-call overhead is the bill. It matches
+// the engine's column panel; wider groups measured the same.
+const shiftGridCols = 256
+
+// inferShift is the implicit-GEMM lowering of a stride-1 same convolution
+// (tensor.GemmPackedShiftEx). The input planes are copied into a
+// zero-padded image in which every kernel tap is one contiguous window: rows
+// have stride ld = w+Pad, so one gap of Pad zeros is the right pad of a row
+// and the left pad of the next. Samples are stacked in frames of h image rows
+// plus Pad zero rows, which are the bottom pad of one sample and the top pad
+// of the next, below Pad zero rows that top the first; a group of g samples
+// fills a channel's plane. The product runs on the extended grid — g frames
+// of ld-wide rows — and the h×w part of each frame is copied into its
+// sample's output plane. Every output element sums the same products in the
+// same order as the im2col lowering, so the result is bit-identical.
+func (c *Conv2D) inferShift(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor.PackedMat, ep *tensor.Epilogue) {
+	batch, aIn, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	aOut := y.Dim(1)
+	pad := c.Pad
+	ld := w + pad
+	frame := (h + pad) * ld
+	g := max(1, min(batch, shiftGridCols/frame))
+	plane := pad*ld + g*frame
+	// A group's grid ends at its last sample's last pixel, rounded up to
+	// whole 4-lane vectors: a column past the plane costs less than a scalar
+	// tail.
+	grid := func(g int) int { return ((g-1)*frame + (h-1)*ld + w + 3) &^ 3 }
+	n := grid(g)
+	// Zeroed once per call: the copy below rewrites only the image interior,
+	// so the pad rows and gaps stay zero. The image ends where the last
+	// channel's last tap window does.
+	img := arena.Get((aIn-1)*plane + (c.KH-1)*ld + c.KW - 1 + n).Data
+	ext := arena.GetUninit(aOut, n).Data
+	inPlane, outPlane := aIn*h*w, aOut*h*w
+	for b0 := 0; b0 < batch; b0 += g {
+		gb := min(g, batch-b0)
+		for sm := 0; sm < gb; sm++ {
+			src := x.Data[(b0+sm)*inPlane : (b0+sm+1)*inPlane]
+			s := 0
+			for ci := 0; ci < aIn; ci++ {
+				o := ci*plane + sm*frame + pad*ld + pad
+				for iy := 0; iy < h; iy++ {
+					copy(img[o:o+w], src[s:s+w])
+					o += ld
+					s += w
+				}
+			}
+		}
+		// A short last group leaves stale frames behind its samples; no
+		// output it keeps reads them, and its grid stops before them.
+		tensor.GemmPackedShiftEx(aOut, grid(gb), c.KH, c.KW, pw, img, ld, plane, ext, n, ep)
+		for sm := 0; sm < gb; sm++ {
+			dst := y.Data[(b0+sm)*outPlane : (b0+sm+1)*outPlane]
+			d := 0
+			for oc := 0; oc < aOut; oc++ {
+				o := oc*n + sm*frame
+				for oy := 0; oy < h; oy++ {
+					copy(dst[d:d+w], ext[o:o+w])
+					o += ld
+					d += w
+				}
+			}
+		}
+	}
 }
 
 // Backward accumulates dW, dB and returns dx[B, aIn, H, W].
@@ -236,9 +322,26 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	colRows := c.aIn * c.KH * c.KW
 	ldW := c.In * c.KH * c.KW
 
+	// A stride-1 same convolution's data gradient is itself a same
+	// convolution: dy through the kernel flipped in space and transposed in
+	// channels, built once per call as wf [aIn × aOut·KH·KW]. Its product
+	// lands straight in the sample's dx plane, with no Col2Im scatter, no
+	// per-sample Wᵀ pack inside GemmTA and no dcol clear. Other shapes keep
+	// GemmTA + Col2Im, the oracle of this route.
+	same := c.sameConv()
+	dcolRows := colRows
+	var wf []float64
+	var wfBuf *[]float64
+	if same {
+		dcolRows = c.aOut * c.KH * c.KW
+		wfBuf = poolGet(&gradPool, c.aIn*dcolRows)
+		wf = (*wfBuf)[:c.aIn*dcolRows]
+		c.flippedKernel(wf)
+	}
+
 	nw := maxWorkers(batch)
 	// Worker-local scratch, all pooled: im2col and dcol buffers (dcol is
-	// zeroed in the loop before its accumulating GEMM), plus a private dW
+	// zeroed in the loop before an accumulating GEMM), plus a private dW
 	// (and dB) accumulator to avoid write races, reduced after the loop. The
 	// dW accumulator covers only the active aOut × colRows block, packed
 	// with row stride colRows, so its size and the reduction scale with r².
@@ -248,9 +351,9 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	dwLen := c.aOut * colRows
 	for i := 0; i < nw; i++ {
 		bufs[2*i] = poolGet(&im2colPool, colRows*spatial)
-		bufs[2*i+1] = poolGet(&im2colPool, colRows*spatial)
+		bufs[2*i+1] = poolGet(&im2colPool, dcolRows*spatial)
 		cols[i] = (*bufs[2*i])[:colRows*spatial]
-		dcols[i] = (*bufs[2*i+1])[:colRows*spatial]
+		dcols[i] = (*bufs[2*i+1])[:dcolRows*spatial]
 		gradBufs[i] = poolGet(&gradPool, dwLen+c.aOut)
 		grad := (*gradBufs[i])[:dwLen+c.aOut]
 		clear(grad)
@@ -264,12 +367,17 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 		g := dy.Data[b*outPlane : (b+1)*outPlane]
 		// dW += dy_b · colᵀ
 		tensor.GemmTB(c.aOut, colRows, spatial, g, spatial, col, spatial, dws[worker], colRows)
-		// dcol = Wᵀ · dy_b
-		for i := range dcol {
-			dcol[i] = 0
+		dxb := dx.Data[b*inPlane : (b+1)*inPlane]
+		if same {
+			// dx_b = wf · im2col(dy_b)
+			tensor.Im2Col(g, c.aOut, c.h, c.w, c.KH, c.KW, 1, c.Pad, dcol)
+			tensor.GemmExT(tensor.TierExact, c.aIn, spatial, dcolRows, wf, dcolRows, dcol, spatial, dxb, spatial, nil)
+		} else {
+			// dcol = Wᵀ · dy_b, scattered back into dx_b
+			clear(dcol)
+			tensor.GemmTA(colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, dcol, spatial)
+			tensor.Col2Im(dcol, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, dxb)
 		}
-		tensor.GemmTA(colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, dcol, spatial)
-		tensor.Col2Im(dcol, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, dx.Data[b*inPlane:(b+1)*inPlane])
 		if c.B != nil {
 			db := dbs[worker]
 			for oc := 0; oc < c.aOut; oc++ {
@@ -303,7 +411,29 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 		im2colPool.Put(bufs[2*i+1])
 		gradPool.Put(gradBufs[i])
 	}
+	if same {
+		gradPool.Put(wfBuf)
+	}
 	return dx
+}
+
+// flippedKernel writes the active kernel flipped in space and transposed in
+// channels into wf [aIn × aOut·KH·KW]: wf[ci, (oc·KH+ki)·KW+kj] =
+// W[oc, (ci·KH+KH−1−ki)·KW+KW−1−kj]. Reversing a channel's KH·KW taps flips
+// both axes at once.
+func (c *Conv2D) flippedKernel(wf []float64) {
+	taps := c.KH * c.KW
+	ldW := c.In * taps
+	ldF := c.aOut * taps
+	for oc := 0; oc < c.aOut; oc++ {
+		for ci := 0; ci < c.aIn; ci++ {
+			src := c.W.Value.Data[oc*ldW+ci*taps:][:taps]
+			dst := wf[ci*ldF+oc*taps:][:taps]
+			for t, v := range src {
+				dst[taps-1-t] = v
+			}
+		}
+	}
 }
 
 // packCacheBytes reports the resident per-width pack memory (see

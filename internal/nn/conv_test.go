@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"modelslicing/internal/tensor"
 )
 
 func TestConv2DForwardMatchesDirect(t *testing.T) {
@@ -72,9 +74,10 @@ func TestConv2DGradCheckSliced(t *testing.T) {
 }
 
 // TestConv2DGradCheckBothBackwardRoutes gradchecks a quarter-width pair of
-// 4-group convolutions: the first has aOut = 2, so its dW (GemmTB, m = aOut)
-// and dcol (GemmTA, k = aOut) products take the strided loops; the second
-// has aOut = 4 and takes the blocked engine for both.
+// 4-group convolutions: the first has aOut = 2, so its dW product (GemmTB,
+// m = aOut) takes the strided loop; the second has aOut = 4 and takes the
+// blocked engine. (Being same convolutions, both take dx through the
+// flipped-kernel product; the strided tests cover GemmTA + Col2Im.)
 func TestConv2DGradCheckBothBackwardRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	net := &Sequential{Layers: []Layer{
@@ -142,5 +145,38 @@ func TestConv2DOutShape(t *testing.T) {
 	h, w := c.OutShape(32, 32)
 	if h != 16 || w != 16 {
 		t.Fatalf("OutShape = (%d,%d), want (16,16)", h, w)
+	}
+}
+
+// TestConv2DBackwardSameConvMatchesCol2Im holds the data gradient of a
+// stride-1 same convolution, computed as a flipped-kernel convolution of dy,
+// to the GemmTA + Col2Im route every other shape takes. The two sum the same
+// products in different orders, so they agree to rounding, not bit for bit.
+func TestConv2DBackwardSameConvMatchesCol2Im(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for _, k := range []int{3, 5} {
+		c := NewConv2D(8, 12, k, k, 1, k/2, Sliced(4), Sliced(4), true, rng)
+		for _, r := range []float64{0.25, 0.5, 1} {
+			aIn, aOut := c.Active(r)
+			x := randTensor(rng, 3, aIn, 6, 5)
+			ctx := Train(r, rng)
+			c.Forward(ctx, x)
+			dy := randTensor(rng, 3, aOut, 6, 5)
+			got := c.Backward(ctx, dy)
+
+			spatial, colRows := 30, aIn*k*k
+			want := make([]float64, len(got.Data))
+			dcol := make([]float64, colRows*spatial)
+			for b := 0; b < 3; b++ {
+				clear(dcol)
+				tensor.GemmTA(colRows, spatial, aOut, c.W.Value.Data, c.In*k*k, dy.Data[b*aOut*spatial:], spatial, dcol, spatial)
+				tensor.Col2Im(dcol, aIn, 6, 5, k, k, 1, k/2, want[b*aIn*spatial:])
+			}
+			for i, w := range want {
+				if d := math.Abs(got.Data[i] - w); !(d <= 1e-13) {
+					t.Fatalf("k=%d r=%v dx[%d]=%v, Col2Im route %v", k, r, i, got.Data[i], w)
+				}
+			}
+		}
 	}
 }

@@ -1,0 +1,113 @@
+package tensor
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// shiftRowsOracle materializes the B operand GemmPackedShiftEx reads in
+// place: row p = (ci·kh + ki)·kw + kj is img[ci·plane + ki·ld + kj:][:n].
+func shiftRowsOracle(k, n, kh, kw int, img []float64, ld, plane int) []float64 {
+	b := make([]float64, k*n)
+	for p := 0; p < k; p++ {
+		ci, t := p/(kh*kw), p%(kh*kw)
+		off := ci*plane + t/kw*ld + t%kw
+		copy(b[p*n:(p+1)*n], img[off:off+n])
+	}
+	return b
+}
+
+// TestGemmPackedShiftMatchesMaterialized holds the shifted-row product to
+// GemmPackedExT over the materialized matrix, bit for bit: random tap
+// geometries (rows that overlap, abut or leave gaps), k past one 256-row
+// panel, C wider than a column panel, odd m, every epilogue mask, and both
+// the AVX and the scalar panel loops.
+func TestGemmPackedShiftMatchesMaterialized(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	saved := useAVX
+	defer func() { useAVX = saved }()
+	for it := 0; it < 160; it++ {
+		kh, kw := 1+rng.Intn(4), 1+rng.Intn(4)
+		channels := 1 + rng.Intn(6)
+		if it%8 == 0 {
+			channels = 260/(kh*kw) + 1 + rng.Intn(3) // two k-panels
+		}
+		k := channels * kh * kw
+		m := 1 + rng.Intn(9)
+		n := 1 + rng.Intn(40)
+		if it%5 == 0 {
+			n = 1 + rng.Intn(700) // several column panels when kh·kw is small
+		}
+		ld := rng.Intn(2 * (kw + 3))
+		plane := rng.Intn(kh*ld + 2*n + 1)
+		last := (channels-1)*plane + (kh-1)*ld + kw - 1
+		img := make([]float64, last+n+rng.Intn(3))
+		fillRand(rng, img)
+		a := make([]float64, m*k)
+		fillRand(rng, a)
+		pa := PackA(m, k, a, k)
+		ldc := n + rng.Intn(3)
+		ep := epilogueCase(rng, it%64, m, n)
+
+		want := make([]float64, m*ldc)
+		GemmPackedExT(TierExact, m, n, k, pa, shiftRowsOracle(k, n, kh, kw, img, ld, plane), n, want, ldc, ep)
+		for _, avx := range []bool{saved, false} {
+			useAVX = avx
+			got := make([]float64, m*ldc)
+			for i := range got {
+				got[i] = math.NaN() // assign mode overwrites every element
+			}
+			GemmPackedShiftEx(m, n, kh, kw, pa, img, ld, plane, got, ldc, ep)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					g, w := got[i*ldc+j], want[i*ldc+j]
+					if math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("it %d (m=%d n=%d k=%d %dx%d ld=%d plane=%d mask=%06b avx=%v): C[%d,%d]=%v, materialized %v",
+							it, m, n, k, kh, kw, ld, plane, it%64, avx, i, j, g, w)
+					}
+				}
+			}
+		}
+		useAVX = saved
+	}
+}
+
+// TestGemmPackedShiftCountsKernels pins the dispatch accounting: one exact
+// tier kernel per C panel, vector or scalar by the engine's width rule.
+func TestGemmPackedShiftCountsKernels(t *testing.T) {
+	pa := PackA(2, 9, make([]float64, 18), 9)
+	img := make([]float64, 64)
+	c := make([]float64, 2*40)
+	for _, n := range []int{4, 40} {
+		before := GemmStats().Kernels[TierExact]
+		GemmPackedShiftEx(2, n, 3, 3, pa, img, 5, 0, c, n, nil)
+		after := GemmStats().Kernels[TierExact]
+		vec, sca := after.Vector-before.Vector, after.Scalar-before.Scalar
+		if wantVec := useAVX && n >= vecMinCols; vec+sca != 1 || (vec == 1) != wantVec {
+			t.Fatalf("n=%d: %d vector + %d scalar dispatches, want one (vector %v)", n, vec, sca, wantVec)
+		}
+	}
+}
+
+func TestGemmPackedShiftShapeChecks(t *testing.T) {
+	pa := PackA(2, 9, make([]float64, 18), 9)
+	c := make([]float64, 2*8)
+	for name, call := range map[string]func(){
+		"taps do not divide k": func() { GemmPackedShiftEx(2, 8, 2, 2, pa, make([]float64, 64), 3, 9, c, 8, nil) },
+		"image too short":      func() { GemmPackedShiftEx(2, 8, 3, 3, pa, make([]float64, 8), 3, 9, c, 8, nil) },
+		"wrong row count":      func() { GemmPackedShiftEx(3, 8, 3, 3, pa, make([]float64, 64), 3, 9, c, 8, nil) },
+		"B-layout pack": func() {
+			GemmPackedShiftEx(2, 8, 3, 3, PackTB(2, 9, make([]float64, 18), 9), make([]float64, 64), 3, 9, c, 8, nil)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
