@@ -2,62 +2,63 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"modelslicing/internal/tensor"
 )
 
 // ReLU is the rectified linear unit, applied element-wise.
 type ReLU struct {
-	mask []bool
+	// y is Forward's output, cached for Backward (the gradient passes where
+	// y > 0) and dropped by it.
+	y *tensor.Tensor
 }
 
 // NewReLU constructs a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward computes max(x, 0) and caches the activation mask.
+// Forward computes max(x, 0) and caches the output.
 func (r *ReLU) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	y := tensor.New(x.Shape...)
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-		}
-	}
+	y := arenaOf(ctx).GetUninit(x.Shape...)
+	relu(y.Data, x.Data)
+	r.y = y
 	return y
 }
 
-// Infer computes max(x, 0) without caching the mask (read-only path). Every
-// element is written, so the output skips the arena's zero fill.
+// Infer computes max(x, 0) without caching anything (read-only path).
 func (r *ReLU) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	y := arenaOf(ctx).GetUninit(x.Shape...)
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-		} else {
-			y.Data[i] = 0
-		}
-	}
+	relu(y.Data, x.Data)
 	return y
 }
 
-// Backward gates the gradient by the cached mask.
+// relu writes max(x, 0) into dst on the normalization kernel's clamp. The
+// affine is the identity, exact for every input, and the clamp keeps v > 0
+// and turns anything else — −0 and NaN included — into +0; +Inf and
+// subnormals pass through. dst is fully written.
+func relu(dst, x []float64) { tensor.NormAffine(dst, x, 0, 1, 1, 0, true) }
+
+// Backward passes the gradient where the cached output is positive and
+// drops the output.
 func (r *ReLU) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
-	if len(dy.Data) != len(r.mask) {
-		panic(fmt.Sprintf("nn: ReLU.Backward grad size %d, want %d", len(dy.Data), len(r.mask)))
+	if r.y == nil || len(dy.Data) != len(r.y.Data) {
+		panic(fmt.Sprintf("nn: ReLU.Backward grad %v without a matching Forward", dy.Shape))
 	}
-	dx := tensor.New(dy.Shape...)
-	for i, v := range dy.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		}
-	}
+	dx := arenaOf(ctx).GetUninit(dy.Shape...)
+	reluGrad(dx.Data, dy.Data, r.y.Data)
+	r.y = nil
 	return dx
+}
+
+// reluGrad writes dy where y > 0 and +0 elsewhere, without a branch. y is a
+// ReLU output, so it is +0 or positive, and y > 0 exactly when its bits are
+// not all zero; the mask is then all ones.
+func reluGrad(dx, dy, y []float64) {
+	dx, y = dx[:len(dy)], y[:len(dy)]
+	for i, v := range dy {
+		m := uint64(-int64(math.Float64bits(y[i])) >> 63)
+		dx[i] = math.Float64frombits(math.Float64bits(v) & m)
+	}
 }
 
 // Params returns nil; ReLU has no parameters.
@@ -94,7 +95,7 @@ func (d *Dropout) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	}
 	d.mask = d.mask[:len(x.Data)]
 	keep := 1 / (1 - d.P)
-	y := tensor.New(x.Shape...)
+	y := arenaOf(ctx).Get(x.Shape...)
 	for i, v := range x.Data {
 		if ctx.RNG.Float64() < d.P {
 			d.mask[i] = 0
@@ -114,7 +115,7 @@ func (d *Dropout) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	if !d.used {
 		return dy
 	}
-	dx := tensor.New(dy.Shape...)
+	dx := arenaOf(ctx).GetUninit(dy.Shape...)
 	for i, v := range dy.Data {
 		dx.Data[i] = v * d.mask[i]
 	}

@@ -111,7 +111,8 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	c.h, c.w = x.Dim(2), x.Dim(3)
 	c.outH, c.outW = c.OutShape(c.h, c.w)
 	c.x = x
-	y := tensor.New(batch, c.aOut, c.outH, c.outW)
+	// Every output element is written by the assign-mode GEMM.
+	y := arenaOf(ctx).GetUninit(batch, c.aOut, c.outH, c.outW)
 
 	inPlane := c.aIn * c.h * c.w
 	outPlane := c.aOut * c.outH * c.outW
@@ -308,13 +309,13 @@ func (c *Conv2D) inferShift(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor
 	}
 }
 
-// Backward accumulates dW, dB and returns dx[B, aIn, H, W].
+// Backward accumulates dW, dB, returns dx[B, aIn, H, W] and drops the
+// cached input.
 func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	batch := c.x.Dim(0)
 	if dy.Rank() != 4 || dy.Dim(0) != batch || dy.Dim(1) != c.aOut || dy.Dim(2) != c.outH || dy.Dim(3) != c.outW {
 		panic(fmt.Sprintf("nn: Conv2D.Backward grad %v, want [%d %d %d %d]", dy.Shape, batch, c.aOut, c.outH, c.outW))
 	}
-	dx := tensor.New(batch, c.aIn, c.h, c.w)
 
 	inPlane := c.aIn * c.h * c.w
 	outPlane := c.aOut * c.outH * c.outW
@@ -329,6 +330,13 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	// per-sample Wᵀ pack inside GemmTA and no dcol clear. Other shapes keep
 	// GemmTA + Col2Im, the oracle of this route.
 	same := c.sameConv()
+	// The same-conv product assigns every dx element; Col2Im accumulates.
+	var dx *tensor.Tensor
+	if same {
+		dx = arenaOf(ctx).GetUninit(batch, c.aIn, c.h, c.w)
+	} else {
+		dx = arenaOf(ctx).Get(batch, c.aIn, c.h, c.w)
+	}
 	dcolRows := colRows
 	var wf []float64
 	var wfBuf *[]float64
@@ -414,6 +422,7 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	if same {
 		gradPool.Put(wfBuf)
 	}
+	c.x = nil
 	return dx
 }
 

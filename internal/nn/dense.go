@@ -76,7 +76,7 @@ func (d *Dense) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	}
 	// y = scale · x·Wᵀ + b over the sliced prefix of W, on the exact-tier
 	// kernel and epilogue Infer uses, so the two paths agree bit for bit.
-	y := tensor.New(d.batch, d.aOut)
+	y := arenaOf(ctx).GetUninit(d.batch, d.aOut)
 	ep := tensor.Epilogue{Alpha: d.scale}
 	if d.B != nil {
 		ep.ColShift = d.B.Value.Data
@@ -132,7 +132,8 @@ func (d *Dense) inferFused(ctx *Context, x *tensor.Tensor, relu bool) *tensor.Te
 // PackCacheBytes).
 func (d *Dense) packCacheBytes() int64 { return d.packs.bytes() }
 
-// Backward accumulates dW, dB and returns dx[B × aIn].
+// Backward accumulates dW, dB, returns dx[B × aIn] and drops the cached
+// input.
 func (d *Dense) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	if dy.Rank() != 2 || dy.Dim(0) != d.batch || dy.Dim(1) != d.aOut {
 		panic(fmt.Sprintf("nn: Dense.Backward grad %v, want [%d %d]", dy.Shape, d.batch, d.aOut))
@@ -148,16 +149,19 @@ func (d *Dense) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	}
 	// The rescale factor multiplies the W·x term only (bias added after),
 	// so it scales both dW and dx but not dB.
+	arena := arenaOf(ctx)
 	dyEff := dy
 	if d.scale != 1 {
-		dyEff = dy.Clone()
+		dyEff = arena.GetUninit(dy.Shape...)
+		copy(dyEff.Data, dy.Data)
 		dyEff.Scale(d.scale)
 	}
 	// dW[aOut × aIn] += dyᵀ · x
 	tensor.GemmTA(d.aOut, d.aIn, d.batch, dyEff.Data, d.aOut, d.x.Data, d.aIn, d.W.Grad.Data, d.In)
 	// dx[B × aIn] += dy · W
-	dx := tensor.New(d.batch, d.aIn)
+	dx := arena.Get(d.batch, d.aIn)
 	tensor.Gemm(d.batch, d.aIn, d.aOut, dyEff.Data, d.aOut, d.W.Value.Data, d.In, dx.Data, d.aIn)
+	d.x = nil
 	return dx
 }
 

@@ -37,15 +37,23 @@ type Context struct {
 	WidthIdx int
 	// RNG drives stochastic layers (dropout). May be nil outside training.
 	RNG *rand.Rand
-	// Arena, when non-nil, supplies output and scratch buffers for the
-	// inference path (Layer.Infer): activations come from the reusable slabs
-	// instead of the heap. The outermost Sequential of a pass releases each
-	// layer's activations once the layer after it has run, so an
-	// intermediate is valid only until that loop moves on; the pass's
-	// returned output, and whatever was taken from the arena before the
-	// pass, stay valid until the caller's Arena.Reset. A layer's output is
-	// either new arena (or heap) storage or a view of its input's storage
-	// from its first element (Flatten, eval Dropout). Forward ignores it.
+	// Arena, when non-nil, supplies output and scratch buffers: activations
+	// come from the reusable slabs instead of the heap.
+	//
+	// On the inference path (Layer.Infer) the outermost Sequential of a
+	// pass releases each layer's activations once the layer after it has
+	// run, so an intermediate is valid only until that loop moves on; the
+	// pass's returned output, and whatever was taken from the arena before
+	// the pass, stay valid until the caller's Arena.Reset. A layer's output
+	// is either new arena (or heap) storage or a view of its input's storage
+	// from its first element (Flatten, eval Dropout).
+	//
+	// In training, Forward and Backward take their outputs, gradients and
+	// cached state from it without releasing anything, so all of a
+	// sub-network's pass stays valid until the caller resets the arena after
+	// Backward (slicing.Trainer.Step). Backward drops every cache that points
+	// into the arena, so a model pins none of it afterwards. The recurrent
+	// layers and Embedding allocate from the heap either way.
 	Arena *tensor.Arena
 	// NoPack disables the persistent packed-weight GEMM path for this pass,
 	// forcing the unpacked engine (benchmark escape hatch and A/B oracle;

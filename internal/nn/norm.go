@@ -73,12 +73,13 @@ func (g *GroupNorm) activeGroups(aC int) int {
 func (g *GroupNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	g.aC = g.Spec.Active(ctx.EffRate(), g.C)
 	g.batch, g.hw = normShape("GroupNorm", x, g.aC)
-	g.origShape = append([]int(nil), x.Shape...)
+	g.origShape = append(g.origShape[:0], x.Shape...)
 	ag := g.activeGroups(g.aC)
 
-	y := tensor.New(x.Shape...)
-	g.xhat = tensor.New(x.Shape...)
-	g.invStd = make([]float64, g.batch*ag)
+	arena := arenaOf(ctx)
+	y := arena.GetUninit(x.Shape...)
+	g.xhat = arena.GetUninit(x.Shape...)
+	g.invStd = arena.GetUninit(g.batch * ag).Data
 	g.normalize(y.Data, g.xhat.Data, g.invStd, x.Data, g.batch, ag, g.hw, false)
 	return y
 }
@@ -154,13 +155,14 @@ func normShape(name string, x *tensor.Tensor, want int) (batch, hw int) {
 	}
 }
 
-// Backward accumulates dGamma, dBeta and returns dx.
+// Backward accumulates dGamma, dBeta, returns dx and drops the cached x̂
+// and 1/σ.
 func (g *GroupNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	gs := g.C / g.NormGroups
 	ag := g.aC / gs
 	hw := g.hw
 	n := gs * hw
-	dx := tensor.New(g.origShape...)
+	dx := arenaOf(ctx).GetUninit(g.origShape...)
 	gamma := g.Gamma.Value.Data
 	dgamma, dbeta := g.Gamma.Grad.Data, g.Beta.Grad.Data
 
@@ -195,6 +197,7 @@ func (g *GroupNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
+	g.xhat, g.invStd = nil, nil
 	return dx
 }
 
@@ -263,16 +266,17 @@ func (b *BatchNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	r := ctx.EffRate()
 	b.aC = b.Spec.Active(r, b.C)
 	b.batch, b.hw = normShape("BatchNorm", x, b.aC)
-	b.origShape = append([]int(nil), x.Shape...)
+	b.origShape = append(b.origShape[:0], x.Shape...)
 	b.training = ctx != nil && ctx.Training
 	plane := b.aC * b.hw
 	n := b.batch * b.hw
 
-	y := tensor.New(x.Shape...)
+	arena := arenaOf(ctx)
+	y := arena.GetUninit(x.Shape...)
 	gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
 	if b.training {
-		b.xhat = tensor.New(x.Shape...)
-		b.invStd = make([]float64, b.aC)
+		b.xhat = arena.GetUninit(x.Shape...)
+		b.invStd = arena.GetUninit(b.aC).Data
 		for c := 0; c < b.aC; c++ {
 			mu, va := 0.0, 0.0
 			for s := 0; s < b.batch; s++ {
@@ -366,14 +370,15 @@ func (b *BatchNorm) FoldedAffine() (scale, shift []float64) {
 	return scale, shift
 }
 
-// Backward accumulates dGamma, dBeta and returns dx (training mode only).
+// Backward accumulates dGamma, dBeta, returns dx and drops the cached x̂
+// and 1/σ (training mode only).
 func (b *BatchNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	if !b.training {
 		panic("nn: BatchNorm.Backward called after evaluation-mode Forward")
 	}
 	plane := b.aC * b.hw
 	n := float64(b.batch * b.hw)
-	dx := tensor.New(b.origShape...)
+	dx := arenaOf(ctx).GetUninit(b.origShape...)
 	gamma := b.Gamma.Value.Data
 	dgamma, dbeta := b.Gamma.Grad.Data, b.Beta.Grad.Data
 	for c := 0; c < b.aC; c++ {
@@ -401,6 +406,7 @@ func (b *BatchNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
+	b.xhat, b.invStd = nil, nil
 	return dx
 }
 

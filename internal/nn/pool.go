@@ -25,10 +25,10 @@ func (m *MaxPool2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: MaxPool2D input %v, want rank 4", x.Shape))
 	}
 	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	m.inShape = append([]int(nil), x.Shape...)
+	m.inShape = append(m.inShape[:0], x.Shape...)
 	m.outH = tensor.ConvOutSize(h, m.K, m.Stride, 0)
 	m.outW = tensor.ConvOutSize(w, m.K, m.Stride, 0)
-	y := tensor.New(b, c, m.outH, m.outW)
+	y := arenaOf(ctx).GetUninit(b, c, m.outH, m.outW)
 	if cap(m.argmax) < y.Size() {
 		m.argmax = make([]int, y.Size())
 	}
@@ -151,7 +151,7 @@ func pool2x2(dst []float64, argmax []int, src []float64, planes, h, w, outH, out
 
 // Backward routes each gradient to its argmax position.
 func (m *MaxPool2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(m.inShape...)
+	dx := arenaOf(ctx).Get(m.inShape...)
 	for i, v := range dy.Data {
 		dx.Data[m.argmax[i]] += v
 	}
@@ -174,8 +174,8 @@ func (g *GlobalAvgPool) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: GlobalAvgPool input %v, want rank 4", x.Shape))
 	}
-	g.inShape = append([]int(nil), x.Shape...)
-	y := tensor.New(x.Dim(0), x.Dim(1))
+	g.inShape = append(g.inShape[:0], x.Shape...)
+	y := arenaOf(ctx).GetUninit(x.Dim(0), x.Dim(1))
 	planeMeans(y.Data, x.Data, x.Dim(2)*x.Dim(3))
 	return y
 }
@@ -200,7 +200,7 @@ func planeMeans(dst, src []float64, hw int) {
 // Backward distributes each gradient uniformly over the pooled plane.
 func (g *GlobalAvgPool) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	b, c, h, w := g.inShape[0], g.inShape[1], g.inShape[2], g.inShape[3]
-	dx := tensor.New(g.inShape...)
+	dx := arenaOf(ctx).GetUninit(g.inShape...)
 	hw := h * w
 	inv := 1 / float64(hw)
 	for s := 0; s < b; s++ {
@@ -228,8 +228,8 @@ func NewFlatten() *Flatten { return &Flatten{} }
 
 // Forward flattens all trailing dimensions into one.
 func (f *Flatten) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	f.inShape = append([]int(nil), x.Shape...)
-	return x.Reshape(x.Dim(0), x.Size()/x.Dim(0))
+	f.inShape = append(f.inShape[:0], x.Shape...)
+	return arenaOf(ctx).Wrap(x.Data, x.Dim(0), x.Size()/x.Dim(0))
 }
 
 // Infer flattens via an arena-recycled header view (no data copy, no cached
@@ -240,7 +240,7 @@ func (f *Flatten) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 
 // Backward restores the original shape.
 func (f *Flatten) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
-	return dy.Reshape(f.inShape...)
+	return arenaOf(ctx).Wrap(dy.Data, f.inShape...)
 }
 
 // Params returns nil; Flatten has no parameters.

@@ -15,8 +15,6 @@ import (
 type Residual struct {
 	Body  Layer
 	Short Layer // nil means identity
-
-	x *tensor.Tensor
 }
 
 // NewResidual constructs a residual block.
@@ -24,31 +22,27 @@ func NewResidual(body, short Layer) *Residual { return &Residual{Body: body, Sho
 
 // Forward computes the two branches and sums them.
 func (r *Residual) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	r.x = x
 	y := r.Body.Forward(ctx, x)
-	var s *tensor.Tensor
+	s := x
 	if r.Short != nil {
 		s = r.Short.Forward(ctx, x)
-	} else {
-		s = x
 	}
-	if !y.SameShape(s) {
-		panic(fmt.Sprintf("nn: Residual branch shapes differ: body %v vs shortcut %v", y.Shape, s.Shape))
-	}
-	out := y.Clone()
-	out.Add(s)
-	return out
+	return branchSum(ctx, y, s)
 }
 
-// Infer computes both branches on the read-only path and sums them into an
-// arena-backed output (never in place: a pass-through body or shortcut may
-// alias the caller's input).
+// Infer computes both branches on the read-only path and sums them.
 func (r *Residual) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	y := Infer(r.Body, ctx, x)
 	s := x
 	if r.Short != nil {
 		s = Infer(r.Short, ctx, x)
 	}
+	return branchSum(ctx, y, s)
+}
+
+// branchSum returns y + s in an arena-backed output, never in place: a
+// pass-through body or shortcut may alias the block's input.
+func branchSum(ctx *Context, y, s *tensor.Tensor) *tensor.Tensor {
 	if !y.SameShape(s) {
 		panic(fmt.Sprintf("nn: Residual branch shapes differ: body %v vs shortcut %v", y.Shape, s.Shape))
 	}

@@ -3,6 +3,7 @@ package slicing
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"modelslicing/internal/nn"
 	"modelslicing/internal/tensor"
@@ -14,6 +15,8 @@ import (
 // corresponding sub-networks on the shared parameters, accumulates their
 // gradients, and applies a single optimizer update.
 type Trainer struct {
+	// Model is the network trained. Its parameter list is read once, so a
+	// different model needs a new Trainer.
 	Model nn.Layer
 	Rates RateList
 	Sched Scheduler
@@ -22,7 +25,17 @@ type Trainer struct {
 	// update (used by the NNLM recipe).
 	ClipNorm float64
 	RNG      *rand.Rand
+
+	// params caches Model.Params(): composite layers build the list afresh
+	// on every call.
+	params []*nn.Param
 }
+
+// stepArenas recycles the arena a step runs its sub-networks on. A Trainer
+// does not hold one between steps: the slab is sized by the full-width
+// sub-network (~27 MB for VGG13Mini at batch 32), and pooled it is garbage
+// at the next collection after the step, like the heap tensors it replaces.
+var stepArenas = sync.Pool{New: func() any { return tensor.NewArena() }}
 
 // NewTrainer constructs a trainer; the rate list is validated once here.
 func NewTrainer(model nn.Layer, rates RateList, sched Scheduler, opt *train.SGD, rng *rand.Rand) *Trainer {
@@ -30,10 +43,11 @@ func NewTrainer(model nn.Layer, rates RateList, sched Scheduler, opt *train.SGD,
 	// Copy-on-train: a model bound over a read-only checkpoint mapping
 	// (persist.Checkpoint.Bind) must own its parameters before the first
 	// optimizer update — or BatchNorm running-stat write — touches them.
-	for _, p := range model.Params() {
+	params := model.Params()
+	for _, p := range params {
 		p.EnsureMutable()
 	}
-	return &Trainer{Model: model, Rates: rates, Sched: sched, Opt: opt, RNG: rng}
+	return &Trainer{Model: model, Rates: rates, Sched: sched, Opt: opt, RNG: rng, params: params}
 }
 
 // StepStats reports the losses of one Algorithm-1 step.
@@ -65,21 +79,28 @@ func (t *Trainer) widthIdx(r float64) int {
 	return 0
 }
 
-// Step performs one training step on the batch.
+// Step performs one training step on the batch. Each scheduled sub-network
+// runs on a pooled arena that is reset after its Backward: the layers drop
+// their arena-backed caches there, so nothing of a pass outlives it.
 func (t *Trainer) Step(b train.Batch) StepStats {
 	lt := t.Sched.Next(t.RNG)
 	if len(lt) == 0 {
 		panic("slicing: scheduler returned an empty rate list")
 	}
 	stats := StepStats{Rates: lt}
+	arena := stepArenas.Get().(*tensor.Arena)
 	for _, r := range lt {
-		ctx := &nn.Context{Training: true, Rate: r, WidthIdx: t.widthIdx(r), RNG: t.RNG}
+		ctx := &nn.Context{Training: true, Rate: r, WidthIdx: t.widthIdx(r), RNG: t.RNG, Arena: arena}
 		logits := t.Model.Forward(ctx, b.X)
 		loss, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
 		t.Model.Backward(ctx, dy)
+		arena.Reset()
 		stats.Losses = append(stats.Losses, loss)
 	}
-	params := t.Model.Params()
+	if t.params == nil {
+		t.params = t.Model.Params()
+	}
+	params := t.params
 	// Algorithm 1 accumulates sub-network gradients; we normalize the sum by
 	// |Lt| (equivalently, optimize the mean of the sub-network losses) so
 	// the effective step size does not grow with the number of scheduled
@@ -94,6 +115,7 @@ func (t *Trainer) Step(b train.Batch) StepStats {
 		train.ClipGradNorm(params, t.ClipNorm)
 	}
 	t.Opt.Step(params)
+	stepArenas.Put(arena)
 	return stats
 }
 

@@ -1,0 +1,223 @@
+package slicing
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"modelslicing/internal/models"
+	"modelslicing/internal/nn"
+	"modelslicing/internal/tensor"
+	"modelslicing/internal/train"
+)
+
+// Trainer.Step runs each scheduled sub-network on a pooled arena (the
+// layers' Forward/Backward outputs and caches come from it) and resets it
+// after that sub-network's Backward. The tests below pin that path to the
+// heap path bit for bit, bound its allocations, and check that nothing of a
+// step stays reachable once it has returned.
+
+// arenaCases are the models the arena-backed step is pinned on: the
+// GroupNorm VGG the benchmark trains, a ResNet (Residual sums, strided 1×1
+// shortcuts, whose data gradient goes through Col2Im) and a BatchNorm VGG
+// with a flattened dense head and dropout.
+var arenaCases = []struct {
+	name  string
+	build func(rng *rand.Rand) nn.Layer
+}{
+	{"vgg13mini-groupnorm", func(rng *rand.Rand) nn.Layer {
+		m, _ := models.NewVGG(models.VGG13Mini(4, models.NormGroup, 1), rng)
+		return m
+	}},
+	{"resnetmini-groupnorm", func(rng *rand.Rand) nn.Layer {
+		m, _ := models.NewResNet(models.ResNetMini(4, models.NormGroup, 1), rng)
+		return m
+	}},
+	{"vgg13mini-batchnorm-fc", func(rng *rand.Rand) nn.Layer {
+		cfg := models.VGG13Mini(4, models.NormBatch, 1)
+		cfg.FCDims, cfg.Dropout = []int{32}, 0.25
+		m, _ := models.NewVGG(cfg, rng)
+		return m
+	}},
+}
+
+// imageBatch is a random [n, 3, 16, 16] batch with labels in [0, 10).
+func imageBatch(n int, seed int64) train.Batch {
+	rng := rand.New(rand.NewSource(seed))
+	x := tensor.New(n, 3, 16, 16)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = rng.Intn(10)
+	}
+	return train.Batch{X: x, Labels: labels}
+}
+
+// diffBits returns the first index at which a and b differ in their bits,
+// or -1.
+func diffBits(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// heapStep is Trainer.Step written out by hand on the heap (no arena): the
+// oracle of the arena-backed step.
+func heapStep(model nn.Layer, rates RateList, sched Scheduler, opt *train.SGD, rng *rand.Rand, b train.Batch) []float64 {
+	lt := sched.Next(rng)
+	var losses []float64
+	for _, r := range lt {
+		idx := 0
+		if i, err := rates.Index(r); err == nil {
+			idx = i
+		}
+		ctx := &nn.Context{Training: true, Rate: r, WidthIdx: idx, RNG: rng}
+		logits := model.Forward(ctx, b.X)
+		loss, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
+		model.Backward(ctx, dy)
+		losses = append(losses, loss)
+	}
+	params := model.Params()
+	if n := len(lt); n > 1 {
+		for _, p := range params {
+			p.Grad.Scale(1 / float64(n))
+		}
+	}
+	opt.Step(params)
+	return losses
+}
+
+func TestTrainerArenaBitIdentical(t *testing.T) {
+	rates := NewRateList(0.25, 4)
+	batch := imageBatch(8, 31)
+	for _, tc := range arenaCases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, h := tc.build(rand.New(rand.NewSource(32))), tc.build(rand.New(rand.NewSource(32)))
+			rngA, rngH := rand.New(rand.NewSource(33)), rand.New(rand.NewSource(33))
+			tr := NewTrainer(a, rates, NewRMinMax(rates), train.NewSGD(0.05, 0.9, 5e-4), rngA)
+			sched, opt := NewRMinMax(rates), train.NewSGD(0.05, 0.9, 5e-4)
+			pa, ph := a.Params(), h.Params()
+			for step := 0; step < 5; step++ {
+				got := tr.Step(batch).Losses
+				want := heapStep(h, rates, sched, opt, rngH, batch)
+				if diffBits(got, want) >= 0 {
+					t.Fatalf("step %d losses %v, heap oracle %v", step, got, want)
+				}
+				for i := range pa {
+					if j := diffBits(pa[i].Value.Data, ph[i].Value.Data); j >= 0 {
+						t.Fatalf("step %d %s[%d] = %v, heap oracle %v", step, pa[i].Name, j, pa[i].Value.Data[j], ph[i].Value.Data[j])
+					}
+				}
+			}
+			// The optimizer zeroes the gradients, so compare those on bare
+			// passes: the arena-backed one twice, the second on a slab the
+			// first has grown, against the heap one.
+			arena := tensor.NewArena()
+			for _, r := range []float64{rates.Min(), 1, rates.Min(), 1} {
+				var dx [2]*tensor.Tensor
+				for k, m := range []nn.Layer{a, h} {
+					train.ZeroGrad(m.Params())
+					ctx := &nn.Context{Training: true, Rate: r, WidthIdx: tr.widthIdx(r), RNG: rand.New(rand.NewSource(34))}
+					if k == 0 {
+						ctx.Arena = arena
+					}
+					_, dy := nn.SoftmaxCrossEntropy(m.Forward(ctx, batch.X), batch.Labels)
+					dx[k] = m.Backward(ctx, dy).Clone()
+				}
+				arena.Reset()
+				if j := diffBits(dx[0].Data, dx[1].Data); j >= 0 {
+					t.Fatalf("rate %v input gradient [%d] = %v, heap %v", r, j, dx[0].Data[j], dx[1].Data[j])
+				}
+				for i := range pa {
+					if j := diffBits(pa[i].Grad.Data, ph[i].Grad.Data); j >= 0 {
+						t.Fatalf("rate %v %s gradient [%d] = %v, heap %v", r, pa[i].Name, j, pa[i].Grad.Data[j], ph[i].Grad.Data[j])
+					}
+				}
+			}
+		})
+	}
+}
+
+// stepAllocsBound is what a VGG13Mini R-min-max step at batch 32 allocates
+// (68) plus 10 %. testing.AllocsPerRun measures at GOMAXPROCS=1, so
+// parallelFor runs inline: what is left is Conv2D's per-call closures (60)
+// and each sub-network's context and loss gradient.
+const stepAllocsBound = 75
+
+func TestTrainerStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race by design")
+	}
+	rates := NewRateList(0.25, 4)
+	rng := rand.New(rand.NewSource(35))
+	tr := NewTrainer(arenaCases[0].build(rng), rates, NewRMinMax(rates), train.NewSGD(0.01, 0.9, 0), rng)
+	batch := imageBatch(32, 36)
+	tr.Step(batch) // grows the pooled arena to the full-width sub-network
+	if allocs := testing.AllocsPerRun(5, func() { tr.Step(batch) }); allocs > stepAllocsBound {
+		t.Errorf("a step allocates %v times, want ≤ %v", allocs, stepAllocsBound)
+	}
+}
+
+// TestTrainerReleasesStepMemory holds every layer to its release rule: a
+// cache left pointing into the step arena after Backward would keep its
+// whole slab (the full-width sub-network's activations and gradients)
+// reachable through the model.
+func TestTrainerReleasesStepMemory(t *testing.T) {
+	rates := NewRateList(0.25, 4)
+	batch := imageBatch(32, 37)
+	for _, tc := range arenaCases {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			rng := rand.New(rand.NewSource(38))
+			model := tc.build(rng)
+			tr := NewTrainer(model, rates, NewRMinMax(rates), train.NewSGD(0.01, 0.9, 0), rng)
+			tr.Step(batch)
+			tr.Step(batch)
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			var params int64
+			for _, p := range tr.params {
+				params += 8 * int64(len(p.Value.Data))
+			}
+			// Values, gradients and momentum, plus resident packs and 2 MB.
+			bound := 3*params + nn.PackCacheBytes(model) + 2<<20
+			if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > bound {
+				t.Errorf("%s heap after a step grew %.1f MB, want ≤ %.1f MB",
+					tc.name, float64(grew)/1e6, float64(bound)/1e6)
+			}
+			runtime.KeepAlive(tr)
+		})
+	}
+}
+
+// BenchmarkTrainerStep times one VGG13Mini step at batch 32 with the
+// scheduler pinned to each end of the rate list.
+func BenchmarkTrainerStep(b *testing.B) {
+	rates := NewRateList(0.25, 4)
+	rng := rand.New(rand.NewSource(39))
+	tr := NewTrainer(arenaCases[0].build(rng), rates, nil, train.NewSGD(0.01, 0.9, 0), rng)
+	batch := imageBatch(32, 40)
+	for _, r := range []float64{rates.Min(), 1} {
+		tr.Sched = Fixed{Rate: r}
+		b.Run(fmt.Sprintf("r%g", r), func(b *testing.B) {
+			tr.Step(batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.Step(batch)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/step")
+		})
+	}
+}
