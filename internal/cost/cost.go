@@ -119,44 +119,17 @@ func walk(layer nn.Layer, in []int, r float64, p *Profile) []int {
 		// a deployed subnet.
 		return walk(l.BNs[0], in, r, p)
 
-	case *nn.LSTM:
+	case gateBlocks:
+		// G gate blocks of x- and h-side products per step, and the biases.
 		aIn, aH := l.Active(r)
+		g, nb := l.Blocks()
 		steps := int64(1)
 		if len(in) == 2 { // [T, features]
 			steps = int64(in[0])
 		}
-		p.MACs += steps * 4 * (int64(aIn)*int64(aH) + int64(aH)*int64(aH))
-		p.Params += 4 * (int64(aIn)*int64(aH) + int64(aH)*int64(aH) + int64(aH))
-		out := []int{aH}
-		if len(in) == 2 {
-			out = []int{in[0], aH}
-		}
-		p.Activations += prod(out)
-		return out
-
-	case *nn.GRU:
-		aIn, aH := l.Active(r)
-		steps := int64(1)
-		if len(in) == 2 {
-			steps = int64(in[0])
-		}
-		p.MACs += steps * 3 * (int64(aIn)*int64(aH) + int64(aH)*int64(aH))
-		p.Params += 3*(int64(aIn)*int64(aH)+int64(aH)*int64(aH)) + 6*int64(aH)
-		out := []int{aH}
-		if len(in) == 2 {
-			out = []int{in[0], aH}
-		}
-		p.Activations += prod(out)
-		return out
-
-	case *nn.RNN:
-		aIn, aH := l.Active(r)
-		steps := int64(1)
-		if len(in) == 2 {
-			steps = int64(in[0])
-		}
-		p.MACs += steps * (int64(aIn)*int64(aH) + int64(aH)*int64(aH))
-		p.Params += int64(aIn)*int64(aH) + int64(aH)*int64(aH) + int64(aH)
+		gates, in64, h64 := int64(g), int64(aIn), int64(aH)
+		p.MACs += steps * gates * (in64*h64 + h64*h64)
+		p.Params += gates * (in64*h64 + h64*h64 + int64(nb)*h64)
 		out := []int{aH}
 		if len(in) == 2 {
 			out = []int{in[0], aH}
@@ -219,4 +192,12 @@ func ParamRatio(layer nn.Layer, inShape []int, r float64) float64 {
 		return 0
 	}
 	return float64(pr.Params) / float64(pf.Params)
+}
+
+// gateBlocks is a recurrent layer (LSTM, GRU or RNN) seen through the core
+// the three share: G stacked gate blocks over the active (input, hidden)
+// widths, and the number of G·Hidden bias vectors.
+type gateBlocks interface {
+	Active(r float64) (aIn, aH int)
+	Blocks() (gates, biases int)
 }

@@ -90,6 +90,36 @@ func TestLSTMCostScalesWithSequence(t *testing.T) {
 	}
 }
 
+// TestRecurrentCostMatchesExtract: at every rate a recurrent layer costs
+// what its extracted fixed-width copy holds — its parameters, and per step
+// one MAC per Wx and Wh weight.
+func TestRecurrentCostMatchesExtract(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, l := range []interface {
+		nn.Layer
+		Extract(r float64) nn.Layer
+	}{
+		nn.NewLSTM(16, 32, nn.Sliced(4), nn.Sliced(4), true, rng),
+		nn.NewGRU(16, 32, nn.Sliced(4), nn.Sliced(4), false, rng),
+		nn.NewRNN(16, 32, nn.Sliced(4), nn.Sliced(4), false, rng),
+	} {
+		for _, r := range []float64{0.25, 0.5, 1} {
+			p, _ := Measure(l, []int{10, 16}, r)
+			var params, weights int64
+			for i, q := range l.Extract(r).Params() {
+				params += int64(q.Value.Size())
+				if i < 2 { // Wx, Wh
+					weights += int64(q.Value.Size())
+				}
+			}
+			if p.Params != params || p.MACs != 10*weights {
+				t.Errorf("%T r=%v: params %d MACs %d, extracted copy holds %d params and %d weights a step",
+					l, r, p.Params, p.MACs, params, weights)
+			}
+		}
+	}
+}
+
 func TestEmbeddingAndPipelineShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	model := nn.NewSequential(

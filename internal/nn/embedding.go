@@ -26,22 +26,13 @@ func NewEmbedding(vocab, dim int, rng *rand.Rand) *Embedding {
 	return e
 }
 
-// Forward maps ids of any shape [...] to vectors of shape [..., E].
+// Forward maps ids of any shape [...] to vectors of shape [..., E] and keeps
+// the ids for Backward.
 func (e *Embedding) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	n := x.Size()
-	if cap(e.ids) < n {
-		e.ids = make([]int, n)
-	}
-	e.ids = e.ids[:n]
-	outShape := append(append([]int(nil), x.Shape...), e.E)
-	y := tensor.New(outShape...)
-	for i, v := range x.Data {
-		id := int(v)
-		if id < 0 || id >= e.V {
-			panic(fmt.Sprintf("nn: Embedding id %d out of range [0,%d)", id, e.V))
-		}
-		e.ids[i] = id
-		copy(y.Data[i*e.E:(i+1)*e.E], e.W.Value.Data[id*e.E:(id+1)*e.E])
+	y := e.Infer(ctx, x)
+	e.ids = e.ids[:0]
+	for _, v := range x.Data {
+		e.ids = append(e.ids, int(v))
 	}
 	return y
 }

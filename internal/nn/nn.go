@@ -94,12 +94,6 @@ func (c *Context) EffRate() float64 {
 // Eval returns a fresh evaluation context at slice rate r.
 func Eval(r float64) *Context { return &Context{Training: false, Rate: r} }
 
-// EvalWith returns an evaluation context at slice rate r whose inference
-// activations are served from the given arena.
-func EvalWith(r float64, arena *tensor.Arena) *Context {
-	return &Context{Training: false, Rate: r, Arena: arena}
-}
-
 // Train returns a fresh training context at slice rate r using rng.
 func Train(r float64, rng *rand.Rand) *Context {
 	return &Context{Training: true, Rate: r, RNG: rng}

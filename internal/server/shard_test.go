@@ -5,11 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"modelslicing/internal/faults"
 	"modelslicing/internal/nn"
+	"modelslicing/internal/serving"
 	"modelslicing/internal/slicing"
 	"modelslicing/internal/tensor"
 )
@@ -265,33 +267,44 @@ func TestShardRandomizedOneReply(t *testing.T) {
 	}
 }
 
-// sleepLayer stands in for a model that takes exactly perSample of one
-// worker's time for every sample of the shard.
-type sleepLayer struct{ perSample time.Duration }
+// sleepLayer stands in for a model that takes at least perSample of one
+// worker's time for every sample of the shard, and counts the shards.
+type sleepLayer struct {
+	perSample time.Duration
+	shards    atomic.Int32
+}
 
-func (l sleepLayer) Forward(_ *nn.Context, x *tensor.Tensor) *tensor.Tensor  { return x }
-func (l sleepLayer) Backward(_ *nn.Context, d *tensor.Tensor) *tensor.Tensor { return d }
-func (l sleepLayer) Params() []*nn.Param                                     { return nil }
-func (l sleepLayer) Infer(_ *nn.Context, x *tensor.Tensor) *tensor.Tensor {
+func (l *sleepLayer) Forward(_ *nn.Context, x *tensor.Tensor) *tensor.Tensor  { return x }
+func (l *sleepLayer) Backward(_ *nn.Context, d *tensor.Tensor) *tensor.Tensor { return d }
+func (l *sleepLayer) Params() []*nn.Param                                     { return nil }
+func (l *sleepLayer) Infer(_ *nn.Context, x *tensor.Tensor) *tensor.Tensor {
+	l.shards.Add(1)
 	time.Sleep(time.Duration(x.Dim(0)) * l.perSample)
 	return x
 }
 
 // TestCalibratorDivisor: a window cut into more shards than there are workers
-// must still be observed at its pool-effective time — worker·time over the
-// pool size, not over the shard count. The model takes exactly pool·t(r) a
-// sample on one worker, the configured t(r) being pool-effective; seven
-// shards on two workers must observe t(r) back.
+// must be observed at its pool-effective time — worker·time over the pool
+// size, not over the shard count. The configured t(r) is pool-effective, so
+// one worker takes pool·t(r) a sample; seven shards on two workers must
+// observe t(r) back.
+//
+// The exact check runs in virtual time: finish settles a window whose seven
+// shards charged exactly their own work. The end-to-end run sleeps, and a
+// sleep can overshoot under load but never fall short, so there the observed
+// t(r) is held to a floor that every one of the seven shard spans is needed
+// to reach.
 func TestCalibratorDivisor(t *testing.T) {
 	const (
 		pool      = 2
 		perSample = time.Millisecond // the configured pool-effective t(r)
-		n         = 7 * minShard
+		shards    = 7
+		n         = shards * minShard
 	)
 	rng := rand.New(rand.NewSource(8))
+	sleeper := &sleepLayer{perSample: pool * perSample}
 	s, err := New(Config{
-		Model: nn.NewSequential(sleepLayer{pool * perSample},
-			nn.NewDense(4, 3, nn.Fixed(), nn.Fixed(), true, rng)),
+		Model:      nn.NewSequential(sleeper, nn.NewDense(4, 3, nn.Fixed(), nn.Fixed(), true, rng)),
 		Rates:      slicing.NewRateList(0.25, 4),
 		FixedRate:  1,
 		InputShape: []int{4},
@@ -304,6 +317,7 @@ func TestCalibratorDivisor(t *testing.T) {
 	}
 	defer s.Stop()
 	s.cal.alpha = 1 // the estimate becomes the one observation
+	before := sleeper.shards.Load()
 	chans := submitN(t, s, n)
 	s.Stop()
 	for _, ch := range chans {
@@ -314,9 +328,26 @@ func TestCalibratorDivisor(t *testing.T) {
 	if st := s.Stats(); st.Batches != 1 {
 		t.Fatalf("%d batches, want the one window", st.Batches)
 	}
+	if got := sleeper.shards.Load() - before; got != shards {
+		t.Fatalf("the window ran as %d shards, want %d on %d workers", got, shards, pool)
+	}
+	if got := s.cal.SampleTime(1); got < perSample.Seconds() {
+		t.Fatalf("observed t(r) %.4g s over %d shards on %d workers, below the %.4g s all %d shard spans add up to",
+			got, shards, pool, perSample.Seconds(), shards)
+	}
+
+	// Virtual time: each shard charges its own minShard samples at
+	// pool·t(r), no more.
+	job := &batchJob{queries: make([]*query, n), decision: serving.Decision{Rate: 1}}
+	job.begin(shards)
+	job.workerNanos.Store(int64(n * pool * perSample))
+	s.sched.mu.Lock()
+	s.sched.jobs++ // finish settles a window in flight
+	s.sched.mu.Unlock()
+	s.sched.finish(job)
 	if got := s.cal.SampleTime(1); math.Abs(got/perSample.Seconds()-1) > 0.05 {
-		t.Fatalf("observed t(r) %.4g s over 7 shards on %d workers, configured %.4g s: the divisor is off",
-			got, pool, perSample.Seconds())
+		t.Fatalf("observed t(r) %.4g s over %d shards on %d workers, configured %.4g s: the divisor is off",
+			got, shards, pool, perSample.Seconds())
 	}
 }
 

@@ -93,61 +93,8 @@ func Extract(layer nn.Layer, r float64, rates RateList) nn.Layer {
 		idx := rates.MustIndex(rates.Nearest(r))
 		return Extract(l.BNs[idx], r, rates)
 
-	case *nn.LSTM:
-		aIn, aH := l.Active(r)
-		out := nn.NewLSTM(aIn, aH, nn.Fixed(), nn.Fixed(), false, rng)
-		scaleX, scaleH := 1.0, 1.0
-		if l.Rescale {
-			if aIn < l.In {
-				scaleX = float64(l.In) / float64(aIn)
-			}
-			if aH < l.Hidden {
-				scaleH = float64(l.Hidden) / float64(aH)
-			}
-		}
-		copyGateBlocks(4, aH, aIn, l.Hidden, out.Wx.Value.Data, l.Wx.Value.Data, l.In, scaleX)
-		copyGateBlocks(4, aH, aH, l.Hidden, out.Wh.Value.Data, l.Wh.Value.Data, l.Hidden, scaleH)
-		for k := 0; k < 4; k++ {
-			copy(out.B.Value.Data[k*aH:(k+1)*aH], l.B.Value.Data[k*l.Hidden:k*l.Hidden+aH])
-		}
-		return out
-
-	case *nn.GRU:
-		aIn, aH := l.Active(r)
-		out := nn.NewGRU(aIn, aH, nn.Fixed(), nn.Fixed(), false, rng)
-		scaleX, scaleH := 1.0, 1.0
-		if l.Rescale {
-			if aIn < l.In {
-				scaleX = float64(l.In) / float64(aIn)
-			}
-			if aH < l.Hidden {
-				scaleH = float64(l.Hidden) / float64(aH)
-			}
-		}
-		copyGateBlocks(3, aH, aIn, l.Hidden, out.Wx.Value.Data, l.Wx.Value.Data, l.In, scaleX)
-		copyGateBlocks(3, aH, aH, l.Hidden, out.Wh.Value.Data, l.Wh.Value.Data, l.Hidden, scaleH)
-		for k := 0; k < 3; k++ {
-			copy(out.Bx.Value.Data[k*aH:(k+1)*aH], l.Bx.Value.Data[k*l.Hidden:k*l.Hidden+aH])
-			copy(out.Bh.Value.Data[k*aH:(k+1)*aH], l.Bh.Value.Data[k*l.Hidden:k*l.Hidden+aH])
-		}
-		return out
-
-	case *nn.RNN:
-		aIn, aH := l.Active(r)
-		out := nn.NewRNN(aIn, aH, nn.Fixed(), nn.Fixed(), false, rng)
-		scaleX, scaleH := 1.0, 1.0
-		if l.Rescale {
-			if aIn < l.In {
-				scaleX = float64(l.In) / float64(aIn)
-			}
-			if aH < l.Hidden {
-				scaleH = float64(l.Hidden) / float64(aH)
-			}
-		}
-		copyGateBlocks(1, aH, aIn, l.Hidden, out.Wx.Value.Data, l.Wx.Value.Data, l.In, scaleX)
-		copyGateBlocks(1, aH, aH, l.Hidden, out.Wh.Value.Data, l.Wh.Value.Data, l.Hidden, scaleH)
-		copy(out.B.Value.Data, l.B.Value.Data[:aH])
-		return out
+	case extractor:
+		return l.Extract(r)
 
 	case *nn.Embedding:
 		out := nn.NewEmbedding(l.V, l.E, rng)
@@ -172,21 +119,8 @@ func Extract(layer nn.Layer, r float64, rates RateList) nn.Layer {
 	}
 }
 
-// copyGateBlocks copies, for each of nGates stacked [hidden × srcLD] blocks,
-// the leading aRows×aCols sub-matrix into a [nGates·aRows × aCols]
-// destination, scaling values by scale.
-func copyGateBlocks(nGates, aRows, aCols, hidden int, dst, src []float64, srcLD int, scale float64) {
-	for k := 0; k < nGates; k++ {
-		for row := 0; row < aRows; row++ {
-			s := src[(k*hidden+row)*srcLD : (k*hidden+row)*srcLD+aCols]
-			d := dst[(k*aRows+row)*aCols : (k*aRows+row+1)*aCols]
-			if scale == 1 {
-				copy(d, s)
-			} else {
-				for j, v := range s {
-					d[j] = v * scale
-				}
-			}
-		}
-	}
+// extractor is a layer that builds its own fixed-width copy: the recurrent
+// cells, whose shared core knows their gate-block layout.
+type extractor interface {
+	Extract(r float64) nn.Layer
 }

@@ -21,26 +21,32 @@ import (
 
 // arenaCases are the models the arena-backed step is pinned on: the
 // GroupNorm VGG the benchmark trains, a ResNet (Residual sums, strided 1×1
-// shortcuts, whose data gradient goes through Col2Im) and a BatchNorm VGG
-// with a flattened dense head and dropout.
+// shortcuts, whose data gradient goes through Col2Im), a BatchNorm VGG with a
+// flattened dense head and dropout, and the NNLM (embedding, two rescaled
+// LSTMs with dropout, a time-flattened decoder). batch builds each model's
+// input batch of n samples.
 var arenaCases = []struct {
 	name  string
 	build func(rng *rand.Rand) nn.Layer
+	batch func(n int, seed int64) train.Batch
 }{
 	{"vgg13mini-groupnorm", func(rng *rand.Rand) nn.Layer {
 		m, _ := models.NewVGG(models.VGG13Mini(4, models.NormGroup, 1), rng)
 		return m
-	}},
+	}, imageBatch},
 	{"resnetmini-groupnorm", func(rng *rand.Rand) nn.Layer {
 		m, _ := models.NewResNet(models.ResNetMini(4, models.NormGroup, 1), rng)
 		return m
-	}},
+	}, imageBatch},
 	{"vgg13mini-batchnorm-fc", func(rng *rand.Rand) nn.Layer {
 		cfg := models.VGG13Mini(4, models.NormBatch, 1)
 		cfg.FCDims, cfg.Dropout = []int{32}, 0.25
 		m, _ := models.NewVGG(cfg, rng)
 		return m
-	}},
+	}, imageBatch},
+	{"nnlmmini", func(rng *rand.Rand) nn.Layer {
+		return models.NewNNLM(models.NNLMMini(tokenVocab, 4), rng)
+	}, tokenBatch},
 }
 
 // imageBatch is a random [n, 3, 16, 16] batch with labels in [0, 10).
@@ -53,6 +59,24 @@ func imageBatch(n int, seed int64) train.Batch {
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = rng.Intn(10)
+	}
+	return train.Batch{X: x, Labels: labels}
+}
+
+// tokenVocab and tokenSeqLen size the language-model batches.
+const tokenVocab, tokenSeqLen = 40, 20
+
+// tokenBatch is n random token streams as a [tokenSeqLen, n] id batch with
+// one next-token label per (step, stream), laid out as data.LMBatches does.
+func tokenBatch(n int, seed int64) train.Batch {
+	rng := rand.New(rand.NewSource(seed))
+	x := tensor.New(tokenSeqLen, n)
+	for i := range x.Data {
+		x.Data[i] = float64(rng.Intn(tokenVocab))
+	}
+	labels := make([]int, tokenSeqLen*n)
+	for i := range labels {
+		labels[i] = rng.Intn(tokenVocab)
 	}
 	return train.Batch{X: x, Labels: labels}
 }
@@ -96,9 +120,9 @@ func heapStep(model nn.Layer, rates RateList, sched Scheduler, opt *train.SGD, r
 
 func TestTrainerArenaBitIdentical(t *testing.T) {
 	rates := NewRateList(0.25, 4)
-	batch := imageBatch(8, 31)
 	for _, tc := range arenaCases {
 		t.Run(tc.name, func(t *testing.T) {
+			batch := tc.batch(8, 31)
 			a, h := tc.build(rand.New(rand.NewSource(32))), tc.build(rand.New(rand.NewSource(32)))
 			rngA, rngH := rand.New(rand.NewSource(33)), rand.New(rand.NewSource(33))
 			tr := NewTrainer(a, rates, NewRMinMax(rates), train.NewSGD(0.05, 0.9, 5e-4), rngA)
@@ -121,7 +145,8 @@ func TestTrainerArenaBitIdentical(t *testing.T) {
 			// first has grown, against the heap one.
 			arena := tensor.NewArena()
 			for _, r := range []float64{rates.Min(), 1, rates.Min(), 1} {
-				var dx [2]*tensor.Tensor
+				// The NNLM has no input gradient: its Embedding returns nil.
+				var dx [2][]float64
 				for k, m := range []nn.Layer{a, h} {
 					train.ZeroGrad(m.Params())
 					ctx := &nn.Context{Training: true, Rate: r, WidthIdx: tr.widthIdx(r), RNG: rand.New(rand.NewSource(34))}
@@ -129,11 +154,16 @@ func TestTrainerArenaBitIdentical(t *testing.T) {
 						ctx.Arena = arena
 					}
 					_, dy := nn.SoftmaxCrossEntropy(m.Forward(ctx, batch.X), batch.Labels)
-					dx[k] = m.Backward(ctx, dy).Clone()
+					if d := m.Backward(ctx, dy); d != nil {
+						dx[k] = d.Clone().Data
+					}
 				}
 				arena.Reset()
-				if j := diffBits(dx[0].Data, dx[1].Data); j >= 0 {
-					t.Fatalf("rate %v input gradient [%d] = %v, heap %v", r, j, dx[0].Data[j], dx[1].Data[j])
+				if len(dx[0]) != len(dx[1]) {
+					t.Fatalf("rate %v input gradient of %d elements, heap %d", r, len(dx[0]), len(dx[1]))
+				}
+				if j := diffBits(dx[0], dx[1]); j >= 0 {
+					t.Fatalf("rate %v input gradient [%d] = %v, heap %v", r, j, dx[0][j], dx[1][j])
 				}
 				for i := range pa {
 					if j := diffBits(pa[i].Grad.Data, ph[i].Grad.Data); j >= 0 {
@@ -171,9 +201,9 @@ func TestTrainerStepAllocs(t *testing.T) {
 // reachable through the model.
 func TestTrainerReleasesStepMemory(t *testing.T) {
 	rates := NewRateList(0.25, 4)
-	batch := imageBatch(32, 37)
 	for _, tc := range arenaCases {
 		t.Run(tc.name, func(t *testing.T) {
+			batch := tc.batch(32, 37)
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.GC()

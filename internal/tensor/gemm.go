@@ -524,57 +524,6 @@ func packTrans(dst []float64, rows, cols int, src []float64, ld, r0, c0 int) {
 	}
 }
 
-// --- matrix–vector kernels ---
-
-// MatVec computes y[m] += A[m×k] · x[k].
-func MatVec(m, k int, a []float64, lda int, x, y []float64) {
-	checkMat("MatVec A", m, k, lda, len(a))
-	checkVec("MatVec x", k, len(x))
-	checkVec("MatVec y", m, len(y))
-	for i := 0; i < m; i++ {
-		ai := a[i*lda : i*lda+k]
-		s := 0.0
-		for p, av := range ai {
-			s += av * x[p]
-		}
-		y[i] += s
-	}
-}
-
-// MatTVec computes y[k] += Aᵀ · x where A is stored as [m×k].
-func MatTVec(m, k int, a []float64, lda int, x, y []float64) {
-	checkMat("MatTVec A", m, k, lda, len(a))
-	checkVec("MatTVec x", m, len(x))
-	checkVec("MatTVec y", k, len(y))
-	for i := 0; i < m; i++ {
-		xv := x[i]
-		if xv == 0 {
-			continue
-		}
-		ai := a[i*lda : i*lda+k]
-		for p, av := range ai {
-			y[p] += xv * av
-		}
-	}
-}
-
-// OuterAcc computes A[m×k] += x[m] ⊗ y[k] (rank-1 update).
-func OuterAcc(m, k int, a []float64, lda int, x, y []float64) {
-	checkMat("OuterAcc A", m, k, lda, len(a))
-	checkVec("OuterAcc x", m, len(x))
-	checkVec("OuterAcc y", k, len(y))
-	for i := 0; i < m; i++ {
-		xv := x[i]
-		if xv == 0 {
-			continue
-		}
-		ai := a[i*lda : i*lda+k]
-		for p, yv := range y[:k] {
-			ai[p] += xv * yv
-		}
-	}
-}
-
 // checkMat validates that a rows×cols matrix with leading dimension ld fits
 // inside a buffer of the given length.
 func checkMat(name string, rows, cols, ld, length int) {

@@ -443,9 +443,10 @@ func TestEpilogueVectorChecks(t *testing.T) {
 	GemmExT(TierExact, 3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{RowScale: make([]float64, 2)})
 }
 
-// TestMatVecChecks verifies the unified shape-error reporting of the
-// matrix–vector kernels.
-func TestMatVecChecks(t *testing.T) {
+// TestGemmShapeChecks verifies the unified shape-error reporting of the
+// GEMM entries: checkMat on each matrix operand, checkVec on the epilogue
+// vectors.
+func TestGemmShapeChecks(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -455,16 +456,17 @@ func TestMatVecChecks(t *testing.T) {
 		}()
 		fn()
 	}
-	a := make([]float64, 12)
-	x := make([]float64, 4)
-	y := make([]float64, 3)
-	MatVec(3, 4, a, 4, x, y) // well-formed
-	expectPanic("short x", func() { MatVec(3, 4, a, 4, x[:3], y) })
-	expectPanic("short y", func() { MatVec(3, 4, a, 4, x, y[:2]) })
-	expectPanic("short A", func() { MatVec(4, 4, a, 4, x, make([]float64, 4)) })
-	expectPanic("bad lda", func() { MatVec(3, 4, a, 3, x, y) })
-	expectPanic("MatTVec short x", func() { MatTVec(3, 4, a, 4, make([]float64, 2), x) })
-	expectPanic("OuterAcc short y", func() { OuterAcc(3, 4, a, 4, y, x[:3]) })
+	a := make([]float64, 12) // [3×4]
+	b := make([]float64, 12) // [4×3]
+	c := make([]float64, 9)  // [3×3]
+	v := make([]float64, 3)
+	GemmExT(TierExact, 3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{RowShift: v, ColShift: v}) // well-formed
+	expectPanic("short A", func() { Gemm(4, 3, 4, a, 4, b, 3, make([]float64, 12), 3) })
+	expectPanic("short B", func() { Gemm(3, 3, 4, a, 4, b[:11], 3, c, 3) })
+	expectPanic("short C", func() { Gemm(3, 3, 4, a, 4, b, 3, c[:8], 3) })
+	expectPanic("bad lda", func() { Gemm(3, 3, 4, a, 3, b, 3, c, 3) })
+	expectPanic("short RowShift", func() { GemmExT(TierExact, 3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{RowShift: v[:2]}) })
+	expectPanic("short ColShift", func() { GemmExT(TierExact, 3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{ColShift: v[:2]}) })
 }
 
 // --- kernel benchmarks: size sweep for the perf trajectory ---

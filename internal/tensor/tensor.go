@@ -13,7 +13,7 @@ import (
 )
 
 // Tensor is a dense row-major float64 tensor. The zero value is not usable;
-// construct tensors with New, FromSlice or Zeros.
+// construct tensors with New or FromSlice.
 type Tensor struct {
 	// Shape holds the extent of each dimension, outermost first.
 	Shape []int
@@ -47,9 +47,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
 }
 
-// Zeros is an alias of New, provided for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Size returns the number of elements.
 func (t *Tensor) Size() int { return len(t.Data) }
 
@@ -77,14 +74,6 @@ func (t *Tensor) Clone() *Tensor {
 	c := New(t.Shape...)
 	copy(c.Data, t.Data)
 	return c
-}
-
-// CopyFrom copies o's data into t. Shapes must have equal volume.
-func (t *Tensor) CopyFrom(o *Tensor) {
-	if len(t.Data) != len(o.Data) {
-		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %v vs %v", t.Shape, o.Shape))
-	}
-	copy(t.Data, o.Data)
 }
 
 // Reshape returns a tensor sharing t's data with a new shape of equal volume.

@@ -299,32 +299,6 @@ func TestGemmPanicsOnShortBuffer(t *testing.T) {
 	Gemm(2, 2, 2, make([]float64, 3), 2, make([]float64, 4), 2, make([]float64, 4), 2)
 }
 
-func TestMatVecAndMatTVec(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5, 6} // 2×3
-	x := []float64{1, 1, 1}
-	y := make([]float64, 2)
-	MatVec(2, 3, a, 3, x, y)
-	if y[0] != 6 || y[1] != 15 {
-		t.Fatalf("MatVec = %v", y)
-	}
-	g := make([]float64, 3)
-	MatTVec(2, 3, a, 3, []float64{1, 1}, g)
-	if g[0] != 5 || g[1] != 7 || g[2] != 9 {
-		t.Fatalf("MatTVec = %v", g)
-	}
-}
-
-func TestOuterAcc(t *testing.T) {
-	a := make([]float64, 6)
-	OuterAcc(2, 3, a, 3, []float64{1, 2}, []float64{3, 4, 5})
-	want := []float64{3, 4, 5, 6, 8, 10}
-	for i := range a {
-		if a[i] != want[i] {
-			t.Fatalf("OuterAcc = %v, want %v", a, want)
-		}
-	}
-}
-
 // Property: GEMM distributes over addition in A, i.e.
 // (A1+A2)·B == A1·B + A2·B.
 func TestQuickGemmLinearity(t *testing.T) {
