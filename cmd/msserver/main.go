@@ -14,11 +14,11 @@
 //	msserver -model demo
 //	curl -s localhost:8080/predict -d '{"input":[...16 floats...]}'
 //
-// Checkpoints in the current (v3) format are memory-mapped, not read: cold
-// start is O(1) in model size, and pages fault in lazily as the first windows
-// touch them. A model served from a checkpoint can be replaced without
-// dropping a query — retrain (or re-save) into the same path, then either
-// signal the process or hit the admin endpoint:
+// Checkpoints (format v3, the only one persist reads) are memory-mapped, not
+// read: cold start is O(1) in model size, and pages fault in lazily as the
+// first windows touch them. A model served from a checkpoint can be replaced
+// without dropping a query — retrain (or re-save) into the same path, then
+// either signal the process or hit the admin endpoint:
 //
 //	kill -HUP $(pidof msserver)
 //	curl -X POST localhost:8080/admin/swap
@@ -38,7 +38,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -121,11 +120,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if info.CRC != 0 || info.Epoch != 0 {
-			fmt.Printf("mapped checkpoint %s (epoch %d, crc %08x)\n", *loadPath, info.Epoch, info.CRC)
-		} else {
-			fmt.Printf("loaded legacy checkpoint %s\n", *loadPath)
-		}
+		fmt.Printf("mapped checkpoint %s (epoch %d, crc %08x)\n", *loadPath, info.Epoch, info.CRC)
 		// SwapSource rebuilds the architecture from scratch and re-binds the
 		// checkpoint path — what SIGHUP and POST /admin/swap promote after the
 		// path has been overwritten by a newer save.
@@ -266,20 +261,12 @@ func buildNet(model string, gran, nRates int, rng *rand.Rand) (nn.Layer, []int) 
 	}
 }
 
-// loadCheckpoint binds params to the checkpoint at path. Current-format (v3)
-// checkpoints are memory-mapped and bound in place — O(1) cold start, with an
-// optional full CRC sweep first — and the mapping stays live for as long as
-// the process serves those tensors. Legacy v1/v2 checkpoints fall back to the
-// copying loader (no identity: their headers carry no epoch and the trailer
-// CRC is not comparable).
+// loadCheckpoint binds params to the checkpoint at path. The checkpoint is
+// memory-mapped and bound in place — O(1) cold start, with an optional full
+// CRC sweep first — and the mapping stays live for as long as the process
+// serves those tensors.
 func loadCheckpoint(path string, params []*nn.Param, verify bool) (server.ModelInfo, error) {
 	ckpt, err := persist.Open(path)
-	if errors.Is(err, persist.ErrLegacyFormat) {
-		if err := persist.Load(path, params); err != nil {
-			return server.ModelInfo{}, err
-		}
-		return server.ModelInfo{Path: path}, nil
-	}
 	if err != nil {
 		return server.ModelInfo{}, err
 	}

@@ -82,10 +82,6 @@ type Checkpoint struct {
 	closed bool
 }
 
-// ErrLegacyFormat reports that Open was pointed at a v1/v2 checkpoint, which
-// has no mmap-able layout; callers fall back to Load.
-var ErrLegacyFormat = fmt.Errorf("persist: checkpoint predates format v3 (use Load)")
-
 // hostLittleEndian reports the CPU byte order; the zero-copy Open path reads
 // float64 payloads in place and is only correct on little-endian hosts.
 func hostLittleEndian() bool {
@@ -96,7 +92,7 @@ func hostLittleEndian() bool {
 // Open maps a v3 checkpoint and verifies its header — O(1) in the payload
 // bytes: no weight is read, parsed or copied (payload pages fault in lazily
 // as inference first touches them). Use Verify for a full integrity sweep and
-// Bind to serve a model over the mapping; v1/v2 files return ErrLegacyFormat.
+// Bind to serve a model over the mapping.
 func Open(path string) (*Checkpoint, error) {
 	if err := faults.ErrOn(faults.DiskError); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
@@ -133,11 +129,7 @@ func Open(path string) (*Checkpoint, error) {
 // image and returns the Checkpoint view over it. It reads only the header
 // bytes, never the payloads.
 func parseV3(data []byte, path string) (*Checkpoint, error) {
-	switch {
-	case len(data) >= len(magicV3) && string(data[:len(magicV3)]) == magicV3:
-	case len(data) >= len(magicV2) && (string(data[:len(magicV2)]) == magicV2 || string(data[:len(magicV2)]) == magicV1):
-		return nil, ErrLegacyFormat
-	default:
+	if len(data) < len(magicV3) || string(data[:len(magicV3)]) != magicV3 {
 		return nil, fmt.Errorf("persist: %s is not a model-slicing checkpoint", path)
 	}
 	if len(data) < len(magicV3)+8 {
@@ -222,6 +214,11 @@ func parseV3(data []byte, path string) (*Checkpoint, error) {
 // doubt (or at server startup, where it is still far cheaper than a
 // parse-copy Load).
 func (c *Checkpoint) Verify() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return c.errClosed()
+	}
 	cursor := c.headerEnd()
 	for _, s := range c.sections {
 		for _, b := range c.data[cursor:s.off] {
@@ -255,6 +252,27 @@ func (c *Checkpoint) headerEnd() uint64 {
 // payload byte is read — binding a gigabyte model costs a few pointer writes.
 // The Checkpoint must stay open for as long as the bound model serves.
 func (c *Checkpoint) Bind(params []*nn.Param) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return c.errClosed()
+	}
+	if err := c.match(params); err != nil {
+		return err
+	}
+	// All structural checks passed; now flip the whole model atomically with
+	// respect to errors (no half-bound model on a mismatch).
+	for i, p := range params {
+		s := c.sections[i]
+		p.Value = tensor.FromBytes(c.data[s.off:s.off+s.length], s.shape...)
+		p.Foreign = true
+	}
+	return nil
+}
+
+// match checks that params carry the checkpoint's section names and shapes,
+// in order: the structural contract Load and Bind share.
+func (c *Checkpoint) match(params []*nn.Param) error {
 	if len(c.sections) != len(params) {
 		return fmt.Errorf("persist: checkpoint has %d params, model has %d", len(c.sections), len(params))
 	}
@@ -273,14 +291,11 @@ func (c *Checkpoint) Bind(params []*nn.Param) error {
 			}
 		}
 	}
-	// All structural checks passed; now flip the whole model atomically with
-	// respect to errors (no half-bound model on a mismatch).
-	for i, p := range params {
-		s := c.sections[i]
-		p.Value = tensor.FromBytes(c.data[s.off:s.off+s.length], s.shape...)
-		p.Foreign = true
-	}
 	return nil
+}
+
+func (c *Checkpoint) errClosed() error {
+	return fmt.Errorf("persist: %s: checkpoint is closed", c.Path)
 }
 
 // Close releases the mapping. Any model still bound to it must not be used
@@ -425,46 +440,4 @@ func encodeV3(e *encBuf, params []*nn.Param, epoch uint64) {
 		binary.LittleEndian.PutUint32(e.b[crcAt[i]:], crc32.ChecksumIEEE(e.b[start:]))
 	}
 	binary.LittleEndian.PutUint32(e.b[hdrCRCAt:], crc32.ChecksumIEEE(e.b[:hdrCRCAt]))
-}
-
-// loadV3 is Load's parse-copy path for a v3 image: full verification (header
-// CRC, padding, every section CRC) before a single float is copied into the
-// model — the same no-garbage guarantee the v2 loader gives.
-func loadV3(raw []byte, path string, params []*nn.Param) error {
-	ck, err := parseV3(raw, path)
-	if err != nil {
-		return err
-	}
-	if err := ck.Verify(); err != nil {
-		return err
-	}
-	if len(ck.sections) != len(params) {
-		return fmt.Errorf("persist: checkpoint has %d params, model has %d", len(ck.sections), len(params))
-	}
-	for i, p := range params {
-		s := ck.sections[i]
-		if s.name != p.Name {
-			return fmt.Errorf("persist: param %d is %q in checkpoint but %q in model", i, s.name, p.Name)
-		}
-		if len(s.shape) != len(p.Value.Shape) {
-			return fmt.Errorf("persist: param %q rank mismatch", s.name)
-		}
-		for j, d := range s.shape {
-			if d != p.Value.Shape[j] {
-				return fmt.Errorf("persist: param %q shape mismatch at dim %d: %d vs %d",
-					s.name, j, d, p.Value.Shape[j])
-			}
-		}
-	}
-	for i, p := range params {
-		s := ck.sections[i]
-		// A model bound over a read-only mapping must not be written through;
-		// copy-on-write detaches it first.
-		p.EnsureMutable()
-		payload := raw[s.off : s.off+s.length]
-		for j := range p.Value.Data {
-			p.Value.Data[j] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*j:]))
-		}
-	}
-	return nil
 }

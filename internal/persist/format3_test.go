@@ -3,6 +3,7 @@ package persist
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -56,21 +57,150 @@ func TestOpenBindServesSavedModel(t *testing.T) {
 	}
 }
 
+// legacyImage hand-builds a pre-v3 checkpoint: the magic, a param count,
+// then per param its name, rank, dims and raw floats. "MSLC0002" files added
+// a CRC32 trailer over all of that; "MSLC0001" files had none.
+func legacyImage(magic string, params []*nn.Param) []byte {
+	var e encBuf
+	e.b = append(e.b, magic...)
+	e.u32(uint32(len(params)))
+	for _, p := range params {
+		e.str(p.Name)
+		e.u32(uint32(len(p.Value.Shape)))
+		for _, d := range p.Value.Shape {
+			e.u32(uint32(d))
+		}
+		e.floats(p.Value.Data)
+	}
+	if magic == "MSLC0002" {
+		e.u32(crc32.ChecksumIEEE(e.b))
+	}
+	return e.b
+}
+
+// TestOpenRejectsLegacyAndGarbage: v3 is the only format, so Open and Load
+// refuse pre-v3 checkpoints the same way they refuse any other file.
 func TestOpenRejectsLegacyAndGarbage(t *testing.T) {
 	dir := t.TempDir()
-	v2 := filepath.Join(dir, "v2.bin")
-	if err := saveV2(v2, testModel(21)); err != nil {
+	for name, img := range map[string][]byte{
+		"v1":   legacyImage("MSLC0001", testModel(21)),
+		"v2":   legacyImage("MSLC0002", testModel(21)),
+		"junk": []byte("not a checkpoint at all"),
+	} {
+		path := filepath.Join(dir, name+".bin")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if ck, err := Open(path); err == nil {
+			ck.Close()
+			t.Fatalf("Open(%s) succeeded", name)
+		}
+		if err := Load(path, testModel(22)); err == nil {
+			t.Fatalf("Load(%s) succeeded", name)
+		}
+	}
+}
+
+// v3Bytes is the image Save writes for params.
+func v3Bytes(params []*nn.Param) []byte {
+	var e encBuf
+	encodeV3(&e, params, 0)
+	return e.b
+}
+
+// sameBits reports whether two models hold bit-identical weights.
+func sameBits(a, b []*nn.Param) bool {
+	for i, p := range a {
+		for j, v := range p.Value.Data {
+			if math.Float64bits(v) != math.Float64bits(b[i].Value.Data[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestLoadRejectionLeavesModelUntouched fails Load every way it can fail on
+// a model bound with Open+Bind: afterwards every weight must be bit-identical
+// and still served from the mapping.
+func TestLoadRejectionLeavesModelUntouched(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.bin")
+	if err := Save(good, testModel(40)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(v2); err != ErrLegacyFormat {
-		t.Fatalf("Open(v2) = %v, want ErrLegacyFormat", err)
-	}
-	junk := filepath.Join(dir, "junk.bin")
-	if err := os.WriteFile(junk, []byte("not a checkpoint at all"), 0o644); err != nil {
+	raw := v3Bytes(testModel(40))
+	flipped := append([]byte(nil), raw...)
+	flipped[len(flipped)-2] ^= 0x40
+	// A v1 image whose first param matches the model and whose second does
+	// not: a loader that copies as it checks has already written param 0.
+	v1 := testModel(41)
+	shape := append([]int(nil), v1[1].Value.Shape...)
+	shape[0]++
+	v1[1] = &nn.Param{Name: v1[1].Name, Value: tensor.New(shape...)}
+
+	ck, err := Open(good)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(junk); err == nil {
-		t.Fatal("Open(junk) succeeded")
+	defer ck.Close()
+	m := testModel(42)
+	if err := ck.Bind(m); err != nil {
+		t.Fatal(err)
+	}
+	for name, img := range map[string][]byte{
+		"wrong architecture": v3Bytes(models.NewMLP(8, []int{32}, 4, 4, rand.New(rand.NewSource(43))).Params()),
+		"truncated":          raw[:len(raw)-1],
+		"bit flip":           flipped,
+		"garbage":            append([]byte("MSLCXXXX"), raw[len(magicV3):]...),
+		"v1 shape":           legacyImage("MSLC0001", v1),
+	} {
+		bad := filepath.Join(dir, "bad.bin")
+		if err := os.WriteFile(bad, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := Load(bad, m); err == nil {
+			t.Fatalf("%s: Load succeeded", name)
+		}
+		for _, p := range m {
+			if !p.Foreign {
+				t.Fatalf("%s: param %q detached from the mapping by a rejected Load", name, p.Name)
+			}
+		}
+		if !sameBits(m, testModel(40)) {
+			t.Fatalf("%s: weights changed by a rejected Load", name)
+		}
+	}
+}
+
+// TestBindAfterCloseFails: a closed Checkpoint no longer maps its pages, so
+// Bind and Verify must refuse it rather than alias or read them.
+func TestBindAfterCloseFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.bin")
+	if err := Save(path, testModel(44)); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := testModel(45)
+	if err := ck.Bind(m); err == nil {
+		t.Fatal("Bind on a closed checkpoint succeeded")
+	}
+	if err := ck.Verify(); err == nil {
+		t.Fatal("Verify on a closed checkpoint succeeded")
+	}
+	for _, p := range m {
+		if p.Foreign {
+			t.Fatalf("param %q bound by a failed Bind", p.Name)
+		}
+	}
+	if !sameBits(m, testModel(45)) {
+		t.Fatal("weights changed by a failed Bind")
 	}
 }
 
@@ -100,59 +230,6 @@ func TestBindRejectsWrongArchitecture(t *testing.T) {
 	}
 	if err := ck.Bind(models.NewMLP(8, []int{16, 16}, 4, 4, rng).Params()); err == nil {
 		t.Fatal("Bind accepted a wrong-depth model")
-	}
-}
-
-// TestV1CrossLoadsToV3 drives the full format history through one model:
-// a v1 checkpoint loads, re-saves as v3, and the v3 artifact opens and
-// verifies with bit-identical weights.
-func TestV1CrossLoadsToV3(t *testing.T) {
-	dir := t.TempDir()
-	src := testModel(24)
-	v2 := filepath.Join(dir, "v2.bin")
-	if err := saveV2(v2, src); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := filepath.Join(dir, "v1.bin")
-	if err := os.WriteFile(v1, append([]byte(magicV1), raw[len(magicV2):len(raw)-4]...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mid := testModel(25)
-	if err := Load(v1, mid); err != nil {
-		t.Fatal(err)
-	}
-	v3 := filepath.Join(dir, "v3.bin")
-	if err := Save(v3, mid); err != nil {
-		t.Fatal(err)
-	}
-	// Both the parse-copy Load and the mmap Open of the v3 artifact must
-	// reproduce the original weights bit-for-bit.
-	dst := testModel(26)
-	if err := Load(v3, dst); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := Open(v3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck.Close()
-	bound := testModel(27)
-	if err := ck.Bind(bound); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range src {
-		for j := range p.Value.Data {
-			if p.Value.Data[j] != dst[i].Value.Data[j] {
-				t.Fatal("v1→v3 Load round trip differs")
-			}
-			if p.Value.Data[j] != bound[i].Value.Data[j] {
-				t.Fatal("v1→v3 Open round trip differs")
-			}
-		}
 	}
 }
 
@@ -300,8 +377,8 @@ func TestParseV3RejectsWrappingSectionTable(t *testing.T) {
 		if ck, err := parseV3(tc.img, tc.name); err == nil {
 			t.Fatalf("%s: parseV3 accepted a %d-section table %+v", tc.name, len(ck.sections), ck.sections)
 		}
-		if err := loadV3(tc.img, tc.name, testModel(37)); err == nil {
-			t.Fatalf("%s: loadV3 accepted the image", tc.name)
+		if err := loadImage(tc.img, tc.name, testModel(37)); err == nil {
+			t.Fatalf("%s: loadImage accepted the image", tc.name)
 		}
 	}
 }
@@ -310,7 +387,7 @@ func TestParseV3RejectsWrappingSectionTable(t *testing.T) {
 // input that carries the v3 magic and a hdrLen that fits gets its header CRC
 // rewritten, so mutations reach the section table instead of dying at the
 // checksum. Whatever parseV3 accepts must be a sound layout, and neither
-// Verify nor loadV3 may panic on it.
+// Verify nor Load's loadImage may panic on it.
 func FuzzParseV3(f *testing.F) {
 	// A two-section model keeps the seed image near 200 bytes: the fuzzer
 	// minimizes every new input in time quadratic in its length.
@@ -360,7 +437,7 @@ func FuzzParseV3(f *testing.F) {
 			prevEnd = s.off + s.length
 		}
 		_ = ck.Verify()
-		_ = loadV3(data, "fuzz", model)
+		_ = loadImage(data, "fuzz", model)
 	})
 }
 
@@ -388,16 +465,13 @@ func TestLoadIntoForeignModelCopiesOnWrite(t *testing.T) {
 	if err := Load(b, m); err != nil {
 		t.Fatal(err)
 	}
-	want := testModel(33)
-	for i, p := range m {
+	for _, p := range m {
 		if p.Foreign {
 			t.Fatalf("param %q still Foreign after Load", p.Name)
 		}
-		for j := range p.Value.Data {
-			if p.Value.Data[j] != want[i].Value.Data[j] {
-				t.Fatal("Load into bound model produced wrong weights")
-			}
-		}
+	}
+	if !sameBits(m, testModel(33)) {
+		t.Fatal("Load into bound model produced wrong weights")
 	}
 }
 

@@ -5,31 +5,22 @@
 // Checkpoints are crash-safe: Save writes to a temporary file in the target
 // directory, fsyncs it, and renames it over the destination — a crash at any
 // point leaves either the old checkpoint or the new one, never a torn mix.
-// The current format (magic "MSLC0003", see format3.go) is sectioned and
+// There is one format (magic "MSLC0003", see format3.go): sectioned and
 // 64-byte-aligned with a CRC per section, so Open can mmap the payloads and
 // Bind a model over them without copying a byte; Load parse-copies the same
-// file portably after verifying every checksum. Legacy "MSLC0002" (whole-file
-// CRC trailer) and "MSLC0001" (no checksum) checkpoints still load
-// bit-identically.
+// file portably after verifying every checksum. Any other file, older
+// checkpoint generations included, is rejected.
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
+	"math"
 	"os"
 	"path/filepath"
 
 	"modelslicing/internal/faults"
 	"modelslicing/internal/nn"
-)
-
-const (
-	magicV1 = "MSLC0001" // legacy: no checksum trailer
-	magicV2 = "MSLC0002" // legacy: CRC32-IEEE over magic+body appended
-	// magicV3 (the current format) lives in format3.go.
 )
 
 // Save atomically writes the parameters of a model to path in the current v3
@@ -107,10 +98,9 @@ func syncDir(dir string) error {
 }
 
 // Load reads a checkpoint into the parameters of a model built with the same
-// architecture (names and shapes must match in order). A current-format
-// checkpoint is checksum-verified in full before any parameter is written,
-// so a torn or corrupted file can never leave the model half-loaded with
-// garbage.
+// architecture (names and shapes must match in order). The whole file is
+// checksum-verified and every name and shape checked before any parameter is
+// written, so a rejected checkpoint leaves the model exactly as it was.
 func Load(path string, params []*nn.Param) error {
 	if err := faults.ErrOn(faults.DiskError); err != nil {
 		return fmt.Errorf("persist: %w", err)
@@ -119,86 +109,31 @@ func Load(path string, params []*nn.Param) error {
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	if len(raw) < len(magicV2) {
-		return fmt.Errorf("persist: %s is not a model-slicing checkpoint", path)
-	}
-	switch string(raw[:len(magicV2)]) {
-	case magicV3:
-		return loadV3(raw, path, params)
-	case magicV2:
-		if len(raw) < len(magicV2)+4 {
-			return fmt.Errorf("persist: %s: truncated checkpoint (no checksum)", path)
-		}
-		body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
-		want := binary.LittleEndian.Uint32(trailer)
-		if got := crc32.ChecksumIEEE(body); got != want {
-			return fmt.Errorf("persist: %s: checksum mismatch (%08x != %08x): checkpoint is corrupt", path, got, want)
-		}
-		return readBody(bytes.NewReader(body[len(magicV2):]), params)
-	case magicV1:
-		// Legacy checkpoints carry no checksum; parse defensively and trust
-		// the structural checks.
-		return readBody(bytes.NewReader(raw[len(magicV1):]), params)
-	default:
-		return fmt.Errorf("persist: %s is not a model-slicing checkpoint", path)
-	}
+	return loadImage(raw, path, params)
 }
 
-// readBody parses the parameter sections into params.
-func readBody(r io.Reader, params []*nn.Param) error {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+// loadImage is Load's parse-copy path over an in-memory image: parse,
+// verify, match, then copy.
+func loadImage(raw []byte, path string, params []*nn.Param) error {
+	ck, err := parseV3(raw, path)
+	if err != nil {
 		return err
 	}
-	if int(n) != len(params) {
-		return fmt.Errorf("persist: checkpoint has %d params, model has %d", n, len(params))
+	if err := ck.Verify(); err != nil {
+		return err
+	}
+	if err := ck.match(params); err != nil {
+		return err
 	}
 	for i, p := range params {
-		name, err := readString(r)
-		if err != nil {
-			return err
-		}
-		if name != p.Name {
-			return fmt.Errorf("persist: param %d is %q in checkpoint but %q in model", i, name, p.Name)
-		}
-		var rank uint32
-		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-			return err
-		}
-		if int(rank) != len(p.Value.Shape) {
-			return fmt.Errorf("persist: param %q rank mismatch", name)
-		}
-		for j := range p.Value.Shape {
-			var d uint32
-			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-				return err
-			}
-			if int(d) != p.Value.Shape[j] {
-				return fmt.Errorf("persist: param %q shape mismatch at dim %d: %d vs %d",
-					name, j, d, p.Value.Shape[j])
-			}
-		}
-		// A model bound over a read-only mapping must not be written
-		// through; copy-on-write detaches it first.
+		s := ck.sections[i]
+		// A model bound over a read-only mapping must not be written through;
+		// copy-on-write detaches it first.
 		p.EnsureMutable()
-		if err := binary.Read(r, binary.LittleEndian, p.Value.Data); err != nil {
-			return err
+		payload := raw[s.off : s.off+s.length]
+		for j := range p.Value.Data {
+			p.Value.Data[j] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*j:]))
 		}
 	}
 	return nil
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("persist: implausible string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }

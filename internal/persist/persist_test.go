@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -110,7 +109,7 @@ func TestLoadRejectsBitFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	flipped := filepath.Join(dir, "flipped.bin")
-	for _, off := range []int{0, len(magicV2) + 2, len(raw) / 2, len(raw) - 2} {
+	for _, off := range []int{0, len(magicV3) + 2, len(raw) / 2, len(raw) - 2} {
 		bad := append([]byte(nil), raw...)
 		bad[off] ^= 0x40
 		if err := os.WriteFile(flipped, bad, 0o644); err != nil {
@@ -133,73 +132,18 @@ func TestSaveIsAtomicUnderCrashDebris(t *testing.T) {
 		t.Fatal(err)
 	}
 	debris := filepath.Join(dir, ".ckpt.bin.tmp-12345")
-	if err := os.WriteFile(debris, []byte(magicV2+"torn"), 0o600); err != nil {
+	if err := os.WriteFile(debris, []byte(magicV3+"torn"), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	dst := testModel(9)
 	if err := Load(path, dst); err != nil {
 		t.Fatalf("good checkpoint failed to load beside crash debris: %v", err)
 	}
-	for i, p := range src {
-		for j := range p.Value.Data {
-			if p.Value.Data[j] != dst[i].Value.Data[j] {
-				t.Fatal("loaded params differ from saved params")
-			}
-		}
+	if !sameBits(src, dst) {
+		t.Fatal("loaded params differ from saved params")
 	}
 	if err := Save(path, testModel(10)); err != nil {
 		t.Fatalf("re-save beside crash debris: %v", err)
-	}
-}
-
-// saveV2 writes the legacy v2 format (magic + records + whole-file CRC32
-// trailer) — the fixture writer for the cross-version tests; the library
-// itself only reads this format.
-func saveV2(path string, params []*nn.Param) error {
-	var e encBuf
-	e.b = append(e.b, magicV2...)
-	e.u32(uint32(len(params)))
-	for _, p := range params {
-		e.str(p.Name)
-		e.u32(uint32(len(p.Value.Shape)))
-		for _, d := range p.Value.Shape {
-			e.u32(uint32(d))
-		}
-		e.floats(p.Value.Data)
-	}
-	e.u32(crc32.ChecksumIEEE(e.b))
-	return os.WriteFile(path, e.b, 0o644)
-}
-
-func TestLoadAcceptsLegacyV1(t *testing.T) {
-	// A pre-checksum checkpoint (magic MSLC0001, no CRC trailer) must keep
-	// loading. Build one by rewriting a v2 file: swap the magic and drop the
-	// trailer — the body layout is identical across those two versions.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ckpt.bin")
-	src := testModel(11)
-	if err := saveV2(path, src); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := append([]byte(magicV1), raw[len(magicV2):len(raw)-4]...)
-	v1 := filepath.Join(dir, "legacy.bin")
-	if err := os.WriteFile(v1, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dst := testModel(12)
-	if err := Load(v1, dst); err != nil {
-		t.Fatalf("legacy v1 checkpoint failed to load: %v", err)
-	}
-	for i, p := range src {
-		for j := range p.Value.Data {
-			if p.Value.Data[j] != dst[i].Value.Data[j] {
-				t.Fatal("legacy load differs from saved params")
-			}
-		}
 	}
 }
 

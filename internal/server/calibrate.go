@@ -105,9 +105,19 @@ func (c *Calibrator) Observe(r float64, n int, elapsed time.Duration) {
 // observations fold in at rampAlpha instead of the steady-state EWMA weight.
 // No-op on a static calibrator (which ignores observations entirely).
 func (c *Calibrator) Ramp(n int) {
+	if c.alpha == 0 {
+		return
+	}
 	c.mu.Lock()
 	c.rampLeft = n
 	c.mu.Unlock()
+}
+
+// rampRemaining returns how many observations of the post-swap ramp are left.
+func (c *Calibrator) rampRemaining() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.rampLeft
 }
 
 // appendTimes appends the current estimates to dst as t(r) table rows, in

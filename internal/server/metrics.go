@@ -121,9 +121,9 @@ type Stats struct {
 	CircuitTrips         int64
 	CircuitPinnedWindows int64
 	// Swaps counts completed live model swaps; SwapRampWindows is how many
-	// non-empty windows of the post-swap recalibration ramp remain (zero in
-	// steady state). ModelEpoch and ModelCRC identify the artifact currently
-	// serving (see ModelInfo).
+	// observed windows of the post-swap recalibration ramp remain (zero in
+	// steady state, and always on a static calibrator). ModelEpoch and
+	// ModelCRC identify the artifact currently serving (see ModelInfo).
 	Swaps           int64
 	SwapRampWindows int
 	ModelEpoch      uint64
@@ -264,7 +264,7 @@ func (s Stats) prometheus() string {
 	counter("msserver_circuit_trips_total", "Times the brownout circuit opened on consecutive shard failures.", s.CircuitTrips)
 	counter("msserver_circuit_pinned_windows_total", "Windows served rate-pinned under an open circuit.", s.CircuitPinnedWindows)
 	counter("msserver_swaps_total", "Live model swaps completed.", s.Swaps)
-	gauge("msserver_swap_ramp_windows", "Non-empty windows left in the post-swap recalibration ramp.", float64(s.SwapRampWindows))
+	gauge("msserver_swap_ramp_windows", "Observed windows left in the post-swap recalibration ramp.", float64(s.SwapRampWindows))
 	gauge("msserver_model_epoch", "Training epoch of the checkpoint currently serving.", float64(s.ModelEpoch))
 	gauge("msserver_model_checkpoint_crc32", "Header CRC32 of the checkpoint currently serving (content identity; 0 for in-process models).", float64(s.ModelCRC))
 	if len(s.FaultsFired) > 0 {

@@ -169,9 +169,10 @@ const (
 	// traceLog is the trace ring size (sampled spans retained).
 	traceLog = 256
 	// swapRampWindows is the recalibration ramp after a Swap: for this many
-	// non-empty windows the calibrator weighs fresh observations heavily
-	// (rampAlpha instead of the steady-state EWMA), so t(r) converges onto
-	// the new model within the ramp instead of over hundreds of batches.
+	// observed windows (at least CalibrationBatch samples each) the
+	// calibrator weighs fresh observations heavily (rampAlpha instead of the
+	// steady-state EWMA), so t(r) converges onto the new model within the
+	// ramp instead of over hundreds of batches.
 	swapRampWindows = 8
 )
 
@@ -300,7 +301,6 @@ type Server struct {
 	inflight int             // queries dispatched but not yet answered
 	backlog  serving.Backlog // estimated completion horizon of dispatched work
 	info     ModelInfo       // identity of the artifact shared was built from
-	rampLeft int             // non-empty windows left in the post-swap recalibration ramp
 	stopping bool
 	// Brownout circuit: circuitFails counts consecutive failed shards
 	// (panic or stuck); at circuitThreshold the circuit opens — the rate is
@@ -507,7 +507,6 @@ func (s *Server) Swap(ns *slicing.Shared, info ModelInfo) error {
 	s.mu.Lock()
 	s.shared = ns
 	s.info = info
-	s.rampLeft = swapRampWindows
 	s.mu.Unlock()
 	s.metrics.swaps.Add(1)
 	return nil
@@ -714,9 +713,9 @@ func (s *Server) Stats() Stats {
 	st.CircuitOpen = s.circuitOpen
 	st.ModelEpoch = s.info.Epoch
 	st.ModelCRC = s.info.CRC
-	st.SwapRampWindows = s.rampLeft
 	shared := s.shared
 	s.mu.Unlock()
+	st.SwapRampWindows = s.cal.rampRemaining()
 	if fired := faults.Counts(); len(fired) > 0 {
 		st.FaultsFired = make(map[string]int64, len(fired))
 		for p, n := range fired {
@@ -816,9 +815,6 @@ func (s *Server) closeWindow() {
 	// The window captures the current weight set: a Swap after this point
 	// affects only later windows (see batchJob.shared).
 	shared := s.shared
-	if s.rampLeft > 0 {
-		s.rampLeft--
-	}
 	s.mu.Unlock()
 
 	for _, q := range batch {

@@ -132,8 +132,47 @@ func TestSwapLockstepZeroDowntime(t *testing.T) {
 	if st.ModelEpoch != 7 || st.ModelCRC != 0xdeadbeef {
 		t.Fatalf("model identity = epoch %d crc %08x, want 7/deadbeef", st.ModelEpoch, st.ModelCRC)
 	}
-	if st.SwapRampWindows <= 0 {
-		t.Fatal("recalibration ramp not armed after swap")
+	// A static calibrator folds no observation, so it has no ramp to count.
+	if st.SwapRampWindows != 0 {
+		t.Fatalf("SwapRampWindows = %d on a static calibrator, want 0", st.SwapRampWindows)
+	}
+}
+
+// TestSwapRampCountsObservedWindows: the swap-ramp gauge counts the windows
+// the calibrator folds at the boosted weight. Windows smaller than
+// CalibrationBatch are not observed, so they leave the ramp where Swap armed
+// it; a full-size window takes exactly one off.
+func TestSwapRampCountsObservedWindows(t *testing.T) {
+	const calBatch = 4
+	s, clk, gate := gatedServerWith(t, func(c *Config) { c.CalibrationBatch = calBatch })
+	// An EWMA calibrator that sees a millisecond of worker time per shard.
+	gate.passed = func() { clk.Advance(time.Millisecond) }
+	s.cal.alpha, s.cal.minN = ewmaAlpha, calBatch
+	if err := s.Swap(slicing.NewShared(s.cfg.Model, s.cfg.Rates), ModelInfo{Epoch: 2}); err != nil {
+		t.Fatal(err)
+	}
+	window := func(n int) int {
+		t.Helper()
+		chans := submitN(t, s, n)
+		clk.Tick(time.Second)
+		gate.release()
+		for _, ch := range chans {
+			if res := <-ch; res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+		return s.Stats().SwapRampWindows
+	}
+	if got := s.Stats().SwapRampWindows; got != swapRampWindows {
+		t.Fatalf("after Swap: SwapRampWindows = %d, want %d", got, swapRampWindows)
+	}
+	for i := 0; i < 3; i++ {
+		if got := window(calBatch - 1); got != swapRampWindows {
+			t.Fatalf("after %d windows under CalibrationBatch: SwapRampWindows = %d, want %d", i+1, got, swapRampWindows)
+		}
+	}
+	if got := window(calBatch); got != swapRampWindows-1 {
+		t.Fatalf("after one observed window: SwapRampWindows = %d, want %d", got, swapRampWindows-1)
 	}
 }
 

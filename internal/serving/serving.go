@@ -106,18 +106,33 @@ func (cfg Config) Policy() Policy {
 // instead of every window being budgeted a fresh, fictitious T/2.
 func Simulate(cfg Config, arrivals []int) Stats {
 	policy := cfg.Policy()
+	return runWindows(cfg, policy, arrivals, 0, func(b *Backlog, n int, deadline, closeT float64) (Decision, int) {
+		d := b.Decide(policy, n, deadline, closeT)
+		if d.Feasible {
+			return d, 0
+		}
+		// The batch finishes past its deadline: every query in it misses the
+		// latency bound — including windows dragged past their deadline
+		// purely by the backlog ahead of them.
+		return d, n
+	})
+}
+
+// runWindows is the window loop Simulate and FixedCapacityBaseline share.
+// decide returns a non-empty window's decision and how many of its n queries
+// miss the SLO; idleRate is the rate recorded for an empty window.
+func runWindows(cfg Config, policy Policy, arrivals []int, idleRate float64,
+	decide func(b *Backlog, n int, deadline, closeT float64) (Decision, int)) Stats {
 	window := policy.Window
 	stats := Stats{RateHist: make(map[float64]int), TroughArrivals: math.MaxInt}
 	var backlog Backlog
-	sumRateWeighted := 0.0
-	sumAcc := 0.0
-	totalWork := 0.0
+	var sumRateWeighted, sumAcc, totalWork float64
 	for k, n := range arrivals {
-		tick := TickStats{Arrivals: n}
+		tick := TickStats{Arrivals: n, Rate: idleRate}
 		if n > 0 {
 			closeT := float64(k+1) * window
 			deadline := float64(k)*window + cfg.LatencySLO
-			d := backlog.Decide(policy, n, deadline, closeT)
+			d, misses := decide(&backlog, n, deadline, closeT)
 			if cfg.Recorder != nil {
 				cfg.Recorder.Record(d.Record(policy, int64(k), n, closeT))
 			}
@@ -126,12 +141,7 @@ func Simulate(cfg Config, arrivals []int) Stats {
 			tick.Degraded = d.Degraded
 			tick.Slack, tick.Ahead = d.Slack, d.Ahead
 			tick.WorkTime, tick.Completion = d.Work, d.Completion
-			if tick.Infeasible {
-				// The batch finishes past its deadline: every query in it
-				// misses the latency bound — including windows dragged past
-				// their deadline purely by the backlog ahead of them.
-				stats.SLOViolations += n
-			}
+			stats.SLOViolations += misses
 			if tick.Degraded {
 				stats.DegradedWindows++
 			}
@@ -143,12 +153,8 @@ func Simulate(cfg Config, arrivals []int) Stats {
 			}
 			totalWork += tick.WorkTime
 		}
-		if n > stats.PeakArrivals {
-			stats.PeakArrivals = n
-		}
-		if n < stats.TroughArrivals {
-			stats.TroughArrivals = n
-		}
+		stats.PeakArrivals = max(stats.PeakArrivals, n)
+		stats.TroughArrivals = min(stats.TroughArrivals, n)
 		stats.Ticks = append(stats.Ticks, tick)
 	}
 	if stats.Processed > 0 {
@@ -238,58 +244,19 @@ func poisson(lambda float64, rng *rand.Rand) int {
 // report a busy fraction in [0, 1] under any load.
 func FixedCapacityBaseline(cfg Config, fixedRate float64, arrivals []int) Stats {
 	policy := cfg.Policy()
-	window := policy.Window
-	stats := Stats{RateHist: make(map[float64]int), TroughArrivals: math.MaxInt}
-	var backlog Backlog
-	totalWork := 0.0
-	sumAcc := 0.0
-	for k, n := range arrivals {
-		tick := TickStats{Arrivals: n, Rate: fixedRate}
-		if n > 0 {
-			closeT := float64(k+1) * window
-			deadline := float64(k)*window + cfg.LatencySLO
-			stats.Processed += n
-			stats.RateHist[fixedRate] += n
-			d := backlog.DecideRate(policy, n, fixedRate, deadline, closeT)
-			if cfg.Recorder != nil {
-				cfg.Recorder.Record(d.Record(policy, int64(k), n, closeT))
-			}
-			tick.Ahead, tick.Slack = d.Ahead, d.Slack
-			tick.WorkTime, tick.Completion = d.Work, d.Completion
-			tick.Infeasible = !d.Feasible
-			tick.Degraded = d.Degraded
-			if d.Degraded {
-				stats.DegradedWindows++
-			}
-			if !d.Feasible {
-				// The fixed model processes overflow late rather than
-				// dropping it: only the spill past what the slack holds
-				// misses the SLO.
-				stats.SLOViolations += n - policy.CapacityWithin(fixedRate, d.Slack)
-			}
-			totalWork += tick.WorkTime
-			if cfg.AccuracyAt != nil {
-				sumAcc += cfg.AccuracyAt(fixedRate) * float64(n)
-			}
+	stats := runWindows(cfg, policy, arrivals, fixedRate, func(b *Backlog, n int, deadline, closeT float64) (Decision, int) {
+		d := b.DecideRate(policy, n, fixedRate, deadline, closeT)
+		if d.Feasible {
+			return d, 0
 		}
-		if n > stats.PeakArrivals {
-			stats.PeakArrivals = n
-		}
-		if n < stats.TroughArrivals {
-			stats.TroughArrivals = n
-		}
-		stats.Ticks = append(stats.Ticks, tick)
-	}
+		// The fixed model processes overflow late rather than dropping it:
+		// only the spill past what the slack holds misses the SLO.
+		return d, n - policy.CapacityWithin(fixedRate, d.Slack)
+	})
 	if stats.Processed > 0 {
+		// Every query ran at fixedRate: report it as is, not as a re-summed
+		// mean that rounding could move.
 		stats.MeanRate = fixedRate
-		if cfg.AccuracyAt != nil {
-			stats.WeightedAccuracy = sumAcc / float64(stats.Processed)
-		}
-	}
-	if len(arrivals) > 0 {
-		stats.Utilization = utilization(totalWork, window, len(arrivals), backlog.Horizon())
-	} else {
-		stats.TroughArrivals = 0
 	}
 	return stats
 }
