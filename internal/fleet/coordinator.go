@@ -128,7 +128,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.SLO <= 0 {
 		return nil, fmt.Errorf("fleet: non-positive SLO %v", cfg.SLO)
 	}
-	if cfg.Headroom < 0 || cfg.Headroom > 1 {
+	if !(cfg.Headroom >= 0 && cfg.Headroom <= 1) { // NaN included
 		return nil, fmt.Errorf("fleet: headroom %v outside (0, 1]", cfg.Headroom)
 	}
 	if cfg.Headroom == 0 {

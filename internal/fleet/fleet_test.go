@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,6 +23,33 @@ import (
 func netFaultsArmed() bool {
 	return faults.Active(faults.NetDrop) || faults.Active(faults.NetDelay) ||
 		faults.Active(faults.ReplicaDown)
+}
+
+// TestNewRejectsMalformedConfig: a non-positive SLO and a headroom outside
+// [0, 1] — NaN and ±Inf included, which pass the ordered comparisons and
+// would make every routing deadline NaN — are refused with an error naming
+// the field.
+func TestNewRejectsMalformedConfig(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"SLO", Config{}},
+		{"headroom", Config{SLO: time.Second, Headroom: math.NaN()}},
+		{"headroom", Config{SLO: time.Second, Headroom: math.Inf(1)}},
+		{"headroom", Config{SLO: time.Second, Headroom: math.Inf(-1)}},
+		{"headroom", Config{SLO: time.Second, Headroom: 1.5}},
+	} {
+		c, err := New(tc.cfg)
+		if err == nil {
+			c.Stop()
+			t.Errorf("%s: New accepted %+v", tc.field, tc.cfg)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name the field", tc.field, err)
+		}
+	}
 }
 
 func inputVec(seed int64) []float64 {

@@ -331,6 +331,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SLO <= 0 {
 		return nil, fmt.Errorf("server: non-positive SLO %v", cfg.SLO)
 	}
+	// Non-finite values slip past the range and sign tests below (NaN fails
+	// every comparison), so they are refused first.
+	if math.IsNaN(cfg.FixedRate) || math.IsInf(cfg.FixedRate, 0) {
+		return nil, fmt.Errorf("server: fixed rate %v is not finite", cfg.FixedRate)
+	}
+	if math.IsNaN(cfg.QueueFactor) || math.IsInf(cfg.QueueFactor, 0) {
+		return nil, fmt.Errorf("server: queue factor %v is not finite", cfg.QueueFactor)
+	}
+	if !(cfg.Headroom >= 0 && cfg.Headroom <= 1) {
+		return nil, fmt.Errorf("server: headroom %v outside (0, 1]", cfg.Headroom)
+	}
 	if cfg.FixedRate > 0 {
 		if _, err := cfg.Rates.Index(cfg.FixedRate); err != nil {
 			return nil, fmt.Errorf("server: fixed rate: %w", err)
@@ -344,9 +355,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBacklogWindows <= 0 {
 		cfg.MaxBacklogWindows = 8
-	}
-	if cfg.Headroom < 0 || cfg.Headroom > 1 {
-		return nil, fmt.Errorf("server: headroom %v outside (0, 1]", cfg.Headroom)
 	}
 	if cfg.Headroom == 0 {
 		cfg.Headroom = 1

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -316,16 +317,47 @@ func TestSubmitValidatesImageShape(t *testing.T) {
 	}
 }
 
-func TestNewRejectsMalformedRateList(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	cfg := Config{
-		Model:      models.NewMLP(4, []int{8, 8}, 3, 4, rng),
-		Rates:      slicing.RateList{0.5, 0.25}, // not ascending, no 1.0
-		InputShape: []int{4},
-		SLO:        time.Second,
-	}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("want error for malformed rate list, not a panic or success")
+// TestNewRejectsMalformedConfig: each bad value is refused with an error
+// naming its field — non-finite numbers included, which slip past the
+// ordered comparisons (a NaN headroom made the policy window NaN, a NaN
+// queue factor truncated the admission bound to one query, a NaN fixed rate
+// served elastic).
+func TestNewRejectsMalformedConfig(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"rate", func(c *Config) { c.Rates = slicing.RateList{0.5, 0.25} }}, // not ascending, no 1.0
+		{"rate", func(c *Config) { c.Rates = slicing.RateList{nan, 1} }},
+		{"headroom", func(c *Config) { c.Headroom = nan }},
+		{"headroom", func(c *Config) { c.Headroom = inf }},
+		{"headroom", func(c *Config) { c.Headroom = -0.5 }},
+		{"queue factor", func(c *Config) { c.QueueFactor = nan }},
+		{"queue factor", func(c *Config) { c.QueueFactor = inf }},
+		{"queue factor", func(c *Config) { c.QueueFactor = -inf }},
+		{"fixed rate", func(c *Config) { c.FixedRate = nan }},
+		{"fixed rate", func(c *Config) { c.FixedRate = inf }},
+		{"fixed rate", func(c *Config) { c.FixedRate = -inf }},
+		{"fixed rate", func(c *Config) { c.FixedRate = 0.3 }}, // not deployable
+	} {
+		cfg := Config{
+			Model:      models.NewMLP(4, []int{8, 8}, 3, 4, rand.New(rand.NewSource(8))),
+			Rates:      slicing.NewRateList(0.25, 4),
+			InputShape: []int{4},
+			SLO:        time.Second,
+			SampleTime: func(r float64) float64 { return r * r },
+		}
+		tc.mutate(&cfg)
+		s, err := New(cfg)
+		if err == nil {
+			s.Stop()
+			t.Errorf("%s: New accepted a malformed config", tc.field)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name the field", tc.field, err)
+		}
 	}
 }
 

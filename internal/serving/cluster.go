@@ -67,7 +67,7 @@ type RouteDecision struct {
 }
 
 func (c *Cluster) headroom() float64 {
-	if c.Headroom <= 0 || c.Headroom > 1 {
+	if !(c.Headroom > 0 && c.Headroom <= 1) {
 		return 1
 	}
 	return c.Headroom

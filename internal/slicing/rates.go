@@ -46,7 +46,7 @@ func (l RateList) Check() error {
 		return fmt.Errorf("slicing: empty rate list")
 	}
 	for i, r := range l {
-		if r <= 0 || r > 1 {
+		if !(r > 0 && r <= 1) { // NaN included
 			return fmt.Errorf("slicing: rate %v out of (0,1]", r)
 		}
 		if i > 0 && l[i-1] >= r {

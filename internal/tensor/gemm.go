@@ -17,19 +17,20 @@ import (
 // may exceed the logical number of columns when a prefix slice of a wider
 // matrix is being used.
 //
-// All three products funnel into one cache-blocked engine built around a
-// 2×4 axpy micro-kernel: four rows of B are fused into each pass over a pair
-// of C rows, so every loaded value feeds multiple multiply-adds and no
-// accumulator dependency chain forms — the pattern Go's scalar codegen
-// schedules best (a register-tiled dot-product micro-kernel loses here
-// because its sixteen live accumulators spill). On AVX hosts the quad-axpy
-// inner loop dispatches to a vector kernel that evaluates the same
-// expression tree per lane, bit-identically (kernel.go). B panels are
-// blocked to stay L2-resident across the row sweep; transposed operands (Aᵀ
-// for GemmTA, Bᵀ for GemmTB) are packed into row-major panels from a buffer
-// pool so the micro-kernel always streams contiguously — or, for immutable
-// inference weights, packed once and for all into a persistent PackedMat
-// (pack.go). Every product runs on the calling goroutine. Serving's
+// Every product funnels into one cache-blocked engine (gemmBlocked) built
+// around a 2×4 axpy micro-kernel: four rows of B are fused into each pass
+// over a pair of C rows, so every loaded value feeds multiple multiply-adds
+// and no accumulator dependency chain forms — the pattern Go's scalar
+// codegen schedules best (a register-tiled dot-product micro-kernel loses
+// here because its sixteen live accumulators spill). On AVX hosts the
+// quad-axpy inner loop dispatches to a vector kernel that evaluates the same
+// expression tree per lane, bit-identically (kernel_amd64.go). B panels are
+// blocked to stay L2-resident across the row sweep. Only an operand's layout
+// differs between entries, and the engine takes it as an operand kind:
+// strided, transposed (Aᵀ for GemmTA, Bᵀ for GemmTB; repacked into
+// row-major panels from a buffer pool so the micro-kernel always streams
+// contiguously), a persistent PackedMat for immutable inference weights
+// (pack.go), or the shifted rows of a padded image (shift.go). Every product runs on the calling goroutine. Serving's
 // parallelism is the server's shards; in training only Conv2D splits the
 // batch (nn.parallelFor), and Dense and the recurrent layers run each
 // whole-batch product on one goroutine.
@@ -128,7 +129,7 @@ func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, 
 	checkMat("Gemm A", m, k, lda, len(a))
 	checkMat("Gemm B", k, n, ldb, len(b))
 	checkMat("Gemm C", m, n, ldc, len(c))
-	gemmBlocked(TierExact, m, n, k, a, lda, false, b, ldb, false, c, ldc, false, nil)
+	gemmBlocked(TierExact, m, n, k, operand{data: a, ld: lda}, operand{data: b, ld: ldb}, c, ldc, false, nil)
 }
 
 // GemmExT computes C[m×n] = epilogue(A[m×k] · B[k×n]) on an explicit engine
@@ -144,15 +145,7 @@ func GemmExT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ld
 	checkMat("GemmEx A", m, k, lda, len(a))
 	checkMat("GemmEx B", k, n, ldb, len(b))
 	checkMat("GemmEx C", m, n, ldc, len(c))
-	ep.check(m, n)
-	if ep.empty() {
-		ep = nil
-	}
-	if k == 0 {
-		gemmAssignEmptyK(m, n, c, ldc, ep)
-		return
-	}
-	gemmBlocked(tier, m, n, k, a, lda, false, b, ldb, false, c, ldc, true, ep)
+	gemmAssign(tier, m, n, k, operand{data: a, ld: lda}, operand{data: b, ld: ldb}, c, ldc, ep)
 }
 
 // GemmTBExT computes C[m×n] = epilogue(A · Bᵀ) where B is stored as [n×k] —
@@ -165,19 +158,16 @@ func GemmTBExT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, 
 	checkMat("GemmTBEx A", m, k, lda, len(a))
 	checkMat("GemmTBEx B", n, k, ldb, len(b))
 	checkMat("GemmTBEx C", m, n, ldc, len(c))
-	ep.check(m, n)
-	if ep.empty() {
-		ep = nil
-	}
-	if m*n*k < smallGemmFlops {
-		zeroTile(m, n, c, ldc)
-		gemmTBSimple(m, n, k, a, lda, b, ldb, c, ldc)
-		if ep != nil {
-			applyEpilogue(m, n, c, ldc, ep, 0, 0)
-		}
+	if m*n*k >= smallGemmFlops {
+		gemmAssign(tier, m, n, k, operand{data: a, ld: lda}, operand{kind: opTrans, data: b, ld: ldb}, c, ldc, ep)
 		return
 	}
-	gemmBlocked(tier, m, n, k, a, lda, false, b, ldb, true, c, ldc, true, ep)
+	ep.check(m, n)
+	zeroTile(m, n, c, ldc)
+	gemmTBSimple(m, n, k, a, lda, b, ldb, c, ldc)
+	if !ep.empty() {
+		applyEpilogue(m, n, c, ldc, ep, 0, 0)
+	}
 }
 
 // GemmCounters is a snapshot of the engine's global kernel dispatch
@@ -218,7 +208,7 @@ func GemmTA(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64
 		gemmTASimple(m, n, k, a, lda, b, ldb, c, ldc)
 		return
 	}
-	gemmBlocked(TierExact, m, n, k, a, lda, true, b, ldb, false, c, ldc, false, nil)
+	gemmBlocked(TierExact, m, n, k, operand{kind: opTrans, data: a, ld: lda}, operand{data: b, ld: ldb}, c, ldc, false, nil)
 }
 
 // GemmTB computes C[m×n] += A · Bᵀ where B is stored as [n×k]. Only a
@@ -233,7 +223,7 @@ func GemmTB(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64
 		gemmTBSimple(m, n, k, a, lda, b, ldb, c, ldc)
 		return
 	}
-	gemmBlocked(TierExact, m, n, k, a, lda, false, b, ldb, true, c, ldc, false, nil)
+	gemmBlocked(TierExact, m, n, k, operand{data: a, ld: lda}, operand{kind: opTrans, data: b, ld: ldb}, c, ldc, false, nil)
 }
 
 // --- simple strided paths for small transposed products ---
@@ -293,119 +283,202 @@ func zeroTile(rows, cols int, c []float64, ldc int) {
 
 // --- blocked engine ---
 
-// gemmBlocked runs C (+)= op(A)·op(B) one (kc × nc) B panel at a time: the
-// panel stays L2-resident while the C rows sweep across it, and C is
-// revisited only k/kc times. Straight operands stream directly from the
-// caller's buffers; transposed operands are packed into row-major scratch
-// panels first. The ic loop only subdivides the rows when a packed Aᵀ block
-// must fit the pool buffer (GemmTA); otherwise it runs once over all rows.
+// vecMinCols is the narrowest C panel worth a vector call: below it the
+// per-call overhead (slice setup, broadcast reloads) beats the lane win. The
+// threshold is shared by both vector families — the exact tier's AVX kernels
+// and the fma tier's FMA kernels (kernel_fma.go) — because the overhead
+// it amortizes (per-call setup against per-lane wins) is the same regardless
+// of which instruction the inner loop retires.
+const vecMinCols = 8
+
+// opKind is the memory layout of one operand of the blocked engine.
+type opKind uint8
+
+const (
+	opStrided opKind = iota // row-major with row stride ld, read in place
+	opTrans                 // stored transposed (row stride ld), repacked per panel
+	opPacked                // a PackedMat's panels (data is the pack's storage)
+	opShift                 // B only: the shifted-row windows of an image (shift.go)
+)
+
+// operand is one side of a blocked product: its buffer and the layout that
+// decides how a panel of it is addressed.
+type operand struct {
+	kind   opKind
+	data   []float64
+	ld     int // row stride (opShift: the padded image's row stride)
+	kh, kw int // opShift: kernel taps per channel
+	plane  int // opShift: channel stride of the image
+}
+
+// aPanel returns the block A[ic:ic+mcb, pc:pc+kcb] of an m-row A in
+// row-major form with its row stride, transposing it into scratch first when
+// A is stored transposed.
+func (o operand) aPanel(scratch []float64, m, pc, kcb, ic, mcb int) ([]float64, int) {
+	switch o.kind {
+	case opTrans:
+		// scratch[i×kcb] = A[pc:pc+kcb, ic:ic+mcb]ᵀ.
+		packTrans(scratch, mcb, kcb, o.data, o.ld, pc, ic)
+		return scratch, kcb
+	case opPacked:
+		return o.data[m*pc+ic*kcb:], kcb
+	}
+	return o.data[ic*o.ld+pc:], o.ld
+}
+
+// bPanel returns the panel B[pc:pc+kcb, jc:jc+ncb] of an n-column B with its
+// row stride, transposing it into scratch first when B is stored transposed.
+// Shifted rows have no stride: the panel is the image from column jc on, and
+// rowOffsets locates each row in it.
+func (o operand) bPanel(scratch []float64, n, pc, kcb, jc, ncb int) ([]float64, int) {
+	switch o.kind {
+	case opTrans:
+		// scratch[p×ncb] = B[jc:jc+ncb, pc:pc+kcb]ᵀ.
+		packTrans(scratch, kcb, ncb, o.data, o.ld, jc, pc)
+		return scratch, ncb
+	case opPacked:
+		return o.data[pc*n+kcb*jc:], ncb
+	case opShift:
+		return o.data[jc:], 0
+	}
+	return o.data[pc*o.ld+jc:], o.ld
+}
+
+// rowOffsets fills offs with the start of each row of the k-panel at pc
+// inside the slice bPanel returned, and returns it: p·ld for stored rows;
+// for shifted rows, row (ci·kh + ki)·kw + kj is the tap window at
+// ci·plane + ki·ld + kj, stepped without a division.
+func (o operand) rowOffsets(offs []int, pc, ld int) []int {
+	if o.kind != opShift {
+		for p := range offs {
+			offs[p] = p * ld
+		}
+		return offs
+	}
+	taps := o.kh * o.kw
+	ci, ki, kj := pc/taps, pc%taps/o.kw, pc%o.kw
+	for p := range offs {
+		offs[p] = ci*o.plane + ki*o.ld + kj
+		if kj++; kj == o.kw {
+			kj = 0
+			if ki++; ki == o.kh {
+				ki, ci = 0, ci+1
+			}
+		}
+	}
+	return offs
+}
+
+// gemmAssign is the assign-mode (β=0) body every Ex entry runs once its
+// operands are checked: it validates the epilogue against the product shape
+// and drops a no-op one, then runs the blocked engine — or, for k = 0,
+// writes the empty sum (zeros) and runs the epilogue.
+func gemmAssign(tier EngineTier, m, n, k int, a, b operand, c []float64, ldc int, ep *Epilogue) {
+	ep.check(m, n)
+	if ep.empty() {
+		ep = nil
+	}
+	if k > 0 {
+		gemmBlocked(tier, m, n, k, a, b, c, ldc, true, ep)
+		return
+	}
+	zeroTile(m, n, c, ldc)
+	if ep != nil {
+		applyEpilogue(m, n, c, ldc, ep, 0, 0)
+	}
+}
+
+// gemmBlocked runs C (+)= A·B one (kc × nc) B panel at a time: the panel
+// stays L2-resident while the C rows sweep across it, and C is revisited
+// only k/kc times. Each operand's kind decides only how a panel is addressed
+// (aPanel, bPanel); the loop and the panel kernels are the same for every
+// kind, so a packed or shifted product is bit-identical to the strided one.
+// The ic loop only subdivides the rows when a transposed A block must fit
+// the pool buffer (GemmTA); otherwise it runs once over all rows. Shifted
+// rows take a column panel kh·kw times wider: the tap windows of a channel
+// overlap, so a kcb-row panel touches only kcb/(kh·kw) channels of the image
+// and keeps the engine's footprint — a VGG-sized plane is one panel.
 //
 // With assign set, each C tile is zeroed just before its first k-panel
-// (β=0), so callers may hand in uninitialized storage. A non-nil
-// epilogue is applied to each C tile right after its final k-panel, while
-// the tile is still cache-hot.
-func gemmBlocked(tier EngineTier, m, n, k int, a []float64, lda int, aTrans bool, b []float64, ldb int, bTrans bool, c []float64, ldc int, assign bool, ep *Epilogue) {
+// (β=0), so callers may hand in uninitialized storage. A non-nil epilogue is
+// applied to each C tile right after its final k-panel, while the tile is
+// still cache-hot. Shifted rows run on the exact tier only: the fma tier's
+// kernels read B at one stride.
+func gemmBlocked(tier EngineTier, m, n, k int, a, b operand, c []float64, ldc int, assign bool, ep *Epilogue) {
 	var aPack, bPack []float64
-	if aTrans {
+	if a.kind == opTrans {
 		buf := packPool.Get().(*[]float64)
 		defer packPool.Put(buf)
 		aPack = *buf
 	}
-	if bTrans {
+	if b.kind == opTrans {
 		buf := packPool.Get().(*[]float64)
 		defer packPool.Put(buf)
 		bPack = *buf
 	}
-	icStep := m
-	if aTrans {
+	icStep, jcStep := m, ncBlock
+	if a.kind == opTrans {
 		icStep = mcBlock
 	}
+	if b.kind == opShift {
+		jcStep *= b.kh * b.kw
+	}
+	var offs [kcBlock]int
 	for pc := 0; pc < k; pc += kcBlock {
 		kcb := min(kcBlock, k-pc)
-		first := pc == 0
-		last := pc+kcb == k
 		for ic := 0; ic < m; ic += icStep {
 			mcb := min(icStep, m-ic)
-			var ablk []float64
-			ldab := lda
-			if aTrans {
-				// ablk[i×kcb] = A[pc:pc+kcb, ic:ic+mcb]ᵀ.
-				packTrans(aPack, mcb, kcb, a, lda, pc, ic)
-				ablk, ldab = aPack, kcb
-			} else {
-				ablk = a[ic*lda+pc:]
-			}
-			for jc := 0; jc < n; jc += ncBlock {
-				ncb := min(ncBlock, n-jc)
-				var bp []float64
-				ldbp := ldb
-				if bTrans {
-					// bp[p×ncb] = B[jc:jc+ncb, pc:pc+kcb]ᵀ.
-					packTrans(bPack, kcb, ncb, b, ldb, jc, pc)
-					bp, ldbp = bPack, ncb
+			ablk, lda := a.aPanel(aPack, m, pc, kcb, ic, mcb)
+			for jc := 0; jc < n; jc += jcStep {
+				ncb := min(jcStep, n-jc)
+				bp, ldb := b.bPanel(bPack, n, pc, kcb, jc, ncb)
+				ct := c[ic*ldc+jc:]
+				if assign && pc == 0 {
+					zeroTile(mcb, ncb, ct, ldc)
+				}
+				if tier == TierExact {
+					gemmPanel(mcb, ncb, kcb, ablk, lda, bp, b.rowOffsets(offs[:kcb], pc, ldb), ct, ldc)
 				} else {
-					bp = b[pc*ldb+jc:]
+					gemmPanelFMA(mcb, ncb, kcb, ablk, lda, bp, ldb, ct, ldc)
 				}
-				if assign && first {
-					zeroTile(mcb, ncb, c[ic*ldc+jc:], ldc)
-				}
-				gemmPanelT(tier, mcb, ncb, kcb, ablk, ldab, bp, ldbp, c[ic*ldc+jc:], ldc)
-				if last && ep != nil {
-					applyEpilogue(mcb, ncb, c[ic*ldc+jc:], ldc, ep, ic, jc)
+				if pc+kcb == k && ep != nil {
+					applyEpilogue(mcb, ncb, ct, ldc, ep, ic, jc)
 				}
 			}
 		}
 	}
 }
 
-// gemmPanelT routes one micro-panel to the requested tier's kernel family:
-// the exact tier's AVX/scalar pair (gemmPanel) or the fma tier's fused
-// FMA/math.FMA pair (gemmPanelFMA). It also counts the vector-vs-scalar
-// decision per tier; both kernel families share the vecMinCols narrow-panel
-// threshold, so the counters mirror the dispatch exactly.
-func gemmPanelT(tier EngineTier, rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if tier == TierExact {
-		if useAVX && ncb >= vecMinCols {
-			kernelVectorCount[TierExact].Add(1)
-		} else {
-			kernelScalarCount[TierExact].Add(1)
-		}
-		gemmPanel(rows, ncb, kcb, a, lda, b, ldb, c, ldc)
-		return
-	}
-	if useFMA && ncb >= vecMinCols {
-		kernelVectorCount[tier].Add(1)
-	} else {
-		kernelScalarCount[tier].Add(1)
-	}
-	gemmPanelFMA(rows, ncb, kcb, a, lda, b, ldb, c, ldc)
-}
-
-// gemmPanel is the 2×4 axpy micro-kernel: C[rows×ncb] += A[rows×kcb] ·
-// B[kcb×ncb], walking two C rows per pass over four B rows, so each loaded
-// B value feeds four independent multiply-adds (sixteen flops per four B
-// loads) and the B panel is streamed only ⌈rows/2⌉ times. Per-element
-// accumulation order is the same as a one-row sweep — k-quads ascending —
-// so results are bit-identical to the rank-4 kernel this replaces.
-func gemmPanel(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if useAVX && ncb >= vecMinCols {
-		gemmPanelAVX(rows, ncb, kcb, a, lda, b, ldb, c, ldc)
-		return
-	}
+// gemmPanel is the exact tier's 2×4 axpy micro-kernel: C[rows×ncb] +=
+// A[rows×kcb] · B, B row p being b[offs[p]:][:ncb]. Two C rows advance
+// together through four B rows, so each loaded B value feeds four
+// independent multiply-adds (sixteen flops per four B loads) and the panel
+// is streamed only ⌈rows/2⌉ times; an odd last row runs the same expressions
+// alone. Per element the accumulation order is the k-quads ascending, then
+// the k tail one step at a time, whichever path runs. On AVX hosts a panel
+// at least vecMinCols wide hands the quad-axpy to the vector kernels, which
+// evaluate the scalar expression tree verbatim per lane (kernel_amd64.go),
+// so the choice — made and counted once per panel — changes no bit. The k
+// tails run scalar either way; reslicing every row to ncb lets the compiler
+// drop their bounds checks.
+func gemmPanel(rows, ncb, kcb int, a []float64, lda int, b []float64, offs []int, c []float64, ldc int) {
+	vec := useAVX && ncb >= vecMinCols
+	countPanel(TierExact, vec)
 	i := 0
 	for ; i+2 <= rows; i += 2 {
 		ai0 := a[i*lda : i*lda+kcb]
 		ai1 := a[(i+1)*lda : (i+1)*lda+kcb]
-		ci0 := c[i*ldc : i*ldc+ncb]
-		ci1 := c[(i+1)*ldc : (i+1)*ldc+ncb]
+		ci0 := c[i*ldc:][:ncb]
+		ci1 := c[(i+1)*ldc:][:ncb]
 		p := 0
 		for ; p+4 <= kcb; p += 4 {
+			b0, b1, b2, b3 := b[offs[p]:][:ncb], b[offs[p+1]:][:ncb], b[offs[p+2]:][:ncb], b[offs[p+3]:][:ncb]
+			if vec {
+				axpyQuad2AVX(ci0, ci1, b0, b1, b2, b3, ai0[p:p+4], ai1[p:p+4])
+				continue
+			}
 			a00, a01, a02, a03 := ai0[p], ai0[p+1], ai0[p+2], ai0[p+3]
 			a10, a11, a12, a13 := ai1[p], ai1[p+1], ai1[p+2], ai1[p+3]
-			b0 := b[p*ldb : p*ldb+ncb]
-			b1 := b[(p+1)*ldb : (p+1)*ldb+ncb]
-			b2 := b[(p+2)*ldb : (p+2)*ldb+ncb]
-			b3 := b[(p+3)*ldb : (p+3)*ldb+ncb]
 			for j, bv := range b0 {
 				b1v, b2v, b3v := b1[j], b2[j], b3[j]
 				ci0[j] += a00*bv + a01*b1v + a02*b2v + a03*b3v
@@ -414,37 +487,35 @@ func gemmPanel(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c
 		}
 		for ; p < kcb; p++ {
 			a0v, a1v := ai0[p], ai1[p]
-			bp := b[p*ldb : p*ldb+ncb]
-			for j, bv := range bp {
+			bp := b[offs[p]:][:ncb]
+			for j := range ci0 {
+				bv := bp[j]
 				ci0[j] += a0v * bv
 				ci1[j] += a1v * bv
 			}
 		}
 	}
 	if i < rows {
-		gemmPanelRow(ncb, kcb, a[i*lda:i*lda+kcb], b, ldb, c[i*ldc:i*ldc+ncb])
-	}
-}
-
-// gemmPanelRow is the single-row tail of gemmPanel (the original rank-4
-// sweep over one C row).
-func gemmPanelRow(ncb, kcb int, ai []float64, b []float64, ldb int, ci []float64) {
-	p := 0
-	for ; p+4 <= kcb; p += 4 {
-		a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-		b0 := b[p*ldb : p*ldb+ncb]
-		b1 := b[(p+1)*ldb : (p+1)*ldb+ncb]
-		b2 := b[(p+2)*ldb : (p+2)*ldb+ncb]
-		b3 := b[(p+3)*ldb : (p+3)*ldb+ncb]
-		for j, bv := range b0 {
-			ci[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		ai := a[i*lda : i*lda+kcb]
+		ci := c[i*ldc:][:ncb]
+		p := 0
+		for ; p+4 <= kcb; p += 4 {
+			b0, b1, b2, b3 := b[offs[p]:][:ncb], b[offs[p+1]:][:ncb], b[offs[p+2]:][:ncb], b[offs[p+3]:][:ncb]
+			if vec {
+				axpyQuad1AVX(ci, b0, b1, b2, b3, ai[p:p+4])
+				continue
+			}
+			a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
+			for j, bv := range b0 {
+				ci[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
+			}
 		}
-	}
-	for ; p < kcb; p++ {
-		av := ai[p]
-		bp := b[p*ldb : p*ldb+ncb]
-		for j, bv := range bp {
-			ci[j] += av * bv
+		for ; p < kcb; p++ {
+			av := ai[p]
+			bp := b[offs[p]:][:ncb]
+			for j := range ci {
+				ci[j] += av * bp[j]
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -109,9 +110,9 @@ func gemmCaseTol(t *testing.T, name string, m, n, k, lda, ldb, ldc int,
 	}
 }
 
-// TestGemmAgainstReference sweeps deterministic shapes — both below and above
-// the blocked-path and parallel-path thresholds, with tight and strided
-// leading dimensions — for all three kernels.
+// TestGemmAgainstReference sweeps deterministic shapes — on both sides of the
+// transposed products' shape rule and of the panel boundaries, with tight and
+// strided leading dimensions — for all three kernels.
 func TestGemmAgainstReference(t *testing.T) {
 	type shape struct{ m, n, k, pad int }
 	shapes := []shape{
@@ -126,7 +127,7 @@ func TestGemmAgainstReference(t *testing.T) {
 		{128, 32, 256, 0},   // full kc run
 		{40, 300, 20, 2},    // wide n crossing the nc panel boundary
 		{300, 7, 70, 0},     // tall m crossing mc blocks
-		{130, 130, 130, 11}, // above parallel threshold with GOMAXPROCS>1
+		{130, 130, 130, 11}, // mid-size square, ragged ld
 		{256, 256, 260, 0},  // k > kc: multiple packed k panels
 	}
 	for _, s := range shapes {
@@ -188,6 +189,204 @@ func TestGemmRandomShapes(t *testing.T) {
 		gemmCase(t, "GemmTB", m, n, k, k+padA, k+padB, n+padC, GemmTB, gemmTBRef, m, k, n, k)
 	}
 }
+
+// FuzzGemm is the engine's property test: one differential over entry ×
+// m, n, k × leading-dimension pads × epilogue mask × tier. On the exact tier
+// every entry agrees with the naive oracle to 1e-10·√k; on the fma tier each
+// assign entry stays within fmaKernelTol (relative) of its own exact-tier
+// result. The packed and shifted entries must equal the strided product on
+// the same tier bit for bit, and no entry may touch C's slack past n in a
+// row, past its last row, or its operands.
+func FuzzGemm(f *testing.F) {
+	add := func(entry, m, n, k, padA, padB, padC, mask int, tier EngineTier) {
+		f.Add(uint8(entry), uint16(m-1), uint16(n-1), uint16(k), uint8(padA), uint8(padB), uint8(padC), uint8(mask), uint8(tier))
+	}
+	// The corpus replays every (shape, strides, mask) drawn by the three
+	// seeded property tests, on the entries each one runs:
+	// TestGemmRandomShapes (rand seed 7), TestGemmExRandomShapes (13) and
+	// TestPackedGemmRandomShapes (29), sixty draws each.
+	for _, seed := range []int64{7, 13, 29} {
+		rng := rand.New(rand.NewSource(seed))
+		for it := 0; it < 60; it++ {
+			m, n, k := 1+rng.Intn(90), 1+rng.Intn(90), 1+rng.Intn(90)
+			if it%5 == 0 {
+				switch it % 3 {
+				case 0:
+					m += 200
+				case 1:
+					n += 200
+				default:
+					k += 300
+				}
+			}
+			mask := 0
+			if seed != 7 {
+				mask = rng.Intn(64)
+				epilogueCase(rng, mask, m, n) // draws the vectors, as the tests did
+			}
+			switch seed {
+			case 7:
+				padA, padB, padC := rng.Intn(8), rng.Intn(8), rng.Intn(8)
+				for e := fuzzGemm; e <= fuzzGemmTB; e++ {
+					add(e, m, n, k, padA, padB, padC, 0, TierExact)
+				}
+			case 13:
+				padA, padB, padC := rng.Intn(8), rng.Intn(8), rng.Intn(8)
+				add(fuzzGemmExT, m, n, k, padA, padB, padC, mask, TierExact)
+				add(fuzzGemmTBExT, m, n, k, padA, padB, padC, mask, TierExact)
+			case 29:
+				pad := rng.Intn(8)
+				padB, padC := rng.Intn(8), rng.Intn(8)
+				add(fuzzGemmPackedExT, m, n, k, pad, padB, padC, mask, TierExact)
+				add(fuzzGemmTBPackedExT, m, n, k, pad, pad, padC, mask, TierExact)
+			}
+		}
+	}
+	// Beyond the replay: k = 0, the fma tier and shifted rows.
+	for e := 0; e < fuzzEntries; e++ {
+		add(e, 5, 9, 0, 1, 2, 3, 63, TierExact)
+		add(e, 65, 300, 270, 3, 0, 2, e*9, TierFMA)
+		add(e, 2, 8, 27, 2, 2, 0, 33, TierExact)
+	}
+	f.Fuzz(func(t *testing.T, entry uint8, mRaw, nRaw, kRaw uint16, padA, padB, padC, maskRaw, tierRaw uint8) {
+		e := int(entry) % fuzzEntries
+		m, n, k := 1+int(mRaw)%320, 1+int(nRaw)%320, int(kRaw)%420
+		pA, pB, pC := int(padA)%16, int(padB)%16, int(padC)%16
+		tier := EngineTier(tierRaw % NumTiers)
+		assign := e >= fuzzGemmExT
+		if !assign || e == fuzzGemmPackedShiftEx {
+			tier = TierExact // the accumulating and shifted entries run exact only
+		}
+		rng := rand.New(rand.NewSource(int64((((e*331+m)*331+n)*421+k)*4096 + pA*256 + pB*16 + pC)))
+
+		// Operands as stored: A is [m×k] (GemmTA: [k×m]), B is [k×n] (the TB
+		// entries: [n×k]; shifted rows: windows of an image).
+		aRows, aCols, bRows, bCols := m, k, k, n
+		switch e {
+		case fuzzGemmTA:
+			aRows, aCols = k, m
+		case fuzzGemmTB, fuzzGemmTBExT, fuzzGemmTBPackedExT:
+			bRows, bCols = n, k
+		}
+		var kh, kw, ldImg, plane int
+		if e == fuzzGemmPackedShiftEx {
+			kh, kw = 1+pA%3, 1+pB%3
+			k = (k + kh*kw - 1) / (kh * kw) * (kh * kw)
+			aCols, bRows = k, k
+			ldImg, plane = pC+kw, kh*(pC+kw)+pB
+		}
+		lda, ldb, ldc := aCols+pA, bCols+pB, n+pC
+		a := make([]float64, aRows*lda+7)
+		b := make([]float64, bRows*ldb+7)
+		fillRand(rng, a)
+		fillRand(rng, b)
+		var img []float64
+		if e == fuzzGemmPackedShiftEx {
+			img = make([]float64, max(k/(kh*kw)-1, 0)*plane+(kh-1)*ldImg+kw-1+n+7)
+			fillRand(rng, img)
+			b, ldb = shiftRowsOracle(k, n, kh, kw, img, ldImg, plane), n
+		}
+		var ep *Epilogue
+		if assign {
+			ep = epilogueCase(rng, int(maskRaw)%64, m, n)
+		}
+		c0 := make([]float64, (m-1)*ldc+n+7)
+		fillRand(rng, c0) // assign entries must overwrite it, the others accumulate onto it
+		a0, b0, img0 := slices.Clone(a), slices.Clone(b), slices.Clone(img)
+
+		run := func(tier EngineTier) []float64 {
+			c := slices.Clone(c0)
+			switch e {
+			case fuzzGemm:
+				Gemm(m, n, k, a, lda, b, ldb, c, ldc)
+			case fuzzGemmTA:
+				GemmTA(m, n, k, a, lda, b, ldb, c, ldc)
+			case fuzzGemmTB:
+				GemmTB(m, n, k, a, lda, b, ldb, c, ldc)
+			case fuzzGemmExT:
+				GemmExT(tier, m, n, k, a, lda, b, ldb, c, ldc, ep)
+			case fuzzGemmTBExT:
+				GemmTBExT(tier, m, n, k, a, lda, b, ldb, c, ldc, ep)
+			case fuzzGemmPackedExT:
+				GemmPackedExT(tier, m, n, k, PackA(m, k, a, lda), b, ldb, c, ldc, ep)
+			case fuzzGemmTBPackedExT:
+				GemmTBPackedExT(tier, m, n, k, a, lda, PackTB(n, k, b, ldb), c, ldc, ep)
+			case fuzzGemmPackedShiftEx:
+				GemmPackedShiftEx(m, n, kh, kw, PackA(m, k, a, lda), img, ldImg, plane, c, ldc, ep)
+			}
+			return c
+		}
+		got := run(tier)
+		where := fmt.Sprintf("entry %d %v m=%d n=%d k=%d lda=%d ldb=%d ldc=%d mask=%06b",
+			e, tier, m, n, k, lda, ldb, ldc, int(maskRaw)%64)
+		inC := func(i int) bool { return i/ldc < m && i%ldc < n }
+		for i := range got {
+			if !inC(i) && math.Float64bits(got[i]) != math.Float64bits(c0[i]) {
+				t.Fatalf("%s: slack element %d modified (%g → %g)", where, i, c0[i], got[i])
+			}
+		}
+		if !slices.Equal(a, a0) || !slices.Equal(b, b0) || !slices.Equal(img, img0) {
+			t.Fatalf("%s: an operand was modified", where)
+		}
+
+		if tier == TierFMA {
+			if rel := tierMaxRel(m, n, ldc, got, run(TierExact)); rel > fmaKernelTol {
+				t.Fatalf("%s: fma tier rel error %.3g > %g", where, rel, fmaKernelTol)
+			}
+		} else {
+			want := slices.Clone(c0)
+			if assign {
+				for i := range want {
+					if inC(i) {
+						want[i] = 0
+					}
+				}
+			}
+			switch e {
+			case fuzzGemmTA:
+				gemmTARef(m, n, k, a, lda, b, ldb, want, ldc)
+			case fuzzGemmTB, fuzzGemmTBExT, fuzzGemmTBPackedExT:
+				gemmTBRef(m, n, k, a, lda, b, ldb, want, ldc)
+			default:
+				gemmRef(m, n, k, a, lda, b, ldb, want, ldc)
+			}
+			epilogueRef(m, n, want, ldc, ep)
+			tol := 1e-10 * math.Sqrt(float64(max(k, 1)))
+			for i := range got {
+				if d := math.Abs(got[i] - want[i]); inC(i) && !(d <= tol) {
+					t.Fatalf("%s: C[%d,%d] = %g, want %g (|Δ|=%g)", where, i/ldc, i%ldc, got[i], want[i], d)
+				}
+			}
+		}
+
+		if e >= fuzzGemmPackedExT {
+			strided := slices.Clone(c0)
+			if e == fuzzGemmTBPackedExT {
+				gemmAssign(tier, m, n, k, operand{data: a, ld: lda}, operand{kind: opTrans, data: b, ld: ldb}, strided, ldc, ep)
+			} else {
+				GemmExT(tier, m, n, k, a, lda, b, ldb, strided, ldc, ep)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(strided[i]) {
+					t.Fatalf("%s: [%d] = %g, strided product %g (not bit-identical)", where, i, got[i], strided[i])
+				}
+			}
+		}
+	})
+}
+
+// FuzzGemm's entries.
+const (
+	fuzzGemm = iota
+	fuzzGemmTA
+	fuzzGemmTB
+	fuzzGemmExT
+	fuzzGemmTBExT
+	fuzzGemmPackedExT
+	fuzzGemmTBPackedExT
+	fuzzGemmPackedShiftEx
+	fuzzEntries
+)
 
 // --- assign-mode epilogue kernels (GemmEx, GemmTBEx) ---
 
@@ -300,7 +499,7 @@ func gemmExCase(t *testing.T, name string, m, n, k, lda, ldb, ldc int, ep *Epilo
 }
 
 // TestGemmExEpilogueCombinations sweeps every epilogue feature combination
-// over shapes on both sides of the blocked and parallel thresholds.
+// over shapes on both sides of GemmTBExT's small-product threshold.
 func TestGemmExEpilogueCombinations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type shape struct{ m, n, k, pad int }
@@ -311,7 +510,7 @@ func TestGemmExEpilogueCombinations(t *testing.T) {
 		{8, 300, 72, 3},    // conv-like: few rows, wide batch columns
 		{65, 67, 63, 1},    // blocked, ragged panels
 		{40, 130, 270, 2},  // k > kc: epilogue must fire on the last k-panel only
-		{130, 130, 130, 0}, // above the parallel threshold
+		{130, 130, 130, 0}, // mid-size square
 	}
 	for _, s := range shapes {
 		for mask := 0; mask < 64; mask++ {
@@ -376,8 +575,12 @@ func TestGemmExBitIdenticalToGemm(t *testing.T) {
 				b[p*n] = 0
 				bt[p] = 0
 			}
-			acc := func(c []float64) { gemmBlocked(tier, m, n, k, a, k, false, b, n, false, c, n, false, nil) }
-			accTB := func(c []float64) { gemmBlocked(tier, m, n, k, a, k, false, bt, k, true, c, n, false, nil) }
+			acc := func(c []float64) {
+				gemmBlocked(tier, m, n, k, operand{data: a, ld: k}, operand{data: b, ld: n}, c, n, false, nil)
+			}
+			accTB := func(c []float64) {
+				gemmBlocked(tier, m, n, k, operand{data: a, ld: k}, operand{kind: opTrans, data: bt, ld: k}, c, n, false, nil)
+			}
 			for _, op := range []struct {
 				name        string
 				assign, acc func(c []float64)
@@ -517,10 +720,10 @@ func BenchmarkGemmBackwardShapes(b *testing.B) {
 		run  func(m, n, k int, a []float64, lda int, bm []float64, ldb int, c []float64, ldc int)
 	}
 	taRoutes := []route{{"simple", gemmTASimple}, {"blocked", func(m, n, k int, a []float64, lda int, bm []float64, ldb int, c []float64, ldc int) {
-		gemmBlocked(TierExact, m, n, k, a, lda, true, bm, ldb, false, c, ldc, false, nil)
+		gemmBlocked(TierExact, m, n, k, operand{kind: opTrans, data: a, ld: lda}, operand{data: bm, ld: ldb}, c, ldc, false, nil)
 	}}}
 	tbRoutes := []route{{"simple", gemmTBSimple}, {"blocked", func(m, n, k int, a []float64, lda int, bm []float64, ldb int, c []float64, ldc int) {
-		gemmBlocked(TierExact, m, n, k, a, lda, false, bm, ldb, true, c, ldc, false, nil)
+		gemmBlocked(TierExact, m, n, k, operand{data: a, ld: lda}, operand{kind: opTrans, data: bm, ld: ldb}, c, ldc, false, nil)
 	}}}
 	rng := rand.New(rand.NewSource(1))
 	for li, s := range vggConvShapes {

@@ -22,9 +22,11 @@ import "math"
 // explicit SetTier callers get correct, slower results.)
 
 // gemmPanelFMA is the fma-tier form of gemmPanel: C[rows×ncb] +=
-// A[rows×kcb] · B[kcb×ncb] with fused multiply-adds.
+// A[rows×kcb] · B[kcb×ncb] with fused multiply-adds, B at row stride ldb.
 func gemmPanelFMA(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if !(useFMA && ncb >= vecMinCols) {
+	vec := useFMA && ncb >= vecMinCols
+	countPanel(TierFMA, vec)
+	if !vec {
 		gemmPanelFMAScalar(rows, ncb, kcb, a, lda, b, ldb, c, ldc)
 		return
 	}

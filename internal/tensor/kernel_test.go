@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -24,43 +25,61 @@ func TestVectorKernelBitIdenticalToScalar(t *testing.T) {
 		{64, 16, 576, 1},   // deep k: multiple kc panels
 		{65, 300, 63, 2},   // ragged nc tiles
 		{16, 7, 30, 0},     // below vecMinCols: scalar either way
-		{130, 130, 130, 0}, // above the parallel threshold
+		{130, 130, 130, 0}, // ragged tiles on every side
 	}
-	run := func(dst []float64, s shape, a, b, bt []float64, ep *Epilogue, which int) {
-		lda, ldb, ldc := s.k+s.pad, s.n+s.pad, s.n+s.pad
-		switch which {
-		case 0:
-			Gemm(s.m, s.n, s.k, a, lda, b, ldb, dst, ldc)
-		case 1:
-			GemmExT(TierExact, s.m, s.n, s.k, a, lda, b, ldb, dst, ldc, ep)
-		case 2:
-			GemmTBExT(TierExact, s.m, s.n, s.k, a, lda, bt, s.k+s.pad, dst, ldc, ep)
-		case 3:
-			GemmPackedExT(TierExact, s.m, s.n, s.k, PackA(s.m, s.k, a, lda), b, ldb, dst, ldc, ep)
-		case 4:
-			GemmTBPackedExT(TierExact, s.m, s.n, s.k, a, lda, PackTB(s.n, s.k, bt, s.k+s.pad), dst, ldc, ep)
-		}
-	}
+	const entries = 8
 	for _, s := range shapes {
 		lda, ldb, ldc := s.k+s.pad, s.n+s.pad, s.n+s.pad
+		ldat, ldbt := s.m+s.pad, s.k+s.pad // GemmTA's A is [k×m], GemmTB's B [n×k]
 		a := make([]float64, (s.m-1)*lda+s.k+3)
+		at := make([]float64, (s.k-1)*ldat+s.m+3)
 		b := make([]float64, (s.k-1)*ldb+s.n+3)
-		bt := make([]float64, (s.n-1)*(s.k+s.pad)+s.k+3)
+		bt := make([]float64, (s.n-1)*ldbt+s.k+3)
 		fillRand(rng, a)
+		fillRand(rng, at)
 		fillRand(rng, b)
 		fillRand(rng, bt)
+		// GemmPackedShiftEx reads 3×3 tap windows of a padded image: k
+		// rounds up to whole channels of nine taps, with a weight of its own.
+		ks := (s.k + 8) / 9 * 9
+		as := make([]float64, s.m*ks)
+		fillRand(rng, as)
+		ld := 4 + s.pad
+		plane := 2*ld + s.n
+		img := make([]float64, (ks/9-1)*plane+2*ld+2+s.n)
+		fillRand(rng, img)
 		ep := epilogueCase(rng, rng.Intn(64), s.m, s.n)
-		for which := 0; which < 5; which++ {
+		run := func(dst []float64, which int) {
+			switch which {
+			case 0:
+				Gemm(s.m, s.n, s.k, a, lda, b, ldb, dst, ldc)
+			case 1:
+				GemmExT(TierExact, s.m, s.n, s.k, a, lda, b, ldb, dst, ldc, ep)
+			case 2:
+				GemmTBExT(TierExact, s.m, s.n, s.k, a, lda, bt, ldbt, dst, ldc, ep)
+			case 3:
+				GemmPackedExT(TierExact, s.m, s.n, s.k, PackA(s.m, s.k, a, lda), b, ldb, dst, ldc, ep)
+			case 4:
+				GemmTBPackedExT(TierExact, s.m, s.n, s.k, a, lda, PackTB(s.n, s.k, bt, ldbt), dst, ldc, ep)
+			case 5:
+				GemmTA(s.m, s.n, s.k, at, ldat, b, ldb, dst, ldc)
+			case 6:
+				GemmTB(s.m, s.n, s.k, a, lda, bt, ldbt, dst, ldc)
+			case 7:
+				GemmPackedShiftEx(s.m, s.n, 3, 3, PackA(s.m, ks, as, ks), img, ld, plane, dst, ldc, ep)
+			}
+		}
+		for which := 0; which < entries; which++ {
 			seed := make([]float64, (s.m-1)*ldc+s.n+3)
 			fillRand(rng, seed)
 			vec := append([]float64(nil), seed...)
-			run(vec, s, a, b, bt, ep, which)
+			run(vec, which)
 			useAVX = false
 			scal := append([]float64(nil), seed...)
-			run(scal, s, a, b, bt, ep, which)
+			run(scal, which)
 			useAVX = true
 			for i := range vec {
-				if vec[i] != scal[i] {
+				if math.Float64bits(vec[i]) != math.Float64bits(scal[i]) {
 					t.Fatalf("entry %d m=%d n=%d k=%d pad=%d: vector[%d]=%g, scalar=%g (not bit-identical)",
 						which, s.m, s.n, s.k, s.pad, i, vec[i], scal[i])
 				}

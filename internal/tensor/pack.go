@@ -9,7 +9,7 @@ import "fmt"
 // operand of every GEMM is immutable, so that packing is pure waste after the
 // first query: a PackedMat performs it exactly once, laying the operand out in
 // the micro-panel order the blocked loops consume, and the GemmPackedExT /
-// GemmTBPackedExT entry points stream those panels directly.
+// GemmTBPackedExT entry points hand it to the engine as a packed operand.
 //
 // The panel geometry matches the engine's blocking (kcBlock × ncBlock), so a
 // packed product visits memory in the same order as an unpacked one and the
@@ -18,8 +18,7 @@ import "fmt"
 // micro-kernel over the packed panels was measured and rejected: Go's scalar
 // codegen spills its sixteen live multipliers and loses 20-40% to the 2×4
 // kernel at every serving shape; the kernel win comes instead from the
-// vectorized quad-axpy of kernel.go, which both packed and unpacked paths
-// share.)
+// vectorized quad-axpy of kernel_amd64.go, which every operand kind shares.)
 //
 // A PackedMat is immutable after construction and safe for any number of
 // concurrent readers: every server shard streams the same pack.
@@ -106,15 +105,7 @@ func GemmPackedExT(tier EngineTier, m, n, k int, pa *PackedMat, b []float64, ldb
 	}
 	checkMat("GemmPackedEx B", k, n, ldb, len(b))
 	checkMat("GemmPackedEx C", m, n, ldc, len(c))
-	ep.check(m, n)
-	if ep.empty() {
-		ep = nil
-	}
-	if k == 0 {
-		gemmAssignEmptyK(m, n, c, ldc, ep)
-		return
-	}
-	gemmBlockedPackedA(tier, m, n, k, pa, b, ldb, c, ldc, ep)
+	gemmAssign(tier, m, n, k, operand{kind: opPacked, data: pa.data}, operand{data: b, ld: ldb}, c, ldc, ep)
 }
 
 // GemmTBPackedExT computes C[m×n] = epilogue(A · Bᵀ) on an explicit engine
@@ -132,66 +123,5 @@ func GemmTBPackedExT(tier EngineTier, m, n, k int, a []float64, lda int, pb *Pac
 	}
 	checkMat("GemmTBPackedEx A", m, k, lda, len(a))
 	checkMat("GemmTBPackedEx C", m, n, ldc, len(c))
-	ep.check(m, n)
-	if ep.empty() {
-		ep = nil
-	}
-	if k == 0 {
-		gemmAssignEmptyK(m, n, c, ldc, ep)
-		return
-	}
-	gemmBlockedPackedB(tier, m, n, k, a, lda, pb, c, ldc, ep)
-}
-
-// gemmAssignEmptyK fulfils the assign-mode contract for k = 0: the empty sum
-// overwrites the product region with zeros, then the epilogue runs.
-func gemmAssignEmptyK(m, n int, c []float64, ldc int, ep *Epilogue) {
-	zeroTile(m, n, c, ldc)
-	if ep != nil {
-		applyEpilogue(m, n, c, ldc, ep, 0, 0)
-	}
-}
-
-// gemmBlockedPackedA is the blocked engine over a packed A: C[m×n] =
-// A·B under the epilogue. Loop structure and per-element accumulation order
-// match gemmBlocked with a streamed non-transposed A exactly; only the A
-// addressing differs (contiguous panels, ld = kcb).
-func gemmBlockedPackedA(tier EngineTier, m, n, k int, pa *PackedMat, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
-	for pc := 0; pc < k; pc += kcBlock {
-		kcb := min(kcBlock, k-pc)
-		first := pc == 0
-		last := pc+kcb == k
-		ablk := pa.data[m*pc:]
-		for jc := 0; jc < n; jc += ncBlock {
-			ncb := min(ncBlock, n-jc)
-			if first {
-				zeroTile(m, ncb, c[jc:], ldc)
-			}
-			gemmPanelT(tier, m, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
-			if last && ep != nil {
-				applyEpilogue(m, ncb, c[jc:], ldc, ep, 0, jc)
-			}
-		}
-	}
-}
-
-// gemmBlockedPackedB is the blocked engine over a packed B: C[m×n] = A·B
-// under the epilogue, with the jc loop landing on the pack's tile starts.
-func gemmBlockedPackedB(tier EngineTier, m, n, k int, a []float64, lda int, pb *PackedMat, c []float64, ldc int, ep *Epilogue) {
-	for pc := 0; pc < k; pc += kcBlock {
-		kcb := min(kcBlock, k-pc)
-		first := pc == 0
-		last := pc+kcb == k
-		for jc := 0; jc < n; jc += ncBlock {
-			ncb := min(ncBlock, n-jc)
-			bp := pb.data[pc*n+kcb*jc:]
-			if first {
-				zeroTile(m, ncb, c[jc:], ldc)
-			}
-			gemmPanelT(tier, m, ncb, kcb, a[pc:], lda, bp, ncb, c[jc:], ldc)
-			if last && ep != nil {
-				applyEpilogue(m, ncb, c[jc:], ldc, ep, 0, jc)
-			}
-		}
-	}
+	gemmAssign(tier, m, n, k, operand{data: a, ld: lda}, operand{kind: opPacked, data: pb.data}, c, ldc, ep)
 }

@@ -36,7 +36,7 @@ func packedCase(t *testing.T, m, n, k, lda, ldbT, ldbS, ldc int, ep *Epilogue) {
 	want := make([]float64, (m-1)*ldc+n+3)
 	fillRand(rng, want)
 	got := append([]float64(nil), want...)
-	gemmBlocked(TierExact, m, n, k, a, lda, false, bs, ldbS, false, want, ldc, true, ep)
+	gemmBlocked(TierExact, m, n, k, operand{data: a, ld: lda}, operand{data: bs, ld: ldbS}, want, ldc, true, ep)
 	GemmPackedExT(TierExact, m, n, k, PackA(m, k, a, lda), bs, ldbS, got, ldc, ep)
 	check("GemmPackedEx", got, want)
 
@@ -44,7 +44,7 @@ func packedCase(t *testing.T, m, n, k, lda, ldbT, ldbS, ldc int, ep *Epilogue) {
 	want2 := make([]float64, (m-1)*ldc+n+3)
 	fillRand(rng, want2)
 	got2 := append([]float64(nil), want2...)
-	gemmBlocked(TierExact, m, n, k, a, lda, false, bt, ldbT, true, want2, ldc, true, ep)
+	gemmBlocked(TierExact, m, n, k, operand{data: a, ld: lda}, operand{kind: opTrans, data: bt, ld: ldbT}, want2, ldc, true, ep)
 	GemmTBPackedExT(TierExact, m, n, k, a, lda, PackTB(n, k, bt, ldbT), got2, ldc, ep)
 	check("GemmTBPackedEx", got2, want2)
 }
@@ -66,7 +66,7 @@ func TestPackedGemmDeterministicShapes(t *testing.T) {
 		{48, 48, 48, 0},     // at the old small-product boundary
 		{64, 64, 64, 9},     // blocked, ragged ld
 		{65, 300, 63, 1},    // n crosses the nc tile boundary, ragged edge tiles
-		{130, 130, 130, 11}, // above the parallel threshold with GOMAXPROCS>1
+		{130, 130, 130, 11}, // mid-size square, ragged ld
 		{40, 130, 270, 2},   // k > kc: multiple packed k panels
 		{257, 31, 260, 0},   // tall m: 4-row kernel plus 2-row and 1-row tails
 	}
@@ -108,15 +108,14 @@ func TestPackedGemmRandomShapes(t *testing.T) {
 }
 
 // TestPackedGemmAllEpilogueMasks runs all 2⁶ epilogue feature combinations on
-// shapes exercising the serial path, the panel edges and (under
-// GOMAXPROCS>1) the parallel path.
+// a conv-like row-short shape, ragged panel edges and a mid-size square.
 func TestPackedGemmAllEpilogueMasks(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	type shape struct{ m, n, k, pad int }
 	shapes := []shape{
-		{8, 300, 72, 3},    // conv-like row-short product: column-split candidate
+		{8, 300, 72, 3},    // conv-like row-short product, two column tiles
 		{65, 67, 63, 1},    // ragged panels
-		{130, 130, 130, 0}, // above the parallel threshold
+		{130, 130, 130, 0}, // mid-size square
 	}
 	for _, s := range shapes {
 		for mask := 0; mask < 64; mask++ {

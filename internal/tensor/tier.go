@@ -84,12 +84,24 @@ func HasAVX() bool { return useAVX }
 func HasFMA() bool { return useFMA }
 
 // Per-tier kernel dispatch counters, indexed by EngineTier. One count per
-// micro-panel dispatch decision (a 256×256-bounded tile of C), not per asm
-// call — the granularity at which the vector-vs-scalar choice is made.
+// micro-panel of the blocked engine — a C tile of at most 256 columns, or
+// 256·kh·kw for shifted rows — not per asm call: the granularity at which the
+// vector-vs-scalar choice is made. The small strided loops (gemmTASimple,
+// gemmTBSimple) are not counted.
 var (
 	kernelVectorCount [NumTiers]atomic.Int64
 	kernelScalarCount [NumTiers]atomic.Int64
 )
+
+// countPanel records one micro-panel dispatch of tier on its vector kernel
+// or on its scalar loops.
+func countPanel(tier EngineTier, vec bool) {
+	if vec {
+		kernelVectorCount[tier].Add(1)
+	} else {
+		kernelScalarCount[tier].Add(1)
+	}
+}
 
 // KernelCounters is the per-tier slice of the engine's dispatch counters.
 type KernelCounters struct {

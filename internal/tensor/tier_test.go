@@ -54,7 +54,7 @@ func TestTierFromEnv(t *testing.T) {
 
 // tierShapes mirrors the kernel-flip test's sweep: shapes on both sides of
 // every dispatch boundary (narrow panels, ragged tiles, multiple k panels,
-// the parallel threshold), plus strided operands.
+// a mid-size square), plus strided operands.
 var tierShapes = []struct{ m, n, k, pad int }{
 	{1, 1, 1, 0},
 	{2, 8, 4, 0},
@@ -64,7 +64,7 @@ var tierShapes = []struct{ m, n, k, pad int }{
 	{65, 67, 63, 1},
 	{40, 300, 20, 2},   // crosses the nc tile boundary
 	{64, 64, 300, 0},   // multiple kc panels
-	{130, 130, 130, 7}, // above the parallel threshold
+	{130, 130, 130, 7}, // mid-size square
 }
 
 // TestFastTierFlipBitIdentical pins the fma tier's determinism contract:
@@ -94,7 +94,7 @@ func TestFastTierFlipBitIdentical(t *testing.T) {
 		}
 		ops := []op{
 			{"accumulate/fma", func(c []float64) {
-				gemmBlocked(TierFMA, s.m, s.n, s.k, a, lda, false, b, ldb, false, c, ldc, false, nil)
+				gemmBlocked(TierFMA, s.m, s.n, s.k, operand{data: a, ld: lda}, operand{data: b, ld: ldb}, c, ldc, false, nil)
 			}},
 			{"GemmExT/fma", func(c []float64) { GemmExT(TierFMA, s.m, s.n, s.k, a, lda, b, ldb, c, ldc, ep) }},
 			{"GemmTBExT/fma", func(c []float64) { GemmTBExT(TierFMA, s.m, s.n, s.k, a, lda, bt, ldbT, c, ldc, ep) }},
@@ -213,7 +213,7 @@ func TestFastTierZeroAlloc(t *testing.T) {
 		t.Skip("race-mode sync.Pool drops items by design; alloc counts are meaningless")
 	}
 	rng := rand.New(rand.NewSource(43))
-	m, n, k := 64, 64, 64 // blocked, below the parallel threshold
+	m, n, k := 64, 64, 64 // blocked
 	a := make([]float64, m*k)
 	b := make([]float64, k*n)
 	fillRand(rng, a)
