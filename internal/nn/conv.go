@@ -256,8 +256,11 @@ const shiftGridCols = 256
 // of the next, below Pad zero rows that top the first; a group of g samples
 // fills a channel's plane. The product runs on the extended grid — g frames
 // of ld-wide rows — and the h×w part of each frame is copied into its
-// sample's output plane. Every output element sums the same products in the
-// same order as the im2col lowering, so the result is bit-identical.
+// sample's output plane. Both copies move one (sample, channel) plane per
+// tensor.CopyRows call: at quarter width a row is 4–16 elements, too short
+// to pay for a copy call of its own. Every output element sums the same
+// products in the same order as the im2col lowering, so the result is
+// bit-identical.
 func (c *Conv2D) inferShift(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor.PackedMat, ep *tensor.Epilogue) {
 	batch, aIn, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	aOut := y.Dim(1)
@@ -281,14 +284,9 @@ func (c *Conv2D) inferShift(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor
 		gb := min(g, batch-b0)
 		for sm := 0; sm < gb; sm++ {
 			src := x.Data[(b0+sm)*inPlane : (b0+sm+1)*inPlane]
-			s := 0
 			for ci := 0; ci < aIn; ci++ {
 				o := ci*plane + sm*frame + pad*ld + pad
-				for iy := 0; iy < h; iy++ {
-					copy(img[o:o+w], src[s:s+w])
-					o += ld
-					s += w
-				}
+				tensor.CopyRows(h, w, img[o:], ld, src[ci*h*w:], w)
 			}
 		}
 		// A short last group leaves stale frames behind its samples; no
@@ -296,14 +294,8 @@ func (c *Conv2D) inferShift(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor
 		tensor.GemmPackedShiftEx(aOut, grid(gb), c.KH, c.KW, pw, img, ld, plane, ext, n, ep)
 		for sm := 0; sm < gb; sm++ {
 			dst := y.Data[(b0+sm)*outPlane : (b0+sm+1)*outPlane]
-			d := 0
 			for oc := 0; oc < aOut; oc++ {
-				o := oc*n + sm*frame
-				for oy := 0; oy < h; oy++ {
-					copy(dst[d:d+w], ext[o:o+w])
-					o += ld
-					d += w
-				}
+				tensor.CopyRows(h, w, dst[oc*h*w:], w, ext[oc*n+sm*frame:], ld)
 			}
 		}
 	}

@@ -98,35 +98,48 @@ func TestGroupNormMatchesScalarOracle(t *testing.T) {
 func TestMaxPool2x2MatchesGeneralLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	m := NewMaxPool2D(2, 2)
-	for _, hw := range [][2]int{{2, 2}, {3, 3}, {5, 7}, {7, 4}, {2, 9}, {16, 16}, {9, 2}} {
+	// Widths give outW 1–13: below, at and past the vector kernel's four
+	// outputs, with and without a remainder.
+	for _, hw := range [][2]int{
+		{2, 2}, {3, 3}, {5, 7}, {7, 4}, {2, 9}, {16, 16}, {9, 2},
+		{2, 8}, {3, 10}, {4, 14}, {5, 17}, {2, 19}, {6, 24}, {3, 27},
+	} {
 		h, w := hw[0], hw[1]
 		planes := 3
 		x := randTensor(rng, 1, planes, h, w)
-		// Ties, NaN and −Inf exercise the first-greater rule.
+		// Ties, signed zeros, NaN and infinities exercise the first-greater
+		// rule.
 		for i := range x.Data {
-			switch rng.Intn(8) {
+			switch rng.Intn(10) {
 			case 0:
 				x.Data[i] = 0
 			case 1:
 				x.Data[i] = math.NaN()
 			case 2:
 				x.Data[i] = math.Inf(-1)
+			case 3:
+				x.Data[i] = math.Copysign(0, -1)
+			case 4:
+				x.Data[i] = math.Inf(1)
 			}
 		}
 		outH, outW := tensor.ConvOutSize(h, 2, 2, 0), tensor.ConvOutSize(w, 2, 2, 0)
 		n := planes * outH * outW
-		fast, slow := make([]float64, n), make([]float64, n)
-		fastArg, slowArg := make([]int, n), make([]int, n)
-		pool2x2(fast, fastArg, x.Data, planes, h, w, outH, outW)
+		slow, slowArg := make([]float64, n), make([]int, n)
 		m.poolWindows(slow, slowArg, x.Data, planes, h, w, outH, outW)
-		noArg := make([]float64, n)
-		pool2x2(noArg, nil, x.Data, planes, h, w, outH, outW)
-		for i := range fast {
-			if math.Float64bits(fast[i]) != math.Float64bits(slow[i]) || fastArg[i] != slowArg[i] {
-				t.Fatalf("%dx%d out[%d]: fast %v@%d, general %v@%d", h, w, i, fast[i], fastArg[i], slow[i], slowArg[i])
-			}
-			if math.Float64bits(noArg[i]) != math.Float64bits(slow[i]) {
-				t.Fatalf("%dx%d out[%d]: fast without argmax %v, general %v", h, w, i, noArg[i], slow[i])
+		// vec off is the Go loop a host without AVX runs.
+		for _, vec := range []bool{false, true} {
+			fast, fastArg := make([]float64, n), make([]int, n)
+			pool2x2(fast, fastArg, x.Data, planes, h, w, outH, outW, vec)
+			noArg := make([]float64, n)
+			pool2x2(noArg, nil, x.Data, planes, h, w, outH, outW, vec)
+			for i := range fast {
+				if math.Float64bits(fast[i]) != math.Float64bits(slow[i]) || fastArg[i] != slowArg[i] {
+					t.Fatalf("%dx%d vec=%v out[%d]: fast %v@%d, general %v@%d", h, w, vec, i, fast[i], fastArg[i], slow[i], slowArg[i])
+				}
+				if math.Float64bits(noArg[i]) != math.Float64bits(slow[i]) {
+					t.Fatalf("%dx%d vec=%v out[%d]: fast without argmax %v, general %v", h, w, vec, i, noArg[i], slow[i])
+				}
 			}
 		}
 	}
@@ -135,6 +148,67 @@ func TestMaxPool2x2MatchesGeneralLoop(t *testing.T) {
 	if len(y.Data) != 1 || y.Data[0] != 5 {
 		t.Fatalf("1x3 plane pooled to %v, want [5]", y.Data)
 	}
+}
+
+// FuzzMaxPool holds pool2x2, with and without argmax and with the vector
+// kernel on and off, to the general window loop: outputs bit for bit,
+// argmax exactly. Every tap is decoded from one byte of the input into NaN
+// (with a payload), ±0, ±Inf or a small finite value, so ties and NaN
+// placements are dense.
+func FuzzMaxPool(f *testing.F) {
+	f.Add(uint8(2), uint8(4), uint8(9), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(0), uint8(6), uint8(19), []byte{7, 7, 0, 1, 1, 0, 200, 3, 64, 65, 66})
+	f.Add(uint8(3), uint8(1), uint8(13), []byte{255, 128, 2, 2, 9})
+	f.Add(uint8(1), uint8(19), uint8(1), []byte{4, 5})
+	f.Fuzz(func(t *testing.T, p, h, w uint8, taps []byte) {
+		planes, hh, ww := 1+int(p)%4, 1+int(h)%20, 1+int(w)%20
+		x := make([]float64, planes*hh*ww)
+		for i := range x {
+			var b byte
+			if len(taps) > 0 {
+				b = taps[i%len(taps)] + byte(i/len(taps))
+			}
+			x[i] = poolTap(b)
+		}
+		m := NewMaxPool2D(2, 2)
+		outH, outW := tensor.ConvOutSize(hh, 2, 2, 0), tensor.ConvOutSize(ww, 2, 2, 0)
+		n := planes * outH * outW
+		want, wantArg := make([]float64, n), make([]int, n)
+		m.poolWindows(want, wantArg, x, planes, hh, ww, outH, outW)
+		if hh < 2 || ww < 2 {
+			return // pool clips these through the general loop itself
+		}
+		for _, vec := range []bool{false, true} {
+			got, gotArg := make([]float64, n), make([]int, n)
+			pool2x2(got, gotArg, x, planes, hh, ww, outH, outW, vec)
+			noArg := make([]float64, n)
+			pool2x2(noArg, nil, x, planes, hh, ww, outH, outW, vec)
+			for i := range want {
+				wb := math.Float64bits(want[i])
+				if math.Float64bits(got[i]) != wb || gotArg[i] != wantArg[i] || math.Float64bits(noArg[i]) != wb {
+					t.Fatalf("%d×%d×%d vec=%v out[%d]: argmax path %v@%d, no-argmax %v, general %v@%d",
+						planes, hh, ww, vec, i, got[i], gotArg[i], noArg[i], want[i], wantArg[i])
+				}
+			}
+		}
+	})
+}
+
+// poolTap decodes one fuzz byte into a tap value.
+func poolTap(b byte) float64 {
+	switch b % 8 {
+	case 0:
+		return math.Float64frombits(0x7ff8000000000000 | uint64(b)<<20) // NaN with a payload
+	case 1:
+		return 0
+	case 2:
+		return math.Copysign(0, -1)
+	case 3:
+		return math.Inf(1)
+	case 4:
+		return math.Inf(-1)
+	}
+	return float64(int(b)/8%5 - 2)
 }
 
 // TestConv1x1SkipsIm2Col pins the point-wise bypass: the per-sample lowering

@@ -61,7 +61,7 @@ func (m *MaxPool2D) pool(dst []float64, argmax []int, src []float64, planes, h, 
 	outH := tensor.ConvOutSize(h, m.K, m.Stride, 0)
 	outW := tensor.ConvOutSize(w, m.K, m.Stride, 0)
 	if m.K == 2 && m.Stride == 2 && h >= 2 && w >= 2 {
-		pool2x2(dst, argmax, src, planes, h, w, outH, outW)
+		pool2x2(dst, argmax, src, planes, h, w, outH, outW, tensor.HasAVX())
 		return
 	}
 	m.poolWindows(dst, argmax, src, planes, h, w, outH, outW)
@@ -100,8 +100,13 @@ func (m *MaxPool2D) poolWindows(dst []float64, argmax []int, src []float64, plan
 // per output and no clipping, same tap order as the general loop and so the
 // same results. The loop without argmax is a copy on purpose: carrying the
 // index through the compares costs the inference path 10–80 %
-// (BenchmarkMaxPoolInfer).
-func pool2x2(dst []float64, argmax []int, src []float64, planes, h, w, outH, outW int) {
+// (BenchmarkMaxPoolInfer). With vec set it hands each row's outputs, four at
+// a time, to the VMAXPD kernel (tensor.MaxPool2x2Row), which keeps the same
+// rule bit for bit, and finishes the outW mod 4 remainder itself; with vec
+// unset it runs the Go loop alone, as a host without AVX does.
+func pool2x2(dst []float64, argmax []int, src []float64, planes, h, w, outH, outW int, vec bool) {
+	// A row of fewer than four outputs has no vector body; skip the call.
+	vec = vec && outW >= 4
 	for p := 0; p < planes; p++ {
 		for oy := 0; oy < outH; oy++ {
 			base := p*h*w + 2*oy*w
@@ -109,6 +114,10 @@ func pool2x2(dst []float64, argmax []int, src []float64, planes, h, w, outH, out
 			r1 := src[base+w : base+w+2*outW]
 			out := dst[(p*outH+oy)*outW : (p*outH+oy+1)*outW]
 			if argmax == nil {
+				if vec {
+					n := tensor.MaxPool2x2Row(out, r0, r1)
+					out, r0, r1 = out[n:], r0[2*n:], r1[2*n:]
+				}
 				for ox := range out {
 					best := math.Inf(-1)
 					if v := r0[2*ox]; v > best {

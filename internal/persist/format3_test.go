@@ -475,6 +475,85 @@ func TestLoadIntoForeignModelCopiesOnWrite(t *testing.T) {
 	}
 }
 
+// TestSaveOverLiveMappingKeepsServedModel overwrites a served checkpoint
+// with Save while a model is bound to its mapping. Save renames a new file
+// into place, so the old inode — and the mapping over it — lives on: the
+// bound params stay Foreign with the old bits, every rate serves the same
+// outputs, and the old Checkpoint still verifies, while a fresh Open sees
+// the new model. A rewrite in place would instead change or, once
+// truncated, SIGBUS the served pages (DESIGN §15).
+func TestSaveOverLiveMappingKeepsServedModel(t *testing.T) {
+	cfg := models.VGG13Mini(4, models.NormGroup, 1)
+	modelA, _ := models.NewVGG(cfg, rand.New(rand.NewSource(41)))
+	modelB, _ := models.NewVGG(cfg, rand.New(rand.NewSource(42)))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "served.bin")
+	if err := Save(path, modelA.Params()); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	served, _ := models.NewVGG(cfg, rand.New(rand.NewSource(43)))
+	if err := ck.Bind(served.Params()); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(44))
+	x := tensor.New(2, 3, 16, 16)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	rates := []float64{0.25, 0.5, 0.75, 1}
+	before := make([][]float64, len(rates))
+	for i, r := range rates {
+		before[i] = append([]float64(nil), nn.Infer(served, nn.Eval(r), x).Data...)
+	}
+
+	if err := Save(path, modelB.Params()); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, p := range served.Params() {
+		if !p.Foreign {
+			t.Fatalf("param %q no longer Foreign after the overwrite", p.Name)
+		}
+	}
+	if !sameBits(served.Params(), modelA.Params()) {
+		t.Fatal("bound params changed when the checkpoint was overwritten")
+	}
+	for i, r := range rates {
+		got := nn.Infer(served, nn.Eval(r), x).Data
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(before[i][j]) {
+				t.Fatalf("r=%v out[%d] = %v after the overwrite, %v before", r, j, got[j], before[i][j])
+			}
+		}
+	}
+	if err := ck.Verify(); err != nil {
+		t.Fatalf("old checkpoint no longer verifies: %v", err)
+	}
+
+	pathB := filepath.Join(dir, "b.bin")
+	if err := Save(pathB, modelB.Params()); err != nil {
+		t.Fatal(err)
+	}
+	ckB, err := Open(pathB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ckB.Close()
+	fresh, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if fresh.CRC != ckB.CRC || fresh.CRC == ck.CRC {
+		t.Fatalf("fresh Open reports CRC %08x, want B's %08x (A's was %08x)", fresh.CRC, ckB.CRC, ck.CRC)
+	}
+}
+
 // TestSaveSteadyStateAllocs is the satellite regression test: once the
 // encoder pool is warm, periodic saves must not allocate proportionally to
 // the parameter count (the old writer built the whole payload through

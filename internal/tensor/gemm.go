@@ -61,15 +61,24 @@ const (
 
 // Epilogue describes a fused transform applied to every element of C while
 // its panel is still cache-hot, immediately after the final k-panel of an
-// assign-mode (β=0) GEMM. Each element goes through, in order:
+// assign-mode (β=0) GEMM. Alpha and the row vectors fold into one multiply
+// and one add per element; each element of row i goes through, in order:
 //
-//	v = Alpha · acc                      (Alpha 0 is treated as 1)
-//	v = RowScale[i] · v                  (when RowScale is non-nil)
-//	v = v + RowShift[i]                  (when RowShift is non-nil)
+//	s = Alpha · RowScale[i]              (Alpha 0 is treated as 1, a nil
+//	                                      RowScale as 1; rounded once per row)
+//	t = RowShift[i]                      (0 when RowShift is nil)
+//	v = s · acc + t
 //	v = v · ColScale[j]                  (when ColScale is non-nil)
 //	v = v + ColShift[j]                  (when ColShift is non-nil)
 //	v = max(v, 0)                        (when ReLU is set; NaN clamps to 0,
 //	                                      matching a standalone v > 0 ReLU)
+//
+// The fold rounds differently from applying Alpha and RowScale[i] one at a
+// time (Alpha 3, RowScale 0.1, acc 0.1·0.3 gives 0.009000000000000001 here
+// and 0.009 step by step), and the +t runs even when RowShift is nil, so an
+// Alpha-only epilogue turns a −0 product into +0. Only a row with s = 1 and
+// t = 0 and no column step or ReLU is left untouched. No caller sets Alpha
+// together with RowScale.
 //
 // Row vectors index the C row (a convolution's output channel: folded
 // BatchNorm scale/shift, conv bias); column vectors index the C column (a
@@ -456,11 +465,11 @@ func gemmBlocked(tier EngineTier, m, n, k int, a, b operand, c []float64, ldc in
 // is streamed only ⌈rows/2⌉ times; an odd last row runs the same expressions
 // alone. Per element the accumulation order is the k-quads ascending, then
 // the k tail one step at a time, whichever path runs. On AVX hosts a panel
-// at least vecMinCols wide hands the quad-axpy to the vector kernels, which
-// evaluate the scalar expression tree verbatim per lane (kernel_amd64.go),
-// so the choice — made and counted once per panel — changes no bit. The k
-// tails run scalar either way; reslicing every row to ncb lets the compiler
-// drop their bounds checks.
+// at least vecMinCols wide hands the quad-axpy and the k-tail steps to the
+// vector kernels, which evaluate the scalar expression tree verbatim per
+// lane (kernel_amd64.go), so the choice — made and counted once per panel —
+// changes no bit. Reslicing every row to ncb lets the compiler drop the
+// scalar loops' bounds checks.
 func gemmPanel(rows, ncb, kcb int, a []float64, lda int, b []float64, offs []int, c []float64, ldc int) {
 	vec := useAVX && ncb >= vecMinCols
 	countPanel(TierExact, vec)
@@ -488,6 +497,10 @@ func gemmPanel(rows, ncb, kcb int, a []float64, lda int, b []float64, offs []int
 		for ; p < kcb; p++ {
 			a0v, a1v := ai0[p], ai1[p]
 			bp := b[offs[p]:][:ncb]
+			if vec {
+				axpyStep2AVX(ci0, ci1, bp, a0v, a1v)
+				continue
+			}
 			for j := range ci0 {
 				bv := bp[j]
 				ci0[j] += a0v * bv
@@ -513,6 +526,10 @@ func gemmPanel(rows, ncb, kcb int, a []float64, lda int, b []float64, offs []int
 		for ; p < kcb; p++ {
 			av := ai[p]
 			bp := b[offs[p]:][:ncb]
+			if vec {
+				axpyStep1AVX(ci, bp, av)
+				continue
+			}
 			for j := range ci {
 				ci[j] += av * bp[j]
 			}

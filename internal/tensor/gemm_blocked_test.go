@@ -390,8 +390,12 @@ const (
 
 // --- assign-mode epilogue kernels (GemmEx, GemmTBEx) ---
 
-// epilogueRef applies the Epilogue contract naively to a fully accumulated
-// product — the oracle for the fused in-panel application.
+// epilogueRef applies the Epilogue's steps naively to a fully accumulated
+// product, one at a time in the unfolded order Alpha, RowScale, RowShift,
+// ColScale, ColShift, ReLU — the oracle for the fused in-panel application.
+// applyEpilogue folds Alpha·RowScale[i] into one factor and always adds the
+// row shift, so the two agree within the callers' tolerance, not bit for
+// bit.
 func epilogueRef(m, n int, c []float64, ldc int, ep *Epilogue) {
 	if ep == nil {
 		return
@@ -420,6 +424,17 @@ func epilogueRef(m, n int, c []float64, ldc int, ep *Epilogue) {
 			}
 			c[i*ldc+j] = v
 		}
+	}
+}
+
+// TestEpilogueFoldsAlphaIntoRowScale pins the Epilogue arithmetic as
+// documented: Alpha·RowScale[i] is one factor, rounded before it meets the
+// product, not two steps.
+func TestEpilogueFoldsAlphaIntoRowScale(t *testing.T) {
+	c := []float64{math.NaN()}
+	GemmExT(TierExact, 1, 1, 1, []float64{0.1}, 1, []float64{0.3}, 1, c, 1, &Epilogue{Alpha: 3, RowScale: []float64{0.1}})
+	if want := 0.009000000000000001; c[0] != want {
+		t.Fatalf("Alpha 3, RowScale 0.1 on 0.1·0.3 = %v, want the folded %v (step by step gives 0.009)", c[0], want)
 	}
 }
 

@@ -5,9 +5,10 @@ package tensor
 // scalar expression ((a0·b0 + a1·b1) + a2·b2) + a3·b3 with VEX mul/add (no
 // FMA — a fused multiply-add rounds once where the scalar code rounds twice),
 // so every C element receives bit-identical results to the scalar kernel and
-// the engine's accumulation-order contract survives the speedup. Detection is
-// at process start via CPUID; non-AVX hosts and short panels stay on the
-// scalar loops.
+// the engine's accumulation-order contract survives the speedup. The k-tail
+// steps past the last quad run on the step kernels, one c += a·b per lane.
+// Detection is at process start via CPUID; non-AVX hosts and short panels
+// stay on the scalar loops.
 
 // useAVX gates the vector kernels; overridable in tests to pin scalar/vector
 // equivalence.
@@ -30,3 +31,18 @@ func axpyQuad2AVX(c0, c1, b0, b1, b2, b3, a0, a1 []float64)
 //
 //go:noescape
 func axpyQuad1AVX(c0, b0, b1, b2, b3, a0 []float64)
+
+// axpyStep2AVX computes, for j in [0, len(c0)):
+//
+//	c0[j] += a0·b[j]
+//	c1[j] += a1·b[j]
+//
+// b and c1 must hold at least len(c0) elements.
+//
+//go:noescape
+func axpyStep2AVX(c0, c1, b []float64, a0, a1 float64)
+
+// axpyStep1AVX is the one-row form of axpyStep2AVX.
+//
+//go:noescape
+func axpyStep1AVX(c0, b []float64, a0 float64)

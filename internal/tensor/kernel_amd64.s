@@ -194,3 +194,90 @@ rtail:
 rdone:
 	VZEROUPPER
 	RET
+
+// func axpyStep2AVX(c0, c1, b []float64, a0, a1 float64)
+//
+// One k step of the row pair: t = a·b (VMULPD), then c = c + t (VADDPD with
+// C as the first source), the scalar `c += a * b` per lane.
+TEXT ·axpyStep2AVX(SB), NOSPLIT, $0-88
+	MOVQ         c0_base+0(FP), DI
+	MOVQ         c0_len+8(FP), CX
+	MOVQ         c1_base+24(FP), SI
+	MOVQ         b_base+48(FP), R8
+	VBROADCASTSD a0+72(FP), Y0
+	VBROADCASTSD a1+80(FP), Y1
+
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+sloop4:
+	CMPQ    AX, DX
+	JGE     stail
+	VMOVUPD (R8)(AX*8), Y8
+	VMULPD  Y8, Y0, Y12
+	VMULPD  Y8, Y1, Y13
+	VMOVUPD (DI)(AX*8), Y14
+	VADDPD  Y12, Y14, Y14
+	VMOVUPD Y14, (DI)(AX*8)
+	VMOVUPD (SI)(AX*8), Y15
+	VADDPD  Y13, Y15, Y15
+	VMOVUPD Y15, (SI)(AX*8)
+	ADDQ    $4, AX
+	JMP     sloop4
+
+stail:
+	CMPQ   AX, CX
+	JGE    sdone
+	VMOVSD (R8)(AX*8), X8
+	VMULSD X8, X0, X12
+	VMULSD X8, X1, X13
+	VMOVSD (DI)(AX*8), X14
+	VADDSD X12, X14, X14
+	VMOVSD X14, (DI)(AX*8)
+	VMOVSD (SI)(AX*8), X15
+	VADDSD X13, X15, X15
+	VMOVSD X15, (SI)(AX*8)
+	INCQ   AX
+	JMP    stail
+
+sdone:
+	VZEROUPPER
+	RET
+
+// func axpyStep1AVX(c0, b []float64, a0 float64)
+TEXT ·axpyStep1AVX(SB), NOSPLIT, $0-56
+	MOVQ         c0_base+0(FP), DI
+	MOVQ         c0_len+8(FP), CX
+	MOVQ         b_base+24(FP), R8
+	VBROADCASTSD a0+48(FP), Y0
+
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+s1loop4:
+	CMPQ    AX, DX
+	JGE     s1tail
+	VMOVUPD (R8)(AX*8), Y8
+	VMULPD  Y8, Y0, Y12
+	VMOVUPD (DI)(AX*8), Y14
+	VADDPD  Y12, Y14, Y14
+	VMOVUPD Y14, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     s1loop4
+
+s1tail:
+	CMPQ   AX, CX
+	JGE    s1done
+	VMOVSD (R8)(AX*8), X8
+	VMULSD X8, X0, X12
+	VMOVSD (DI)(AX*8), X14
+	VADDSD X12, X14, X14
+	VMOVSD X14, (DI)(AX*8)
+	INCQ   AX
+	JMP    s1tail
+
+s1done:
+	VZEROUPPER
+	RET

@@ -13,6 +13,8 @@ var (
 
 func axpyQuad2AVX(c0, c1, b0, b1, b2, b3, a0, a1 []float64) { panic("tensor: no vector kernel") }
 func axpyQuad1AVX(c0, b0, b1, b2, b3, a0 []float64)         { panic("tensor: no vector kernel") }
+func axpyStep2AVX(c0, c1, b []float64, a0, a1 float64)      { panic("tensor: no vector kernel") }
+func axpyStep1AVX(c0, b []float64, a0 float64)              { panic("tensor: no vector kernel") }
 
 func axpyQuad2FMA(c0, c1, b0, b1, b2, b3, a0, a1 []float64) { panic("tensor: no vector kernel") }
 func axpyQuad1FMA(c0, b0, b1, b2, b3, a0 []float64)         { panic("tensor: no vector kernel") }
@@ -25,5 +27,11 @@ func sumAVX(x []float64) float64                  { panic("tensor: no vector ker
 func sumSqDevAVX(x []float64, mu float64) float64 { panic("tensor: no vector kernel") }
 
 func normAffineAVX(dst, x []float64, mu, invStd, gamma, beta float64, relu bool) {
+	panic("tensor: no vector kernel")
+}
+
+func maxPool2x2AVX(dst, r0, r1 []float64) { panic("tensor: no vector kernel") }
+
+func copyRowsAVX(dst []float64, ldd int, src []float64, lds int, rows, cols int) {
 	panic("tensor: no vector kernel")
 }

@@ -27,6 +27,12 @@ func TestVectorKernelBitIdenticalToScalar(t *testing.T) {
 		{16, 7, 30, 0},     // below vecMinCols: scalar either way
 		{130, 130, 130, 0}, // ragged tiles on every side
 	}
+	// k-tails past the last quad (k mod 4 of 1–3, or no quad at all) on
+	// odd and even row counts flip both step kernels; k 18 and 27 are the
+	// quarter-width and first VGG convs.
+	for _, k := range []int{1, 2, 3, 5, 6, 7, 18, 27} {
+		shapes = append(shapes, shape{3, 21, k, 1}, shape{4, 196, k, 0})
+	}
 	const entries = 8
 	for _, s := range shapes {
 		lda, ldb, ldc := s.k+s.pad, s.n+s.pad, s.n+s.pad

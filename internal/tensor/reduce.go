@@ -50,6 +50,21 @@ func NormAffine(dst, x []float64, mu, invStd, gamma, beta float64, relu bool) {
 	normAffineGo(dst, x, mu, invStd, gamma, beta, relu)
 }
 
+// MaxPool2x2Row writes the first len(dst)&^3 outputs of one output row of a
+// 2×2 stride-2 max-pool and returns how many it wrote — 0 on a host without
+// AVX, so the caller's loop finishes the row either way. Output j is the
+// first tap, in the order r0[2j], r0[2j+1], r1[2j], r1[2j+1], that is greater
+// than all before it, starting from −Inf: NaN never wins and a ±0 tie keeps
+// the earlier tap. r0 and r1 must hold 2·len(dst) elements.
+func MaxPool2x2Row(dst, r0, r1 []float64) int {
+	n := len(dst) &^ 3
+	if !useAVX || n == 0 {
+		return 0
+	}
+	maxPool2x2AVX(dst[:n], r0[:2*n], r1[:2*n])
+	return n
+}
+
 // foldLanes combines the sixteen lanes in the contract's order.
 func foldLanes(a *[16]float64) float64 {
 	var v [4]float64

@@ -210,3 +210,90 @@ nrtail:
 nadone:
 	VZEROUPPER
 	RET
+
+DATA negInf<>+0(SB)/8, $0xfff0000000000000
+GLOBL negInf<>(SB), RODATA|NOPTR, $8
+
+// DEINTERLEAVE splits the eight taps at off(ptr) into even (ev) and odd (od)
+// lanes: the two 128-bit swaps gather [t0 t1 t4 t5] and [t2 t3 t6 t7], and
+// the unpacks take their low and high halves.
+#define DEINTERLEAVE(ptr, ev, od) \
+	VMOVUPD    (ptr), Y0            \
+	VMOVUPD    32(ptr), Y1          \
+	VPERM2F128 $0x20, Y1, Y0, Y2    \
+	VPERM2F128 $0x31, Y1, Y0, Y3    \
+	VUNPCKLPD  Y3, Y2, ev           \
+	VUNPCKHPD  Y3, Y2, od
+
+// func maxPool2x2AVX(dst, r0, r1 []float64)
+//
+// Four outputs per iteration; len(dst) is a multiple of 4 and r0, r1 hold
+// 2·len(dst) taps. VMAXPD with the tap as the first source and the running
+// maximum as the second returns the tap only when it is greater: NaN and
+// ties keep the maximum, the first-greater rule of the Go loop.
+TEXT ·maxPool2x2AVX(SB), NOSPLIT, $0-72
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         r0_base+24(FP), SI
+	MOVQ         r1_base+48(FP), R8
+	VBROADCASTSD negInf<>(SB), Y15
+	XORQ         AX, AX
+
+pool4:
+	CMPQ    AX, CX
+	JGE     pooldone
+	DEINTERLEAVE(SI, Y4, Y5)
+	DEINTERLEAVE(R8, Y6, Y7)
+	VMAXPD  Y15, Y4, Y8
+	VMAXPD  Y8, Y5, Y8
+	VMAXPD  Y8, Y6, Y8
+	VMAXPD  Y8, Y7, Y8
+	VMOVUPD Y8, (DI)(AX*8)
+	ADDQ    $4, AX
+	ADDQ    $64, SI
+	ADDQ    $64, R8
+	JMP     pool4
+
+pooldone:
+	VZEROUPPER
+	RET
+
+// func copyRowsAVX(dst []float64, ldd int, src []float64, lds int, rows, cols int)
+//
+// cols ≥ 4: each row moves in 4-wide blocks, the last block ending at the
+// row's end (overlapping the one before it when cols is not a multiple of 4).
+TEXT ·copyRowsAVX(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ ldd+24(FP), R8
+	MOVQ src_base+32(FP), SI
+	MOVQ lds+56(FP), R9
+	MOVQ rows+64(FP), R10
+	MOVQ cols+72(FP), DX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SUBQ $4, DX
+
+crow:
+	TESTQ R10, R10
+	JLE   cdone
+	XORQ  AX, AX
+
+cblk:
+	CMPQ    AX, DX
+	JGE     clast
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     cblk
+
+clast:
+	VMOVUPD (SI)(DX*8), Y0
+	VMOVUPD Y0, (DI)(DX*8)
+	ADDQ    R8, DI
+	ADDQ    R9, SI
+	DECQ    R10
+	JMP     crow
+
+cdone:
+	VZEROUPPER
+	RET

@@ -40,3 +40,20 @@ func GemmPackedShiftEx(m, n, kh, kw int, pa *PackedMat, img []float64, ld, plane
 	gemmAssign(TierExact, m, n, k, operand{kind: opPacked, data: pa.data},
 		operand{kind: opShift, data: img, ld: ld, kh: kh, kw: kw, plane: plane}, c, ldc, ep)
 }
+
+// CopyRows copies a rows×cols block from src, row stride lds, into dst, row
+// stride ldd; the two must not overlap. It is the shifted-row lowering's
+// plane copy, one call per channel plane into the padded image and one out
+// of the extended grid: on VGG13Mini its rows are 4–16 elements, where a
+// copy call per row costs more than the bytes it moves.
+func CopyRows(rows, cols int, dst []float64, ldd int, src []float64, lds int) {
+	checkMat("CopyRows dst", rows, cols, ldd, len(dst))
+	checkMat("CopyRows src", rows, cols, lds, len(src))
+	if useAVX && cols >= 4 {
+		copyRowsAVX(dst, ldd, src, lds, rows, cols)
+		return
+	}
+	for i := 0; i < rows; i++ {
+		copy(dst[i*ldd:i*ldd+cols], src[i*lds:i*lds+cols])
+	}
+}

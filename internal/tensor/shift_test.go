@@ -111,3 +111,34 @@ func TestGemmPackedShiftShapeChecks(t *testing.T) {
 		}()
 	}
 }
+
+// TestCopyRowsMatchesRowCopies holds CopyRows to one copy per row on both
+// the AVX and the per-row path: widths below, at and past the vector block,
+// with and without a remainder, and gaps on either side left untouched.
+func TestCopyRowsMatchesRowCopies(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	saved := useAVX
+	defer func() { useAVX = saved }()
+	for _, avx := range []bool{false, saved} {
+		useAVX = avx
+		for cols := 0; cols <= 13; cols++ {
+			for _, rows := range []int{0, 1, 4, 7} {
+				lds, ldd := cols+rng.Intn(3), cols+1+rng.Intn(3)
+				src := make([]float64, rows*lds+2)
+				fillRand(rng, src)
+				dst := make([]float64, rows*ldd+2)
+				fillRand(rng, dst)
+				want := append([]float64(nil), dst...)
+				for i := 0; i < rows; i++ {
+					copy(want[i*ldd:i*ldd+cols], src[i*lds:i*lds+cols])
+				}
+				CopyRows(rows, cols, dst, ldd, src, lds)
+				for i := range want {
+					if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("avx=%v %d×%d lds=%d ldd=%d: dst[%d]=%v, want %v", avx, rows, cols, lds, ldd, i, dst[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
