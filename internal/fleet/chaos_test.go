@@ -421,3 +421,47 @@ func TestStopClosesReplicaConnections(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestReplicaShutdownUnderPolling: a replica's graceful http.Server.Shutdown
+// returns within a 2 s deadline while a coordinator polls its /state at the
+// default interval (SLO/2). Shutdown closes the idle keep-alive connections
+// and waits for the active ones; a poll that lands mid-drain must get its
+// answer on a connection that then closes, not keep the server open.
+func TestReplicaShutdownUnderPolling(t *testing.T) {
+	var polls atomic.Int64
+	h := fakeReplica(t, server.NewFakeClock(time.Unix(0, 0))).Handler()
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/state" {
+			polls.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	})}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	coord, err := New(Config{SLO: 20 * time.Millisecond, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Stop)
+	if err := coord.AddReplica("http://" + ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	// The join's fetch and two health-loop polls: the loop is running and
+	// holds a keep-alive connection to the replica.
+	waitFor(t, "health polls", func() bool { return polls.Load() >= 3 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown while polled: %v after %v", err, time.Since(start))
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+}

@@ -74,10 +74,10 @@ func TestConv2DGradCheckSliced(t *testing.T) {
 }
 
 // TestConv2DGradCheckBothBackwardRoutes gradchecks a quarter-width pair of
-// 4-group convolutions: the first has aOut = 2, so its dW product (GemmTB,
-// m = aOut) takes the strided loop; the second has aOut = 4 and takes the
-// blocked engine. (Being same convolutions, both take dx through the
-// flipped-kernel product; the strided tests cover GemmTA + Col2Im.)
+// 4-group convolutions: the first has aOut = 2, one row pair of dW's dot
+// tiles (GemmShiftTB, m = aOut), the second aOut = 4, two. (Being same
+// convolutions, both take dx through the flipped-kernel product; the
+// strided tests cover GemmTB, GemmTA and Col2Im.)
 func TestConv2DGradCheckBothBackwardRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	net := &Sequential{Layers: []Layer{
@@ -145,6 +145,30 @@ func TestConv2DOutShape(t *testing.T) {
 	h, w := c.OutShape(32, 32)
 	if h != 16 || w != 16 {
 		t.Fatalf("OutShape = (%d,%d), want (16,16)", h, w)
+	}
+}
+
+// TestConv2DWeightGradMatchesIm2col holds a same convolution's training
+// pass to the im2col route (trainVsIm2col): y and dx bit for bit, and dW —
+// windowed dot products over the padded input — with dB within 1e-12 of
+// GemmTB over the materialized column matrix. Planes of 6×5 and 4×4 leave
+// grids that are not whole 4-lane vectors and stack samples; 16×16 runs one
+// sample per group.
+func TestConv2DWeightGradMatchesIm2col(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, k := range []int{3, 5} {
+		c := NewConv2D(8, 12, k, k, 1, k/2, Sliced(4), Sliced(4), true, rng)
+		tensor.InitNormal(c.B.Value, 1, rng)
+		for _, r := range []float64{0.25, 0.5, 1} {
+			aIn, aOut := c.Active(r)
+			for _, hw := range [][2]int{{6, 5}, {4, 4}, {16, 16}} {
+				x := randTensor(rng, 3, aIn, hw[0], hw[1])
+				dy := randTensor(rng, 3, aOut, hw[0], hw[1])
+				if err := trainVsIm2col(c, r, x, dy, 1e-12); err != nil {
+					t.Fatalf("r=%v: %v", r, err)
+				}
+			}
+		}
 	}
 }
 

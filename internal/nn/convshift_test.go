@@ -11,7 +11,9 @@ import (
 )
 
 // Oracles and the shape sweep of the shifted-row conv lowering
-// (Conv2D.inferShift): it must reproduce the im2col lowering bit for bit.
+// (Conv2D.shiftConv): served and trained, it must reproduce the im2col
+// lowering bit for bit, and the windowed weight gradient must agree with
+// GemmTB over the column matrix to rounding.
 
 // shiftVsIm2col runs one same convolution through both served lowerings on a
 // packed weight and reports the first element where they differ.
@@ -31,6 +33,85 @@ func shiftVsIm2col(c *Conv2D, x *tensor.Tensor, aOut int, ep *tensor.Epilogue) e
 		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 			return fmt.Errorf("in=%d out=%d %dx%d k=%dx%d: shift[%d]=%v, im2col %v", aIn, aOut, h, w, c.KH, c.KW, i, got.Data[i], want.Data[i])
 		}
+	}
+	return nil
+}
+
+// trainVsIm2col runs one training pass of a same convolution (Forward, then
+// Backward of dy into zeroed gradients) and holds it to the im2col route:
+// y bit for bit to the unpacked im2col lowering with the bias epilogue, dx
+// bit for bit to the flipped kernel's product over Im2Col(dy), and dW and dB
+// within tol of GemmTB over Im2Col(x) and plain plane sums, relative to the
+// sum of their terms' magnitudes (a cancelling sum may lose every digit to
+// rounding, in either order); dW is compared whole, inactive columns
+// included.
+func trainVsIm2col(c *Conv2D, r float64, x, dy *tensor.Tensor, tol float64) error {
+	batch, aIn, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	aOut := dy.Dim(1)
+	taps := c.KH * c.KW
+	spatial, colRows, dcolRows, ldW := h*w, aIn*taps, aOut*taps, c.In*taps
+	c.W.ZeroGrad()
+	var bias []float64
+	if c.B != nil {
+		c.B.ZeroGrad()
+		bias = c.B.Value.Data
+	}
+	ctx := &Context{Training: true, Rate: r}
+	y := c.Forward(ctx, x).Clone()
+	dx := c.Backward(ctx, dy)
+
+	arena := tensor.NewArena()
+	wantY := tensor.New(batch, aOut, h, w)
+	c.inferIm2col(arena, tensor.TierExact, x, wantY, nil, &tensor.Epilogue{RowShift: bias})
+	c.aIn, c.aOut = aIn, aOut
+	wf := make([]float64, aIn*dcolRows)
+	c.flippedKernel(wf)
+	wantDx := make([]float64, len(dx.Data))
+	// want*: the gradients; mag*: the sums of their terms' magnitudes.
+	wantW, magW := make([]float64, aOut*ldW), make([]float64, aOut*ldW)
+	wantB, magB := make([]float64, aOut), make([]float64, aOut)
+	col := make([]float64, max(colRows, dcolRows)*spatial)
+	absG, absCol := make([]float64, aOut*spatial), make([]float64, colRows*spatial)
+	for b := 0; b < batch; b++ {
+		g := dy.Data[b*aOut*spatial : (b+1)*aOut*spatial]
+		tensor.Im2Col(g, aOut, h, w, c.KH, c.KW, 1, c.Pad, col)
+		tensor.GemmExT(tensor.TierExact, aIn, spatial, dcolRows, wf, dcolRows, col, spatial, wantDx[b*aIn*spatial:], spatial, nil)
+		tensor.Im2Col(x.Data[b*aIn*spatial:], aIn, h, w, c.KH, c.KW, 1, c.Pad, col)
+		tensor.GemmTB(aOut, colRows, spatial, g, spatial, col, spatial, wantW, ldW)
+		for i, v := range g {
+			absG[i] = math.Abs(v)
+			wantB[i/spatial] += v
+			magB[i/spatial] += absG[i]
+		}
+		for i := range absCol {
+			absCol[i] = math.Abs(col[i])
+		}
+		tensor.GemmTB(aOut, colRows, spatial, absG, spatial, absCol, spatial, magW, ldW)
+	}
+	where := fmt.Sprintf("in=%d out=%d batch %d %dx%d k=%dx%d", aIn, aOut, batch, h, w, c.KH, c.KW)
+	for i, v := range wantY.Data {
+		if math.Float64bits(y.Data[i]) != math.Float64bits(v) {
+			return fmt.Errorf("%s: y[%d]=%v, im2col %v", where, i, y.Data[i], v)
+		}
+	}
+	for i, v := range wantDx {
+		if math.Float64bits(dx.Data[i]) != math.Float64bits(v) {
+			return fmt.Errorf("%s: dx[%d]=%v, im2col %v", where, i, dx.Data[i], v)
+		}
+	}
+	near := func(name string, got, want, mag []float64) error {
+		for i, v := range want {
+			if d := math.Abs(got[i] - v); !(d <= tol*mag[i]) {
+				return fmt.Errorf("%s: %s[%d]=%v, im2col %v (|Δ| %.3g of Σ|terms| %.3g)", where, name, i, got[i], v, d, mag[i])
+			}
+		}
+		return nil
+	}
+	if err := near("dW", c.W.Grad.Data, wantW, magW); err != nil {
+		return err
+	}
+	if c.B != nil {
+		return near("dB", c.B.Grad.Data[:aOut], wantB, magB)
 	}
 	return nil
 }
@@ -91,12 +172,14 @@ func TestConvShiftMatchesIm2col(t *testing.T) {
 }
 
 // FuzzConvShift decodes a conv shape from bytes and holds the shifted-row
-// lowering to the im2col one.
+// lowering to the im2col one: the served product on a packed weight, then a
+// training pass (Forward and Backward, with a bias when seed&4 is set).
 func FuzzConvShift(f *testing.F) {
 	f.Add(uint8(3), uint8(8), uint8(16), uint8(16), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(32), uint8(5), uint8(4), uint8(4), uint8(1), uint8(37), int64(2))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(63), int64(3))
 	f.Add(uint8(4), uint8(3), uint8(2), uint8(9), uint8(1), uint8(4), int64(4))
+	f.Add(uint8(1), uint8(0), uint8(11), uint8(0), uint8(0), uint8(0), int64(-26)) // dB sums cancel
 	f.Fuzz(func(t *testing.T, in, out, h, w, pad, mask uint8, seed int64) {
 		aIn, aOut := 1+int(in)%40, 1+int(out)%17
 		hh, ww := 1+int(h)%17, 1+int(w)%17
@@ -106,6 +189,13 @@ func FuzzConvShift(f *testing.F) {
 		c := NewConv2D(aIn, aOut, 2*p+1, 2*p+1, 1, p, Fixed(), Fixed(), false, rng)
 		x := randTensor(rng, 1+int(seed&3), aIn, hh, ww)
 		if err := shiftVsIm2col(c, x, aOut, randEpilogue(rng, m, aOut)); err != nil {
+			t.Fatal(err)
+		}
+		if seed&4 != 0 {
+			c.B = NewParam("conv.B", false, aOut)
+			tensor.InitNormal(c.B.Value, 1, rng)
+		}
+		if err := trainVsIm2col(c, 1, x, randTensor(rng, x.Dim(0), aOut, hh, ww), 1e-12); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"modelslicing/internal/tensor"
@@ -160,25 +161,40 @@ func TestPackInvalidatedByTraining(t *testing.T) {
 }
 
 // TestConvForwardScratchRecycled pins the training-path satellite: the
-// im2col scratch of Conv2D.Forward/Backward comes from a pool, so repeated
-// steps stop allocating fresh colRows×spatial buffers.
+// scratch of Conv2D.Forward/Backward comes from pools, so repeated steps stop
+// allocating fresh buffers — the im2col column matrices of a strided conv,
+// and the padded images and product grids of a same conv's shifted rows.
 func TestConvForwardScratchRecycled(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
-	conv := NewConv2D(3, 4, 3, 3, 1, 1, Fixed(), Fixed(), false, rng)
 	x := tensor.New(2, 3, 8, 8)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
 	ctx := &Context{Training: true}
-	y := conv.Forward(ctx, x)
-	conv.Backward(ctx, y)
+	same := NewConv2D(3, 4, 3, 3, 1, 1, Fixed(), Fixed(), false, rng)
+	geo := same.shiftGeom(2, 8, 8)
+	for _, tc := range []struct {
+		name string
+		conv *Conv2D
+		pool *sync.Pool
+		want int
+	}{
+		// Stride 2: a 27-row column matrix over the 4×4 output.
+		{"im2col", NewConv2D(3, 4, 3, 3, 2, 1, Fixed(), Fixed(), false, rng), &im2colPool, 3 * 9 * 4 * 4},
+		// Same conv: Forward's buffer, the smaller one, holds the padded
+		// image of x and the grid of y's four channels.
+		{"shifted rows", same, &padPool, geo.imgLen(3) + 4*geo.n},
+	} {
+		y := tc.conv.Forward(ctx, x)
+		tc.conv.Backward(ctx, y)
 
-	// The pool must now hold a buffer big enough for this layer's scratch —
-	// evidence Forward/Backward returned theirs instead of dropping them.
-	colRows, spatial := 3*9, 8*8
-	buf := poolGet(&im2colPool, 1)
-	defer im2colPool.Put(buf)
-	if cap(*buf) < colRows*spatial {
-		t.Fatalf("pooled scratch cap %d, want ≥ %d — Forward/Backward did not recycle", cap(*buf), colRows*spatial)
+		// The pool must now hold a buffer big enough for this layer's
+		// scratch — evidence Forward/Backward returned theirs instead of
+		// dropping them.
+		buf := poolGet(tc.pool, 1)
+		if cap(*buf) < tc.want {
+			t.Errorf("%s: pooled scratch cap %d, want ≥ %d — Forward/Backward did not recycle", tc.name, cap(*buf), tc.want)
+		}
+		tc.pool.Put(buf)
 	}
 }

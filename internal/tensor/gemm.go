@@ -17,7 +17,8 @@ import (
 // may exceed the logical number of columns when a prefix slice of a wider
 // matrix is being used.
 //
-// Every product funnels into one cache-blocked engine (gemmBlocked) built
+// Every product but training's windowed weight gradient (GemmShiftTB, a dot
+// tile in shift.go) funnels into one cache-blocked engine (gemmBlocked) built
 // around a 2×4 axpy micro-kernel: four rows of B are fused into each pass
 // over a pair of C rows, so every loaded value feeds multiple multiply-adds
 // and no accumulator dependency chain forms — the pattern Go's scalar

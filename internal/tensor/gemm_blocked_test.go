@@ -194,9 +194,10 @@ func TestGemmRandomShapes(t *testing.T) {
 // m, n, k × leading-dimension pads × epilogue mask × tier. On the exact tier
 // every entry agrees with the naive oracle to 1e-10·√k; on the fma tier each
 // assign entry stays within fmaKernelTol (relative) of its own exact-tier
-// result. The packed and shifted entries must equal the strided product on
-// the same tier bit for bit, and no entry may touch C's slack past n in a
-// row, past its last row, or its operands.
+// result. The packed entries and GemmPackedShiftEx must equal the strided
+// product on the same tier bit for bit (GemmShiftTB, a dot product in its
+// own lane order, answers to the oracle only), and no entry may touch C's
+// slack past n in a row, past its last row, or its operands.
 func FuzzGemm(f *testing.F) {
 	add := func(entry, m, n, k, padA, padB, padC, mask int, tier EngineTier) {
 		f.Add(uint8(entry), uint16(m-1), uint16(n-1), uint16(k), uint8(padA), uint8(padB), uint8(padC), uint8(mask), uint8(tier))
@@ -265,14 +266,22 @@ func FuzzGemm(f *testing.F) {
 		switch e {
 		case fuzzGemmTA:
 			aRows, aCols = k, m
-		case fuzzGemmTB, fuzzGemmTBExT, fuzzGemmTBPackedExT:
+		case fuzzGemmTB, fuzzGemmShiftTB, fuzzGemmTBExT, fuzzGemmTBPackedExT:
 			bRows, bCols = n, k
 		}
+		// Shifted rows: B's rows (k of them; GemmShiftTB: n) are whole
+		// channels of kh×kw tap windows.
 		var kh, kw, ldImg, plane int
-		if e == fuzzGemmPackedShiftEx {
+		switch e {
+		case fuzzGemmPackedShiftEx:
 			kh, kw = 1+pA%3, 1+pB%3
 			k = (k + kh*kw - 1) / (kh * kw) * (kh * kw)
 			aCols, bRows = k, k
+			ldImg, plane = pC+kw, kh*(pC+kw)+pB
+		case fuzzGemmShiftTB:
+			kh, kw = 1+pA%3, 1+pB%3
+			n = (n + kh*kw - 1) / (kh * kw) * (kh * kw)
+			bRows = n
 			ldImg, plane = pC+kw, kh*(pC+kw)+pB
 		}
 		lda, ldb, ldc := aCols+pA, bCols+pB, n+pC
@@ -281,10 +290,15 @@ func FuzzGemm(f *testing.F) {
 		fillRand(rng, a)
 		fillRand(rng, b)
 		var img []float64
-		if e == fuzzGemmPackedShiftEx {
+		switch e {
+		case fuzzGemmPackedShiftEx:
 			img = make([]float64, max(k/(kh*kw)-1, 0)*plane+(kh-1)*ldImg+kw-1+n+7)
 			fillRand(rng, img)
 			b, ldb = shiftRowsOracle(k, n, kh, kw, img, ldImg, plane), n
+		case fuzzGemmShiftTB:
+			img = make([]float64, (n/(kh*kw)-1)*plane+(kh-1)*ldImg+kw-1+k+7)
+			fillRand(rng, img)
+			b, ldb = shiftRowsOracle(n, k, kh, kw, img, ldImg, plane), k
 		}
 		var ep *Epilogue
 		if assign {
@@ -303,6 +317,8 @@ func FuzzGemm(f *testing.F) {
 				GemmTA(m, n, k, a, lda, b, ldb, c, ldc)
 			case fuzzGemmTB:
 				GemmTB(m, n, k, a, lda, b, ldb, c, ldc)
+			case fuzzGemmShiftTB:
+				GemmShiftTB(m, n, k, kh, kw, a, lda, img, ldImg, plane, c, ldc)
 			case fuzzGemmExT:
 				GemmExT(tier, m, n, k, a, lda, b, ldb, c, ldc, ep)
 			case fuzzGemmTBExT:
@@ -345,7 +361,7 @@ func FuzzGemm(f *testing.F) {
 			switch e {
 			case fuzzGemmTA:
 				gemmTARef(m, n, k, a, lda, b, ldb, want, ldc)
-			case fuzzGemmTB, fuzzGemmTBExT, fuzzGemmTBPackedExT:
+			case fuzzGemmTB, fuzzGemmShiftTB, fuzzGemmTBExT, fuzzGemmTBPackedExT:
 				gemmTBRef(m, n, k, a, lda, b, ldb, want, ldc)
 			default:
 				gemmRef(m, n, k, a, lda, b, ldb, want, ldc)
@@ -380,6 +396,7 @@ const (
 	fuzzGemm = iota
 	fuzzGemmTA
 	fuzzGemmTB
+	fuzzGemmShiftTB
 	fuzzGemmExT
 	fuzzGemmTBExT
 	fuzzGemmPackedExT

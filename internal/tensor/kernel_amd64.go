@@ -7,7 +7,8 @@ package tensor
 // so every C element receives bit-identical results to the scalar kernel and
 // the engine's accumulation-order contract survives the speedup. The k-tail
 // steps past the last quad run on the step kernels, one c += a·b per lane.
-// Detection is at process start via CPUID; non-AVX hosts and short panels
+// The dot tile of training's weight gradient (GemmShiftTB) keeps the same
+// rule: its lanes are the Go loop's four partial sums. Detection is at process start via CPUID; non-AVX hosts and short panels
 // stay on the scalar loops.
 
 // useAVX gates the vector kernels; overridable in tests to pin scalar/vector
@@ -46,3 +47,12 @@ func axpyStep2AVX(c0, c1, b []float64, a0, a1 float64)
 //
 //go:noescape
 func axpyStep1AVX(c0, b []float64, a0 float64)
+
+// dot2x4AVX is the dot tile of GemmShiftTB, the vector twin of dot2x4: lane
+// l of each 4-wide accumulator sums a·b over j ≡ l (mod 4) as VMULPD then
+// VADDPD, a masked load pads the last len(a0) mod 4 products with +0 (a
+// lane sum is never −0, so adding +0 changes no bit), and the lanes fold
+// (l0+l2)+(l1+l3). a1 and b0..b3 must hold at least len(a0) elements.
+//
+//go:noescape
+func dot2x4AVX(a0, a1, b0, b1, b2, b3 []float64, out *[8]float64)

@@ -16,6 +16,8 @@ func axpyQuad1AVX(c0, b0, b1, b2, b3, a0 []float64)         { panic("tensor: no 
 func axpyStep2AVX(c0, c1, b []float64, a0, a1 float64)      { panic("tensor: no vector kernel") }
 func axpyStep1AVX(c0, b []float64, a0 float64)              { panic("tensor: no vector kernel") }
 
+func dot2x4AVX(a0, a1, b0, b1, b2, b3 []float64, out *[8]float64) { panic("tensor: no vector kernel") }
+
 func axpyQuad2FMA(c0, c1, b0, b1, b2, b3, a0, a1 []float64) { panic("tensor: no vector kernel") }
 func axpyQuad1FMA(c0, b0, b1, b2, b3, a0 []float64)         { panic("tensor: no vector kernel") }
 

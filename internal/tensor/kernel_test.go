@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -88,6 +89,51 @@ func TestVectorKernelBitIdenticalToScalar(t *testing.T) {
 				if math.Float64bits(vec[i]) != math.Float64bits(scal[i]) {
 					t.Fatalf("entry %d m=%d n=%d k=%d pad=%d: vector[%d]=%g, scalar=%g (not bit-identical)",
 						which, s.m, s.n, s.k, s.pad, i, vec[i], scal[i])
+				}
+			}
+		}
+	}
+
+	// GemmShiftTB's dot tile, on its own and through the entry: odd and
+	// even m, window counts that are not whole quads (5 taps of a 1×5
+	// kernel, 9 and 27 of a 3×3 one), every dot length from 4 to 64.
+	for k := 0; k <= 64; k++ {
+		var rows [6][]float64
+		for i := range rows {
+			rows[i] = make([]float64, k)
+			fillRand(rng, rows[i])
+		}
+		var vec, scal [8]float64
+		dot2x4AVX(rows[0], rows[1], rows[2], rows[3], rows[4], rows[5], &vec)
+		dot2x4(rows[0], rows[1], rows[2], rows[3], rows[4], rows[5], &scal)
+		for i := range vec {
+			if math.Float64bits(vec[i]) != math.Float64bits(scal[i]) {
+				t.Fatalf("dot tile k=%d: vector[%d]=%g, scalar=%g (not bit-identical)", k, i, vec[i], scal[i])
+			}
+		}
+	}
+	for _, m := range []int{1, 3, 4} {
+		for _, taps := range [][3]int{{1, 5, 5}, {3, 3, 9}, {3, 3, 27}} {
+			kh, kw, n := taps[0], taps[1], taps[2]
+			for k := 4; k <= 64; k++ {
+				ld := kw + 2
+				plane := kh*ld + k
+				img := make([]float64, (n/(kh*kw)-1)*plane+(kh-1)*ld+kw-1+k)
+				a := make([]float64, m*(k+1))
+				fillRand(rng, img)
+				fillRand(rng, a)
+				seed := make([]float64, m*n)
+				fillRand(rng, seed)
+				vec, scal := slices.Clone(seed), slices.Clone(seed)
+				GemmShiftTB(m, n, k, kh, kw, a, k+1, img, ld, plane, vec, n)
+				useAVX = false
+				GemmShiftTB(m, n, k, kh, kw, a, k+1, img, ld, plane, scal, n)
+				useAVX = true
+				for i := range vec {
+					if math.Float64bits(vec[i]) != math.Float64bits(scal[i]) {
+						t.Fatalf("GemmShiftTB m=%d n=%d k=%d %dx%d: vector[%d]=%g, scalar=%g (not bit-identical)",
+							m, n, k, kh, kw, i, vec[i], scal[i])
+					}
 				}
 			}
 		}

@@ -18,8 +18,10 @@ func shiftRowsOracle(k, n, kh, kw int, img []float64, ld, plane int) []float64 {
 	return b
 }
 
-// TestGemmPackedShiftMatchesMaterialized holds the shifted-row product to
-// GemmPackedExT over the materialized matrix, bit for bit: random tap
+// TestGemmPackedShiftMatchesMaterialized holds the shifted-row products —
+// on a pack (GemmPackedShiftEx) and on the strided weight it was packed from
+// (GemmShiftEx) — to GemmPackedExT over the materialized matrix, bit for
+// bit: random tap
 // geometries (rows that overlap, abut or leave gaps), k past one 256-row
 // panel, C wider than a column panel, odd m, every epilogue mask, and both
 // the AVX and the scalar panel loops.
@@ -54,17 +56,23 @@ func TestGemmPackedShiftMatchesMaterialized(t *testing.T) {
 		GemmPackedExT(TierExact, m, n, k, pa, shiftRowsOracle(k, n, kh, kw, img, ld, plane), n, want, ldc, ep)
 		for _, avx := range []bool{saved, false} {
 			useAVX = avx
-			got := make([]float64, m*ldc)
-			for i := range got {
-				got[i] = math.NaN() // assign mode overwrites every element
-			}
-			GemmPackedShiftEx(m, n, kh, kw, pa, img, ld, plane, got, ldc, ep)
-			for i := 0; i < m; i++ {
-				for j := 0; j < n; j++ {
-					g, w := got[i*ldc+j], want[i*ldc+j]
-					if math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("it %d (m=%d n=%d k=%d %dx%d ld=%d plane=%d mask=%06b avx=%v): C[%d,%d]=%v, materialized %v",
-							it, m, n, k, kh, kw, ld, plane, it%64, avx, i, j, g, w)
+			for _, packed := range []bool{true, false} {
+				got := make([]float64, m*ldc)
+				for i := range got {
+					got[i] = math.NaN() // assign mode overwrites every element
+				}
+				if packed {
+					GemmPackedShiftEx(m, n, kh, kw, pa, img, ld, plane, got, ldc, ep)
+				} else {
+					GemmShiftEx(m, n, k, kh, kw, a, k, img, ld, plane, got, ldc, ep)
+				}
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						g, w := got[i*ldc+j], want[i*ldc+j]
+						if math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("it %d (m=%d n=%d k=%d %dx%d ld=%d plane=%d mask=%06b avx=%v packed=%v): C[%d,%d]=%v, materialized %v",
+								it, m, n, k, kh, kw, ld, plane, it%64, avx, packed, i, j, g, w)
+						}
 					}
 				}
 			}
@@ -74,19 +82,31 @@ func TestGemmPackedShiftMatchesMaterialized(t *testing.T) {
 }
 
 // TestGemmPackedShiftCountsKernels pins the dispatch accounting: one exact
-// tier kernel per C panel, vector or scalar by the engine's width rule.
+// tier kernel per C panel, vector or scalar by the engine's width rule, and
+// one per GemmShiftTB call, vector when its dots are at least one 4-lane
+// vector long.
 func TestGemmPackedShiftCountsKernels(t *testing.T) {
 	pa := PackA(2, 9, make([]float64, 18), 9)
 	img := make([]float64, 64)
 	c := make([]float64, 2*40)
-	for _, n := range []int{4, 40} {
+	count := func(name string, n int, wantVec bool, call func()) {
 		before := GemmStats().Kernels[TierExact]
-		GemmPackedShiftEx(2, n, 3, 3, pa, img, 5, 0, c, n, nil)
+		call()
 		after := GemmStats().Kernels[TierExact]
 		vec, sca := after.Vector-before.Vector, after.Scalar-before.Scalar
-		if wantVec := useAVX && n >= vecMinCols; vec+sca != 1 || (vec == 1) != wantVec {
-			t.Fatalf("n=%d: %d vector + %d scalar dispatches, want one (vector %v)", n, vec, sca, wantVec)
+		if vec+sca != 1 || (vec == 1) != wantVec {
+			t.Fatalf("%s n=%d: %d vector + %d scalar dispatches, want one (vector %v)", name, n, vec, sca, wantVec)
 		}
+	}
+	for _, n := range []int{4, 40} {
+		count("GemmPackedShiftEx", n, useAVX && n >= vecMinCols, func() {
+			GemmPackedShiftEx(2, n, 3, 3, pa, img, 5, 0, c, n, nil)
+		})
+	}
+	for _, k := range []int{3, 40} {
+		count("GemmShiftTB", k, useAVX && k >= 4, func() {
+			GemmShiftTB(3, 18, k, 3, 3, make([]float64, 3*k), k, img, 5, 2, c, 18)
+		})
 	}
 }
 
@@ -100,6 +120,11 @@ func TestGemmPackedShiftShapeChecks(t *testing.T) {
 		"B-layout pack": func() {
 			GemmPackedShiftEx(2, 8, 3, 3, PackTB(2, 9, make([]float64, 18), 9), make([]float64, 64), 3, 9, c, 8, nil)
 		},
+		"strided A too short": func() { GemmShiftEx(2, 8, 9, 3, 3, make([]float64, 17), 9, make([]float64, 64), 3, 9, c, 8, nil) },
+		"taps do not divide the windows": func() {
+			GemmShiftTB(2, 8, 4, 3, 3, make([]float64, 8), 4, make([]float64, 64), 3, 9, c, 8)
+		},
+		"dot image too short": func() { GemmShiftTB(2, 9, 4, 3, 3, make([]float64, 8), 4, make([]float64, 12), 3, 9, c, 9) },
 	} {
 		func() {
 			defer func() {

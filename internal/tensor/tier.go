@@ -86,8 +86,9 @@ func HasFMA() bool { return useFMA }
 // Per-tier kernel dispatch counters, indexed by EngineTier. One count per
 // micro-panel of the blocked engine — a C tile of at most 256 columns, or
 // 256·kh·kw for shifted rows — not per asm call: the granularity at which the
-// vector-vs-scalar choice is made. The small strided loops (gemmTASimple,
-// gemmTBSimple) are not counted.
+// vector-vs-scalar choice is made. GemmShiftTB makes that choice, and counts,
+// once per call. The small strided loops (gemmTASimple, gemmTBSimple) are not
+// counted.
 var (
 	kernelVectorCount [NumTiers]atomic.Int64
 	kernelScalarCount [NumTiers]atomic.Int64
