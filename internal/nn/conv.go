@@ -201,13 +201,17 @@ func (c *Conv2D) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	if c.B != nil {
 		ep = &tensor.Epilogue{RowShift: c.B.Value.Data}
 	}
-	return c.inferFused(ctx, x, ep)
+	return c.inferFused(ctx, x, ep, nil)
 }
 
 // inferFused is the per-sample lowering behind Infer with a caller-supplied
 // GEMM epilogue (which must already include the conv bias when it is
-// non-nil — the fusion pass folds it into the normalization shift).
-func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue) *tensor.Tensor {
+// non-nil — the fusion pass folds it into the normalization shift). A
+// non-nil gn is a GroupNorm over the output followed by a ReLU
+// (FusedConvAct): the shifted-row lowering runs it on each sample group's
+// product grid in place of the copy-out, so the conv output never exists;
+// after the im2col lowering it normalizes the output in place.
+func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue, gn *GroupNorm) *tensor.Tensor {
 	r := ctx.EffRate()
 	aIn, aOut := c.Active(r)
 	if x.Rank() != 4 || x.Dim(1) != aIn {
@@ -237,9 +241,13 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue)
 		}
 	}
 	if pw != nil && tier == tensor.TierExact && c.sameConv() {
-		c.inferShift(arena, x, y, pw, ep)
-	} else {
-		c.inferIm2col(arena, tier, x, y, pw, ep)
+		c.inferShiftNorm(arena, x, y, pw, ep, gn)
+		return y
+	}
+	c.inferIm2col(arena, tier, x, y, pw, ep)
+	if gn != nil {
+		hw := outH * outW
+		gn.normalize(y.Data, nil, nil, y.Data, batch, gn.activeGroups(aOut), gn.packedGroup(hw), aOut*hw, true)
 	}
 	return y
 }
@@ -368,21 +376,27 @@ func (s shiftGeom) padIn(img, src []float64, ch, b0, gb int) {
 
 // shiftA is the weight side of a shifted-row product: a pack (served
 // weights) or a strided prefix of k columns (training's weight and flipped
-// kernel), and the product's epilogue.
+// kernel), the product's epilogue and, on a served Conv→GroupNorm→ReLU, the
+// GroupNorm that reads the product grid.
 type shiftA struct {
 	pw     *tensor.PackedMat
 	a      []float64
 	lda, k int
 	ep     *tensor.Epilogue
+	gn     *GroupNorm
 }
 
 // shiftConv runs one sample group of the shifted-row lowering: it pads
 // samples [b0, b0+gb) of src (inCh planes each) into img, multiplies a's m
-// rows with img's tap windows into the grid ext (row stride s.n), and copies
+// rows with img's tap windows into the grid ext (row stride s.n), and writes
 // each sample's part of it into dst (m planes each). Every output element
 // sums the same products in the same order as the im2col lowering, so the
 // result is bit-identical to it. Infer, Forward and the data gradient all
-// run on it.
+// run on it. The grid is copied out, or with a.gn set normalized with the
+// trailing ReLU straight out of it while it is cache-hot: GroupNorm.normalize
+// reads each channel's window at row stride s.ld and channel stride s.n, in
+// the order it reads copied-out planes, so dst is bit-identical to the
+// unfused chain's.
 func (c *Conv2D) shiftConv(s shiftGeom, a shiftA, m int, src []float64, inCh int, dst []float64, b0, gb int, img, ext []float64) {
 	s.padIn(img, src, inCh, b0, gb)
 	n := s.grid(gb)
@@ -392,6 +406,11 @@ func (c *Conv2D) shiftConv(s shiftGeom, a shiftA, m int, src []float64, inCh int
 		tensor.GemmShiftEx(m, n, a.k, c.KH, c.KW, a.a, a.lda, img, s.ld, s.plane, ext, s.n, a.ep)
 	}
 	hw := s.h * s.w
+	if gn := a.gn; gn != nil {
+		group := tensor.Grid{Ch: gn.C / gn.NormGroups, Rows: s.h, Cols: s.w, LD: s.ld, CS: s.n}
+		gn.normalize(dst[b0*m*hw:], nil, nil, ext, gb, gn.activeGroups(m), group, s.frame, true)
+		return
+	}
 	for sm := 0; sm < gb; sm++ {
 		y := dst[(b0+sm)*m*hw:]
 		for oc := 0; oc < m; oc++ {
@@ -401,15 +420,21 @@ func (c *Conv2D) shiftConv(s shiftGeom, a shiftA, m int, src []float64, inCh int
 }
 
 // inferShift is Infer's shifted-row lowering on a packed weight
-// (tensor.GemmPackedShiftEx): the groups run one after another on one
-// arena image, zeroed once per call, and one grid.
+// (tensor.GemmPackedShiftEx), the product copied out into y.
 func (c *Conv2D) inferShift(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor.PackedMat, ep *tensor.Epilogue) {
+	c.inferShiftNorm(arena, x, y, pw, ep, nil)
+}
+
+// inferShiftNorm is inferShift with, for a non-nil gn, gn and a ReLU
+// writing y from each group's grid (shiftConv): the groups run one after
+// another on one arena image, zeroed once per call, and one grid.
+func (c *Conv2D) inferShiftNorm(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor.PackedMat, ep *tensor.Epilogue, gn *GroupNorm) {
 	batch, aIn, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	aOut := y.Dim(1)
 	s := c.shiftGeom(batch, h, w)
 	img := arena.Get(s.imgLen(aIn)).Data
 	ext := arena.GetUninit(aOut, s.n).Data
-	a := shiftA{pw: pw, ep: ep}
+	a := shiftA{pw: pw, ep: ep, gn: gn}
 	for b0 := 0; b0 < batch; b0 += s.g {
 		c.shiftConv(s, a, aOut, x.Data, aIn, y.Data, b0, min(s.g, batch-b0), img, ext)
 	}

@@ -171,9 +171,35 @@ func TestConvShiftMatchesIm2col(t *testing.T) {
 	}
 }
 
+// fusedGroupNormVsChain serves c → GroupNorm(normGroups) → ReLU fused (the
+// GroupNorm on the shifted conv's product grid) and unfused, and reports the
+// first element where they differ.
+func fusedGroupNormVsChain(c *Conv2D, x *tensor.Tensor, normGroups int, rng *rand.Rand) error {
+	gn := NewGroupNorm(c.Out, normGroups, Fixed(), 1e-5)
+	tensor.InitNormal(gn.Gamma.Value, 1, rng)
+	tensor.InitNormal(gn.Beta.Value, 1, rng)
+	chain := NewSequential(c, gn, NewReLU())
+	fused := Fuse(chain)
+	if f, ok := fused.(*Sequential).Layers[0].(*FusedConvAct); !ok || f.gn != gn {
+		return fmt.Errorf("Conv+GN+ReLU fused to %T, not the grid pass", fused.(*Sequential).Layers[0])
+	}
+	want := Infer(chain, nil, x)
+	got := Infer(fused, &Context{Arena: tensor.NewArena()}, x)
+	for i, v := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+			return fmt.Errorf("out=%d groups %d batch %d %dx%d k=%dx%d: fused[%d]=%v, unfused %v",
+				c.Out, normGroups, x.Dim(0), x.Dim(2), x.Dim(3), c.KH, c.KW, i, got.Data[i], v)
+		}
+	}
+	return nil
+}
+
 // FuzzConvShift decodes a conv shape from bytes and holds the shifted-row
 // lowering to the im2col one: the served product on a packed weight, then a
-// training pass (Forward and Backward, with a bias when seed&4 is set).
+// training pass (Forward and Backward, with a bias when seed&4 is set). It
+// then serves the conv fused with a GroupNorm and ReLU (norm groups the
+// largest divisor of the output channels up to 1+mask%8) against the
+// unfused chain, bit for bit.
 func FuzzConvShift(f *testing.F) {
 	f.Add(uint8(3), uint8(8), uint8(16), uint8(16), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(32), uint8(5), uint8(4), uint8(4), uint8(1), uint8(37), int64(2))
@@ -196,6 +222,13 @@ func FuzzConvShift(f *testing.F) {
 			tensor.InitNormal(c.B.Value, 1, rng)
 		}
 		if err := trainVsIm2col(c, 1, x, randTensor(rng, x.Dim(0), aOut, hh, ww), 1e-12); err != nil {
+			t.Fatal(err)
+		}
+		groups := 1 + int(mask)%8
+		for aOut%groups != 0 {
+			groups--
+		}
+		if err := fusedGroupNormVsChain(c, x, groups, rng); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -10,8 +10,8 @@ import (
 // inference-optimized view that shares the original parameters: chains that
 // the eager path executes as separate full passes over the activations are
 // collapsed into single fused operators built on the GEMM epilogue
-// (tensor.GemmEx / tensor.GemmTBEx) and the fused-activation normalization
-// kernels:
+// (tensor.GemmEx / tensor.GemmTBEx), the shifted conv's product grid and the
+// fused-activation normalization kernels:
 //
 //	Conv2D → BatchNorm/SwitchableBatchNorm (→ ReLU)  ⇒  one GEMM with a
 //	    folded per-channel scale/shift (+ clamp) epilogue. The running
@@ -19,12 +19,16 @@ import (
 //	    (BatchNorm.FoldedAffine), with the conv bias absorbed into the shift.
 //	Conv2D → ReLU                                    ⇒  one GEMM, clamp
 //	    (+ bias) in the epilogue.
+//	same Conv2D → GroupNorm → ReLU                   ⇒  one pass over the
+//	    shifted conv's product grid: GroupNorm statistics are per-sample and
+//	    data-dependent, so they never fold into the GEMM epilogue (which
+//	    keeps only the bias), but each sample group's grid is normalized and
+//	    clamped straight into the output planes while it is cache-hot, with
+//	    no copy-out and no conv output (Conv2D.shiftConv).
 //	Dense → ReLU                                     ⇒  one GEMM with bias,
 //	    rescale and clamp in the epilogue.
 //	GroupNorm/BatchNorm/SwitchableBatchNorm → ReLU   ⇒  the clamp rides the
-//	    normalization's write pass (tensor.NormAffine). GroupNorm statistics
-//	    are per-sample and data-dependent, so the normalization itself can
-//	    never fold into the preceding GEMM and stays a pass of its own.
+//	    normalization's write pass (tensor.NormAffine).
 //
 // The fused view is for the read-only inference path: its Infer is
 // numerically within 1e-12 of the unfused chain (bit-identical except where
@@ -75,6 +79,11 @@ func fuseAt(layers []Layer, i int) (Layer, int) {
 	rest := layers[i:]
 	switch v := rest[0].(type) {
 	case *Conv2D:
+		if len(rest) >= 3 && isReLU(rest[2]) {
+			if gn, ok := rest[1].(*GroupNorm); ok && gn.C == v.Out && gn.Spec == v.OutSpec && v.sameConv() {
+				return &FusedConvAct{conv: v, gn: gn, src: rest[:3]}, 3
+			}
+		}
 		if len(rest) >= 2 {
 			if scales, shifts, ok := foldNorm(rest[1], v); ok {
 				if len(rest) >= 3 && isReLU(rest[2]) {
@@ -181,8 +190,9 @@ func chainParams(src []Layer) []*Param {
 }
 
 // FusedConvAct is a convolution with a folded normalization and/or ReLU in
-// its GEMM epilogue: the whole chain is one pass over the output instead of
-// one GEMM plus up to two further full sweeps.
+// its GEMM epilogue, or a same convolution with a GroupNorm and ReLU on its
+// product grid: the whole chain is one pass over the output instead of one
+// GEMM plus up to two further full sweeps.
 type FusedConvAct struct {
 	conv *Conv2D
 	// scales/shifts hold the folded per-channel affine per width index
@@ -190,7 +200,11 @@ type FusedConvAct struct {
 	// when no normalization is folded). Conv bias is already absorbed.
 	scales, shifts [][]float64
 	relu           bool
-	src            []Layer
+	// gn is the GroupNorm of a Conv→GroupNorm→ReLU chain (nil otherwise).
+	// It and the trailing ReLU run after the product, so the epilogue
+	// carries only the bias.
+	gn  *GroupNorm
+	src []Layer
 }
 
 // Infer runs the fused chain through the per-sample conv lowering.
@@ -203,7 +217,7 @@ func (f *FusedConvAct) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	} else if f.conv.B != nil {
 		ep.RowShift = f.conv.B.Value.Data
 	}
-	return f.conv.inferFused(ctx, x, &ep)
+	return f.conv.inferFused(ctx, x, &ep, f.gn)
 }
 
 // Forward runs the unfused source chain (training/eager semantics).
@@ -245,9 +259,9 @@ func (f *FusedDenseAct) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor
 func (f *FusedDenseAct) Params() []*Param { return chainParams(f.src) }
 
 // FusedNormAct is a normalization layer with its trailing ReLU fused into
-// the normalization's write pass — the fallback fusion when the
-// normalization cannot fold into a preceding GEMM (GroupNorm always;
-// BatchNorm when no convolution precedes it).
+// the normalization's write pass — the fallback fusion when no preceding
+// convolution takes the normalization (GroupNorm after anything but a same
+// convolution; BatchNorm when no convolution precedes it).
 type FusedNormAct struct {
 	norm Layer
 	src  []Layer

@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"modelslicing/internal/tensor"
 )
@@ -39,7 +41,10 @@ func TestFuseStructure(t *testing.T) {
 		NewReLU(),
 		NewConv2D(8, 8, 3, 3, 1, 1, Sliced(4), Sliced(4), false, rng), // + ReLU → FusedConvAct
 		NewReLU(),
-		NewConv2D(8, 8, 3, 3, 1, 1, Sliced(4), Sliced(4), false, rng), // + GN: conv stays, GN+ReLU fuse
+		NewConv2D(8, 8, 3, 3, 1, 1, Sliced(4), Sliced(4), false, rng), // + GN + ReLU → FusedConvAct
+		NewGroupNorm(8, 4, Sliced(4), 1e-5),
+		NewReLU(),
+		NewConv2D(8, 8, 3, 3, 2, 1, Sliced(4), Sliced(4), false, rng), // strided + GN: conv stays, GN+ReLU fuse
 		NewGroupNorm(8, 4, Sliced(4), 1e-5),
 		NewReLU(),
 		NewGlobalAvgPool(),
@@ -49,7 +54,7 @@ func TestFuseStructure(t *testing.T) {
 	)
 	fused := Fuse(net).(*Sequential)
 	wantTypes := []any{
-		&FusedConvAct{}, &FusedConvAct{}, &Conv2D{}, &FusedNormAct{},
+		&FusedConvAct{}, &FusedConvAct{}, &FusedConvAct{}, &Conv2D{}, &FusedNormAct{},
 		&GlobalAvgPool{}, &FusedDenseAct{}, &Dense{},
 	}
 	if len(fused.Layers) != len(wantTypes) {
@@ -59,6 +64,9 @@ func TestFuseStructure(t *testing.T) {
 		if typeName(l) != typeName(wantTypes[i]) {
 			t.Fatalf("layer %d: fused to %T, want %T", i, l, wantTypes[i])
 		}
+	}
+	if f := fused.Layers[2].(*FusedConvAct); f.gn != net.Layers[6] || f.relu || f.scales != nil {
+		t.Fatalf("Conv+GN+ReLU fused to gn=%p relu=%v scales=%v, want the GroupNorm on the grid and a bias-only epilogue", f.gn, f.relu, f.scales)
 	}
 	// Parameters are shared, not copied: training the original must be
 	// visible through the fused view's Params.
@@ -178,8 +186,10 @@ func TestFusedResidualRecursion(t *testing.T) {
 	if !ok {
 		t.Fatalf("layer 1 fused to %T, want *Residual", fused.Layers[1])
 	}
-	if _, ok := res.Body.(*Sequential).Layers[1].(*FusedNormAct); !ok {
-		t.Fatal("residual body GN+ReLU not fused")
+	if layers := res.Body.(*Sequential).Layers; len(layers) != 1 {
+		t.Fatalf("residual body fused to %d layers, want one", len(layers))
+	} else if f, ok := layers[0].(*FusedConvAct); !ok || f.gn != body.Layers[1] {
+		t.Fatalf("residual body Conv+GN+ReLU fused to %T, want a FusedConvAct carrying the GroupNorm", layers[0])
 	}
 	for _, r := range inferRates {
 		checkFusedMatches(t, "residual", net, randTensor(rng, 2, 3, 6, 6), r, 0, 0)
@@ -232,6 +242,9 @@ func TestFusedInferAllocsFree(t *testing.T) {
 		NewConv2D(3, 8, 3, 3, 1, 1, Fixed(), Sliced(4), true, rng),
 		NewBatchNorm(8, Sliced(4)),
 		NewReLU(),
+		NewConv2D(8, 8, 3, 3, 1, 1, Sliced(4), Sliced(4), true, rng), // the grid pass
+		NewGroupNorm(8, 4, Sliced(4), 1e-5),
+		NewReLU(),
 		NewGroupNorm(8, 4, Sliced(4), 1e-5),
 		NewReLU(),
 		NewGlobalAvgPool(),
@@ -240,6 +253,9 @@ func TestFusedInferAllocsFree(t *testing.T) {
 	)
 	net.Forward(&Context{Training: true, Rate: 1, RNG: rng}, randTensor(rng, 2, 3, 6, 6))
 	fused := Fuse(net)
+	if f, ok := fused.(*Sequential).Layers[1].(*FusedConvAct); !ok || f.gn == nil {
+		t.Fatalf("layer 1 fused to %T, want the Conv+GN+ReLU FusedConvAct", fused.(*Sequential).Layers[1])
+	}
 	x := randTensor(rng, 4, 3, 6, 6)
 	arena := tensor.NewArena()
 	ctx := &Context{Rate: 0.5, Arena: arena}
@@ -251,5 +267,114 @@ func TestFusedInferAllocsFree(t *testing.T) {
 	pass()
 	if allocs := testing.AllocsPerRun(100, pass); allocs > 0 {
 		t.Fatalf("fused arena-backed inference allocates %v times per pass, want 0", allocs)
+	}
+}
+
+// TestFusedConvGroupNormBitIdentical holds a same Conv→GroupNorm→ReLU,
+// fused into one FusedConvAct, to the unfused chain bit for bit at every
+// rate and on every route: the grid pass (exact tier, packed weights) and
+// the conv-then-GroupNorm routes of the fma tier and NoPack. It sweeps 3×3
+// and 5×5 kernels; 16×16, 8×8 and 4×4 planes (the block bodies) and 6×5
+// (the Go twin); batches 1, 3 and 11 (a short last sample group on the
+// small planes); a bias or none; norm groups equal to the slice groups and
+// twice them.
+func TestFusedConvGroupNormBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	routes := []struct {
+		name string
+		ctx  Context
+	}{{"exact", Context{}}, {"fma", Context{Tier: tensor.TierFMA}}, {"nopack", Context{NoPack: true}}}
+	for _, k := range []int{3, 5} {
+		for _, plane := range [][2]int{{16, 16}, {8, 8}, {4, 4}, {6, 5}} {
+			for _, bias := range []bool{false, true} {
+				for _, normGroups := range []int{4, 8} {
+					conv := NewConv2D(6, 16, k, k, 1, k/2, Fixed(), Sliced(4), bias, rng)
+					gn := NewGroupNorm(16, normGroups, Sliced(4), 1e-5)
+					for c := range gn.Gamma.Value.Data {
+						gn.Gamma.Value.Data[c] = rng.NormFloat64()
+						gn.Beta.Value.Data[c] = rng.NormFloat64()
+						if bias {
+							conv.B.Value.Data[c] = rng.NormFloat64()
+						}
+					}
+					chain := NewSequential(conv, gn, NewReLU())
+					fused := Fuse(chain)
+					if f, ok := fused.(*Sequential).Layers[0].(*FusedConvAct); !ok || f.gn != gn {
+						t.Fatalf("Conv+GN+ReLU fused to %T, want a FusedConvAct carrying the GroupNorm", fused.(*Sequential).Layers[0])
+					}
+					arena := tensor.NewArena()
+					for _, batch := range []int{1, 3, 11} {
+						x := randTensor(rng, batch, 6, plane[0], plane[1])
+						for _, r := range inferRates {
+							for _, route := range routes {
+								ctx := route.ctx
+								ctx.Rate = r
+								want := Infer(chain, &ctx, x)
+								ctx.Arena = arena
+								got := Infer(fused, &ctx, x)
+								if !got.SameShape(want) {
+									t.Fatalf("fused shape %v, unfused %v", got.Shape, want.Shape)
+								}
+								for i, v := range want.Data {
+									if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+										t.Fatalf("k=%d %dx%d bias=%v norm groups %d batch %d r=%v %s: fused[%d]=%v, unfused %v",
+											k, plane[0], plane[1], bias, normGroups, batch, r, route.name, i, got.Data[i], v)
+									}
+								}
+								arena.Reset()
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkConvGroupNormInfer times VGG13Mini's eight same Conv→GroupNorm→
+// ReLU chains at batch 8, fused (GroupNorm on the conv's product grid) and
+// unfused (conv output copied out, then GroupNorm+ReLU), back to back in
+// one op so host drift hits both alike: µs per batch through all eight
+// for each, and their ratio.
+func BenchmarkConvGroupNormInfer(b *testing.B) {
+	rng := rand.New(rand.NewSource(49))
+	chains := make([]*Sequential, len(vggMiniConvs))
+	for li, s := range vggMiniConvs {
+		inSpec := Sliced(4)
+		if li == 0 {
+			inSpec = Fixed()
+		}
+		chains[li] = NewSequential(Conv3x3(s.in, s.out, inSpec, Sliced(4), rng), NewGroupNorm(s.out, 4, Sliced(4), 1e-5), NewReLU())
+	}
+	for _, r := range []float64{0.25, 1} {
+		fused := make([]Layer, len(chains))
+		inputs := make([]*tensor.Tensor, len(chains))
+		for li, c := range chains {
+			fused[li] = Fuse(c)
+			aIn, _ := c.Layers[0].(*Conv2D).Active(r)
+			inputs[li] = randTensor(rng, 8, aIn, vggMiniConvs[li].hw, vggMiniConvs[li].hw)
+		}
+		b.Run(fmt.Sprintf("r%g", r), func(b *testing.B) {
+			arena := tensor.NewArena()
+			ctx := &Context{Rate: r, Arena: arena}
+			var tFused, tUnfused time.Duration
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				for li, c := range chains {
+					Infer(c, ctx, inputs[li])
+					arena.Reset()
+				}
+				t1 := time.Now()
+				for li, f := range fused {
+					Infer(f, ctx, inputs[li])
+					arena.Reset()
+				}
+				tFused += time.Since(t1)
+				tUnfused += t1.Sub(t0)
+			}
+			b.ReportMetric(float64(tUnfused.Microseconds())/float64(b.N), "unfused-µs")
+			b.ReportMetric(float64(tFused.Microseconds())/float64(b.N), "fused-µs")
+			b.ReportMetric(float64(tFused)/float64(tUnfused), "fused/unfused")
+		})
 	}
 }

@@ -19,9 +19,12 @@ type GroupNorm struct {
 	C int
 	// NormGroups is the number of normalization groups G in Equation 6.
 	NormGroups int
-	// Spec controls channel slicing. The per-group channel count C/NormGroups
-	// must divide every reachable active width, which holds whenever
-	// Spec.Groups is a multiple of... see NewGroupNorm.
+	// Spec controls channel slicing. When Spec.Slice is set, NewGroupNorm
+	// requires NormGroups and Spec.Groups to divide one into the other. If
+	// NormGroups is a multiple of Spec.Groups, each slice group holds whole
+	// normalization groups and every rate is served. Otherwise a
+	// normalization group spans several slice groups, and a rate whose
+	// active width is not a whole number of them panics.
 	Spec SliceSpec
 	Eps  float64
 
@@ -80,7 +83,7 @@ func (g *GroupNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	y := arena.GetUninit(x.Shape...)
 	g.xhat = arena.GetUninit(x.Shape...)
 	g.invStd = arena.GetUninit(g.batch * ag).Data
-	g.normalize(y.Data, g.xhat.Data, g.invStd, x.Data, g.batch, ag, g.hw, false)
+	g.normalize(y.Data, g.xhat.Data, g.invStd, x.Data, g.batch, ag, g.packedGroup(g.hw), g.aC*g.hw, false)
 	return y
 }
 
@@ -93,42 +96,49 @@ func (g *GroupNorm) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 // inferAct is Infer with an optionally fused trailing ReLU: the clamp rides
 // the normalization's write pass, which removes the separate ReLU layer's
 // full read+write sweep over the activation. GroupNorm statistics are
-// per-sample and data-dependent, so unlike BatchNorm the normalization
-// itself can never fold into the preceding convolution's GEMM epilogue.
+// per-sample and data-dependent, so unlike BatchNorm the normalization never
+// folds into the preceding convolution's GEMM epilogue; after a same
+// convolution it runs in the conv's grid pass instead (FusedConvAct).
 func (g *GroupNorm) inferAct(ctx *Context, x *tensor.Tensor, relu bool) *tensor.Tensor {
 	aC := g.Spec.Active(ctx.EffRate(), g.C)
 	batch, hw := normShape("GroupNorm", x, aC)
 	ag := g.activeGroups(aC)
 	y := arenaOf(ctx).GetUninit(x.Shape...)
-	g.normalize(y.Data, nil, nil, x.Data, batch, ag, hw, relu)
+	g.normalize(y.Data, nil, nil, x.Data, batch, ag, g.packedGroup(hw), aC*hw, relu)
 	return y
 }
 
-// normalize is the one kernel behind Forward and Infer, so the two agree bit
-// for bit. Per (sample, group): a two-pass mean and variance over the group's
-// contiguous segment (tensor.Sum, tensor.SumSqDev), then one scale-shift pass
-// per channel plane (tensor.NormAffine) with that channel's γ and β — the
-// channel is a loop index, not a per-element division. xhat and invStd, when
-// non-nil, receive the backward state.
-func (g *GroupNorm) normalize(dst, xhat, invStd, src []float64, batch, ag, hw int, relu bool) {
-	gs := g.C / g.NormGroups
-	n := gs * hw // elements per (sample, group)
+// packedGroup is one normalization group of packed hw-element planes.
+func (g *GroupNorm) packedGroup(hw int) tensor.Grid {
+	return tensor.Grid{Ch: g.C / g.NormGroups, Rows: 1, Cols: hw, LD: hw, CS: hw}
+}
+
+// normalize is the one kernel behind Forward, Infer and the fused conv's
+// grid pass (Conv2D.shiftConv), so all three agree bit for bit. Group gi of
+// sample b is the window group at src[b·sampleStride + gi·group.Ch·group.CS:]:
+// packed planes, or the shifted conv's product grid. Per (sample, group): a
+// two-pass mean and variance over the group's packed segment
+// (tensor.SumGrid, tensor.SumSqDevGrid, in tensor.Sum's order wherever the
+// windows lie), then one scale-shift pass into dst's packed planes with each
+// channel's γ and β (tensor.NormAffineGrid). xhat and invStd, when non-nil,
+// receive the backward state; xhat needs packed planes.
+func (g *GroupNorm) normalize(dst, xhat, invStd, src []float64, batch, ag int, group tensor.Grid, sampleStride int, relu bool) {
+	n := group.Len() // elements per (sample, group)
 	gamma, beta := g.Gamma.Value.Data, g.Beta.Value.Data
 	for b := 0; b < batch; b++ {
 		for gi := 0; gi < ag; gi++ {
-			off := (b*ag + gi) * n
-			seg := src[off : off+n]
-			mu := tensor.Sum(seg) / float64(n)
-			va := tensor.SumSqDev(seg, mu) / float64(n)
+			seg := src[b*sampleStride+gi*group.Ch*group.CS:]
+			mu := tensor.SumGrid(seg, group) / float64(n)
+			va := tensor.SumSqDevGrid(seg, group, mu) / float64(n)
 			is := 1 / math.Sqrt(va+g.Eps)
+			off, ch := (b*ag+gi)*n, gi*group.Ch
+			tensor.NormAffineGrid(dst[off:off+n], seg, group, mu, is, gamma[ch:], beta[ch:], relu)
 			if invStd != nil {
 				invStd[b*ag+gi] = is
 			}
-			for j := 0; j < gs; j++ {
-				ch, lo := gi*gs+j, off+j*hw
-				tensor.NormAffine(dst[lo:lo+hw], src[lo:lo+hw], mu, is, gamma[ch], beta[ch], relu)
-				if xhat != nil {
-					tensor.NormAffine(xhat[lo:lo+hw], src[lo:lo+hw], mu, is, 1, 0, false)
+			if xhat != nil {
+				for j, hw := 0, group.Cols; j < group.Ch; j++ {
+					tensor.NormAffine(xhat[off+j*hw:off+(j+1)*hw], seg[j*hw:(j+1)*hw], mu, is, 1, 0, false)
 				}
 			}
 		}

@@ -1,10 +1,13 @@
 package slicing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"modelslicing/internal/models"
 	"modelslicing/internal/nn"
 	"modelslicing/internal/tensor"
 )
@@ -85,4 +88,73 @@ func TestSharedFusedAllocsFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, pass); allocs > 0 {
 		t.Fatalf("fused Shared.Infer allocates %v times per pass, want 0", allocs)
 	}
+}
+
+// TestSharedFusedGroupNormBitIdentical holds the GroupNorm models to their
+// unfused graphs bit for bit: on VGG13Mini-GN and ResNetMini-GN every same
+// Conv→GroupNorm→ReLU is served on the conv's product grid, and Shared.Infer
+// must equal Shared.InferUnfused at every rate. Several goroutines call one
+// Shared, each on its own arenas, so a -race run checks the shared packs.
+func TestSharedFusedGroupNormBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(502))
+	rates := NewRateList(0.25, 4)
+	vgg, _ := models.NewVGG(models.VGG13Mini(4, models.NormGroup, 1), rng)
+	for _, l := range nn.Fuse(vgg).(*nn.Sequential).Layers {
+		switch l.(type) {
+		case *nn.GroupNorm, *nn.FusedNormAct:
+			t.Fatalf("VGG13Mini-GN fused view keeps a %T: a Conv→GroupNorm→ReLU missed the grid pass", l)
+		}
+	}
+	resnet, _ := models.NewResNet(models.ResNetMini(4, models.NormGroup, 1), rng)
+	for _, tc := range []struct {
+		name  string
+		model *nn.Sequential
+	}{{"vgg13mini-gn", vgg}, {"resnetmini-gn", resnet}} {
+		for _, p := range tc.model.Params() {
+			if p.Name == "gn.gamma" || p.Name == "gn.beta" {
+				tensor.InitNormal(p.Value, 1, rng)
+			}
+		}
+		shared := NewShared(tc.model, rates)
+		shared.SetTier(tensor.TierExact)
+		const workers = 3
+		errs := make(chan error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			x := randInput(rng, 3+4*w, 3, 16, 16) // batches 3, 7 and 11
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- sharedMatchesUnfused(shared, rates, x)
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+		}
+	}
+}
+
+// sharedMatchesUnfused runs two rounds of every rate through Shared.Infer
+// and Shared.InferUnfused on arenas of its own and reports the first
+// element where they differ.
+func sharedMatchesUnfused(shared *Shared, rates RateList, x *tensor.Tensor) error {
+	arena, oracle := tensor.NewArena(), tensor.NewArena()
+	for round := 0; round < 2; round++ {
+		for _, r := range rates {
+			got := shared.Infer(r, x, arena)
+			want := shared.InferUnfused(r, x, oracle)
+			for i, v := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+					return fmt.Errorf("batch %d rate %v: fused[%d]=%v, unfused %v", x.Dim(0), r, i, got.Data[i], v)
+				}
+			}
+			arena.Reset()
+			oracle.Reset()
+		}
+	}
+	return nil
 }

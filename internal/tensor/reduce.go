@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // Element-wise and reduction primitives for the non-GEMM passes of the
 // forward path (normalization, pooling). A naive `s += v` loop is one serially
 // dependent add per element — latency-bound at 4 cycles each — so the
@@ -48,6 +50,117 @@ func NormAffine(dst, x []float64, mu, invStd, gamma, beta float64, relu bool) {
 		return
 	}
 	normAffineGo(dst, x, mu, invStd, gamma, beta, relu)
+}
+
+// Grid is the layout of Ch channel windows of Rows×Cols elements in a
+// buffer: row r of channel c starts at c·CS + r·LD. Its packed segment is
+// the windows read channel by channel and row by row, as if copied into one
+// slice of Len elements. Packed planes are the grid {Ch, 1, h·w, h·w, h·w};
+// the shifted-row conv's product grid (internal/nn) has LD = w+pad and CS
+// the grid's row stride.
+type Grid struct{ Ch, Rows, Cols, LD, CS int }
+
+// Len is the length of the packed segment.
+func (g *Grid) Len() int { return g.Ch * g.Rows * g.Cols }
+
+// packed reports whether the windows already are their packed segment.
+func (g *Grid) packed() bool {
+	return (g.Rows == 1 || g.LD == g.Cols) && (g.Ch == 1 || g.CS == g.Rows*g.Cols)
+}
+
+// at is the buffer index of element p of the packed segment.
+func (g *Grid) at(p int) int {
+	c, rc := p/(g.Rows*g.Cols), p%(g.Rows*g.Cols)
+	return c*g.CS + rc/g.Cols*g.LD + rc%g.Cols
+}
+
+// check panics unless every window of g lies inside a buffer of n elements.
+func (g *Grid) check(name string, n int) {
+	ch, rows, cols, ld, cs := g.Ch, g.Rows, g.Cols, g.LD, g.CS
+	if ch < 0 || rows < 0 || cols < 0 || ld < 0 || cs < 0 || ch*rows*cols > 0 && (ch-1)*cs+(rows-1)*ld+cols > n {
+		panic(fmt.Sprintf("tensor: %s: grid %d×%d×%d (row stride %d, channel stride %d) does not fit %d elements",
+			name, ch, rows, cols, ld, cs, n))
+	}
+}
+
+// blocked cuts g's packed segment into whole blocks of 16 elements that sit
+// alike, if it can: per channel, groups of rows gstep apart, each holding
+// blocks blocks 16 elements apart, whose four 4-lane loads are at offsets
+// 0, o1, o2 and o3 (all in elements); groups is 0 when it cannot. A row of a
+// multiple of 16 elements is whole blocks, two rows of 8 or four rows of 4
+// make one: the square planes a CNN narrows through (16×16, 8×8, 4×4), which
+// the block bodies run without a per-load row check.
+func (g *Grid) blocked() (groups, blocks, o1, o2, o3, gstep int) {
+	switch rows, cols, ld := g.Rows, g.Cols, g.LD; {
+	case cols%16 == 0:
+		return rows, cols / 16, 4, 8, 12, ld
+	case cols == 8 && rows%2 == 0:
+		return rows / 2, 1, 4, ld, ld + 4, 2 * ld
+	case cols == 4 && rows%4 == 0:
+		return rows / 4, 1, ld, 2 * ld, 3 * ld, 4 * ld
+	}
+	return 0, 0, 0, 0, 0, 0
+}
+
+// SumGrid returns Sum of g's packed segment of x, read in place. When Cols
+// is a multiple of 4 every packed block of four elements is one load from a
+// row, and the vector bodies add it to the accumulator Sum's order gives it,
+// so the result is bit-identical to Sum over a copy; other widths run the Go
+// twin, which walks the same order element by element.
+func SumGrid(x []float64, g Grid) float64 {
+	g.check("SumGrid", len(x))
+	switch {
+	case g.Len() == 0:
+		return 0
+	case g.packed():
+		return Sum(x[:g.Len()])
+	case !useAVX || g.Cols%4 != 0:
+		return gridLanesGo(x, g, 0, false)
+	}
+	if groups, blocks, o1, o2, o3, gstep := g.blocked(); groups > 0 {
+		return sumBlocksAVX(x, g.Ch, g.CS, groups, blocks, o1, o2, o3, gstep)
+	}
+	return sumGridAVX(x, g.Ch, g.Rows, g.Cols, g.LD, g.CS)
+}
+
+// SumSqDevGrid returns SumSqDev of g's packed segment of x, read in place,
+// bit-identical to SumSqDev over a copy as SumGrid is to Sum.
+func SumSqDevGrid(x []float64, g Grid, mu float64) float64 {
+	g.check("SumSqDevGrid", len(x))
+	switch {
+	case g.Len() == 0:
+		return 0
+	case g.packed():
+		return SumSqDev(x[:g.Len()], mu)
+	case !useAVX || g.Cols%4 != 0:
+		return gridLanesGo(x, g, mu, true)
+	}
+	if groups, blocks, o1, o2, o3, gstep := g.blocked(); groups > 0 {
+		return sumSqDevBlocksAVX(x, g.Ch, g.CS, groups, blocks, o1, o2, o3, gstep, mu)
+	}
+	return sumSqDevGridAVX(x, g.Ch, g.Rows, g.Cols, g.LD, g.CS, mu)
+}
+
+// NormAffineGrid is NormAffine from g's windows of x into its packed
+// segment dst, channel c with gamma[c] and beta[c]: one call per
+// normalization group instead of one per channel. Each element gets
+// NormAffine's arithmetic, so dst is bit-identical to NormAffine per
+// channel over a copy. When g is packed, dst may alias x exactly.
+func NormAffineGrid(dst, x []float64, g Grid, mu, invStd float64, gamma, beta []float64, relu bool) {
+	g.check("NormAffineGrid", len(x))
+	dst, gamma, beta = dst[:g.Len()], gamma[:g.Ch], beta[:g.Ch]
+	if g.Len() == 0 {
+		return
+	}
+	if !useAVX || g.Cols%4 != 0 {
+		normAffineGridRows(dst, x, g, mu, invStd, gamma, beta, relu)
+		return
+	}
+	if groups, blocks, o1, o2, o3, gstep := g.blocked(); groups > 0 {
+		normAffineBlocksAVX(dst, x, g.Ch, g.CS, groups, blocks, o1, o2, o3, gstep, mu, invStd, gamma, beta, relu)
+		return
+	}
+	normAffineGridAVX(dst, x, g.Ch, g.Rows, g.Cols, g.LD, g.CS, mu, invStd, gamma, beta, relu)
 }
 
 // MaxPool2x2Row writes the first len(dst)&^3 outputs of one output row of a
@@ -134,5 +247,48 @@ func normAffineGo(dst, x []float64, mu, invStd, gamma, beta float64, relu bool) 
 			o = 0
 		}
 		dst[i] = o
+	}
+}
+
+// gridLanesGo is SumGrid (sq false) and SumSqDevGrid (sq true) for any
+// width — the Go twin of their vector bodies: packed element p goes to the
+// lane sumGo and sumSqDevGo put x[p] in, and the last len%4 follow the fold.
+func gridLanesGo(x []float64, g Grid, mu float64, sq bool) float64 {
+	term := func(v float64) float64 {
+		if sq {
+			d := v - mu
+			return float64(d * d)
+		}
+		return v
+	}
+	var a [16]float64
+	n := g.Len()
+	full, quads := n&^15, n&^3
+	p := 0
+	for c := 0; c < g.Ch; c++ {
+		for r := 0; r < g.Rows; r++ {
+			for _, v := range x[c*g.CS+r*g.LD:][:g.Cols] {
+				if p < full {
+					a[p&15] += term(v)
+				} else if p < quads {
+					a[p&3] += term(v)
+				}
+				p++
+			}
+		}
+	}
+	s := foldLanes(&a)
+	for p := quads; p < n; p++ {
+		s += term(x[g.at(p)])
+	}
+	return s
+}
+
+// normAffineGridRows is NormAffineGrid one row at a time, for any width.
+func normAffineGridRows(dst, x []float64, g Grid, mu, invStd float64, gamma, beta []float64, relu bool) {
+	for c := 0; c < g.Ch; c++ {
+		for r := 0; r < g.Rows; r++ {
+			NormAffine(dst[(c*g.Rows+r)*g.Cols:], x[c*g.CS+r*g.LD:][:g.Cols], mu, invStd, gamma[c], beta[c], relu)
+		}
 	}
 }

@@ -211,6 +211,446 @@ nadone:
 	VZEROUPPER
 	RET
 
+// The grid forms read Ch windows of Rows×Cols at row stride LD and channel
+// stride CS (reduce.go's Grid), with Cols a multiple of 4: every packed
+// block of four elements is one 4-lane load from a row. GRIDSETUP and NEXT
+// walk those loads in packed order:
+//
+//	SI	the next block            DX	the end of its row
+//	R8	rows left in the channel  R9	Rows
+//	R10	(LD−Cols)·8               R11	Cols·8
+//	R12	(CS−Rows·LD)·8
+//
+// GRIDSETUP takes SI = x, BX = Ch, R9 = Rows, R10 = LD, R11 = Cols and
+// R12 = CS, and sets the registers above, BX = the number of whole blocks of
+// 16, AX = the blocks of 4 after them and Y0..Y3 = 0. NEXT moves SI to the
+// next block: past a row's end to the next row, past a channel's last row to
+// the next channel (its jumps count instructions).
+#define GRIDSETUP \
+	IMULQ        R9, BX           \
+	IMULQ        R11, BX          \
+	SHRQ         $2, BX           \
+	MOVQ         BX, AX           \
+	ANDQ         $3, AX           \
+	SHRQ         $2, BX           \
+	MOVQ         R9, CX           \
+	IMULQ        R10, CX          \
+	SUBQ         CX, R12          \
+	SHLQ         $3, R12          \
+	SUBQ         R11, R10         \
+	SHLQ         $3, R10          \
+	SHLQ         $3, R11          \
+	MOVQ         R9, R8           \
+	LEAQ         (SI)(R11*1), DX  \
+	VXORPD       Y0, Y0, Y0       \
+	VXORPD       Y1, Y1, Y1       \
+	VXORPD       Y2, Y2, Y2       \
+	VXORPD       Y3, Y3, Y3
+
+#define NEXT \
+	ADDQ $32, SI  \
+	CMPQ SI, DX   \
+	JNE  7(PC)    \
+	ADDQ R10, SI  \
+	DECQ R8       \
+	JNE  3(PC)    \
+	ADDQ R12, SI  \
+	MOVQ R9, R8   \
+	LEAQ (SI)(R11*1), DX
+
+// func sumGridAVX(x []float64, ch, rows, cols, ld, cs int) float64
+TEXT ·sumGridAVX(SB), NOSPLIT, $0-72
+	MOVQ x_base+0(FP), SI
+	MOVQ ch+24(FP), BX
+	MOVQ rows+32(FP), R9
+	MOVQ cols+40(FP), R11
+	MOVQ ld+48(FP), R10
+	MOVQ cs+56(FP), R12
+	GRIDSETUP
+
+gsum16:
+	TESTQ  BX, BX
+	JLE    gsum4
+	VADDPD (SI), Y0, Y0
+	NEXT
+	VADDPD (SI), Y1, Y1
+	NEXT
+	VADDPD (SI), Y2, Y2
+	NEXT
+	VADDPD (SI), Y3, Y3
+	NEXT
+	DECQ   BX
+	JMP    gsum16
+
+gsum4:
+	TESTQ  AX, AX
+	JLE    gsumfold
+	VADDPD (SI), Y0, Y0
+	NEXT
+	DECQ   AX
+	JMP    gsum4
+
+gsumfold:
+	FOLD
+	VMOVSD X0, ret+64(FP)
+	VZEROUPPER
+	RET
+
+// SQDEVG accumulates ((SI) − Y4)² into acc, through Y5.
+#define SQDEVG(acc) \
+	VMOVUPD (SI), Y5  \
+	VSUBPD  Y4, Y5, Y5 \
+	VMULPD  Y5, Y5, Y5 \
+	VADDPD  Y5, acc, acc
+
+// func sumSqDevGridAVX(x []float64, ch, rows, cols, ld, cs int, mu float64) float64
+TEXT ·sumSqDevGridAVX(SB), NOSPLIT, $0-80
+	MOVQ x_base+0(FP), SI
+	MOVQ ch+24(FP), BX
+	MOVQ rows+32(FP), R9
+	MOVQ cols+40(FP), R11
+	MOVQ ld+48(FP), R10
+	MOVQ cs+56(FP), R12
+	GRIDSETUP
+	VBROADCASTSD mu+64(FP), Y4
+
+gsq16:
+	TESTQ BX, BX
+	JLE   gsq4
+	SQDEVG(Y0)
+	NEXT
+	SQDEVG(Y1)
+	NEXT
+	SQDEVG(Y2)
+	NEXT
+	SQDEVG(Y3)
+	NEXT
+	DECQ  BX
+	JMP   gsq16
+
+gsq4:
+	TESTQ AX, AX
+	JLE   gsqfold
+	SQDEVG(Y0)
+	NEXT
+	DECQ  AX
+	JMP   gsq4
+
+gsqfold:
+	FOLD
+	VMOVSD X0, ret+72(FP)
+	VZEROUPPER
+	RET
+
+// AFFINEG is AFFINE on the block at (R8)(AX*8), into Y5.
+#define AFFINEG \
+	VMOVUPD (R8)(AX*8), Y5 \
+	VSUBPD  Y0, Y5, Y5     \
+	VMULPD  Y1, Y5, Y5     \
+	VMULPD  Y2, Y5, Y5     \
+	VADDPD  Y3, Y5, Y5
+
+// func normAffineGridAVX(dst, x []float64, ch, rows, cols, ld, cs int, mu, invStd float64, gamma, beta []float64, relu bool)
+//
+// One channel at a time with its γ and β broadcast, its rows in turn, each
+// row in blocks of 4 stored to consecutive dst; the clamp is normAffineAVX's.
+TEXT ·normAffineGridAVX(SB), NOSPLIT, $0-153
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         x_base+24(FP), SI
+	MOVQ         ch+48(FP), BX
+	MOVQ         rows+56(FP), R9
+	MOVQ         cols+64(FP), R11
+	MOVQ         ld+72(FP), R10
+	MOVQ         cs+80(FP), R12
+	VBROADCASTSD mu+88(FP), Y0
+	VBROADCASTSD invStd+96(FP), Y1
+	MOVQ         gamma_base+104(FP), R13
+	MOVQ         beta_base+128(FP), CX
+	VXORPD       Y4, Y4, Y4
+	SHLQ         $3, R10
+	SHLQ         $3, R12
+	MOVBLZX      relu+152(FP), AX
+	TESTL        AX, AX
+	JNZ          grchan
+
+gachan:
+	TESTQ        BX, BX
+	JLE          gadone
+	VBROADCASTSD (R13), Y2
+	VBROADCASTSD (CX), Y3
+	MOVQ         SI, R8
+	MOVQ         R9, DX
+
+garow:
+	XORQ AX, AX
+
+gavec:
+	AFFINEG
+	VMOVUPD Y5, (DI)
+	ADDQ    $32, DI
+	ADDQ    $4, AX
+	CMPQ    AX, R11
+	JLT     gavec
+	ADDQ    R10, R8
+	DECQ    DX
+	JNE     garow
+	ADDQ    R12, SI
+	ADDQ    $8, R13
+	ADDQ    $8, CX
+	DECQ    BX
+	JMP     gachan
+
+grchan:
+	TESTQ        BX, BX
+	JLE          gadone
+	VBROADCASTSD (R13), Y2
+	VBROADCASTSD (CX), Y3
+	MOVQ         SI, R8
+	MOVQ         R9, DX
+
+grrow:
+	XORQ AX, AX
+
+grvec:
+	AFFINEG
+	VMAXPD  Y4, Y5, Y5
+	VMOVUPD Y5, (DI)
+	ADDQ    $32, DI
+	ADDQ    $4, AX
+	CMPQ    AX, R11
+	JLT     grvec
+	ADDQ    R10, R8
+	DECQ    DX
+	JNE     grrow
+	ADDQ    R12, SI
+	ADDQ    $8, R13
+	ADDQ    $8, CX
+	DECQ    BX
+	JMP     grchan
+
+gadone:
+	VZEROUPPER
+	RET
+
+// The block bodies run a grid in block form (Grid.blocked): SI
+// walks the channels CS apart, DI a channel's groups gstep apart and DX a
+// group's blocks 16 elements apart; a block's four loads are at DX, DX+o1,
+// DX+o2 and DX+o3 (R10..R12), its packed order, so they go to Y0..Y3 as
+// sumAVX's four loads of a block do. Every count is at least 1, and no block
+// of 4 or tail is left over. Strides and offsets come in elements and are
+// scaled to bytes.
+
+// func sumBlocksAVX(x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int) float64
+TEXT ·sumBlocksAVX(SB), NOSPLIT, $0-96
+	MOVQ   x_base+0(FP), SI
+	MOVQ   ch+24(FP), CX
+	MOVQ   cs+32(FP), R13
+	MOVQ   o1+56(FP), R10
+	MOVQ   o2+64(FP), R11
+	MOVQ   o3+72(FP), R12
+	MOVQ   gstep+80(FP), BX
+	SHLQ   $3, R13
+	SHLQ   $3, R10
+	SHLQ   $3, R11
+	SHLQ   $3, R12
+	SHLQ   $3, BX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+bsumchan:
+	MOVQ SI, DI
+	MOVQ groups+40(FP), R8
+
+bsumgrp:
+	MOVQ DI, DX
+	MOVQ blocks+48(FP), R9
+
+bsumblk:
+	VADDPD (DX), Y0, Y0
+	VADDPD (DX)(R10*1), Y1, Y1
+	VADDPD (DX)(R11*1), Y2, Y2
+	VADDPD (DX)(R12*1), Y3, Y3
+	ADDQ   $128, DX
+	DECQ   R9
+	JNE    bsumblk
+	ADDQ   BX, DI
+	DECQ   R8
+	JNE    bsumgrp
+	ADDQ   R13, SI
+	DECQ   CX
+	JNE    bsumchan
+	FOLD
+	VMOVSD X0, ret+88(FP)
+	VZEROUPPER
+	RET
+
+// SQDEVB accumulates (mem − Y4)² into acc, through tmp.
+#define SQDEVB(mem, tmp, acc) \
+	VMOVUPD mem, tmp       \
+	VSUBPD  Y4, tmp, tmp   \
+	VMULPD  tmp, tmp, tmp  \
+	VADDPD  tmp, acc, acc
+
+// func sumSqDevBlocksAVX(x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int, mu float64) float64
+TEXT ·sumSqDevBlocksAVX(SB), NOSPLIT, $0-104
+	MOVQ         x_base+0(FP), SI
+	MOVQ         ch+24(FP), CX
+	MOVQ         cs+32(FP), R13
+	MOVQ         o1+56(FP), R10
+	MOVQ         o2+64(FP), R11
+	MOVQ         o3+72(FP), R12
+	MOVQ         gstep+80(FP), BX
+	VBROADCASTSD mu+88(FP), Y4
+	SHLQ         $3, R13
+	SHLQ         $3, R10
+	SHLQ         $3, R11
+	SHLQ         $3, R12
+	SHLQ         $3, BX
+	VXORPD       Y0, Y0, Y0
+	VXORPD       Y1, Y1, Y1
+	VXORPD       Y2, Y2, Y2
+	VXORPD       Y3, Y3, Y3
+
+bsqchan:
+	MOVQ SI, DI
+	MOVQ groups+40(FP), R8
+
+bsqgrp:
+	MOVQ DI, DX
+	MOVQ blocks+48(FP), R9
+
+bsqblk:
+	SQDEVB((DX), Y5, Y0)
+	SQDEVB((DX)(R10*1), Y6, Y1)
+	SQDEVB((DX)(R11*1), Y7, Y2)
+	SQDEVB((DX)(R12*1), Y8, Y3)
+	ADDQ $128, DX
+	DECQ R9
+	JNE  bsqblk
+	ADDQ BX, DI
+	DECQ R8
+	JNE  bsqgrp
+	ADDQ R13, SI
+	DECQ CX
+	JNE  bsqchan
+	FOLD
+	VMOVSD X0, ret+96(FP)
+	VZEROUPPER
+	RET
+
+// AFFINEB is AFFINE on the block load at mem, into reg.
+#define AFFINEB(mem, reg) \
+	VMOVUPD mem, reg     \
+	VSUBPD  Y0, reg, reg \
+	VMULPD  Y1, reg, reg \
+	VMULPD  Y2, reg, reg \
+	VADDPD  Y3, reg, reg
+
+// func normAffineBlocksAVX(dst, x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int, mu, invStd float64, gamma, beta []float64, relu bool)
+//
+// The block bodies' walk with γ and β broadcast per channel (the channel's
+// index is ch − CX); each block's four results are stored to the next 16
+// elements of dst, clamped as normAffineAVX clamps.
+TEXT ·normAffineBlocksAVX(SB), NOSPLIT, $0-177
+	MOVQ         dst_base+0(FP), AX
+	MOVQ         x_base+24(FP), SI
+	MOVQ         ch+48(FP), CX
+	MOVQ         cs+56(FP), R13
+	MOVQ         o1+80(FP), R10
+	MOVQ         o2+88(FP), R11
+	MOVQ         o3+96(FP), R12
+	MOVQ         gstep+104(FP), BX
+	VBROADCASTSD mu+112(FP), Y0
+	VBROADCASTSD invStd+120(FP), Y1
+	VXORPD       Y4, Y4, Y4
+	SHLQ         $3, R13
+	SHLQ         $3, R10
+	SHLQ         $3, R11
+	SHLQ         $3, R12
+	SHLQ         $3, BX
+	MOVBLZX      relu+176(FP), R8
+	TESTL        R8, R8
+	JNZ          brchan
+
+bachan:
+	MOVQ         ch+48(FP), R8
+	SUBQ         CX, R8
+	MOVQ         gamma_base+128(FP), R9
+	VBROADCASTSD (R9)(R8*8), Y2
+	MOVQ         beta_base+152(FP), R9
+	VBROADCASTSD (R9)(R8*8), Y3
+	MOVQ         SI, DI
+	MOVQ         groups+64(FP), R8
+
+bagrp:
+	MOVQ DI, DX
+	MOVQ blocks+72(FP), R9
+
+bablk:
+	AFFINEB((DX), Y5)
+	AFFINEB((DX)(R10*1), Y6)
+	AFFINEB((DX)(R11*1), Y7)
+	AFFINEB((DX)(R12*1), Y8)
+	VMOVUPD Y5, (AX)
+	VMOVUPD Y6, 32(AX)
+	VMOVUPD Y7, 64(AX)
+	VMOVUPD Y8, 96(AX)
+	ADDQ    $128, AX
+	ADDQ    $128, DX
+	DECQ    R9
+	JNE     bablk
+	ADDQ    BX, DI
+	DECQ    R8
+	JNE     bagrp
+	ADDQ    R13, SI
+	DECQ    CX
+	JNE     bachan
+	JMP     badone
+
+brchan:
+	MOVQ         ch+48(FP), R8
+	SUBQ         CX, R8
+	MOVQ         gamma_base+128(FP), R9
+	VBROADCASTSD (R9)(R8*8), Y2
+	MOVQ         beta_base+152(FP), R9
+	VBROADCASTSD (R9)(R8*8), Y3
+	MOVQ         SI, DI
+	MOVQ         groups+64(FP), R8
+
+brgrp:
+	MOVQ DI, DX
+	MOVQ blocks+72(FP), R9
+
+brblk:
+	AFFINEB((DX), Y5)
+	AFFINEB((DX)(R10*1), Y6)
+	AFFINEB((DX)(R11*1), Y7)
+	AFFINEB((DX)(R12*1), Y8)
+	VMAXPD  Y4, Y5, Y5
+	VMAXPD  Y4, Y6, Y6
+	VMAXPD  Y4, Y7, Y7
+	VMAXPD  Y4, Y8, Y8
+	VMOVUPD Y5, (AX)
+	VMOVUPD Y6, 32(AX)
+	VMOVUPD Y7, 64(AX)
+	VMOVUPD Y8, 96(AX)
+	ADDQ    $128, AX
+	ADDQ    $128, DX
+	DECQ    R9
+	JNE     brblk
+	ADDQ    BX, DI
+	DECQ    R8
+	JNE     brgrp
+	ADDQ    R13, SI
+	DECQ    CX
+	JNE     brchan
+
+badone:
+	VZEROUPPER
+	RET
+
 DATA negInf<>+0(SB)/8, $0xfff0000000000000
 GLOBL negInf<>(SB), RODATA|NOPTR, $8
 

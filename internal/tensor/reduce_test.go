@@ -155,3 +155,196 @@ func TestNormAffineClamp(t *testing.T) {
 	defer func() { useAVX = saved }()
 	run("scalar")
 }
+
+// gridCase lays the packed segment p out as the windows of g in a buffer
+// whose other elements are NaN, so a kernel that reads outside a window
+// cannot match a packed reference.
+func gridCase(p []float64, g Grid) []float64 {
+	x := make([]float64, (g.Ch-1)*g.CS+(g.Rows-1)*g.LD+g.Cols+3)
+	for i := range x {
+		x[i] = math.NaN()
+	}
+	for i, v := range p {
+		x[g.at(i)] = v
+	}
+	return x
+}
+
+// gridSpecials returns copies of base with NaN, ±Inf and −0 planted at
+// every position class of the packed order (a block of 16, a block of 4
+// after the last one, the tail), plus an all −0 segment.
+func gridSpecials(base []float64) [][]float64 {
+	n := len(base)
+	out := [][]float64{base}
+	var at []int
+	for _, p := range []int{0, n / 2, n &^ 15, n &^ 3, n - 1} {
+		if p < n {
+			at = append(at, p)
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for _, special := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), negZero} {
+		for _, p := range at {
+			x := append([]float64(nil), base...)
+			x[p] = special
+			out = append(out, x)
+		}
+	}
+	zeros := make([]float64, n)
+	for i := range zeros {
+		zeros[i] = negZero
+	}
+	return append(out, zeros)
+}
+
+// TestGridPrimitivesMatchPacked pins the grid forms of the reduce
+// primitives to the packed ones: the vector bodies (widths that are a
+// multiple of 4) and the Go twins (any width) agree bit for bit with each
+// other and with Sum, SumSqDev and NormAffine per channel over a copy of the
+// packed segment, for 1–16 channels per group and row and channel gaps, with
+// special values at every position class.
+func TestGridPrimitivesMatchPacked(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for _, cols := range []int{4, 8, 12, 16, 5, 1, 3} {
+		for _, rows := range []int{1, 2, 3, 4, 5} {
+			for ch := 1; ch <= 16; ch++ {
+				gap := rng.Intn(3)
+				g := Grid{Ch: ch, Rows: rows, Cols: cols, LD: cols + gap}
+				g.CS = rows*g.LD + rng.Intn(5)
+				n := g.Len()
+				base := make([]float64, n)
+				for i := range base {
+					base[i] = rng.NormFloat64() * 3
+				}
+				gamma, beta := make([]float64, ch), make([]float64, ch)
+				for c := range gamma {
+					gamma[c], beta[c] = rng.NormFloat64(), rng.NormFloat64()
+				}
+				for _, p := range gridSpecials(base) {
+					checkGridCase(t, g, p, gamma, beta, rng.NormFloat64(), 0.5+rng.Float64())
+				}
+			}
+		}
+	}
+}
+
+func checkGridCase(t *testing.T, g Grid, p, gamma, beta []float64, mu, is float64) {
+	t.Helper()
+	x := gridCase(p, g)
+	vec := useAVX && g.Cols%4 == 0
+	sums := map[string]float64{"Sum": Sum(p), "sumGo": sumGo(p), "SumGrid": SumGrid(x, g), "twin": gridLanesGo(x, g, 0, false)}
+	sqs := map[string]float64{"SumSqDev": SumSqDev(p, mu), "sumSqDevGo": sumSqDevGo(p, mu), "SumSqDevGrid": SumSqDevGrid(x, g, mu), "twin": gridLanesGo(x, g, mu, true)}
+	if vec {
+		sums["vector"] = sumGridAVX(x, g.Ch, g.Rows, g.Cols, g.LD, g.CS)
+		sqs["vector"] = sumSqDevGridAVX(x, g.Ch, g.Rows, g.Cols, g.LD, g.CS, mu)
+	}
+	for name, v := range sums {
+		if !sameBits(v, sums["sumGo"]) {
+			t.Fatalf("grid %+v: %s = %v, sumGo over the packed copy %v", g, name, v, sums["sumGo"])
+		}
+	}
+	for name, v := range sqs {
+		if !sameBits(v, sqs["sumSqDevGo"]) {
+			t.Fatalf("grid %+v: %s = %v, sumSqDevGo over the packed copy %v", g, name, v, sqs["sumSqDevGo"])
+		}
+	}
+	n, hw := g.Len(), g.Rows*g.Cols
+	for _, relu := range []bool{false, true} {
+		want := make([]float64, n)
+		for c := 0; c < g.Ch; c++ {
+			normAffineGo(want[c*hw:(c+1)*hw], p[c*hw:(c+1)*hw], mu, is, gamma[c], beta[c], relu)
+		}
+		outs := map[string][]float64{}
+		run := func(name string, f func(dst []float64)) {
+			// One spare element on each side guards against stray writes.
+			dst := make([]float64, n+2)
+			for i := range dst {
+				dst[i] = 42
+			}
+			f(dst[1 : n+1])
+			if dst[0] != 42 || dst[n+1] != 42 {
+				t.Fatalf("grid %+v relu=%v: %s wrote outside dst", g, relu, name)
+			}
+			outs[name] = dst[1 : n+1]
+		}
+		run("NormAffineGrid", func(dst []float64) { NormAffineGrid(dst, x, g, mu, is, gamma, beta, relu) })
+		run("rows", func(dst []float64) { normAffineGridRows(dst, x, g, mu, is, gamma, beta, relu) })
+		if vec {
+			run("vector", func(dst []float64) {
+				normAffineGridAVX(dst, x, g.Ch, g.Rows, g.Cols, g.LD, g.CS, mu, is, gamma, beta, relu)
+			})
+		}
+		if g.packed() {
+			// In place: the windows are dst's own elements.
+			inPlace := append([]float64(nil), x...)
+			NormAffineGrid(inPlace[:n], inPlace, g, mu, is, gamma, beta, relu)
+			outs["in place"] = inPlace[:n]
+		}
+		for name, got := range outs {
+			for i, v := range want {
+				if !sameBits(got[i], v) {
+					t.Fatalf("grid %+v relu=%v: %s[%d] = %v, NormAffine per channel %v", g, relu, name, i, got[i], v)
+				}
+			}
+		}
+	}
+}
+
+// TestGridPrimitivesScalar runs the grid forms' dispatch with the vector
+// kernels forced off, so the Go twins are what a host without AVX gets.
+func TestGridPrimitivesScalar(t *testing.T) {
+	saved := useAVX
+	useAVX = false
+	defer func() { useAVX = saved }()
+	rng := rand.New(rand.NewSource(80))
+	for _, g := range []Grid{{3, 4, 4, 5, 21}, {2, 16, 16, 17, 274}, {5, 6, 5, 6, 37}, {1, 1, 7, 7, 7}} {
+		p := make([]float64, g.Len())
+		for i := range p {
+			p[i] = rng.NormFloat64()
+		}
+		gamma, beta := make([]float64, g.Ch), make([]float64, g.Ch)
+		for c := range gamma {
+			gamma[c], beta[c] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		checkGridCase(t, g, p, gamma, beta, 0.1, 1.3)
+	}
+}
+
+// TestGridPrimitivesRejectShortBuffers pins the bounds check that guards
+// the vector bodies.
+func TestGridPrimitivesRejectShortBuffers(t *testing.T) {
+	g := Grid{Ch: 2, Rows: 3, Cols: 4, LD: 5, CS: 16}
+	x := make([]float64, 16+2*5+4-1)
+	for name, f := range map[string]func(){
+		"SumGrid":        func() { SumGrid(x, g) },
+		"SumSqDevGrid":   func() { SumSqDevGrid(x, g, 0) },
+		"NormAffineGrid": func() { NormAffineGrid(make([]float64, 24), x, g, 0, 1, []float64{1, 1}, []float64{0, 0}, false) },
+		"negative":       func() { SumGrid(x, Grid{Ch: 1, Rows: 1, Cols: 4, LD: -1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a grid past its buffer", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestGridPrimitivesAllocFree pins the grid forms to no allocation: the
+// vector bodies walk the geometry themselves, with no offset table.
+func TestGridPrimitivesAllocFree(t *testing.T) {
+	g := Grid{Ch: 4, Rows: 8, Cols: 8, LD: 9, CS: 80}
+	x := make([]float64, 4*80)
+	dst := make([]float64, g.Len())
+	gamma, beta := make([]float64, 4), make([]float64, 4)
+	allocs := testing.AllocsPerRun(100, func() {
+		mu := SumGrid(x, g)
+		va := SumSqDevGrid(x, g, mu)
+		NormAffineGrid(dst, x, g, mu, va+1, gamma, beta, true)
+	})
+	if allocs > 0 {
+		t.Fatalf("grid primitives allocate %v times per group", allocs)
+	}
+}
