@@ -241,7 +241,7 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue,
 		}
 	}
 	if pw != nil && tier == tensor.TierExact && c.sameConv() {
-		c.inferShiftNorm(arena, x, y, pw, ep, gn)
+		c.inferShift(arena, x, y, pw, ep, gn)
 		return y
 	}
 	c.inferIm2col(arena, tier, x, y, pw, ep)
@@ -420,15 +420,11 @@ func (c *Conv2D) shiftConv(s shiftGeom, a shiftA, m int, src []float64, inCh int
 }
 
 // inferShift is Infer's shifted-row lowering on a packed weight
-// (tensor.GemmPackedShiftEx), the product copied out into y.
-func (c *Conv2D) inferShift(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor.PackedMat, ep *tensor.Epilogue) {
-	c.inferShiftNorm(arena, x, y, pw, ep, nil)
-}
-
-// inferShiftNorm is inferShift with, for a non-nil gn, gn and a ReLU
-// writing y from each group's grid (shiftConv): the groups run one after
-// another on one arena image, zeroed once per call, and one grid.
-func (c *Conv2D) inferShiftNorm(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor.PackedMat, ep *tensor.Epilogue, gn *GroupNorm) {
+// (tensor.GemmPackedShiftEx): each group's product is copied out into y,
+// or with a non-nil gn normalized by gn and a ReLU straight out of its grid
+// (shiftConv). The groups run one after another on one arena image, zeroed
+// once per call, and one grid.
+func (c *Conv2D) inferShift(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor.PackedMat, ep *tensor.Epilogue, gn *GroupNorm) {
 	batch, aIn, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	aOut := y.Dim(1)
 	s := c.shiftGeom(batch, h, w)

@@ -28,7 +28,7 @@ func shiftVsIm2col(c *Conv2D, x *tensor.Tensor, aOut int, ep *tensor.Epilogue) e
 		got.Data[i] = math.NaN() // every element must be written
 	}
 	c.inferIm2col(arena, tensor.TierExact, x, want, pw, ep)
-	c.inferShift(arena, x, got, pw, ep)
+	c.inferShift(arena, x, got, pw, ep, nil)
 	for i := range want.Data {
 		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 			return fmt.Errorf("in=%d out=%d %dx%d k=%dx%d: shift[%d]=%v, im2col %v", aIn, aOut, h, w, c.KH, c.KW, i, got.Data[i], want.Data[i])
@@ -265,7 +265,7 @@ func BenchmarkConvInferLowering(b *testing.B) {
 					t0 := time.Now()
 					c.inferIm2col(arena, tensor.TierExact, x, arena.GetUninit(8, aOut, s.hw, s.hw), pw, nil)
 					t1 := time.Now()
-					c.inferShift(arena, x, arena.GetUninit(8, aOut, s.hw, s.hw), pw, nil)
+					c.inferShift(arena, x, arena.GetUninit(8, aOut, s.hw, s.hw), pw, nil, nil)
 					shift += time.Since(t1)
 					im2col += t1.Sub(t0)
 					arena.Reset()

@@ -120,8 +120,10 @@ func (g *GroupNorm) packedGroup(hw int) tensor.Grid {
 // two-pass mean and variance over the group's packed segment
 // (tensor.SumGrid, tensor.SumSqDevGrid, in tensor.Sum's order wherever the
 // windows lie), then one scale-shift pass into dst's packed planes with each
-// channel's γ and β (tensor.NormAffineGrid). xhat and invStd, when non-nil,
-// receive the backward state; xhat needs packed planes.
+// channel's γ and β (tensor.NormAffineGrid). Forward passes xhat and invStd
+// for the backward state, on packed planes: there each channel's plane gets
+// its y and its x̂ while it is cache-hot (tensor.NormAffine twice, the
+// arithmetic NormAffineGrid applies per element).
 func (g *GroupNorm) normalize(dst, xhat, invStd, src []float64, batch, ag int, group tensor.Grid, sampleStride int, relu bool) {
 	n := group.Len() // elements per (sample, group)
 	gamma, beta := g.Gamma.Value.Data, g.Beta.Value.Data
@@ -132,14 +134,15 @@ func (g *GroupNorm) normalize(dst, xhat, invStd, src []float64, batch, ag int, g
 			va := tensor.SumSqDevGrid(seg, group, mu) / float64(n)
 			is := 1 / math.Sqrt(va+g.Eps)
 			off, ch := (b*ag+gi)*n, gi*group.Ch
-			tensor.NormAffineGrid(dst[off:off+n], seg, group, mu, is, gamma[ch:], beta[ch:], relu)
-			if invStd != nil {
-				invStd[b*ag+gi] = is
+			if xhat == nil {
+				tensor.NormAffineGrid(dst[off:off+n], seg, group, mu, is, gamma[ch:], beta[ch:], relu)
+				continue
 			}
-			if xhat != nil {
-				for j, hw := 0, group.Cols; j < group.Ch; j++ {
-					tensor.NormAffine(xhat[off+j*hw:off+(j+1)*hw], seg[j*hw:(j+1)*hw], mu, is, 1, 0, false)
-				}
+			invStd[b*ag+gi] = is
+			for j, hw := 0, group.Cols; j < group.Ch; j++ {
+				lo := off + j*hw
+				tensor.NormAffine(dst[lo:lo+hw], seg[j*hw:(j+1)*hw], mu, is, gamma[ch+j], beta[ch+j], relu)
+				tensor.NormAffine(xhat[lo:lo+hw], seg[j*hw:(j+1)*hw], mu, is, 1, 0, false)
 			}
 		}
 	}

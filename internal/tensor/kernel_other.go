@@ -44,18 +44,6 @@ func normAffineBlocksAVX(dst, x []float64, ch, cs, groups, blocks, o1, o2, o3, g
 	panic("tensor: no vector kernel")
 }
 
-func sumGridAVX(x []float64, ch, rows, cols, ld, cs int) float64 {
-	panic("tensor: no vector kernel")
-}
-
-func sumSqDevGridAVX(x []float64, ch, rows, cols, ld, cs int, mu float64) float64 {
-	panic("tensor: no vector kernel")
-}
-
-func normAffineGridAVX(dst, x []float64, ch, rows, cols, ld, cs int, mu, invStd float64, gamma, beta []float64, relu bool) {
-	panic("tensor: no vector kernel")
-}
-
 func maxPool2x2AVX(dst, r0, r1 []float64) { panic("tensor: no vector kernel") }
 
 func copyRowsAVX(dst []float64, ldd int, src []float64, lds int, rows, cols int) {

@@ -88,8 +88,8 @@ func (g *Grid) check(name string, n int) {
 // blocks blocks 16 elements apart, whose four 4-lane loads are at offsets
 // 0, o1, o2 and o3 (all in elements); groups is 0 when it cannot. A row of a
 // multiple of 16 elements is whole blocks, two rows of 8 or four rows of 4
-// make one: the square planes a CNN narrows through (16×16, 8×8, 4×4), which
-// the block bodies run without a per-load row check.
+// make one: the square planes a CNN narrows through (16×16, 8×8, 4×4).
+// Other grids take the Go twins.
 func (g *Grid) blocked() (groups, blocks, o1, o2, o3, gstep int) {
 	switch rows, cols, ld := g.Rows, g.Cols, g.LD; {
 	case cols%16 == 0:
@@ -102,11 +102,11 @@ func (g *Grid) blocked() (groups, blocks, o1, o2, o3, gstep int) {
 	return 0, 0, 0, 0, 0, 0
 }
 
-// SumGrid returns Sum of g's packed segment of x, read in place. When Cols
-// is a multiple of 4 every packed block of four elements is one load from a
-// row, and the vector bodies add it to the accumulator Sum's order gives it,
-// so the result is bit-identical to Sum over a copy; other widths run the Go
-// twin, which walks the same order element by element.
+// SumGrid returns Sum of g's packed segment of x, read in place. A grid in
+// block form (Grid.blocked) runs the vector body, which adds each packed
+// block of four elements — one load from a row — to the accumulator Sum's
+// order gives it, so the result is bit-identical to Sum over a copy; other
+// grids run the Go twin, which walks the same order element by element.
 func SumGrid(x []float64, g Grid) float64 {
 	g.check("SumGrid", len(x))
 	switch {
@@ -114,13 +114,11 @@ func SumGrid(x []float64, g Grid) float64 {
 		return 0
 	case g.packed():
 		return Sum(x[:g.Len()])
-	case !useAVX || g.Cols%4 != 0:
-		return gridLanesGo(x, g, 0, false)
 	}
-	if groups, blocks, o1, o2, o3, gstep := g.blocked(); groups > 0 {
+	if groups, blocks, o1, o2, o3, gstep := g.blocked(); useAVX && groups > 0 {
 		return sumBlocksAVX(x, g.Ch, g.CS, groups, blocks, o1, o2, o3, gstep)
 	}
-	return sumGridAVX(x, g.Ch, g.Rows, g.Cols, g.LD, g.CS)
+	return gridLanesGo(x, g, 0, false)
 }
 
 // SumSqDevGrid returns SumSqDev of g's packed segment of x, read in place,
@@ -132,13 +130,11 @@ func SumSqDevGrid(x []float64, g Grid, mu float64) float64 {
 		return 0
 	case g.packed():
 		return SumSqDev(x[:g.Len()], mu)
-	case !useAVX || g.Cols%4 != 0:
-		return gridLanesGo(x, g, mu, true)
 	}
-	if groups, blocks, o1, o2, o3, gstep := g.blocked(); groups > 0 {
+	if groups, blocks, o1, o2, o3, gstep := g.blocked(); useAVX && groups > 0 {
 		return sumSqDevBlocksAVX(x, g.Ch, g.CS, groups, blocks, o1, o2, o3, gstep, mu)
 	}
-	return sumSqDevGridAVX(x, g.Ch, g.Rows, g.Cols, g.LD, g.CS, mu)
+	return gridLanesGo(x, g, mu, true)
 }
 
 // NormAffineGrid is NormAffine from g's windows of x into its packed
@@ -152,15 +148,11 @@ func NormAffineGrid(dst, x []float64, g Grid, mu, invStd float64, gamma, beta []
 	if g.Len() == 0 {
 		return
 	}
-	if !useAVX || g.Cols%4 != 0 {
-		normAffineGridRows(dst, x, g, mu, invStd, gamma, beta, relu)
-		return
-	}
-	if groups, blocks, o1, o2, o3, gstep := g.blocked(); groups > 0 {
+	if groups, blocks, o1, o2, o3, gstep := g.blocked(); useAVX && groups > 0 {
 		normAffineBlocksAVX(dst, x, g.Ch, g.CS, groups, blocks, o1, o2, o3, gstep, mu, invStd, gamma, beta, relu)
 		return
 	}
-	normAffineGridAVX(dst, x, g.Ch, g.Rows, g.Cols, g.LD, g.CS, mu, invStd, gamma, beta, relu)
+	normAffineGridRows(dst, x, g, mu, invStd, gamma, beta, relu)
 }
 
 // MaxPool2x2Row writes the first len(dst)&^3 outputs of one output row of a

@@ -21,40 +21,22 @@ func sumSqDevAVX(x []float64, mu float64) float64
 //go:noescape
 func normAffineAVX(dst, x []float64, mu, invStd, gamma, beta float64, relu bool)
 
-// sumBlocksAVX is SumGrid's vector body for a grid in block form
+// sumBlocksAVX is SumGrid's vector body, for a grid in block form
 // (Grid.blocked).
 //
 //go:noescape
 func sumBlocksAVX(x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int) float64
 
-// sumSqDevBlocksAVX is SumSqDevGrid's vector body for a grid in block form.
+// sumSqDevBlocksAVX is SumSqDevGrid's vector body, for a grid in block form.
 //
 //go:noescape
 func sumSqDevBlocksAVX(x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int, mu float64) float64
 
-// normAffineBlocksAVX is NormAffineGrid's vector body for a grid in block
-// form; dst and gamma, beta as for normAffineGridAVX.
+// normAffineBlocksAVX is NormAffineGrid's vector body, for a grid in block
+// form: dst holds its packed segment and gamma, beta ch elements.
 //
 //go:noescape
 func normAffineBlocksAVX(dst, x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int, mu, invStd float64, gamma, beta []float64, relu bool)
-
-// sumGridAVX is SumGrid's vector body for any other grid: cols is a multiple
-// of 4.
-//
-//go:noescape
-func sumGridAVX(x []float64, ch, rows, cols, ld, cs int) float64
-
-// sumSqDevGridAVX is SumSqDevGrid's vector body for any other grid.
-//
-//go:noescape
-func sumSqDevGridAVX(x []float64, ch, rows, cols, ld, cs int, mu float64) float64
-
-// normAffineGridAVX is NormAffineGrid's vector body for any other grid:
-// cols is a multiple of 4, dst holds ch·rows·cols elements and gamma, beta
-// ch.
-//
-//go:noescape
-func normAffineGridAVX(dst, x []float64, ch, rows, cols, ld, cs int, mu, invStd float64, gamma, beta []float64, relu bool)
 
 // maxPool2x2AVX is MaxPool2x2Row's vector body: len(dst) is a multiple of 4,
 // r0 and r1 hold 2·len(dst) elements.

@@ -212,227 +212,7 @@ nadone:
 	RET
 
 // The grid forms read Ch windows of Rows×Cols at row stride LD and channel
-// stride CS (reduce.go's Grid), with Cols a multiple of 4: every packed
-// block of four elements is one 4-lane load from a row. GRIDSETUP and NEXT
-// walk those loads in packed order:
-//
-//	SI	the next block            DX	the end of its row
-//	R8	rows left in the channel  R9	Rows
-//	R10	(LD−Cols)·8               R11	Cols·8
-//	R12	(CS−Rows·LD)·8
-//
-// GRIDSETUP takes SI = x, BX = Ch, R9 = Rows, R10 = LD, R11 = Cols and
-// R12 = CS, and sets the registers above, BX = the number of whole blocks of
-// 16, AX = the blocks of 4 after them and Y0..Y3 = 0. NEXT moves SI to the
-// next block: past a row's end to the next row, past a channel's last row to
-// the next channel (its jumps count instructions).
-#define GRIDSETUP \
-	IMULQ        R9, BX           \
-	IMULQ        R11, BX          \
-	SHRQ         $2, BX           \
-	MOVQ         BX, AX           \
-	ANDQ         $3, AX           \
-	SHRQ         $2, BX           \
-	MOVQ         R9, CX           \
-	IMULQ        R10, CX          \
-	SUBQ         CX, R12          \
-	SHLQ         $3, R12          \
-	SUBQ         R11, R10         \
-	SHLQ         $3, R10          \
-	SHLQ         $3, R11          \
-	MOVQ         R9, R8           \
-	LEAQ         (SI)(R11*1), DX  \
-	VXORPD       Y0, Y0, Y0       \
-	VXORPD       Y1, Y1, Y1       \
-	VXORPD       Y2, Y2, Y2       \
-	VXORPD       Y3, Y3, Y3
-
-#define NEXT \
-	ADDQ $32, SI  \
-	CMPQ SI, DX   \
-	JNE  7(PC)    \
-	ADDQ R10, SI  \
-	DECQ R8       \
-	JNE  3(PC)    \
-	ADDQ R12, SI  \
-	MOVQ R9, R8   \
-	LEAQ (SI)(R11*1), DX
-
-// func sumGridAVX(x []float64, ch, rows, cols, ld, cs int) float64
-TEXT ·sumGridAVX(SB), NOSPLIT, $0-72
-	MOVQ x_base+0(FP), SI
-	MOVQ ch+24(FP), BX
-	MOVQ rows+32(FP), R9
-	MOVQ cols+40(FP), R11
-	MOVQ ld+48(FP), R10
-	MOVQ cs+56(FP), R12
-	GRIDSETUP
-
-gsum16:
-	TESTQ  BX, BX
-	JLE    gsum4
-	VADDPD (SI), Y0, Y0
-	NEXT
-	VADDPD (SI), Y1, Y1
-	NEXT
-	VADDPD (SI), Y2, Y2
-	NEXT
-	VADDPD (SI), Y3, Y3
-	NEXT
-	DECQ   BX
-	JMP    gsum16
-
-gsum4:
-	TESTQ  AX, AX
-	JLE    gsumfold
-	VADDPD (SI), Y0, Y0
-	NEXT
-	DECQ   AX
-	JMP    gsum4
-
-gsumfold:
-	FOLD
-	VMOVSD X0, ret+64(FP)
-	VZEROUPPER
-	RET
-
-// SQDEVG accumulates ((SI) − Y4)² into acc, through Y5.
-#define SQDEVG(acc) \
-	VMOVUPD (SI), Y5  \
-	VSUBPD  Y4, Y5, Y5 \
-	VMULPD  Y5, Y5, Y5 \
-	VADDPD  Y5, acc, acc
-
-// func sumSqDevGridAVX(x []float64, ch, rows, cols, ld, cs int, mu float64) float64
-TEXT ·sumSqDevGridAVX(SB), NOSPLIT, $0-80
-	MOVQ x_base+0(FP), SI
-	MOVQ ch+24(FP), BX
-	MOVQ rows+32(FP), R9
-	MOVQ cols+40(FP), R11
-	MOVQ ld+48(FP), R10
-	MOVQ cs+56(FP), R12
-	GRIDSETUP
-	VBROADCASTSD mu+64(FP), Y4
-
-gsq16:
-	TESTQ BX, BX
-	JLE   gsq4
-	SQDEVG(Y0)
-	NEXT
-	SQDEVG(Y1)
-	NEXT
-	SQDEVG(Y2)
-	NEXT
-	SQDEVG(Y3)
-	NEXT
-	DECQ  BX
-	JMP   gsq16
-
-gsq4:
-	TESTQ AX, AX
-	JLE   gsqfold
-	SQDEVG(Y0)
-	NEXT
-	DECQ  AX
-	JMP   gsq4
-
-gsqfold:
-	FOLD
-	VMOVSD X0, ret+72(FP)
-	VZEROUPPER
-	RET
-
-// AFFINEG is AFFINE on the block at (R8)(AX*8), into Y5.
-#define AFFINEG \
-	VMOVUPD (R8)(AX*8), Y5 \
-	VSUBPD  Y0, Y5, Y5     \
-	VMULPD  Y1, Y5, Y5     \
-	VMULPD  Y2, Y5, Y5     \
-	VADDPD  Y3, Y5, Y5
-
-// func normAffineGridAVX(dst, x []float64, ch, rows, cols, ld, cs int, mu, invStd float64, gamma, beta []float64, relu bool)
-//
-// One channel at a time with its γ and β broadcast, its rows in turn, each
-// row in blocks of 4 stored to consecutive dst; the clamp is normAffineAVX's.
-TEXT ·normAffineGridAVX(SB), NOSPLIT, $0-153
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         x_base+24(FP), SI
-	MOVQ         ch+48(FP), BX
-	MOVQ         rows+56(FP), R9
-	MOVQ         cols+64(FP), R11
-	MOVQ         ld+72(FP), R10
-	MOVQ         cs+80(FP), R12
-	VBROADCASTSD mu+88(FP), Y0
-	VBROADCASTSD invStd+96(FP), Y1
-	MOVQ         gamma_base+104(FP), R13
-	MOVQ         beta_base+128(FP), CX
-	VXORPD       Y4, Y4, Y4
-	SHLQ         $3, R10
-	SHLQ         $3, R12
-	MOVBLZX      relu+152(FP), AX
-	TESTL        AX, AX
-	JNZ          grchan
-
-gachan:
-	TESTQ        BX, BX
-	JLE          gadone
-	VBROADCASTSD (R13), Y2
-	VBROADCASTSD (CX), Y3
-	MOVQ         SI, R8
-	MOVQ         R9, DX
-
-garow:
-	XORQ AX, AX
-
-gavec:
-	AFFINEG
-	VMOVUPD Y5, (DI)
-	ADDQ    $32, DI
-	ADDQ    $4, AX
-	CMPQ    AX, R11
-	JLT     gavec
-	ADDQ    R10, R8
-	DECQ    DX
-	JNE     garow
-	ADDQ    R12, SI
-	ADDQ    $8, R13
-	ADDQ    $8, CX
-	DECQ    BX
-	JMP     gachan
-
-grchan:
-	TESTQ        BX, BX
-	JLE          gadone
-	VBROADCASTSD (R13), Y2
-	VBROADCASTSD (CX), Y3
-	MOVQ         SI, R8
-	MOVQ         R9, DX
-
-grrow:
-	XORQ AX, AX
-
-grvec:
-	AFFINEG
-	VMAXPD  Y4, Y5, Y5
-	VMOVUPD Y5, (DI)
-	ADDQ    $32, DI
-	ADDQ    $4, AX
-	CMPQ    AX, R11
-	JLT     grvec
-	ADDQ    R10, R8
-	DECQ    DX
-	JNE     grrow
-	ADDQ    R12, SI
-	ADDQ    $8, R13
-	ADDQ    $8, CX
-	DECQ    BX
-	JMP     grchan
-
-gadone:
-	VZEROUPPER
-	RET
-
-// The block bodies run a grid in block form (Grid.blocked): SI
+// stride CS (reduce.go's Grid), cut into blocks of 16 (Grid.blocked): SI
 // walks the channels CS apart, DI a channel's groups gstep apart and DX a
 // group's blocks 16 elements apart; a block's four loads are at DX, DX+o1,
 // DX+o2 and DX+o3 (R10..R12), its packed order, so they go to Y0..Y3 as

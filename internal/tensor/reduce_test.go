@@ -198,8 +198,8 @@ func gridSpecials(base []float64) [][]float64 {
 }
 
 // TestGridPrimitivesMatchPacked pins the grid forms of the reduce
-// primitives to the packed ones: the vector bodies (widths that are a
-// multiple of 4) and the Go twins (any width) agree bit for bit with each
+// primitives to the packed ones: the vector bodies (grids in block form) and
+// the Go twins (any grid) agree bit for bit with each
 // other and with Sum, SumSqDev and NormAffine per channel over a copy of the
 // packed segment, for 1–16 channels per group and row and channel gaps, with
 // special values at every position class.
@@ -231,12 +231,13 @@ func TestGridPrimitivesMatchPacked(t *testing.T) {
 func checkGridCase(t *testing.T, g Grid, p, gamma, beta []float64, mu, is float64) {
 	t.Helper()
 	x := gridCase(p, g)
-	vec := useAVX && g.Cols%4 == 0
+	groups, blocks, o1, o2, o3, gstep := g.blocked()
+	vec := useAVX && groups > 0
 	sums := map[string]float64{"Sum": Sum(p), "sumGo": sumGo(p), "SumGrid": SumGrid(x, g), "twin": gridLanesGo(x, g, 0, false)}
 	sqs := map[string]float64{"SumSqDev": SumSqDev(p, mu), "sumSqDevGo": sumSqDevGo(p, mu), "SumSqDevGrid": SumSqDevGrid(x, g, mu), "twin": gridLanesGo(x, g, mu, true)}
 	if vec {
-		sums["vector"] = sumGridAVX(x, g.Ch, g.Rows, g.Cols, g.LD, g.CS)
-		sqs["vector"] = sumSqDevGridAVX(x, g.Ch, g.Rows, g.Cols, g.LD, g.CS, mu)
+		sums["vector"] = sumBlocksAVX(x, g.Ch, g.CS, groups, blocks, o1, o2, o3, gstep)
+		sqs["vector"] = sumSqDevBlocksAVX(x, g.Ch, g.CS, groups, blocks, o1, o2, o3, gstep, mu)
 	}
 	for name, v := range sums {
 		if !sameBits(v, sums["sumGo"]) {
@@ -271,7 +272,7 @@ func checkGridCase(t *testing.T, g Grid, p, gamma, beta []float64, mu, is float6
 		run("rows", func(dst []float64) { normAffineGridRows(dst, x, g, mu, is, gamma, beta, relu) })
 		if vec {
 			run("vector", func(dst []float64) {
-				normAffineGridAVX(dst, x, g.Ch, g.Rows, g.Cols, g.LD, g.CS, mu, is, gamma, beta, relu)
+				normAffineBlocksAVX(dst, x, g.Ch, g.CS, groups, blocks, o1, o2, o3, gstep, mu, is, gamma, beta, relu)
 			})
 		}
 		if g.packed() {
