@@ -150,7 +150,7 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		src := x.Data[b*inPlane : (b+1)*inPlane]
 		tensor.Im2Col(src, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, col)
 		dst := y.Data[b*outPlane : (b+1)*outPlane]
-		tensor.GemmExT(tensor.TierExact, c.aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial, &tensor.Epilogue{RowShift: bias})
+		tensor.GemmEx(c.aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial, &tensor.Epilogue{RowShift: bias})
 	})
 	for i := 0; i < nw; i++ {
 		im2colPool.Put(bufs[i])
@@ -227,20 +227,13 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue,
 
 	// The weight is the product's A operand and immutable for the life of
 	// the pass: stream the per-width persistent pack (built once, shared by
-	// every worker) unless the context pins the unpacked engine.
+	// every worker).
+	colRows := aIn * c.KH * c.KW
+	pw := c.packs.get(packKey{aOut, colRows}, func() *tensor.PackedMat {
+		return tensor.PackA(aOut, colRows, c.W.Value.Data, c.In*c.KH*c.KW)
+	})
 	tier := ctx.EffTier()
-	var pw *tensor.PackedMat
-	if usePack(ctx) {
-		colRows := aIn * c.KH * c.KW
-		k := packKey{aOut, colRows}
-		pw = c.packs.lookup(k)
-		if pw == nil {
-			pw = c.packs.build(k, func() *tensor.PackedMat {
-				return tensor.PackA(aOut, colRows, c.W.Value.Data, c.In*c.KH*c.KW)
-			})
-		}
-	}
-	if pw != nil && tier == tensor.TierExact && c.sameConv() {
+	if tier == tensor.TierExact && c.sameConv() {
 		c.inferShift(arena, x, y, pw, ep, gn)
 		return y
 	}
@@ -254,8 +247,7 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue,
 
 // inferIm2col is the column-matrix lowering of inferFused: each sample's
 // [aIn·KH·KW × outH·outW] column matrix is built and consumed by its GEMM
-// while still cache-hot, the product landing in the sample's output plane. A
-// nil pw runs the unpacked engine on the weight prefix.
+// while still cache-hot, the product landing in the sample's output plane.
 func (c *Conv2D) inferIm2col(arena *tensor.Arena, tier tensor.EngineTier, x, y *tensor.Tensor, pw *tensor.PackedMat, ep *tensor.Epilogue) {
 	batch, aIn, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	aOut := y.Dim(1)
@@ -263,7 +255,6 @@ func (c *Conv2D) inferIm2col(arena *tensor.Arena, tier tensor.EngineTier, x, y *
 	inPlane := aIn * h * w
 	outPlane := aOut * spatial
 	colRows := aIn * c.KH * c.KW
-	ldW := c.In * c.KH * c.KW
 	// A point-wise convolution's column matrix is the input itself
 	// ([aIn × h·w], row stride h·w): hand it to the GEMM as B, no copy.
 	pointwise := c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
@@ -279,11 +270,7 @@ func (c *Conv2D) inferIm2col(arena *tensor.Arena, tier tensor.EngineTier, x, y *
 			tensor.Im2Col(src, aIn, h, w, c.KH, c.KW, c.Stride, c.Pad, col)
 		}
 		dst := y.Data[b*outPlane : (b+1)*outPlane]
-		if pw != nil {
-			tensor.GemmPackedExT(tier, aOut, spatial, colRows, pw, col, spatial, dst, spatial, ep)
-		} else {
-			tensor.GemmExT(tier, aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial, ep)
-		}
+		tensor.GemmPackedExT(tier, aOut, spatial, colRows, pw, col, spatial, dst, spatial, ep)
 	}
 }
 

@@ -39,7 +39,7 @@ func shiftVsIm2col(c *Conv2D, x *tensor.Tensor, aOut int, ep *tensor.Epilogue) e
 
 // trainVsIm2col runs one training pass of a same convolution (Forward, then
 // Backward of dy into zeroed gradients) and holds it to the im2col route:
-// y bit for bit to the unpacked im2col lowering with the bias epilogue, dx
+// y bit for bit to GemmEx over Im2Col(x) with the bias epilogue, dx
 // bit for bit to the flipped kernel's product over Im2Col(dy), and dW and dB
 // within tol of GemmTB over Im2Col(x) and plain plane sums, relative to the
 // sum of their terms' magnitudes (a cancelling sum may lose every digit to
@@ -60,9 +60,7 @@ func trainVsIm2col(c *Conv2D, r float64, x, dy *tensor.Tensor, tol float64) erro
 	y := c.Forward(ctx, x).Clone()
 	dx := c.Backward(ctx, dy)
 
-	arena := tensor.NewArena()
 	wantY := tensor.New(batch, aOut, h, w)
-	c.inferIm2col(arena, tensor.TierExact, x, wantY, nil, &tensor.Epilogue{RowShift: bias})
 	c.aIn, c.aOut = aIn, aOut
 	wf := make([]float64, aIn*dcolRows)
 	c.flippedKernel(wf)
@@ -75,8 +73,9 @@ func trainVsIm2col(c *Conv2D, r float64, x, dy *tensor.Tensor, tol float64) erro
 	for b := 0; b < batch; b++ {
 		g := dy.Data[b*aOut*spatial : (b+1)*aOut*spatial]
 		tensor.Im2Col(g, aOut, h, w, c.KH, c.KW, 1, c.Pad, col)
-		tensor.GemmExT(tensor.TierExact, aIn, spatial, dcolRows, wf, dcolRows, col, spatial, wantDx[b*aIn*spatial:], spatial, nil)
+		tensor.GemmEx(aIn, spatial, dcolRows, wf, dcolRows, col, spatial, wantDx[b*aIn*spatial:], spatial, nil)
 		tensor.Im2Col(x.Data[b*aIn*spatial:], aIn, h, w, c.KH, c.KW, 1, c.Pad, col)
+		tensor.GemmEx(aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, wantY.Data[b*aOut*spatial:], spatial, &tensor.Epilogue{RowShift: bias})
 		tensor.GemmTB(aOut, colRows, spatial, g, spatial, col, spatial, wantW, ldW)
 		for i, v := range g {
 			absG[i] = math.Abs(v)

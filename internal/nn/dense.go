@@ -81,7 +81,7 @@ func (d *Dense) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	if d.B != nil {
 		ep.ColShift = d.B.Value.Data
 	}
-	tensor.GemmTBExT(tensor.TierExact, d.batch, d.aOut, d.aIn, x.Data, d.aIn, d.W.Value.Data, d.In, y.Data, d.aOut, &ep)
+	tensor.GemmTBEx(d.batch, d.aOut, d.aIn, x.Data, d.aIn, d.W.Value.Data, d.In, y.Data, d.aOut, &ep)
 	return y
 }
 
@@ -112,19 +112,14 @@ func (d *Dense) inferFused(ctx *Context, x *tensor.Tensor, relu bool) *tensor.Te
 	if d.B != nil {
 		ep.ColShift = d.B.Value.Data
 	}
-	tier := ctx.EffTier()
-	if usePack(ctx) && tensor.GemmTBPrefersPacked(batch, aOut, aIn) {
-		k := packKey{aOut, aIn}
-		pm := d.packs.lookup(k)
-		if pm == nil {
-			pm = d.packs.build(k, func() *tensor.PackedMat {
-				return tensor.PackTB(aOut, aIn, d.W.Value.Data, d.In)
-			})
-		}
-		tensor.GemmTBPackedExT(tier, batch, aOut, aIn, x.Data, aIn, pm, y.Data, aOut, &ep)
+	if tensor.GemmTBPrefersPacked(batch, aOut, aIn) {
+		pm := d.packs.get(packKey{aOut, aIn}, func() *tensor.PackedMat {
+			return tensor.PackTB(aOut, aIn, d.W.Value.Data, d.In)
+		})
+		tensor.GemmTBPackedExT(ctx.EffTier(), batch, aOut, aIn, x.Data, aIn, pm, y.Data, aOut, &ep)
 		return y
 	}
-	tensor.GemmTBExT(tier, batch, aOut, aIn, x.Data, aIn, d.W.Value.Data, d.In, y.Data, aOut, &ep)
+	tensor.GemmTBEx(batch, aOut, aIn, x.Data, aIn, d.W.Value.Data, d.In, y.Data, aOut, &ep)
 	return y
 }
 

@@ -272,18 +272,18 @@ func TestFusedInferAllocsFree(t *testing.T) {
 
 // TestFusedConvGroupNormBitIdentical holds a same Conv→GroupNorm→ReLU,
 // fused into one FusedConvAct, to the unfused chain bit for bit at every
-// rate and on every route: the grid pass (exact tier, packed weights) and
-// the conv-then-GroupNorm routes of the fma tier and NoPack. It sweeps 3×3
-// and 5×5 kernels; 16×16, 8×8 and 4×4 planes (the block bodies) and 6×5
-// (the Go twin); batches 1, 3 and 11 (a short last sample group on the
-// small planes); a bias or none; norm groups equal to the slice groups and
-// twice them.
+// rate and on every route: the grid pass of the exact tier and the fma
+// tier's im2col product normalized in place. It sweeps 3×3 and 5×5
+// kernels; 16×16, 8×8 and 4×4 planes (the block bodies) and 6×5 (the Go
+// twin); batches 1, 3 and 11 (a short last sample group on the small
+// planes); a bias or none; norm groups equal to the slice groups and twice
+// them.
 func TestFusedConvGroupNormBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	routes := []struct {
 		name string
 		ctx  Context
-	}{{"exact", Context{}}, {"fma", Context{Tier: tensor.TierFMA}}, {"nopack", Context{NoPack: true}}}
+	}{{"exact", Context{}}, {"fma", Context{Tier: tensor.TierFMA}}}
 	for _, k := range []int{3, 5} {
 		for _, plane := range [][2]int{{16, 16}, {8, 8}, {4, 4}, {6, 5}} {
 			for _, bias := range []bool{false, true} {

@@ -55,14 +55,11 @@ type Context struct {
 	// into the arena, so a model pins none of it afterwards. The recurrent
 	// layers and Embedding allocate from the heap either way.
 	Arena *tensor.Arena
-	// NoPack disables the persistent packed-weight GEMM path for this pass,
-	// forcing the unpacked engine (benchmark escape hatch and A/B oracle;
-	// see packcache.go). Zero value: packing enabled.
-	NoPack bool
-	// Tier selects the GEMM engine tier for the inference path (Layer.Infer
-	// and the fused serving views): tensor.TierExact (zero value) keeps the
-	// bit-exact engine, TierFMA trades a pinned accuracy budget for
-	// throughput (see tensor/tier.go). Training always runs exact.
+	// Tier selects the GEMM engine tier of the inference path's packed
+	// weight products (Layer.Infer and the fused serving views):
+	// tensor.TierExact (zero value) keeps the bit-exact engine, TierFMA
+	// trades a pinned accuracy budget for throughput (see tensor/tier.go).
+	// Training and every unpacked product run exact.
 	Tier tensor.EngineTier
 
 	// inPass is set while the outermost Sequential.Infer of an arena-backed

@@ -10,8 +10,9 @@ import (
 
 // TestConvInferPackedBitIdenticalToUnpacked pins the layer-level packed-path
 // contract: Conv2D.Infer through the persistent weight pack must reproduce
-// the unpacked engine bit for bit at every width (the conv orientation always
-// runs the blocked engine, where the pack preserves accumulation order).
+// an unpacked GemmEx over each sample's column matrix bit for bit at every
+// width (the conv orientation always runs the blocked engine, where the pack
+// preserves accumulation order).
 func TestConvInferPackedBitIdenticalToUnpacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	conv := NewConv2D(4, 8, 3, 3, 1, 1, Sliced(4), Sliced(4), true, rng)
@@ -24,7 +25,7 @@ func TestConvInferPackedBitIdenticalToUnpacked(t *testing.T) {
 		xr := tensor.New(3, aIn, 9, 9)
 		copy(xr.Data, x.Data[:len(xr.Data)])
 		packed := conv.Infer(&Context{Rate: r}, xr)
-		unpacked := conv.Infer(&Context{Rate: r, NoPack: true}, xr)
+		unpacked := unpackedConv(conv, r, xr)
 		if !packed.SameShape(unpacked) {
 			t.Fatalf("rate %v: shape %v vs %v", r, packed.Shape, unpacked.Shape)
 		}
@@ -41,9 +42,9 @@ func TestConvInferPackedBitIdenticalToUnpacked(t *testing.T) {
 }
 
 // TestDenseInferPackedMatchesUnpacked pins the dense orientation: above the
-// blocked-engine threshold the packed path is bit-identical to the unpacked
-// one; below it the layer skips packing entirely (the strided dot-product
-// kernel wins there), so no pack memory may appear.
+// blocked-engine threshold the packed path is bit-identical to an unpacked
+// GemmTBEx over the weight prefix; below it the layer skips packing entirely
+// (the strided dot-product kernel wins there), so no pack memory may appear.
 func TestDenseInferPackedMatchesUnpacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 
@@ -53,11 +54,12 @@ func TestDenseInferPackedMatchesUnpacked(t *testing.T) {
 		x.Data[i] = rng.NormFloat64()
 	}
 	for _, r := range []float64{0.25, 0.5, 1} {
-		aIn, _ := big.Active(r)
+		aIn, aOut := big.Active(r)
 		xr := tensor.New(48, aIn)
 		copy(xr.Data, x.Data[:len(xr.Data)])
 		packed := big.Infer(&Context{Rate: r}, xr)
-		unpacked := big.Infer(&Context{Rate: r, NoPack: true}, xr)
+		unpacked := tensor.New(48, aOut)
+		tensor.GemmTBEx(48, aOut, aIn, xr.Data, aIn, big.W.Value.Data, big.In, unpacked.Data, aOut, &tensor.Epilogue{ColShift: big.B.Value.Data})
 		for i := range unpacked.Data {
 			if packed.Data[i] != unpacked.Data[i] {
 				t.Fatalf("rate %v: packed[%d]=%g, unpacked=%g (not bit-identical)",
@@ -151,13 +153,34 @@ func TestPackInvalidatedByTraining(t *testing.T) {
 	if same {
 		t.Fatal("inference after a weight update served the stale pack")
 	}
-	// And the rebuilt pack must match the unpacked engine on the new weights.
-	oracle := conv.Infer(&Context{NoPack: true}, x)
+	// And the rebuilt pack must match the training path on the new weights.
+	oracle := conv.Forward(&Context{}, x)
 	for i := range oracle.Data {
 		if after.Data[i] != oracle.Data[i] {
-			t.Fatalf("rebuilt pack differs from unpacked engine at %d", i)
+			t.Fatalf("rebuilt pack differs from Forward at %d", i)
 		}
 	}
+}
+
+// unpackedConv is the unpacked oracle of Conv2D.Infer at rate r: per sample,
+// GemmEx of the weight prefix over the sample's Im2Col column matrix, with
+// the bias as the epilogue's row shift.
+func unpackedConv(c *Conv2D, r float64, x *tensor.Tensor) *tensor.Tensor {
+	batch, aIn, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	_, aOut := c.Active(r)
+	outH, outW := c.OutShape(h, w)
+	spatial, colRows := outH*outW, aIn*c.KH*c.KW
+	var ep *tensor.Epilogue
+	if c.B != nil {
+		ep = &tensor.Epilogue{RowShift: c.B.Value.Data}
+	}
+	y := tensor.New(batch, aOut, outH, outW)
+	col := make([]float64, colRows*spatial)
+	for b := 0; b < batch; b++ {
+		tensor.Im2Col(x.Data[b*aIn*h*w:], aIn, h, w, c.KH, c.KW, c.Stride, c.Pad, col)
+		tensor.GemmEx(aOut, spatial, colRows, c.W.Value.Data, c.In*c.KH*c.KW, col, spatial, y.Data[b*aOut*spatial:], spatial, ep)
+	}
+	return y
 }
 
 // TestConvForwardScratchRecycled pins the training-path satellite: the

@@ -38,6 +38,16 @@ type packCache struct {
 	m  atomic.Pointer[map[packKey]*tensor.PackedMat]
 }
 
+// get returns the pack for the key, building it with mk on first use. The
+// steady state is one lock-free map read (lookup); only a key's first use
+// takes the once-per-key lock (build).
+func (pc *packCache) get(k packKey, mk func() *tensor.PackedMat) *tensor.PackedMat {
+	if p := pc.lookup(k); p != nil {
+		return p
+	}
+	return pc.build(k, mk)
+}
+
 // lookup returns the cached pack for the key, or nil. Never allocates.
 func (pc *packCache) lookup(k packKey) *tensor.PackedMat {
 	mp := pc.m.Load()
@@ -92,13 +102,6 @@ func (pc *packCache) bytes() int64 {
 		t += int64(p.Bytes())
 	}
 	return t
-}
-
-// usePack reports whether the context allows the persistent packed-weight
-// path (on by default; slicing.Shared's escape hatch and benchmarks disable
-// it to expose the unpacked engine).
-func usePack(ctx *Context) bool {
-	return ctx == nil || !ctx.NoPack
 }
 
 // packOwner is implemented by layers that hold a persistent pack cache.

@@ -171,8 +171,6 @@ type Stats struct {
 	// Windows is the number of T/2 scheduling windows closed so far
 	// (empty windows included — every tick consumes one).
 	Windows int64
-	// PackedEngine reports whether the packed-weight GEMM path is active.
-	PackedEngine bool
 	// ArenaBytes is the summed high-water activation-arena footprint across
 	// the worker pool, both halves of each arena included: per worker, the
 	// largest shard batch plus two layers' activations and scratch (a
@@ -289,11 +287,6 @@ func (s Stats) prometheus() string {
 	gauge("msserver_utilization", "Worker pool mean busy fraction (worker time over pool time).", s.Utilization)
 	gauge("msserver_pack_cache_bytes", "Resident per-width weight-pack memory for the packed GEMM path.", float64(s.PackCacheBytes))
 	counter("msserver_windows_total", "T/2 scheduling windows closed (empty windows included).", s.Windows)
-	packed := 0.0
-	if s.PackedEngine {
-		packed = 1
-	}
-	gauge("msserver_packed_engine", "1 when the packed-weight GEMM path is active, 0 when pinned unpacked.", packed)
 	gauge("msserver_arena_bytes", "Summed high-water activation-arena footprint across the worker pool.", float64(s.ArenaBytes))
 
 	b = append(b, "# HELP msserver_engine_tier Active GEMM engine tier (1 on the active tier's series).\n# TYPE msserver_engine_tier gauge\n"...)

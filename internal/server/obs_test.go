@@ -306,7 +306,6 @@ func TestHTTPMetricsHistogramsValid(t *testing.T) {
 
 	for _, w := range []string{
 		"msserver_windows_total",
-		"msserver_packed_engine 1",
 		"msserver_arena_bytes",
 		"# TYPE msserver_query_latency_seconds histogram",
 		"msserver_query_latency_seconds_bucket{le=\"+Inf\"}",

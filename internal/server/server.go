@@ -733,8 +733,7 @@ func (s *Server) Stats() Stats {
 	st.BacklogWindows = s.sched.depth()
 	st.SampleTimes = s.cal.Snapshot()
 	es := shared.Stats()
-	st.PackCacheBytes, st.PackedEngine = es.PackCacheBytes, es.Packed
-	st.EngineTier = es.Tier
+	st.PackCacheBytes, st.EngineTier = es.PackCacheBytes, es.Tier
 	for _, wk := range s.workers {
 		st.ArenaBytes += wk.arena.HighWaterBytes()
 	}

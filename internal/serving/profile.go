@@ -12,25 +12,16 @@ import (
 
 // MeasureSampleTimes calibrates the per-sample inference cost t(r) of a
 // model at every deployable rate by timing the zero-copy shared-weight path
-// (the same path the live server runs), replacing the r² idealization with
-// measured numbers: one warm-up pass per rate, then the best of three timed
-// batches (the minimum filters scheduler noise).
+// (the same path the live server runs, on the default engine tier of
+// slicing.NewShared), replacing the r² idealization with measured numbers:
+// one warm-up pass per rate, then the best of three timed batches (the
+// minimum filters scheduler noise).
 //
 // The returned function maps any rate to the measurement of its nearest
 // list member, in seconds per sample — directly usable as Policy.SampleTime
 // or, divided by its r=1 value, as Config.CostRatio.
 func MeasureSampleTimes(model nn.Layer, rates slicing.RateList, inShape []int, batch int) func(r float64) float64 {
-	return MeasureSharedSampleTimes(slicing.NewShared(model, rates), inShape, batch)
-}
-
-// MeasureSharedSampleTimes is MeasureSampleTimes over a caller-built Shared,
-// so the calibration runs with the caller's serving configuration (in
-// particular a SetPacked or SetTier choice) instead of a fresh default
-// handle: t(r) is measured per engine tier, since the fma tier shifts the
-// whole curve.
-func MeasureSharedSampleTimes(shared *slicing.Shared, inShape []int, batch int) func(r float64) float64 {
-	rates := shared.Rates()
-	rates.Validate()
+	shared := slicing.NewShared(model, rates)
 	if batch <= 0 {
 		batch = 32
 	}

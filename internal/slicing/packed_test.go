@@ -6,46 +6,63 @@ import (
 	"sync"
 	"testing"
 
+	"modelslicing/internal/models"
+	"modelslicing/internal/nn"
 	"modelslicing/internal/tensor"
 )
 
-// TestSharedPackedMatchesUnpackedEndToEnd pins the acceptance bound of the
-// persistent-pack path: a packed Shared and an unpacked Shared over the same
-// parent weights must agree ≤1e-12 end-to-end at every deployable rate (and
-// in practice bit-for-bit: every layer's packed GEMM preserves the unpacked
-// engine's accumulation order).
-func TestSharedPackedMatchesUnpackedEndToEnd(t *testing.T) {
+// TestSharedPackedMatchesForwardEndToEnd pins the acceptance bound of the
+// persistent-pack path: on the exact tier, Shared.Infer (fused view, packed
+// weights) must equal the parent's eval-mode Forward (unfused, never packed)
+// bit for bit at every deployable rate. The models cover the shifted-row
+// conv with GroupNorm on its grid (miniCNN, VGG13Mini-GN) and a Dense above
+// the packing threshold at every rate (the MLP at batch 48).
+func TestSharedPackedMatchesForwardEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
 	rates := NewRateList(0.25, 4)
-	model := miniCNN(rng)
-	// Bit-identity holds only on the exact tier; pin it so the assertion
-	// survives the CI environment sweeps over MS_ENGINE_TIER.
-	packed := NewShared(model, rates)
-	packed.SetTier(tensor.TierExact)
-	unpacked := NewShared(model, rates)
-	unpacked.SetTier(tensor.TierExact)
-	unpacked.SetPacked(false)
-
-	arenaP := tensor.NewArena()
-	arenaU := tensor.NewArena()
-	for _, r := range rates {
-		x := randInput(rng, 4, 3, 8, 8)
-		got := packed.Infer(r, x, arenaP)
-		want := unpacked.Infer(r, x, arenaU)
-		if !got.SameShape(want) {
-			t.Fatalf("rate %v: packed shape %v, unpacked %v", r, got.Shape, want.Shape)
-		}
-		for i := range want.Data {
-			if d := math.Abs(got.Data[i] - want.Data[i]); d > 1e-12 {
-				t.Fatalf("rate %v: packed path differs at %d: %v vs %v (|Δ|=%g)",
-					r, i, got.Data[i], want.Data[i], d)
-			}
-		}
-		arenaP.Reset()
-		arenaU.Reset()
+	vgg, _ := models.NewVGG(models.VGG13Mini(4, models.NormGroup, 1), rng)
+	mlp := nn.NewSequential(
+		nn.NewDense(128, 96, nn.Fixed(), nn.Sliced(4), true, rng),
+		nn.NewReLU(),
+		nn.NewDense(96, 10, nn.Sliced(4), nn.Fixed(), true, rng),
+	)
+	if !tensor.GemmTBPrefersPacked(48, 24, 128) {
+		t.Fatal("the MLP's r=0.25 hidden layer is below the packing threshold")
 	}
-	if packed.PackCacheBytes() == 0 {
-		t.Fatal("packed Shared served every rate but reports no pack memory")
+	for _, tc := range []struct {
+		name  string
+		model nn.Layer
+		x     *tensor.Tensor
+	}{
+		{"minicnn", miniCNN(rng), randInput(rng, 4, 3, 8, 8)},
+		{"vgg13mini-gn", vgg, randInput(rng, 3, 3, 16, 16)},
+		{"mlp", mlp, randInput(rng, 48, 128)},
+	} {
+		// Forward drops the packs, so every oracle runs before serving.
+		want := make([]*tensor.Tensor, len(rates))
+		for i, r := range rates {
+			want[i] = Predict(tc.model, rates, r, tc.x)
+		}
+		// Bit-identity holds only on the exact tier; pin it so the assertion
+		// survives the CI environment sweeps over MS_ENGINE_TIER.
+		shared := NewShared(tc.model, rates)
+		shared.SetTier(tensor.TierExact)
+		arena := tensor.NewArena()
+		for i, r := range rates {
+			got := shared.Infer(r, tc.x, arena)
+			if !got.SameShape(want[i]) {
+				t.Fatalf("%s rate %v: Infer shape %v, Forward %v", tc.name, r, got.Shape, want[i].Shape)
+			}
+			for j, v := range want[i].Data {
+				if math.Float64bits(got.Data[j]) != math.Float64bits(v) {
+					t.Fatalf("%s rate %v: Infer[%d]=%v, Forward %v", tc.name, r, j, got.Data[j], v)
+				}
+			}
+			arena.Reset()
+		}
+		if shared.PackCacheBytes() == 0 {
+			t.Fatalf("%s: Shared served every rate but reports no pack memory", tc.name)
+		}
 	}
 }
 
@@ -89,24 +106,23 @@ func TestSharedPackCacheLifecycle(t *testing.T) {
 // TestSharedPackConstructionRace hammers the lazy once-per-width pack build:
 // many workers hit a fresh Shared at every rate simultaneously, so the first
 // touch of each width races between goroutines (run with -race in CI), and
-// every worker must still reproduce the serial outputs bit-for-bit.
+// every worker must still reproduce the parent's eval-mode Forward
+// bit-for-bit.
 func TestSharedPackConstructionRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(602))
 	rates := NewRateList(0.25, 4)
 	model := miniCNN(rng)
 
-	oracle := NewShared(model, rates)
-	oracle.SetTier(tensor.TierExact) // bit-identity only holds on the exact tier
-	oracle.SetPacked(false)
 	inputs := make([]*tensor.Tensor, len(rates))
 	want := make([]*tensor.Tensor, len(rates))
 	for i, r := range rates {
 		inputs[i] = randInput(rng, 2, 3, 8, 8)
-		want[i] = oracle.Infer(r, inputs[i], nil)
+		want[i] = Predict(model, rates, r, inputs[i])
 	}
 
-	// Fresh Shared: no packs exist yet, so the first pass of every worker
-	// races into the per-width builders.
+	// Fresh Shared: Forward dropped every pack, so the first pass of every
+	// worker races into the per-width builders. Bit-identity only holds on
+	// the exact tier.
 	shared := NewShared(model, rates)
 	shared.SetTier(tensor.TierExact)
 	const workers = 8
@@ -123,7 +139,7 @@ func TestSharedPackConstructionRace(t *testing.T) {
 					got := shared.Infer(r, inputs[i], arena)
 					for j := range want[i].Data {
 						if got.Data[j] != want[i].Data[j] {
-							errs <- "worker diverged from serial oracle"
+							errs <- "worker diverged from Forward"
 							return
 						}
 					}

@@ -10,9 +10,9 @@ import (
 )
 
 // End-to-end accuracy gate for the fma tier, pinned against the exact
-// unpacked oracle at every deployable rate. Measured deviations on the
-// miniCNN sit around 1e-15; the gate leaves orders of headroom while still
-// catching a broken accuracy budget.
+// training path (the parent's eval-mode Forward) at every deployable rate.
+// Measured deviations on the miniCNN sit around 1e-15; the gate leaves
+// orders of headroom while still catching a broken accuracy budget.
 const fmaSharedTol = 1e-9
 
 // TestSharedTierAccuracyGates pins the tier contract end to end: a Shared
@@ -23,10 +23,6 @@ func TestSharedTierAccuracyGates(t *testing.T) {
 	rates := NewRateList(0.25, 4)
 	model := miniCNN(rng)
 
-	oracle := NewShared(model, rates)
-	oracle.SetTier(tensor.TierExact)
-	oracle.SetPacked(false)
-
 	for _, tc := range []struct {
 		tier tensor.EngineTier
 		tol  float64
@@ -34,11 +30,10 @@ func TestSharedTierAccuracyGates(t *testing.T) {
 		fast := NewShared(model, rates)
 		fast.SetTier(tc.tier)
 		arenaF := tensor.NewArena()
-		arenaO := tensor.NewArena()
 		for _, r := range rates {
 			x := randInput(rng, 4, 3, 8, 8)
+			want := Predict(model, rates, r, x)
 			got := fast.Infer(r, x, arenaF)
-			want := oracle.Infer(r, x, arenaO)
 			if !got.SameShape(want) {
 				t.Fatalf("tier %v rate %v: shape %v vs %v", tc.tier, r, got.Shape, want.Shape)
 			}
@@ -52,7 +47,6 @@ func TestSharedTierAccuracyGates(t *testing.T) {
 					tc.tier, r, maxD/math.Max(maxW, 1), tc.tol)
 			}
 			arenaF.Reset()
-			arenaO.Reset()
 		}
 		st := fast.Stats()
 		if st.Tier != tc.tier {

@@ -15,6 +15,10 @@ import (
 // the O(W·G·params) of per-worker Extract replica sets. Output rescaling
 // (Dense/RNN Rescale) is applied on the activations at inference time, which
 // computes the same function the Extract path bakes into its copied weights.
+// Weight-bearing layers lazily build one micro-panel pack per active width —
+// under a once-per-width lock, then lock-free and read-only for all server
+// workers — so serving memory stays O(params + packs), with packs reported
+// by PackCacheBytes.
 //
 // A Shared is safe for concurrent use: the inference path (nn.Infer) never
 // writes to the model, and each call's activations come from the caller's
@@ -31,15 +35,9 @@ type Shared struct {
 	// slicing still reads prefix views in place.
 	fused nn.Layer
 	rates RateList
-	// noPack pins every pass to the unpacked GEMM engine (benchmark escape
-	// hatch and A/B oracle). Default false: weight-bearing layers lazily
-	// build one micro-panel pack per active width — under a once-per-width
-	// lock, then lock-free and read-only for all server workers — so serving
-	// memory stays O(params + packs), with packs reported by PackCacheBytes.
-	noPack bool
-	// tier selects the GEMM engine tier every inference pass runs at
-	// (tensor/tier.go): exact by default, fma when the operator accepts the
-	// tier's pinned accuracy budget for its throughput.
+	// tier selects the GEMM engine tier of every inference pass's packed
+	// weight products (tensor/tier.go): exact by default, fma when the
+	// operator accepts the tier's pinned accuracy budget for its throughput.
 	tier tensor.EngineTier
 }
 
@@ -58,16 +56,10 @@ func (s *Shared) Rates() RateList { return s.rates }
 // Model returns the underlying parent network.
 func (s *Shared) Model() nn.Layer { return s.model }
 
-// SetPacked toggles the persistent packed-weight GEMM path (on by default).
-// Disabling it forces every pass through the unpacked engine — the A/B
-// oracle for the packed path.
-// Call before serving; the flag is read concurrently by inference workers.
-func (s *Shared) SetPacked(on bool) { s.noPack = !on }
-
 // SetTier selects the GEMM engine tier for every subsequent inference pass.
 // The default comes from MS_ENGINE_TIER at construction (exact when unset or
-// on hosts without FMA). Call before serving; like SetPacked, the value is
-// read concurrently by inference workers. Switching tiers keeps already-built
+// on hosts without FMA). Call before serving; the value is read
+// concurrently by inference workers. Switching tiers keeps already-built
 // packs — both tiers stream the same f64 panels.
 func (s *Shared) SetTier(t tensor.EngineTier) { s.tier = t }
 
@@ -80,11 +72,10 @@ func (s *Shared) Tier() tensor.EngineTier { return s.tier }
 func (s *Shared) PackCacheBytes() int64 { return nn.PackCacheBytes(s.model) }
 
 // EngineStats summarizes the shared engine's resource posture for the
-// observability layer: resident pack memory, whether the packed GEMM path is
-// active, the engine tier, and how many rates the one weight set is serving.
+// observability layer: resident pack memory, the engine tier, and how many
+// rates the one weight set is serving.
 type EngineStats struct {
 	PackCacheBytes int64
-	Packed         bool
 	Tier           tensor.EngineTier
 	Rates          int
 }
@@ -93,7 +84,6 @@ type EngineStats struct {
 func (s *Shared) Stats() EngineStats {
 	return EngineStats{
 		PackCacheBytes: s.PackCacheBytes(),
-		Packed:         !s.noPack,
 		Tier:           s.tier,
 		Rates:          len(s.rates),
 	}
@@ -127,7 +117,7 @@ func (s *Shared) infer(model nn.Layer, r float64, x *tensor.Tensor, arena *tenso
 		idx = i
 	}
 	ctx := ctxPool.Get().(*nn.Context)
-	*ctx = nn.Context{Rate: r, WidthIdx: idx, Arena: arena, NoPack: s.noPack, Tier: s.tier}
+	*ctx = nn.Context{Rate: r, WidthIdx: idx, Arena: arena, Tier: s.tier}
 	y := nn.Infer(model, ctx, x)
 	ctxPool.Put(ctx)
 	return y

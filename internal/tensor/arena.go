@@ -73,7 +73,7 @@ func (a *Arena) Get(shape ...int) *Tensor {
 // whatever the slab last held — an earlier pass's data, or, after a release,
 // a dead layer's activations from this one. It exists for buffers every
 // element of which is about to be overwritten — an assign-mode GEMM
-// destination (GemmExT), an im2col scratch, a normalization output — where
+// destination (GemmEx), an im2col scratch, a normalization output — where
 // the clear is a wasted full memory pass. Callers that leave any element
 // unwritten read garbage; when in doubt, use Get.
 func (a *Arena) GetUninit(shape ...int) *Tensor {

@@ -45,7 +45,7 @@ const (
 	ncBlock = 256
 	mcBlock = 256
 
-	// smallGemmFlops gates only the inference-side Bᵀ products (GemmTBExT
+	// smallGemmFlops gates only the assign-mode Bᵀ products (GemmTBEx
 	// and GemmTBPrefersPacked): below this m·n·k a small serving Dense
 	// product runs faster on the strided dot loop than on a packed panel.
 	// The accumulating training products route by shape instead (GemmTA,
@@ -88,7 +88,7 @@ const (
 // Dense→ReLU chain into a single pass over the output instead of one extra
 // full memory sweep per post-op.
 //
-// Epilogues exist only on the assign-mode entry points (GemmExT, GemmTBExT):
+// Epilogues exist only on the assign-mode entry points (the Ex entries):
 // applying an affine or clamp step to an accumulating C would also transform
 // whatever the caller had accumulated so far.
 type Epilogue struct {
@@ -132,9 +132,9 @@ var packPool = sync.Pool{
 	},
 }
 
-// Gemm computes C[m×n] += A[m×k] · B[k×n] on the exact tier. The
-// accumulating products (Gemm, GemmTA, GemmTB) are the training path and
-// always run exact; only the assign-mode entry points below take a tier.
+// Gemm computes C[m×n] += A[m×k] · B[k×n] on the exact tier. Training and
+// every unpacked product run exact; only the packed entries that serve
+// immutable weights (GemmPackedExT, GemmTBPackedExT) take a tier.
 func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	checkMat("Gemm A", m, k, lda, len(a))
 	checkMat("Gemm B", k, n, ldb, len(b))
@@ -142,34 +142,30 @@ func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, 
 	gemmBlocked(TierExact, m, n, k, operand{data: a, ld: lda}, operand{data: b, ld: ldb}, c, ldc, false, nil)
 }
 
-// GemmExT computes C[m×n] = epilogue(A[m×k] · B[k×n]) on an explicit engine
-// tier — assign mode (β=0): C is fully overwritten, so callers may pass
+// GemmEx computes C[m×n] = epilogue(A[m×k] · B[k×n]) on the exact tier —
+// assign mode (β=0): C is fully overwritten, so callers may pass
 // uninitialized storage (Arena.GetUninit) and skip the zero-fill pass. The
 // epilogue (which may be nil) is applied to each C panel while it is still
-// cache-hot. On TierExact the accumulation order per element is identical to
-// Gemm into a zeroed C, so results are bit-identical to the unfused sequence
-// when the epilogue steps match; TierFMA contracts each multiply-add into a
-// fused one (see tier.go for the accuracy contract). Tier selection is per
-// call — no global state — so exact and fast products can interleave freely.
-func GemmExT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
+// cache-hot. The accumulation order per element is identical to Gemm into a
+// zeroed C, so results are bit-identical to the unfused sequence when the
+// epilogue steps match.
+func GemmEx(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
 	checkMat("GemmEx A", m, k, lda, len(a))
 	checkMat("GemmEx B", k, n, ldb, len(b))
 	checkMat("GemmEx C", m, n, ldc, len(c))
-	gemmAssign(tier, m, n, k, operand{data: a, ld: lda}, operand{data: b, ld: ldb}, c, ldc, ep)
+	gemmAssign(TierExact, m, n, k, operand{data: a, ld: lda}, operand{data: b, ld: ldb}, c, ldc, ep)
 }
 
-// GemmTBExT computes C[m×n] = epilogue(A · Bᵀ) where B is stored as [n×k] —
-// the assign-mode, fused-epilogue variant of GemmTB on an explicit engine
-// tier (see GemmExT). Products below the small-GEMM threshold stay on the
-// exact strided dot kernel at every tier: there is no bandwidth or FLOP win
-// to buy accuracy with at those sizes, so the fma tier is exact there by
-// design.
-func GemmTBExT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
+// GemmTBEx computes C[m×n] = epilogue(A · Bᵀ) where B is stored as [n×k] —
+// the assign-mode, fused-epilogue variant of GemmTB on the exact tier (see
+// GemmEx). Products below the small-GEMM threshold run the strided dot
+// kernel, larger ones the blocked engine.
+func GemmTBEx(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
 	checkMat("GemmTBEx A", m, k, lda, len(a))
 	checkMat("GemmTBEx B", n, k, ldb, len(b))
 	checkMat("GemmTBEx C", m, n, ldc, len(c))
 	if m*n*k >= smallGemmFlops {
-		gemmAssign(tier, m, n, k, operand{data: a, ld: lda}, operand{kind: opTrans, data: b, ld: ldb}, c, ldc, ep)
+		gemmAssign(TierExact, m, n, k, operand{data: a, ld: lda}, operand{kind: opTrans, data: b, ld: ldb}, c, ldc, ep)
 		return
 	}
 	ep.check(m, n)

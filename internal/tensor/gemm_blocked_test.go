@@ -120,8 +120,8 @@ func TestGemmAgainstReference(t *testing.T) {
 		{3, 5, 7, 0},
 		{4, 4, 4, 3},
 		{16, 16, 16, 0},
-		{31, 33, 29, 5},     // ragged, below GemmTBExT's small-product threshold
-		{48, 48, 48, 0},     // at GemmTBExT's small-product threshold
+		{31, 33, 29, 5},     // ragged, below GemmTBEx's small-product threshold
+		{48, 48, 48, 0},     // at GemmTBEx's small-product threshold
 		{64, 64, 64, 9},     // blocked, ragged ld
 		{65, 67, 63, 1},     // blocked, every edge panel ragged
 		{128, 32, 256, 0},   // full kc run
@@ -192,12 +192,13 @@ func TestGemmRandomShapes(t *testing.T) {
 
 // FuzzGemm is the engine's property test: one differential over entry ×
 // m, n, k × leading-dimension pads × epilogue mask × tier. On the exact tier
-// every entry agrees with the naive oracle to 1e-10·√k; on the fma tier each
-// assign entry stays within fmaKernelTol (relative) of its own exact-tier
-// result. The packed entries and GemmPackedShiftEx must equal the strided
-// product on the same tier bit for bit (GemmShiftTB, a dot product in its
-// own lane order, answers to the oracle only), and no entry may touch C's
-// slack past n in a row, past its last row, or its operands.
+// every entry agrees with the naive oracle to 1e-10·√k; on the fma tier,
+// which only the packed entries take, each stays within fmaKernelTol
+// (relative) of its own exact-tier result. The packed entries and
+// GemmPackedShiftEx must equal the strided product on the same tier bit for
+// bit (GemmShiftTB, a dot product in its own lane order, answers to the
+// oracle only), and no entry may touch C's slack past n in a row, past its
+// last row, or its operands.
 func FuzzGemm(f *testing.F) {
 	add := func(entry, m, n, k, padA, padB, padC, mask int, tier EngineTier) {
 		f.Add(uint8(entry), uint16(m-1), uint16(n-1), uint16(k), uint8(padA), uint8(padB), uint8(padC), uint8(mask), uint8(tier))
@@ -233,8 +234,8 @@ func FuzzGemm(f *testing.F) {
 				}
 			case 13:
 				padA, padB, padC := rng.Intn(8), rng.Intn(8), rng.Intn(8)
-				add(fuzzGemmExT, m, n, k, padA, padB, padC, mask, TierExact)
-				add(fuzzGemmTBExT, m, n, k, padA, padB, padC, mask, TierExact)
+				add(fuzzGemmEx, m, n, k, padA, padB, padC, mask, TierExact)
+				add(fuzzGemmTBEx, m, n, k, padA, padB, padC, mask, TierExact)
 			case 29:
 				pad := rng.Intn(8)
 				padB, padC := rng.Intn(8), rng.Intn(8)
@@ -254,9 +255,9 @@ func FuzzGemm(f *testing.F) {
 		m, n, k := 1+int(mRaw)%320, 1+int(nRaw)%320, int(kRaw)%420
 		pA, pB, pC := int(padA)%16, int(padB)%16, int(padC)%16
 		tier := EngineTier(tierRaw % NumTiers)
-		assign := e >= fuzzGemmExT
-		if !assign || e == fuzzGemmPackedShiftEx {
-			tier = TierExact // the accumulating and shifted entries run exact only
+		assign := e >= fuzzGemmEx
+		if e != fuzzGemmPackedExT && e != fuzzGemmTBPackedExT {
+			tier = TierExact // only the packed entries take a tier
 		}
 		rng := rand.New(rand.NewSource(int64((((e*331+m)*331+n)*421+k)*4096 + pA*256 + pB*16 + pC)))
 
@@ -266,7 +267,7 @@ func FuzzGemm(f *testing.F) {
 		switch e {
 		case fuzzGemmTA:
 			aRows, aCols = k, m
-		case fuzzGemmTB, fuzzGemmShiftTB, fuzzGemmTBExT, fuzzGemmTBPackedExT:
+		case fuzzGemmTB, fuzzGemmShiftTB, fuzzGemmTBEx, fuzzGemmTBPackedExT:
 			bRows, bCols = n, k
 		}
 		// Shifted rows: B's rows (k of them; GemmShiftTB: n) are whole
@@ -319,10 +320,10 @@ func FuzzGemm(f *testing.F) {
 				GemmTB(m, n, k, a, lda, b, ldb, c, ldc)
 			case fuzzGemmShiftTB:
 				GemmShiftTB(m, n, k, kh, kw, a, lda, img, ldImg, plane, c, ldc)
-			case fuzzGemmExT:
-				GemmExT(tier, m, n, k, a, lda, b, ldb, c, ldc, ep)
-			case fuzzGemmTBExT:
-				GemmTBExT(tier, m, n, k, a, lda, b, ldb, c, ldc, ep)
+			case fuzzGemmEx:
+				GemmEx(m, n, k, a, lda, b, ldb, c, ldc, ep)
+			case fuzzGemmTBEx:
+				GemmTBEx(m, n, k, a, lda, b, ldb, c, ldc, ep)
 			case fuzzGemmPackedExT:
 				GemmPackedExT(tier, m, n, k, PackA(m, k, a, lda), b, ldb, c, ldc, ep)
 			case fuzzGemmTBPackedExT:
@@ -361,7 +362,7 @@ func FuzzGemm(f *testing.F) {
 			switch e {
 			case fuzzGemmTA:
 				gemmTARef(m, n, k, a, lda, b, ldb, want, ldc)
-			case fuzzGemmTB, fuzzGemmShiftTB, fuzzGemmTBExT, fuzzGemmTBPackedExT:
+			case fuzzGemmTB, fuzzGemmShiftTB, fuzzGemmTBEx, fuzzGemmTBPackedExT:
 				gemmTBRef(m, n, k, a, lda, b, ldb, want, ldc)
 			default:
 				gemmRef(m, n, k, a, lda, b, ldb, want, ldc)
@@ -377,11 +378,11 @@ func FuzzGemm(f *testing.F) {
 
 		if e >= fuzzGemmPackedExT {
 			strided := slices.Clone(c0)
+			bOp := operand{data: b, ld: ldb}
 			if e == fuzzGemmTBPackedExT {
-				gemmAssign(tier, m, n, k, operand{data: a, ld: lda}, operand{kind: opTrans, data: b, ld: ldb}, strided, ldc, ep)
-			} else {
-				GemmExT(tier, m, n, k, a, lda, b, ldb, strided, ldc, ep)
+				bOp.kind = opTrans
 			}
+			gemmAssign(tier, m, n, k, operand{data: a, ld: lda}, bOp, strided, ldc, ep)
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(strided[i]) {
 					t.Fatalf("%s: [%d] = %g, strided product %g (not bit-identical)", where, i, got[i], strided[i])
@@ -397,8 +398,8 @@ const (
 	fuzzGemmTA
 	fuzzGemmTB
 	fuzzGemmShiftTB
-	fuzzGemmExT
-	fuzzGemmTBExT
+	fuzzGemmEx
+	fuzzGemmTBEx
 	fuzzGemmPackedExT
 	fuzzGemmTBPackedExT
 	fuzzGemmPackedShiftEx
@@ -449,7 +450,7 @@ func epilogueRef(m, n int, c []float64, ldc int, ep *Epilogue) {
 // product, not two steps.
 func TestEpilogueFoldsAlphaIntoRowScale(t *testing.T) {
 	c := []float64{math.NaN()}
-	GemmExT(TierExact, 1, 1, 1, []float64{0.1}, 1, []float64{0.3}, 1, c, 1, &Epilogue{Alpha: 3, RowScale: []float64{0.1}})
+	GemmEx(1, 1, 1, []float64{0.1}, 1, []float64{0.3}, 1, c, 1, &Epilogue{Alpha: 3, RowScale: []float64{0.1}})
 	if want := 0.009000000000000001; c[0] != want {
 		t.Fatalf("Alpha 3, RowScale 0.1 on 0.1·0.3 = %v, want the folded %v (step by step gives 0.009)", c[0], want)
 	}
@@ -490,7 +491,7 @@ func epilogueCase(rng *rand.Rand, mask, m, n int) *Epilogue {
 // naively), starting from a garbage-filled destination to prove assign mode
 // overwrites every element.
 func gemmExCase(t *testing.T, name string, m, n, k, lda, ldb, ldc int, ep *Epilogue,
-	kernel func(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue),
+	kernel func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue),
 	ref func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int),
 	aRows, aCols, bRows, bCols int) {
 	t.Helper()
@@ -510,7 +511,7 @@ func gemmExCase(t *testing.T, name string, m, n, k, lda, ldb, ldc int, ep *Epilo
 		}
 	}
 
-	kernel(TierExact, m, n, k, a, lda, b, ldb, cGot, ldc, ep)
+	kernel(m, n, k, a, lda, b, ldb, cGot, ldc, ep)
 	ref(m, n, k, a, lda, b, ldb, cWant, ldc)
 	epilogueRef(m, n, cWant, ldc, ep)
 
@@ -531,7 +532,7 @@ func gemmExCase(t *testing.T, name string, m, n, k, lda, ldb, ldc int, ep *Epilo
 }
 
 // TestGemmExEpilogueCombinations sweeps every epilogue feature combination
-// over shapes on both sides of GemmTBExT's small-product threshold.
+// over shapes on both sides of GemmTBEx's small-product threshold.
 func TestGemmExEpilogueCombinations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type shape struct{ m, n, k, pad int }
@@ -548,9 +549,9 @@ func TestGemmExEpilogueCombinations(t *testing.T) {
 		for mask := 0; mask < 64; mask++ {
 			ep := epilogueCase(rng, mask, s.m, s.n)
 			lda, ldb, ldc := s.k+s.pad, s.n+s.pad, s.n+s.pad
-			gemmExCase(t, "GemmEx", s.m, s.n, s.k, lda, ldb, ldc, ep, GemmExT, gemmRef, s.m, s.k, s.k, s.n)
+			gemmExCase(t, "GemmEx", s.m, s.n, s.k, lda, ldb, ldc, ep, GemmEx, gemmRef, s.m, s.k, s.k, s.n)
 			// GemmTBEx: B stored [n×k], so ldb ≥ k.
-			gemmExCase(t, "GemmTBEx", s.m, s.n, s.k, lda, s.k+s.pad, ldc, ep, GemmTBExT, gemmTBRef, s.m, s.k, s.n, s.k)
+			gemmExCase(t, "GemmTBEx", s.m, s.n, s.k, lda, s.k+s.pad, ldc, ep, GemmTBEx, gemmTBRef, s.m, s.k, s.n, s.k)
 		}
 	}
 }
@@ -579,8 +580,8 @@ func TestGemmExRandomShapes(t *testing.T) {
 		}
 		ep := epilogueCase(rng, rng.Intn(64), m, n)
 		padA, padB, padC := rng.Intn(8), rng.Intn(8), rng.Intn(8)
-		gemmExCase(t, "GemmEx", m, n, k, k+padA, n+padB, n+padC, ep, GemmExT, gemmRef, m, k, k, n)
-		gemmExCase(t, "GemmTBEx", m, n, k, k+padA, k+padB, n+padC, ep, GemmTBExT, gemmTBRef, m, k, n, k)
+		gemmExCase(t, "GemmEx", m, n, k, k+padA, n+padB, n+padC, ep, GemmEx, gemmRef, m, k, k, n)
+		gemmExCase(t, "GemmTBEx", m, n, k, k+padA, k+padB, n+padC, ep, GemmTBEx, gemmTBRef, m, k, n, k)
 	}
 }
 
@@ -613,21 +614,26 @@ func TestGemmExBitIdenticalToGemm(t *testing.T) {
 			accTB := func(c []float64) {
 				gemmBlocked(tier, m, n, k, operand{data: a, ld: k}, operand{kind: opTrans, data: bt, ld: k}, c, n, false, nil)
 			}
-			for _, op := range []struct {
+			type op struct {
 				name        string
 				assign, acc func(c []float64)
-			}{
-				{"GemmExT", func(c []float64) { GemmExT(tier, m, n, k, a, k, b, n, c, n, nil) }, acc},
+			}
+			ops := []op{
 				{"GemmPackedExT", func(c []float64) { GemmPackedExT(tier, m, n, k, PackA(m, k, a, k), b, n, c, n, nil) }, acc},
-				{"GemmTBExT", func(c []float64) { GemmTBExT(tier, m, n, k, a, k, bt, k, c, n, nil) }, func(c []float64) {
-					if m*n*k < smallGemmFlops {
-						gemmTBSimple(m, n, k, a, k, bt, k, c, n) // GemmTBExT's small-product path
-						return
-					}
-					accTB(c)
-				}},
 				{"GemmTBPackedExT", func(c []float64) { GemmTBPackedExT(tier, m, n, k, a, k, PackTB(n, k, bt, k), c, n, nil) }, accTB},
-			} {
+			}
+			if tier == TierExact { // the unpacked entries run exact only
+				ops = append(ops,
+					op{"GemmEx", func(c []float64) { GemmEx(m, n, k, a, k, b, n, c, n, nil) }, acc},
+					op{"GemmTBEx", func(c []float64) { GemmTBEx(m, n, k, a, k, bt, k, c, n, nil) }, func(c []float64) {
+						if m*n*k < smallGemmFlops {
+							gemmTBSimple(m, n, k, a, k, bt, k, c, n) // GemmTBEx's small-product path
+							return
+						}
+						accTB(c)
+					}})
+			}
+			for _, op := range ops {
 				want := make([]float64, m*n)
 				op.acc(want)
 				got := make([]float64, m*n)
@@ -649,7 +655,7 @@ func TestGemmExBitIdenticalToGemm(t *testing.T) {
 // GemmTBEx's simple path already does.
 func TestGemmExEmptyK(t *testing.T) {
 	c := []float64{7, 7, 7, 7, 7, 7}
-	GemmExT(TierExact, 2, 2, 0, nil, 0, nil, 2, c, 3, &Epilogue{RowShift: []float64{1, 2}})
+	GemmEx(2, 2, 0, nil, 0, nil, 2, c, 3, &Epilogue{RowShift: []float64{1, 2}})
 	want := []float64{1, 1, 7, 2, 2, 7} // ldc=3: slack column untouched
 	for i := range want {
 		if c[i] != want[i] {
@@ -657,7 +663,7 @@ func TestGemmExEmptyK(t *testing.T) {
 		}
 	}
 	c2 := []float64{7, 7, 7, 7}
-	GemmTBExT(TierExact, 2, 2, 0, nil, 0, nil, 0, c2, 2, nil)
+	GemmTBEx(2, 2, 0, nil, 0, nil, 0, c2, 2, nil)
 	for i, v := range c2 {
 		if v != 0 {
 			t.Fatalf("GemmTBEx k=0: c[%d] = %g, want 0", i, v)
@@ -675,7 +681,7 @@ func TestEpilogueVectorChecks(t *testing.T) {
 			t.Fatal("GemmEx accepted a short RowScale")
 		}
 	}()
-	GemmExT(TierExact, 3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{RowScale: make([]float64, 2)})
+	GemmEx(3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{RowScale: make([]float64, 2)})
 }
 
 // TestGemmShapeChecks verifies the unified shape-error reporting of the
@@ -695,13 +701,13 @@ func TestGemmShapeChecks(t *testing.T) {
 	b := make([]float64, 12) // [4×3]
 	c := make([]float64, 9)  // [3×3]
 	v := make([]float64, 3)
-	GemmExT(TierExact, 3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{RowShift: v, ColShift: v}) // well-formed
+	GemmEx(3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{RowShift: v, ColShift: v}) // well-formed
 	expectPanic("short A", func() { Gemm(4, 3, 4, a, 4, b, 3, make([]float64, 12), 3) })
 	expectPanic("short B", func() { Gemm(3, 3, 4, a, 4, b[:11], 3, c, 3) })
 	expectPanic("short C", func() { Gemm(3, 3, 4, a, 4, b, 3, c[:8], 3) })
 	expectPanic("bad lda", func() { Gemm(3, 3, 4, a, 3, b, 3, c, 3) })
-	expectPanic("short RowShift", func() { GemmExT(TierExact, 3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{RowShift: v[:2]}) })
-	expectPanic("short ColShift", func() { GemmExT(TierExact, 3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{ColShift: v[:2]}) })
+	expectPanic("short RowShift", func() { GemmEx(3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{RowShift: v[:2]}) })
+	expectPanic("short ColShift", func() { GemmEx(3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{ColShift: v[:2]}) })
 }
 
 // --- kernel benchmarks: size sweep for the perf trajectory ---

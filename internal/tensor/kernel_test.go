@@ -61,9 +61,9 @@ func TestVectorKernelBitIdenticalToScalar(t *testing.T) {
 			case 0:
 				Gemm(s.m, s.n, s.k, a, lda, b, ldb, dst, ldc)
 			case 1:
-				GemmExT(TierExact, s.m, s.n, s.k, a, lda, b, ldb, dst, ldc, ep)
+				GemmEx(s.m, s.n, s.k, a, lda, b, ldb, dst, ldc, ep)
 			case 2:
-				GemmTBExT(TierExact, s.m, s.n, s.k, a, lda, bt, ldbt, dst, ldc, ep)
+				GemmTBEx(s.m, s.n, s.k, a, lda, bt, ldbt, dst, ldc, ep)
 			case 3:
 				GemmPackedExT(TierExact, s.m, s.n, s.k, PackA(s.m, s.k, a, lda), b, ldb, dst, ldc, ep)
 			case 4:

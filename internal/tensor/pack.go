@@ -85,17 +85,17 @@ func PackTB(n, k int, b []float64, ldb int) *PackedMat {
 // GemmTBPrefersPacked reports whether a C[m×n] = A·Bᵀ product of the given
 // shape runs on the blocked engine, where the persistent packed path is
 // faster and bit-identical to the unpacked one. Below the small-product
-// threshold GemmTB/GemmTBExT use the strided dot-product kernel instead —
+// threshold GemmTB/GemmTBEx use the strided dot-product kernel instead —
 // there the pack would change the accumulation order and save nothing, so
 // callers skip packing for those widths.
 func GemmTBPrefersPacked(m, n, k int) bool { return m*n*k >= smallGemmFlops }
 
 // GemmPackedExT computes C[m×n] = epilogue(A · B) on an explicit engine tier
 // with a pre-packed A operand (PackA) and a streamed B — assign mode, like
-// GemmExT. This is the convolution orientation: the immutable weight matrix
-// is A, the per-call im2col matrix is B. Results are bit-identical to GemmExT
-// on the same tier and operands: the packed panels preserve the blocked
-// engine's per-element accumulation order.
+// GemmEx. This is the convolution orientation: the immutable weight matrix
+// is A, the per-call im2col matrix is B. On the exact tier results are
+// bit-identical to GemmEx on the same operands: the packed panels preserve
+// the blocked engine's per-element accumulation order.
 func GemmPackedExT(tier EngineTier, m, n, k int, pa *PackedMat, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
 	if pa == nil || !pa.aLayout {
 		panic("tensor: GemmPackedEx: A operand is not an A-layout pack (PackA)")
@@ -110,10 +110,10 @@ func GemmPackedExT(tier EngineTier, m, n, k int, pa *PackedMat, b []float64, ldb
 
 // GemmTBPackedExT computes C[m×n] = epilogue(A · Bᵀ) on an explicit engine
 // tier with B pre-packed (PackTB of the [n×k]-stored operand) and a streamed
-// A — assign mode, like GemmTBExT. This is the dense-layer orientation: the
+// A — assign mode, like GemmTBEx. This is the dense-layer orientation: the
 // immutable [Out × In] weight is Bᵀ, the activations are A. Results are
-// bit-identical to the unpacked blocked engine (the path GemmTBExT takes
-// above its small-product threshold) on the same tier and operands.
+// bit-identical to the unpacked blocked engine on the same tier and operands
+// (on the exact tier, to GemmTBEx above its small-product threshold).
 func GemmTBPackedExT(tier EngineTier, m, n, k int, a []float64, lda int, pb *PackedMat, c []float64, ldc int, ep *Epilogue) {
 	if pb == nil || pb.aLayout {
 		panic("tensor: GemmTBPackedEx: B operand is not a B-layout pack (PackTB)")

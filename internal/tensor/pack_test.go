@@ -8,8 +8,8 @@ import (
 
 // packedCase runs one (m,n,k,ld,epilogue) configuration through both packed
 // entry points and demands BIT-identical results against the unpacked blocked
-// engine (gemmBlocked in assign mode — the path GemmExT always takes and
-// GemmTBExT takes above its small-product threshold). The packed layout
+// engine (gemmBlocked in assign mode — the path GemmEx always takes and
+// GemmTBEx takes above its small-product threshold). The packed layout
 // preserves the engine's per-element accumulation order, so the comparison is
 // exact equality, not a tolerance.
 func packedCase(t *testing.T, m, n, k, lda, ldbT, ldbS, ldc int, ep *Epilogue) {
@@ -251,7 +251,7 @@ func benchConvShape(b *testing.B, m, n, k int, packed bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmExT(TierExact, m, n, k, w, k, col, n, c, n, ep)
+		GemmEx(m, n, k, w, k, col, n, c, n, ep)
 	}
 }
 
@@ -272,7 +272,7 @@ func BenchmarkDenseGemmUnpacked32x256x256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmTBExT(TierExact, m, n, k, a, k, w, k, c, n, nil)
+		GemmTBEx(m, n, k, a, k, w, k, c, n, nil)
 	}
 }
 func BenchmarkDenseGemmPacked32x256x256(b *testing.B) {

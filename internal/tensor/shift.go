@@ -39,7 +39,7 @@ func GemmPackedShiftEx(m, n, kh, kw int, pa *PackedMat, img []float64, ld, plane
 // in place of the pack: training's same convolutions, whose forward weight
 // prefix and flipped data-gradient kernel change every step and so are never
 // packed. The product is the same panel loop over the same B offsets, so it
-// is bit-identical to GemmExT over the materialized column matrix.
+// is bit-identical to GemmEx over the materialized column matrix.
 func GemmShiftEx(m, n, k, kh, kw int, a []float64, lda int, img []float64, ld, plane int, c []float64, ldc int, ep *Epilogue) {
 	checkMat("GemmShiftEx A", m, k, lda, len(a))
 	b := shiftRows("GemmShiftEx", k, n, kh, kw, img, ld, plane)
