@@ -109,6 +109,15 @@ func poolGet(pool *sync.Pool, n int) *[]float64 {
 // weight prefix as a strided A (forwardShift); other shapes build one im2col
 // column matrix per sample. Either way y is bit-identical to Infer's.
 func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
+	return c.forward(ctx, x, nil)
+}
+
+// forward is Forward. A non-nil gn is the GroupNorm of a same
+// Conv→GroupNorm→ReLU trained as one operator (FusedConvAct): the conv
+// output becomes gn's cached input, and the returned tensor is the ReLU's
+// output, normalized out of each sample group's product grid in the same
+// worker loop (forwardShift).
+func (c *Conv2D) forward(ctx *Context, x *tensor.Tensor, gn *GroupNorm) *tensor.Tensor {
 	// Forward precedes weight updates; cached inference packs would go
 	// stale, so drop them.
 	c.packs.invalidate()
@@ -129,8 +138,12 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		bias = c.B.Value.Data
 	}
 	if c.sameConv() {
-		c.forwardShift(x, y, bias)
-		return y
+		out := y
+		if gn != nil {
+			out = gn.startForward(ctx, y)
+		}
+		c.forwardShift(x, y, bias, gn, out)
+		return out
 	}
 
 	colRows := c.aIn * c.KH * c.KW
@@ -161,8 +174,10 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 // forwardShift is Forward on the shifted-row lowering: the sample groups of
 // shiftConv split across the batch workers, each on its own pooled image
 // and grid, with the weight prefix as a strided A and the bias as the
-// epilogue's row shift.
-func (c *Conv2D) forwardShift(x, y *tensor.Tensor, bias []float64) {
+// epilogue's row shift. Each group's grid is copied out into y and, with a
+// non-nil gn, normalized with the ReLU into out while it is cache-hot, gn
+// recording the statistics (normGrid).
+func (c *Conv2D) forwardShift(x, y *tensor.Tensor, bias []float64, gn *GroupNorm, out *tensor.Tensor) {
 	batch := x.Dim(0)
 	ldW, colRows := c.In*c.KH*c.KW, c.aIn*c.KH*c.KW
 	s := c.shiftGeom(batch, c.h, c.w)
@@ -170,10 +185,16 @@ func (c *Conv2D) forwardShift(x, y *tensor.Tensor, bias []float64) {
 	imgLen := s.imgLen(c.aIn)
 	scratch, bufs := padScratch(nw, imgLen, c.aOut*s.n)
 	parallelFor(nw, func(worker, _ int) {
-		sc := scratch[worker]
+		img, ext := scratch[worker][:imgLen], scratch[worker][imgLen:]
 		a := shiftA{a: c.W.Value.Data, lda: ldW, k: colRows, ep: &tensor.Epilogue{RowShift: bias}}
 		for b0, end := s.span(batch, nw, worker); b0 < end; b0 += s.g {
-			c.shiftConv(s, a, c.aOut, x.Data, c.aIn, y.Data, b0, min(s.g, end-b0), sc[:imgLen], sc[imgLen:])
+			gb := min(s.g, end-b0)
+			s.padIn(img, x.Data, c.aIn, b0, gb)
+			c.shiftConv(s, a, c.aOut, gb, img, ext)
+			s.copyOut(y.Data, ext, c.aOut, b0, gb)
+			if gn != nil {
+				s.normGrid(gn, out.Data, gn.stats, ext, c.aOut, b0, gb)
+			}
 		}
 	})
 	for _, buf := range bufs[:nw] {
@@ -240,7 +261,7 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue,
 	c.inferIm2col(arena, tier, x, y, pw, ep)
 	if gn != nil {
 		hw := outH * outW
-		gn.normalize(y.Data, nil, nil, y.Data, batch, gn.activeGroups(aOut), gn.packedGroup(hw), aOut*hw, true)
+		gn.normalize(y.Data, nil, y.Data, batch, gn.activeGroups(aOut), gn.packedGroup(hw), aOut*hw, true)
 	}
 	return y
 }
@@ -363,41 +384,35 @@ func (s shiftGeom) padIn(img, src []float64, ch, b0, gb int) {
 
 // shiftA is the weight side of a shifted-row product: a pack (served
 // weights) or a strided prefix of k columns (training's weight and flipped
-// kernel), the product's epilogue and, on a served Conv→GroupNorm→ReLU, the
-// GroupNorm that reads the product grid.
+// kernel), and the product's epilogue.
 type shiftA struct {
 	pw     *tensor.PackedMat
 	a      []float64
 	lda, k int
 	ep     *tensor.Epilogue
-	gn     *GroupNorm
 }
 
-// shiftConv runs one sample group of the shifted-row lowering: it pads
-// samples [b0, b0+gb) of src (inCh planes each) into img, multiplies a's m
-// rows with img's tap windows into the grid ext (row stride s.n), and writes
-// each sample's part of it into dst (m planes each). Every output element
-// sums the same products in the same order as the im2col lowering, so the
-// result is bit-identical to it. Infer, Forward and the data gradient all
-// run on it. The grid is copied out, or with a.gn set normalized with the
-// trailing ReLU straight out of it while it is cache-hot: GroupNorm.normalize
-// reads each channel's window at row stride s.ld and channel stride s.n, in
-// the order it reads copied-out planes, so dst is bit-identical to the
-// unfused chain's.
-func (c *Conv2D) shiftConv(s shiftGeom, a shiftA, m int, src []float64, inCh int, dst []float64, b0, gb int, img, ext []float64) {
-	s.padIn(img, src, inCh, b0, gb)
+// shiftConv runs one gb-sample group's product of the shifted-row lowering:
+// a's m rows times the tap windows of img, which holds the group as padIn
+// (or the fused backward) laid it out, into the grid ext (row stride s.n).
+// Every output element sums the same products in the same order as the
+// im2col lowering, so the result is bit-identical to it. Infer, Forward and
+// the data gradient all run on it; the caller then copies each sample's part
+// of the grid out (copyOut) or normalizes it straight out of the grid
+// (normGrid).
+func (c *Conv2D) shiftConv(s shiftGeom, a shiftA, m, gb int, img, ext []float64) {
 	n := s.grid(gb)
 	if a.pw != nil {
 		tensor.GemmPackedShiftEx(m, n, c.KH, c.KW, a.pw, img, s.ld, s.plane, ext, s.n, a.ep)
 	} else {
 		tensor.GemmShiftEx(m, n, a.k, c.KH, c.KW, a.a, a.lda, img, s.ld, s.plane, ext, s.n, a.ep)
 	}
+}
+
+// copyOut writes the part of the grid ext (m channels) that belongs to each
+// of samples [b0, b0+gb) into its m planes in dst.
+func (s shiftGeom) copyOut(dst, ext []float64, m, b0, gb int) {
 	hw := s.h * s.w
-	if gn := a.gn; gn != nil {
-		group := tensor.Grid{Ch: gn.C / gn.NormGroups, Rows: s.h, Cols: s.w, LD: s.ld, CS: s.n}
-		gn.normalize(dst[b0*m*hw:], nil, nil, ext, gb, gn.activeGroups(m), group, s.frame, true)
-		return
-	}
 	for sm := 0; sm < gb; sm++ {
 		y := dst[(b0+sm)*m*hw:]
 		for oc := 0; oc < m; oc++ {
@@ -406,10 +421,25 @@ func (c *Conv2D) shiftConv(s shiftGeom, a shiftA, m int, src []float64, inCh int
 	}
 }
 
+// normGrid runs gn and the trailing ReLU over samples [b0, b0+gb) of the
+// grid ext (m channels) into their planes in dst, straight out of the grid
+// while it is cache-hot: GroupNorm.normalize reads each channel's window at
+// row stride s.ld and channel stride s.n, in the order it reads copied-out
+// planes, so dst is bit-identical to the unfused chain's. A non-nil stats
+// (training) receives the groups' statistics at the batch's offsets.
+func (s shiftGeom) normGrid(gn *GroupNorm, dst, stats, ext []float64, m, b0, gb int) {
+	ag := gn.activeGroups(m)
+	if stats != nil {
+		stats = stats[2*b0*ag:]
+	}
+	group := tensor.Grid{Ch: gn.C / gn.NormGroups, Rows: s.h, Cols: s.w, LD: s.ld, CS: s.n}
+	gn.normalize(dst[b0*m*s.h*s.w:], stats, ext, gb, ag, group, s.frame, true)
+}
+
 // inferShift is Infer's shifted-row lowering on a packed weight
 // (tensor.GemmPackedShiftEx): each group's product is copied out into y,
 // or with a non-nil gn normalized by gn and a ReLU straight out of its grid
-// (shiftConv). The groups run one after another on one arena image, zeroed
+// (normGrid). The groups run one after another on one arena image, zeroed
 // once per call, and one grid.
 func (c *Conv2D) inferShift(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor.PackedMat, ep *tensor.Epilogue, gn *GroupNorm) {
 	batch, aIn, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
@@ -417,9 +447,16 @@ func (c *Conv2D) inferShift(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor
 	s := c.shiftGeom(batch, h, w)
 	img := arena.Get(s.imgLen(aIn)).Data
 	ext := arena.GetUninit(aOut, s.n).Data
-	a := shiftA{pw: pw, ep: ep, gn: gn}
+	a := shiftA{pw: pw, ep: ep}
 	for b0 := 0; b0 < batch; b0 += s.g {
-		c.shiftConv(s, a, aOut, x.Data, aIn, y.Data, b0, min(s.g, batch-b0), img, ext)
+		gb := min(s.g, batch-b0)
+		s.padIn(img, x.Data, aIn, b0, gb)
+		c.shiftConv(s, a, aOut, gb, img, ext)
+		if gn != nil {
+			s.normGrid(gn, y.Data, nil, ext, aOut, b0, gb)
+		} else {
+			s.copyOut(y.Data, ext, aOut, b0, gb)
+		}
 	}
 }
 
@@ -429,6 +466,17 @@ func (c *Conv2D) inferShift(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor
 // colRows, so its size and the reduction scale with r²; the reduction into
 // the gradients follows the loop.
 func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
+	return c.backward(ctx, dy, nil)
+}
+
+// backward is Backward. A non-nil gn is the GroupNorm forward ran with
+// (FusedConvAct): dy is then the trailing ReLU's output gradient, and
+// backwardShift runs the ReLU's and gn's backward into the padded image it
+// multiplies, adding gn's dγ and dβ after the loop.
+func (c *Conv2D) backward(ctx *Context, dy *tensor.Tensor, gn *GroupNorm) *tensor.Tensor {
+	if c.x == nil {
+		panic(fmt.Sprintf("nn: Conv2D.Backward grad %v without a matching Forward", dy.Shape))
+	}
 	batch := c.x.Dim(0)
 	if dy.Rank() != 4 || dy.Dim(0) != batch || dy.Dim(1) != c.aOut || dy.Dim(2) != c.outH || dy.Dim(3) != c.outW {
 		panic(fmt.Sprintf("nn: Conv2D.Backward grad %v, want [%d %d %d %d]", dy.Shape, batch, c.aOut, c.outH, c.outW))
@@ -455,8 +503,16 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	var dx *tensor.Tensor
 	if same {
 		// The shifted product assigns every dx element.
-		dx = arenaOf(ctx).GetUninit(batch, c.aIn, c.h, c.w)
-		c.backwardShift(s, dy, dx, dws, dbs)
+		arena := arenaOf(ctx)
+		dx = arena.GetUninit(batch, c.aIn, c.h, c.w)
+		var part []float64
+		if gn != nil {
+			part = arena.GetUninit(2 * batch * c.aOut).Data
+		}
+		c.backwardShift(s, dy, dx, dws, dbs, gn, part)
+		if gn != nil {
+			gn.addPartials(part, batch)
+		}
 	} else {
 		// Col2Im accumulates.
 		dx = arenaOf(ctx).Get(batch, c.aIn, c.h, c.w)
@@ -487,12 +543,18 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 // lowering, one sample group per call of the worker loop. The data gradient
 // is itself a same convolution: dy through the kernel flipped in space and
 // transposed in channels (wf [aIn × aOut·KH·KW], built once per call), run
-// by shiftConv straight into dx. The padded dy it leaves behind, read from
+// by shiftConv on dy's padded image straight into dx. That image, read from
 // the first pixel on, is the output gradient on the extended grid (zero in
 // the gaps and pad rows), and dW is its windowed dot with the re-padded
-// input (tensor.GemmShiftTB): dW[oc, q] = Σ_j dy[oc, j]·x_q[j]. Nothing
-// builds a column matrix or packs a transpose, and Forward cached only x.
-func (c *Conv2D) backwardShift(s shiftGeom, dy, dx *tensor.Tensor, dws, dbs [maxBatchWorkers][]float64) {
+// input (tensor.GemmShiftTB): dW[oc, q] = Σ_j dy[oc, j]·x_q[j]; the bias
+// gradient sums its planes. Nothing builds a column matrix or packs a
+// transpose, and Forward cached only x.
+//
+// With a non-nil gn the image is not padded from dy: GroupNorm.backwardSample
+// writes each sample's conv output gradient into it, the ReLU mask and x̂
+// recomputed from gn's cache (the conv output and its statistics), with its
+// dγ and dβ shares in part.
+func (c *Conv2D) backwardShift(s shiftGeom, dy, dx *tensor.Tensor, dws, dbs [maxBatchWorkers][]float64, gn *GroupNorm, part []float64) {
 	batch := dy.Dim(0)
 	colRows, dcolRows := c.aIn*c.KH*c.KW, c.aOut*c.KH*c.KW
 	wfBuf := poolGet(&gradPool, c.aIn*dcolRows)
@@ -502,18 +564,34 @@ func (c *Conv2D) backwardShift(s shiftGeom, dy, dx *tensor.Tensor, dws, dbs [max
 	nw := maxWorkers(s.groups(batch))
 	xLen, dyLen := s.imgLen(c.aIn), s.imgLen(c.aOut)
 	scratch, bufs := padScratch(nw, xLen+dyLen, c.aIn*s.n)
-	spatial := c.h * c.w
+	plane := c.aOut * c.h * c.w
+	var ag int
+	var gnOut tensor.Grid
+	if gn != nil {
+		ag = gn.activeGroups(c.aOut)
+		gnOut = tensor.Grid{Ch: gn.C / gn.NormGroups, Rows: s.h, Cols: s.w, LD: s.ld, CS: s.plane}
+	}
 	parallelFor(nw, func(worker, _ int) {
 		sc := scratch[worker]
-		ximg, dyimg := sc[:xLen], sc[xLen:xLen+dyLen]
+		ximg, dyimg, ext := sc[:xLen], sc[xLen:xLen+dyLen], sc[xLen+dyLen:]
 		for b0, end := s.span(batch, nw, worker); b0 < end; b0 += s.g {
 			gb := min(s.g, end-b0)
-			c.shiftConv(s, a, c.aIn, dy.Data, c.aOut, dx.Data, b0, gb, dyimg, sc[xLen+dyLen:])
+			if gn == nil {
+				s.padIn(dyimg, dy.Data, c.aOut, b0, gb)
+			} else {
+				for b := b0; b < b0+gb; b++ {
+					lo := b * plane
+					gn.backwardSample(dyimg[(b-b0)*s.frame+s.origin():], gnOut, dy.Data[lo:lo+plane], gn.x.Data[lo:lo+plane],
+						gn.stats[2*b*ag:], ag, true, part[2*b*c.aOut:], ext)
+				}
+			}
+			c.shiftConv(s, a, c.aIn, gb, dyimg, ext)
+			s.copyOut(dx.Data, ext, c.aIn, b0, gb)
 			s.padIn(ximg, c.x.Data, c.aIn, b0, gb)
 			tensor.GemmShiftTB(c.aOut, colRows, s.grid(gb), c.KH, c.KW, dyimg[s.origin():], s.plane, ximg, s.ld, s.plane, dws[worker], colRows)
 			if c.B != nil {
-				for b := b0; b < b0+gb; b++ {
-					addBiasGrad(dbs[worker], dy.Data[b*c.aOut*spatial:(b+1)*c.aOut*spatial], spatial)
+				for sm := 0; sm < gb; sm++ {
+					addBiasGrad(dbs[worker], dyimg[sm*s.frame+s.origin():], s.h, s.w, s.ld, s.plane)
 				}
 			}
 		}
@@ -553,7 +631,7 @@ func (c *Conv2D) backwardIm2col(dy, dx *tensor.Tensor, dws, dbs [maxBatchWorkers
 		tensor.GemmTA(colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, dcol, spatial)
 		tensor.Col2Im(dcol, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, dx.Data[b*inPlane:(b+1)*inPlane])
 		if c.B != nil {
-			addBiasGrad(dbs[worker], g, spatial)
+			addBiasGrad(dbs[worker], g, 1, spatial, spatial, spatial)
 		}
 	})
 	for _, buf := range bufs[:2*nw] {
@@ -561,13 +639,16 @@ func (c *Conv2D) backwardIm2col(dy, dx *tensor.Tensor, dws, dbs [maxBatchWorkers
 	}
 }
 
-// addBiasGrad adds each of g's output-gradient planes (one sample, spatial
-// elements per channel) summed in index order to db.
-func addBiasGrad(db, g []float64, spatial int) {
+// addBiasGrad adds each of one sample's output-gradient planes, summed in
+// index order, to db: channel oc's plane is rows rows of cols elements at
+// g[oc·cs + r·ld:], packed planes or a padded image alike.
+func addBiasGrad(db, g []float64, rows, cols, ld, cs int) {
 	for oc := range db {
 		s := 0.0
-		for _, v := range g[oc*spatial : (oc+1)*spatial] {
-			s += v
+		for r := 0; r < rows; r++ {
+			for _, v := range g[oc*cs+r*ld:][:cols] {
+				s += v
+			}
 		}
 		db[oc] += s
 	}

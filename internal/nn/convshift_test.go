@@ -193,18 +193,63 @@ func fusedGroupNormVsChain(c *Conv2D, x *tensor.Tensor, normGroups int, rng *ran
 	return nil
 }
 
+// fusedTrainVsChain trains c → GroupNorm(normGroups) → ReLU once fused (one
+// FusedConvAct, the GroupNorm on the conv's grid) and once as the chain, on
+// the same x and output gradient from zeroed parameter gradients, and
+// reports the first element of the output, dx or a parameter gradient (dW,
+// the bias's, dγ, dβ) where the two differ in their bits.
+func fusedTrainVsChain(c *Conv2D, x *tensor.Tensor, normGroups int, rng *rand.Rand) error {
+	gn := NewGroupNorm(c.Out, normGroups, Fixed(), 1e-5)
+	tensor.InitNormal(gn.Gamma.Value, 1, rng)
+	tensor.InitNormal(gn.Beta.Value, 1, rng)
+	chain := NewSequential(c, gn, NewReLU())
+	fused := Fuse(chain)
+	if f, ok := fused.(*Sequential).Layers[0].(*FusedConvAct); !ok || f.gn != gn {
+		return fmt.Errorf("Conv+GN+ReLU fused to %T, not the grid pass", fused.(*Sequential).Layers[0])
+	}
+	dy := randTensor(rng, x.Dim(0), c.Out, x.Dim(2), x.Dim(3))
+	run := func(l Layer) [][]float64 {
+		for _, p := range chain.Params() {
+			p.ZeroGrad()
+		}
+		ctx := &Context{Training: true, Rate: 1}
+		out := [][]float64{l.Forward(ctx, x).Clone().Data, l.Backward(ctx, dy).Clone().Data}
+		for _, p := range chain.Params() {
+			out = append(out, p.Grad.Clone().Data)
+		}
+		return out
+	}
+	want, got := run(chain), run(fused)
+	names := []string{"y", "dx"}
+	for _, p := range chain.Params() {
+		names = append(names, "d"+p.Name)
+	}
+	for k, w := range want {
+		for i, v := range w {
+			if math.Float64bits(got[k][i]) != math.Float64bits(v) {
+				return fmt.Errorf("out=%d groups %d batch %d %dx%d k=%dx%d bias=%v: fused %s[%d]=%v, unfused %v",
+					c.Out, normGroups, x.Dim(0), x.Dim(2), x.Dim(3), c.KH, c.KW, c.B != nil, names[k], i, got[k][i], v)
+			}
+		}
+	}
+	return nil
+}
+
 // FuzzConvShift decodes a conv shape from bytes and holds the shifted-row
 // lowering to the im2col one: the served product on a packed weight, then a
 // training pass (Forward and Backward, with a bias when seed&4 is set). It
-// then serves the conv fused with a GroupNorm and ReLU (norm groups the
-// largest divisor of the output channels up to 1+mask%8) against the
-// unfused chain, bit for bit.
+// then serves and trains the conv fused with a GroupNorm and ReLU (norm
+// groups the largest divisor of the output channels up to 1+mask%8) against
+// the unfused chain, bit for bit. Planes of every width from 1 to 17 reach
+// both the grid kernels' block bodies and their Go twins.
 func FuzzConvShift(f *testing.F) {
 	f.Add(uint8(3), uint8(8), uint8(16), uint8(16), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(32), uint8(5), uint8(4), uint8(4), uint8(1), uint8(37), int64(2))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(63), int64(3))
 	f.Add(uint8(4), uint8(3), uint8(2), uint8(9), uint8(1), uint8(4), int64(4))
 	f.Add(uint8(1), uint8(0), uint8(11), uint8(0), uint8(0), uint8(0), int64(-26)) // dB sums cancel
+	f.Add(uint8(6), uint8(7), uint8(4), uint8(5), uint8(0), uint8(2), int64(13))   // 5×6 planes: the Go twins, with a bias
+	f.Add(uint8(9), uint8(15), uint8(7), uint8(7), uint8(1), uint8(7), int64(7))   // 8×8, batch 4, 5×5 kernel, with a bias
 	f.Fuzz(func(t *testing.T, in, out, h, w, pad, mask uint8, seed int64) {
 		aIn, aOut := 1+int(in)%40, 1+int(out)%17
 		hh, ww := 1+int(h)%17, 1+int(w)%17
@@ -228,6 +273,9 @@ func FuzzConvShift(f *testing.F) {
 			groups--
 		}
 		if err := fusedGroupNormVsChain(c, x, groups, rng); err != nil {
+			t.Fatal(err)
+		}
+		if err := fusedTrainVsChain(c, x, groups, rng); err != nil {
 			t.Fatal(err)
 		}
 	})

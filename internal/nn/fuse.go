@@ -30,13 +30,18 @@ import (
 //	GroupNorm/BatchNorm/SwitchableBatchNorm → ReLU   ⇒  the clamp rides the
 //	    normalization's write pass (tensor.NormAffine).
 //
-// The fused view is for the read-only inference path: its Infer is
-// numerically within 1e-12 of the unfused chain (bit-identical except where
-// BatchNorm folding refactors the arithmetic), while Forward/Backward
-// delegate to the original layers, so the view remains a well-formed Layer.
-// Weights are shared, not copied — a model must not be trained while a fused
-// view of it is serving, and BatchNorm folds must be rebuilt (re-Fuse) after
-// any further training.
+// Its Infer is numerically within 1e-12 of the unfused chain (bit-identical
+// except where BatchNorm folding refactors the arithmetic). The GroupNorm
+// form of FusedConvAct also trains as one pass: Forward normalizes each
+// sample group's grid on the conv's batch workers and caches only the conv
+// output and GroupNorm's (mean, 1/σ); Backward runs the ReLU mask and
+// GroupNorm's backward into the padded image the conv's gradients read.
+// Forward output, dx and every parameter gradient are bit-identical to the
+// unfused chain's, so slicing.Trainer steps the fused view. Every other
+// fused type delegates Forward/Backward to the original layers, so the view
+// remains a well-formed Layer. Weights are shared, not copied — a model must
+// not be trained while a fused view of it is serving, and BatchNorm folds
+// must be rebuilt (re-Fuse) after any further training.
 
 // Fuse returns an inference-optimized view of l sharing its parameters.
 // Layers with nothing to fuse are returned as-is; Sequential and Residual
@@ -220,14 +225,30 @@ func (f *FusedConvAct) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	return f.conv.inferFused(ctx, x, &ep, f.gn)
 }
 
-// Forward runs the unfused source chain (training/eager semantics).
+// Forward runs a Conv→GroupNorm→ReLU as one pass on the conv's batch
+// workers (Conv2D.forward with the GroupNorm), caching the conv output and
+// each (sample, group)'s mean and 1/σ; every other chain runs its source
+// layers (training/eager semantics).
 func (f *FusedConvAct) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
+	if f.gn != nil {
+		return f.conv.forward(ctx, x, f.gn)
+	}
 	return chainForward(f.src, ctx, x)
 }
 
-// Backward back-propagates through the unfused source chain.
+// Backward back-propagates a Conv→GroupNorm→ReLU in the conv's backward
+// worker loop (Conv2D.backward with the GroupNorm): the ReLU mask and
+// GroupNorm's backward write the conv output gradient straight into the
+// padded image the data and weight gradients read. Every other chain
+// back-propagates through its source layers.
 func (f *FusedConvAct) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
-	return chainBackward(f.src, ctx, dy)
+	if f.gn == nil {
+		return chainBackward(f.src, ctx, dy)
+	}
+	if x := f.gn.x; x == nil || len(dy.Data) != len(x.Data) {
+		panic(fmt.Sprintf("nn: FusedConvAct.Backward grad %v without a matching Forward", dy.Shape))
+	}
+	return f.conv.backward(ctx, dy, f.gn)
 }
 
 // Params returns the parameters of the source chain.

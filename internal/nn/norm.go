@@ -31,13 +31,12 @@ type GroupNorm struct {
 	Gamma *Param // [C] scale (the γ visualized in Figure 6)
 	Beta  *Param // [C] shift
 
-	// cached forward state
-	xhat      *tensor.Tensor
-	invStd    []float64 // per (sample, active group)
-	aC        int
-	batch     int
-	hw        int
-	origShape []int
+	// cached forward state: the input and, per (sample, active group), its
+	// mean and 1/σ as a pair; Backward recomputes x̂ from them.
+	x     *tensor.Tensor
+	stats []float64
+	aC    int
+	hw    int
 }
 
 // NewGroupNorm constructs a group-norm layer. normGroups must divide c, and
@@ -72,19 +71,24 @@ func (g *GroupNorm) activeGroups(aC int) int {
 	return aC / gs
 }
 
-// Forward normalizes the active channels group-wise per sample.
+// Forward normalizes the active channels group-wise per sample and caches
+// x with each (sample, group)'s mean and 1/σ, not x̂.
 func (g *GroupNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	g.aC = g.Spec.Active(ctx.EffRate(), g.C)
-	g.batch, g.hw = normShape("GroupNorm", x, g.aC)
-	g.origShape = append(g.origShape[:0], x.Shape...)
-	ag := g.activeGroups(g.aC)
-
-	arena := arenaOf(ctx)
-	y := arena.GetUninit(x.Shape...)
-	g.xhat = arena.GetUninit(x.Shape...)
-	g.invStd = arena.GetUninit(g.batch * ag).Data
-	g.normalize(y.Data, g.xhat.Data, g.invStd, x.Data, g.batch, ag, g.packedGroup(g.hw), g.aC*g.hw, false)
+	y := g.startForward(ctx, x)
+	g.normalize(y.Data, g.stats, x.Data, x.Dim(0), g.activeGroups(g.aC), g.packedGroup(g.hw), g.aC*g.hw, false)
 	return y
+}
+
+// startForward validates x, caches it for Backward with room for its
+// statistics, and returns an uninitialized output of its shape. A fused
+// Conv→GroupNorm→ReLU (FusedConvAct) calls it with the conv's output.
+func (g *GroupNorm) startForward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
+	g.aC = g.Spec.Active(ctx.EffRate(), g.C)
+	batch, hw := normShape("GroupNorm", x, g.aC)
+	arena := arenaOf(ctx)
+	g.x, g.hw = x, hw
+	g.stats = arena.GetUninit(2 * batch * g.activeGroups(g.aC)).Data
+	return arena.GetUninit(x.Shape...)
 }
 
 // Infer normalizes the active channels group-wise per sample on the
@@ -104,7 +108,7 @@ func (g *GroupNorm) inferAct(ctx *Context, x *tensor.Tensor, relu bool) *tensor.
 	batch, hw := normShape("GroupNorm", x, aC)
 	ag := g.activeGroups(aC)
 	y := arenaOf(ctx).GetUninit(x.Shape...)
-	g.normalize(y.Data, nil, nil, x.Data, batch, ag, g.packedGroup(hw), aC*hw, relu)
+	g.normalize(y.Data, nil, x.Data, batch, ag, g.packedGroup(hw), aC*hw, relu)
 	return y
 }
 
@@ -120,11 +124,9 @@ func (g *GroupNorm) packedGroup(hw int) tensor.Grid {
 // two-pass mean and variance over the group's packed segment
 // (tensor.SumGrid, tensor.SumSqDevGrid, in tensor.Sum's order wherever the
 // windows lie), then one scale-shift pass into dst's packed planes with each
-// channel's γ and β (tensor.NormAffineGrid). Forward passes xhat and invStd
-// for the backward state, on packed planes: there each channel's plane gets
-// its y and its x̂ while it is cache-hot (tensor.NormAffine twice, the
-// arithmetic NormAffineGrid applies per element).
-func (g *GroupNorm) normalize(dst, xhat, invStd, src []float64, batch, ag int, group tensor.Grid, sampleStride int, relu bool) {
+// channel's γ and β (tensor.NormAffineGrid). Training passes stats, which
+// receives each (sample, group)'s mean and 1/σ.
+func (g *GroupNorm) normalize(dst, stats, src []float64, batch, ag int, group tensor.Grid, sampleStride int, relu bool) {
 	n := group.Len() // elements per (sample, group)
 	gamma, beta := g.Gamma.Value.Data, g.Beta.Value.Data
 	for b := 0; b < batch; b++ {
@@ -133,17 +135,11 @@ func (g *GroupNorm) normalize(dst, xhat, invStd, src []float64, batch, ag int, g
 			mu := tensor.SumGrid(seg, group) / float64(n)
 			va := tensor.SumSqDevGrid(seg, group, mu) / float64(n)
 			is := 1 / math.Sqrt(va+g.Eps)
+			if stats != nil {
+				stats[2*(b*ag+gi)], stats[2*(b*ag+gi)+1] = mu, is
+			}
 			off, ch := (b*ag+gi)*n, gi*group.Ch
-			if xhat == nil {
-				tensor.NormAffineGrid(dst[off:off+n], seg, group, mu, is, gamma[ch:], beta[ch:], relu)
-				continue
-			}
-			invStd[b*ag+gi] = is
-			for j, hw := 0, group.Cols; j < group.Ch; j++ {
-				lo := off + j*hw
-				tensor.NormAffine(dst[lo:lo+hw], seg[j*hw:(j+1)*hw], mu, is, gamma[ch+j], beta[ch+j], relu)
-				tensor.NormAffine(xhat[lo:lo+hw], seg[j*hw:(j+1)*hw], mu, is, 1, 0, false)
-			}
+			tensor.NormAffineGrid(dst[off:off+n], seg, group, mu, is, gamma[ch:], beta[ch:], relu)
 		}
 	}
 }
@@ -168,50 +164,80 @@ func normShape(name string, x *tensor.Tensor, want int) (batch, hw int) {
 	}
 }
 
-// Backward accumulates dGamma, dBeta, returns dx and drops the cached x̂
-// and 1/σ.
+// Backward accumulates dGamma, dBeta, returns dx and drops the cached input
+// and statistics. Each sample runs backwardSample into its packed dx planes.
 func (g *GroupNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
-	gs := g.C / g.NormGroups
-	ag := g.aC / gs
-	hw := g.hw
-	n := gs * hw
-	dx := arenaOf(ctx).GetUninit(g.origShape...)
-	gamma := g.Gamma.Value.Data
-	dgamma, dbeta := g.Gamma.Grad.Data, g.Beta.Grad.Data
+	if g.x == nil || len(dy.Data) != len(g.x.Data) {
+		panic(fmt.Sprintf("nn: GroupNorm.Backward grad %v without a matching Forward", dy.Shape))
+	}
+	arena := arenaOf(ctx)
+	dx := arena.GetUninit(g.x.Shape...)
+	batch := g.x.Dim(0)
+	part := arena.GetUninit(2 * batch * g.aC).Data
+	plane := g.aC * g.hw
+	ag := g.activeGroups(g.aC)
+	group := g.packedGroup(g.hw)
+	for b := 0; b < batch; b++ {
+		lo := b * plane
+		g.backwardSample(dx.Data[lo:], group, dy.Data[lo:lo+plane], g.x.Data[lo:lo+plane], g.stats[2*b*ag:], ag, false, part[2*b*g.aC:], nil)
+	}
+	g.addPartials(part, batch)
+	return dx
+}
 
-	for b := 0; b < g.batch; b++ {
-		for gi := 0; gi < ag; gi++ {
-			is := g.invStd[b*ag+gi]
-			off := (b*ag + gi) * n
-			// First pass, channel by channel: parameter grads and the two
-			// reduction terms of the group.
-			sumDxhat, sumDxhatXhat := 0.0, 0.0
-			for j := 0; j < gs; j++ {
-				ch, lo := gi*gs+j, off+j*hw
-				gv, hv := dy.Data[lo:lo+hw], g.xhat.Data[lo:lo+hw]
-				sumG := tensor.Sum(gv)
-				sumGH := 0.0
-				for i, v := range gv {
-					sumGH += v * hv[i]
-				}
-				dgamma[ch] += sumGH
-				dbeta[ch] += sumG
-				sumDxhat += gamma[ch] * sumG
-				sumDxhatXhat += gamma[ch] * sumGH
+// backwardSample is GroupNorm's backward for one sample's ag groups, given
+// its packed input x and output gradient dy planes and its (mean, 1/σ)
+// pairs. Per channel, tensor.NormGradSums recomputes x̂ in-register and
+// returns Σ dy and Σ dy·x̂ in tensor.Sum's order, the channel's shares of dβ
+// and dγ, which go to part (two per channel) for addPartials to add in
+// sample order; tensor.NormGrad then writes dx. With relu set dy is a
+// trailing ReLU's output gradient and passes only where γ·x̂+β > 0, as
+// ReLU.Backward would pass it. Channel c's dx lands in the window of dst at
+// c·out.CS, out.Rows rows of out.Cols at stride out.LD (out.Ch is the
+// group's channel count): packed planes directly, the shifted conv's padded
+// dy image through tmp, a plane of scratch.
+func (g *GroupNorm) backwardSample(dst []float64, out tensor.Grid, dy, x, stats []float64, ag int, relu bool, part, tmp []float64) {
+	gs, hw := out.Ch, out.Rows*out.Cols
+	packed := out.LD == out.Cols
+	n := float64(gs * hw)
+	gamma, beta := g.Gamma.Value.Data, g.Beta.Value.Data
+	for gi := 0; gi < ag; gi++ {
+		mu, is := stats[2*gi], stats[2*gi+1]
+		sumDxhat, sumDxhatXhat := 0.0, 0.0
+		for ch := gi * gs; ch < (gi+1)*gs; ch++ {
+			sumG, sumGH := tensor.NormGradSums(dy[ch*hw:(ch+1)*hw], x[ch*hw:(ch+1)*hw], mu, is, gamma[ch], beta[ch], relu)
+			part[2*ch], part[2*ch+1] = sumGH, sumG
+			sumDxhat += float64(gamma[ch] * sumG)
+			sumDxhatXhat += float64(gamma[ch] * sumGH)
+		}
+		mDxhat := sumDxhat / n
+		mDxhatXhat := sumDxhatXhat / n
+		for ch := gi * gs; ch < (gi+1)*gs; ch++ {
+			d := dst[ch*out.CS:]
+			if !packed {
+				d = tmp[:hw]
 			}
-			mDxhat := sumDxhat / float64(n)
-			mDxhatXhat := sumDxhatXhat / float64(n)
-			for j := 0; j < gs; j++ {
-				ch, lo := gi*gs+j, off+j*hw
-				gv, hv, dv := dy.Data[lo:lo+hw], g.xhat.Data[lo:lo+hw], dx.Data[lo:lo+hw]
-				for i, v := range gv {
-					dv[i] = is * (v*gamma[ch] - mDxhat - hv[i]*mDxhatXhat)
-				}
+			tensor.NormGrad(d, dy[ch*hw:(ch+1)*hw], x[ch*hw:(ch+1)*hw], mu, is, gamma[ch], beta[ch], mDxhat, mDxhatXhat, relu)
+			if !packed {
+				tensor.CopyRows(out.Rows, out.Cols, dst[ch*out.CS:], out.LD, d, out.Cols)
 			}
 		}
 	}
-	g.xhat, g.invStd = nil, nil
-	return dx
+}
+
+// addPartials adds the per-sample dγ and dβ shares backwardSample left in
+// part to the gradients in sample order, the order one loop over the samples
+// would have added them in, and drops the forward cache.
+func (g *GroupNorm) addPartials(part []float64, batch int) {
+	dgamma, dbeta := g.Gamma.Grad.Data, g.Beta.Grad.Data
+	for b := 0; b < batch; b++ {
+		p := part[2*b*g.aC:]
+		for ch := 0; ch < g.aC; ch++ {
+			dgamma[ch] += p[2*ch]
+			dbeta[ch] += p[2*ch+1]
+		}
+	}
+	g.x, g.stats = nil, nil
 }
 
 // Params returns γ and β.

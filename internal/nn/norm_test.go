@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"modelslicing/internal/tensor"
@@ -224,4 +226,132 @@ func TestSwitchableBatchNormGradCheck(t *testing.T) {
 	if err := CheckGradients(s, ctx, x, nil, 0); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestGroupNormBackwardMatchesPlainLoop holds Backward, which caches only
+// each (sample, group)'s mean and 1/σ and recomputes x̂, to the textbook loop
+// over a stored x̂ with its sums in index order: dx, dγ and dβ within 1e-12
+// of the sum of their terms' magnitudes (Backward sums in tensor.Sum's lane
+// order), at a sliced and the full width, on 4-D and 2-D inputs.
+func TestGroupNormBackwardMatchesPlainLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	for _, spatial := range [][]int{{5, 5}, {16, 16}, {}} {
+		for _, r := range []float64{0.5, 1} {
+			g := NewGroupNorm(8, 4, Sliced(2), 1e-5)
+			tensor.InitNormal(g.Gamma.Value, 1, rng)
+			tensor.InitNormal(g.Beta.Value, 1, rng)
+			aC := g.Spec.Active(r, g.C)
+			shape := append([]int{3, aC}, spatial...)
+			x, dy := randTensor(rng, shape...), randTensor(rng, shape...)
+			ctx := &Context{Training: true, Rate: r}
+			g.Forward(ctx, x)
+			dx := g.Backward(ctx, dy)
+
+			hw, gs := 1, g.C/g.NormGroups
+			for _, d := range spatial {
+				hw *= d
+			}
+			n := float64(gs * hw)
+			wantG, wantB := make([]float64, aC), make([]float64, aC)
+			magG, magB := make([]float64, aC), make([]float64, aC)
+			wantDx, magDx := make([]float64, len(dx.Data)), make([]float64, len(dx.Data))
+			gamma := g.Gamma.Value.Data
+			for b := 0; b < 3; b++ {
+				for gi := 0; gi < aC/gs; gi++ {
+					seg := (b*aC + gi*gs) * hw
+					xs, gv := x.Data[seg:seg+gs*hw], dy.Data[seg:seg+gs*hw]
+					mu, va := 0.0, 0.0
+					for _, v := range xs {
+						mu += v
+					}
+					mu /= n
+					for _, v := range xs {
+						va += (v - mu) * (v - mu)
+					}
+					is := 1 / math.Sqrt(va/n+g.Eps)
+					sd, sdh, md, mdh := 0.0, 0.0, 0.0, 0.0
+					for i, v := range gv {
+						ch := gi*gs + i/hw
+						h := (xs[i] - mu) * is
+						wantG[ch] += v * h
+						magG[ch] += math.Abs(v * h)
+						wantB[ch] += v
+						magB[ch] += math.Abs(v)
+						sd += gamma[ch] * v
+						sdh += gamma[ch] * v * h
+						md += math.Abs(gamma[ch] * v)
+						mdh += math.Abs(gamma[ch] * v * h)
+					}
+					for i, v := range gv {
+						ch := gi*gs + i/hw
+						h := (xs[i] - mu) * is
+						wantDx[seg+i] = is * (v*gamma[ch] - sd/n - h*sdh/n)
+						magDx[seg+i] = is * (math.Abs(v*gamma[ch]) + md/n + math.Abs(h)*mdh/n)
+					}
+				}
+			}
+			near := func(name string, got, want, mag []float64) {
+				t.Helper()
+				for i, w := range want {
+					if d := math.Abs(got[i] - w); !(d <= 1e-12*mag[i]) {
+						t.Fatalf("spatial %v r=%v: %s[%d] = %v, plain loop %v (|Δ| %.3g of Σ|terms| %.3g)", spatial, r, name, i, got[i], w, d, mag[i])
+					}
+				}
+			}
+			near("dx", dx.Data, wantDx, magDx)
+			near("dγ", g.Gamma.Grad.Data[:aC], wantG, magG)
+			near("dβ", g.Beta.Grad.Data[:aC], wantB, magB)
+			g.Gamma.ZeroGrad()
+			g.Beta.ZeroGrad()
+		}
+	}
+}
+
+// mustPanicWith runs f and fails unless it panics with a message containing
+// want.
+func mustPanicWith(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one containing %q", msg, want)
+		}
+	}()
+	f()
+}
+
+// TestGroupNormBackwardWithoutForward pins the guard ReLU.Backward has too:
+// a Backward with no cached Forward — never run, already consumed by a
+// Backward, or of another size — panics with a clear message instead of
+// dereferencing the dropped cache.
+func TestGroupNormBackwardWithoutForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	g := NewGroupNorm(4, 2, Fixed(), 1e-5)
+	ctx := &Context{Training: true}
+	x := randTensor(rng, 2, 4, 3, 3)
+	const want = "GroupNorm.Backward grad [2 4 3 3] without a matching Forward"
+	mustPanicWith(t, want, func() { g.Backward(ctx, x) })
+	g.Forward(ctx, x)
+	g.Backward(ctx, x)
+	mustPanicWith(t, want, func() { g.Backward(ctx, x) })
+	g.Forward(ctx, randTensor(rng, 1, 4, 3, 3))
+	mustPanicWith(t, want, func() { g.Backward(ctx, x) })
+}
+
+// TestFusedConvActBackwardWithoutForward is the same guard on the fused
+// Conv→GroupNorm→ReLU, whose Backward reads the GroupNorm's cache.
+func TestFusedConvActBackwardWithoutForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	chain := NewSequential(Conv3x3(3, 4, Fixed(), Fixed(), rng), NewGroupNorm(4, 2, Fixed(), 1e-5), NewReLU())
+	f, ok := Fuse(chain).(*Sequential).Layers[0].(*FusedConvAct)
+	if !ok || f.gn == nil {
+		t.Fatal("Conv+GN+ReLU did not fuse to the grid pass")
+	}
+	ctx := &Context{Training: true}
+	x, dy := randTensor(rng, 2, 3, 5, 5), randTensor(rng, 2, 4, 5, 5)
+	const want = "FusedConvAct.Backward grad [2 4 5 5] without a matching Forward"
+	mustPanicWith(t, want, func() { f.Backward(ctx, dy) })
+	f.Forward(ctx, x)
+	f.Backward(ctx, dy)
+	mustPanicWith(t, want, func() { f.Backward(ctx, dy) })
 }

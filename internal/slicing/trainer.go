@@ -15,8 +15,8 @@ import (
 // corresponding sub-networks on the shared parameters, accumulates their
 // gradients, and applies a single optimizer update.
 type Trainer struct {
-	// Model is the network trained. Its parameter list is read once, so a
-	// different model needs a new Trainer.
+	// Model is the network trained. Its parameter list and fused view are
+	// built once, so a different model needs a new Trainer.
 	Model nn.Layer
 	Rates RateList
 	Sched Scheduler
@@ -29,6 +29,10 @@ type Trainer struct {
 	// params caches Model.Params(): composite layers build the list afresh
 	// on every call.
 	params []*nn.Param
+	// net is nn.Fuse(Model), built once and stepped in Model's place: it
+	// shares Model's parameters, and each same Conv→GroupNorm→ReLU in it
+	// trains as one pass, bit-identical to the unfused chain.
+	net nn.Layer
 }
 
 // stepArenas recycles the arena a step runs its sub-networks on. A Trainer
@@ -47,7 +51,7 @@ func NewTrainer(model nn.Layer, rates RateList, sched Scheduler, opt *train.SGD,
 	for _, p := range params {
 		p.EnsureMutable()
 	}
-	return &Trainer{Model: model, Rates: rates, Sched: sched, Opt: opt, RNG: rng, params: params}
+	return &Trainer{Model: model, Rates: rates, Sched: sched, Opt: opt, RNG: rng, params: params, net: nn.Fuse(model)}
 }
 
 // StepStats reports the losses of one Algorithm-1 step.
@@ -91,9 +95,9 @@ func (t *Trainer) Step(b train.Batch) StepStats {
 	arena := stepArenas.Get().(*tensor.Arena)
 	for _, r := range lt {
 		ctx := &nn.Context{Training: true, Rate: r, WidthIdx: t.widthIdx(r), RNG: t.RNG, Arena: arena}
-		logits := t.Model.Forward(ctx, b.X)
+		logits := t.net.Forward(ctx, b.X)
 		loss, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
-		t.Model.Backward(ctx, dy)
+		t.net.Backward(ctx, dy)
 		arena.Reset()
 		stats.Losses = append(stats.Losses, loss)
 	}

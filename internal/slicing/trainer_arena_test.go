@@ -175,6 +175,91 @@ func TestTrainerArenaBitIdentical(t *testing.T) {
 	}
 }
 
+// fusedConvActs counts the FusedConvActs in a fused layer tree.
+func fusedConvActs(l nn.Layer) int {
+	switch v := l.(type) {
+	case *nn.FusedConvAct:
+		return 1
+	case *nn.Sequential:
+		n := 0
+		for _, c := range v.Layers {
+			n += fusedConvActs(c)
+		}
+		return n
+	case *nn.Residual:
+		n := fusedConvActs(v.Body)
+		if v.Short != nil {
+			n += fusedConvActs(v.Short)
+		}
+		return n
+	}
+	return 0
+}
+
+// doubleNormVGG is a small VGG whose GroupNorms have two norm groups per
+// slice group (models.newNorm ties the two counts together).
+func doubleNormVGG(rng *rand.Rand) nn.Layer {
+	block := func(in, out int, inSpec nn.SliceSpec) []nn.Layer {
+		return []nn.Layer{nn.Conv3x3(in, out, inSpec, nn.Sliced(4), rng), nn.NewGroupNorm(out, 8, nn.Sliced(4), 1e-5), nn.NewReLU()}
+	}
+	var layers []nn.Layer
+	layers = append(layers, block(3, 16, nn.Fixed())...)
+	layers = append(layers, nn.NewMaxPool2D(2, 2))
+	layers = append(layers, block(16, 32, nn.Sliced(4))...)
+	layers = append(layers, nn.NewMaxPool2D(2, 2))
+	layers = append(layers, block(32, 32, nn.Sliced(4))...)
+	head := nn.NewDense(32, 10, nn.Sliced(4), nn.Fixed(), true, rng)
+	head.Rescale = true
+	return nn.NewSequential(append(layers, nn.NewGlobalAvgPool(), head)...)
+}
+
+// TestTrainerFusedMatchesChain holds the Trainer, which steps the fused
+// view (each same Conv→GroupNorm→ReLU one operator on the conv's batch
+// workers), to the unfused chain stepped by hand (heapStep), bit for bit in
+// every loss and parameter over five R-min-max steps. Batch 13 leaves a
+// short last sample group on the 8×8 and 4×4 planes; GOMAXPROCS 1 runs one
+// batch worker and 2 splits the samples between two.
+func TestTrainerFusedMatchesChain(t *testing.T) {
+	rates := NewRateList(0.25, 4)
+	cases := []struct {
+		name  string
+		build func(rng *rand.Rand) nn.Layer
+	}{
+		{arenaCases[0].name, arenaCases[0].build},
+		{arenaCases[1].name, arenaCases[1].build},
+		{"vgg-two-norm-groups-per-slice-group", doubleNormVGG},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/procs%d", tc.name, procs), func(t *testing.T) {
+				batch := imageBatch(13, 41)
+				a, h := tc.build(rand.New(rand.NewSource(42))), tc.build(rand.New(rand.NewSource(42)))
+				rngA, rngH := rand.New(rand.NewSource(43)), rand.New(rand.NewSource(43))
+				tr := NewTrainer(a, rates, NewRMinMax(rates), train.NewSGD(0.05, 0.9, 5e-4), rngA)
+				if fusedConvActs(tr.net) == 0 {
+					t.Fatal("the trainer's fused view has no Conv→GroupNorm→ReLU operator")
+				}
+				sched, opt := NewRMinMax(rates), train.NewSGD(0.05, 0.9, 5e-4)
+				pa, ph := a.Params(), h.Params()
+				for step := 0; step < 5; step++ {
+					got := tr.Step(batch).Losses
+					want := heapStep(h, rates, sched, opt, rngH, batch)
+					if diffBits(got, want) >= 0 {
+						t.Fatalf("step %d losses %v, unfused chain %v", step, got, want)
+					}
+					for i := range pa {
+						if j := diffBits(pa[i].Value.Data, ph[i].Value.Data); j >= 0 {
+							t.Fatalf("step %d %s[%d] = %v, unfused chain %v", step, pa[i].Name, j, pa[i].Value.Data[j], ph[i].Value.Data[j])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // stepAllocsBound is what a VGG13Mini R-min-max step at batch 32 allocates
 // (68) plus 10 %. testing.AllocsPerRun measures at GOMAXPROCS=1, so
 // parallelFor runs inline: what is left is Conv2D's per-call closures (60)

@@ -32,6 +32,14 @@ func normAffineAVX(dst, x []float64, mu, invStd, gamma, beta float64, relu bool)
 	panic("tensor: no vector kernel")
 }
 
+func normGradSumsAVX(dy, x []float64, mu, invStd, gamma, beta float64, relu bool) (sumG, sumGX float64) {
+	panic("tensor: no vector kernel")
+}
+
+func normGradAVX(dx, dy, x []float64, mu, invStd, gamma, beta, a, b float64, relu bool) {
+	panic("tensor: no vector kernel")
+}
+
 func sumBlocksAVX(x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int) float64 {
 	panic("tensor: no vector kernel")
 }

@@ -2,11 +2,11 @@ package tensor
 
 import "fmt"
 
-// Element-wise and reduction primitives for the non-GEMM passes of the
-// forward path (normalization, pooling). A naive `s += v` loop is one serially
-// dependent add per element — latency-bound at 4 cycles each — so the
-// reductions here run sixteen independent lanes (four 4-wide accumulators)
-// in a fixed order:
+// Element-wise and reduction primitives for the non-GEMM passes
+// (normalization forward and backward, pooling). A naive `s += v` loop is
+// one serially dependent add per element — latency-bound at 4 cycles each —
+// so the reductions here run sixteen independent lanes (four 4-wide
+// accumulators) in a fixed order:
 //
 //	lane l of accumulator q sums x[16·i + 4·q + l] over full blocks of 16,
 //	leftover blocks of 4 go to accumulator 0,
@@ -50,6 +50,34 @@ func NormAffine(dst, x []float64, mu, invStd, gamma, beta float64, relu bool) {
 		return
 	}
 	normAffineGo(dst, x, mu, invStd, gamma, beta, relu)
+}
+
+// NormGradSums returns Σ g[i] and Σ g[i]·x̂[i] over one channel of a
+// normalization's backward pass, both in Sum's lane order. x̂[i] is
+// (x[i]−mu)·invStd rounded as NormAffine rounds it at gamma 1, beta 0, so it
+// is what a forward pass would have stored, recomputed in-register; g[i] is
+// dy[i], or with relu set the gradient through a trailing ReLU: dy[i] where
+// gamma·x̂[i]+beta > 0 (the NormAffine output the ReLU kept) and +0
+// elsewhere, NaN included. dy must hold at least len(x) elements.
+func NormGradSums(dy, x []float64, mu, invStd, gamma, beta float64, relu bool) (sumG, sumGX float64) {
+	dy = dy[:len(x)]
+	if useAVX && len(x) >= reduceMinLen {
+		return normGradSumsAVX(dy, x, mu, invStd, gamma, beta, relu)
+	}
+	return normGradSumsGo(dy, x, mu, invStd, gamma, beta, relu)
+}
+
+// NormGrad writes dx[i] = invStd·(g[i]·gamma − a − x̂[i]·b), with g and x̂
+// as in NormGradSums: a normalization's input gradient over one channel,
+// where a and b are its group's means of γ·g and γ·g·x̂. dx and dy must hold
+// at least len(x) elements; dx may alias dy or x exactly.
+func NormGrad(dx, dy, x []float64, mu, invStd, gamma, beta, a, b float64, relu bool) {
+	dx, dy = dx[:len(x)], dy[:len(x)]
+	if useAVX && len(x) >= reduceMinLen {
+		normGradAVX(dx, dy, x, mu, invStd, gamma, beta, a, b, relu)
+		return
+	}
+	normGradGo(dx, dy, x, mu, invStd, gamma, beta, a, b, relu)
 }
 
 // Grid is the layout of Ch channel windows of Rows×Cols elements in a
@@ -239,6 +267,45 @@ func normAffineGo(dst, x []float64, mu, invStd, gamma, beta float64, relu bool) 
 			o = 0
 		}
 		dst[i] = o
+	}
+}
+
+// normGradTerm is element i of NormGradSums and NormGrad: t = (x−mu)·invStd,
+// x̂ = t + 0 (NormAffine at gamma 1, beta 0) and the gradient g.
+func normGradTerm(dy, x, mu, invStd, gamma, beta float64, relu bool) (g, xhat float64) {
+	t := float64((x - mu) * invStd)
+	if relu && !(float64(gamma*t)+beta > 0) {
+		dy = 0
+	}
+	return dy, t + 0
+}
+
+func normGradSumsGo(dy, x []float64, mu, invStd, gamma, beta float64, relu bool) (sumG, sumGX float64) {
+	var ag, agx [16]float64
+	quads := len(x) &^ 3
+	full := len(x) &^ 15
+	for i := 0; i < quads; i++ {
+		g, h := normGradTerm(dy[i], x[i], mu, invStd, gamma, beta, relu)
+		l := i & 3
+		if i < full {
+			l = i & 15
+		}
+		ag[l] += g
+		agx[l] += float64(g * h)
+	}
+	sumG, sumGX = foldLanes(&ag), foldLanes(&agx)
+	for i := quads; i < len(x); i++ {
+		g, h := normGradTerm(dy[i], x[i], mu, invStd, gamma, beta, relu)
+		sumG += g
+		sumGX += float64(g * h)
+	}
+	return sumG, sumGX
+}
+
+func normGradGo(dx, dy, x []float64, mu, invStd, gamma, beta, a, b float64, relu bool) {
+	for i, v := range x {
+		g, h := normGradTerm(dy[i], v, mu, invStd, gamma, beta, relu)
+		dx[i] = invStd * (float64(g*gamma) - a - float64(h*b))
 	}
 }
 

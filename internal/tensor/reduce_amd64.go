@@ -1,9 +1,8 @@
 package tensor
 
-// AVX backends of Sum, SumSqDev and NormAffine and of their grid forms
-// (reduce.go): the same lane
-// order and the same unfused mul/add sequence as the Go loops, four lanes per
-// instruction. MaxPool2x2Row (reduce.go) and CopyRows (shift.go) have theirs
+// AVX backends of Sum, SumSqDev, NormAffine, NormGradSums and NormGrad and
+// of the grid forms (reduce.go): the same lane order and the same unfused
+// mul/add sequence as the Go loops, four lanes per instruction. MaxPool2x2Row (reduce.go) and CopyRows (shift.go) have theirs
 // here too.
 
 // sumAVX is Sum's vector form.
@@ -20,6 +19,16 @@ func sumSqDevAVX(x []float64, mu float64) float64
 //
 //go:noescape
 func normAffineAVX(dst, x []float64, mu, invStd, gamma, beta float64, relu bool)
+
+// normGradSumsAVX is NormGradSums' vector form; dy holds len(x) elements.
+//
+//go:noescape
+func normGradSumsAVX(dy, x []float64, mu, invStd, gamma, beta float64, relu bool) (sumG, sumGX float64)
+
+// normGradAVX is NormGrad's vector form; dx and dy hold len(x) elements.
+//
+//go:noescape
+func normGradAVX(dx, dy, x []float64, mu, invStd, gamma, beta, a, b float64, relu bool)
 
 // sumBlocksAVX is SumGrid's vector body, for a grid in block form
 // (Grid.blocked).

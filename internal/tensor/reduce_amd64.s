@@ -517,3 +517,247 @@ clast:
 cdone:
 	VZEROUPPER
 	RET
+
+// The normalization backward kernels keep mu, invStd, gamma, beta and zero
+// in Y8..Y12. Per four lanes, t = (x − mu)·invStd and x̂ = t + 0 (NormAffine
+// at gamma 1, beta 0); with the ReLU mask, g = dy AND (gamma·t + beta > 0),
+// the compare ordered and quiet (predicate 0x1e), so NaN fails it and a
+// failed lane is +0.
+
+// GSUM adds g = dy at off to ag and g·x̂ to agh, through Y13 and Y14.
+#define GSUM(off, ag, agh) \
+	VMOVUPD off(DI)(AX*8), Y14 \
+	VMOVUPD off(SI)(AX*8), Y13 \
+	VSUBPD  Y8, Y13, Y13       \
+	VMULPD  Y9, Y13, Y13       \
+	VADDPD  Y14, ag, ag        \
+	VADDPD  Y12, Y13, Y13      \
+	VMULPD  Y14, Y13, Y13      \
+	VADDPD  Y13, agh, agh
+
+// GSUMR is GSUM with the ReLU mask.
+#define GSUMR(off, ag, agh) \
+	VMOVUPD off(SI)(AX*8), Y13      \
+	VSUBPD  Y8, Y13, Y13            \
+	VMULPD  Y9, Y13, Y13            \
+	VMULPD  Y10, Y13, Y14           \
+	VADDPD  Y11, Y14, Y14           \
+	VCMPPD  $0x1e, Y12, Y14, Y14    \
+	VANDPD  off(DI)(AX*8), Y14, Y14 \
+	VADDPD  Y14, ag, ag             \
+	VADDPD  Y12, Y13, Y13           \
+	VMULPD  Y14, Y13, Y13           \
+	VADDPD  Y13, agh, agh
+
+// func normGradSumsAVX(dy, x []float64, mu, invStd, gamma, beta float64, relu bool) (sumG, sumGX float64)
+//
+// Σ g in Y0..Y3 and Σ g·x̂ in Y4..Y7, each folded as sumAVX folds.
+TEXT ·normGradSumsAVX(SB), NOSPLIT, $0-104
+	MOVQ         dy_base+0(FP), DI
+	MOVQ         x_base+24(FP), SI
+	MOVQ         x_len+32(FP), CX
+	VBROADCASTSD mu+48(FP), Y8
+	VBROADCASTSD invStd+56(FP), Y9
+	VBROADCASTSD gamma+64(FP), Y10
+	VBROADCASTSD beta+72(FP), Y11
+	VXORPD       Y12, Y12, Y12
+	VXORPD       Y0, Y0, Y0
+	VXORPD       Y1, Y1, Y1
+	VXORPD       Y2, Y2, Y2
+	VXORPD       Y3, Y3, Y3
+	VXORPD       Y4, Y4, Y4
+	VXORPD       Y5, Y5, Y5
+	VXORPD       Y6, Y6, Y6
+	VXORPD       Y7, Y7, Y7
+	XORQ         AX, AX
+	MOVBLZX      relu+80(FP), BX
+	TESTL        BX, BX
+	JNZ          gr16
+
+gs16:
+	LEAQ 16(AX), DX
+	CMPQ DX, CX
+	JG   gs4
+	GSUM(0, Y0, Y4)
+	GSUM(32, Y1, Y5)
+	GSUM(64, Y2, Y6)
+	GSUM(96, Y3, Y7)
+	MOVQ DX, AX
+	JMP  gs16
+
+gs4:
+	LEAQ 4(AX), DX
+	CMPQ DX, CX
+	JG   gfold
+	GSUM(0, Y0, Y4)
+	MOVQ DX, AX
+	JMP  gs4
+
+gr16:
+	LEAQ 16(AX), DX
+	CMPQ DX, CX
+	JG   gr4
+	GSUMR(0, Y0, Y4)
+	GSUMR(32, Y1, Y5)
+	GSUMR(64, Y2, Y6)
+	GSUMR(96, Y3, Y7)
+	MOVQ DX, AX
+	JMP  gr16
+
+gr4:
+	LEAQ 4(AX), DX
+	CMPQ DX, CX
+	JG   gfold
+	GSUMR(0, Y0, Y4)
+	MOVQ DX, AX
+	JMP  gr4
+
+gfold:
+	FOLD
+	VADDPD       Y5, Y4, Y4
+	VADDPD       Y7, Y6, Y6
+	VADDPD       Y6, Y4, Y4
+	VEXTRACTF128 $1, Y4, X5
+	VADDPD       X5, X4, X4
+	VUNPCKHPD    X4, X4, X5
+	VADDSD       X5, X4, X4
+
+gtail:
+	CMPQ   AX, CX
+	JGE    gdone
+	VMOVSD (SI)(AX*8), X13
+	VSUBSD X8, X13, X13
+	VMULSD X9, X13, X13
+	VMOVSD (DI)(AX*8), X14
+	TESTL  BX, BX
+	JZ     gtailadd
+	VMULSD X10, X13, X15
+	VADDSD X11, X15, X15
+	VCMPSD $0x1e, X12, X15, X15
+	VANDPD X15, X14, X14
+
+gtailadd:
+	VADDSD X14, X0, X0
+	VADDSD X12, X13, X13
+	VMULSD X14, X13, X13
+	VADDSD X13, X4, X4
+	INCQ   AX
+	JMP    gtail
+
+gdone:
+	VMOVSD X0, sumG+88(FP)
+	VMOVSD X4, sumGX+96(FP)
+	VZEROUPPER
+	RET
+
+// GRAD writes invStd·(g·gamma − a − x̂·b) for the four lanes at off to
+// dx (R8), g = dy; a and b are in Y6 and Y7.
+#define GRAD(off) \
+	VMOVUPD off(SI)(AX*8), Y13 \
+	VSUBPD  Y8, Y13, Y13       \
+	VMULPD  Y9, Y13, Y13       \
+	VMOVUPD off(DI)(AX*8), Y14 \
+	VMULPD  Y10, Y14, Y14      \
+	VSUBPD  Y6, Y14, Y14       \
+	VADDPD  Y12, Y13, Y13      \
+	VMULPD  Y7, Y13, Y13       \
+	VSUBPD  Y13, Y14, Y14      \
+	VMULPD  Y9, Y14, Y14       \
+	VMOVUPD Y14, off(R8)(AX*8)
+
+// GRADR is GRAD with the ReLU mask.
+#define GRADR(off) \
+	VMOVUPD off(SI)(AX*8), Y13      \
+	VSUBPD  Y8, Y13, Y13            \
+	VMULPD  Y9, Y13, Y13            \
+	VMULPD  Y10, Y13, Y14           \
+	VADDPD  Y11, Y14, Y14           \
+	VCMPPD  $0x1e, Y12, Y14, Y14    \
+	VANDPD  off(DI)(AX*8), Y14, Y14 \
+	VMULPD  Y10, Y14, Y14           \
+	VSUBPD  Y6, Y14, Y14            \
+	VADDPD  Y12, Y13, Y13           \
+	VMULPD  Y7, Y13, Y13            \
+	VSUBPD  Y13, Y14, Y14           \
+	VMULPD  Y9, Y14, Y14            \
+	VMOVUPD Y14, off(R8)(AX*8)
+
+// func normGradAVX(dx, dy, x []float64, mu, invStd, gamma, beta, a, b float64, relu bool)
+TEXT ·normGradAVX(SB), NOSPLIT, $0-121
+	MOVQ         dx_base+0(FP), R8
+	MOVQ         dy_base+24(FP), DI
+	MOVQ         x_base+48(FP), SI
+	MOVQ         x_len+56(FP), CX
+	VBROADCASTSD mu+72(FP), Y8
+	VBROADCASTSD invStd+80(FP), Y9
+	VBROADCASTSD gamma+88(FP), Y10
+	VBROADCASTSD beta+96(FP), Y11
+	VBROADCASTSD a+104(FP), Y6
+	VBROADCASTSD b+112(FP), Y7
+	VXORPD       Y12, Y12, Y12
+	XORQ         AX, AX
+	MOVBLZX      relu+120(FP), BX
+	TESTL        BX, BX
+	JNZ          dr8
+
+d8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JG   d4
+	GRAD(0)
+	GRAD(32)
+	MOVQ DX, AX
+	JMP  d8
+
+d4:
+	LEAQ 4(AX), DX
+	CMPQ DX, CX
+	JG   dtail
+	GRAD(0)
+	MOVQ DX, AX
+	JMP  dtail
+
+dr8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JG   dr4
+	GRADR(0)
+	GRADR(32)
+	MOVQ DX, AX
+	JMP  dr8
+
+dr4:
+	LEAQ 4(AX), DX
+	CMPQ DX, CX
+	JG   dtail
+	GRADR(0)
+	MOVQ DX, AX
+
+dtail:
+	CMPQ   AX, CX
+	JGE    ddone
+	VMOVSD (SI)(AX*8), X13
+	VSUBSD X8, X13, X13
+	VMULSD X9, X13, X13
+	VMOVSD (DI)(AX*8), X14
+	TESTL  BX, BX
+	JZ     dtailgrad
+	VMULSD X10, X13, X15
+	VADDSD X11, X15, X15
+	VCMPSD $0x1e, X12, X15, X15
+	VANDPD X15, X14, X14
+
+dtailgrad:
+	VMULSD X10, X14, X14
+	VSUBSD X6, X14, X14
+	VADDSD X12, X13, X13
+	VMULSD X7, X13, X13
+	VSUBSD X13, X14, X14
+	VMULSD X9, X14, X14
+	VMOVSD X14, (R8)(AX*8)
+	INCQ   AX
+	JMP    dtail
+
+ddone:
+	VZEROUPPER
+	RET

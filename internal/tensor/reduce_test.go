@@ -349,3 +349,93 @@ func TestGridPrimitivesAllocFree(t *testing.T) {
 		t.Fatalf("grid primitives allocate %v times per group", allocs)
 	}
 }
+
+// TestNormGradVectorMatchesScalar holds the backward kernels' AVX forms to
+// their Go twins bit for bit at every length that crosses a block boundary,
+// with special values planted in dy and in x, the ReLU mask on and off, and
+// dx written over a buffer with a guard element on each side.
+func TestNormGradVectorMatchesScalar(t *testing.T) {
+	if !useAVX {
+		t.Skip("no vector kernel on this host")
+	}
+	rng := rand.New(rand.NewSource(81))
+	for n := 0; n <= 67; n++ {
+		xs := reduceInputs(rng, n)
+		for k, dy := range reduceInputs(rng, n) {
+			x := xs[k%len(xs)]
+			mu, is, gamma, beta := rng.NormFloat64(), 0.5+rng.Float64(), rng.NormFloat64(), rng.NormFloat64()
+			a, b := rng.NormFloat64(), rng.NormFloat64()
+			for _, relu := range []bool{false, true} {
+				vg, vgx := normGradSumsAVX(dy, x, mu, is, gamma, beta, relu)
+				sg, sgx := normGradSumsGo(dy, x, mu, is, gamma, beta, relu)
+				if !sameBits(vg, sg) || !sameBits(vgx, sgx) {
+					t.Fatalf("NormGradSums n=%d relu=%v: vector (%v, %v), scalar (%v, %v)", n, relu, vg, vgx, sg, sgx)
+				}
+				vec := make([]float64, n+2)
+				sca := make([]float64, n+2)
+				for i := range vec {
+					vec[i], sca[i] = 42, 42
+				}
+				normGradAVX(vec[1:n+1], dy, x, mu, is, gamma, beta, a, b, relu)
+				normGradGo(sca[1:n+1], dy, x, mu, is, gamma, beta, a, b, relu)
+				for i := range vec {
+					if !sameBits(vec[i], sca[i]) {
+						t.Fatalf("NormGrad n=%d relu=%v [%d]: vector %v, scalar %v", n, relu, i-1, vec[i], sca[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNormGradMatchesMaterialized pins what the backward kernels compute,
+// on both backends: NormGradSums is Sum over the gradient and over its
+// products with x̂, each materialized by a plain loop (x̂ from NormAffine at
+// gamma 1, beta 0; the mask from the clamp of NormAffine at gamma, beta),
+// and NormGrad is the plain loop of its formula — bit for bit, NaN, ±0 and
+// ±Inf included.
+func TestNormGradMatchesMaterialized(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	check := func(t *testing.T) {
+		for _, n := range []int{0, 1, 3, 4, 7, 8, 16, 19, 64, 67, 256} {
+			xs := reduceInputs(rng, n)
+			for k, dy := range reduceInputs(rng, n) {
+				x := xs[(k+1)%len(xs)]
+				mu, is, gamma, beta := rng.NormFloat64(), 0.5+rng.Float64(), rng.NormFloat64(), rng.NormFloat64()
+				if k%2 == 0 {
+					mu = 0 // −0 inputs then give x̂ = +0, not −0
+				}
+				a, b := rng.NormFloat64(), rng.NormFloat64()
+				xhat, y := make([]float64, n), make([]float64, n)
+				NormAffine(xhat, x, mu, is, 1, 0, false)
+				for _, relu := range []bool{false, true} {
+					NormAffine(y, x, mu, is, gamma, beta, true)
+					g, gx, dx := make([]float64, n), make([]float64, n), make([]float64, n)
+					for i, v := range dy {
+						if !relu || y[i] > 0 {
+							g[i] = v
+						}
+						gx[i] = g[i] * xhat[i]
+						dx[i] = is * (float64(g[i]*gamma) - a - float64(xhat[i]*b))
+					}
+					sg, sgx := NormGradSums(dy, x, mu, is, gamma, beta, relu)
+					if !sameBits(sg, Sum(g)) || !sameBits(sgx, Sum(gx)) {
+						t.Fatalf("NormGradSums n=%d relu=%v = (%v, %v), Sum over the materialized terms (%v, %v)", n, relu, sg, sgx, Sum(g), Sum(gx))
+					}
+					got := make([]float64, n)
+					NormGrad(got, dy, x, mu, is, gamma, beta, a, b, relu)
+					for i := range got {
+						if !sameBits(got[i], dx[i]) {
+							t.Fatalf("NormGrad n=%d relu=%v [%d] = %v, want %v", n, relu, i, got[i], dx[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Run("dispatch", check)
+	saved := useAVX
+	useAVX = false
+	defer func() { useAVX = saved }()
+	t.Run("scalar", check)
+}

@@ -38,33 +38,50 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 }
 
 // Step applies one update to every parameter from its accumulated gradient
-// and zeroes the gradients.
+// and zeroes the gradients, in one pass over each parameter's elements:
+// g ← g + λ·w (weight decay, Decay parameters only), then with momentum
+// v ← μ·v + g and w ← w − lr·v (Nesterov: w ← w − lr·(g + μ·v)), without
+// it w ← w − lr·g, then g ← 0. Each product is rounded on its own (the
+// float64 conversions keep a target with FMA from contracting it), so the
+// result is that of the same steps taken one full pass at a time.
 func (s *SGD) Step(params []*nn.Param) {
+	lr, mu := s.LR, s.Momentum
 	for _, p := range params {
-		g := p.Grad
-		if s.WeightDecay != 0 && p.Decay {
-			g.AddScaled(s.WeightDecay, p.Value)
+		w := p.Value.Data
+		g := p.Grad.Data[:len(w)]
+		wd := 0.0
+		if p.Decay {
+			wd = s.WeightDecay
 		}
-		if s.Momentum != 0 {
-			v, ok := s.vel[p]
-			if !ok {
-				v = tensor.New(p.Value.Shape...)
-				s.vel[p] = v
-			}
-			v.Scale(s.Momentum)
-			v.Add(g)
-			if s.Nesterov {
-				// Update uses g + momentum*v.
-				for i := range p.Value.Data {
-					p.Value.Data[i] -= s.LR * (g.Data[i] + s.Momentum*v.Data[i])
+		if mu == 0 {
+			for i, gi := range g {
+				if wd != 0 {
+					gi += float64(wd * w[i])
 				}
-			} else {
-				p.Value.AddScaled(-s.LR, v)
+				w[i] -= float64(lr * gi)
+				g[i] = 0
 			}
-		} else {
-			p.Value.AddScaled(-s.LR, g)
+			continue
 		}
-		p.ZeroGrad()
+		vt, ok := s.vel[p]
+		if !ok {
+			vt = tensor.New(p.Value.Shape...)
+			s.vel[p] = vt
+		}
+		v := vt.Data[:len(w)]
+		for i, gi := range g {
+			if wd != 0 {
+				gi += float64(wd * w[i])
+			}
+			vi := float64(mu*v[i]) + gi
+			v[i] = vi
+			if s.Nesterov {
+				w[i] -= float64(lr * (gi + float64(mu*vi)))
+			} else {
+				w[i] -= float64(lr * vi)
+			}
+			g[i] = 0
+		}
 	}
 }
 
