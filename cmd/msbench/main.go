@@ -21,7 +21,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "", "experiment id (see -list), or 'all'")
-	scaleFlag := flag.String("scale", "small", "tiny|small|medium")
+	scaleFlag := flag.String("scale", "small", "micro|tiny|small|medium")
 	seed := flag.Int64("seed", 42, "random seed")
 	list := flag.Bool("list", false, "list available experiments")
 	flag.Parse()

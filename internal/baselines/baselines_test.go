@@ -9,6 +9,7 @@ import (
 	"modelslicing/internal/data"
 	"modelslicing/internal/models"
 	"modelslicing/internal/nn"
+	"modelslicing/internal/slicing"
 	"modelslicing/internal/train"
 )
 
@@ -275,16 +276,69 @@ func TestEnsembleSelection(t *testing.T) {
 	e.Add(EnsembleMember{Name: "bad", MACs: 1})
 }
 
+// TestTrainFixedLearns trains a fixed-width model the way the experiments
+// train their baselines: the slicing Trainer at the one rate 1.
 func TestTrainFixedLearns(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	d := tinyImages()
 	m, _, _ := tinyVGG(models.NormGroup, rng)
 	opt := train.NewSGD(0.05, 0.9, 1e-4)
 	sched := train.NewStepDecay(0.05, 10, 12, 18)
-	TrainFixed(m, func(int) []train.Batch { return d.TrainBatches(16, false, rng) },
-		opt, sched, 22, rng)
+	tr := slicing.NewTrainer(m, slicing.RateList{1}, slicing.Fixed{Rate: 1}, opt, rng)
+	for e := 0; e < 22; e++ {
+		opt.LR = sched.LR(e)
+		tr.Epoch(d.TrainBatches(16, false, rng))
+	}
 	res := train.Evaluate(m, 1, 0, d.TestBatches(16))
 	if res.Accuracy < 0.5 {
 		t.Fatalf("fixed training reached only %.3f accuracy", res.Accuracy)
+	}
+}
+
+// TestSkipNetLiteTrainerMatchesPlainLoop holds SkipNet-lite trained through
+// the Trainer at rate 1 to the plain Forward → SoftmaxCrossEntropy →
+// Backward → SGD loop on the same seeds, bit for bit in every loss and
+// parameter: the Trainer must consume the RNG exactly as the loop does, so
+// every stochastic-depth gate drops the same blocks on both sides.
+func TestSkipNetLiteTrainerMatchesPlainLoop(t *testing.T) {
+	build := func() *SkipNetLite {
+		m, _ := models.NewResNet(models.ResNetMini(1, models.NormGroup, 1), rand.New(rand.NewSource(11)))
+		return NewSkipNetLite(m, 0.5)
+	}
+	a, h := build(), build()
+	rngA, rngH := rand.New(rand.NewSource(12)), rand.New(rand.NewSource(12))
+	tr := slicing.NewTrainer(a, slicing.RateList{1}, slicing.Fixed{Rate: 1}, train.NewSGD(0.05, 0.9, 1e-4), rngA)
+	opt := train.NewSGD(0.05, 0.9, 1e-4)
+	batches := tinyImages().TrainBatches(16, false, rand.New(rand.NewSource(13)))
+	pa, ph := a.Params(), h.Params()
+	drops := 0
+	for step, b := range batches {
+		got := tr.Step(b).Losses
+		ctx := &nn.Context{Training: true, Rate: 1, RNG: rngH}
+		want, dy := nn.SoftmaxCrossEntropy(h.Forward(ctx, b.X), b.Labels)
+		h.Backward(ctx, dy)
+		opt.Step(h.Params())
+		for i, g := range h.gates {
+			if g.dropped != a.gates[i].dropped {
+				t.Fatalf("step %d gate %d dropped %v, plain loop %v", step, i, a.gates[i].dropped, g.dropped)
+			}
+			if g.dropped {
+				drops++
+			}
+		}
+		if len(got) != 1 || math.Float64bits(got[0]) != math.Float64bits(want) {
+			t.Fatalf("step %d losses %v, plain loop %v", step, got, want)
+		}
+		for i := range pa {
+			for j := range pa[i].Value.Data {
+				if math.Float64bits(pa[i].Value.Data[j]) != math.Float64bits(ph[i].Value.Data[j]) {
+					t.Fatalf("step %d %s[%d] = %v, plain loop %v", step, pa[i].Name, j, pa[i].Value.Data[j], ph[i].Value.Data[j])
+				}
+			}
+		}
+	}
+	// At p=0.5 over every gate and step, both routes must be exercised.
+	if n := len(a.gates) * len(batches); drops == 0 || drops == n {
+		t.Fatalf("%d of %d gate draws dropped their block, want some of each", drops, n)
 	}
 }

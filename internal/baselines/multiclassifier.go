@@ -92,7 +92,8 @@ func (m *MultiClassifier) ExitCost(k int, inShape []int) int64 {
 // TrainStep performs one joint training step: a single forward through the
 // backbone with per-head losses, gradients accumulated backwards so every
 // backbone layer is traversed exactly once, then an optimizer update.
-// It returns the per-head losses.
+// It returns the per-head losses. It is not a slicing.Trainer step because
+// the heads share one joint backward through the backbone.
 func (m *MultiClassifier) TrainStep(ctx *nn.Context, b train.Batch, opt *train.SGD) []float64 {
 	k := len(m.Heads)
 	losses := make([]float64, k)

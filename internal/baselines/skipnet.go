@@ -1,8 +1,6 @@
 package baselines
 
 import (
-	"math/rand"
-
 	"modelslicing/internal/cost"
 	"modelslicing/internal/nn"
 	"modelslicing/internal/tensor"
@@ -221,20 +219,4 @@ func (e *Ensemble) TotalParams() int64 {
 		t += m.Params
 	}
 	return t
-}
-
-// TrainFixed trains a conventional fixed-width model for the given epochs —
-// the per-member training routine of the ensemble baselines.
-func TrainFixed(model nn.Layer, batchesPerEpoch func(epoch int) []train.Batch, opt *train.SGD,
-	sched train.LRSchedule, epochs int, rng *rand.Rand) {
-	for e := 0; e < epochs; e++ {
-		opt.LR = sched.LR(e)
-		for _, b := range batchesPerEpoch(e) {
-			ctx := &nn.Context{Training: true, Rate: 1, RNG: rng}
-			logits := model.Forward(ctx, b.X)
-			_, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
-			model.Backward(ctx, dy)
-			opt.Step(model.Params())
-		}
-	}
 }

@@ -143,31 +143,20 @@ func trainSlicedCNN(model *nn.Sequential, rates slicing.RateList, evalRates []fl
 	sched slicing.Scheduler, d *data.Images, sz cnnSizing, test []train.Batch,
 	rng *rand.Rand) (*train.History, map[string][][]float64) {
 
-	opt := train.NewSGD(sz.LR, 0.9, 1e-4)
-	lr := sz.lrSchedule()
-	tr := slicing.NewTrainer(model, rates, sched, opt, rng)
-
 	hist := train.NewHistory(evalRates)
 	early, late, labels := gammaTaps(model)
 	trace := map[string][][]float64{}
-
-	for epoch := 0; epoch < sz.Epochs; epoch++ {
-		opt.LR = lr.LR(epoch)
-		loss := tr.Epoch(d.TrainBatches(sz.Batch, sz.Augment, rng))
+	trainCNN(model, rates, sched, d, sz, rng, func(epoch int, loss float64) {
 		rec := train.EpochRecord{Epoch: epoch, TrainLoss: loss}
 		for _, r := range evalRates {
-			idx := 0
-			if i, err := rates.Index(r); err == nil {
-				idx = i
-			}
-			rec.PerRate = append(rec.PerRate, train.Evaluate(model, r, idx, test))
+			rec.PerRate = append(rec.PerRate, train.Evaluate(model, r, rates.WidthIdx(r), test))
 		}
 		if early != nil {
 			trace[labels[0]] = append(trace[labels[0]], early.GammaGroupMeans())
 			trace[labels[1]] = append(trace[labels[1]], late.GammaGroupMeans())
 		}
 		hist.Append(rec)
-	}
+	})
 	return hist, trace
 }
 
@@ -189,21 +178,27 @@ func gammaTaps(model *nn.Sequential) (early, late *nn.GroupNorm, labels [2]strin
 	return early, late, labels
 }
 
-// trainFixedCNN trains a conventional fixed-width model with the shared
-// recipe.
-func trainFixedCNN(model nn.Layer, d *data.Images, sz cnnSizing, rng *rand.Rand) {
+// trainCNN is the one CNN training recipe: SGD with momentum 0.9 and weight
+// decay 1e-4 under sz.lrSchedule(), one Trainer epoch over freshly drawn
+// batches per epoch. after, when non-nil, sees each epoch's mean loss.
+func trainCNN(model nn.Layer, rates slicing.RateList, sched slicing.Scheduler,
+	d *data.Images, sz cnnSizing, rng *rand.Rand, after func(epoch int, loss float64)) {
 	opt := train.NewSGD(sz.LR, 0.9, 1e-4)
-	lr := sz.lrSchedule()
+	lrs := sz.lrSchedule()
+	tr := slicing.NewTrainer(model, rates, sched, opt, rng)
 	for epoch := 0; epoch < sz.Epochs; epoch++ {
-		opt.LR = lr.LR(epoch)
-		for _, b := range d.TrainBatches(sz.Batch, sz.Augment, rng) {
-			ctx := &nn.Context{Training: true, Rate: 1, RNG: rng}
-			logits := model.Forward(ctx, b.X)
-			_, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
-			model.Backward(ctx, dy)
-			opt.Step(model.Params())
+		opt.LR = lrs.LR(epoch)
+		loss := tr.Epoch(d.TrainBatches(sz.Batch, sz.Augment, rng))
+		if after != nil {
+			after(epoch, loss)
 		}
 	}
+}
+
+// trainFixedCNN trains a conventional fixed-width model with the shared
+// recipe: the Trainer at the one rate 1.
+func trainFixedCNN(model nn.Layer, d *data.Images, sz cnnSizing, rng *rand.Rand) {
+	trainCNN(model, slicing.RateList{1}, slicing.Fixed{Rate: 1}, d, sz, rng, nil)
 }
 
 // SlicedCost returns (MACs, params) of the sliced model at rate r.

@@ -157,7 +157,7 @@ func Fig8(scale Scale, seed int64) *Table {
 	slicedWrong := make([]map[int]bool, len(rates))
 	for i, r := range rates {
 		fixedWrong[i] = train.WrongSet(s.Fixed[r], 1, 0, test)
-		slicedWrong[i] = train.WrongSet(s.Sliced, r, rateIdx(s.Rates, r), test)
+		slicedWrong[i] = train.WrongSet(s.Sliced, r, s.Rates.WidthIdx(r), test)
 	}
 	tab := &Table{
 		Title:  fmt.Sprintf("Figure 8 — error-set inclusion coefficients (%v scale)", scale),

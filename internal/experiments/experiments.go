@@ -42,7 +42,7 @@ func ParseScale(s string) (Scale, error) {
 	case "medium":
 		return Medium, nil
 	default:
-		return Tiny, fmt.Errorf("unknown scale %q (want tiny|small|medium)", s)
+		return Tiny, fmt.Errorf("unknown scale %q (want micro|tiny|small|medium)", s)
 	}
 }
 

@@ -18,8 +18,9 @@ func TestParseScale(t *testing.T) {
 			t.Fatalf("ParseScale(%q) = %v, %v", tc.in, got, err)
 		}
 	}
-	if _, err := ParseScale("huge"); err == nil {
-		t.Fatal("expected error for unknown scale")
+	_, err := ParseScale("huge")
+	if err == nil || !strings.Contains(err.Error(), "micro|tiny|small|medium") {
+		t.Fatalf("ParseScale(huge) error %v, want one listing micro|tiny|small|medium", err)
 	}
 }
 

@@ -29,14 +29,14 @@ func Fig2(scale Scale, seed int64) *TradeoffResult {
 	rng := rand.New(rand.NewSource(seed))
 	narrowCfg := models.ResNetMini(sz.Granularity, models.NormGroup, len(rates))
 	narrow, _ := models.NewResNet(narrowCfg, rng)
-	trainSlicedResNet(narrow, rates, d, sz, rng)
+	trainCNN(narrow, rates, slicing.NewRandomWeighted(rates, PaperWeights(rates), 3), d, sz, rng, nil)
 	out.Curves = append(out.Curves, sliceCurve("ResNet with Model Slicing (single model L164-mini)",
 		narrow, rates, inShape, test))
 
 	// --- Model slicing on the widened ResNet-56-2 analogue.
 	wideCfg := models.ResNetMiniWide(sz.Granularity, models.NormGroup, len(rates))
 	wide, _ := models.NewResNet(wideCfg, rng)
-	trainSlicedResNet(wide, rates, d, sz, rng)
+	trainCNN(wide, rates, slicing.NewRandomWeighted(rates, PaperWeights(rates), 3), d, sz, rng, nil)
 	out.Curves = append(out.Curves, sliceCurve("ResNet with Model Slicing (single model L56-2-mini)",
 		wide, rates, inShape, test))
 
@@ -76,6 +76,7 @@ func Fig2(scale Scale, seed int64) *TradeoffResult {
 		tapChannels[i] = w * mcCfg.Expansion
 	}
 	mc := baselines.NewMultiClassifierCNN(backbone, taps, tapChannels, mcCfg.Classes, rng)
+	// Not a Trainer: TrainStep runs one joint backward through the backbone.
 	opt := train.NewSGD(sz.LR, 0.9, 1e-4)
 	lrs := sz.lrSchedule()
 	for epoch := 0; epoch < sz.Epochs; epoch++ {
@@ -113,17 +114,7 @@ func Fig2(scale Scale, seed int64) *TradeoffResult {
 	// --- SkipNet-style dynamic routing.
 	skipBase, _ := models.NewResNet(models.ResNetMini(1, models.NormGroup, 1), rng)
 	skip := baselines.NewSkipNetLite(skipBase, 0.2)
-	sopt := train.NewSGD(sz.LR, 0.9, 1e-4)
-	for epoch := 0; epoch < sz.Epochs; epoch++ {
-		sopt.LR = lrs.LR(epoch)
-		for _, b := range d.TrainBatches(sz.Batch, sz.Augment, rng) {
-			ctx := &nn.Context{Training: true, Rate: 1, RNG: rng}
-			logits := skip.Forward(ctx, b.X)
-			_, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
-			skip.Backward(ctx, dy)
-			sopt.Step(skip.Params())
-		}
-	}
+	trainFixedCNN(skip, d, sz, rng)
 	skip.MeasureContributions(test)
 	var skipCurve Curve
 	skipCurve.Name = "ResNet with Dynamic Routing (SkipNet-lite)"
@@ -152,21 +143,11 @@ func point(model nn.Layer, rates slicing.RateList, r float64, inShape []int,
 	test []train.Batch) Point {
 	macs := costAt(model, inShape, r)
 	return Point{fmt.Sprintf("r=%.4g", r), macs,
-		train.Evaluate(model, r, rateIdx(rates, r), test).Accuracy}
+		train.Evaluate(model, r, rates.WidthIdx(r), test).Accuracy}
 }
 
-func trainSlicedResNet(model *nn.Sequential, rates slicing.RateList, d *data.Images,
-	sz cnnSizing, rng *rand.Rand) {
-	opt := train.NewSGD(sz.LR, 0.9, 1e-4)
-	lrs := sz.lrSchedule()
-	tr := slicing.NewTrainer(model, rates, slicing.NewRandomWeighted(rates, PaperWeights(rates), 3), opt, rng)
-	for epoch := 0; epoch < sz.Epochs; epoch++ {
-		opt.LR = lrs.LR(epoch)
-		tr.Epoch(d.TrainBatches(sz.Batch, sz.Augment, rng))
-	}
-}
-
-// trainSlimCNN trains with the network-slimming L1 penalty on γ.
+// trainSlimCNN trains with the network-slimming L1 penalty on γ. It keeps
+// its own loop because the penalty lands between Backward and the update.
 func trainSlimCNN(model nn.Layer, d *data.Images, sz cnnSizing, lambda float64, rng *rand.Rand) {
 	opt := train.NewSGD(sz.LR, 0.9, 1e-4)
 	lrs := sz.lrSchedule()
@@ -186,16 +167,9 @@ func trainSlimCNN(model nn.Layer, d *data.Images, sz cnnSizing, lambda float64, 
 // fineTune runs a short recovery phase after pruning (⅓ of the epochs at a
 // tenth of the learning rate, the usual slimming recipe).
 func fineTune(model nn.Layer, d *data.Images, sz cnnSizing, rng *rand.Rand) {
-	opt := train.NewSGD(sz.LR/10, 0.9, 1e-4)
-	epochs := sz.Epochs/3 + 1
-	for epoch := 0; epoch < epochs; epoch++ {
-		for _, b := range d.TrainBatches(sz.Batch, sz.Augment, rng) {
-			ctx := &nn.Context{Training: true, Rate: 1, RNG: rng}
-			logits := model.Forward(ctx, b.X)
-			_, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
-			model.Backward(ctx, dy)
-			opt.Step(model.Params())
-		}
+	tr := slicing.NewTrainer(model, slicing.RateList{1}, slicing.Fixed{Rate: 1}, train.NewSGD(sz.LR/10, 0.9, 1e-4), rng)
+	for epoch := 0; epoch < sz.Epochs/3+1; epoch++ {
+		tr.Epoch(d.TrainBatches(sz.Batch, sz.Augment, rng))
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"modelslicing/internal/slicing"
 	"modelslicing/internal/train"
 )
 
@@ -53,10 +52,7 @@ func Fig5(scale Scale, seed int64) *TradeoffResult {
 	for _, r := range s.EvalRates {
 		label := fmt.Sprintf("r=%.4g", r)
 		macs, _ := s.SlicedCost(r)
-		idx := 0
-		if i, err := s.Rates.Index(r); err == nil {
-			idx = i
-		}
+		idx := s.Rates.WidthIdx(r)
 		slicedCurve.Points = append(slicedCurve.Points, Point{label, macs,
 			train.Evaluate(s.Sliced, r, idx, test).Accuracy})
 		directCurve.Points = append(directCurve.Points, Point{label, macs,
@@ -113,23 +109,16 @@ func Table4(scale Scale, seed int64) *Table {
 		tab.Rows = append(tab.Rows, row)
 	}
 	addAccRow("VGG-13-lb-1.0 (direct slicing)", func(r float64) float64 {
-		return train.Evaluate(s.Direct, r, rateIdx(s.Rates, r), test).Accuracy
+		return train.Evaluate(s.Direct, r, s.Rates.WidthIdx(r), test).Accuracy
 	})
 	addAccRow("VGG-13-fixed-models", func(r float64) float64 {
 		return train.Evaluate(s.Fixed[r], 1, 0, test).Accuracy
 	})
 	addAccRow(fmt.Sprintf("VGG-13-lb-%.3g (model slicing)", s.Rates.Min()), func(r float64) float64 {
-		return train.Evaluate(s.Sliced, r, rateIdx(s.Rates, r), test).Accuracy
+		return train.Evaluate(s.Sliced, r, s.Rates.WidthIdx(r), test).Accuracy
 	})
 	tab.Notes = append(tab.Notes,
 		"paper (CIFAR-10): direct slicing collapses off-full-width; slicing tracks fixed models and collapses only below lb",
 		"paper reference rows: VGG-13-lb-1.0: 94.31 87.55 67.93 44.18 21.37 12.23 10.19 | fixed: 94.31 93.92 93.86 93.79 93.39 92.85 91.63 | lb-0.375: 94.32 94.27 94.22 94.11 93.90 93.57 16.87")
 	return tab
-}
-
-func rateIdx(rates slicing.RateList, r float64) int {
-	if i, err := rates.Index(r); err == nil {
-		return i
-	}
-	return 0
 }

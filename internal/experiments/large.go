@@ -59,20 +59,14 @@ func Table4Large(scale Scale, seed int64) *Table {
 		// Slicing arm.
 		vc, rc := fam.build(4, models.NormGroup, len(rates))
 		sliced := buildFamily(vc, rc, rng)
-		opt := train.NewSGD(sz.LR, 0.9, 1e-4)
-		lrs := sz.lrSchedule()
-		tr := slicing.NewTrainer(sliced, rates, slicing.NewRMinMax(rates), opt, rng)
-		for epoch := 0; epoch < sz.Epochs; epoch++ {
-			opt.LR = lrs.LR(epoch)
-			tr.Epoch(d.TrainBatches(sz.Batch, sz.Augment, rng))
-		}
+		trainCNN(sliced, rates, slicing.NewRMinMax(rates), d, sz, rng, nil)
 		slicedRow := []string{fam.name + "-lb-0.25", "acc %"}
 		ctRow := []string{fam.name, "Ct %"}
 		inShape := []int{imgCfg.Channels, imgCfg.H, imgCfg.W}
 		fullMACs := costAt(sliced, inShape, 1)
 		for _, r := range cols {
 			ctRow = append(ctRow, f2(100*float64(costAt(sliced, inShape, r))/float64(fullMACs)))
-			slicedRow = append(slicedRow, f2(100*train.Evaluate(sliced, r, rateIdx(rates, r), test).Accuracy))
+			slicedRow = append(slicedRow, f2(100*train.Evaluate(sliced, r, rates.WidthIdx(r), test).Accuracy))
 		}
 		// Fixed arm.
 		fixedRow := []string{fam.name + "-fixed-models", "acc %"}

@@ -103,9 +103,9 @@ func Fig4Table2(scale Scale, seed int64) *NNLMResult {
 	for _, r := range out.Rates {
 		out.Ct = append(out.Ct, cost.FLOPs(slicedModel, inShape, r)/fullC)
 		out.SlicedPPL = append(out.SlicedPPL,
-			train.Evaluate(slicedModel, r, rateIdx(rates, r), testB).Perplexity())
+			train.Evaluate(slicedModel, r, rates.WidthIdx(r), testB).Perplexity())
 		out.DirectPPL = append(out.DirectPPL,
-			train.Evaluate(directModel, r, rateIdx(rates, r), testB).Perplexity())
+			train.Evaluate(directModel, r, rates.WidthIdx(r), testB).Perplexity())
 		out.FixedPPL = append(out.FixedPPL,
 			train.Evaluate(fixed[r], 1, 0, testB).Perplexity())
 	}

@@ -63,13 +63,7 @@ func Table1(scale Scale, seed int64) *Table {
 		rng := rand.New(rand.NewSource(seed + 1))
 		cfg := models.VGG13Mini(4, a.norm, len(rates))
 		m, _ := models.NewVGG(cfg, rng)
-		opt := train.NewSGD(sz.LR, 0.9, 1e-4)
-		lr := sz.lrSchedule()
-		tr := slicing.NewTrainer(m, rates, a.sched, opt, rng)
-		for epoch := 0; epoch < sz.Epochs; epoch++ {
-			opt.LR = lr.LR(epoch)
-			tr.Epoch(d.TrainBatches(sz.Batch, sz.Augment, rng))
-		}
+		trainCNN(m, rates, a.sched, d, sz, rng, nil)
 		row := []string{a.name, fmt.Sprintf("%d", len(a.sched.Next(rng)))}
 		for _, r := range cols {
 			row = append(row, f2(100*train.Evaluate(m, r, rates.MustIndex(r), test).Accuracy))
@@ -109,21 +103,15 @@ func Fig3(scale Scale, seed int64) *Table {
 		rates := slicing.NewRateList(lb, granularity)
 		cfg := models.VGG13Mini(granularity, models.NormGroup, len(rates))
 		m, _ := models.NewVGG(cfg, rng)
-		opt := train.NewSGD(sz.LR, 0.9, 1e-4)
-		lrs := sz.lrSchedule()
 		var sched slicing.Scheduler = slicing.NewRandomWeighted(rates, PaperWeights(rates), 3)
 		if len(rates) == 1 {
 			sched = slicing.Fixed{Rate: 1.0}
 		}
-		tr := slicing.NewTrainer(m, rates, sched, opt, rng)
-		for epoch := 0; epoch < sz.Epochs; epoch++ {
-			opt.LR = lrs.LR(epoch)
-			tr.Epoch(d.TrainBatches(sz.Batch, sz.Augment, rng))
-		}
+		trainCNN(m, rates, sched, d, sz, rng, nil)
 		row := []string{fmt.Sprintf("%.4g", lb)}
 		for i := len(evalRates) - 1; i >= 0; i-- {
 			r := evalRates[i]
-			res := train.Evaluate(m, r, rateIdx(rates, r), test)
+			res := train.Evaluate(m, r, rates.WidthIdx(r), test)
 			row = append(row, f2(res.ErrorRate()))
 		}
 		tab.Rows = append(tab.Rows, row)

@@ -54,10 +54,10 @@ func TestTrainerWidthIdxFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	rates := NewRateList(0.25, 4)
 	tr := NewTrainer(slicedMLP(rng), rates, Fixed{Rate: 1}, nil, rng)
-	if tr.widthIdx(0.75) != 2 {
-		t.Fatalf("widthIdx(0.75) = %d", tr.widthIdx(0.75))
+	if tr.Rates.WidthIdx(0.75) != 2 {
+		t.Fatalf("WidthIdx(0.75) = %d", tr.Rates.WidthIdx(0.75))
 	}
-	if tr.widthIdx(0.33) != 0 {
+	if tr.Rates.WidthIdx(0.33) != 0 {
 		t.Fatal("unlisted rates must map to width index 0")
 	}
 }

@@ -91,6 +91,13 @@ func (l RateList) MustIndex(r float64) int {
 	return i
 }
 
+// WidthIdx returns the position of rate r for layers that keep per-width
+// state (nn.Context.WidthIdx), or 0 when r is not a member.
+func (l RateList) WidthIdx(r float64) int {
+	i, _ := l.Index(r)
+	return i
+}
+
 // Nearest returns the member closest to r (ties resolve downward).
 func (l RateList) Nearest(r float64) float64 {
 	best, bd := l[0], math.Abs(l[0]-r)

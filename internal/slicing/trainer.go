@@ -74,15 +74,6 @@ func (s StepStats) MeanLoss() float64 {
 	return sum / float64(len(s.Losses))
 }
 
-// widthIdx maps a scheduled rate to its position in the rate list (for
-// layers that keep per-width state); unlisted rates map to 0.
-func (t *Trainer) widthIdx(r float64) int {
-	if i, err := t.Rates.Index(r); err == nil {
-		return i
-	}
-	return 0
-}
-
 // Step performs one training step on the batch. Each scheduled sub-network
 // runs on a pooled arena that is reset after its Backward: the layers drop
 // their arena-backed caches there, so nothing of a pass outlives it.
@@ -94,7 +85,7 @@ func (t *Trainer) Step(b train.Batch) StepStats {
 	stats := StepStats{Rates: lt}
 	arena := stepArenas.Get().(*tensor.Arena)
 	for _, r := range lt {
-		ctx := &nn.Context{Training: true, Rate: r, WidthIdx: t.widthIdx(r), RNG: t.RNG, Arena: arena}
+		ctx := &nn.Context{Training: true, Rate: r, WidthIdx: t.Rates.WidthIdx(r), RNG: t.RNG, Arena: arena}
 		logits := t.net.Forward(ctx, b.X)
 		loss, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
 		t.net.Backward(ctx, dy)
@@ -137,11 +128,7 @@ func (t *Trainer) Epoch(batches []train.Batch) float64 {
 
 // Predict runs an inference pass at slice rate r and returns the logits.
 func Predict(model nn.Layer, rates RateList, r float64, x *tensor.Tensor) *tensor.Tensor {
-	idx := 0
-	if i, err := rates.Index(r); err == nil {
-		idx = i
-	}
-	ctx := &nn.Context{Training: false, Rate: r, WidthIdx: idx}
+	ctx := &nn.Context{Training: false, Rate: r, WidthIdx: rates.WidthIdx(r)}
 	return model.Forward(ctx, x)
 }
 

@@ -98,11 +98,7 @@ func heapStep(model nn.Layer, rates RateList, sched Scheduler, opt *train.SGD, r
 	lt := sched.Next(rng)
 	var losses []float64
 	for _, r := range lt {
-		idx := 0
-		if i, err := rates.Index(r); err == nil {
-			idx = i
-		}
-		ctx := &nn.Context{Training: true, Rate: r, WidthIdx: idx, RNG: rng}
+		ctx := &nn.Context{Training: true, Rate: r, WidthIdx: rates.WidthIdx(r), RNG: rng}
 		logits := model.Forward(ctx, b.X)
 		loss, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
 		model.Backward(ctx, dy)
@@ -149,7 +145,7 @@ func TestTrainerArenaBitIdentical(t *testing.T) {
 				var dx [2][]float64
 				for k, m := range []nn.Layer{a, h} {
 					train.ZeroGrad(m.Params())
-					ctx := &nn.Context{Training: true, Rate: r, WidthIdx: tr.widthIdx(r), RNG: rand.New(rand.NewSource(34))}
+					ctx := &nn.Context{Training: true, Rate: r, WidthIdx: tr.Rates.WidthIdx(r), RNG: rand.New(rand.NewSource(34))}
 					if k == 0 {
 						ctx.Arena = arena
 					}
@@ -333,6 +329,55 @@ func BenchmarkTrainerStep(b *testing.B) {
 				tr.Step(batch)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/step")
+		})
+	}
+}
+
+// TestTrainerFixedRateMatchesPlainLoop holds conventional training through
+// the Trainer (RateList{1}, Fixed{1}: the fused view on the step arena) to
+// the plain Forward → SoftmaxCrossEntropy → Backward → SGD loop on the
+// unfused heap model, bit for bit in every loss and parameter. The models
+// are the width-scaled, single-group fixed baselines the experiments train.
+func TestTrainerFixedRateMatchesPlainLoop(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(rng *rand.Rand) nn.Layer
+	}{
+		{"vgg13mini-groupnorm-x0.75", func(rng *rand.Rand) nn.Layer {
+			m, _ := models.NewVGG(models.VGG13Mini(1, models.NormGroup, 1).ScaleWidths(3, 4), rng)
+			return m
+		}},
+		{"resnetmini-groupnorm-x0.5", func(rng *rand.Rand) nn.Layer {
+			m, _ := models.NewResNet(models.ResNetMini(1, models.NormGroup, 1).ScaleWidths(1, 2), rng)
+			return m
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, h := tc.build(rand.New(rand.NewSource(51))), tc.build(rand.New(rand.NewSource(51)))
+			rngA, rngH := rand.New(rand.NewSource(52)), rand.New(rand.NewSource(52))
+			tr := NewTrainer(a, RateList{1}, Fixed{Rate: 1}, train.NewSGD(0.05, 0.9, 1e-4), rngA)
+			if fusedConvActs(tr.net) == 0 {
+				t.Fatal("the trainer's fused view has no Conv→GroupNorm→ReLU operator")
+			}
+			opt := train.NewSGD(0.05, 0.9, 1e-4)
+			pa, ph := a.Params(), h.Params()
+			for step := 0; step < 4; step++ {
+				batch := imageBatch(13, int64(53+step))
+				got := tr.Step(batch).Losses
+				ctx := &nn.Context{Training: true, Rate: 1, RNG: rngH}
+				want, dy := nn.SoftmaxCrossEntropy(h.Forward(ctx, batch.X), batch.Labels)
+				h.Backward(ctx, dy)
+				opt.Step(h.Params())
+				if len(got) != 1 || math.Float64bits(got[0]) != math.Float64bits(want) {
+					t.Fatalf("step %d losses %v, plain loop %v", step, got, want)
+				}
+				for i := range pa {
+					if j := diffBits(pa[i].Value.Data, ph[i].Value.Data); j >= 0 {
+						t.Fatalf("step %d %s[%d] = %v, plain loop %v", step, pa[i].Name, j, pa[i].Value.Data[j], ph[i].Value.Data[j])
+					}
+				}
+			}
 		})
 	}
 }

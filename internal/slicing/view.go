@@ -112,12 +112,8 @@ func (s *Shared) InferUnfused(r float64, x *tensor.Tensor, arena *tensor.Arena) 
 }
 
 func (s *Shared) infer(model nn.Layer, r float64, x *tensor.Tensor, arena *tensor.Arena) *tensor.Tensor {
-	idx := 0
-	if i, err := s.rates.Index(r); err == nil {
-		idx = i
-	}
 	ctx := ctxPool.Get().(*nn.Context)
-	*ctx = nn.Context{Rate: r, WidthIdx: idx, Arena: arena, Tier: s.tier}
+	*ctx = nn.Context{Rate: r, WidthIdx: s.rates.WidthIdx(r), Arena: arena, Tier: s.tier}
 	y := nn.Infer(model, ctx, x)
 	ctxPool.Put(ctx)
 	return y

@@ -104,11 +104,7 @@ func Predict(model Layer, rates RateList, r float64, x *Tensor) *Tensor {
 
 // Evaluate computes loss and accuracy at slice rate r over batches.
 func Evaluate(model Layer, rates RateList, r float64, batches []Batch) EvalResult {
-	idx := 0
-	if i, err := rates.Index(r); err == nil {
-		idx = i
-	}
-	return train.Evaluate(model, r, idx, batches)
+	return train.Evaluate(model, r, rates.WidthIdx(r), batches)
 }
 
 // Extract builds a standalone copy of the subnet at rate r whose parameter
