@@ -10,6 +10,7 @@ import (
 	"modelslicing/internal/models"
 	"modelslicing/internal/nn"
 	"modelslicing/internal/slicing"
+	"modelslicing/internal/tensor"
 	"modelslicing/internal/train"
 )
 
@@ -226,6 +227,40 @@ func TestSkipNetLiteSkipsAndCosts(t *testing.T) {
 	if y.Dim(1) != 10 || !y.AllFinite() {
 		t.Fatalf("skip-forward output %v", y.Shape)
 	}
+}
+
+// TestSkipNetLiteGatesRunFused: every gated block runs nn.Fuse of its
+// residual block, so its Conv→GroupNorm→ReLU chains train and serve as
+// FusedConvActs. The inference pass still equals the unfused network's
+// eval-mode Forward bit for bit, and a skipped block is the identity on both
+// paths.
+func TestSkipNetLiteGatesRunFused(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	m, _ := models.NewResNet(models.ResNetMini(1, models.NormGroup, 1), rng)
+	s := NewSkipNetLite(m, 0.2)
+	for i, g := range s.gates {
+		fused := 0
+		for _, l := range g.fused.Body.(*nn.Sequential).Layers {
+			if _, ok := l.(*nn.FusedConvAct); ok {
+				fused++
+			}
+		}
+		if fused == 0 {
+			t.Fatalf("gate %d runs no FusedConvAct", i)
+		}
+	}
+	x := tinyImages().TestBatches(4)[0].X
+	same := func(what string, got, want *tensor.Tensor) {
+		t.Helper()
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: Infer[%d] = %v, eval Forward %v", what, i, got.Data[i], v)
+			}
+		}
+	}
+	same("no skips", s.Infer(nn.Eval(1), x), m.Forward(nn.Eval(1), x))
+	s.gates[0].Skip = true
+	same("gate 0 skipped", s.Infer(nn.Eval(1), x), s.Forward(nn.Eval(1), x))
 }
 
 func TestSkipNetStochasticDepthDuringTraining(t *testing.T) {

@@ -52,23 +52,23 @@ func NewMultiClassifierCNN(backbone *nn.Sequential, taps []int, tapChannels []in
 // NumExits returns the number of early-exit points.
 func (m *MultiClassifier) NumExits() int { return len(m.Heads) }
 
-// ForwardExit computes the logits of exit k (0-based): backbone prefix up to
-// tap k, then head k.
-func (m *MultiClassifier) ForwardExit(ctx *nn.Context, x *tensor.Tensor, k int) *tensor.Tensor {
-	h := m.Backbone.ForwardPrefix(ctx, x, m.Taps[k])
-	return m.Heads[k].Forward(ctx, h)
+// ExitModel returns an inference-only Layer view of exit k (0-based) for
+// evaluation helpers: the backbone prefix up to tap k, then head k.
+func (m *MultiClassifier) ExitModel(k int) nn.Layer {
+	return &exitView{prefix: &nn.Sequential{Layers: m.Backbone.Layers[:m.Taps[k]]}, head: m.Heads[k]}
 }
 
-// ExitModel returns a Layer view of exit k for evaluation helpers.
-func (m *MultiClassifier) ExitModel(k int) nn.Layer { return &exitView{m: m, k: k} }
-
 type exitView struct {
-	m *MultiClassifier
-	k int
+	prefix *nn.Sequential
+	head   nn.Layer
+}
+
+func (e *exitView) Infer(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
+	return e.head.Infer(ctx, e.prefix.Infer(ctx, x))
 }
 
 func (e *exitView) Forward(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
-	return e.m.ForwardExit(ctx, x, e.k)
+	panic("baselines: exit views are inference-only; use TrainStep")
 }
 
 func (e *exitView) Backward(ctx *nn.Context, dy *tensor.Tensor) *tensor.Tensor {

@@ -32,13 +32,17 @@ type GatedResidual struct {
 	// Skip bypasses the block at inference.
 	Skip bool
 
+	// fused is nn.Fuse(Inner), which every pass runs: it shares Inner's
+	// parameters, and its Conv→GroupNorm→ReLU chains train as one pass, bit
+	// for bit the unfused chain. Inner stays the block cost.Measure reads.
+	fused   *nn.Residual
 	dropped bool
 	// contribution accumulates ‖body(x)‖/‖x‖ measurements (importance).
 	contribution float64
 	measures     int
 }
 
-// Forward bypasses the body when dropped (training) or skipped (inference).
+// Forward bypasses the body when dropped (training) or skipped (eval mode).
 func (g *GatedResidual) Forward(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
 	if ctx.Training {
 		g.dropped = g.DropProb > 0 && ctx.RNG != nil && ctx.RNG.Float64() < g.DropProb
@@ -48,7 +52,7 @@ func (g *GatedResidual) Forward(ctx *nn.Context, x *tensor.Tensor) *tensor.Tenso
 	if g.dropped {
 		return x
 	}
-	return g.Inner.Forward(ctx, x)
+	return g.fused.Forward(ctx, x)
 }
 
 // Backward is the identity for dropped blocks.
@@ -56,7 +60,15 @@ func (g *GatedResidual) Backward(ctx *nn.Context, dy *tensor.Tensor) *tensor.Ten
 	if g.dropped {
 		return dy
 	}
-	return g.Inner.Backward(ctx, dy)
+	return g.fused.Backward(ctx, dy)
+}
+
+// Infer runs the block, or the identity when it is skipped.
+func (g *GatedResidual) Infer(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
+	if g.Skip {
+		return x
+	}
+	return g.fused.Infer(ctx, x)
 }
 
 // Params returns the wrapped block's parameters.
@@ -68,7 +80,7 @@ func NewSkipNetLite(net *nn.Sequential, dropProb float64) *SkipNetLite {
 	s := &SkipNetLite{Net: &nn.Sequential{}}
 	for _, l := range net.Layers {
 		if res, ok := l.(*nn.Residual); ok && res.Short == nil {
-			g := &GatedResidual{Inner: res, DropProb: dropProb}
+			g := &GatedResidual{Inner: res, DropProb: dropProb, fused: nn.Fuse(res).(*nn.Residual)}
 			s.gates = append(s.gates, g)
 			s.Net.Layers = append(s.Net.Layers, g)
 			continue
@@ -91,6 +103,11 @@ func (s *SkipNetLite) Backward(ctx *nn.Context, dy *tensor.Tensor) *tensor.Tenso
 	return s.Net.Backward(ctx, dy)
 }
 
+// Infer delegates to the wrapped network.
+func (s *SkipNetLite) Infer(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
+	return s.Net.Infer(ctx, x)
+}
+
 // Params delegates to the wrapped network.
 func (s *SkipNetLite) Params() []*nn.Param { return s.Net.Params() }
 
@@ -102,11 +119,12 @@ func (s *SkipNetLite) MeasureContributions(batches []train.Batch) {
 		g.contribution = 0
 		g.measures = 0
 	}
+	ctx := nn.Eval(1)
 	for _, b := range batches {
 		x := b.X
 		for _, l := range s.Net.Layers {
 			if g, ok := l.(*GatedResidual); ok {
-				y := g.Inner.Body.Forward(nn.Eval(1), x)
+				y := g.fused.Body.Infer(ctx, x)
 				xn := x.L2Norm()
 				if xn > 0 {
 					g.contribution += y.L2Norm() / xn
@@ -116,7 +134,7 @@ func (s *SkipNetLite) MeasureContributions(batches []train.Batch) {
 				x = y
 				continue
 			}
-			x = l.Forward(nn.Eval(1), x)
+			x = l.Infer(ctx, x)
 		}
 	}
 }

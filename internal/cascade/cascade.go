@@ -139,7 +139,7 @@ func FromModels(names []string, widths []float64, models []nn.Layer, params, mac
 			Name:  names[i],
 			Width: widths[i],
 			Predict: func(b train.Batch) []int {
-				logits := m.Forward(nn.Eval(1), b.X)
+				logits := m.Infer(nn.Eval(1), b.X)
 				out := make([]int, len(b.Labels))
 				for j := range out {
 					out[j] = logits.ArgMaxRow(j)

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"modelslicing/internal/cascade"
 	"modelslicing/internal/cost"
@@ -91,7 +93,10 @@ func Fig6(scale Scale, seed int64) *Table {
 	for g := range anyTrace[0] {
 		tab.Header = append(tab.Header, fmt.Sprintf("G%d", g+1))
 	}
-	for layer, trace := range s.GammaTrace {
+	// Sorted, so the rows and notes come out in one order on every run.
+	layers := slices.Sorted(maps.Keys(s.GammaTrace))
+	for _, layer := range layers {
+		trace := s.GammaTrace[layer]
 		for e, groups := range trace {
 			row := []string{layer, fmt.Sprintf("%d", e)}
 			for _, v := range groups {
@@ -101,7 +106,8 @@ func Fig6(scale Scale, seed int64) *Table {
 		}
 	}
 	// Quantify the stratification claim on the final epoch.
-	for layer, trace := range s.GammaTrace {
+	for _, layer := range layers {
+		trace := s.GammaTrace[layer]
 		last := trace[len(trace)-1]
 		base := last[0]
 		tail := last[len(last)-1]

@@ -36,9 +36,6 @@ type Config struct {
 	// SLO is the fleet latency bound T; it should match the replicas'. The
 	// T/2 routing window and every default below derive from it.
 	SLO time.Duration
-	// Headroom derates routing deadline slack exactly as the replicas
-	// derate theirs; it should match the replicas' setting. 0 means 1.
-	Headroom float64
 	// Transport carries coordinator→replica requests; nil means a fresh
 	// fleet.Transport over a clone of http.DefaultTransport (tests inject
 	// their own to partition replicas).
@@ -128,12 +125,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.SLO <= 0 {
 		return nil, fmt.Errorf("fleet: non-positive SLO %v", cfg.SLO)
 	}
-	if !(cfg.Headroom >= 0 && cfg.Headroom <= 1) { // NaN included
-		return nil, fmt.Errorf("fleet: headroom %v outside (0, 1]", cfg.Headroom)
-	}
-	if cfg.Headroom == 0 {
-		cfg.Headroom = 1
-	}
 	if cfg.Transport == nil {
 		// A private connection pool: closing its idle connections (Stop,
 		// RemoveReplica, ejection) touches no other client in the process.
@@ -162,7 +153,7 @@ func New(cfg Config) (*Coordinator, error) {
 		clock:    cfg.Clock,
 		client:   &http.Client{Transport: cfg.Transport},
 		started:  cfg.Clock.Now(),
-		cluster:  &serving.Cluster{SLO: cfg.SLO.Seconds(), Headroom: cfg.Headroom},
+		cluster:  &serving.Cluster{SLO: cfg.SLO.Seconds()},
 		rng:      rand.New(rand.NewSource(1)),
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
@@ -192,9 +183,10 @@ func (c *Coordinator) sinceStart(t time.Time) float64 {
 // AddReplica joins a replica (base URL, e.g. "http://host:port") to the
 // fleet: its /state is fetched synchronously to build the coordinator's
 // Equation-3 model — the calibrated t(r) table becomes a serving.Policy, the
-// polled horizon seeds a serving.Backlog. Re-adding a URL that left (or is
-// still a member) reseeds its model in place; indices stay stable for the
-// queries in flight. A /state request lost in transit is retried like a
+// polled horizon seeds a serving.Backlog, and the replica's headroom derates
+// the deadlines routed to it; a headroom outside (0, 1] refuses the join.
+// Re-adding a URL that left (or is still a member) reseeds its model in
+// place; indices stay stable for the queries in flight. A /state request lost in transit is retried like a
 // forwarded query (retryLost), so one dropped packet does not fail a join.
 func (c *Coordinator) AddReplica(baseURL string) error {
 	var poll statePoll
@@ -203,10 +195,14 @@ func (c *Coordinator) AddReplica(baseURL string) error {
 		return fmt.Errorf("fleet: join %s: %w", baseURL, err)
 	}
 	st := &poll.State
+	if !(st.Headroom > 0 && st.Headroom <= 1) { // NaN included
+		return fmt.Errorf("fleet: join %s: headroom %v outside (0, 1]", baseURL, st.Headroom)
+	}
 	now := c.clock.Now()
 	nowF := c.sinceStart(now)
 	model := &serving.ReplicaModel{
 		Policy:    serving.Policy{Rates: slicing.RateList(st.Rates), Window: st.WindowS},
+		Headroom:  st.Headroom,
 		Penalized: st.CircuitOpen || st.Stopping,
 	}
 	model.Backlog.Extend(nowF, st.BacklogAheadS)

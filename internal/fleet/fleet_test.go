@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"context"
-	"math"
+	"encoding/json"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -25,20 +27,14 @@ func netFaultsArmed() bool {
 		faults.Active(faults.ReplicaDown)
 }
 
-// TestNewRejectsMalformedConfig: a non-positive SLO and a headroom outside
-// [0, 1] — NaN and ±Inf included, which pass the ordered comparisons and
-// would make every routing deadline NaN — are refused with an error naming
-// the field.
+// TestNewRejectsMalformedConfig: a non-positive SLO is refused with an error
+// naming the field.
 func TestNewRejectsMalformedConfig(t *testing.T) {
 	for _, tc := range []struct {
 		field string
 		cfg   Config
 	}{
 		{"SLO", Config{}},
-		{"headroom", Config{SLO: time.Second, Headroom: math.NaN()}},
-		{"headroom", Config{SLO: time.Second, Headroom: math.Inf(1)}},
-		{"headroom", Config{SLO: time.Second, Headroom: math.Inf(-1)}},
-		{"headroom", Config{SLO: time.Second, Headroom: 1.5}},
 	} {
 		c, err := New(tc.cfg)
 		if err == nil {
@@ -49,6 +45,48 @@ func TestNewRejectsMalformedConfig(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: error %q does not name the field", tc.field, err)
 		}
+	}
+}
+
+// TestJoinTakesReplicaHeadroom: the coordinator models each replica with the
+// headroom its /state reports, and refuses a join whose headroom is outside
+// (0, 1] — missing (0), negative, above 1, or a number no float64 holds —
+// with an error naming the field, leaving the replica out of the fleet.
+func TestJoinTakesReplicaHeadroom(t *testing.T) {
+	good, err := json.Marshal(server.State{SLOms: 200, WindowS: 0.1, Headroom: 1, Rates: []float64{1},
+		SampleTimes: []server.RateTime{{Rate: 1, Seconds: 1e-4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicaReporting := func(headroom string) string {
+		body := strings.Replace(string(good), `"headroom":1`, `"headroom":`+headroom, 1)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			_, _ = io.WriteString(w, body)
+		}))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	c, err := New(Config{SLO: 200 * time.Millisecond, Clock: server.NewFakeClock(time.Unix(0, 0)), RetryBase: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	for _, h := range []string{"0", "-0.5", "1.5", "1e999"} {
+		err := c.AddReplica(replicaReporting(h))
+		if err == nil || !strings.Contains(err.Error(), "headroom") {
+			t.Errorf("headroom %s: join error %v, want one naming the headroom", h, err)
+		}
+	}
+	if err := c.AddReplica(replicaReporting("0.5")); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.cluster.Replicas); n != 1 {
+		t.Fatalf("%d replicas joined, want only the valid one", n)
+	}
+	if h := c.cluster.Replicas[0].Headroom; h != 0.5 {
+		t.Fatalf("replica modeled at headroom %v, want its reported 0.5", h)
 	}
 }
 

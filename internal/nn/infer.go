@@ -4,61 +4,25 @@ import (
 	"modelslicing/internal/tensor"
 )
 
-// The inference path splits inference from training. Forward caches backward
-// state in layer fields, which makes layers single-goroutine objects even in
-// evaluation mode — the live server used to pay for that with one deep-copied
-// subnet per (worker, rate). Infer is the read-only counterpart: it touches
-// layer weights purely as inputs, writes no layer fields, and draws every
-// activation from the Context's arena, so
+// Every Layer has two passes over the same weights. Forward trains: it
+// caches backward state in layer fields and drops the owner's weight packs,
+// so a layer in Forward is a single-goroutine object. Infer serves and
+// evaluates: it touches layer weights purely as inputs, writes no layer
+// fields, and draws every activation from the Context's arena, so
 //
 //   - one weight set can serve any number of goroutines concurrently, and
 //   - a steady-state inference pass performs zero heap allocations.
 //
+// Both passes compute the same function bit for bit on the exact tier; the
+// eval-mode Forward survives only as the oracle tests compare Infer against.
 // Slicing still comes from Context.Rate: because the GEMM kernels take
 // leading dimensions, a sliced Infer reads the leading prefix of each weight
 // buffer in place — the zero-copy view of the parent network that replaces
 // materialized Extract copies on the serving path (Extract remains the
 // deployment-export story).
 
-// Inferer is implemented by layers that support the read-only, arena-backed
-// inference path. All layers in this package implement it.
-type Inferer interface {
-	Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor
-}
-
-// Infer runs one layer on the inference path. Layers that do not implement
-// Inferer fall back to Forward — correct, but they then cache state and must
-// not be shared across goroutines; every layer in this package implements
-// the real thing.
-func Infer(l Layer, ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	if inf, ok := l.(Inferer); ok {
-		return inf.Infer(ctx, x)
-	}
-	return l.Forward(ctx, x)
-}
-
-// InferSafe reports whether a layer — including, for the built-in
-// containers, every layer it contains — implements the read-only inference
-// path, and is therefore safe to share across goroutines via Infer. Callers
-// that require concurrency safety (the live server) should reject models for
-// which this is false rather than let the Forward fallback race.
-func InferSafe(l Layer) bool {
-	switch v := l.(type) {
-	case *Sequential:
-		for _, c := range v.Layers {
-			if !InferSafe(c) {
-				return false
-			}
-		}
-		return true
-	case *Residual:
-		return InferSafe(v.Body) && (v.Short == nil || InferSafe(v.Short))
-	case Inferer:
-		return true
-	default:
-		return false
-	}
-}
+// Infer runs one layer on the inference path.
+func Infer(l Layer, ctx *Context, x *tensor.Tensor) *tensor.Tensor { return l.Infer(ctx, x) }
 
 // arenaOf extracts the context's arena; both a nil context and a nil arena
 // degrade to heap allocation, so layer code calls this unconditionally.

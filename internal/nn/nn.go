@@ -10,8 +10,9 @@
 // pass touches only the activated prefix of each weight buffer — matching the
 // paper's claim that sub-networks need only the sliced parameters in memory.
 //
-// Layers cache forward state and are therefore not safe for concurrent use;
-// one goroutine per model instance is the intended usage.
+// Forward trains: it caches backward state in the layer, so a model in
+// training belongs to one goroutine. Infer serves and evaluates: it writes
+// nothing to the layer, so one model serves any number of goroutines.
 package nn
 
 import (
@@ -140,14 +141,16 @@ func (p *Param) EnsureMutable() {
 	p.Foreign = false
 }
 
-// Layer is the unit of composition. Backward must be called with the same
-// Context (in particular the same slice rate) as the preceding Forward, and
-// returns the gradient with respect to the layer input. Parameter gradients
-// are accumulated into Params()[i].Grad (not overwritten), which is what
+// Layer is the unit of composition. Forward trains and Infer serves and
+// evaluates (see infer.go). Backward must be called with the same Context
+// (in particular the same slice rate) as the preceding Forward, and returns
+// the gradient with respect to the layer input. Parameter gradients are
+// accumulated into Params()[i].Grad (not overwritten), which is what
 // Algorithm 1's multi-subnet gradient accumulation requires.
 type Layer interface {
 	Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor
 	Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor
+	Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 }
 
@@ -258,7 +261,7 @@ func (s *Sequential) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	a := arenaOf(ctx)
 	if a == nil || ctx.inPass {
 		for _, l := range s.Layers {
-			x = Infer(l, ctx, x)
+			x = l.Infer(ctx, x)
 		}
 		return x
 	}
@@ -274,7 +277,7 @@ func (s *Sequential) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 				held = time.Now()
 			}
 		}
-		y := Infer(l, ctx, x)
+		y := l.Infer(ctx, x)
 		if sharesStorage(x.Data, y.Data) {
 			a.Flip(m, false)
 		}
@@ -287,14 +290,6 @@ func (s *Sequential) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 // heap buffers overlap no live tensor, so they never match.
 func sharesStorage(x, y []float64) bool {
 	return len(x) > 0 && len(y) > 0 && &x[0] == &y[0]
-}
-
-// ForwardPrefix runs only the first n layers (used by early-exit baselines).
-func (s *Sequential) ForwardPrefix(ctx *Context, x *tensor.Tensor, n int) *tensor.Tensor {
-	for _, l := range s.Layers[:n] {
-		x = l.Forward(ctx, x)
-	}
-	return x
 }
 
 // BackwardRange back-propagates dy through layers [from, to) in reverse.

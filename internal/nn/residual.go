@@ -32,10 +32,10 @@ func (r *Residual) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 
 // Infer computes both branches on the read-only path and sums them.
 func (r *Residual) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	y := Infer(r.Body, ctx, x)
+	y := r.Body.Infer(ctx, x)
 	s := x
 	if r.Short != nil {
-		s = Infer(r.Short, ctx, x)
+		s = r.Short.Infer(ctx, x)
 	}
 	return branchSum(ctx, y, s)
 }

@@ -371,11 +371,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FixedRate > 0 {
 		deploy = slicing.RateList{cfg.FixedRate}
 	}
-	if !nn.InferSafe(cfg.Model) {
-		// The Forward fallback caches layer state and would race across
-		// worker shards; fail at construction like the Extract path used to.
-		return nil, errors.New("server: model contains a layer without an Infer implementation; it cannot be served concurrently")
-	}
 	shared := slicing.NewShared(cfg.Model, cfg.Rates)
 	if cfg.Tier != "" {
 		tier, err := tensor.ParseTier(cfg.Tier)
@@ -485,9 +480,6 @@ func (s *Server) Swap(ns *slicing.Shared, info ModelInfo) error {
 	if !slices.Equal(ns.Rates(), s.cfg.Rates) {
 		return fmt.Errorf("server: swap: rate list %v does not match serving config %v",
 			ns.Rates(), s.cfg.Rates)
-	}
-	if !nn.InferSafe(ns.Model()) {
-		return errors.New("server: swap: model contains a layer without an Infer implementation; it cannot be served concurrently")
 	}
 	deploy := s.cfg.Rates
 	if s.cfg.FixedRate > 0 {

@@ -49,35 +49,6 @@ func TestWorkersShareOneWeightSet(t *testing.T) {
 	}
 }
 
-// opaqueLayer is a Layer without an Infer implementation.
-type opaqueLayer struct{}
-
-func (opaqueLayer) Forward(*nn.Context, *tensor.Tensor) *tensor.Tensor  { return nil }
-func (opaqueLayer) Backward(*nn.Context, *tensor.Tensor) *tensor.Tensor { return nil }
-func (opaqueLayer) Params() []*nn.Param                                 { return nil }
-
-// TestServerRejectsNonInferableModel pins the loud-failure contract: a model
-// containing a layer without the read-only inference path must be rejected
-// at construction (the Forward fallback would race across worker shards).
-func TestServerRejectsNonInferableModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	model := nn.NewSequential(
-		nn.NewDense(4, 4, nn.Fixed(), nn.Fixed(), true, rng),
-		opaqueLayer{},
-	)
-	_, err := New(Config{
-		Model:      model,
-		Rates:      slicing.NewRateList(0.25, 4),
-		InputShape: []int{4},
-		SLO:        50 * time.Millisecond,
-		SampleTime: func(r float64) float64 { return 1e-6 },
-		Clock:      NewFakeClock(time.Unix(0, 0)),
-	})
-	if err == nil {
-		t.Fatal("New accepted a model with a non-Inferer layer")
-	}
-}
-
 // TestWorkerRunMatchesDirectInference verifies the sharded arena-backed
 // batch path returns exactly what a direct shared-path inference returns.
 func TestWorkerRunMatchesDirectInference(t *testing.T) {

@@ -17,9 +17,6 @@ package serving
 type Cluster struct {
 	// SLO is the latency bound T on the policy time axis.
 	SLO float64
-	// Headroom in (0, 1] derates each window's deadline slack exactly as
-	// the single-node server does; 0 means 1.
-	Headroom float64
 	// Replicas are the modeled replicas, index-aligned with the
 	// coordinator's replica set.
 	Replicas []*ReplicaModel
@@ -33,6 +30,9 @@ type ReplicaModel struct {
 	// Backlog is the completion horizon of the work already routed to the
 	// replica — the same model the replica's own scheduler budgets with.
 	Backlog Backlog
+	// Headroom in (0, 1] derates each window's deadline slack exactly as
+	// the replica's own server does (the value it reports); 0 means 1.
+	Headroom float64
 	// Pending counts queries routed to the replica's currently-open window;
 	// Oldest is the arrival time of the first of them.
 	Pending int
@@ -66,17 +66,14 @@ type RouteDecision struct {
 	Penalized bool
 }
 
-func (c *Cluster) headroom() float64 {
-	if !(c.Headroom > 0 && c.Headroom <= 1) {
-		return 1
-	}
-	return c.Headroom
-}
-
 // deadline maps a window's oldest arrival onto the derated deadline the
-// single-node server budgets against: close + Headroom·(oldest + SLO − close).
-func (c *Cluster) deadline(oldest, close float64) float64 {
-	return close + (oldest+c.SLO-close)*c.headroom()
+// replica's own server budgets against: close + Headroom·(oldest + SLO − close).
+func (r *ReplicaModel) deadline(slo, oldest, close float64) float64 {
+	h := r.Headroom
+	if h == 0 {
+		h = 1
+	}
+	return close + (oldest+slo-close)*h
 }
 
 // routeClass ranks a candidate: a clean feasible replica beats a penalized
@@ -126,7 +123,7 @@ func (c *Cluster) Route(arrival, close float64, skip func(i int) bool) (rd Route
 			oldest = r.Oldest
 		}
 		ahead := r.Backlog.Ahead(close)
-		slack := c.deadline(oldest, close) - close - ahead
+		slack := r.deadline(c.SLO, oldest, close) - close - ahead
 		rate, feasible := r.Policy.ChooseSlack(r.Pending+1, slack)
 		d := RouteDecision{
 			Replica: i, Rate: rate, Feasible: feasible,
@@ -158,7 +155,7 @@ func (c *Cluster) Close(close float64) []Decision {
 		if r.Pending == 0 {
 			continue
 		}
-		out[i] = r.Backlog.Decide(r.Policy, r.Pending, c.deadline(r.Oldest, close), close)
+		out[i] = r.Backlog.Decide(r.Policy, r.Pending, r.deadline(c.SLO, r.Oldest, close), close)
 		r.Pending, r.Oldest = 0, 0
 	}
 	return out
@@ -193,13 +190,13 @@ type FleetStats struct {
 // counts: every query of window k arrives at k·W, is routed greedily through
 // Cluster.Route, and each replica's batch is decided at the close (k+1)·W —
 // the identical arithmetic the live coordinator runs, which is what the
-// fleet lockstep test pins. All replicas share cfg's cost curve, the
-// homogeneous-fleet baseline.
+// fleet lockstep test pins. All replicas share cfg's cost curve and a
+// headroom of 1, the homogeneous-fleet baseline.
 func SimulateFleet(cfg Config, replicas int, arrivals []int) FleetStats {
 	policy := cfg.Policy()
 	c := &Cluster{SLO: cfg.LatencySLO, Replicas: make([]*ReplicaModel, replicas)}
 	for i := range c.Replicas {
-		c.Replicas[i] = &ReplicaModel{Policy: policy}
+		c.Replicas[i] = &ReplicaModel{Policy: policy, Headroom: 1}
 	}
 	window := policy.Window
 	stats := FleetStats{RateHist: make(map[float64]int), PerReplica: make([]int, replicas)}

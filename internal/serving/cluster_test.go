@@ -85,6 +85,31 @@ func TestRouteGreedyOrdering(t *testing.T) {
 	}
 }
 
+// Each replica's deadlines are derated by its own Headroom: the derated
+// replica offers less slack, so an equal but underated one wins the query,
+// and its window closes on the same derated deadline its server would use.
+func TestRouteDeratedReplica(t *testing.T) {
+	policy := clusterCfg().Policy()
+	c := &Cluster{SLO: 2, Replicas: []*ReplicaModel{
+		{Policy: policy, Headroom: 0.5}, {Policy: policy, Headroom: 1},
+	}}
+	// Oldest 0, close 1: the full slack is 1 (rate 1, t = r²); at headroom
+	// 0.5 the deadline is 1 + 0.5·(0 + 2 − 1) = 1.5 and the slack 0.5
+	// (rate 0.5).
+	rd, ok := c.Route(0, 1, nil)
+	if !ok || rd.Replica != 1 || rd.Rate != 1 || rd.Slack != 1 {
+		t.Fatalf("routed %+v, want replica 1 at rate 1 with slack 1", rd)
+	}
+	rd, ok = c.Route(0, 1, func(i int) bool { return i == 1 })
+	if !ok || rd.Replica != 0 || rd.Rate != 0.5 || rd.Slack != 0.5 {
+		t.Fatalf("routed %+v, want derated replica 0 at rate 0.5 with slack 0.5", rd)
+	}
+	var ref Backlog
+	if got, want := c.Close(1)[0], ref.Decide(policy, 1, 1.5, 1); got != want {
+		t.Fatalf("derated close %+v, direct Decide at deadline 1.5 %+v", got, want)
+	}
+}
+
 // A penalized replica is chosen only when no clean replica admits the query
 // feasibly; an ejected replica is never chosen; skip excludes candidates the
 // caller rules out (retry-on-a-different-replica).

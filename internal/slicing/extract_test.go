@@ -185,4 +185,5 @@ type unknownLayer struct{}
 
 func (unknownLayer) Forward(*nn.Context, *tensor.Tensor) *tensor.Tensor  { return nil }
 func (unknownLayer) Backward(*nn.Context, *tensor.Tensor) *tensor.Tensor { return nil }
+func (unknownLayer) Infer(*nn.Context, *tensor.Tensor) *tensor.Tensor    { return nil }
 func (unknownLayer) Params() []*nn.Param                                 { return nil }

@@ -41,7 +41,7 @@ func TestSharedPackedMatchesForwardEndToEnd(t *testing.T) {
 		// Forward drops the packs, so every oracle runs before serving.
 		want := make([]*tensor.Tensor, len(rates))
 		for i, r := range rates {
-			want[i] = Predict(tc.model, rates, r, tc.x)
+			want[i] = evalForward(tc.model, r, tc.x)
 		}
 		// Bit-identity holds only on the exact tier; pin it so the assertion
 		// survives the CI environment sweeps over MS_ENGINE_TIER.
@@ -64,6 +64,12 @@ func TestSharedPackedMatchesForwardEndToEnd(t *testing.T) {
 			t.Fatalf("%s: Shared served every rate but reports no pack memory", tc.name)
 		}
 	}
+}
+
+// evalForward is the eval-mode Forward oracle at rate r: unfused, never
+// packed, and it drops every pack the model holds.
+func evalForward(model nn.Layer, r float64, x *tensor.Tensor) *tensor.Tensor {
+	return model.Forward(nn.Eval(r), x)
 }
 
 // TestSharedPackCacheLifecycle verifies lazy per-width construction: no packs
@@ -117,7 +123,7 @@ func TestSharedPackConstructionRace(t *testing.T) {
 	want := make([]*tensor.Tensor, len(rates))
 	for i, r := range rates {
 		inputs[i] = randInput(rng, 2, 3, 8, 8)
-		want[i] = Predict(model, rates, r, inputs[i])
+		want[i] = evalForward(model, r, inputs[i])
 	}
 
 	// Fresh Shared: Forward dropped every pack, so the first pass of every

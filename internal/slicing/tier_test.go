@@ -9,8 +9,8 @@ import (
 	"modelslicing/internal/tensor"
 )
 
-// End-to-end accuracy gate for the fma tier, pinned against the exact
-// training path (the parent's eval-mode Forward) at every deployable rate.
+// End-to-end accuracy gate for the fma tier, pinned against the exact tier
+// (the parent's unfused inference pass, Predict) at every deployable rate.
 // Measured deviations on the miniCNN sit around 1e-15; the gate leaves
 // orders of headroom while still catching a broken accuracy budget.
 const fmaSharedTol = 1e-9

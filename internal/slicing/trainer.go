@@ -126,10 +126,11 @@ func (t *Trainer) Epoch(batches []train.Batch) float64 {
 	return total / float64(len(batches))
 }
 
-// Predict runs an inference pass at slice rate r and returns the logits.
+// Predict runs an inference pass at the member of rates nearest r and
+// returns the logits in heap storage.
 func Predict(model nn.Layer, rates RateList, r float64, x *tensor.Tensor) *tensor.Tensor {
-	ctx := &nn.Context{Training: false, Rate: r, WidthIdx: rates.WidthIdx(r)}
-	return model.Forward(ctx, x)
+	r = rates.Nearest(r)
+	return model.Infer(&nn.Context{Rate: r, WidthIdx: rates.WidthIdx(r)}, x)
 }
 
 // EvaluateAll evaluates the model at every rate in the list and returns the

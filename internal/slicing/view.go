@@ -94,11 +94,12 @@ func (s *Shared) Stats() EngineStats {
 // would otherwise cost one heap allocation per pass).
 var ctxPool = sync.Pool{New: func() any { return &nn.Context{} }}
 
-// Infer runs one inference pass at slice rate r through the fused serving
-// view, drawing activations from arena (which may be nil for heap
-// allocation). The returned tensor's storage is owned by the arena and is
-// valid until the caller resets it. Concurrent callers must use distinct
-// arenas.
+// Infer runs one inference pass through the fused serving view at the
+// member of the rate list nearest r (so an off-list rate slices and
+// normalizes as one width), drawing activations from arena (which may be
+// nil for heap allocation). The returned tensor's storage is owned by the
+// arena and is valid until the caller resets it. Concurrent callers must use
+// distinct arenas.
 func (s *Shared) Infer(r float64, x *tensor.Tensor, arena *tensor.Arena) *tensor.Tensor {
 	return s.infer(s.fused, r, x, arena)
 }
@@ -112,9 +113,10 @@ func (s *Shared) InferUnfused(r float64, x *tensor.Tensor, arena *tensor.Arena) 
 }
 
 func (s *Shared) infer(model nn.Layer, r float64, x *tensor.Tensor, arena *tensor.Arena) *tensor.Tensor {
+	r = s.rates.Nearest(r)
 	ctx := ctxPool.Get().(*nn.Context)
 	*ctx = nn.Context{Rate: r, WidthIdx: s.rates.WidthIdx(r), Arena: arena, Tier: s.tier}
-	y := nn.Infer(model, ctx, x)
+	y := model.Infer(ctx, x)
 	ctxPool.Put(ctx)
 	return y
 }

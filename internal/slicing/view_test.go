@@ -130,15 +130,15 @@ func TestSharedMatchesExtract(t *testing.T) {
 	}
 }
 
-// TestSharedMatchesPredict pins the shared path against the existing
-// Forward-based Predict at every rate (bit-for-bit: same kernels, same
+// TestSharedMatchesPredict pins the fused shared path against Predict's
+// unfused inference pass at every rate (bit-for-bit: same kernels, same
 // accumulation order).
 func TestSharedMatchesPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	model := miniCNN(rng)
 	rates := NewRateList(0.25, 4)
 	shared := NewShared(model, rates)
-	shared.SetTier(tensor.TierExact) // Predict runs the exact Forward path
+	shared.SetTier(tensor.TierExact) // Predict runs the exact tier
 	for _, r := range rates {
 		x := randInput(rng, 2, 3, 8, 8)
 		want := Predict(model, rates, r, x)

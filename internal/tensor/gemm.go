@@ -69,7 +69,6 @@ const (
 //	                                      RowScale as 1; rounded once per row)
 //	t = RowShift[i]                      (0 when RowShift is nil)
 //	v = s · acc + t
-//	v = v · ColScale[j]                  (when ColScale is non-nil)
 //	v = v + ColShift[j]                  (when ColShift is non-nil)
 //	v = max(v, 0)                        (when ReLU is set; NaN clamps to 0,
 //	                                      matching a standalone v > 0 ReLU)
@@ -94,14 +93,14 @@ const (
 type Epilogue struct {
 	Alpha              float64
 	RowScale, RowShift []float64
-	ColScale, ColShift []float64
+	ColShift           []float64
 	ReLU               bool
 }
 
 // empty reports whether the epilogue would leave C untouched.
 func (ep *Epilogue) empty() bool {
 	return ep == nil || (ep.Alpha == 0 || ep.Alpha == 1) && ep.RowScale == nil && ep.RowShift == nil &&
-		ep.ColScale == nil && ep.ColShift == nil && !ep.ReLU
+		ep.ColShift == nil && !ep.ReLU
 }
 
 // check validates the epilogue vector lengths against the product shape.
@@ -114,9 +113,6 @@ func (ep *Epilogue) check(m, n int) {
 	}
 	if ep.RowShift != nil {
 		checkVec("Epilogue RowShift", m, len(ep.RowShift))
-	}
-	if ep.ColScale != nil {
-		checkVec("Epilogue ColScale", n, len(ep.ColScale))
 	}
 	if ep.ColShift != nil {
 		checkVec("Epilogue ColShift", n, len(ep.ColShift))
@@ -544,10 +540,7 @@ func applyEpilogue(rows, cols int, c []float64, ldc int, ep *Epilogue, rowOff, c
 	if alpha == 0 {
 		alpha = 1
 	}
-	var colScale, colShift []float64
-	if ep.ColScale != nil {
-		colScale = ep.ColScale[colOff : colOff+cols]
-	}
+	var colShift []float64
 	if ep.ColShift != nil {
 		colShift = ep.ColShift[colOff : colOff+cols]
 	}
@@ -561,7 +554,7 @@ func applyEpilogue(rows, cols int, c []float64, ldc int, ep *Epilogue, rowOff, c
 		}
 		ci := c[i*ldc : i*ldc+cols]
 		switch {
-		case colScale == nil && colShift == nil && ep.ReLU:
+		case colShift == nil && ep.ReLU:
 			for j, v := range ci {
 				v = scale*v + shift
 				// !(v > 0) rather than v < 0 so NaN clamps to 0 exactly
@@ -571,7 +564,7 @@ func applyEpilogue(rows, cols int, c []float64, ldc int, ep *Epilogue, rowOff, c
 				}
 				ci[j] = v
 			}
-		case colScale == nil && colShift == nil:
+		case colShift == nil:
 			if scale == 1 && shift == 0 {
 				continue
 			}
@@ -580,13 +573,7 @@ func applyEpilogue(rows, cols int, c []float64, ldc int, ep *Epilogue, rowOff, c
 			}
 		default:
 			for j, v := range ci {
-				v = scale*v + shift
-				if colScale != nil {
-					v *= colScale[j]
-				}
-				if colShift != nil {
-					v += colShift[j]
-				}
+				v = scale*v + shift + colShift[j]
 				if ep.ReLU && !(v > 0) {
 					v = 0
 				}

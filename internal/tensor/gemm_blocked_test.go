@@ -223,7 +223,7 @@ func FuzzGemm(f *testing.F) {
 			}
 			mask := 0
 			if seed != 7 {
-				mask = rng.Intn(64)
+				mask = rng.Intn(epilogueMasks)
 				epilogueCase(rng, mask, m, n) // draws the vectors, as the tests did
 			}
 			switch seed {
@@ -303,7 +303,7 @@ func FuzzGemm(f *testing.F) {
 		}
 		var ep *Epilogue
 		if assign {
-			ep = epilogueCase(rng, int(maskRaw)%64, m, n)
+			ep = epilogueCase(rng, int(maskRaw)%epilogueMasks, m, n)
 		}
 		c0 := make([]float64, (m-1)*ldc+n+7)
 		fillRand(rng, c0) // assign entries must overwrite it, the others accumulate onto it
@@ -335,7 +335,7 @@ func FuzzGemm(f *testing.F) {
 		}
 		got := run(tier)
 		where := fmt.Sprintf("entry %d %v m=%d n=%d k=%d lda=%d ldb=%d ldc=%d mask=%06b",
-			e, tier, m, n, k, lda, ldb, ldc, int(maskRaw)%64)
+			e, tier, m, n, k, lda, ldb, ldc, int(maskRaw)%epilogueMasks)
 		inC := func(i int) bool { return i/ldc < m && i%ldc < n }
 		for i := range got {
 			if !inC(i) && math.Float64bits(got[i]) != math.Float64bits(c0[i]) {
@@ -410,7 +410,7 @@ const (
 
 // epilogueRef applies the Epilogue's steps naively to a fully accumulated
 // product, one at a time in the unfolded order Alpha, RowScale, RowShift,
-// ColScale, ColShift, ReLU — the oracle for the fused in-panel application.
+// ColShift, ReLU — the oracle for the fused in-panel application.
 // applyEpilogue folds Alpha·RowScale[i] into one factor and always adds the
 // row shift, so the two agree within the callers' tolerance, not bit for
 // bit.
@@ -430,9 +430,6 @@ func epilogueRef(m, n int, c []float64, ldc int, ep *Epilogue) {
 			}
 			if ep.RowShift != nil {
 				v += ep.RowShift[i]
-			}
-			if ep.ColScale != nil {
-				v *= ep.ColScale[j]
 			}
 			if ep.ColShift != nil {
 				v += ep.ColShift[j]
@@ -456,8 +453,12 @@ func TestEpilogueFoldsAlphaIntoRowScale(t *testing.T) {
 	}
 }
 
-// epilogueCases enumerates every epilogue feature combination (2^6 via the
-// bitmask) with random vectors.
+// epilogueMasks counts the epilogue feature combinations epilogueCase
+// enumerates: Alpha, RowScale, RowShift, ColShift and ReLU, one bit each.
+const epilogueMasks = 1 << 5
+
+// epilogueCase builds the epilogue of one feature combination (a mask below
+// epilogueMasks) with random vectors.
 func epilogueCase(rng *rand.Rand, mask, m, n int) *Epilogue {
 	ep := &Epilogue{}
 	randVec := func(l int) []float64 {
@@ -477,12 +478,9 @@ func epilogueCase(rng *rand.Rand, mask, m, n int) *Epilogue {
 		ep.RowShift = randVec(m)
 	}
 	if mask&8 != 0 {
-		ep.ColScale = randVec(n)
-	}
-	if mask&16 != 0 {
 		ep.ColShift = randVec(n)
 	}
-	ep.ReLU = mask&32 != 0
+	ep.ReLU = mask&16 != 0
 	return ep
 }
 
@@ -546,7 +544,7 @@ func TestGemmExEpilogueCombinations(t *testing.T) {
 		{130, 130, 130, 0}, // mid-size square
 	}
 	for _, s := range shapes {
-		for mask := 0; mask < 64; mask++ {
+		for mask := 0; mask < epilogueMasks; mask++ {
 			ep := epilogueCase(rng, mask, s.m, s.n)
 			lda, ldb, ldc := s.k+s.pad, s.n+s.pad, s.n+s.pad
 			gemmExCase(t, "GemmEx", s.m, s.n, s.k, lda, ldb, ldc, ep, GemmEx, gemmRef, s.m, s.k, s.k, s.n)
@@ -578,7 +576,7 @@ func TestGemmExRandomShapes(t *testing.T) {
 				k += 300
 			}
 		}
-		ep := epilogueCase(rng, rng.Intn(64), m, n)
+		ep := epilogueCase(rng, rng.Intn(epilogueMasks), m, n)
 		padA, padB, padC := rng.Intn(8), rng.Intn(8), rng.Intn(8)
 		gemmExCase(t, "GemmEx", m, n, k, k+padA, n+padB, n+padC, ep, GemmEx, gemmRef, m, k, k, n)
 		gemmExCase(t, "GemmTBEx", m, n, k, k+padA, k+padB, n+padC, ep, GemmTBEx, gemmTBRef, m, k, n, k)

@@ -55,7 +55,7 @@ func TestVectorKernelBitIdenticalToScalar(t *testing.T) {
 		plane := 2*ld + s.n
 		img := make([]float64, (ks/9-1)*plane+2*ld+2+s.n)
 		fillRand(rng, img)
-		ep := epilogueCase(rng, rng.Intn(64), s.m, s.n)
+		ep := epilogueCase(rng, rng.Intn(epilogueMasks), s.m, s.n)
 		run := func(dst []float64, which int) {
 			switch which {
 			case 0:

@@ -50,7 +50,7 @@ func TestGemmPackedShiftMatchesMaterialized(t *testing.T) {
 		fillRand(rng, a)
 		pa := PackA(m, k, a, k)
 		ldc := n + rng.Intn(3)
-		ep := epilogueCase(rng, it%64, m, n)
+		ep := epilogueCase(rng, it%epilogueMasks, m, n)
 
 		want := make([]float64, m*ldc)
 		GemmPackedExT(TierExact, m, n, k, pa, shiftRowsOracle(k, n, kh, kw, img, ld, plane), n, want, ldc, ep)
@@ -71,7 +71,7 @@ func TestGemmPackedShiftMatchesMaterialized(t *testing.T) {
 						g, w := got[i*ldc+j], want[i*ldc+j]
 						if math.Float64bits(g) != math.Float64bits(w) {
 							t.Fatalf("it %d (m=%d n=%d k=%d %dx%d ld=%d plane=%d mask=%06b avx=%v packed=%v): C[%d,%d]=%v, materialized %v",
-								it, m, n, k, kh, kw, ld, plane, it%64, avx, packed, i, j, g, w)
+								it, m, n, k, kh, kw, ld, plane, it%epilogueMasks, avx, packed, i, j, g, w)
 						}
 					}
 				}

@@ -34,16 +34,14 @@ func (e EvalResult) ErrorRate() float64 { return 100 * (1 - e.Accuracy) }
 // Perplexity returns exp(Loss), the language-modeling metric of Table 2.
 func (e EvalResult) Perplexity() float64 { return Perplexity(e.Loss) }
 
-// Evaluate runs the model over batches at the given slice rate/width index
-// and aggregates loss and accuracy. The model must map Batch.X to rank-2
-// logits whose rows align with Batch.Labels.
+// Evaluate runs the model's inference pass over batches at the given slice
+// rate/width index and aggregates loss and accuracy. The model must map
+// Batch.X to rank-2 logits whose rows align with Batch.Labels.
 func Evaluate(model nn.Layer, rate float64, widthIdx int, batches []Batch) EvalResult {
 	var res EvalResult
 	totalLoss := 0.0
 	correct := 0
-	for _, b := range batches {
-		ctx := &nn.Context{Training: false, Rate: rate, WidthIdx: widthIdx}
-		logits := model.Forward(ctx, b.X)
+	inferBatches(model, rate, widthIdx, batches, func(b Batch, logits *tensor.Tensor) {
 		loss, _ := nn.SoftmaxCrossEntropy(logits, b.Labels)
 		totalLoss += loss * float64(len(b.Labels))
 		for i := range b.Labels {
@@ -52,12 +50,22 @@ func Evaluate(model nn.Layer, rate float64, widthIdx int, batches []Batch) EvalR
 			}
 		}
 		res.N += len(b.Labels)
-	}
+	})
 	if res.N > 0 {
 		res.Loss = totalLoss / float64(res.N)
 		res.Accuracy = float64(correct) / float64(res.N)
 	}
 	return res
+}
+
+// inferBatches runs model.Infer over each batch at the given rate and hands
+// the batch's logits to visit before the next pass reuses their arena.
+func inferBatches(model nn.Layer, rate float64, widthIdx int, batches []Batch, visit func(b Batch, logits *tensor.Tensor)) {
+	arena := tensor.NewArena()
+	for _, b := range batches {
+		visit(b, model.Infer(&nn.Context{Rate: rate, WidthIdx: widthIdx, Arena: arena}, b.X))
+		arena.Reset()
+	}
 }
 
 // InclusionCoefficient measures, for two sets of wrongly-predicted sample
@@ -85,15 +93,13 @@ func InclusionCoefficient(wrongA, wrongB map[int]bool) float64 {
 func WrongSet(model nn.Layer, rate float64, widthIdx int, batches []Batch) map[int]bool {
 	wrong := make(map[int]bool)
 	base := 0
-	for _, b := range batches {
-		ctx := &nn.Context{Training: false, Rate: rate, WidthIdx: widthIdx}
-		logits := model.Forward(ctx, b.X)
+	inferBatches(model, rate, widthIdx, batches, func(b Batch, logits *tensor.Tensor) {
 		for i := range b.Labels {
 			if logits.ArgMaxRow(i) != b.Labels[i] {
 				wrong[base+i] = true
 			}
 		}
 		base += len(b.Labels)
-	}
+	})
 	return wrong
 }

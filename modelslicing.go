@@ -38,7 +38,8 @@ import (
 type (
 	// Tensor is a dense row-major float64 tensor.
 	Tensor = tensor.Tensor
-	// Layer is the forward/backward unit of composition.
+	// Layer is the unit of composition: Forward (with Backward) trains,
+	// Infer serves and evaluates.
 	Layer = nn.Layer
 	// Context carries training mode and the slice rate through a pass.
 	Context = nn.Context
@@ -97,13 +98,15 @@ func StaticSchedule(rates RateList) Scheduler { return slicing.Static{Rates: rat
 // FixedSchedule always trains the single given rate (conventional training).
 func FixedSchedule(rate float64) Scheduler { return slicing.Fixed{Rate: rate} }
 
-// Predict runs an inference pass at slice rate r.
+// Predict runs an inference pass at the member of rates nearest r.
 func Predict(model Layer, rates RateList, r float64, x *Tensor) *Tensor {
 	return slicing.Predict(model, rates, r, x)
 }
 
-// Evaluate computes loss and accuracy at slice rate r over batches.
+// Evaluate computes loss and accuracy over batches at the member of rates
+// nearest r.
 func Evaluate(model Layer, rates RateList, r float64, batches []Batch) EvalResult {
+	r = rates.Nearest(r)
 	return train.Evaluate(model, r, rates.WidthIdx(r), batches)
 }
 
