@@ -263,6 +263,47 @@ func TestSkipNetLiteGatesRunFused(t *testing.T) {
 	same("gate 0 skipped", s.Infer(nn.Eval(1), x), s.Forward(nn.Eval(1), x))
 }
 
+// TestSkipNetLiteFusesWholeNetwork: Net is nn.Fuse of the whole gated
+// network, so the Conv→GroupNorm→ReLU chains outside the gates (the stem)
+// train as FusedConvActs too — as many as nn.Fuse of the base model holds —
+// while CurrentCost still measures the unfused layers.
+func TestSkipNetLiteFusesWholeNetwork(t *testing.T) {
+	m, _ := models.NewResNet(models.ResNetMini(1, models.NormGroup, 1), rand.New(rand.NewSource(15)))
+	want := countFusedConvs(nn.Fuse(m))
+	s := NewSkipNetLite(m, 0.2)
+	if got := countFusedConvs(s.Net); got != want || want == 0 {
+		t.Fatalf("SkipNet-lite runs %d FusedConvActs, nn.Fuse of its base model %d", got, want)
+	}
+	in := []int{3, 8, 8}
+	if p, _ := cost.Measure(m, in, 1); s.CurrentCost(in) != p.MACs {
+		t.Fatalf("CurrentCost %d MACs, base model %d", s.CurrentCost(in), p.MACs)
+	}
+}
+
+// countFusedConvs counts the FusedConvActs in l, inside containers and
+// SkipNet-lite gates too.
+func countFusedConvs(l nn.Layer) int {
+	switch v := l.(type) {
+	case *nn.FusedConvAct:
+		return 1
+	case *nn.Sequential:
+		n := 0
+		for _, c := range v.Layers {
+			n += countFusedConvs(c)
+		}
+		return n
+	case *nn.Residual:
+		n := countFusedConvs(v.Body)
+		if v.Short != nil {
+			n += countFusedConvs(v.Short)
+		}
+		return n
+	case *GatedResidual:
+		return countFusedConvs(v.fused)
+	}
+	return 0
+}
+
 func TestSkipNetStochasticDepthDuringTraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cfg := models.ResNetMini(4, models.NormGroup, 1)

@@ -18,7 +18,13 @@ import (
 // skip-blocks-at-inference code path and produces the same kind of
 // accuracy-vs-FLOPs curve).
 type SkipNetLite struct {
+	// Net is nn.Fuse of the gated network, which every pass runs: it shares
+	// the parameters, the gates stay in place, and its Conv→GroupNorm→ReLU
+	// chains train as one pass, bit for bit the unfused chain.
 	Net *nn.Sequential
+	// plain is the gated network unfused, the layer list CurrentCost hands
+	// to cost.Measure, which does not know the fused operators.
+	plain []nn.Layer
 	// gates index the skippable (identity-shortcut) residual layers.
 	gates []*GatedResidual
 }
@@ -77,16 +83,16 @@ func (g *GatedResidual) Params() []*nn.Param { return g.Inner.Params() }
 // NewSkipNetLite wraps every identity-shortcut residual block of a ResNet
 // built by models.NewResNet with a stochastic-depth gate.
 func NewSkipNetLite(net *nn.Sequential, dropProb float64) *SkipNetLite {
-	s := &SkipNetLite{Net: &nn.Sequential{}}
+	s := &SkipNetLite{}
 	for _, l := range net.Layers {
 		if res, ok := l.(*nn.Residual); ok && res.Short == nil {
 			g := &GatedResidual{Inner: res, DropProb: dropProb, fused: nn.Fuse(res).(*nn.Residual)}
 			s.gates = append(s.gates, g)
-			s.Net.Layers = append(s.Net.Layers, g)
-			continue
+			l = g
 		}
-		s.Net.Layers = append(s.Net.Layers, l)
+		s.plain = append(s.plain, l)
 	}
+	s.Net = nn.Fuse(&nn.Sequential{Layers: s.plain}).(*nn.Sequential)
 	return s
 }
 
@@ -175,7 +181,7 @@ func (s *SkipNetLite) SkipLowest(k int) []int {
 func (s *SkipNetLite) CurrentCost(inShape []int) int64 {
 	var total int64
 	shape := inShape
-	for _, l := range s.Net.Layers {
+	for _, l := range s.plain {
 		if g, ok := l.(*GatedResidual); ok {
 			if g.Skip {
 				continue // identity: no MACs, shape unchanged

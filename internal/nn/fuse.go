@@ -104,9 +104,9 @@ func fuseAt(layers []Layer, i int) (Layer, int) {
 		if len(rest) >= 2 && isReLU(rest[1]) {
 			return &FusedDenseAct{dense: v, src: rest[:2]}, 2
 		}
-	case *GroupNorm, *BatchNorm, *SwitchableBatchNorm:
+	case actNorm:
 		if len(rest) >= 2 && isReLU(rest[1]) {
-			return &FusedNormAct{norm: rest[0], src: rest[:2]}, 2
+			return &FusedNormAct{norm: v, src: rest[:2]}, 2
 		}
 	}
 	return nil, 0
@@ -151,8 +151,8 @@ func foldNorm(l Layer, conv *Conv2D) (scales, shifts [][]float64, ok bool) {
 	return scales, shifts, true
 }
 
-// widthIdx resolves the SwitchableBatchNorm width selection from the
-// context, mirroring SwitchableBatchNorm.Infer.
+// widthIdx resolves which of a FusedConvAct's n folds a pass applies:
+// ctx.WidthIdx, as SwitchableBatchNorm selects its BatchNorm.
 func widthIdx(ctx *Context, n int) int {
 	idx := 0
 	if ctx != nil {
@@ -284,22 +284,20 @@ func (f *FusedDenseAct) Params() []*Param { return chainParams(f.src) }
 // convolution takes the normalization (GroupNorm after anything but a same
 // convolution; BatchNorm when no convolution precedes it).
 type FusedNormAct struct {
-	norm Layer
+	norm actNorm
 	src  []Layer
+}
+
+// actNorm is a normalization whose inference pass can clamp its output as a
+// trailing ReLU would: GroupNorm, BatchNorm and SwitchableBatchNorm.
+type actNorm interface {
+	Layer
+	inferAct(ctx *Context, x *tensor.Tensor, relu bool) *tensor.Tensor
 }
 
 // Infer runs the fused norm→ReLU chain in one pass.
 func (f *FusedNormAct) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	switch n := f.norm.(type) {
-	case *GroupNorm:
-		return n.inferAct(ctx, x, true)
-	case *BatchNorm:
-		return n.inferAct(ctx, x, true)
-	case *SwitchableBatchNorm:
-		return n.BNs[widthIdx(ctx, len(n.BNs))].inferAct(ctx, x, true)
-	default:
-		panic(fmt.Sprintf("nn: FusedNormAct: unsupported norm %T", f.norm))
-	}
+	return f.norm.inferAct(ctx, x, true)
 }
 
 // Forward runs the unfused source chain (training/eager semantics).

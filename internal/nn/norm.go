@@ -275,13 +275,11 @@ type BatchNorm struct {
 	RunMean     *tensor.Tensor
 	RunVar      *tensor.Tensor
 
-	// cached forward state
-	xhat      *tensor.Tensor
-	invStd    []float64
-	aC        int
-	batch, hw int
-	origShape []int
-	training  bool
+	// cached training state: the input and, per active channel, its batch
+	// mean and 1/σ as a pair; Backward recomputes x̂ from them.
+	x      *tensor.Tensor
+	stats  []float64
+	aC, hw int
 }
 
 // NewBatchNorm constructs a batch-norm layer with PyTorch-style defaults.
@@ -300,74 +298,60 @@ func NewBatchNorm(c int, spec SliceSpec) *BatchNorm {
 }
 
 // Forward normalizes per channel, with batch statistics during training and
-// running estimates during evaluation.
+// running estimates during evaluation. Training caches x with each channel's
+// mean and 1/σ, not x̂, and moves the running estimates; evaluation caches
+// nothing.
 func (b *BatchNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	r := ctx.EffRate()
-	b.aC = b.Spec.Active(r, b.C)
-	b.batch, b.hw = normShape("BatchNorm", x, b.aC)
-	b.origShape = append(b.origShape[:0], x.Shape...)
-	b.training = ctx != nil && ctx.Training
-	plane := b.aC * b.hw
-	n := b.batch * b.hw
-
+	aC := b.Spec.Active(ctx.EffRate(), b.C)
+	batch, hw := normShape("BatchNorm", x, aC)
 	arena := arenaOf(ctx)
-	y := arena.GetUninit(x.Shape...)
-	gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
-	if b.training {
-		b.xhat = arena.GetUninit(x.Shape...)
-		b.invStd = arena.GetUninit(b.aC).Data
-		for c := 0; c < b.aC; c++ {
-			mu, va := 0.0, 0.0
-			for s := 0; s < b.batch; s++ {
-				seg := x.Data[s*plane+c*b.hw : s*plane+(c+1)*b.hw]
-				for _, v := range seg {
-					mu += v
-				}
-			}
-			mu /= float64(n)
-			for s := 0; s < b.batch; s++ {
-				seg := x.Data[s*plane+c*b.hw : s*plane+(c+1)*b.hw]
-				for _, v := range seg {
-					d := v - mu
-					va += d * d
-				}
-			}
-			va /= float64(n)
-			is := 1 / math.Sqrt(va+b.Eps)
-			b.invStd[c] = is
-			// Unbiased variance for the running estimate, as in PyTorch.
-			unbiased := va
-			if n > 1 {
-				unbiased = va * float64(n) / float64(n-1)
-			}
-			b.RunMean.Data[c] = (1-b.Momentum)*b.RunMean.Data[c] + b.Momentum*mu
-			b.RunVar.Data[c] = (1-b.Momentum)*b.RunVar.Data[c] + b.Momentum*unbiased
-			for s := 0; s < b.batch; s++ {
-				off := s*plane + c*b.hw
-				for j := 0; j < b.hw; j++ {
-					h := (x.Data[off+j] - mu) * is
-					b.xhat.Data[off+j] = h
-					y.Data[off+j] = gamma[c]*h + beta[c]
-				}
-			}
-		}
-		return y
+	b.x, b.stats = nil, nil
+	if ctx != nil && ctx.Training {
+		b.x, b.aC, b.hw = x, aC, hw
+		b.stats = arena.GetUninit(2 * aC).Data
+		b.batchStats(x.Data, batch)
 	}
-	b.evalInto(y.Data, x.Data, b.aC, b.batch, b.hw, false)
+	y := arena.GetUninit(x.Shape...)
+	b.normalize(y.Data, x.Data, b.stats, batch, aC, hw, false)
 	return y
 }
 
-// evalInto normalizes with the running estimates, one scale-shift pass per
-// (channel, sample) plane — the kernel shared by the evaluation-mode Forward
-// and the inference path, so the two agree bit for bit.
-func (b *BatchNorm) evalInto(dst, src []float64, aC, batch, hw int, relu bool) {
-	plane := aC * hw
+// batchStats fills b.stats with each active channel's batch mean and 1/σ
+// and moves the running estimates toward them. Channel c's batch is the
+// window grid of its plane in every sample, read in place: a two-pass mean
+// and variance (tensor.SumGrid, tensor.SumSqDevGrid) as GroupNorm takes them.
+func (b *BatchNorm) batchStats(x []float64, batch int) {
+	n := float64(batch * b.hw)
+	plane := tensor.Grid{Ch: 1, Rows: batch, Cols: b.hw, LD: b.aC * b.hw, CS: b.hw}
+	for c := 0; c < b.aC; c++ {
+		seg := x[c*b.hw:]
+		mu := tensor.SumGrid(seg, plane) / n
+		va := tensor.SumSqDevGrid(seg, plane, mu) / n
+		b.stats[2*c], b.stats[2*c+1] = mu, 1/math.Sqrt(va+b.Eps)
+		// Unbiased variance for the running estimate, as in PyTorch.
+		if n > 1 {
+			va *= n / (n - 1)
+		}
+		b.RunMean.Data[c] = (1-b.Momentum)*b.RunMean.Data[c] + b.Momentum*mu
+		b.RunVar.Data[c] = (1-b.Momentum)*b.RunVar.Data[c] + b.Momentum*va
+	}
+}
+
+// normalize is the one scale-shift behind training, the evaluation-mode
+// Forward and the inference path, so the last two agree bit for bit: one
+// tensor.NormAffine per (sample, channel) plane. Channel c takes its mean
+// and 1/σ from stats[2c:], or with stats nil from the running estimates.
+func (b *BatchNorm) normalize(dst, src, stats []float64, batch, aC, hw int, relu bool) {
 	gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
 	for c := 0; c < aC; c++ {
-		is := 1 / math.Sqrt(b.RunVar.Data[c]+b.Eps)
-		mu := b.RunMean.Data[c]
+		var mu, is float64
+		if stats != nil {
+			mu, is = stats[2*c], stats[2*c+1]
+		} else {
+			mu, is = b.RunMean.Data[c], 1/math.Sqrt(b.RunVar.Data[c]+b.Eps)
+		}
 		for s := 0; s < batch; s++ {
-			off := s*plane + c*hw
+			off := (s*aC + c) * hw
 			tensor.NormAffine(dst[off:off+hw], src[off:off+hw], mu, is, gamma[c], beta[c], relu)
 		}
 	}
@@ -385,7 +369,7 @@ func (b *BatchNorm) inferAct(ctx *Context, x *tensor.Tensor, relu bool) *tensor.
 	aC := b.Spec.Active(ctx.EffRate(), b.C)
 	batch, hw := normShape("BatchNorm", x, aC)
 	y := arenaOf(ctx).GetUninit(x.Shape...)
-	b.evalInto(y.Data, x.Data, aC, batch, hw, relu)
+	b.normalize(y.Data, x.Data, nil, batch, aC, hw, relu)
 	return y
 }
 
@@ -409,43 +393,36 @@ func (b *BatchNorm) FoldedAffine() (scale, shift []float64) {
 	return scale, shift
 }
 
-// Backward accumulates dGamma, dBeta, returns dx and drops the cached x̂
-// and 1/σ (training mode only).
+// Backward accumulates dGamma, dBeta, returns dx and drops the cached input
+// and statistics. Per channel, tensor.NormGradSums over each sample's plane
+// gives that plane's Σ dy and Σ dy·x̂, the channel's shares of dβ and dγ;
+// tensor.NormGrad then writes each plane's dx.
 func (b *BatchNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
-	if !b.training {
-		panic("nn: BatchNorm.Backward called after evaluation-mode Forward")
+	if b.x == nil || len(dy.Data) != len(b.x.Data) {
+		panic(fmt.Sprintf("nn: BatchNorm.Backward grad %v without a matching Forward", dy.Shape))
 	}
-	plane := b.aC * b.hw
-	n := float64(b.batch * b.hw)
-	dx := arenaOf(ctx).GetUninit(b.origShape...)
-	gamma := b.Gamma.Value.Data
-	dgamma, dbeta := b.Gamma.Grad.Data, b.Beta.Grad.Data
+	x, hw, batch := b.x.Data, b.hw, b.x.Dim(0)
+	n := float64(batch * hw)
+	dx := arenaOf(ctx).GetUninit(b.x.Shape...)
+	gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
 	for c := 0; c < b.aC; c++ {
-		is := b.invStd[c]
-		sumDxhat, sumDxhatXhat := 0.0, 0.0
-		for s := 0; s < b.batch; s++ {
-			off := s*plane + c*b.hw
-			for j := 0; j < b.hw; j++ {
-				gv := dy.Data[off+j]
-				hv := b.xhat.Data[off+j]
-				dgamma[c] += gv * hv
-				dbeta[c] += gv
-				dxh := gv * gamma[c]
-				sumDxhat += dxh
-				sumDxhatXhat += dxh * hv
-			}
+		mu, is := b.stats[2*c], b.stats[2*c+1]
+		sumG, sumGH := 0.0, 0.0
+		for s := 0; s < batch; s++ {
+			off := (s*b.aC + c) * hw
+			g, gh := tensor.NormGradSums(dy.Data[off:off+hw], x[off:off+hw], mu, is, gamma[c], beta[c], false)
+			sumG += g
+			sumGH += gh
 		}
-		mDxhat := sumDxhat / n
-		mDxhatXhat := sumDxhatXhat / n
-		for s := 0; s < b.batch; s++ {
-			off := s*plane + c*b.hw
-			for j := 0; j < b.hw; j++ {
-				dxh := dy.Data[off+j] * gamma[c]
-				dx.Data[off+j] = is * (dxh - mDxhat - b.xhat.Data[off+j]*mDxhatXhat)
-			}
+		b.Gamma.Grad.Data[c] += sumGH
+		b.Beta.Grad.Data[c] += sumG
+		mDxhat, mDxhatXhat := gamma[c]*sumG/n, gamma[c]*sumGH/n
+		for s := 0; s < batch; s++ {
+			off := (s*b.aC + c) * hw
+			tensor.NormGrad(dx.Data[off:off+hw], dy.Data[off:off+hw], x[off:off+hw], mu, is, gamma[c], beta[c], mDxhat, mDxhatXhat, false)
 		}
 	}
-	b.xhat, b.invStd = nil, nil
+	b.x, b.stats = nil, nil
 	return dx
 }
 
@@ -470,8 +447,9 @@ func NewSwitchableBatchNorm(c int, spec SliceSpec, widths int) *SwitchableBatchN
 	return s
 }
 
-// Forward dispatches to the BatchNorm selected by ctx.WidthIdx.
-func (s *SwitchableBatchNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
+// index returns ctx.WidthIdx (0 without a context), the BatchNorm a pass
+// uses, and panics when it names none.
+func (s *SwitchableBatchNorm) index(ctx *Context) int {
 	idx := 0
 	if ctx != nil {
 		idx = ctx.WidthIdx
@@ -479,8 +457,13 @@ func (s *SwitchableBatchNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Te
 	if idx < 0 || idx >= len(s.BNs) {
 		panic(fmt.Sprintf("nn: SwitchableBatchNorm width index %d out of range [0,%d)", idx, len(s.BNs)))
 	}
-	s.cur = idx
-	return s.BNs[idx].Forward(ctx, x)
+	return idx
+}
+
+// Forward dispatches to the BatchNorm selected by ctx.WidthIdx.
+func (s *SwitchableBatchNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
+	s.cur = s.index(ctx)
+	return s.BNs[s.cur].Forward(ctx, x)
 }
 
 // Backward dispatches to the BatchNorm used in the preceding Forward.
@@ -491,14 +474,12 @@ func (s *SwitchableBatchNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.
 // Infer dispatches to the BatchNorm selected by ctx.WidthIdx without
 // recording the selection (read-only inference path).
 func (s *SwitchableBatchNorm) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	idx := 0
-	if ctx != nil {
-		idx = ctx.WidthIdx
-	}
-	if idx < 0 || idx >= len(s.BNs) {
-		panic(fmt.Sprintf("nn: SwitchableBatchNorm width index %d out of range [0,%d)", idx, len(s.BNs)))
-	}
-	return s.BNs[idx].Infer(ctx, x)
+	return s.inferAct(ctx, x, false)
+}
+
+// inferAct is Infer with an optionally fused trailing ReLU.
+func (s *SwitchableBatchNorm) inferAct(ctx *Context, x *tensor.Tensor, relu bool) *tensor.Tensor {
+	return s.BNs[s.index(ctx)].inferAct(ctx, x, relu)
 }
 
 // Params returns the parameters of every per-width BatchNorm.

@@ -187,17 +187,24 @@ func TestBatchNormGradCheck(t *testing.T) {
 	}
 }
 
+// TestBatchNormBackwardPanicsAfterEval: a Backward with no training Forward
+// cached — after an evaluation-mode Forward, or a second Backward after the
+// first consumed the cache — panics with a clear message instead of
+// dereferencing the dropped cache.
 func TestBatchNormBackwardPanicsAfterEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	b := NewBatchNorm(2, Fixed())
 	x := randTensor(rng, 2, 2)
+	const want = "BatchNorm.Backward grad [2 2] without a matching Forward"
 	b.Forward(Eval(1), x)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	b.Backward(Eval(1), x)
+	mustPanicWith(t, want, func() { b.Backward(Eval(1), x) })
+	ctx := Train(1, rng)
+	b.Forward(ctx, x)
+	b.Backward(ctx, x)
+	mustPanicWith(t, want, func() { b.Backward(ctx, x) })
+	b.Forward(ctx, x)
+	b.Forward(Eval(1), x)
+	mustPanicWith(t, want, func() { b.Backward(ctx, x) })
 }
 
 func TestSwitchableBatchNormDispatch(t *testing.T) {
@@ -304,6 +311,152 @@ func TestGroupNormBackwardMatchesPlainLoop(t *testing.T) {
 			g.Gamma.ZeroGrad()
 			g.Beta.ZeroGrad()
 		}
+	}
+}
+
+// plainBN is plainBatchNorm's result: each output with, per element, the
+// sum of its terms' magnitudes, the scale its rounding error is bounded by.
+type plainBN struct {
+	y, dx, dgamma, dbeta, runMean, runVar    []float64
+	magY, magDx, magG, magB, magMean, magVar []float64
+}
+
+// plainBatchNorm is BatchNorm's training step as textbook loops over a
+// stored x̂, with every sum in index order: the oracle for
+// TestBatchNormTrainMatchesPlainLoop. It reads x and dy as batch×aC planes
+// of hw elements and b's parameters and running estimates, and changes
+// nothing in b.
+func plainBatchNorm(b *BatchNorm, x, dy []float64, batch, aC, hw int) plainBN {
+	var o plainBN
+	for _, p := range []*[]float64{&o.y, &o.dx, &o.magY, &o.magDx} {
+		*p = make([]float64, len(x))
+	}
+	for _, p := range []*[]float64{&o.dgamma, &o.dbeta, &o.magG, &o.magB, &o.magMean, &o.magVar} {
+		*p = make([]float64, aC)
+	}
+	o.runMean = append([]float64(nil), b.RunMean.Data[:aC]...)
+	o.runVar = append([]float64(nil), b.RunVar.Data[:aC]...)
+	gamma, beta, m := b.Gamma.Value.Data, b.Beta.Value.Data, b.Momentum
+	n := float64(batch * hw)
+	xhat := make([]float64, len(x))
+	for c := 0; c < aC; c++ {
+		var offs []int
+		for s := 0; s < batch; s++ {
+			for j := 0; j < hw; j++ {
+				offs = append(offs, (s*aC+c)*hw+j)
+			}
+		}
+		mu, magMu, va := 0.0, 0.0, 0.0
+		for _, i := range offs {
+			mu += x[i]
+			magMu += math.Abs(x[i])
+		}
+		mu, magMu = mu/n, magMu/n
+		for _, i := range offs {
+			va += (x[i] - mu) * (x[i] - mu)
+		}
+		va /= n
+		is := 1 / math.Sqrt(va+b.Eps)
+		unbiased := va
+		if n > 1 {
+			unbiased = va * n / (n - 1)
+		}
+		o.magMean[c] = math.Abs((1-m)*o.runMean[c]) + m*magMu
+		o.magVar[c] = math.Abs((1-m)*o.runVar[c]) + m*unbiased
+		o.runMean[c] = (1-m)*o.runMean[c] + m*mu
+		o.runVar[c] = (1-m)*o.runVar[c] + m*unbiased
+		sd, sdh, md, mdh := 0.0, 0.0, 0.0, 0.0
+		for _, i := range offs {
+			h := (x[i] - mu) * is
+			xhat[i] = h
+			o.y[i] = gamma[c]*h + beta[c]
+			o.magY[i] = math.Abs(gamma[c])*is*(math.Abs(x[i])+magMu) + math.Abs(beta[c])
+			g := dy[i]
+			o.dgamma[c] += g * h
+			o.magG[c] += math.Abs(g * h)
+			o.dbeta[c] += g
+			o.magB[c] += math.Abs(g)
+			sd += g * gamma[c]
+			sdh += g * gamma[c] * h
+			md += math.Abs(g * gamma[c])
+			mdh += math.Abs(g * gamma[c] * h)
+		}
+		for _, i := range offs {
+			o.dx[i] = is * (dy[i]*gamma[c] - sd/n - xhat[i]*sdh/n)
+			o.magDx[i] = is * (math.Abs(dy[i]*gamma[c]) + md/n + math.Abs(xhat[i])*mdh/n)
+		}
+	}
+	return o
+}
+
+// TestBatchNormTrainMatchesPlainLoop holds BatchNorm's training Forward and
+// Backward, which run on GroupNorm's kernels and cache only each channel's
+// mean and 1/σ, to plainBatchNorm: y, dx, dγ, dβ and the running estimates
+// within 1e-12 of the sum of their terms' magnitudes (the kernels sum in
+// tensor.Sum's lane order). The plane sizes cover the vector block forms
+// (4 with a batch of 4, 16, 256), the Go twins (1, 25) and rank-2 inputs, at
+// a sliced and the full width.
+func TestBatchNormTrainMatchesPlainLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	const batch = 4
+	for _, spatial := range [][]int{{}, {2, 2}, {4, 4}, {5, 5}, {16, 16}} {
+		for _, r := range []float64{0.5, 1} {
+			b := NewBatchNorm(8, Sliced(2))
+			tensor.InitNormal(b.Gamma.Value, 1, rng)
+			tensor.InitNormal(b.Beta.Value, 1, rng)
+			tensor.InitNormal(b.RunMean, 1, rng)
+			for c := range b.RunVar.Data {
+				b.RunVar.Data[c] = 0.5 + rng.Float64()
+			}
+			aC := b.Spec.Active(r, b.C)
+			hw := 1
+			for _, d := range spatial {
+				hw *= d
+			}
+			shape := append([]int{batch, aC}, spatial...)
+			x, dy := randTensor(rng, shape...), randTensor(rng, shape...)
+			for i := range x.Data {
+				x.Data[i] = 2*x.Data[i] + 0.5
+			}
+			want := plainBatchNorm(b, x.Data, dy.Data, batch, aC, hw)
+			ctx := &Context{Training: true, Rate: r}
+			y := b.Forward(ctx, x)
+			dx := b.Backward(ctx, dy)
+			near := func(name string, got, want, mag []float64) {
+				t.Helper()
+				for i, w := range want {
+					if d := math.Abs(got[i] - w); !(d <= 1e-12*mag[i]) {
+						t.Fatalf("spatial %v r=%v: %s[%d] = %v, plain loop %v (|Δ| %.3g of Σ|terms| %.3g)", spatial, r, name, i, got[i], w, d, mag[i])
+					}
+				}
+			}
+			near("y", y.Data, want.y, want.magY)
+			near("dx", dx.Data, want.dx, want.magDx)
+			near("dγ", b.Gamma.Grad.Data[:aC], want.dgamma, want.magG)
+			near("dβ", b.Beta.Grad.Data[:aC], want.dbeta, want.magB)
+			near("RunMean", b.RunMean.Data[:aC], want.runMean, want.magMean)
+			near("RunVar", b.RunVar.Data[:aC], want.runVar, want.magVar)
+		}
+	}
+}
+
+// BenchmarkBatchNormStep times BatchNorm's training Forward plus Backward
+// at a wide early activation and a deep narrow one.
+func BenchmarkBatchNormStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(64))
+	arena := tensor.NewArena()
+	for _, shape := range [][]int{{32, 32, 32, 32}, {32, 64, 8, 8}} {
+		bn := NewBatchNorm(shape[1], Fixed())
+		x, dy := randTensor(rng, shape...), randTensor(rng, shape...)
+		ctx := &Context{Training: true, Rate: 1, Arena: arena}
+		b.Run(fmt.Sprint(shape), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bn.Forward(ctx, x)
+				bn.Backward(ctx, dy)
+				arena.Reset()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.Size()), "ns/element")
+		})
 	}
 }
 
