@@ -183,6 +183,7 @@ func (c *Conv2D) forwardShift(x, y *tensor.Tensor, bias []float64, gn *GroupNorm
 	s := c.shiftGeom(batch, c.h, c.w)
 	nw := maxWorkers(s.groups(batch))
 	imgLen := s.imgLen(c.aIn)
+	dense := denseLayout(c.aOut, c.h, c.w)
 	scratch, bufs := padScratch(nw, imgLen, c.aOut*s.n)
 	parallelFor(nw, func(worker, _ int) {
 		img, ext := scratch[worker][:imgLen], scratch[worker][imgLen:]
@@ -191,9 +192,9 @@ func (c *Conv2D) forwardShift(x, y *tensor.Tensor, bias []float64, gn *GroupNorm
 			gb := min(s.g, end-b0)
 			s.padIn(img, x.Data, c.aIn, b0, gb)
 			c.shiftConv(s, a, c.aOut, gb, img, ext)
-			s.copyOut(y.Data, ext, c.aOut, b0, gb)
+			s.copyOut(y.Data, dense, ext, c.aOut, b0, gb)
 			if gn != nil {
-				s.normGrid(gn, out.Data, gn.stats, ext, c.aOut, b0, gb)
+				s.normGrid(gn, out.Data, dense, gn.stats, ext, c.aOut, b0, gb)
 			}
 		}
 	})
@@ -218,55 +219,60 @@ func padScratch(nw, images, grid int) (scratch [maxBatchWorkers][]float64, bufs 
 // cache-hot column matrix per sample (inferIm2col). The bias is applied as
 // a fused GEMM epilogue.
 func (c *Conv2D) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	var ep *tensor.Epilogue
-	if c.B != nil {
-		ep = &tensor.Epilogue{RowShift: c.B.Value.Data}
-	}
-	return c.inferFused(ctx, x, ep, nil)
+	return c.stage(ctx).infer(ctx, x)
 }
 
-// inferFused is the per-sample lowering behind Infer with a caller-supplied
-// GEMM epilogue (which must already include the conv bias when it is
-// non-nil — the fusion pass folds it into the normalization shift). A
-// non-nil gn is a GroupNorm over the output followed by a ReLU
-// (FusedConvAct): the shifted-row lowering runs it on each sample group's
-// product grid in place of the copy-out, so the conv output never exists;
-// after the im2col lowering it normalizes the output in place.
-func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue, gn *GroupNorm) *tensor.Tensor {
+// stage is the conv as a stage of a shifted-row run: the bias as the
+// epilogue's row shift.
+func (c *Conv2D) stage(*Context) shiftStage {
+	st := shiftStage{conv: c}
+	if c.B != nil {
+		st.ep.RowShift = c.B.Value.Data
+	}
+	return st
+}
+
+// infer serves the conv stage st alone, dense in and out, with its GEMM
+// epilogue (which already includes the conv bias — the fusion pass folds it
+// into the normalization shift). A non-nil st.gn is a GroupNorm over the
+// output followed by a ReLU (FusedConvAct): the shifted-row lowering, a run
+// of one stage, runs it on each sample group's product grid in place of the
+// copy-out, so the conv output never exists; after the im2col lowering it
+// normalizes the output in place.
+func (st shiftStage) infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
+	c, tier := st.conv, ctx.EffTier()
+	if tier == tensor.TierExact && c.sameConv() {
+		run := [1]shiftStage{st}
+		return inferShift(ctx, x, run[:])
+	}
 	r := ctx.EffRate()
 	aIn, aOut := c.Active(r)
 	if x.Rank() != 4 || x.Dim(1) != aIn {
 		panic(fmt.Sprintf("nn: Conv2D.Infer input %v, want [B %d H W] at rate %v", x.Shape, aIn, r))
 	}
 	batch := x.Dim(0)
-	h, w := x.Dim(2), x.Dim(3)
-	outH, outW := c.OutShape(h, w)
-	arena := arenaOf(ctx)
-	// Every output element is written by the assign-mode GEMM, so the output
-	// can skip the arena's zero fill.
-	y := arena.GetUninit(batch, aOut, outH, outW)
-
-	// The weight is the product's A operand and immutable for the life of
-	// the pass: stream the per-width persistent pack (built once, shared by
-	// every worker).
-	colRows := aIn * c.KH * c.KW
-	pw := c.packs.get(packKey{aOut, colRows}, func() *tensor.PackedMat {
-		return tensor.PackA(aOut, colRows, c.W.Value.Data, c.In*c.KH*c.KW)
-	})
-	tier := ctx.EffTier()
-	if tier == tensor.TierExact && c.sameConv() {
-		c.inferShift(arena, x, y, pw, ep, gn)
-		return y
-	}
-	c.inferIm2col(arena, tier, x, y, pw, ep)
-	if gn != nil {
+	outH, outW := c.OutShape(x.Dim(2), x.Dim(3))
+	// Every output element is written by the assign-mode GEMM.
+	y := arenaOf(ctx).GetUninit(batch, aOut, outH, outW)
+	c.inferIm2col(arenaOf(ctx), tier, x, y, c.pack(aIn, aOut), &st.ep)
+	if gn := st.gn; gn != nil {
 		hw := outH * outW
-		gn.normalize(y.Data, nil, y.Data, batch, gn.activeGroups(aOut), gn.packedGroup(hw), aOut*hw, true)
+		gn.normalize(y.Data, denseLayout(aOut, 1, hw), nil, y.Data, batch, gn.activeGroups(aOut), gn.packedGroup(hw), aOut*hw, true)
 	}
 	return y
 }
 
-// inferIm2col is the column-matrix lowering of inferFused: each sample's
+// pack returns the per-width persistent pack of the weight as the product's
+// A operand: immutable for the life of the pass, built once and shared by
+// every worker.
+func (c *Conv2D) pack(aIn, aOut int) *tensor.PackedMat {
+	colRows := aIn * c.KH * c.KW
+	return c.packs.get(packKey{aOut, colRows}, func() *tensor.PackedMat {
+		return tensor.PackA(aOut, colRows, c.W.Value.Data, c.In*c.KH*c.KW)
+	})
+}
+
+// inferIm2col is the column-matrix lowering of shiftStage.infer: each sample's
 // [aIn·KH·KW × outH·outW] column matrix is built and consumed by its GEMM
 // while still cache-hot, the product landing in the sample's output plane.
 func (c *Conv2D) inferIm2col(arena *tensor.Arena, tier tensor.EngineTier, x, y *tensor.Tensor, pw *tensor.PackedMat, ep *tensor.Epilogue) {
@@ -366,6 +372,29 @@ func (s shiftGeom) origin() int { return s.pad*s.ld + s.pad }
 // channel's plane start plus a grid.
 func (s shiftGeom) imgLen(ch int) int { return (ch-1)*s.plane + 2*s.origin() + s.n }
 
+// image is the layout of a padded image of ch channels holding one sample
+// group: sample b of the group has channel c at c·plane + b·frame, its
+// first pixel at origin.
+func (s shiftGeom) image(ch int) layout {
+	return layout{ch: ch, ss: s.frame, cs: s.plane, off: s.origin(), ld: s.ld}
+}
+
+// layout addresses the (sample, channel) planes of a [B, C, H, W]
+// activation in a buffer: row y of sample b's channel c starts at
+// at(b, c) + y·ld. Packed planes are denseLayout; a same conv's padded
+// image of one sample group is shiftGeom.image.
+type layout struct {
+	ch      int // channels per sample
+	ss, cs  int // sample and channel strides
+	off, ld int // first pixel of a plane, row stride
+}
+
+// denseLayout is packed [B, c, h, w] planes.
+func denseLayout(c, h, w int) layout { return layout{ch: c, ss: c * h * w, cs: h * w, ld: w} }
+
+// at is the offset of the first pixel of sample b's channel c.
+func (l layout) at(b, c int) int { return b*l.ss + c*l.cs + l.off }
+
 // padIn copies the ch planes of samples [b0, b0+gb) of src into the interior
 // of img, one (sample, channel) plane per tensor.CopyRows call: at quarter
 // width a row is 4–16 elements, too short to pay for a copy call of its own.
@@ -410,54 +439,120 @@ func (c *Conv2D) shiftConv(s shiftGeom, a shiftA, m, gb int, img, ext []float64)
 }
 
 // copyOut writes the part of the grid ext (m channels) that belongs to each
-// of samples [b0, b0+gb) into its m planes in dst.
-func (s shiftGeom) copyOut(dst, ext []float64, m, b0, gb int) {
-	hw := s.h * s.w
+// of samples [b0, b0+gb) into its m planes of dst (layout out).
+func (s shiftGeom) copyOut(dst []float64, out layout, ext []float64, m, b0, gb int) {
 	for sm := 0; sm < gb; sm++ {
-		y := dst[(b0+sm)*m*hw:]
+		y := dst[out.at(b0+sm, 0):]
 		for oc := 0; oc < m; oc++ {
-			tensor.CopyRows(s.h, s.w, y[oc*hw:], s.w, ext[oc*s.n+sm*s.frame:], s.ld)
+			tensor.CopyRows(s.h, s.w, y[oc*out.cs:], out.ld, ext[oc*s.n+sm*s.frame:], s.ld)
 		}
 	}
 }
 
 // normGrid runs gn and the trailing ReLU over samples [b0, b0+gb) of the
-// grid ext (m channels) into their planes in dst, straight out of the grid
+// grid ext (m channels) into their planes of dst, straight out of the grid
 // while it is cache-hot: GroupNorm.normalize reads each channel's window at
 // row stride s.ld and channel stride s.n, in the order it reads copied-out
-// planes, so dst is bit-identical to the unfused chain's. A non-nil stats
-// (training) receives the groups' statistics at the batch's offsets.
-func (s shiftGeom) normGrid(gn *GroupNorm, dst, stats, ext []float64, m, b0, gb int) {
+// planes, so dst is bit-identical to the unfused chain's. dst is packed
+// planes (out dense) or the next conv's padded image of the same geometry
+// (out = s.image(m)), whose rows are the grid's. A non-nil stats (training)
+// receives the groups' statistics at the batch's offsets.
+func (s shiftGeom) normGrid(gn *GroupNorm, dst []float64, out layout, stats, ext []float64, m, b0, gb int) {
 	ag := gn.activeGroups(m)
 	if stats != nil {
 		stats = stats[2*b0*ag:]
 	}
 	group := tensor.Grid{Ch: gn.C / gn.NormGroups, Rows: s.h, Cols: s.w, LD: s.ld, CS: s.n}
-	gn.normalize(dst[b0*m*s.h*s.w:], stats, ext, gb, ag, group, s.frame, true)
+	gn.normalize(dst[b0*out.ss:], out, stats, ext, gb, ag, group, s.frame, true)
 }
 
-// inferShift is Infer's shifted-row lowering on a packed weight
-// (tensor.GemmPackedShiftEx): each group's product is copied out into y,
-// or with a non-nil gn normalized by gn and a ReLU straight out of its grid
-// (normGrid). The groups run one after another on one arena image, zeroed
-// once per call, and one grid.
-func (c *Conv2D) inferShift(arena *tensor.Arena, x, y *tensor.Tensor, pw *tensor.PackedMat, ep *tensor.Epilogue, gn *GroupNorm) {
-	batch, aIn, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	aOut := y.Dim(1)
-	s := c.shiftGeom(batch, h, w)
-	img := arena.Get(s.imgLen(aIn)).Data
-	ext := arena.GetUninit(aOut, s.n).Data
-	a := shiftA{pw: pw, ep: ep}
+// shiftStage is one layer of a run that inferShift serves sample group by
+// sample group: a same convolution with its epilogue and, for a
+// Conv→GroupNorm→ReLU, its GroupNorm; or the max-pool that opens a run.
+// inferShift fills in the pass's pack, widths and input image.
+type shiftStage struct {
+	conv *Conv2D
+	ep   tensor.Epilogue
+	gn   *GroupNorm
+	pool *MaxPool2D
+
+	pw        *tensor.PackedMat
+	aIn, aOut int
+	img       []float64
+}
+
+// stager is a layer that can be a stage of a shifted-row run (Conv2D,
+// FusedConvAct, MaxPool2D; see shiftedRuns).
+type stager interface {
+	stage(ctx *Context) shiftStage
+}
+
+// inferShift serves a run of stages on the shifted rows (packed weights,
+// tensor.GemmPackedShiftEx) from the dense input x, one sample group at a
+// time: the first conv pads the group in from x (padIn), or the opening
+// pool writes it into the first conv's image; each conv's product is copied
+// out, or with a GroupNorm normalized with a ReLU straight out of its grid
+// (normGrid), into the interior of the next conv's image, the last conv's
+// into the dense output. Each conv's image holds one group and is zeroed
+// once per call: every group rewrites the same interior, so the pads stay
+// zero, and a short last group leaves stale frames behind its samples that
+// no output it keeps reads. The groups run one after another through one
+// grid, and the images stay cache-hot from producer to consumer. The convs
+// of a run share one geometry (same plane, same padding).
+func inferShift(ctx *Context, x *tensor.Tensor, stages []shiftStage) *tensor.Tensor {
+	if x.Rank() != 4 {
+		panic(fmt.Sprintf("nn: Conv2D.Infer input %v, want rank 4", x.Shape))
+	}
+	arena, r := arenaOf(ctx), ctx.EffRate()
+	batch, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	convs := stages
+	if p := stages[0].pool; p != nil {
+		h, w = tensor.ConvOutSize(h, p.K, p.Stride, 0), tensor.ConvOutSize(w, p.K, p.Stride, 0)
+		convs = stages[1:]
+	}
+	s := convs[0].conv.shiftGeom(batch, h, w)
+	maxOut := 0
+	for t := range convs {
+		st := &convs[t]
+		st.aIn, st.aOut = st.conv.Active(r)
+		if st.aIn != ch {
+			panic(fmt.Sprintf("nn: Conv2D.Infer input [%d %d %d %d], want [B %d H W] at rate %v", batch, ch, h, w, st.aIn, r))
+		}
+		st.pw = st.conv.pack(st.aIn, st.aOut)
+		st.img = arena.Get(s.imgLen(st.aIn)).Data
+		ch, maxOut = st.aOut, max(maxOut, st.aOut)
+	}
+	// Every element of y is written by a copy-out or a grid pass.
+	y := arena.GetUninit(batch, ch, h, w)
+	ext := arena.GetUninit(maxOut, s.n).Data
+	dense := denseLayout(ch, h, w)
 	for b0 := 0; b0 < batch; b0 += s.g {
+		if b0 > 0 && len(stages) > 1 {
+			ctx.yield()
+		}
 		gb := min(s.g, batch-b0)
-		s.padIn(img, x.Data, aIn, b0, gb)
-		c.shiftConv(s, a, aOut, gb, img, ext)
-		if gn != nil {
-			s.normGrid(gn, y.Data, nil, ext, aOut, b0, gb)
+		if p := stages[0].pool; p != nil {
+			plane := x.Dim(2) * x.Dim(3)
+			in := convs[0].aIn
+			p.pool(convs[0].img, s.image(in), nil, x.Data[b0*in*plane:], gb*in, x.Dim(2), x.Dim(3))
 		} else {
-			s.copyOut(y.Data, ext, aOut, b0, gb)
+			s.padIn(convs[0].img, x.Data, convs[0].aIn, b0, gb)
+		}
+		for t := range convs {
+			st := &convs[t]
+			st.conv.shiftConv(s, shiftA{pw: st.pw, ep: &st.ep}, st.aOut, gb, st.img, ext)
+			dst, out, ob := y.Data, dense, b0
+			if t+1 < len(convs) {
+				dst, out, ob = convs[t+1].img, s.image(st.aOut), 0
+			}
+			if st.gn != nil {
+				s.normGrid(st.gn, dst, out, nil, ext, st.aOut, ob, gb)
+			} else {
+				s.copyOut(dst, out, ext, st.aOut, ob, gb)
+			}
 		}
 	}
+	return y
 }
 
 // Backward accumulates dW, dB, returns dx[B, aIn, H, W] and drops the
@@ -565,6 +660,7 @@ func (c *Conv2D) backwardShift(s shiftGeom, dy, dx *tensor.Tensor, dws, dbs [max
 	xLen, dyLen := s.imgLen(c.aIn), s.imgLen(c.aOut)
 	scratch, bufs := padScratch(nw, xLen+dyLen, c.aIn*s.n)
 	plane := c.aOut * c.h * c.w
+	dxPlanes := denseLayout(c.aIn, c.h, c.w)
 	var ag int
 	var gnOut tensor.Grid
 	if gn != nil {
@@ -586,7 +682,7 @@ func (c *Conv2D) backwardShift(s shiftGeom, dy, dx *tensor.Tensor, dws, dbs [max
 				}
 			}
 			c.shiftConv(s, a, c.aIn, gb, dyimg, ext)
-			s.copyOut(dx.Data, ext, c.aIn, b0, gb)
+			s.copyOut(dx.Data, dxPlanes, ext, c.aIn, b0, gb)
 			s.padIn(ximg, c.x.Data, c.aIn, b0, gb)
 			tensor.GemmShiftTB(c.aOut, colRows, s.grid(gb), c.KH, c.KW, dyimg[s.origin():], s.plane, ximg, s.ld, s.plane, dws[worker], colRows)
 			if c.B != nil {

@@ -28,7 +28,11 @@ func shiftVsIm2col(c *Conv2D, x *tensor.Tensor, aOut int, ep *tensor.Epilogue) e
 		got.Data[i] = math.NaN() // every element must be written
 	}
 	c.inferIm2col(arena, tensor.TierExact, x, want, pw, ep)
-	c.inferShift(arena, x, got, pw, ep, nil)
+	st := [1]shiftStage{{conv: c}}
+	if ep != nil {
+		st[0].ep = *ep
+	}
+	copy(got.Data, inferShift(&Context{Arena: arena}, x, st[:]).Data)
 	for i := range want.Data {
 		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 			return fmt.Errorf("in=%d out=%d %dx%d k=%dx%d: shift[%d]=%v, im2col %v", aIn, aOut, h, w, c.KH, c.KW, i, got.Data[i], want.Data[i])
@@ -235,13 +239,52 @@ func fusedTrainVsChain(c *Conv2D, x *tensor.Tensor, normGroups int, rng *rand.Ra
 	return nil
 }
 
+// runVsDense serves two shifted-row runs into a same conv, next, of c's
+// padding, and holds each to its layers served one at a time, dense in and
+// out, bit for bit: c → next (c copied out, or with gn normalized with a
+// ReLU straight out of its grid, into next's padded image) and a 2×2
+// max-pool → next (pooled into it). The batch is one sample more than a
+// group holds, so the last group is short.
+func runVsDense(c *Conv2D, ep tensor.Epilogue, gn *GroupNorm, h, w int, rng *rand.Rand) error {
+	next := NewConv2D(c.Out, 2, c.KH, c.KW, 1, c.Pad, Fixed(), Fixed(), true, rng)
+	tensor.InitNormal(next.B.Value, 1, rng)
+	batch := next.shiftGeom(shiftGridCols, h, w).g + 1
+	ctx := &Context{Arena: tensor.NewArena()}
+	pool := NewMaxPool2D(2, 2)
+	for _, tc := range []struct {
+		edge  string
+		first shiftStage
+		x     *tensor.Tensor
+		dense func(x *tensor.Tensor) *tensor.Tensor
+	}{
+		{"conv", shiftStage{conv: c, ep: ep, gn: gn}, randTensor(rng, batch, c.In, h, w),
+			func(x *tensor.Tensor) *tensor.Tensor { return shiftStage{conv: c, ep: ep, gn: gn}.infer(ctx, x) }},
+		{"pool", shiftStage{pool: pool}, randTensor(rng, batch, c.Out, 2*h, 2*w),
+			func(x *tensor.Tensor) *tensor.Tensor { return pool.Infer(ctx, x) }},
+	} {
+		want := next.Infer(ctx, tc.dense(tc.x))
+		got := inferShift(ctx, tc.x, []shiftStage{tc.first, next.stage(ctx)})
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				return fmt.Errorf("%s→conv run, in=%d out=%d batch %d %dx%d k=%dx%d gn=%v: run[%d]=%v, layer by layer %v",
+					tc.edge, c.In, c.Out, batch, h, w, c.KH, c.KW, gn != nil, i, got.Data[i], v)
+			}
+		}
+	}
+	return nil
+}
+
 // FuzzConvShift decodes a conv shape from bytes and holds the shifted-row
 // lowering to the im2col one: the served product on a packed weight, then a
 // training pass (Forward and Backward, with a bias when seed&4 is set). It
 // then serves and trains the conv fused with a GroupNorm and ReLU (norm
 // groups the largest divisor of the output channels up to 1+mask%8) against
-// the unfused chain, bit for bit. Planes of every width from 1 to 17 reach
-// both the grid kernels' block bodies and their Go twins.
+// the unfused chain, bit for bit. Last, it serves the conv (copied out,
+// then on the grid pass) and a 2×2 max-pool as runs into a same conv,
+// handing over through its padded image, against the layers one at a time
+// (runVsDense). Planes of every
+// width from 1 to 17 reach both the grid kernels' block bodies and their Go
+// twins.
 func FuzzConvShift(f *testing.F) {
 	f.Add(uint8(3), uint8(8), uint8(16), uint8(16), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(32), uint8(5), uint8(4), uint8(4), uint8(1), uint8(37), int64(2))
@@ -278,6 +321,15 @@ func FuzzConvShift(f *testing.F) {
 		if err := fusedTrainVsChain(c, x, groups, rng); err != nil {
 			t.Fatal(err)
 		}
+		if err := runVsDense(c, *randEpilogue(rng, m, aOut), nil, hh, ww, rng); err != nil {
+			t.Fatal(err)
+		}
+		gn := NewGroupNorm(aOut, groups, Fixed(), 1e-5)
+		tensor.InitNormal(gn.Gamma.Value, 1, rng)
+		tensor.InitNormal(gn.Beta.Value, 1, rng)
+		if err := runVsDense(c, c.stage(nil).ep, gn, hh, ww, rng); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
@@ -306,13 +358,14 @@ func BenchmarkConvInferLowering(b *testing.B) {
 			aIn, aOut := c.Active(r)
 			x := randTensor(rng, 8, aIn, s.hw, s.hw)
 			pw := tensor.PackA(aOut, aIn*9, c.W.Value.Data, s.in*9)
+			ctx := &Context{Rate: r, Arena: arena}
 			b.Run(fmt.Sprintf("conv%d_%dx%d_%d-%d_r%g", li+1, s.hw, s.hw, aIn, aOut, r), func(b *testing.B) {
 				var im2col, shift time.Duration
 				for i := 0; i < b.N; i++ {
 					t0 := time.Now()
 					c.inferIm2col(arena, tensor.TierExact, x, arena.GetUninit(8, aOut, s.hw, s.hw), pw, nil)
 					t1 := time.Now()
-					c.inferShift(arena, x, arena.GetUninit(8, aOut, s.hw, s.hw), pw, nil, nil)
+					inferShift(ctx, x, []shiftStage{{conv: c}})
 					shift += time.Since(t1)
 					im2col += t1.Sub(t0)
 					arena.Reset()

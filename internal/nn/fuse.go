@@ -30,6 +30,11 @@ import (
 //	GroupNorm/BatchNorm/SwitchableBatchNorm → ReLU   ⇒  the clamp rides the
 //	    normalization's write pass (tensor.NormAffine).
 //
+// It then marks the shifted-row runs of each Sequential (shiftedRuns):
+// chains of same convs, opened by a conv or a max-pool, that the exact tier
+// serves a sample group at a time, each layer writing its output straight
+// into the next conv's padded image.
+//
 // Its Infer is numerically within 1e-12 of the unfused chain (bit-identical
 // except where BatchNorm folding refactors the arithmetic). The GroupNorm
 // form of FusedConvAct also trains as one pass: Forward normalizes each
@@ -62,7 +67,8 @@ func Fuse(l Layer) Layer {
 }
 
 // fuseSequential scans the layer list with a peephole window, emitting fused
-// operators for recognized chains and recursing into containers elsewhere.
+// operators for recognized chains and recursing into containers elsewhere,
+// then marks the shifted-row runs of the result.
 func fuseSequential(s *Sequential) *Sequential {
 	out := &Sequential{Layers: make([]Layer, 0, len(s.Layers))}
 	for i := 0; i < len(s.Layers); {
@@ -74,7 +80,63 @@ func fuseSequential(s *Sequential) *Sequential {
 		out.Layers = append(out.Layers, Fuse(s.Layers[i]))
 		i++
 	}
+	out.runs = shiftedRuns(out.Layers)
 	return out
+}
+
+// maxRun caps the layers of a shifted-row run, so a pass sets its stages up
+// in a fixed array.
+const maxRun = 8
+
+// shiftedRuns builds a fused Sequential's table of shifted-row runs (nil when
+// it has none): runs[i] is the number of layers, at least two, of the run
+// that starts at layer i. A run is a chain of handoff edges, each into a
+// same conv on the shifted rows (a Conv2D or FusedConvAct) from a same conv
+// of its padding, whose product grid has the image's rows, or, opening the
+// run, from a max-pool; Sequential.Infer serves it on the exact tier as one
+// step (inferShift), group by group, each producer writing straight into
+// the interior of the next conv's padded image.
+func shiftedRuns(layers []Layer) []int {
+	var runs []int
+	for i := 0; i+1 < len(layers); {
+		n := 1
+		_, pool := layers[i].(*MaxPool2D)
+		p := shiftedConv(layers[i])
+		for i+n < len(layers) && n < maxRun {
+			c := shiftedConv(layers[i+n])
+			if c == nil || !(pool && n == 1 || p != nil && p.Pad == c.Pad) {
+				break
+			}
+			p = c
+			n++
+		}
+		if n > 1 {
+			if runs == nil {
+				runs = make([]int, len(layers))
+			}
+			runs[i] = n
+		}
+		i += n
+	}
+	return runs
+}
+
+// shiftedConv returns the same convolution l runs on the shifted rows (a
+// Conv2D, or a FusedConvAct's), or nil.
+func shiftedConv(l Layer) *Conv2D {
+	var c *Conv2D
+	switch v := l.(type) {
+	case *Conv2D:
+		c = v
+	case *FusedConvAct:
+		c = v.conv
+	default:
+		return nil
+	}
+	if !c.sameConv() {
+		return nil
+	}
+	return c
 }
 
 // fuseAt tries to start a fused chain at layers[i], returning the fused
@@ -214,15 +276,21 @@ type FusedConvAct struct {
 
 // Infer runs the fused chain through the per-sample conv lowering.
 func (f *FusedConvAct) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	ep := tensor.Epilogue{ReLU: f.relu}
+	return f.stage(ctx).infer(ctx, x)
+}
+
+// stage is the chain as a stage of a shifted-row run: the folded affine at
+// ctx's width, or the bias, and the clamp as the epilogue, or the GroupNorm.
+func (f *FusedConvAct) stage(ctx *Context) shiftStage {
+	st := shiftStage{conv: f.conv, gn: f.gn, ep: tensor.Epilogue{ReLU: f.relu}}
 	if f.scales != nil {
 		idx := widthIdx(ctx, len(f.scales))
-		ep.RowScale = f.scales[idx]
-		ep.RowShift = f.shifts[idx]
+		st.ep.RowScale = f.scales[idx]
+		st.ep.RowShift = f.shifts[idx]
 	} else if f.conv.B != nil {
-		ep.RowShift = f.conv.B.Value.Data
+		st.ep.RowShift = f.conv.B.Value.Data
 	}
-	return f.conv.inferFused(ctx, x, &ep, f.gn)
+	return st
 }
 
 // Forward runs a Conv→GroupNorm→ReLU as one pass on the conv's batch

@@ -234,6 +234,76 @@ func TestFusedForwardBackwardDelegate(t *testing.T) {
 	}
 }
 
+// TestFuseMarksShiftedRuns pins the table of shifted-row runs Fuse builds
+// and holds the exact-tier pass that serves them to the per-layer walk of
+// the same fused layers bit for bit, at batches with a short last sample
+// group. A run chains same convs of one padding (grid pass, plain
+// copy-out, folded copy-out), opened by a conv or a max-pool; a padding
+// change, a norm between and a strided conv end it.
+func TestFuseMarksShiftedRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	gn := func(c int) *GroupNorm {
+		g := NewGroupNorm(c, 4, Sliced(4), 1e-5)
+		tensor.InitNormal(g.Gamma.Value, 1, rng)
+		tensor.InitNormal(g.Beta.Value, 1, rng)
+		return g
+	}
+	bn := NewBatchNorm(8, Sliced(4))
+	tensor.InitNormal(bn.RunMean, 0.1, rng)
+	net := NewSequential(
+		NewConv2D(3, 8, 3, 3, 1, 1, Fixed(), Sliced(4), true, rng), gn(8), NewReLU(), // 0: grid pass
+		NewConv2D(8, 8, 3, 3, 1, 1, Sliced(4), Sliced(4), false, rng), gn(8), NewReLU(), // 1
+		NewConv2D(8, 8, 3, 3, 1, 1, Sliced(4), Sliced(4), true, rng), // 2: plain
+		NewMaxPool2D(2, 2), // 3
+		NewConv2D(8, 8, 3, 3, 1, 1, Sliced(4), Sliced(4), false, rng), bn, NewReLU(), // 4: folded
+		NewConv2D(8, 8, 5, 5, 1, 2, Sliced(4), Sliced(4), true, rng), NewReLU(), // 5: another padding
+		NewConv2D(8, 8, 5, 5, 1, 2, Sliced(4), Sliced(4), true, rng), // 6
+		gn(8), NewReLU(), // 7
+		NewConv2D(8, 8, 3, 3, 1, 1, Sliced(4), Sliced(4), false, rng), // 8
+		NewConv2D(8, 8, 3, 3, 2, 1, Sliced(4), Sliced(4), false, rng), // 9: strided
+		NewGlobalAvgPool(),
+	)
+	fused := Fuse(net).(*Sequential)
+	want := map[int]int{0: 3, 3: 2, 5: 2}
+	for i := range fused.Layers {
+		got := 0
+		if fused.runs != nil {
+			got = fused.runs[i]
+		}
+		if got != want[i] {
+			t.Fatalf("layer %d (%T): run of %d layers, want %d", i, fused.Layers[i], got, want[i])
+		}
+	}
+	arena := tensor.NewArena()
+	for _, batch := range []int{1, 4, 11} {
+		x := randTensor(rng, batch, 3, 8, 8)
+		for _, r := range []float64{0.25, 0.5, 1} {
+			ctx := &Context{Rate: r, Arena: arena}
+			walk := x
+			for _, l := range fused.Layers {
+				walk = Infer(l, ctx, walk)
+			}
+			got := Infer(fused, ctx, x)
+			for i, v := range walk.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("batch %d r=%v: served [%d]=%v, layer walk %v", batch, r, i, got.Data[i], v)
+				}
+			}
+			arena.Reset()
+		}
+		// A nil context serves the runs too: full width, heap activations.
+		want, got := x, Infer(fused, nil, x)
+		for _, l := range fused.Layers {
+			want = Infer(l, nil, want)
+		}
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("batch %d, nil context: served [%d]=%v, layer walk %v", batch, i, got.Data[i], v)
+			}
+		}
+	}
+}
+
 // TestFusedInferAllocsFree pins the fused path's zero-allocation steady
 // state (in particular: the stack epilogues must not escape to the heap).
 func TestFusedInferAllocsFree(t *testing.T) {

@@ -126,13 +126,13 @@ func TestMaxPool2x2MatchesGeneralLoop(t *testing.T) {
 		outH, outW := tensor.ConvOutSize(h, 2, 2, 0), tensor.ConvOutSize(w, 2, 2, 0)
 		n := planes * outH * outW
 		slow, slowArg := make([]float64, n), make([]int, n)
-		m.poolWindows(slow, slowArg, x.Data, planes, h, w, outH, outW)
+		m.poolWindows(slow, denseLayout(1, outH, outW), slowArg, x.Data, planes, h, w, outH, outW)
 		// vec off is the Go loop a host without AVX runs.
 		for _, vec := range []bool{false, true} {
 			fast, fastArg := make([]float64, n), make([]int, n)
-			pool2x2(fast, fastArg, x.Data, planes, h, w, outH, outW, vec)
+			pool2x2(fast, denseLayout(1, outH, outW), fastArg, x.Data, planes, h, w, outH, outW, vec)
 			noArg := make([]float64, n)
-			pool2x2(noArg, nil, x.Data, planes, h, w, outH, outW, vec)
+			pool2x2(noArg, denseLayout(1, outH, outW), nil, x.Data, planes, h, w, outH, outW, vec)
 			for i := range fast {
 				if math.Float64bits(fast[i]) != math.Float64bits(slow[i]) || fastArg[i] != slowArg[i] {
 					t.Fatalf("%dx%d vec=%v out[%d]: fast %v@%d, general %v@%d", h, w, vec, i, fast[i], fastArg[i], slow[i], slowArg[i])
@@ -174,15 +174,15 @@ func FuzzMaxPool(f *testing.F) {
 		outH, outW := tensor.ConvOutSize(hh, 2, 2, 0), tensor.ConvOutSize(ww, 2, 2, 0)
 		n := planes * outH * outW
 		want, wantArg := make([]float64, n), make([]int, n)
-		m.poolWindows(want, wantArg, x, planes, hh, ww, outH, outW)
+		m.poolWindows(want, denseLayout(1, outH, outW), wantArg, x, planes, hh, ww, outH, outW)
 		if hh < 2 || ww < 2 {
 			return // pool clips these through the general loop itself
 		}
 		for _, vec := range []bool{false, true} {
 			got, gotArg := make([]float64, n), make([]int, n)
-			pool2x2(got, gotArg, x, planes, hh, ww, outH, outW, vec)
+			pool2x2(got, denseLayout(1, outH, outW), gotArg, x, planes, hh, ww, outH, outW, vec)
 			noArg := make([]float64, n)
-			pool2x2(noArg, nil, x, planes, hh, ww, outH, outW, vec)
+			pool2x2(noArg, denseLayout(1, outH, outW), nil, x, planes, hh, ww, outH, outW, vec)
 			for i := range want {
 				wb := math.Float64bits(want[i])
 				if math.Float64bits(got[i]) != wb || gotArg[i] != wantArg[i] || math.Float64bits(noArg[i]) != wb {

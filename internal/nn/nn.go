@@ -66,8 +66,21 @@ type Context struct {
 	// inPass is set while the outermost Sequential.Infer of an arena-backed
 	// pass runs; nested Sequentials (Residual bodies) see it and keep plain
 	// bump allocation, so each outermost layer allocates from one half and
-	// a block's input outlives its body.
+	// a block's input outlives its body. held is when that pass last took
+	// the P (yield).
 	inPass bool
+	held   time.Time
+}
+
+// yield hands the P back to the Go scheduler once an arena-backed pass has
+// held it for yieldAfter. Sequential.Infer calls it between steps and
+// inferShift between sample groups, so a multi-layer run yields as often
+// as single layers do.
+func (c *Context) yield() {
+	if c != nil && c.inPass && time.Since(c.held) >= yieldAfter {
+		runtime.Gosched()
+		c.held = time.Now()
+	}
 }
 
 // EffTier returns the engine tier, nil-safe (nil context means exact).
@@ -210,6 +223,10 @@ func ActiveUnits(r float64, width, groups int) int {
 // Sequential chains layers; the output of layer i feeds layer i+1.
 type Sequential struct {
 	Layers []Layer
+	// runs marks the shifted-row runs of a Sequential built by Fuse
+	// (shiftedRuns): runs[i] is the length of the run that starts at layer
+	// i, 0 elsewhere. Nil otherwise.
+	runs []int
 }
 
 // NewSequential builds a Sequential from the given layers.
@@ -241,7 +258,7 @@ func (s *Sequential) Params() []*Param {
 }
 
 // yieldAfter is how long an arena-backed pass holds its P before the next
-// layer boundary hands it back to the Go scheduler. A pass has no blocking
+// layer or sample-group boundary hands it back to the Go scheduler. A pass has no blocking
 // call, so without the yield the load generator, HTTP intake and batcher
 // sharing the cores wait for sysmon's preemption; a yield per layer instead
 // would cost a quarter-width pass, whose layers run for ~10 µs.
@@ -249,36 +266,56 @@ const yieldAfter = time.Millisecond
 
 // Infer runs all layers in order on the read-only inference path.
 //
-// The outermost call with an arena keeps two layers' activations live, not
-// all of them: it marks the arena on entry and, before each later layer,
+// On the exact tier a fused Sequential serves each of its shifted-row runs
+// (runs) as one step: inferShift takes the run's layers a sample group at a
+// time, each writing its output straight into the interior of the next
+// conv's padded image, so no conv but the run's first pads its input. Every
+// other layer is a step of its own; each layer's Infer, called alone, stays
+// dense in and out.
+//
+// The outermost call with an arena keeps two steps' activations live, not
+// all of them: it marks the arena on entry and, before each later step,
 // flips to the other half and releases it to the mark, which frees the
-// previous layer's input and the scratch of the one before. A layer whose
+// previous step's input and the scratch of the one before. A layer whose
 // output views its input (Flatten, eval Dropout) flips back unreleased.
 // Nothing below the mark — the caller's batch, an earlier pass's output — is
 // released, and nested calls (Residual bodies) allocate plain bump. The same
-// boundary yields the P once the pass has held it for yieldAfter.
+// boundary yields the P once the pass has held it for yieldAfter
+// (Context.yield).
 func (s *Sequential) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	a := arenaOf(ctx)
-	if a == nil || ctx.inPass {
-		for _, l := range s.Layers {
-			x = l.Infer(ctx, x)
-		}
-		return x
+	runs := s.runs
+	if ctx.EffTier() != tensor.TierExact || len(runs) != len(s.Layers) {
+		runs = nil
 	}
-	ctx.inPass = true
-	defer func() { ctx.inPass = false }()
-	m := a.Mark()
-	held := time.Now()
-	for i, l := range s.Layers {
-		if i > 0 {
+	a := arenaOf(ctx)
+	if a != nil && ctx.inPass {
+		a = nil // a nested call: plain bump
+	}
+	var m tensor.ArenaMark
+	if a != nil {
+		ctx.inPass, ctx.held = true, time.Now()
+		defer func() { ctx.inPass = false }()
+		m = a.Mark()
+	}
+	for i := 0; i < len(s.Layers); {
+		if a != nil && i > 0 {
 			a.Flip(m, true)
-			if time.Since(held) >= yieldAfter {
-				runtime.Gosched()
-				held = time.Now()
-			}
+			ctx.yield()
 		}
-		y := l.Infer(ctx, x)
-		if sharesStorage(x.Data, y.Data) {
+		var y *tensor.Tensor
+		if runs != nil && runs[i] > 1 {
+			n := runs[i]
+			var stages [maxRun]shiftStage
+			for t, l := range s.Layers[i : i+n] {
+				stages[t] = l.(stager).stage(ctx)
+			}
+			y = inferShift(ctx, x, stages[:n])
+			i += n
+		} else {
+			y = s.Layers[i].Infer(ctx, x)
+			i++
+		}
+		if a != nil && sharesStorage(x.Data, y.Data) {
 			a.Flip(m, false)
 		}
 		x = y

@@ -75,7 +75,7 @@ func (g *GroupNorm) activeGroups(aC int) int {
 // x with each (sample, group)'s mean and 1/σ, not x̂.
 func (g *GroupNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	y := g.startForward(ctx, x)
-	g.normalize(y.Data, g.stats, x.Data, x.Dim(0), g.activeGroups(g.aC), g.packedGroup(g.hw), g.aC*g.hw, false)
+	g.normalize(y.Data, denseLayout(g.aC, 1, g.hw), g.stats, x.Data, x.Dim(0), g.activeGroups(g.aC), g.packedGroup(g.hw), g.aC*g.hw, false)
 	return y
 }
 
@@ -108,7 +108,7 @@ func (g *GroupNorm) inferAct(ctx *Context, x *tensor.Tensor, relu bool) *tensor.
 	batch, hw := normShape("GroupNorm", x, aC)
 	ag := g.activeGroups(aC)
 	y := arenaOf(ctx).GetUninit(x.Shape...)
-	g.normalize(y.Data, nil, x.Data, batch, ag, g.packedGroup(hw), aC*hw, relu)
+	g.normalize(y.Data, denseLayout(aC, 1, hw), nil, x.Data, batch, ag, g.packedGroup(hw), aC*hw, relu)
 	return y
 }
 
@@ -123,11 +123,18 @@ func (g *GroupNorm) packedGroup(hw int) tensor.Grid {
 // packed planes, or the shifted conv's product grid. Per (sample, group): a
 // two-pass mean and variance over the group's packed segment
 // (tensor.SumGrid, tensor.SumSqDevGrid, in tensor.Sum's order wherever the
-// windows lie), then one scale-shift pass into dst's packed planes with each
-// channel's γ and β (tensor.NormAffineGrid). Training passes stats, which
-// receives each (sample, group)'s mean and 1/σ.
-func (g *GroupNorm) normalize(dst, stats, src []float64, batch, ag int, group tensor.Grid, sampleStride int, relu bool) {
+// windows lie), then one scale-shift pass with each channel's γ and β
+// (tensor.NormAffineGrid) into sample b's planes of dst. Their layout out
+// either has rows as long as the group's (packed planes: each group's
+// packed segment) or the group's row stride (the next conv's padded image,
+// written at out's channel stride). Training passes stats, which receives
+// each (sample, group)'s mean and 1/σ.
+func (g *GroupNorm) normalize(dst []float64, out layout, stats, src []float64, batch, ag int, group tensor.Grid, sampleStride int, relu bool) {
 	n := group.Len() // elements per (sample, group)
+	dcs := 0
+	if out.ld != group.Cols {
+		dcs = out.cs
+	}
 	gamma, beta := g.Gamma.Value.Data, g.Beta.Value.Data
 	for b := 0; b < batch; b++ {
 		for gi := 0; gi < ag; gi++ {
@@ -138,8 +145,8 @@ func (g *GroupNorm) normalize(dst, stats, src []float64, batch, ag int, group te
 			if stats != nil {
 				stats[2*(b*ag+gi)], stats[2*(b*ag+gi)+1] = mu, is
 			}
-			off, ch := (b*ag+gi)*n, gi*group.Ch
-			tensor.NormAffineGrid(dst[off:off+n], seg, group, mu, is, gamma[ch:], beta[ch:], relu)
+			ch := gi * group.Ch
+			tensor.NormAffineGrid(dst[out.at(b, ch):], dcs, seg, group, mu, is, gamma[ch:], beta[ch:], relu)
 		}
 	}
 }
@@ -339,8 +346,10 @@ func (b *BatchNorm) batchStats(x []float64, batch int) {
 
 // normalize is the one scale-shift behind training, the evaluation-mode
 // Forward and the inference path, so the last two agree bit for bit: one
-// tensor.NormAffine per (sample, channel) plane. Channel c takes its mean
-// and 1/σ from stats[2c:], or with stats nil from the running estimates.
+// tensor.NormAffine per (sample, channel) plane, or for [B, C] inputs
+// (hw 1) its element form over the channel's column. Channel c takes its
+// mean and 1/σ from stats[2c:], or with stats nil from the running
+// estimates.
 func (b *BatchNorm) normalize(dst, src, stats []float64, batch, aC, hw int, relu bool) {
 	gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
 	for c := 0; c < aC; c++ {
@@ -349,6 +358,12 @@ func (b *BatchNorm) normalize(dst, src, stats []float64, batch, aC, hw int, relu
 			mu, is = stats[2*c], stats[2*c+1]
 		} else {
 			mu, is = b.RunMean.Data[c], 1/math.Sqrt(b.RunVar.Data[c]+b.Eps)
+		}
+		if hw == 1 {
+			for off := c; off < batch*aC; off += aC {
+				dst[off] = tensor.NormAffineElem(src[off], mu, is, gamma[c], beta[c], relu)
+			}
+			continue
 		}
 		for s := 0; s < batch; s++ {
 			off := (s*aC + c) * hw
@@ -396,7 +411,8 @@ func (b *BatchNorm) FoldedAffine() (scale, shift []float64) {
 // Backward accumulates dGamma, dBeta, returns dx and drops the cached input
 // and statistics. Per channel, tensor.NormGradSums over each sample's plane
 // gives that plane's Σ dy and Σ dy·x̂, the channel's shares of dβ and dγ;
-// tensor.NormGrad then writes each plane's dx.
+// tensor.NormGrad then writes each plane's dx. [B, C] inputs (hw 1) run the
+// element forms over the channel's column, with the same sums.
 func (b *BatchNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	if b.x == nil || len(dy.Data) != len(b.x.Data) {
 		panic(fmt.Sprintf("nn: BatchNorm.Backward grad %v without a matching Forward", dy.Shape))
@@ -408,15 +424,29 @@ func (b *BatchNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	for c := 0; c < b.aC; c++ {
 		mu, is := b.stats[2*c], b.stats[2*c+1]
 		sumG, sumGH := 0.0, 0.0
-		for s := 0; s < batch; s++ {
-			off := (s*b.aC + c) * hw
-			g, gh := tensor.NormGradSums(dy.Data[off:off+hw], x[off:off+hw], mu, is, gamma[c], beta[c], false)
-			sumG += g
-			sumGH += gh
+		if hw == 1 {
+			for off := c; off < len(x); off += b.aC {
+				g, gh := tensor.NormGradTerms(dy.Data[off], x[off], mu, is, gamma[c], beta[c], false)
+				sumG += g
+				sumGH += gh
+			}
+		} else {
+			for s := 0; s < batch; s++ {
+				off := (s*b.aC + c) * hw
+				g, gh := tensor.NormGradSums(dy.Data[off:off+hw], x[off:off+hw], mu, is, gamma[c], beta[c], false)
+				sumG += g
+				sumGH += gh
+			}
 		}
 		b.Gamma.Grad.Data[c] += sumGH
 		b.Beta.Grad.Data[c] += sumG
 		mDxhat, mDxhatXhat := gamma[c]*sumG/n, gamma[c]*sumGH/n
+		if hw == 1 {
+			for off := c; off < len(x); off += b.aC {
+				dx.Data[off] = tensor.NormGradElem(dy.Data[off], x[off], mu, is, gamma[c], beta[c], mDxhat, mDxhatXhat, false)
+			}
+			continue
+		}
 		for s := 0; s < batch; s++ {
 			off := (s*b.aC + c) * hw
 			tensor.NormGrad(dx.Data[off:off+hw], dy.Data[off:off+hw], x[off:off+hw], mu, is, gamma[c], beta[c], mDxhat, mDxhatXhat, false)

@@ -33,7 +33,7 @@ func (m *MaxPool2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		m.argmax = make([]int, y.Size())
 	}
 	m.argmax = m.argmax[:y.Size()]
-	m.pool(y.Data, m.argmax, x.Data, b*c, h, w)
+	m.pool(y.Data, denseLayout(c, m.outH, m.outW), m.argmax, x.Data, b*c, h, w)
 	return y
 }
 
@@ -46,31 +46,37 @@ func (m *MaxPool2D) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	outH := tensor.ConvOutSize(h, m.K, m.Stride, 0)
 	outW := tensor.ConvOutSize(w, m.K, m.Stride, 0)
 	y := arenaOf(ctx).GetUninit(b, c, outH, outW)
-	m.pool(y.Data, nil, x.Data, b*c, h, w)
+	m.pool(y.Data, denseLayout(c, outH, outW), nil, x.Data, b*c, h, w)
 	return y
 }
 
-// pool max-pools planes [h, w] images of src into dst and, when argmax is
-// non-nil, records each maximum's flat index into src. A maximum is the first
-// tap, in row-major window order, that is greater than all before it; NaN is
-// never greater, and an all-NaN window yields −Inf at its first position.
-// There is no padding and the output size rounds down, so a window overhangs
-// its plane only when the plane is smaller than the window; the general loop
-// clips it then.
-func (m *MaxPool2D) pool(dst []float64, argmax []int, src []float64, planes, h, w int) {
+// stage is the pool as the opening stage of a shifted-row run: it writes
+// each sample group straight into the first conv's padded image.
+func (m *MaxPool2D) stage(*Context) shiftStage { return shiftStage{pool: m} }
+
+// pool max-pools planes [h, w] images of src into the planes of dst (layout
+// out, in [B, C] plane order) and, when argmax is non-nil, records each
+// maximum's flat index into src at the output's dense position (training,
+// whose out is dense). A maximum is the first tap, in row-major window
+// order, that is greater than all before it; NaN is never greater, and an
+// all-NaN window yields −Inf at its first position. There is no padding and
+// the output size rounds down, so a window overhangs its plane only when the
+// plane is smaller than the window; the general loop clips it then.
+func (m *MaxPool2D) pool(dst []float64, out layout, argmax []int, src []float64, planes, h, w int) {
 	outH := tensor.ConvOutSize(h, m.K, m.Stride, 0)
 	outW := tensor.ConvOutSize(w, m.K, m.Stride, 0)
 	if m.K == 2 && m.Stride == 2 && h >= 2 && w >= 2 {
-		pool2x2(dst, argmax, src, planes, h, w, outH, outW, tensor.HasAVX())
+		pool2x2(dst, out, argmax, src, planes, h, w, outH, outW, tensor.HasAVX())
 		return
 	}
-	m.poolWindows(dst, argmax, src, planes, h, w, outH, outW)
+	m.poolWindows(dst, out, argmax, src, planes, h, w, outH, outW)
 }
 
 // poolWindows is pool for any window and stride, one clipped window per
 // output. It is also the oracle pool2x2 is tested against.
-func (m *MaxPool2D) poolWindows(dst []float64, argmax []int, src []float64, planes, h, w, outH, outW int) {
+func (m *MaxPool2D) poolWindows(dst []float64, out layout, argmax []int, src []float64, planes, h, w, outH, outW int) {
 	for p := 0; p < planes; p++ {
+		dp := dst[out.at(p/out.ch, p%out.ch):]
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
 				iy, ix := oy*m.Stride, ox*m.Stride
@@ -85,10 +91,9 @@ func (m *MaxPool2D) poolWindows(dst []float64, argmax []int, src []float64, plan
 						}
 					}
 				}
-				o := (p*outH+oy)*outW + ox
-				dst[o] = best
+				dp[oy*out.ld+ox] = best
 				if argmax != nil {
-					argmax[o] = bestIdx
+					argmax[(p*outH+oy)*outW+ox] = bestIdx
 				}
 			}
 		}
@@ -104,15 +109,19 @@ func (m *MaxPool2D) poolWindows(dst []float64, argmax []int, src []float64, plan
 // a time, to the VMAXPD kernel (tensor.MaxPool2x2Row), which keeps the same
 // rule bit for bit, and finishes the outW mod 4 remainder itself; with vec
 // unset it runs the Go loop alone, as a host without AVX does.
-func pool2x2(dst []float64, argmax []int, src []float64, planes, h, w, outH, outW int, vec bool) {
+func pool2x2(dst []float64, lo layout, argmax []int, src []float64, planes, h, w, outH, outW int, vec bool) {
 	// A row of fewer than four outputs has no vector body; skip the call.
 	vec = vec && outW >= 4
-	for p := 0; p < planes; p++ {
+	for p, b, c := 0, 0, 0; p < planes; p++ {
+		dp := dst[lo.at(b, 0)+c*lo.cs:]
+		if c++; c == lo.ch {
+			b, c = b+1, 0
+		}
 		for oy := 0; oy < outH; oy++ {
 			base := p*h*w + 2*oy*w
 			r0 := src[base : base+2*outW]
 			r1 := src[base+w : base+w+2*outW]
-			out := dst[(p*outH+oy)*outW : (p*outH+oy+1)*outW]
+			out := dp[oy*lo.ld : oy*lo.ld+outW]
 			if argmax == nil {
 				if vec {
 					n := tensor.MaxPool2x2Row(out, r0, r1)

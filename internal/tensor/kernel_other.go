@@ -48,7 +48,7 @@ func sumSqDevBlocksAVX(x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep in
 	panic("tensor: no vector kernel")
 }
 
-func normAffineBlocksAVX(dst, x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int, mu, invStd float64, gamma, beta []float64, relu bool) {
+func normAffineBlocksAVX(dst []float64, dcs int, x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int, mu, invStd float64, gamma, beta []float64, relu bool) {
 	panic("tensor: no vector kernel")
 }
 

@@ -165,22 +165,31 @@ func SumSqDevGrid(x []float64, g Grid, mu float64) float64 {
 	return gridLanesGo(x, g, mu, true)
 }
 
-// NormAffineGrid is NormAffine from g's windows of x into its packed
-// segment dst, channel c with gamma[c] and beta[c]: one call per
-// normalization group instead of one per channel. Each element gets
-// NormAffine's arithmetic, so dst is bit-identical to NormAffine per
-// channel over a copy. When g is packed, dst may alias x exactly.
-func NormAffineGrid(dst, x []float64, g Grid, mu, invStd float64, gamma, beta []float64, relu bool) {
+// NormAffineGrid is NormAffine from g's windows of x into dst, channel c
+// with gamma[c] and beta[c]: one call per normalization group instead of one
+// per channel. With dcs 0, dst is g's packed segment. Otherwise dst holds
+// the windows addressed as x's are but at channel stride dcs: element j of
+// row r of channel c lands at dst[c·dcs + r·g.LD + j] — how the shifted-row
+// conv's product grid hands its normalized output to the interior of the
+// next conv's padded image (internal/nn). Each element gets NormAffine's
+// arithmetic, so dst is bit-identical to NormAffine per channel over a copy.
+// When g is packed and dcs is 0, dst may alias x exactly.
+func NormAffineGrid(dst []float64, dcs int, x []float64, g Grid, mu, invStd float64, gamma, beta []float64, relu bool) {
 	g.check("NormAffineGrid", len(x))
-	dst, gamma, beta = dst[:g.Len()], gamma[:g.Ch], beta[:g.Ch]
+	if dcs == 0 {
+		dst = dst[:g.Len()]
+	} else {
+		(&Grid{g.Ch, g.Rows, g.Cols, g.LD, dcs}).check("NormAffineGrid dst", len(dst))
+	}
+	gamma, beta = gamma[:g.Ch], beta[:g.Ch]
 	if g.Len() == 0 {
 		return
 	}
 	if groups, blocks, o1, o2, o3, gstep := g.blocked(); useAVX && groups > 0 {
-		normAffineBlocksAVX(dst, x, g.Ch, g.CS, groups, blocks, o1, o2, o3, gstep, mu, invStd, gamma, beta, relu)
+		normAffineBlocksAVX(dst, dcs, x, g.Ch, g.CS, groups, blocks, o1, o2, o3, gstep, mu, invStd, gamma, beta, relu)
 		return
 	}
-	normAffineGridRows(dst, x, g, mu, invStd, gamma, beta, relu)
+	normAffineGridRows(dst, dcs, x, g, mu, invStd, gamma, beta, relu)
 }
 
 // MaxPool2x2Row writes the first len(dst)&^3 outputs of one output row of a
@@ -280,6 +289,34 @@ func normGradTerm(dy, x, mu, invStd, gamma, beta float64, relu bool) (g, xhat fl
 	return dy, t + 0
 }
 
+// The element forms below are one element of NormAffine, NormGradSums and
+// NormGrad, with their arithmetic, for a normalization whose channel holds
+// one element per sample ([B, C] inputs): it loops over the batch itself
+// rather than making one call per element.
+
+// NormAffineElem is NormAffine's dst[i] for x[i] = v.
+func NormAffineElem(v, mu, invStd, gamma, beta float64, relu bool) float64 {
+	o := float64(gamma*((v-mu)*invStd)) + beta
+	if relu && !(o > 0) {
+		o = 0
+	}
+	return o
+}
+
+// NormGradTerms returns element i's terms of NormGradSums: g and g·x̂. A
+// sum of them in element order from +0 is NormGradSums' pair over a
+// channel of fewer than four elements.
+func NormGradTerms(dy, x, mu, invStd, gamma, beta float64, relu bool) (g, gx float64) {
+	g, h := normGradTerm(dy, x, mu, invStd, gamma, beta, relu)
+	return g, float64(g * h)
+}
+
+// NormGradElem is NormGrad's dx[i] for dy[i] = dy and x[i] = x.
+func NormGradElem(dy, x, mu, invStd, gamma, beta, a, b float64, relu bool) float64 {
+	g, h := normGradTerm(dy, x, mu, invStd, gamma, beta, relu)
+	return invStd * (float64(g*gamma) - a - float64(h*b))
+}
+
 func normGradSumsGo(dy, x []float64, mu, invStd, gamma, beta float64, relu bool) (sumG, sumGX float64) {
 	var ag, agx [16]float64
 	quads := len(x) &^ 3
@@ -344,10 +381,14 @@ func gridLanesGo(x []float64, g Grid, mu float64, sq bool) float64 {
 }
 
 // normAffineGridRows is NormAffineGrid one row at a time, for any width.
-func normAffineGridRows(dst, x []float64, g Grid, mu, invStd float64, gamma, beta []float64, relu bool) {
+func normAffineGridRows(dst []float64, dcs int, x []float64, g Grid, mu, invStd float64, gamma, beta []float64, relu bool) {
+	ld, cs := g.Cols, g.Rows*g.Cols
+	if dcs != 0 {
+		ld, cs = g.LD, dcs
+	}
 	for c := 0; c < g.Ch; c++ {
 		for r := 0; r < g.Rows; r++ {
-			NormAffine(dst[(c*g.Rows+r)*g.Cols:], x[c*g.CS+r*g.LD:][:g.Cols], mu, invStd, gamma[c], beta[c], relu)
+			NormAffine(dst[c*cs+r*ld:], x[c*g.CS+r*g.LD:][:g.Cols], mu, invStd, gamma[c], beta[c], relu)
 		}
 	}
 }

@@ -42,10 +42,11 @@ func sumBlocksAVX(x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int) fl
 func sumSqDevBlocksAVX(x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int, mu float64) float64
 
 // normAffineBlocksAVX is NormAffineGrid's vector body, for a grid in block
-// form: dst holds its packed segment and gamma, beta ch elements.
+// form: dst holds its packed segment (dcs 0) or the windows at channel
+// stride dcs, and gamma, beta ch elements.
 //
 //go:noescape
-func normAffineBlocksAVX(dst, x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int, mu, invStd float64, gamma, beta []float64, relu bool)
+func normAffineBlocksAVX(dst []float64, dcs int, x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int, mu, invStd float64, gamma, beta []float64, relu bool)
 
 // maxPool2x2AVX is MaxPool2x2Row's vector body: len(dst) is a multiple of 4,
 // r0 and r1 hold 2·len(dst) elements.

@@ -328,82 +328,137 @@ bsqblk:
 	VMULPD  Y2, reg, reg \
 	VADDPD  Y3, reg, reg
 
-// func normAffineBlocksAVX(dst, x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int, mu, invStd float64, gamma, beta []float64, relu bool)
+// func normAffineBlocksAVX(dst []float64, dcs int, x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int, mu, invStd float64, gamma, beta []float64, relu bool)
 //
 // The block bodies' walk with γ and β broadcast per channel (the channel's
-// index is ch − CX); each block's four results are stored to the next 16
-// elements of dst, clamped as normAffineAVX clamps.
-TEXT ·normAffineBlocksAVX(SB), NOSPLIT, $0-177
+// index is ch − CX), each block's four results clamped as normAffineAVX
+// clamps them, in one of four loops: packed or strided, clamped or not.
+// Packed (dcs 0) stores a block to the next 16 elements of dst (AX);
+// strided stores it at the offsets it was loaded from, shifted by AX =
+// dst − x, which grows by dcs − cs per channel.
+TEXT ·normAffineBlocksAVX(SB), NOSPLIT, $0-185
 	MOVQ         dst_base+0(FP), AX
-	MOVQ         x_base+24(FP), SI
-	MOVQ         ch+48(FP), CX
-	MOVQ         cs+56(FP), R13
-	MOVQ         o1+80(FP), R10
-	MOVQ         o2+88(FP), R11
-	MOVQ         o3+96(FP), R12
-	MOVQ         gstep+104(FP), BX
-	VBROADCASTSD mu+112(FP), Y0
-	VBROADCASTSD invStd+120(FP), Y1
+	MOVQ         x_base+32(FP), SI
+	MOVQ         ch+56(FP), CX
+	MOVQ         cs+64(FP), R13
+	MOVQ         dcs+24(FP), R14
+	MOVQ         o1+88(FP), R10
+	MOVQ         o2+96(FP), R11
+	MOVQ         o3+104(FP), R12
+	MOVQ         gstep+112(FP), BX
+	VBROADCASTSD mu+120(FP), Y0
+	VBROADCASTSD invStd+128(FP), Y1
 	VXORPD       Y4, Y4, Y4
 	SHLQ         $3, R13
+	SHLQ         $3, R14
 	SHLQ         $3, R10
 	SHLQ         $3, R11
 	SHLQ         $3, R12
 	SHLQ         $3, BX
-	MOVBLZX      relu+176(FP), R8
+	MOVBLZX      relu+184(FP), R8
+	TESTQ        R14, R14
+	JNZ          strided
 	TESTL        R8, R8
-	JNZ          brchan
+	JNZ          prchan
+	JMP          pachan
 
-bachan:
-	MOVQ         ch+48(FP), R8
+strided:
+	SUBQ  SI, AX
+	SUBQ  R13, R14
+	TESTL R8, R8
+	JZ    sachan
+
+srchan:
+	MOVQ         ch+56(FP), R8
 	SUBQ         CX, R8
-	MOVQ         gamma_base+128(FP), R9
+	MOVQ         gamma_base+136(FP), R9
 	VBROADCASTSD (R9)(R8*8), Y2
-	MOVQ         beta_base+152(FP), R9
+	MOVQ         beta_base+160(FP), R9
 	VBROADCASTSD (R9)(R8*8), Y3
 	MOVQ         SI, DI
-	MOVQ         groups+64(FP), R8
+	MOVQ         groups+72(FP), R8
 
-bagrp:
+srgrp:
 	MOVQ DI, DX
-	MOVQ blocks+72(FP), R9
+	MOVQ blocks+80(FP), R9
 
-bablk:
+srblk:
 	AFFINEB((DX), Y5)
 	AFFINEB((DX)(R10*1), Y6)
 	AFFINEB((DX)(R11*1), Y7)
 	AFFINEB((DX)(R12*1), Y8)
-	VMOVUPD Y5, (AX)
-	VMOVUPD Y6, 32(AX)
-	VMOVUPD Y7, 64(AX)
-	VMOVUPD Y8, 96(AX)
-	ADDQ    $128, AX
+	VMAXPD  Y4, Y5, Y5
+	VMAXPD  Y4, Y6, Y6
+	VMAXPD  Y4, Y7, Y7
+	VMAXPD  Y4, Y8, Y8
+	LEAQ    (DX)(AX*1), R15
+	VMOVUPD Y5, (R15)
+	VMOVUPD Y6, (R15)(R10*1)
+	VMOVUPD Y7, (R15)(R11*1)
+	VMOVUPD Y8, (R15)(R12*1)
 	ADDQ    $128, DX
 	DECQ    R9
-	JNE     bablk
+	JNE     srblk
 	ADDQ    BX, DI
 	DECQ    R8
-	JNE     bagrp
+	JNE     srgrp
 	ADDQ    R13, SI
+	ADDQ    R14, AX
 	DECQ    CX
-	JNE     bachan
-	JMP     badone
+	JNE     srchan
+	JMP     nadone
 
-brchan:
-	MOVQ         ch+48(FP), R8
+sachan:
+	MOVQ         ch+56(FP), R8
 	SUBQ         CX, R8
-	MOVQ         gamma_base+128(FP), R9
+	MOVQ         gamma_base+136(FP), R9
 	VBROADCASTSD (R9)(R8*8), Y2
-	MOVQ         beta_base+152(FP), R9
+	MOVQ         beta_base+160(FP), R9
 	VBROADCASTSD (R9)(R8*8), Y3
 	MOVQ         SI, DI
-	MOVQ         groups+64(FP), R8
+	MOVQ         groups+72(FP), R8
 
-brgrp:
+sagrp:
 	MOVQ DI, DX
-	MOVQ blocks+72(FP), R9
+	MOVQ blocks+80(FP), R9
 
-brblk:
+sablk:
+	AFFINEB((DX), Y5)
+	AFFINEB((DX)(R10*1), Y6)
+	AFFINEB((DX)(R11*1), Y7)
+	AFFINEB((DX)(R12*1), Y8)
+	LEAQ    (DX)(AX*1), R15
+	VMOVUPD Y5, (R15)
+	VMOVUPD Y6, (R15)(R10*1)
+	VMOVUPD Y7, (R15)(R11*1)
+	VMOVUPD Y8, (R15)(R12*1)
+	ADDQ    $128, DX
+	DECQ    R9
+	JNE     sablk
+	ADDQ    BX, DI
+	DECQ    R8
+	JNE     sagrp
+	ADDQ    R13, SI
+	ADDQ    R14, AX
+	DECQ    CX
+	JNE     sachan
+	JMP     nadone
+
+prchan:
+	MOVQ         ch+56(FP), R8
+	SUBQ         CX, R8
+	MOVQ         gamma_base+136(FP), R9
+	VBROADCASTSD (R9)(R8*8), Y2
+	MOVQ         beta_base+160(FP), R9
+	VBROADCASTSD (R9)(R8*8), Y3
+	MOVQ         SI, DI
+	MOVQ         groups+72(FP), R8
+
+prgrp:
+	MOVQ DI, DX
+	MOVQ blocks+80(FP), R9
+
+prblk:
 	AFFINEB((DX), Y5)
 	AFFINEB((DX)(R10*1), Y6)
 	AFFINEB((DX)(R11*1), Y7)
@@ -419,15 +474,50 @@ brblk:
 	ADDQ    $128, AX
 	ADDQ    $128, DX
 	DECQ    R9
-	JNE     brblk
+	JNE     prblk
 	ADDQ    BX, DI
 	DECQ    R8
-	JNE     brgrp
+	JNE     prgrp
 	ADDQ    R13, SI
 	DECQ    CX
-	JNE     brchan
+	JNE     prchan
+	JMP     nadone
 
-badone:
+pachan:
+	MOVQ         ch+56(FP), R8
+	SUBQ         CX, R8
+	MOVQ         gamma_base+136(FP), R9
+	VBROADCASTSD (R9)(R8*8), Y2
+	MOVQ         beta_base+160(FP), R9
+	VBROADCASTSD (R9)(R8*8), Y3
+	MOVQ         SI, DI
+	MOVQ         groups+72(FP), R8
+
+pagrp:
+	MOVQ DI, DX
+	MOVQ blocks+80(FP), R9
+
+pablk:
+	AFFINEB((DX), Y5)
+	AFFINEB((DX)(R10*1), Y6)
+	AFFINEB((DX)(R11*1), Y7)
+	AFFINEB((DX)(R12*1), Y8)
+	VMOVUPD Y5, (AX)
+	VMOVUPD Y6, 32(AX)
+	VMOVUPD Y7, 64(AX)
+	VMOVUPD Y8, 96(AX)
+	ADDQ    $128, AX
+	ADDQ    $128, DX
+	DECQ    R9
+	JNE     pablk
+	ADDQ    BX, DI
+	DECQ    R8
+	JNE     pagrp
+	ADDQ    R13, SI
+	DECQ    CX
+	JNE     pachan
+
+nadone:
 	VZEROUPPER
 	RET
 

@@ -268,17 +268,17 @@ func checkGridCase(t *testing.T, g Grid, p, gamma, beta []float64, mu, is float6
 			}
 			outs[name] = dst[1 : n+1]
 		}
-		run("NormAffineGrid", func(dst []float64) { NormAffineGrid(dst, x, g, mu, is, gamma, beta, relu) })
-		run("rows", func(dst []float64) { normAffineGridRows(dst, x, g, mu, is, gamma, beta, relu) })
+		run("NormAffineGrid", func(dst []float64) { NormAffineGrid(dst, 0, x, g, mu, is, gamma, beta, relu) })
+		run("rows", func(dst []float64) { normAffineGridRows(dst, 0, x, g, mu, is, gamma, beta, relu) })
 		if vec {
 			run("vector", func(dst []float64) {
-				normAffineBlocksAVX(dst, x, g.Ch, g.CS, groups, blocks, o1, o2, o3, gstep, mu, is, gamma, beta, relu)
+				normAffineBlocksAVX(dst, 0, x, g.Ch, g.CS, groups, blocks, o1, o2, o3, gstep, mu, is, gamma, beta, relu)
 			})
 		}
 		if g.packed() {
 			// In place: the windows are dst's own elements.
 			inPlace := append([]float64(nil), x...)
-			NormAffineGrid(inPlace[:n], inPlace, g, mu, is, gamma, beta, relu)
+			NormAffineGrid(inPlace[:n], 0, inPlace, g, mu, is, gamma, beta, relu)
 			outs["in place"] = inPlace[:n]
 		}
 		for name, got := range outs {
@@ -311,6 +311,103 @@ func TestGridPrimitivesScalar(t *testing.T) {
 	}
 }
 
+// TestNormAffineGridStridedDst holds NormAffineGrid's strided destination
+// (channel stride dcs, rows at the source's stride) to its packed one bit
+// for bit: each block form of the vector body (16-wide rows, 8×8, 4×4), the
+// Go twin (a 5×6 grid, and every grid with the vector kernels off), ReLU on
+// and off, and destination channel strides equal to, above and below the
+// source's. Every element outside the windows must keep its value: in the
+// served pass those are the next conv's pad zeros.
+func TestNormAffineGridStridedDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	grids := []Grid{{3, 2, 16, 17, 40}, {2, 8, 8, 9, 81}, {4, 4, 4, 5, 25}, {2, 5, 6, 7, 40}}
+	for _, vec := range []bool{true, false} {
+		saved := useAVX
+		useAVX = useAVX && vec
+		for _, g := range grids {
+			x := make([]float64, (g.Ch-1)*g.CS+(g.Rows-1)*g.LD+g.Cols)
+			for i := range x {
+				x[i] = rng.NormFloat64() * 3
+			}
+			gamma, beta := make([]float64, g.Ch), make([]float64, g.Ch)
+			for c := range gamma {
+				gamma[c], beta[c] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			mu, is := rng.NormFloat64(), 0.5+rng.Float64()
+			for _, relu := range []bool{false, true} {
+				want := make([]float64, g.Len())
+				NormAffineGrid(want, 0, x, g, mu, is, gamma, beta, relu)
+				for _, dcs := range []int{g.CS, g.CS + 7, g.Rows * g.LD} {
+					dg := Grid{g.Ch, g.Rows, g.Cols, g.LD, dcs}
+					dst := make([]float64, (g.Ch-1)*dcs+(g.Rows-1)*g.LD+g.Cols+2)
+					for i := range dst {
+						dst[i] = 42
+					}
+					NormAffineGrid(dst[1:], dcs, x, g, mu, is, gamma, beta, relu)
+					inside := map[int]bool{}
+					for p, v := range want {
+						i := 1 + dg.at(p)
+						inside[i] = true
+						if !sameBits(dst[i], v) {
+							t.Fatalf("vec=%v grid %+v dcs %d relu=%v: element %d = %v, packed %v", useAVX, g, dcs, relu, p, dst[i], v)
+						}
+					}
+					for i, v := range dst {
+						if !inside[i] && v != 42 {
+							t.Fatalf("vec=%v grid %+v dcs %d relu=%v: wrote dst[%d] outside the windows", useAVX, g, dcs, relu, i-1)
+						}
+					}
+				}
+			}
+		}
+		useAVX = saved
+	}
+}
+
+// TestNormElemFormsMatchSlices holds the element forms to the slice
+// kernels bit for bit: NormAffineElem and NormGradElem to NormAffine and
+// NormGrad per element, and NormGradTerms summed from +0 in element order
+// to NormGradSums over channels of one to three elements, with the ReLU
+// mask on and off and special values in x and dy.
+func TestNormElemFormsMatchSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	pick := func() float64 {
+		if rng.Intn(4) == 0 {
+			return vals[rng.Intn(len(vals))]
+		}
+		return rng.NormFloat64() * 3
+	}
+	for it := 0; it < 2000; it++ {
+		n := 1 + it%3
+		x, dy := make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i], dy[i] = pick(), pick()
+		}
+		mu, is, gamma, beta, a, b := rng.NormFloat64(), 0.5+rng.Float64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+		relu := it%2 == 0
+		dst, dx := make([]float64, n), make([]float64, n)
+		NormAffine(dst, x, mu, is, gamma, beta, relu)
+		NormGrad(dx, dy, x, mu, is, gamma, beta, a, b, relu)
+		sumG, sumGX := NormGradSums(dy, x, mu, is, gamma, beta, relu)
+		eg, egx := 0.0, 0.0
+		for i := range x {
+			if v := NormAffineElem(x[i], mu, is, gamma, beta, relu); !sameBits(v, dst[i]) {
+				t.Fatalf("NormAffineElem(%v) = %v, NormAffine %v", x[i], v, dst[i])
+			}
+			if v := NormGradElem(dy[i], x[i], mu, is, gamma, beta, a, b, relu); !sameBits(v, dx[i]) {
+				t.Fatalf("NormGradElem(%v, %v) = %v, NormGrad %v", dy[i], x[i], v, dx[i])
+			}
+			g, gx := NormGradTerms(dy[i], x[i], mu, is, gamma, beta, relu)
+			eg += g
+			egx += gx
+		}
+		if !sameBits(eg, sumG) || !sameBits(egx, sumGX) {
+			t.Fatalf("n=%d: NormGradTerms sum to (%v, %v), NormGradSums (%v, %v)", n, eg, egx, sumG, sumGX)
+		}
+	}
+}
+
 // TestGridPrimitivesRejectShortBuffers pins the bounds check that guards
 // the vector bodies.
 func TestGridPrimitivesRejectShortBuffers(t *testing.T) {
@@ -319,7 +416,7 @@ func TestGridPrimitivesRejectShortBuffers(t *testing.T) {
 	for name, f := range map[string]func(){
 		"SumGrid":        func() { SumGrid(x, g) },
 		"SumSqDevGrid":   func() { SumSqDevGrid(x, g, 0) },
-		"NormAffineGrid": func() { NormAffineGrid(make([]float64, 24), x, g, 0, 1, []float64{1, 1}, []float64{0, 0}, false) },
+		"NormAffineGrid": func() { NormAffineGrid(make([]float64, 24), 0, x, g, 0, 1, []float64{1, 1}, []float64{0, 0}, false) },
 		"negative":       func() { SumGrid(x, Grid{Ch: 1, Rows: 1, Cols: 4, LD: -1}) },
 	} {
 		func() {
@@ -343,7 +440,8 @@ func TestGridPrimitivesAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		mu := SumGrid(x, g)
 		va := SumSqDevGrid(x, g, mu)
-		NormAffineGrid(dst, x, g, mu, va+1, gamma, beta, true)
+		NormAffineGrid(dst, 0, x, g, mu, va+1, gamma, beta, true)
+		NormAffineGrid(x, g.CS, x, g, mu, va+1, gamma, beta, true)
 	})
 	if allocs > 0 {
 		t.Fatalf("grid primitives allocate %v times per group", allocs)
