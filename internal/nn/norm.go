@@ -346,10 +346,8 @@ func (b *BatchNorm) batchStats(x []float64, batch int) {
 
 // normalize is the one scale-shift behind training, the evaluation-mode
 // Forward and the inference path, so the last two agree bit for bit: one
-// tensor.NormAffine per (sample, channel) plane, or for [B, C] inputs
-// (hw 1) its element form over the channel's column. Channel c takes its
-// mean and 1/σ from stats[2c:], or with stats nil from the running
-// estimates.
+// tensor.NormAffine per (sample, channel) plane. Channel c takes its mean
+// and 1/σ from stats[2c:], or with stats nil from the running estimates.
 func (b *BatchNorm) normalize(dst, src, stats []float64, batch, aC, hw int, relu bool) {
 	gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
 	for c := 0; c < aC; c++ {
@@ -358,12 +356,6 @@ func (b *BatchNorm) normalize(dst, src, stats []float64, batch, aC, hw int, relu
 			mu, is = stats[2*c], stats[2*c+1]
 		} else {
 			mu, is = b.RunMean.Data[c], 1/math.Sqrt(b.RunVar.Data[c]+b.Eps)
-		}
-		if hw == 1 {
-			for off := c; off < batch*aC; off += aC {
-				dst[off] = tensor.NormAffineElem(src[off], mu, is, gamma[c], beta[c], relu)
-			}
-			continue
 		}
 		for s := 0; s < batch; s++ {
 			off := (s*aC + c) * hw
@@ -411,8 +403,7 @@ func (b *BatchNorm) FoldedAffine() (scale, shift []float64) {
 // Backward accumulates dGamma, dBeta, returns dx and drops the cached input
 // and statistics. Per channel, tensor.NormGradSums over each sample's plane
 // gives that plane's Σ dy and Σ dy·x̂, the channel's shares of dβ and dγ;
-// tensor.NormGrad then writes each plane's dx. [B, C] inputs (hw 1) run the
-// element forms over the channel's column, with the same sums.
+// tensor.NormGrad then writes each plane's dx.
 func (b *BatchNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	if b.x == nil || len(dy.Data) != len(b.x.Data) {
 		panic(fmt.Sprintf("nn: BatchNorm.Backward grad %v without a matching Forward", dy.Shape))
@@ -424,29 +415,15 @@ func (b *BatchNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	for c := 0; c < b.aC; c++ {
 		mu, is := b.stats[2*c], b.stats[2*c+1]
 		sumG, sumGH := 0.0, 0.0
-		if hw == 1 {
-			for off := c; off < len(x); off += b.aC {
-				g, gh := tensor.NormGradTerms(dy.Data[off], x[off], mu, is, gamma[c], beta[c], false)
-				sumG += g
-				sumGH += gh
-			}
-		} else {
-			for s := 0; s < batch; s++ {
-				off := (s*b.aC + c) * hw
-				g, gh := tensor.NormGradSums(dy.Data[off:off+hw], x[off:off+hw], mu, is, gamma[c], beta[c], false)
-				sumG += g
-				sumGH += gh
-			}
+		for s := 0; s < batch; s++ {
+			off := (s*b.aC + c) * hw
+			g, gh := tensor.NormGradSums(dy.Data[off:off+hw], x[off:off+hw], mu, is, gamma[c], beta[c], false)
+			sumG += g
+			sumGH += gh
 		}
 		b.Gamma.Grad.Data[c] += sumGH
 		b.Beta.Grad.Data[c] += sumG
 		mDxhat, mDxhatXhat := gamma[c]*sumG/n, gamma[c]*sumGH/n
-		if hw == 1 {
-			for off := c; off < len(x); off += b.aC {
-				dx.Data[off] = tensor.NormGradElem(dy.Data[off], x[off], mu, is, gamma[c], beta[c], mDxhat, mDxhatXhat, false)
-			}
-			continue
-		}
 		for s := 0; s < batch; s++ {
 			off := (s*b.aC + c) * hw
 			tensor.NormGrad(dx.Data[off:off+hw], dy.Data[off:off+hw], x[off:off+hw], mu, is, gamma[c], beta[c], mDxhat, mDxhatXhat, false)

@@ -289,34 +289,6 @@ func normGradTerm(dy, x, mu, invStd, gamma, beta float64, relu bool) (g, xhat fl
 	return dy, t + 0
 }
 
-// The element forms below are one element of NormAffine, NormGradSums and
-// NormGrad, with their arithmetic, for a normalization whose channel holds
-// one element per sample ([B, C] inputs): it loops over the batch itself
-// rather than making one call per element.
-
-// NormAffineElem is NormAffine's dst[i] for x[i] = v.
-func NormAffineElem(v, mu, invStd, gamma, beta float64, relu bool) float64 {
-	o := float64(gamma*((v-mu)*invStd)) + beta
-	if relu && !(o > 0) {
-		o = 0
-	}
-	return o
-}
-
-// NormGradTerms returns element i's terms of NormGradSums: g and g·x̂. A
-// sum of them in element order from +0 is NormGradSums' pair over a
-// channel of fewer than four elements.
-func NormGradTerms(dy, x, mu, invStd, gamma, beta float64, relu bool) (g, gx float64) {
-	g, h := normGradTerm(dy, x, mu, invStd, gamma, beta, relu)
-	return g, float64(g * h)
-}
-
-// NormGradElem is NormGrad's dx[i] for dy[i] = dy and x[i] = x.
-func NormGradElem(dy, x, mu, invStd, gamma, beta, a, b float64, relu bool) float64 {
-	g, h := normGradTerm(dy, x, mu, invStd, gamma, beta, relu)
-	return invStd * (float64(g*gamma) - a - float64(h*b))
-}
-
 func normGradSumsGo(dy, x []float64, mu, invStd, gamma, beta float64, relu bool) (sumG, sumGX float64) {
 	var ag, agx [16]float64
 	quads := len(x) &^ 3

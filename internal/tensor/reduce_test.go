@@ -364,50 +364,6 @@ func TestNormAffineGridStridedDst(t *testing.T) {
 	}
 }
 
-// TestNormElemFormsMatchSlices holds the element forms to the slice
-// kernels bit for bit: NormAffineElem and NormGradElem to NormAffine and
-// NormGrad per element, and NormGradTerms summed from +0 in element order
-// to NormGradSums over channels of one to three elements, with the ReLU
-// mask on and off and special values in x and dy.
-func TestNormElemFormsMatchSlices(t *testing.T) {
-	rng := rand.New(rand.NewSource(82))
-	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
-	pick := func() float64 {
-		if rng.Intn(4) == 0 {
-			return vals[rng.Intn(len(vals))]
-		}
-		return rng.NormFloat64() * 3
-	}
-	for it := 0; it < 2000; it++ {
-		n := 1 + it%3
-		x, dy := make([]float64, n), make([]float64, n)
-		for i := range x {
-			x[i], dy[i] = pick(), pick()
-		}
-		mu, is, gamma, beta, a, b := rng.NormFloat64(), 0.5+rng.Float64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-		relu := it%2 == 0
-		dst, dx := make([]float64, n), make([]float64, n)
-		NormAffine(dst, x, mu, is, gamma, beta, relu)
-		NormGrad(dx, dy, x, mu, is, gamma, beta, a, b, relu)
-		sumG, sumGX := NormGradSums(dy, x, mu, is, gamma, beta, relu)
-		eg, egx := 0.0, 0.0
-		for i := range x {
-			if v := NormAffineElem(x[i], mu, is, gamma, beta, relu); !sameBits(v, dst[i]) {
-				t.Fatalf("NormAffineElem(%v) = %v, NormAffine %v", x[i], v, dst[i])
-			}
-			if v := NormGradElem(dy[i], x[i], mu, is, gamma, beta, a, b, relu); !sameBits(v, dx[i]) {
-				t.Fatalf("NormGradElem(%v, %v) = %v, NormGrad %v", dy[i], x[i], v, dx[i])
-			}
-			g, gx := NormGradTerms(dy[i], x[i], mu, is, gamma, beta, relu)
-			eg += g
-			egx += gx
-		}
-		if !sameBits(eg, sumG) || !sameBits(egx, sumGX) {
-			t.Fatalf("n=%d: NormGradTerms sum to (%v, %v), NormGradSums (%v, %v)", n, eg, egx, sumG, sumGX)
-		}
-	}
-}
-
 // TestGridPrimitivesRejectShortBuffers pins the bounds check that guards
 // the vector bodies.
 func TestGridPrimitivesRejectShortBuffers(t *testing.T) {
