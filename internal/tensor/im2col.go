@@ -7,35 +7,25 @@ package tensor
 //
 // Slicing-aware layers pass only the active prefix of channels; src must hold
 // at least channels*h*w values and col at least channels*kh*kw*outH*outW.
+// Every element of the column matrix is written (padding taps included), so
+// col may be uninitialized.
 func Im2Col(src []float64, channels, h, w, kh, kw, stride, pad int, col []float64) (outH, outW int) {
-	outH = (h+2*pad-kh)/stride + 1
-	outW = (w+2*pad-kw)/stride + 1
-	im2colInto(src, channels, h, w, kh, kw, stride, pad, col, outH*outW, 0)
-	return outH, outW
-}
-
-// im2colInto unrolls one image into columns [colOff, colOff+outH·outW) of a
-// column matrix whose row stride is ldcol. Im2Col is the ldcol = outH·outW,
-// colOff = 0 case and the only caller outside the tests, which use a band of
-// a wider matrix to check that nothing outside it is written. Every element
-// of the band is written (padding taps included), so the destination may be
-// uninitialized.
-func im2colInto(src []float64, channels, h, w, kh, kw, stride, pad int, col []float64, ldcol, colOff int) {
 	if stride == 1 && kw == 2*pad+1 && h+2*pad >= kh {
-		im2colShift(src, channels, h, w, kh, kw, pad, col, ldcol, colOff)
-		return
+		im2colShift(src, channels, h, w, kh, kw, pad, col)
+	} else {
+		im2colRows(src, channels, h, w, kh, kw, stride, pad, col)
 	}
-	im2colRows(src, channels, h, w, kh, kw, stride, pad, col, ldcol, colOff)
+	return (h+2*pad-kh)/stride + 1, (w+2*pad-kw)/stride + 1
 }
 
-// im2colShift is im2colInto for stride 1 with the output as wide as the input
+// im2colShift is Im2Col for stride 1 with the output as wide as the input
 // (kw = 2·pad+1, every "same" convolution). Source and destination rows then
 // share one stride, so a kernel tap (ki, kj) is the whole plane shifted by
 // (ki−pad)·w + (kj−pad): one bulk copy per (channel, tap) instead of one per
 // output row. The copy drags each row's out-of-range columns in from the
 // neighbouring row; those few elements, and the rows above and below the
 // image, are zeroed afterwards. Results equal im2colRows exactly.
-func im2colShift(src []float64, channels, h, w, kh, kw, pad int, col []float64, ldcol, colOff int) {
+func im2colShift(src []float64, channels, h, w, kh, kw, pad int, col []float64) {
 	outH := h + 2*pad - kh + 1
 	band := outH * w
 	idx := 0
@@ -46,7 +36,7 @@ func im2colShift(src []float64, channels, h, w, kh, kw, pad int, col []float64, 
 			oyLo := min(max(pad-ki, 0), outH)
 			oyHi := max(min(h+pad-ki, outH), oyLo)
 			for kj := 0; kj < kw; kj++ {
-				dst := col[idx*ldcol+colOff : idx*ldcol+colOff+band]
+				dst := col[idx*band : (idx+1)*band]
 				idx++
 				// ox ∈ [lo, hi) reads a column inside the row.
 				lo := min(max(pad-kj, 0), w)
@@ -72,10 +62,10 @@ func im2colShift(src []float64, channels, h, w, kh, kw, pad int, col []float64, 
 	}
 }
 
-// im2colRows is the general im2colInto — any stride, any output width — one
+// im2colRows is the general Im2Col — any stride, any output width — one
 // copy or gather per output row. It is also the oracle im2colShift is tested
 // against.
-func im2colRows(src []float64, channels, h, w, kh, kw, stride, pad int, col []float64, ldcol, colOff int) {
+func im2colRows(src []float64, channels, h, w, kh, kw, stride, pad int, col []float64) {
 	outH := (h+2*pad-kh)/stride + 1
 	outW := (w+2*pad-kw)/stride + 1
 	// For a fixed kernel tap kj, the in-range output columns are those with
@@ -104,7 +94,7 @@ func im2colRows(src []float64, channels, h, w, kh, kw, stride, pad int, col []fl
 				}
 				for oy := 0; oy < outH; oy++ {
 					iy := oy*stride - pad + ki
-					rowBase := idx*ldcol + colOff + oy*outW
+					rowBase := (idx*outH + oy) * outW
 					dst := col[rowBase : rowBase+outW]
 					if iy < 0 || iy >= h {
 						for j := range dst {

@@ -48,6 +48,9 @@ func TestConvOutSize(t *testing.T) {
 	}
 }
 
+// TestIm2ColGemmMatchesDirectConv holds Im2Col + Gemm to the direct
+// convolution. The column matrix starts as garbage, so a padding tap Im2Col
+// leaves unwritten shows in the product.
 func TestIm2ColGemmMatchesDirectConv(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	cases := []struct{ c, h, w, outC, kh, kw, stride, pad int }{
@@ -56,13 +59,21 @@ func TestIm2ColGemmMatchesDirectConv(t *testing.T) {
 		{2, 5, 7, 3, 3, 3, 2, 1},
 		{4, 6, 6, 2, 1, 1, 1, 0},
 		{2, 6, 6, 3, 2, 2, 2, 0},
+		{2, 6, 6, 3, 3, 3, 1, 1},
+		{3, 5, 7, 3, 3, 3, 2, 1},
+		{1, 4, 4, 3, 2, 2, 2, 0},
+		{2, 8, 8, 3, 1, 1, 1, 0},
+		{4, 6, 6, 3, 5, 5, 1, 2},
+		{2, 3, 3, 3, 3, 3, 1, 3}, // pad > kernel reach: all-padding edge rows
+		{1, 1, 1, 3, 6, 6, 1, 3}, // kernel reach exceeds w+pad: lo must clamp to outW
+		{1, 2, 2, 3, 5, 5, 2, 2}, // strided with taps past the padded row
 	}
 	for _, tc := range cases {
 		src := randSlice(tc.c*tc.h*tc.w, rng)
 		kernel := randSlice(tc.outC*tc.c*tc.kh*tc.kw, rng)
 		want, outH, outW := refConv2D(src, tc.c, tc.h, tc.w, kernel, tc.outC, tc.kh, tc.kw, tc.stride, tc.pad)
 		colRows := tc.c * tc.kh * tc.kw
-		col := make([]float64, colRows*outH*outW)
+		col := randSlice(colRows*outH*outW, rng)
 		gotH, gotW := Im2Col(src, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, col)
 		if gotH != outH || gotW != outW {
 			t.Fatalf("Im2Col out size (%d,%d), want (%d,%d)", gotH, gotW, outH, outW)
@@ -172,56 +183,11 @@ func TestInitializers(t *testing.T) {
 	}
 }
 
-// TestIm2ColIntoMatchesPerSample pins the band form: unrolling B samples
-// side by side into one wide column matrix (row stride batch·spatial) must
-// produce, in every sample's column band, exactly what
-// the per-sample Im2Col produces — including explicit zeros for padding taps
-// over an uninitialized (garbage) destination.
-func TestIm2ColIntoMatchesPerSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	cases := []struct{ batch, c, h, w, kh, kw, stride, pad int }{
-		{3, 2, 6, 6, 3, 3, 1, 1},
-		{2, 3, 5, 7, 3, 3, 2, 1},
-		{4, 1, 4, 4, 2, 2, 2, 0},
-		{2, 2, 8, 8, 1, 1, 1, 0},
-		{1, 4, 6, 6, 5, 5, 1, 2},
-		{2, 2, 3, 3, 3, 3, 1, 3}, // pad > kernel reach: all-padding edge rows
-		{2, 1, 1, 1, 6, 6, 1, 3}, // kernel reach exceeds w+pad: lo must clamp to outW
-		{1, 1, 2, 2, 5, 5, 2, 2}, // strided with taps past the padded row
-	}
-	for _, tc := range cases {
-		outH := ConvOutSize(tc.h, tc.kh, tc.stride, tc.pad)
-		outW := ConvOutSize(tc.w, tc.kw, tc.stride, tc.pad)
-		spatial := outH * outW
-		colRows := tc.c * tc.kh * tc.kw
-		ldcol := tc.batch * spatial
-		wide := randSlice(colRows*ldcol, rng) // garbage start
-		srcs := make([][]float64, tc.batch)
-		for b := range srcs {
-			srcs[b] = randSlice(tc.c*tc.h*tc.w, rng)
-			im2colInto(srcs[b], tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, wide, ldcol, b*spatial)
-		}
-		single := make([]float64, colRows*spatial)
-		for b := range srcs {
-			Im2Col(srcs[b], tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, single)
-			for r := 0; r < colRows; r++ {
-				for s := 0; s < spatial; s++ {
-					got := wide[r*ldcol+b*spatial+s]
-					want := single[r*spatial+s]
-					if got != want {
-						t.Fatalf("%+v sample %d col[%d,%d] = %g, want %g", tc, b, r, s, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestIm2ColShiftMatchesRows pins the stride-1 fast path to the general
 // row-by-row loop: exact equality over random shapes — single-row and
 // single-column images, no padding, padding beyond the kernel's height, taps
-// that never reach the image — into a band of a wider matrix whose other
-// columns must stay untouched.
+// that never reach the image — over a garbage destination whose elements past
+// the column matrix must stay untouched.
 func TestIm2ColShiftMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	shifted := 0
@@ -241,18 +207,16 @@ func TestIm2ColShiftMatchesRows(t *testing.T) {
 			shifted++
 		}
 		spatial := outH * outW
-		colOff := rng.Intn(5)
-		ldcol := colOff + spatial + rng.Intn(5)
 		rows := c * kh * kw
 		src := randSlice(c*h*w, rng)
-		got := randSlice(rows*ldcol, rng) // garbage start
+		got := randSlice(rows*spatial+1+rng.Intn(5), rng) // garbage start
 		want := append([]float64(nil), got...)
-		im2colInto(src, c, h, w, kh, kw, 1, pad, got, ldcol, colOff)
-		im2colRows(src, c, h, w, kh, kw, 1, pad, want, ldcol, colOff)
+		Im2Col(src, c, h, w, kh, kw, 1, pad, got)
+		im2colRows(src, c, h, w, kh, kw, 1, pad, want)
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("c=%d h=%d w=%d kh=%d kw=%d pad=%d ldcol=%d colOff=%d: col[%d,%d] = %g, want %g",
-					c, h, w, kh, kw, pad, ldcol, colOff, i/ldcol, i%ldcol, got[i], want[i])
+				t.Fatalf("c=%d h=%d w=%d kh=%d kw=%d pad=%d: col[%d,%d] = %g, want %g",
+					c, h, w, kh, kw, pad, i/spatial, i%spatial, got[i], want[i])
 			}
 		}
 	}
@@ -260,8 +224,8 @@ func TestIm2ColShiftMatchesRows(t *testing.T) {
 		t.Fatalf("only %d cases took the fast path", shifted)
 	}
 	src, col := randSlice(4*8*8, rng), make([]float64, 4*9*8*8)
-	if allocs := testing.AllocsPerRun(20, func() { im2colInto(src, 4, 8, 8, 3, 3, 1, 1, col, 64, 0) }); allocs != 0 {
-		t.Fatalf("im2colInto allocates %v times per call, want 0", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { Im2Col(src, 4, 8, 8, 3, 3, 1, 1, col) }); allocs != 0 {
+		t.Fatalf("Im2Col allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -288,7 +252,7 @@ func BenchmarkIm2Col(b *testing.B) {
 			col := make([]float64, c*9*s.hw*s.hw)
 			b.Run(fmt.Sprintf("conv%d_%dx%dx%d_r%g", li+1, c, s.hw, s.hw, r), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					im2colInto(src, c, s.hw, s.hw, 3, 3, 1, 1, col, s.hw*s.hw, 0)
+					Im2Col(src, c, s.hw, s.hw, 3, 3, 1, 1, col)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(col)), "ns/element")
 			})

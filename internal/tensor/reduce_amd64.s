@@ -130,11 +130,16 @@ sqdone:
 	VMULSD X2, X5, X5     \
 	VADDSD X3, X5, X5
 
+// The ReLU clamp is MAXPD(v, 0) with zero (Y4) as the second source: the
+// instruction returns the second source when either operand is NaN or both
+// are zero, so NaN and −0 become +0 — exactly `if !(v > 0) { v = 0 }`. The
+// scale-shift kernels run one loop for both values of relu: each block tests
+// the flag and, when it is clear, jumps over its clamps by a PC-relative
+// count, which a macro can hold where a label could not.
+
 // func normAffineAVX(dst, x []float64, mu, invStd, gamma, beta float64, relu bool)
 //
-// The clamp is MAXPD(v, 0) with zero as the second source: the instruction
-// returns the second source when either operand is NaN or both are zero, so
-// NaN and −0 become +0 — exactly `if !(v > 0) { v = 0 }`.
+// Blocks of 8, one of 4, then the scalar tail.
 TEXT ·normAffineAVX(SB), NOSPLIT, $0-81
 	MOVQ         dst_base+0(FP), DI
 	MOVQ         x_base+24(FP), SI
@@ -145,9 +150,6 @@ TEXT ·normAffineAVX(SB), NOSPLIT, $0-81
 	VBROADCASTSD beta+72(FP), Y3
 	VXORPD       Y4, Y4, Y4
 	XORQ         AX, AX
-	MOVBLZX      relu+80(FP), BX
-	TESTL        BX, BX
-	JNZ          nr8
 
 na8:
 	LEAQ    8(AX), DX
@@ -155,6 +157,10 @@ na8:
 	JG      na4
 	AFFINE(0, Y5)
 	AFFINE(32, Y6)
+	CMPB    relu+80(FP), $0
+	JEQ     3(PC)
+	VMAXPD  Y4, Y5, Y5
+	VMAXPD  Y4, Y6, Y6
 	VMOVUPD Y5, (DI)(AX*8)
 	VMOVUPD Y6, 32(DI)(AX*8)
 	MOVQ    DX, AX
@@ -165,6 +171,9 @@ na4:
 	CMPQ    DX, CX
 	JG      natail
 	AFFINE(0, Y5)
+	CMPB    relu+80(FP), $0
+	JEQ     2(PC)
+	VMAXPD  Y4, Y5, Y5
 	VMOVUPD Y5, (DI)(AX*8)
 	MOVQ    DX, AX
 
@@ -172,40 +181,12 @@ natail:
 	CMPQ   AX, CX
 	JGE    nadone
 	AFFINE1
-	VMOVSD X5, (DI)(AX*8)
-	INCQ   AX
-	JMP    natail
-
-nr8:
-	LEAQ    8(AX), DX
-	CMPQ    DX, CX
-	JG      nr4
-	AFFINE(0, Y5)
-	AFFINE(32, Y6)
-	VMAXPD  Y4, Y5, Y5
-	VMAXPD  Y4, Y6, Y6
-	VMOVUPD Y5, (DI)(AX*8)
-	VMOVUPD Y6, 32(DI)(AX*8)
-	MOVQ    DX, AX
-	JMP     nr8
-
-nr4:
-	LEAQ    4(AX), DX
-	CMPQ    DX, CX
-	JG      nrtail
-	AFFINE(0, Y5)
-	VMAXPD  Y4, Y5, Y5
-	VMOVUPD Y5, (DI)(AX*8)
-	MOVQ    DX, AX
-
-nrtail:
-	CMPQ   AX, CX
-	JGE    nadone
-	AFFINE1
+	CMPB   relu+80(FP), $0
+	JEQ    2(PC)
 	VMAXSD X4, X5, X5
 	VMOVSD X5, (DI)(AX*8)
 	INCQ   AX
-	JMP    nrtail
+	JMP    natail
 
 nadone:
 	VZEROUPPER
@@ -328,14 +309,27 @@ bsqblk:
 	VMULPD  Y2, reg, reg \
 	VADDPD  Y3, reg, reg
 
+// AFFINE4 computes the block at DX into Y5..Y8, clamped when the byte at
+// flag is set.
+#define AFFINE4(flag) \
+	AFFINEB((DX), Y5)        \
+	AFFINEB((DX)(R10*1), Y6) \
+	AFFINEB((DX)(R11*1), Y7) \
+	AFFINEB((DX)(R12*1), Y8) \
+	CMPB    flag, $0         \
+	JEQ     5(PC)            \
+	VMAXPD  Y4, Y5, Y5       \
+	VMAXPD  Y4, Y6, Y6       \
+	VMAXPD  Y4, Y7, Y7       \
+	VMAXPD  Y4, Y8, Y8
+
 // func normAffineBlocksAVX(dst []float64, dcs int, x []float64, ch, cs, groups, blocks, o1, o2, o3, gstep int, mu, invStd float64, gamma, beta []float64, relu bool)
 //
 // The block bodies' walk with γ and β broadcast per channel (the channel's
-// index is ch − CX), each block's four results clamped as normAffineAVX
-// clamps them, in one of four loops: packed or strided, clamped or not.
-// Packed (dcs 0) stores a block to the next 16 elements of dst (AX);
-// strided stores it at the offsets it was loaded from, shifted by AX =
-// dst − x, which grows by dcs − cs per channel.
+// index is ch − CX), in one loop per destination layout. Packed (dcs 0)
+// stores a block to the next 16 elements of dst (AX); strided stores it at
+// the offsets it was loaded from, shifted by AX = dst − x, which grows by
+// dcs − cs per channel.
 TEXT ·normAffineBlocksAVX(SB), NOSPLIT, $0-185
 	MOVQ         dst_base+0(FP), AX
 	MOVQ         x_base+32(FP), SI
@@ -355,20 +349,12 @@ TEXT ·normAffineBlocksAVX(SB), NOSPLIT, $0-185
 	SHLQ         $3, R11
 	SHLQ         $3, R12
 	SHLQ         $3, BX
-	MOVBLZX      relu+184(FP), R8
 	TESTQ        R14, R14
-	JNZ          strided
-	TESTL        R8, R8
-	JNZ          prchan
-	JMP          pachan
+	JZ           pchan
+	SUBQ         SI, AX
+	SUBQ         R13, R14
 
-strided:
-	SUBQ  SI, AX
-	SUBQ  R13, R14
-	TESTL R8, R8
-	JZ    sachan
-
-srchan:
+schan:
 	MOVQ         ch+56(FP), R8
 	SUBQ         CX, R8
 	MOVQ         gamma_base+136(FP), R9
@@ -378,19 +364,12 @@ srchan:
 	MOVQ         SI, DI
 	MOVQ         groups+72(FP), R8
 
-srgrp:
+sgrp:
 	MOVQ DI, DX
 	MOVQ blocks+80(FP), R9
 
-srblk:
-	AFFINEB((DX), Y5)
-	AFFINEB((DX)(R10*1), Y6)
-	AFFINEB((DX)(R11*1), Y7)
-	AFFINEB((DX)(R12*1), Y8)
-	VMAXPD  Y4, Y5, Y5
-	VMAXPD  Y4, Y6, Y6
-	VMAXPD  Y4, Y7, Y7
-	VMAXPD  Y4, Y8, Y8
+sblk:
+	AFFINE4(relu+184(FP))
 	LEAQ    (DX)(AX*1), R15
 	VMOVUPD Y5, (R15)
 	VMOVUPD Y6, (R15)(R10*1)
@@ -398,17 +377,17 @@ srblk:
 	VMOVUPD Y8, (R15)(R12*1)
 	ADDQ    $128, DX
 	DECQ    R9
-	JNE     srblk
+	JNE     sblk
 	ADDQ    BX, DI
 	DECQ    R8
-	JNE     srgrp
+	JNE     sgrp
 	ADDQ    R13, SI
 	ADDQ    R14, AX
 	DECQ    CX
-	JNE     srchan
-	JMP     nadone
+	JNE     schan
+	JMP     bdone
 
-sachan:
+pchan:
 	MOVQ         ch+56(FP), R8
 	SUBQ         CX, R8
 	MOVQ         gamma_base+136(FP), R9
@@ -418,55 +397,12 @@ sachan:
 	MOVQ         SI, DI
 	MOVQ         groups+72(FP), R8
 
-sagrp:
+pgrp:
 	MOVQ DI, DX
 	MOVQ blocks+80(FP), R9
 
-sablk:
-	AFFINEB((DX), Y5)
-	AFFINEB((DX)(R10*1), Y6)
-	AFFINEB((DX)(R11*1), Y7)
-	AFFINEB((DX)(R12*1), Y8)
-	LEAQ    (DX)(AX*1), R15
-	VMOVUPD Y5, (R15)
-	VMOVUPD Y6, (R15)(R10*1)
-	VMOVUPD Y7, (R15)(R11*1)
-	VMOVUPD Y8, (R15)(R12*1)
-	ADDQ    $128, DX
-	DECQ    R9
-	JNE     sablk
-	ADDQ    BX, DI
-	DECQ    R8
-	JNE     sagrp
-	ADDQ    R13, SI
-	ADDQ    R14, AX
-	DECQ    CX
-	JNE     sachan
-	JMP     nadone
-
-prchan:
-	MOVQ         ch+56(FP), R8
-	SUBQ         CX, R8
-	MOVQ         gamma_base+136(FP), R9
-	VBROADCASTSD (R9)(R8*8), Y2
-	MOVQ         beta_base+160(FP), R9
-	VBROADCASTSD (R9)(R8*8), Y3
-	MOVQ         SI, DI
-	MOVQ         groups+72(FP), R8
-
-prgrp:
-	MOVQ DI, DX
-	MOVQ blocks+80(FP), R9
-
-prblk:
-	AFFINEB((DX), Y5)
-	AFFINEB((DX)(R10*1), Y6)
-	AFFINEB((DX)(R11*1), Y7)
-	AFFINEB((DX)(R12*1), Y8)
-	VMAXPD  Y4, Y5, Y5
-	VMAXPD  Y4, Y6, Y6
-	VMAXPD  Y4, Y7, Y7
-	VMAXPD  Y4, Y8, Y8
+pblk:
+	AFFINE4(relu+184(FP))
 	VMOVUPD Y5, (AX)
 	VMOVUPD Y6, 32(AX)
 	VMOVUPD Y7, 64(AX)
@@ -474,50 +410,15 @@ prblk:
 	ADDQ    $128, AX
 	ADDQ    $128, DX
 	DECQ    R9
-	JNE     prblk
+	JNE     pblk
 	ADDQ    BX, DI
 	DECQ    R8
-	JNE     prgrp
+	JNE     pgrp
 	ADDQ    R13, SI
 	DECQ    CX
-	JNE     prchan
-	JMP     nadone
+	JNE     pchan
 
-pachan:
-	MOVQ         ch+56(FP), R8
-	SUBQ         CX, R8
-	MOVQ         gamma_base+136(FP), R9
-	VBROADCASTSD (R9)(R8*8), Y2
-	MOVQ         beta_base+160(FP), R9
-	VBROADCASTSD (R9)(R8*8), Y3
-	MOVQ         SI, DI
-	MOVQ         groups+72(FP), R8
-
-pagrp:
-	MOVQ DI, DX
-	MOVQ blocks+80(FP), R9
-
-pablk:
-	AFFINEB((DX), Y5)
-	AFFINEB((DX)(R10*1), Y6)
-	AFFINEB((DX)(R11*1), Y7)
-	AFFINEB((DX)(R12*1), Y8)
-	VMOVUPD Y5, (AX)
-	VMOVUPD Y6, 32(AX)
-	VMOVUPD Y7, 64(AX)
-	VMOVUPD Y8, 96(AX)
-	ADDQ    $128, AX
-	ADDQ    $128, DX
-	DECQ    R9
-	JNE     pablk
-	ADDQ    BX, DI
-	DECQ    R8
-	JNE     pagrp
-	ADDQ    R13, SI
-	DECQ    CX
-	JNE     pachan
-
-nadone:
+bdone:
 	VZEROUPPER
 	RET
 
@@ -610,34 +511,47 @@ cdone:
 
 // The normalization backward kernels keep mu, invStd, gamma, beta and zero
 // in Y8..Y12. Per four lanes, t = (x − mu)·invStd and x̂ = t + 0 (NormAffine
-// at gamma 1, beta 0); with the ReLU mask, g = dy AND (gamma·t + beta > 0),
-// the compare ordered and quiet (predicate 0x1e), so NaN fails it and a
-// failed lane is +0.
+// at gamma 1, beta 0); g = dy, or with the relu flag set g = dy AND
+// (gamma·t + beta > 0), the compare ordered and quiet (predicate 0x1e), so
+// NaN fails it and a failed lane is +0. As in the scale-shift kernels, one
+// loop serves both values of the flag, each block jumping over the mask when
+// it is clear.
 
-// GSUM adds g = dy at off to ag and g·x̂ to agh, through Y13 and Y14.
-#define GSUM(off, ag, agh) \
-	VMOVUPD off(DI)(AX*8), Y14 \
-	VMOVUPD off(SI)(AX*8), Y13 \
-	VSUBPD  Y8, Y13, Y13       \
-	VMULPD  Y9, Y13, Y13       \
-	VADDPD  Y14, ag, ag        \
-	VADDPD  Y12, Y13, Y13      \
-	VMULPD  Y14, Y13, Y13      \
-	VADDPD  Y13, agh, agh
+// GTERM loads t for the four lanes at off into Y13 and g into Y14, masking
+// through Y15 when the byte at flag is set.
+#define GTERM(off, flag) \
+	VMOVUPD off(SI)(AX*8), Y13   \
+	VSUBPD  Y8, Y13, Y13         \
+	VMULPD  Y9, Y13, Y13         \
+	VMOVUPD off(DI)(AX*8), Y14   \
+	CMPB    flag, $0             \
+	JEQ     5(PC)                \
+	VMULPD  Y10, Y13, Y15        \
+	VADDPD  Y11, Y15, Y15        \
+	VCMPPD  $0x1e, Y12, Y15, Y15 \
+	VANDPD  Y15, Y14, Y14
 
-// GSUMR is GSUM with the ReLU mask.
-#define GSUMR(off, ag, agh) \
-	VMOVUPD off(SI)(AX*8), Y13      \
-	VSUBPD  Y8, Y13, Y13            \
-	VMULPD  Y9, Y13, Y13            \
-	VMULPD  Y10, Y13, Y14           \
-	VADDPD  Y11, Y14, Y14           \
-	VCMPPD  $0x1e, Y12, Y14, Y14    \
-	VANDPD  off(DI)(AX*8), Y14, Y14 \
-	VADDPD  Y14, ag, ag             \
-	VADDPD  Y12, Y13, Y13           \
-	VMULPD  Y14, Y13, Y13           \
-	VADDPD  Y13, agh, agh
+// GTERM1 is the one-lane form of GTERM, into X13 and X14. Its loads stay
+// 8 bytes wide: a 128-bit operand would read past the end of the slices.
+#define GTERM1(flag) \
+	VMOVSD (SI)(AX*8), X13      \
+	VSUBSD X8, X13, X13         \
+	VMULSD X9, X13, X13         \
+	VMOVSD (DI)(AX*8), X14      \
+	CMPB   flag, $0             \
+	JEQ    5(PC)                \
+	VMULSD X10, X13, X15        \
+	VADDSD X11, X15, X15        \
+	VCMPSD $0x1e, X12, X15, X15 \
+	VANDPD X15, X14, X14
+
+// GSUM adds g for the four lanes at off to ag and g·x̂ to agh.
+#define GSUM(off, ag, agh, flag) \
+	GTERM(off, flag)     \
+	VADDPD Y14, ag, ag   \
+	VADDPD Y12, Y13, Y13 \
+	VMULPD Y14, Y13, Y13 \
+	VADDPD Y13, agh, agh
 
 // func normGradSumsAVX(dy, x []float64, mu, invStd, gamma, beta float64, relu bool) (sumG, sumGX float64)
 //
@@ -660,18 +574,15 @@ TEXT ·normGradSumsAVX(SB), NOSPLIT, $0-104
 	VXORPD       Y6, Y6, Y6
 	VXORPD       Y7, Y7, Y7
 	XORQ         AX, AX
-	MOVBLZX      relu+80(FP), BX
-	TESTL        BX, BX
-	JNZ          gr16
 
 gs16:
 	LEAQ 16(AX), DX
 	CMPQ DX, CX
 	JG   gs4
-	GSUM(0, Y0, Y4)
-	GSUM(32, Y1, Y5)
-	GSUM(64, Y2, Y6)
-	GSUM(96, Y3, Y7)
+	GSUM(0, Y0, Y4, relu+80(FP))
+	GSUM(32, Y1, Y5, relu+80(FP))
+	GSUM(64, Y2, Y6, relu+80(FP))
+	GSUM(96, Y3, Y7, relu+80(FP))
 	MOVQ DX, AX
 	JMP  gs16
 
@@ -679,28 +590,9 @@ gs4:
 	LEAQ 4(AX), DX
 	CMPQ DX, CX
 	JG   gfold
-	GSUM(0, Y0, Y4)
+	GSUM(0, Y0, Y4, relu+80(FP))
 	MOVQ DX, AX
 	JMP  gs4
-
-gr16:
-	LEAQ 16(AX), DX
-	CMPQ DX, CX
-	JG   gr4
-	GSUMR(0, Y0, Y4)
-	GSUMR(32, Y1, Y5)
-	GSUMR(64, Y2, Y6)
-	GSUMR(96, Y3, Y7)
-	MOVQ DX, AX
-	JMP  gr16
-
-gr4:
-	LEAQ 4(AX), DX
-	CMPQ DX, CX
-	JG   gfold
-	GSUMR(0, Y0, Y4)
-	MOVQ DX, AX
-	JMP  gr4
 
 gfold:
 	FOLD
@@ -715,18 +607,7 @@ gfold:
 gtail:
 	CMPQ   AX, CX
 	JGE    gdone
-	VMOVSD (SI)(AX*8), X13
-	VSUBSD X8, X13, X13
-	VMULSD X9, X13, X13
-	VMOVSD (DI)(AX*8), X14
-	TESTL  BX, BX
-	JZ     gtailadd
-	VMULSD X10, X13, X15
-	VADDSD X11, X15, X15
-	VCMPSD $0x1e, X12, X15, X15
-	VANDPD X15, X14, X14
-
-gtailadd:
+	GTERM1(relu+80(FP))
 	VADDSD X14, X0, X0
 	VADDSD X12, X13, X13
 	VMULSD X14, X13, X13
@@ -740,36 +621,16 @@ gdone:
 	VZEROUPPER
 	RET
 
-// GRAD writes invStd·(g·gamma − a − x̂·b) for the four lanes at off to
-// dx (R8), g = dy; a and b are in Y6 and Y7.
-#define GRAD(off) \
-	VMOVUPD off(SI)(AX*8), Y13 \
-	VSUBPD  Y8, Y13, Y13       \
-	VMULPD  Y9, Y13, Y13       \
-	VMOVUPD off(DI)(AX*8), Y14 \
+// GRADDX writes invStd·(g·gamma − a − x̂·b) for the four lanes at off to
+// dx (R8); a and b are in Y6 and Y7.
+#define GRADDX(off, flag) \
+	GTERM(off, flag)           \
 	VMULPD  Y10, Y14, Y14      \
 	VSUBPD  Y6, Y14, Y14       \
 	VADDPD  Y12, Y13, Y13      \
 	VMULPD  Y7, Y13, Y13       \
 	VSUBPD  Y13, Y14, Y14      \
 	VMULPD  Y9, Y14, Y14       \
-	VMOVUPD Y14, off(R8)(AX*8)
-
-// GRADR is GRAD with the ReLU mask.
-#define GRADR(off) \
-	VMOVUPD off(SI)(AX*8), Y13      \
-	VSUBPD  Y8, Y13, Y13            \
-	VMULPD  Y9, Y13, Y13            \
-	VMULPD  Y10, Y13, Y14           \
-	VADDPD  Y11, Y14, Y14           \
-	VCMPPD  $0x1e, Y12, Y14, Y14    \
-	VANDPD  off(DI)(AX*8), Y14, Y14 \
-	VMULPD  Y10, Y14, Y14           \
-	VSUBPD  Y6, Y14, Y14            \
-	VADDPD  Y12, Y13, Y13           \
-	VMULPD  Y7, Y13, Y13            \
-	VSUBPD  Y13, Y14, Y14           \
-	VMULPD  Y9, Y14, Y14            \
 	VMOVUPD Y14, off(R8)(AX*8)
 
 // func normGradAVX(dx, dy, x []float64, mu, invStd, gamma, beta, a, b float64, relu bool)
@@ -786,16 +647,13 @@ TEXT ·normGradAVX(SB), NOSPLIT, $0-121
 	VBROADCASTSD b+112(FP), Y7
 	VXORPD       Y12, Y12, Y12
 	XORQ         AX, AX
-	MOVBLZX      relu+120(FP), BX
-	TESTL        BX, BX
-	JNZ          dr8
 
 d8:
 	LEAQ 8(AX), DX
 	CMPQ DX, CX
 	JG   d4
-	GRAD(0)
-	GRAD(32)
+	GRADDX(0, relu+120(FP))
+	GRADDX(32, relu+120(FP))
 	MOVQ DX, AX
 	JMP  d8
 
@@ -803,41 +661,13 @@ d4:
 	LEAQ 4(AX), DX
 	CMPQ DX, CX
 	JG   dtail
-	GRAD(0)
-	MOVQ DX, AX
-	JMP  dtail
-
-dr8:
-	LEAQ 8(AX), DX
-	CMPQ DX, CX
-	JG   dr4
-	GRADR(0)
-	GRADR(32)
-	MOVQ DX, AX
-	JMP  dr8
-
-dr4:
-	LEAQ 4(AX), DX
-	CMPQ DX, CX
-	JG   dtail
-	GRADR(0)
+	GRADDX(0, relu+120(FP))
 	MOVQ DX, AX
 
 dtail:
 	CMPQ   AX, CX
 	JGE    ddone
-	VMOVSD (SI)(AX*8), X13
-	VSUBSD X8, X13, X13
-	VMULSD X9, X13, X13
-	VMOVSD (DI)(AX*8), X14
-	TESTL  BX, BX
-	JZ     dtailgrad
-	VMULSD X10, X13, X15
-	VADDSD X11, X15, X15
-	VCMPSD $0x1e, X12, X15, X15
-	VANDPD X15, X14, X14
-
-dtailgrad:
+	GTERM1(relu+120(FP))
 	VMULSD X10, X14, X14
 	VSUBSD X6, X14, X14
 	VADDSD X12, X13, X13

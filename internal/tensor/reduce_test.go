@@ -312,12 +312,13 @@ func TestGridPrimitivesScalar(t *testing.T) {
 }
 
 // TestNormAffineGridStridedDst holds NormAffineGrid's strided destination
-// (channel stride dcs, rows at the source's stride) to its packed one bit
-// for bit: each block form of the vector body (16-wide rows, 8×8, 4×4), the
-// Go twin (a 5×6 grid, and every grid with the vector kernels off), ReLU on
-// and off, and destination channel strides equal to, above and below the
-// source's. Every element outside the windows must keep its value: in the
-// served pass those are the next conv's pad zeros.
+// (channel stride dcs, rows at the source's stride) to NormAffine per channel
+// bit for bit: each block form of the vector body (16-wide rows, 8×8, 4×4),
+// the Go twin (a 5×6 grid, and every grid with the vector kernels off), ReLU
+// on and off, special values at every position class, and destination
+// channel strides equal to, above and below the source's. Every element
+// outside the windows must keep its value: in the served pass those are the
+// next conv's pad zeros.
 func TestNormAffineGridStridedDst(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	grids := []Grid{{3, 2, 16, 17, 40}, {2, 8, 8, 9, 81}, {4, 4, 4, 5, 25}, {2, 5, 6, 7, 40}}
@@ -325,36 +326,42 @@ func TestNormAffineGridStridedDst(t *testing.T) {
 		saved := useAVX
 		useAVX = useAVX && vec
 		for _, g := range grids {
-			x := make([]float64, (g.Ch-1)*g.CS+(g.Rows-1)*g.LD+g.Cols)
-			for i := range x {
-				x[i] = rng.NormFloat64() * 3
+			n, hw := g.Len(), g.Rows*g.Cols
+			base := make([]float64, n)
+			for i := range base {
+				base[i] = rng.NormFloat64() * 3
 			}
 			gamma, beta := make([]float64, g.Ch), make([]float64, g.Ch)
 			for c := range gamma {
 				gamma[c], beta[c] = rng.NormFloat64(), rng.NormFloat64()
 			}
 			mu, is := rng.NormFloat64(), 0.5+rng.Float64()
-			for _, relu := range []bool{false, true} {
-				want := make([]float64, g.Len())
-				NormAffineGrid(want, 0, x, g, mu, is, gamma, beta, relu)
-				for _, dcs := range []int{g.CS, g.CS + 7, g.Rows * g.LD} {
-					dg := Grid{g.Ch, g.Rows, g.Cols, g.LD, dcs}
-					dst := make([]float64, (g.Ch-1)*dcs+(g.Rows-1)*g.LD+g.Cols+2)
-					for i := range dst {
-						dst[i] = 42
+			for _, p := range gridSpecials(base) {
+				x := gridCase(p, g)
+				for _, relu := range []bool{false, true} {
+					want := make([]float64, n)
+					for c := 0; c < g.Ch; c++ {
+						normAffineGo(want[c*hw:(c+1)*hw], p[c*hw:(c+1)*hw], mu, is, gamma[c], beta[c], relu)
 					}
-					NormAffineGrid(dst[1:], dcs, x, g, mu, is, gamma, beta, relu)
-					inside := map[int]bool{}
-					for p, v := range want {
-						i := 1 + dg.at(p)
-						inside[i] = true
-						if !sameBits(dst[i], v) {
-							t.Fatalf("vec=%v grid %+v dcs %d relu=%v: element %d = %v, packed %v", useAVX, g, dcs, relu, p, dst[i], v)
+					for _, dcs := range []int{g.CS, g.CS + 7, g.Rows * g.LD} {
+						dg := Grid{g.Ch, g.Rows, g.Cols, g.LD, dcs}
+						dst := make([]float64, (g.Ch-1)*dcs+(g.Rows-1)*g.LD+g.Cols+2)
+						for i := range dst {
+							dst[i] = 42
 						}
-					}
-					for i, v := range dst {
-						if !inside[i] && v != 42 {
-							t.Fatalf("vec=%v grid %+v dcs %d relu=%v: wrote dst[%d] outside the windows", useAVX, g, dcs, relu, i-1)
+						NormAffineGrid(dst[1:], dcs, x, g, mu, is, gamma, beta, relu)
+						inside := map[int]bool{}
+						for q, v := range want {
+							i := 1 + dg.at(q)
+							inside[i] = true
+							if !sameBits(dst[i], v) {
+								t.Fatalf("vec=%v grid %+v dcs %d relu=%v: element %d = %v, NormAffine per channel %v", useAVX, g, dcs, relu, q, dst[i], v)
+							}
+						}
+						for i, v := range dst {
+							if !inside[i] && v != 42 {
+								t.Fatalf("vec=%v grid %+v dcs %d relu=%v: wrote dst[%d] outside the windows", useAVX, g, dcs, relu, i-1)
+							}
 						}
 					}
 				}

@@ -25,8 +25,6 @@ type SGD struct {
 	LR          float64
 	Momentum    float64
 	WeightDecay float64
-	// Nesterov enables Nesterov momentum.
-	Nesterov bool
 
 	vel map[*nn.Param]*tensor.Tensor
 }
@@ -40,12 +38,12 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 // Step applies one update to every parameter from its accumulated gradient
 // and zeroes the gradients, in one pass over each parameter's elements:
 // g ← g + λ·w (weight decay, Decay parameters only), then with momentum
-// v ← μ·v + g and w ← w − lr·v (Nesterov: w ← w − lr·(g + μ·v)), without
-// it w ← w − lr·g, then g ← 0. Each product is rounded on its own (the
-// float64 conversions keep a target with FMA from contracting it), so the
-// result is that of the same steps taken one full pass at a time. With
-// momentum, decay and no decay each have a loop of their own: the decay
-// test inside the loop cost about a third of the pass.
+// v ← μ·v + g and w ← w − lr·v, without it w ← w − lr·g, then g ← 0. Each
+// product is rounded on its own (the float64 conversions keep a target with
+// FMA from contracting it), so the result is that of the same steps taken
+// one full pass at a time. With momentum, decay and no decay each have a
+// loop of their own: the decay test inside the loop cost about a third of
+// the pass.
 func (s *SGD) Step(params []*nn.Param) {
 	lr, mu := s.LR, s.Momentum
 	for _, p := range params {
@@ -75,9 +73,6 @@ func (s *SGD) Step(params []*nn.Param) {
 			for i, gi := range g {
 				vi := float64(mu*v[i]) + gi
 				v[i] = vi
-				if s.Nesterov {
-					vi = gi + float64(mu*vi)
-				}
 				w[i] -= float64(lr * vi)
 				g[i] = 0
 			}
@@ -87,9 +82,6 @@ func (s *SGD) Step(params []*nn.Param) {
 			gi += float64(wd * w[i])
 			vi := float64(mu*v[i]) + gi
 			v[i] = vi
-			if s.Nesterov {
-				vi = gi + float64(mu*vi)
-			}
 			w[i] -= float64(lr * vi)
 			g[i] = 0
 		}

@@ -205,13 +205,7 @@ func sgdFourPass(s *SGD, vel map[*nn.Param]*tensor.Tensor, params []*nn.Param) {
 			}
 			v.Scale(s.Momentum)
 			v.Add(g)
-			if s.Nesterov {
-				for i := range p.Value.Data {
-					p.Value.Data[i] -= s.LR * float64(g.Data[i]+float64(s.Momentum*v.Data[i]))
-				}
-			} else {
-				p.Value.AddScaled(-s.LR, v)
-			}
+			p.Value.AddScaled(-s.LR, v)
 		} else {
 			p.Value.AddScaled(-s.LR, g)
 		}
@@ -220,54 +214,51 @@ func sgdFourPass(s *SGD, vel map[*nn.Param]*tensor.Tensor, params []*nn.Param) {
 }
 
 // TestSGDOnePassMatchesFourPass holds Step bit for bit to the four-pass
-// sequence over six steps, with and without momentum, Nesterov and weight
-// decay, on parameters with and without Decay; gradients include ±0, and
-// weights ±0 and subnormals.
+// sequence over six steps, with and without momentum and weight decay, on
+// parameters with and without Decay; gradients include ±0, and weights ±0
+// and subnormals.
 func TestSGDOnePassMatchesFourPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e300}
 	for _, momentum := range []float64{0, 0.9} {
-		for _, nesterov := range []bool{false, true} {
-			for _, wd := range []float64{0, 5e-4} {
-				mk := func() []*nn.Param {
-					r := rand.New(rand.NewSource(6))
-					ps := []*nn.Param{nn.NewParam("w", true, 7, 5), nn.NewParam("b", false, 37)}
-					for _, p := range ps {
-						for i := range p.Value.Data {
-							p.Value.Data[i] = r.NormFloat64()
-						}
-						copy(p.Value.Data, special)
+		for _, wd := range []float64{0, 5e-4} {
+			mk := func() []*nn.Param {
+				r := rand.New(rand.NewSource(6))
+				ps := []*nn.Param{nn.NewParam("w", true, 7, 5), nn.NewParam("b", false, 37)}
+				for _, p := range ps {
+					for i := range p.Value.Data {
+						p.Value.Data[i] = r.NormFloat64()
 					}
-					return ps
+					copy(p.Value.Data, special)
 				}
-				got, want := mk(), mk()
-				s := NewSGD(0.05, momentum, wd)
-				s.Nesterov = nesterov
-				ref := &SGD{LR: 0.05, Momentum: momentum, WeightDecay: wd, Nesterov: nesterov}
-				vel := map[*nn.Param]*tensor.Tensor{}
-				for step := 0; step < 6; step++ {
-					for k, p := range got {
-						for i := range p.Grad.Data {
-							v := rng.NormFloat64()
-							if i < len(special) {
-								v = special[(i+step)%len(special)] / 1e200
-							}
-							p.Grad.Data[i], want[k].Grad.Data[i] = v, v
+				return ps
+			}
+			got, want := mk(), mk()
+			s := NewSGD(0.05, momentum, wd)
+			ref := &SGD{LR: 0.05, Momentum: momentum, WeightDecay: wd}
+			vel := map[*nn.Param]*tensor.Tensor{}
+			for step := 0; step < 6; step++ {
+				for k, p := range got {
+					for i := range p.Grad.Data {
+						v := rng.NormFloat64()
+						if i < len(special) {
+							v = special[(i+step)%len(special)] / 1e200
+						}
+						p.Grad.Data[i], want[k].Grad.Data[i] = v, v
+					}
+				}
+				s.Step(got)
+				sgdFourPass(ref, vel, want)
+				for k, p := range got {
+					for i, v := range p.Value.Data {
+						if math.Float64bits(v) != math.Float64bits(want[k].Value.Data[i]) {
+							t.Fatalf("momentum %v wd %v step %d %s[%d] = %v, four-pass %v",
+								momentum, wd, step, p.Name, i, v, want[k].Value.Data[i])
 						}
 					}
-					s.Step(got)
-					sgdFourPass(ref, vel, want)
-					for k, p := range got {
-						for i, v := range p.Value.Data {
-							if math.Float64bits(v) != math.Float64bits(want[k].Value.Data[i]) {
-								t.Fatalf("momentum %v nesterov %v wd %v step %d %s[%d] = %v, four-pass %v",
-									momentum, nesterov, wd, step, p.Name, i, v, want[k].Value.Data[i])
-							}
-						}
-						for i, v := range p.Grad.Data {
-							if math.Float64bits(v) != 0 {
-								t.Fatalf("%s gradient [%d] = %v after Step, want +0", p.Name, i, v)
-							}
+					for i, v := range p.Grad.Data {
+						if math.Float64bits(v) != 0 {
+							t.Fatalf("%s gradient [%d] = %v after Step, want +0", p.Name, i, v)
 						}
 					}
 				}
