@@ -229,6 +229,51 @@ func TestIm2ColShiftMatchesRows(t *testing.T) {
 	}
 }
 
+// TestIm2ColIntoMatchesPerSample lowers a batch one sample at a time into one
+// reused column buffer, as the conv layers do, over the edge shapes of
+// TestIm2ColGemmMatchesDirectConv. Each sample's matrix must equal a fresh
+// lowering of that sample into a zeroed buffer exactly, so nothing of the
+// previous sample (or the garbage the buffer starts with) survives, and the
+// tail past the matrix must stay untouched.
+func TestIm2ColIntoMatchesPerSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	cases := []struct{ batch, c, h, w, kh, kw, stride, pad int }{
+		{3, 2, 6, 6, 3, 3, 1, 1},
+		{2, 3, 5, 7, 3, 3, 2, 1},
+		{4, 1, 4, 4, 2, 2, 2, 0},
+		{2, 2, 8, 8, 1, 1, 1, 0},
+		{1, 4, 6, 6, 5, 5, 1, 2},
+		{2, 2, 3, 3, 3, 3, 1, 3}, // pad > kernel reach: all-padding edge rows
+		{2, 1, 1, 1, 6, 6, 1, 3}, // kernel reach exceeds w+pad: lo must clamp to outW
+		{1, 1, 2, 2, 5, 5, 2, 2}, // strided with taps past the padded row
+	}
+	for _, tc := range cases {
+		outH := ConvOutSize(tc.h, tc.kh, tc.stride, tc.pad)
+		outW := ConvOutSize(tc.w, tc.kw, tc.stride, tc.pad)
+		n := tc.c * tc.kh * tc.kw * outH * outW
+		reused := randSlice(n+3, rng) // garbage start and a guarded tail
+		tail := append([]float64(nil), reused[n:]...)
+		single := make([]float64, n)
+		for b := 0; b < tc.batch; b++ {
+			src := randSlice(tc.c*tc.h*tc.w, rng)
+			Im2Col(src, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, reused)
+			clear(single)
+			Im2Col(src, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, single)
+			for i, want := range single {
+				if got := reused[i]; got != want {
+					t.Fatalf("%+v sample %d col[%d,%d] = %g, want %g",
+						tc, b, i/(outH*outW), i%(outH*outW), got, want)
+				}
+			}
+			for i, want := range tail {
+				if got := reused[n+i]; got != want {
+					t.Fatalf("%+v sample %d wrote past the matrix at +%d: %g, want %g", tc, b, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 // vggMiniConvShapes are the eight convolution inputs of VGG13Mini at full
 // width: channels and the square spatial extent. The first is the unsliced
 // network input.
