@@ -89,7 +89,7 @@ var im2colPool = sync.Pool{New: func() any { return new([]float64) }}
 // which every product overwrites.
 var padPool = sync.Pool{New: func() any { return new([]float64) }}
 
-// gradPool recycles Backward's worker-private dW+dB accumulator. It is
+// gradPool recycles Backward's per-part dW+dB accumulator. It is
 // kept apart from the scratch pools so weight-sized buffers never promote
 // image buffers (or the reverse). Callers zero what they accumulate into.
 var gradPool = sync.Pool{New: func() any { return new([]float64) }}
@@ -158,12 +158,14 @@ func (c *Conv2D) forward(ctx *Context, x *tensor.Tensor, gn *GroupNorm) *tensor.
 		bufs[i] = poolGet(&im2colPool, colRows*spatial)
 		cols[i] = (*bufs[i])[:colRows*spatial]
 	}
-	parallelFor(batch, func(worker, b int) {
-		col := cols[worker]
-		src := x.Data[b*inPlane : (b+1)*inPlane]
-		tensor.Im2Col(src, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, col)
-		dst := y.Data[b*outPlane : (b+1)*outPlane]
-		tensor.GemmEx(c.aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial, &tensor.Epilogue{RowShift: bias})
+	parallelFor(nw, func(i int) {
+		col := cols[i]
+		for b, end := span(batch, nw, i); b < end; b++ {
+			src := x.Data[b*inPlane : (b+1)*inPlane]
+			tensor.Im2Col(src, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, col)
+			dst := y.Data[b*outPlane : (b+1)*outPlane]
+			tensor.GemmEx(c.aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial, &tensor.Epilogue{RowShift: bias})
+		}
 	})
 	for i := 0; i < nw; i++ {
 		im2colPool.Put(bufs[i])
@@ -185,10 +187,10 @@ func (c *Conv2D) forwardShift(x, y *tensor.Tensor, bias []float64, gn *GroupNorm
 	imgLen := s.imgLen(c.aIn)
 	dense := denseLayout(c.aOut, c.h, c.w)
 	scratch, bufs := padScratch(nw, imgLen, c.aOut*s.n)
-	parallelFor(nw, func(worker, _ int) {
-		img, ext := scratch[worker][:imgLen], scratch[worker][imgLen:]
+	parallelFor(nw, func(i int) {
+		img, ext := scratch[i][:imgLen], scratch[i][imgLen:]
 		a := shiftA{a: c.W.Value.Data, lda: ldW, k: colRows, ep: &tensor.Epilogue{RowShift: bias}}
-		for b0, end := s.span(batch, nw, worker); b0 < end; b0 += s.g {
+		for b0, end := span(batch, nw, i); b0 < end; b0 += s.g {
 			gb := min(s.g, end-b0)
 			s.padIn(img, x.Data, c.aIn, b0, gb)
 			c.shiftConv(s, a, c.aOut, gb, img, ext)
@@ -348,14 +350,15 @@ func (c *Conv2D) shiftGeom(batch, h, w int) shiftGeom {
 // groups is the number of sample groups in a batch.
 func (s shiftGeom) groups(batch int) int { return (batch + s.g - 1) / s.g }
 
-// span is training's share of a batch for one of nw workers: a contiguous
-// run of samples that the worker takes in groups of up to g. Splitting the
-// samples, not whole groups, keeps the workers within a sample of each
-// other: 32 samples on a 4×4 plane are groups of 10, 10, 10 and 2, which two
-// workers would take as 20 and 12.
-func (s shiftGeom) span(batch, nw, worker int) (lo, hi int) {
+// span is training's share i of a batch cut into nw parts, one per unit of
+// a parallelFor region: a contiguous run of samples, which the shifted-row
+// lowering takes in groups of up to g. Splitting the samples, not whole
+// groups, keeps the parts within a sample of each other: 32 samples on a
+// 4×4 plane are groups of 10, 10, 10 and 2, which two parts would take as
+// 20 and 12.
+func span(batch, nw, i int) (lo, hi int) {
 	chunk := (batch + nw - 1) / nw
-	return min(worker*chunk, batch), min((worker+1)*chunk, batch)
+	return min(i*chunk, batch), min((i+1)*chunk, batch)
 }
 
 // grid is the width of a gb-sample group's product: it ends at the last
@@ -556,10 +559,11 @@ func inferShift(ctx *Context, x *tensor.Tensor, stages []shiftStage) *tensor.Ten
 }
 
 // Backward accumulates dW, dB, returns dx[B, aIn, H, W] and drops the
-// cached input. Each batch worker accumulates into a private dW (and dB)
-// that covers only the active aOut × colRows block, packed with row stride
-// colRows, so its size and the reduction scale with r²; the reduction into
-// the gradients follows the loop.
+// cached input. Each part of the batch (span) accumulates into a private dW
+// (and dB) that covers only the active aOut × colRows block, packed with row
+// stride colRows, so its size and the reduction scale with r²; the reduction
+// into the gradients follows the loop, in part order, so no bit depends on
+// which goroutine ran a part.
 func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	return c.backward(ctx, dy, nil)
 }
@@ -604,14 +608,14 @@ func (c *Conv2D) backward(ctx *Context, dy *tensor.Tensor, gn *GroupNorm) *tenso
 		if gn != nil {
 			part = arena.GetUninit(2 * batch * c.aOut).Data
 		}
-		c.backwardShift(s, dy, dx, dws, dbs, gn, part)
+		c.backwardShift(s, nw, dy, dx, dws, dbs, gn, part)
 		if gn != nil {
 			gn.addPartials(part, batch)
 		}
 	} else {
 		// Col2Im accumulates.
 		dx = arenaOf(ctx).Get(batch, c.aIn, c.h, c.w)
-		c.backwardIm2col(dy, dx, dws, dbs)
+		c.backwardIm2col(nw, dy, dx, dws, dbs)
 	}
 	for i := 0; i < nw; i++ {
 		for oc := 0; oc < c.aOut; oc++ {
@@ -635,28 +639,27 @@ func (c *Conv2D) backward(ctx *Context, dy *tensor.Tensor, gn *GroupNorm) *tenso
 }
 
 // backwardShift is Backward of a same convolution on the shifted-row
-// lowering, one sample group per call of the worker loop. The data gradient
-// is itself a same convolution: dy through the kernel flipped in space and
-// transposed in channels (wf [aIn × aOut·KH·KW], built once per call), run
-// by shiftConv on dy's padded image straight into dx. That image, read from
-// the first pixel on, is the output gradient on the extended grid (zero in
-// the gaps and pad rows), and dW is its windowed dot with the re-padded
-// input (tensor.GemmShiftTB): dW[oc, q] = Σ_j dy[oc, j]·x_q[j]; the bias
-// gradient sums its planes. Nothing builds a column matrix or packs a
-// transpose, and Forward cached only x.
+// lowering, one part of the batch per call of the worker loop, a sample
+// group at a time. The data gradient is itself a same convolution: dy
+// through the kernel flipped in space and transposed in channels (wf [aIn ×
+// aOut·KH·KW], built once per call), run by shiftConv on dy's padded image
+// straight into dx. That image, read from the first pixel on, is the output
+// gradient on the extended grid (zero in the gaps and pad rows), and dW is
+// its windowed dot with the re-padded input (tensor.GemmShiftTB): dW[oc, q]
+// = Σ_j dy[oc, j]·x_q[j]; the bias gradient sums its planes. Nothing builds
+// a column matrix or packs a transpose, and Forward cached only x.
 //
 // With a non-nil gn the image is not padded from dy: GroupNorm.backwardSample
 // writes each sample's conv output gradient into it, the ReLU mask and x̂
 // recomputed from gn's cache (the conv output and its statistics), with its
 // dγ and dβ shares in part.
-func (c *Conv2D) backwardShift(s shiftGeom, dy, dx *tensor.Tensor, dws, dbs [maxBatchWorkers][]float64, gn *GroupNorm, part []float64) {
+func (c *Conv2D) backwardShift(s shiftGeom, nw int, dy, dx *tensor.Tensor, dws, dbs [maxBatchWorkers][]float64, gn *GroupNorm, part []float64) {
 	batch := dy.Dim(0)
 	colRows, dcolRows := c.aIn*c.KH*c.KW, c.aOut*c.KH*c.KW
 	wfBuf := poolGet(&gradPool, c.aIn*dcolRows)
 	wf := (*wfBuf)[:c.aIn*dcolRows]
 	c.flippedKernel(wf)
 	a := shiftA{a: wf, lda: dcolRows, k: dcolRows}
-	nw := maxWorkers(s.groups(batch))
 	xLen, dyLen := s.imgLen(c.aIn), s.imgLen(c.aOut)
 	scratch, bufs := padScratch(nw, xLen+dyLen, c.aIn*s.n)
 	plane := c.aOut * c.h * c.w
@@ -667,10 +670,10 @@ func (c *Conv2D) backwardShift(s shiftGeom, dy, dx *tensor.Tensor, dws, dbs [max
 		ag = gn.activeGroups(c.aOut)
 		gnOut = tensor.Grid{Ch: gn.C / gn.NormGroups, Rows: s.h, Cols: s.w, LD: s.ld, CS: s.plane}
 	}
-	parallelFor(nw, func(worker, _ int) {
-		sc := scratch[worker]
+	parallelFor(nw, func(i int) {
+		sc := scratch[i]
 		ximg, dyimg, ext := sc[:xLen], sc[xLen:xLen+dyLen], sc[xLen+dyLen:]
-		for b0, end := s.span(batch, nw, worker); b0 < end; b0 += s.g {
+		for b0, end := span(batch, nw, i); b0 < end; b0 += s.g {
 			gb := min(s.g, end-b0)
 			if gn == nil {
 				s.padIn(dyimg, dy.Data, c.aOut, b0, gb)
@@ -684,10 +687,10 @@ func (c *Conv2D) backwardShift(s shiftGeom, dy, dx *tensor.Tensor, dws, dbs [max
 			c.shiftConv(s, a, c.aIn, gb, dyimg, ext)
 			s.copyOut(dx.Data, dxPlanes, ext, c.aIn, b0, gb)
 			s.padIn(ximg, c.x.Data, c.aIn, b0, gb)
-			tensor.GemmShiftTB(c.aOut, colRows, s.grid(gb), c.KH, c.KW, dyimg[s.origin():], s.plane, ximg, s.ld, s.plane, dws[worker], colRows)
+			tensor.GemmShiftTB(c.aOut, colRows, s.grid(gb), c.KH, c.KW, dyimg[s.origin():], s.plane, ximg, s.ld, s.plane, dws[i], colRows)
 			if c.B != nil {
 				for sm := 0; sm < gb; sm++ {
-					addBiasGrad(dbs[worker], dyimg[sm*s.frame+s.origin():], s.h, s.w, s.ld, s.plane)
+					addBiasGrad(dbs[i], dyimg[sm*s.frame+s.origin():], s.h, s.w, s.ld, s.plane)
 				}
 			}
 		}
@@ -698,18 +701,18 @@ func (c *Conv2D) backwardShift(s shiftGeom, dy, dx *tensor.Tensor, dws, dbs [max
 	gradPool.Put(wfBuf)
 }
 
-// backwardIm2col is Backward of every other shape, one sample per call of
-// the worker loop: dW += dy_b · im2col(x_b)ᵀ (GemmTB), and dcol = Wᵀ·dy_b
-// (GemmTA) scattered back into dx_b (Col2Im), both on pooled column
-// matrices (dcol is zeroed before its accumulating product).
-func (c *Conv2D) backwardIm2col(dy, dx *tensor.Tensor, dws, dbs [maxBatchWorkers][]float64) {
+// backwardIm2col is Backward of every other shape, one part of the batch
+// per call of the worker loop, a sample at a time: dW += dy_b · im2col(x_b)ᵀ
+// (GemmTB), and dcol = Wᵀ·dy_b (GemmTA) scattered back into dx_b (Col2Im),
+// both on pooled column matrices (dcol is zeroed before its accumulating
+// product).
+func (c *Conv2D) backwardIm2col(nw int, dy, dx *tensor.Tensor, dws, dbs [maxBatchWorkers][]float64) {
 	batch := dy.Dim(0)
 	inPlane := c.aIn * c.h * c.w
 	spatial := c.outH * c.outW
 	outPlane := c.aOut * spatial
 	colRows := c.aIn * c.KH * c.KW
 	ldW := c.In * c.KH * c.KW
-	nw := maxWorkers(batch)
 	var cols, dcols [maxBatchWorkers][]float64
 	var bufs [2 * maxBatchWorkers]*[]float64
 	for i := 0; i < nw; i++ {
@@ -718,16 +721,18 @@ func (c *Conv2D) backwardIm2col(dy, dx *tensor.Tensor, dws, dbs [maxBatchWorkers
 		cols[i] = (*bufs[2*i])[:colRows*spatial]
 		dcols[i] = (*bufs[2*i+1])[:colRows*spatial]
 	}
-	parallelFor(batch, func(worker, b int) {
-		col, dcol := cols[worker], dcols[worker]
-		tensor.Im2Col(c.x.Data[b*inPlane:(b+1)*inPlane], c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, col)
-		g := dy.Data[b*outPlane : (b+1)*outPlane]
-		tensor.GemmTB(c.aOut, colRows, spatial, g, spatial, col, spatial, dws[worker], colRows)
-		clear(dcol)
-		tensor.GemmTA(colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, dcol, spatial)
-		tensor.Col2Im(dcol, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, dx.Data[b*inPlane:(b+1)*inPlane])
-		if c.B != nil {
-			addBiasGrad(dbs[worker], g, 1, spatial, spatial, spatial)
+	parallelFor(nw, func(i int) {
+		col, dcol := cols[i], dcols[i]
+		for b, end := span(batch, nw, i); b < end; b++ {
+			tensor.Im2Col(c.x.Data[b*inPlane:(b+1)*inPlane], c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, col)
+			g := dy.Data[b*outPlane : (b+1)*outPlane]
+			tensor.GemmTB(c.aOut, colRows, spatial, g, spatial, col, spatial, dws[i], colRows)
+			clear(dcol)
+			tensor.GemmTA(colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, dcol, spatial)
+			tensor.Col2Im(dcol, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, dx.Data[b*inPlane:(b+1)*inPlane])
+			if c.B != nil {
+				addBiasGrad(dbs[i], g, 1, spatial, spatial, spatial)
+			}
 		}
 	})
 	for _, buf := range bufs[:2*nw] {

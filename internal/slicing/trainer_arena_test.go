@@ -257,9 +257,9 @@ func TestTrainerFusedMatchesChain(t *testing.T) {
 }
 
 // stepAllocsBound is what a VGG13Mini R-min-max step at batch 32 allocates
-// (68) plus 10 %. testing.AllocsPerRun measures at GOMAXPROCS=1, so
-// parallelFor runs inline: what is left is Conv2D's per-call closures (60)
-// and each sub-network's context and loss gradient.
+// (68) plus 10 %: Conv2D's per-call closures (60) and each sub-network's
+// context and loss gradient. It holds at GOMAXPROCS=1, where parallelFor
+// runs inline, and at 2, where its regions run on persistent helpers.
 const stepAllocsBound = 75
 
 func TestTrainerStepAllocs(t *testing.T) {
@@ -273,6 +273,38 @@ func TestTrainerStepAllocs(t *testing.T) {
 	tr.Step(batch) // grows the pooled arena to the full-width sub-network
 	if allocs := testing.AllocsPerRun(5, func() { tr.Step(batch) }); allocs > stepAllocsBound {
 		t.Errorf("a step allocates %v times, want ≤ %v", allocs, stepAllocsBound)
+	}
+}
+
+// TestTrainerStepAllocsTwoProcs is TestTrainerStepAllocs at GOMAXPROCS=2.
+// testing.AllocsPerRun pins GOMAXPROCS to 1, where parallelFor runs inline,
+// so it would not see a region that spawns goroutines; this counts the
+// process's mallocs over whole steps instead. Those include whatever the
+// runtime and other goroutines allocate meanwhile, so it takes the least of
+// three 10-step counts.
+func TestTrainerStepAllocsTwoProcs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race by design")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rates := NewRateList(0.25, 4)
+	rng := rand.New(rand.NewSource(35))
+	tr := NewTrainer(arenaCases[0].build(rng), rates, NewRMinMax(rates), train.NewSGD(0.01, 0.9, 0), rng)
+	batch := imageBatch(32, 36)
+	tr.Step(batch) // grows the pooled arena and starts the helpers
+	const steps = 10
+	least := math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < steps; i++ {
+			tr.Step(batch)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, float64(after.Mallocs-before.Mallocs)/steps)
+	}
+	if least > stepAllocsBound {
+		t.Errorf("a step at GOMAXPROCS=2 allocates %v times (least of three runs), want ≤ %v", least, stepAllocsBound)
 	}
 }
 
