@@ -42,12 +42,13 @@ func L1GammaPenalty(layer nn.Layer, lambda float64) {
 }
 
 func addSign(p *nn.Param, lambda float64) {
+	g := p.Grad().Data
 	for i, v := range p.Value.Data {
 		switch {
 		case v > 0:
-			p.Grad.Data[i] += lambda
+			g[i] += lambda
 		case v < 0:
-			p.Grad.Data[i] -= lambda
+			g[i] -= lambda
 		}
 	}
 }

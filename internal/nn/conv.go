@@ -24,12 +24,6 @@ type Conv2D struct {
 	W *Param // [Out, In*KH*KW]
 	B *Param // [Out], nil when built without bias
 
-	// packs caches the per-width micro-panel packs of W as the GEMM's A
-	// operand: each active (aOut, aIn·KH·KW) prefix is packed once
-	// (tensor.PackA) and then served read-only to every worker. Training
-	// invalidates it (see Forward).
-	packs packCache
-
 	// cached forward state
 	x          *tensor.Tensor
 	aIn, aOut  int
@@ -118,9 +112,6 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 // output, normalized out of each sample group's product grid in the same
 // worker loop (forwardShift).
 func (c *Conv2D) forward(ctx *Context, x *tensor.Tensor, gn *GroupNorm) *tensor.Tensor {
-	// Forward precedes weight updates; cached inference packs would go
-	// stale, so drop them.
-	c.packs.invalidate()
 	r := ctx.EffRate()
 	c.aIn, c.aOut = c.Active(r)
 	if x.Rank() != 4 || x.Dim(1) != c.aIn {
@@ -181,7 +172,6 @@ func (c *Conv2D) forward(ctx *Context, x *tensor.Tensor, gn *GroupNorm) *tensor.
 // recording the statistics (normGrid).
 func (c *Conv2D) forwardShift(x, y *tensor.Tensor, bias []float64, gn *GroupNorm, out *tensor.Tensor) {
 	batch := x.Dim(0)
-	ldW, colRows := c.In*c.KH*c.KW, c.aIn*c.KH*c.KW
 	s := c.shiftGeom(batch, c.h, c.w)
 	nw := maxWorkers(s.groups(batch))
 	imgLen := s.imgLen(c.aIn)
@@ -189,7 +179,7 @@ func (c *Conv2D) forwardShift(x, y *tensor.Tensor, bias []float64, gn *GroupNorm
 	scratch, bufs := padScratch(nw, imgLen, c.aOut*s.n)
 	parallelFor(nw, func(i int) {
 		img, ext := scratch[i][:imgLen], scratch[i][imgLen:]
-		a := shiftA{a: c.W.Value.Data, lda: ldW, k: colRows, ep: &tensor.Epilogue{RowShift: bias}}
+		a := c.weightA(c.aIn, &tensor.Epilogue{RowShift: bias})
 		for b0, end := span(batch, nw, i); b0 < end; b0 += s.g {
 			gb := min(s.g, end-b0)
 			s.padIn(img, x.Data, c.aIn, b0, gb)
@@ -218,8 +208,9 @@ func padScratch(nw, images, grid int) (scratch [maxBatchWorkers][]float64, bufs 
 
 // Infer computes y[B, aOut, outH, outW] on the read-only inference path: a
 // same convolution on the shifted rows (inferShift), other shapes on one
-// cache-hot column matrix per sample (inferIm2col). The bias is applied as
-// a fused GEMM epilogue.
+// cache-hot column matrix per sample (inferIm2col). Both read the weight
+// prefix in place from the parent buffer. The bias is applied as a fused
+// GEMM epilogue.
 func (c *Conv2D) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	return c.stage(ctx).infer(ctx, x)
 }
@@ -256,7 +247,7 @@ func (st shiftStage) infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	outH, outW := c.OutShape(x.Dim(2), x.Dim(3))
 	// Every output element is written by the assign-mode GEMM.
 	y := arenaOf(ctx).GetUninit(batch, aOut, outH, outW)
-	c.inferIm2col(arenaOf(ctx), tier, x, y, c.pack(aIn, aOut), &st.ep)
+	c.inferIm2col(arenaOf(ctx), tier, x, y, &st.ep)
 	if gn := st.gn; gn != nil {
 		hw := outH * outW
 		gn.normalize(y.Data, denseLayout(aOut, 1, hw), nil, y.Data, batch, gn.activeGroups(aOut), gn.packedGroup(hw), aOut*hw, true)
@@ -264,20 +255,10 @@ func (st shiftStage) infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-// pack returns the per-width persistent pack of the weight as the product's
-// A operand: immutable for the life of the pass, built once and shared by
-// every worker.
-func (c *Conv2D) pack(aIn, aOut int) *tensor.PackedMat {
-	colRows := aIn * c.KH * c.KW
-	return c.packs.get(packKey{aOut, colRows}, func() *tensor.PackedMat {
-		return tensor.PackA(aOut, colRows, c.W.Value.Data, c.In*c.KH*c.KW)
-	})
-}
-
 // inferIm2col is the column-matrix lowering of shiftStage.infer: each sample's
 // [aIn·KH·KW × outH·outW] column matrix is built and consumed by its GEMM
 // while still cache-hot, the product landing in the sample's output plane.
-func (c *Conv2D) inferIm2col(arena *tensor.Arena, tier tensor.EngineTier, x, y *tensor.Tensor, pw *tensor.PackedMat, ep *tensor.Epilogue) {
+func (c *Conv2D) inferIm2col(arena *tensor.Arena, tier tensor.EngineTier, x, y *tensor.Tensor, ep *tensor.Epilogue) {
 	batch, aIn, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	aOut := y.Dim(1)
 	spatial := y.Dim(2) * y.Dim(3)
@@ -299,7 +280,7 @@ func (c *Conv2D) inferIm2col(arena *tensor.Arena, tier tensor.EngineTier, x, y *
 			tensor.Im2Col(src, aIn, h, w, c.KH, c.KW, c.Stride, c.Pad, col)
 		}
 		dst := y.Data[b*outPlane : (b+1)*outPlane]
-		tensor.GemmPackedExT(tier, aOut, spatial, colRows, pw, col, spatial, dst, spatial, ep)
+		tensor.GemmExT(tier, aOut, spatial, colRows, c.W.Value.Data, c.In*c.KH*c.KW, col, spatial, dst, spatial, ep)
 	}
 }
 
@@ -414,14 +395,20 @@ func (s shiftGeom) padIn(img, src []float64, ch, b0, gb int) {
 	}
 }
 
-// shiftA is the weight side of a shifted-row product: a pack (served
-// weights) or a strided prefix of k columns (training's weight and flipped
-// kernel), and the product's epilogue.
+// shiftA is the weight side of a shifted-row product: a strided prefix of k
+// columns (the weight, served or trained, or training's flipped kernel), and
+// the product's epilogue.
 type shiftA struct {
-	pw     *tensor.PackedMat
 	a      []float64
 	lda, k int
 	ep     *tensor.Epilogue
+}
+
+// weightA is the weight prefix of aIn input channels as a shifted-row
+// product's A, read in place from the parent buffer.
+func (c *Conv2D) weightA(aIn int, ep *tensor.Epilogue) shiftA {
+	taps := c.KH * c.KW
+	return shiftA{a: c.W.Value.Data, lda: c.In * taps, k: aIn * taps, ep: ep}
 }
 
 // shiftConv runs one gb-sample group's product of the shifted-row lowering:
@@ -433,12 +420,7 @@ type shiftA struct {
 // of the grid out (copyOut) or normalizes it straight out of the grid
 // (normGrid).
 func (c *Conv2D) shiftConv(s shiftGeom, a shiftA, m, gb int, img, ext []float64) {
-	n := s.grid(gb)
-	if a.pw != nil {
-		tensor.GemmPackedShiftEx(m, n, c.KH, c.KW, a.pw, img, s.ld, s.plane, ext, s.n, a.ep)
-	} else {
-		tensor.GemmShiftEx(m, n, a.k, c.KH, c.KW, a.a, a.lda, img, s.ld, s.plane, ext, s.n, a.ep)
-	}
+	tensor.GemmShiftEx(m, s.grid(gb), a.k, c.KH, c.KW, a.a, a.lda, img, s.ld, s.plane, ext, s.n, a.ep)
 }
 
 // copyOut writes the part of the grid ext (m channels) that belongs to each
@@ -472,14 +454,13 @@ func (s shiftGeom) normGrid(gn *GroupNorm, dst []float64, out layout, stats, ext
 // shiftStage is one layer of a run that inferShift serves sample group by
 // sample group: a same convolution with its epilogue and, for a
 // Conv→GroupNorm→ReLU, its GroupNorm; or the max-pool that opens a run.
-// inferShift fills in the pass's pack, widths and input image.
+// inferShift fills in the pass's widths and input image.
 type shiftStage struct {
 	conv *Conv2D
 	ep   tensor.Epilogue
 	gn   *GroupNorm
 	pool *MaxPool2D
 
-	pw        *tensor.PackedMat
 	aIn, aOut int
 	img       []float64
 }
@@ -490,13 +471,13 @@ type stager interface {
 	stage(ctx *Context) shiftStage
 }
 
-// inferShift serves a run of stages on the shifted rows (packed weights,
-// tensor.GemmPackedShiftEx) from the dense input x, one sample group at a
-// time: the first conv pads the group in from x (padIn), or the opening
-// pool writes it into the first conv's image; each conv's product is copied
-// out, or with a GroupNorm normalized with a ReLU straight out of its grid
-// (normGrid), into the interior of the next conv's image, the last conv's
-// into the dense output. Each conv's image holds one group and is zeroed
+// inferShift serves a run of stages on the shifted rows (each weight prefix
+// read in place, tensor.GemmShiftEx) from the dense input x, one sample
+// group at a time: the first conv pads the group in from x (padIn), or the
+// opening pool writes it into the first conv's image; each conv's product is
+// copied out, or with a GroupNorm normalized with a ReLU straight out of its
+// grid (normGrid), into the interior of the next conv's image, the last
+// conv's into the dense output. Each conv's image holds one group and is zeroed
 // once per call: every group rewrites the same interior, so the pads stay
 // zero, and a short last group leaves stale frames behind its samples that
 // no output it keeps reads. The groups run one after another through one
@@ -521,7 +502,6 @@ func inferShift(ctx *Context, x *tensor.Tensor, stages []shiftStage) *tensor.Ten
 		if st.aIn != ch {
 			panic(fmt.Sprintf("nn: Conv2D.Infer input [%d %d %d %d], want [B %d H W] at rate %v", batch, ch, h, w, st.aIn, r))
 		}
-		st.pw = st.conv.pack(st.aIn, st.aOut)
 		st.img = arena.Get(s.imgLen(st.aIn)).Data
 		ch, maxOut = st.aOut, max(maxOut, st.aOut)
 	}
@@ -543,7 +523,7 @@ func inferShift(ctx *Context, x *tensor.Tensor, stages []shiftStage) *tensor.Ten
 		}
 		for t := range convs {
 			st := &convs[t]
-			st.conv.shiftConv(s, shiftA{pw: st.pw, ep: &st.ep}, st.aOut, gb, st.img, ext)
+			st.conv.shiftConv(s, st.conv.weightA(st.aIn, &st.ep), st.aOut, gb, st.img, ext)
 			dst, out, ob := y.Data, dense, b0
 			if t+1 < len(convs) {
 				dst, out, ob = convs[t+1].img, s.image(st.aOut), 0
@@ -617,9 +597,10 @@ func (c *Conv2D) backward(ctx *Context, dy *tensor.Tensor, gn *GroupNorm) *tenso
 		dx = arenaOf(ctx).Get(batch, c.aIn, c.h, c.w)
 		c.backwardIm2col(nw, dy, dx, dws, dbs)
 	}
+	gW := c.W.Grad().Data
 	for i := 0; i < nw; i++ {
 		for oc := 0; oc < c.aOut; oc++ {
-			gw := c.W.Grad.Data[oc*ldW : oc*ldW+colRows]
+			gw := gW[oc*ldW : oc*ldW+colRows]
 			for j, v := range dws[i][oc*colRows : (oc+1)*colRows] {
 				if v != 0 {
 					gw[j] += v
@@ -627,7 +608,7 @@ func (c *Conv2D) backward(ctx *Context, dy *tensor.Tensor, gn *GroupNorm) *tenso
 			}
 		}
 		if c.B != nil {
-			gb := c.B.Grad.Data
+			gb := c.B.Grad().Data
 			for j, v := range dbs[i] {
 				gb[j] += v
 			}
@@ -773,10 +754,6 @@ func (c *Conv2D) flippedKernel(wf []float64) {
 		}
 	}
 }
-
-// packCacheBytes reports the resident per-width pack memory (see
-// PackCacheBytes).
-func (c *Conv2D) packCacheBytes() int64 { return c.packs.bytes() }
 
 // Params returns the learnable parameters.
 func (c *Conv2D) Params() []*Param {

@@ -15,19 +15,18 @@ import (
 // lowering bit for bit, and the windowed weight gradient must agree with
 // GemmTB over the column matrix to rounding.
 
-// shiftVsIm2col runs one same convolution through both served lowerings on a
-// packed weight and reports the first element where they differ.
+// shiftVsIm2col runs one same convolution through both served lowerings,
+// each reading the weight prefix in place, and reports the first element
+// where they differ.
 func shiftVsIm2col(c *Conv2D, x *tensor.Tensor, aOut int, ep *tensor.Epilogue) error {
 	aIn, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
-	colRows := aIn * c.KH * c.KW
-	pw := tensor.PackA(aOut, colRows, c.W.Value.Data, c.In*c.KH*c.KW)
 	arena := tensor.NewArena()
 	want := tensor.New(x.Dim(0), aOut, h, w)
 	got := tensor.New(x.Dim(0), aOut, h, w)
 	for i := range got.Data {
 		got.Data[i] = math.NaN() // every element must be written
 	}
-	c.inferIm2col(arena, tensor.TierExact, x, want, pw, ep)
+	c.inferIm2col(arena, tensor.TierExact, x, want, ep)
 	st := [1]shiftStage{{conv: c}}
 	if ep != nil {
 		st[0].ep = *ep
@@ -110,11 +109,11 @@ func trainVsIm2col(c *Conv2D, r float64, x, dy *tensor.Tensor, tol float64) erro
 		}
 		return nil
 	}
-	if err := near("dW", c.W.Grad.Data, wantW, magW); err != nil {
+	if err := near("dW", c.W.Grad().Data, wantW, magW); err != nil {
 		return err
 	}
 	if c.B != nil {
-		return near("dB", c.B.Grad.Data[:aOut], wantB, magB)
+		return near("dB", c.B.Grad().Data[:aOut], wantB, magB)
 	}
 	return nil
 }
@@ -219,7 +218,7 @@ func fusedTrainVsChain(c *Conv2D, x *tensor.Tensor, normGroups int, rng *rand.Ra
 		ctx := &Context{Training: true, Rate: 1}
 		out := [][]float64{l.Forward(ctx, x).Clone().Data, l.Backward(ctx, dy).Clone().Data}
 		for _, p := range chain.Params() {
-			out = append(out, p.Grad.Clone().Data)
+			out = append(out, p.Grad().Clone().Data)
 		}
 		return out
 	}
@@ -342,8 +341,8 @@ var vggMiniConvs = []struct{ in, out, hw int }{
 
 // BenchmarkConvInferLowering is the sweep behind the served conv routing:
 // every VGG13Mini conv at batch 8 and three rates, the im2col and the
-// shifted-row lowering on the same packed weight. One op runs both lowerings back to back,
-// so host drift hits them alike; the metrics are µs per batch for each and
+// shifted-row lowering on the same weight prefix. One op runs both lowerings
+// back to back, so host drift hits them alike; the metrics are µs per batch for each and
 // their ratio (shift/im2col, below 1 where the shifted rows win).
 func BenchmarkConvInferLowering(b *testing.B) {
 	rng := rand.New(rand.NewSource(302))
@@ -357,13 +356,12 @@ func BenchmarkConvInferLowering(b *testing.B) {
 		for _, r := range []float64{0.25, 0.5, 1} {
 			aIn, aOut := c.Active(r)
 			x := randTensor(rng, 8, aIn, s.hw, s.hw)
-			pw := tensor.PackA(aOut, aIn*9, c.W.Value.Data, s.in*9)
 			ctx := &Context{Rate: r, Arena: arena}
 			b.Run(fmt.Sprintf("conv%d_%dx%d_%d-%d_r%g", li+1, s.hw, s.hw, aIn, aOut, r), func(b *testing.B) {
 				var im2col, shift time.Duration
 				for i := 0; i < b.N; i++ {
 					t0 := time.Now()
-					c.inferIm2col(arena, tensor.TierExact, x, arena.GetUninit(8, aOut, s.hw, s.hw), pw, nil)
+					c.inferIm2col(arena, tensor.TierExact, x, arena.GetUninit(8, aOut, s.hw, s.hw), nil)
 					t1 := time.Now()
 					inferShift(ctx, x, []shiftStage{{conv: c}})
 					shift += time.Since(t1)

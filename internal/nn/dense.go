@@ -134,7 +134,7 @@ func (d *Dense) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Dense.Backward grad %v, want [%d %d]", dy.Shape, d.batch, d.aOut))
 	}
 	if d.B != nil {
-		gb := d.B.Grad.Data
+		gb := d.B.Grad().Data
 		for i := 0; i < d.batch; i++ {
 			row := dy.Row(i)
 			for j := 0; j < d.aOut; j++ {
@@ -152,7 +152,7 @@ func (d *Dense) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 		dyEff.Scale(d.scale)
 	}
 	// dW[aOut × aIn] += dyᵀ · x
-	tensor.GemmTA(d.aOut, d.aIn, d.batch, dyEff.Data, d.aOut, d.x.Data, d.aIn, d.W.Grad.Data, d.In)
+	tensor.GemmTA(d.aOut, d.aIn, d.batch, dyEff.Data, d.aOut, d.x.Data, d.aIn, d.W.Grad().Data, d.In)
 	// dx[B × aIn] += dy · W
 	dx := arena.Get(d.batch, d.aIn)
 	tensor.Gemm(d.batch, d.aIn, d.aOut, dyEff.Data, d.aOut, d.W.Value.Data, d.In, dx.Data, d.aIn)

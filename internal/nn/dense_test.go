@@ -164,13 +164,13 @@ func TestDenseSlicedBackwardTouchesOnlyPrefix(t *testing.T) {
 			if o < 4 && j < 4 {
 				continue
 			}
-			if d.W.Grad.At(o, j) != 0 {
+			if d.W.Grad().At(o, j) != 0 {
 				t.Fatalf("gradient leaked outside active block at (%d,%d)", o, j)
 			}
 		}
 	}
 	for o := 4; o < 8; o++ {
-		if d.B.Grad.Data[o] != 0 {
+		if d.B.Grad().Data[o] != 0 {
 			t.Fatalf("bias gradient leaked at %d", o)
 		}
 	}

@@ -59,7 +59,7 @@ func (e *Embedding) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Embedding.Backward grad size %d, want %d", dy.Size(), len(e.ids)*e.E))
 	}
 	for i, id := range e.ids {
-		row := e.W.Grad.Data[id*e.E : (id+1)*e.E]
+		row := e.W.Grad().Data[id*e.E : (id+1)*e.E]
 		g := dy.Data[i*e.E : (i+1)*e.E]
 		for j, v := range g {
 			row[j] += v

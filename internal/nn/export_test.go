@@ -17,3 +17,7 @@ func HoldHelpers() (release func()) {
 		}
 	}
 }
+
+// HasGrad reports whether p's gradient has been allocated, without
+// allocating it.
+func HasGrad(p *Param) bool { return p.grad != nil }

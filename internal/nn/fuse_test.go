@@ -223,7 +223,7 @@ func TestFusedForwardBackwardDelegate(t *testing.T) {
 	fused.Backward(ctx, dy)
 	nonzero := false
 	for _, p := range net.Params() {
-		for _, g := range p.Grad.Data {
+		for _, g := range p.Grad().Data {
 			if g != 0 {
 				nonzero = true
 			}

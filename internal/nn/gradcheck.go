@@ -86,7 +86,7 @@ func CheckGradients(layer Layer, ctx *Context, x *tensor.Tensor, before func(), 
 	}
 
 	for _, p := range layer.Params() {
-		if err := probe(p.Name, p.Value.Data, p.Grad.Data); err != nil {
+		if err := probe(p.Name, p.Value.Data, p.Grad().Data); err != nil {
 			return err
 		}
 	}

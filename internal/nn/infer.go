@@ -5,7 +5,7 @@ import (
 )
 
 // Every Layer has two passes over the same weights. Forward trains: it
-// caches backward state in layer fields and drops the owner's weight packs,
+// caches backward state in layer fields and drops a Dense's weight packs,
 // so a layer in Forward is a single-goroutine object. Infer serves and
 // evaluates: it touches layer weights purely as inputs, writes no layer
 // fields, and draws every activation from the Context's arena, so

@@ -158,13 +158,13 @@ func TestEmbeddingForwardBackward(t *testing.T) {
 	}
 	// Token 1 appeared twice → its row accumulates 2 per dim.
 	for j := 0; j < 4; j++ {
-		if e.W.Grad.At(1, j) != 2 {
-			t.Fatalf("embedding grad row 1 = %v, want 2", e.W.Grad.At(1, j))
+		if e.W.Grad().At(1, j) != 2 {
+			t.Fatalf("embedding grad row 1 = %v, want 2", e.W.Grad().At(1, j))
 		}
-		if e.W.Grad.At(3, j) != 1 {
-			t.Fatalf("embedding grad row 3 = %v, want 1", e.W.Grad.At(3, j))
+		if e.W.Grad().At(3, j) != 1 {
+			t.Fatalf("embedding grad row 3 = %v, want 1", e.W.Grad().At(3, j))
 		}
-		if e.W.Grad.At(0, j) != 0 {
+		if e.W.Grad().At(0, j) != 0 {
 			t.Fatal("untouched embedding rows must have zero grad")
 		}
 	}

@@ -56,11 +56,11 @@ type Context struct {
 	// into the arena, so a model pins none of it afterwards. The recurrent
 	// layers and Embedding allocate from the heap either way.
 	Arena *tensor.Arena
-	// Tier selects the GEMM engine tier of the inference path's packed
-	// weight products (Layer.Infer and the fused serving views):
-	// tensor.TierExact (zero value) keeps the bit-exact engine, TierFMA
-	// trades a pinned accuracy budget for throughput (see tensor/tier.go).
-	// Training and every unpacked product run exact.
+	// Tier selects the GEMM engine tier of the inference path's weight
+	// products (Layer.Infer and the fused serving views): tensor.TierExact
+	// (zero value) keeps the bit-exact engine, TierFMA trades a pinned
+	// accuracy budget for throughput (see tensor/tier.go). Training and the
+	// shifted-row convs run exact.
 	Tier tensor.EngineTier
 
 	// inPass is set while the outermost Sequential.Infer of an arena-backed
@@ -116,8 +116,6 @@ type Param struct {
 	Name string
 	// Value holds the parameter itself.
 	Value *tensor.Tensor
-	// Grad accumulates gradients; optimizers zero it after each step.
-	Grad *tensor.Tensor
 	// Decay marks the parameter as subject to weight decay (weights yes,
 	// biases and normalization affine parameters no, per convention).
 	Decay bool
@@ -127,20 +125,37 @@ type Param struct {
 	// every mutating path must call EnsureMutable first. Inference never
 	// writes parameters and serves foreign values directly.
 	Foreign bool
+
+	// grad is the gradient accumulator, nil until Grad first runs.
+	grad *tensor.Tensor
 }
 
-// NewParam allocates a parameter (and matching gradient) of the given shape.
+// NewParam allocates a parameter of the given shape. Its gradient is
+// allocated by the first Grad call, so a served or checkpoint-bound model
+// holds none.
 func NewParam(name string, decay bool, shape ...int) *Param {
-	return &Param{
-		Name:  name,
-		Value: tensor.New(shape...),
-		Grad:  tensor.New(shape...),
-		Decay: decay,
+	return &Param{Name: name, Value: tensor.New(shape...), Decay: decay}
+}
+
+// Grad returns the gradient accumulator, shaped like Value, allocating it
+// zeroed on first use. Layer backwards accumulate into it; optimizers zero
+// it after each step. Every reader and writer goes through Grad, so an
+// optimizer sees the same zero buffer a parameter no backward reached would
+// have had from construction.
+func (p *Param) Grad() *tensor.Tensor {
+	if p.grad == nil {
+		p.grad = tensor.New(p.Value.Shape...)
+	}
+	return p.grad
+}
+
+// ZeroGrad clears the accumulated gradient. One never allocated is left
+// unallocated: it reads as zero when Grad allocates it.
+func (p *Param) ZeroGrad() {
+	if p.grad != nil {
+		p.grad.Zero()
 	}
 }
-
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // EnsureMutable detaches a foreign parameter from its backing mapping by
 // cloning the value into owned memory (copy-on-train). It is a no-op for
@@ -158,7 +173,7 @@ func (p *Param) EnsureMutable() {
 // evaluates (see infer.go). Backward must be called with the same Context
 // (in particular the same slice rate) as the preceding Forward, and returns
 // the gradient with respect to the layer input. Parameter gradients are
-// accumulated into Params()[i].Grad (not overwritten), which is what
+// accumulated into Params()[i].Grad() (not overwritten), which is what
 // Algorithm 1's multi-subnet gradient accumulation requires.
 type Layer interface {
 	Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor

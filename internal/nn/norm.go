@@ -236,7 +236,7 @@ func (g *GroupNorm) backwardSample(dst []float64, out tensor.Grid, dy, x, stats 
 // part to the gradients in sample order, the order one loop over the samples
 // would have added them in, and drops the forward cache.
 func (g *GroupNorm) addPartials(part []float64, batch int) {
-	dgamma, dbeta := g.Gamma.Grad.Data, g.Beta.Grad.Data
+	dgamma, dbeta := g.Gamma.Grad().Data, g.Beta.Grad().Data
 	for b := 0; b < batch; b++ {
 		p := part[2*b*g.aC:]
 		for ch := 0; ch < g.aC; ch++ {
@@ -421,8 +421,8 @@ func (b *BatchNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 			sumG += g
 			sumGH += gh
 		}
-		b.Gamma.Grad.Data[c] += sumGH
-		b.Beta.Grad.Data[c] += sumG
+		b.Gamma.Grad().Data[c] += sumGH
+		b.Beta.Grad().Data[c] += sumG
 		mDxhat, mDxhatXhat := gamma[c]*sumG/n, gamma[c]*sumGH/n
 		for s := 0; s < batch; s++ {
 			off := (s*b.aC + c) * hw

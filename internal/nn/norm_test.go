@@ -306,8 +306,8 @@ func TestGroupNormBackwardMatchesPlainLoop(t *testing.T) {
 				}
 			}
 			near("dx", dx.Data, wantDx, magDx)
-			near("dγ", g.Gamma.Grad.Data[:aC], wantG, magG)
-			near("dβ", g.Beta.Grad.Data[:aC], wantB, magB)
+			near("dγ", g.Gamma.Grad().Data[:aC], wantG, magG)
+			near("dβ", g.Beta.Grad().Data[:aC], wantB, magB)
 			g.Gamma.ZeroGrad()
 			g.Beta.ZeroGrad()
 		}
@@ -432,8 +432,8 @@ func TestBatchNormTrainMatchesPlainLoop(t *testing.T) {
 			}
 			near("y", y.Data, want.y, want.magY)
 			near("dx", dx.Data, want.dx, want.magDx)
-			near("dγ", b.Gamma.Grad.Data[:aC], want.dgamma, want.magG)
-			near("dβ", b.Beta.Grad.Data[:aC], want.dbeta, want.magB)
+			near("dγ", b.Gamma.Grad().Data[:aC], want.dgamma, want.magG)
+			near("dβ", b.Beta.Grad().Data[:aC], want.dbeta, want.magB)
 			near("RunMean", b.RunMean.Data[:aC], want.runMean, want.magMean)
 			near("RunVar", b.RunVar.Data[:aC], want.runVar, want.magVar)
 		}

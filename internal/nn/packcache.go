@@ -8,13 +8,14 @@ import (
 )
 
 // Per-width persistent weight-pack caching. A weight-bearing layer serves
-// every slice rate from prefix views of one parent buffer; the packed-GEMM
-// path (tensor.PackedMat) additionally wants each active prefix laid out in
-// micro-panel order. Since weights are immutable at inference time, each
-// active width is packed exactly once — lazily, on the first pass that uses
-// it — and the pack is then shared read-only by every goroutine serving that
-// width. Memory is O(active-prefix) per deployed width, reported through
-// PackCacheBytes.
+// every slice rate from prefix views of one parent buffer. A served Dense
+// consumes its weight transposed, as the product's Bᵀ, which the engine
+// would otherwise repack on every call; so each active width of it is packed
+// exactly once (tensor.PackTB) — lazily, on the first pass above
+// tensor.GemmTBPrefersPacked that uses it — and the pack is then shared
+// read-only by every goroutine serving that width. Memory is O(active-prefix)
+// per deployed width, reported through PackCacheBytes. Convolutions read
+// their weight in place as the straight A operand and keep no pack.
 //
 // Cache coherence follows the same contract as the fused serving view
 // (nn.Fuse): a model must not be trained while it serves. The training path
@@ -110,8 +111,8 @@ type packOwner interface {
 }
 
 // PackCacheBytes sums the resident packed-panel bytes held by l and, for the
-// built-in containers and fused views, every layer inside it — the memory the
-// elastic widths are holding beyond the parent parameters.
+// built-in containers and the fused Dense→ReLU view, every layer inside it —
+// the memory the elastic widths are holding beyond the parent parameters.
 func PackCacheBytes(l Layer) int64 {
 	var t int64
 	switch v := l.(type) {
@@ -124,15 +125,7 @@ func PackCacheBytes(l Layer) int64 {
 		if v.Short != nil {
 			t += PackCacheBytes(v.Short)
 		}
-	case *FusedConvAct:
-		for _, c := range v.src {
-			t += PackCacheBytes(c)
-		}
 	case *FusedDenseAct:
-		for _, c := range v.src {
-			t += PackCacheBytes(c)
-		}
-	case *FusedNormAct:
 		for _, c := range v.src {
 			t += PackCacheBytes(c)
 		}

@@ -125,7 +125,7 @@ func TestQuickSlicedTrainingTouchesOnlyPrefix(t *testing.T) {
 		dy.Fill(1)
 		seq.Backward(ctx, dy)
 		for _, p := range seq.Params() {
-			p.Value.AddScaled(-0.1, p.Grad)
+			p.Value.AddScaled(-0.1, p.Grad())
 		}
 		// Inactive rows/columns must be untouched.
 		for o := 0; o < 8; o++ {

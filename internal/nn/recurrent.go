@@ -247,8 +247,8 @@ func (c *recurrent) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 			wx, wh := k*H*c.In, k*H*H
 			// dWx[k] += dzxₖᵀ·x, dWh[k] += dzhₖᵀ·h_{t-1},
 			// dx += dzxₖ·Wx[k], dh_{t-1} += dzhₖ·Wh[k]
-			tensor.GemmTA(aH, aIn, B, dzx[k*aH:], gw, xt, aIn, c.Wx.Grad.Data[wx:], c.In)
-			tensor.GemmTA(aH, aH, B, dzh[k*aH:], gw, hPrev, aH, c.Wh.Grad.Data[wh:], H)
+			tensor.GemmTA(aH, aIn, B, dzx[k*aH:], gw, xt, aIn, c.Wx.Grad().Data[wx:], c.In)
+			tensor.GemmTA(aH, aH, B, dzh[k*aH:], gw, hPrev, aH, c.Wh.Grad().Data[wh:], H)
 			tensor.Gemm(B, aIn, aH, dzx[k*aH:], gw, c.Wx.Value.Data[wx:], c.In, dxt, aIn)
 			tensor.Gemm(B, aH, aH, dzh[k*aH:], gw, c.Wh.Value.Data[wh:], H, dhPrev, aH)
 		}
@@ -263,7 +263,7 @@ func (c *recurrent) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 func (c *recurrent) addBiasGrad(b *Param, dz []float64, batch, aH int) {
 	for s := 0; s < batch; s++ {
 		for k := 0; k < c.gates; k++ {
-			db := b.Grad.Data[k*c.Hidden : k*c.Hidden+aH]
+			db := b.Grad().Data[k*c.Hidden : k*c.Hidden+aH]
 			for j, v := range row(dz, s*c.gates+k, aH) {
 				db[j] += v
 			}

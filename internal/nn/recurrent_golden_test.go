@@ -63,7 +63,7 @@ func recurrentGoldenHash(l Layer, ctx *Context, x, dy *tensor.Tensor) uint64 {
 		for _, d := range p.Value.Shape {
 			put(uint64(d))
 		}
-		floats(p.Grad.Data)
+		floats(p.Grad().Data)
 	}
 	return h.Sum64()
 }

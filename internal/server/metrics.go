@@ -160,8 +160,8 @@ type Stats struct {
 	LastAheadSeconds float64
 	// SampleTimes is the calibrator's current per-rate t(r) in seconds.
 	SampleTimes map[float64]float64
-	// PackCacheBytes is the resident per-width weight-pack memory the
-	// shared model is holding for the packed GEMM path.
+	// PackCacheBytes is the resident per-width pack memory the shared
+	// model's dense layers hold for their transposed weights.
 	PackCacheBytes int64
 	// EngineTier is the GEMM engine tier inference runs at.
 	EngineTier tensor.EngineTier
@@ -285,7 +285,7 @@ func (s Stats) prometheus() string {
 	gauge("msserver_window_ahead_seconds", "Backlog ahead of the most recent window at decision time.", s.LastAheadSeconds)
 	gauge("msserver_mean_rate", "Query-weighted mean served slice rate.", s.MeanRate)
 	gauge("msserver_utilization", "Worker pool mean busy fraction (worker time over pool time).", s.Utilization)
-	gauge("msserver_pack_cache_bytes", "Resident per-width weight-pack memory for the packed GEMM path.", float64(s.PackCacheBytes))
+	gauge("msserver_pack_cache_bytes", "Resident per-width pack memory of the served dense layers' transposed weights.", float64(s.PackCacheBytes))
 	counter("msserver_windows_total", "T/2 scheduling windows closed (empty windows included).", s.Windows)
 	gauge("msserver_arena_bytes", "Summed high-water activation-arena footprint across the worker pool.", float64(s.ArenaBytes))
 

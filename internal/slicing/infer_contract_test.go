@@ -18,9 +18,9 @@ import (
 func TestEvaluationKeepsServedPacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(610))
 	rates := NewRateList(0.25, 4)
-	model, _ := models.NewVGG(models.VGG13Mini(4, models.NormGroup, 1), rng)
+	model := packedMLP(rng)
 	shared := NewShared(model, rates)
-	x := randInput(rng, 8, 3, 16, 16)
+	x := randInput(rng, mlpBatch, 128)
 	const r = 0.5
 	shared.Infer(r, x, nil)
 	served := shared.PackCacheBytes()

@@ -12,31 +12,26 @@ import (
 )
 
 // TestSharedPackedMatchesForwardEndToEnd pins the acceptance bound of the
-// persistent-pack path: on the exact tier, Shared.Infer (fused view, packed
-// weights) must equal the parent's eval-mode Forward (unfused, never packed)
-// bit for bit at every deployable rate. The models cover the shifted-row
-// conv with GroupNorm on its grid (miniCNN, VGG13Mini-GN) and a Dense above
-// the packing threshold at every rate (the MLP at batch 48).
+// served path: on the exact tier, Shared.Infer (fused view, conv weights
+// read in place, dense weights packed) must equal the parent's eval-mode
+// Forward (unfused, never packed) bit for bit at every deployable rate. The
+// models cover the shifted-row conv with GroupNorm on its grid (miniCNN,
+// VGG13Mini-GN), which keep no pack, and a Dense above the packing
+// threshold at every rate (the MLP at batch 48), which does.
 func TestSharedPackedMatchesForwardEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
 	rates := NewRateList(0.25, 4)
 	vgg, _ := models.NewVGG(models.VGG13Mini(4, models.NormGroup, 1), rng)
-	mlp := nn.NewSequential(
-		nn.NewDense(128, 96, nn.Fixed(), nn.Sliced(4), true, rng),
-		nn.NewReLU(),
-		nn.NewDense(96, 10, nn.Sliced(4), nn.Fixed(), true, rng),
-	)
-	if !tensor.GemmTBPrefersPacked(48, 24, 128) {
-		t.Fatal("the MLP's r=0.25 hidden layer is below the packing threshold")
-	}
+	mlp := packedMLP(rng)
 	for _, tc := range []struct {
 		name  string
 		model nn.Layer
 		x     *tensor.Tensor
+		packs bool
 	}{
-		{"minicnn", miniCNN(rng), randInput(rng, 4, 3, 8, 8)},
-		{"vgg13mini-gn", vgg, randInput(rng, 3, 3, 16, 16)},
-		{"mlp", mlp, randInput(rng, 48, 128)},
+		{"minicnn", miniCNN(rng), randInput(rng, 4, 3, 8, 8), false},
+		{"vgg13mini-gn", vgg, randInput(rng, 3, 3, 16, 16), false},
+		{"mlp", mlp, randInput(rng, mlpBatch, 128), true},
 	} {
 		// Forward drops the packs, so every oracle runs before serving.
 		want := make([]*tensor.Tensor, len(rates))
@@ -60,10 +55,24 @@ func TestSharedPackedMatchesForwardEndToEnd(t *testing.T) {
 			}
 			arena.Reset()
 		}
-		if shared.PackCacheBytes() == 0 {
-			t.Fatalf("%s: Shared served every rate but reports no pack memory", tc.name)
+		if b := shared.PackCacheBytes(); (b != 0) != tc.packs {
+			t.Fatalf("%s: Shared served every rate and reports %d pack bytes, want packs %v", tc.name, b, tc.packs)
 		}
 	}
+}
+
+// mlpBatch is the batch at which packedMLP's hidden layer is above the
+// packing threshold at every rate, so each width it serves builds a pack.
+const mlpBatch = 48
+
+// packedMLP is a two-layer MLP on 128 inputs with 10 outputs whose hidden
+// Dense packs its weight at every rate when served at batch mlpBatch.
+func packedMLP(rng *rand.Rand) *nn.Sequential {
+	return nn.NewSequential(
+		nn.NewDense(128, 96, nn.Fixed(), nn.Sliced(4), true, rng),
+		nn.NewReLU(),
+		nn.NewDense(96, 10, nn.Sliced(4), nn.Fixed(), true, rng),
+	)
 }
 
 // evalForward is the eval-mode Forward oracle at rate r: unfused, never
@@ -78,30 +87,33 @@ func evalForward(model nn.Layer, r float64, x *tensor.Tensor) *tensor.Tensor {
 func TestSharedPackCacheLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
 	rates := NewRateList(0.25, 4)
-	shared := NewShared(miniCNN(rng), rates)
+	if !tensor.GemmTBPrefersPacked(mlpBatch, 24, 128) {
+		t.Fatal("the MLP's r=0.25 hidden layer is below the packing threshold")
+	}
+	shared := NewShared(packedMLP(rng), rates)
 	if b := shared.PackCacheBytes(); b != 0 {
 		t.Fatalf("fresh Shared holds %d pack bytes, want 0", b)
 	}
 	arena := tensor.NewArena()
-	shared.Infer(rates[0], randInput(rng, 2, 3, 8, 8), arena)
+	shared.Infer(rates[0], randInput(rng, mlpBatch, 128), arena)
 	arena.Reset()
 	b1 := shared.PackCacheBytes()
 	if b1 == 0 {
 		t.Fatal("first pass built no packs")
 	}
-	shared.Infer(1, randInput(rng, 2, 3, 8, 8), arena)
+	shared.Infer(1, randInput(rng, mlpBatch, 128), arena)
 	arena.Reset()
 	b2 := shared.PackCacheBytes()
 	if b2 <= b1 {
 		t.Fatalf("serving a new width did not grow the pack cache (%d -> %d)", b1, b2)
 	}
 	for _, r := range rates {
-		shared.Infer(r, randInput(rng, 2, 3, 8, 8), arena)
+		shared.Infer(r, randInput(rng, mlpBatch, 128), arena)
 		arena.Reset()
 	}
 	b3 := shared.PackCacheBytes()
 	for _, r := range rates {
-		shared.Infer(r, randInput(rng, 2, 3, 8, 8), arena)
+		shared.Infer(r, randInput(rng, mlpBatch, 128), arena)
 		arena.Reset()
 	}
 	if b4 := shared.PackCacheBytes(); b4 != b3 {
@@ -111,52 +123,59 @@ func TestSharedPackCacheLifecycle(t *testing.T) {
 
 // TestSharedPackConstructionRace hammers the lazy once-per-width pack build:
 // many workers hit a fresh Shared at every rate simultaneously, so the first
-// touch of each width races between goroutines (run with -race in CI), and
-// every worker must still reproduce the parent's eval-mode Forward
-// bit-for-bit.
+// touch of each of the MLP's widths races between goroutines (run with -race
+// in CI), and every worker must still reproduce the parent's eval-mode
+// Forward bit-for-bit. miniCNN rides along: its convs read the parent's
+// weights in place from every worker at once.
 func TestSharedPackConstructionRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(602))
 	rates := NewRateList(0.25, 4)
-	model := miniCNN(rng)
+	for _, tc := range []struct {
+		model nn.Layer
+		shape []int
+	}{
+		{miniCNN(rng), []int{2, 3, 8, 8}},
+		{packedMLP(rng), []int{mlpBatch, 128}},
+	} {
+		inputs := make([]*tensor.Tensor, len(rates))
+		want := make([]*tensor.Tensor, len(rates))
+		for i, r := range rates {
+			inputs[i] = randInput(rng, tc.shape...)
+			want[i] = evalForward(tc.model, r, inputs[i])
+		}
 
-	inputs := make([]*tensor.Tensor, len(rates))
-	want := make([]*tensor.Tensor, len(rates))
-	for i, r := range rates {
-		inputs[i] = randInput(rng, 2, 3, 8, 8)
-		want[i] = evalForward(model, r, inputs[i])
-	}
-
-	// Fresh Shared: Forward dropped every pack, so the first pass of every
-	// worker races into the per-width builders. Bit-identity only holds on
-	// the exact tier.
-	shared := NewShared(model, rates)
-	shared.SetTier(tensor.TierExact)
-	const workers = 8
-	const iters = 10
-	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			arena := tensor.NewArena()
-			for it := 0; it < iters; it++ {
-				for i, r := range rates {
-					got := shared.Infer(r, inputs[i], arena)
-					for j := range want[i].Data {
-						if got.Data[j] != want[i].Data[j] {
-							errs <- "worker diverged from Forward"
-							return
+		// Fresh Shared: Forward dropped every pack, so the first pass of
+		// every worker races into the per-width builders. Bit-identity only
+		// holds on the exact tier.
+		shared := NewShared(tc.model, rates)
+		shared.SetTier(tensor.TierExact)
+		const workers = 8
+		const iters = 10
+		var wg sync.WaitGroup
+		errs := make(chan string, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				arena := tensor.NewArena()
+				for it := 0; it < iters; it++ {
+					for i, r := range rates {
+						got := shared.Infer(r, inputs[i], arena)
+						for j := range want[i].Data {
+							if got.Data[j] != want[i].Data[j] {
+								errs <- "worker diverged from Forward"
+								return
+							}
 						}
+						arena.Reset()
 					}
-					arena.Reset()
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatal(e)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"modelslicing/internal/nn"
 	"modelslicing/internal/tensor"
 )
 
@@ -57,52 +58,61 @@ func TestSharedTierAccuracyGates(t *testing.T) {
 
 // TestSharedTierPackRace hammers the per-width pack-build race: workers
 // serving both tiers hit a fresh model simultaneously, so first touches of
-// every width race into the builders (run with -race in CI). Every tier is
-// deterministic, so all workers must agree bit-for-bit per (tier, rate).
+// every width race into the builders (run with -race in CI). The MLP's hidden
+// Dense packs every width; miniCNN's convs read the parent's weights in place
+// from every worker on both tiers. Every tier is deterministic, so all
+// workers must agree bit-for-bit per (tier, rate).
 func TestSharedTierPackRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(701))
 	rates := NewRateList(0.25, 4)
-	model := miniCNN(rng)
+	for _, tc := range []struct {
+		name  string
+		model nn.Layer
+		shape []int
+	}{
+		{"miniCNN", miniCNN(rng), []int{2, 3, 8, 8}},
+		{"packedMLP", packedMLP(rng), []int{mlpBatch, 128}},
+	} {
+		tiers := []tensor.EngineTier{tensor.TierExact, tensor.TierFMA}
+		views := make([]*Shared, len(tiers))
+		for i, tier := range tiers {
+			views[i] = NewShared(tc.model, rates) // same model: the caches are shared
+			views[i].SetTier(tier)
+		}
+		inputs := make([]*tensor.Tensor, len(rates))
+		for i := range rates {
+			inputs[i] = randInput(rng, tc.shape...)
+		}
 
-	tiers := []tensor.EngineTier{tensor.TierExact, tensor.TierFMA}
-	views := make([]*Shared, len(tiers))
-	for i, tier := range tiers {
-		views[i] = NewShared(model, rates) // same model: the caches are shared
-		views[i].SetTier(tier)
-	}
-	inputs := make([]*tensor.Tensor, len(rates))
-	for i := range rates {
-		inputs[i] = randInput(rng, 2, 3, 8, 8)
-	}
-
-	const workers = 9
-	outs := make([][]*tensor.Tensor, workers) // worker → tier*rate
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			arena := tensor.NewArena()
-			outs[w] = make([]*tensor.Tensor, len(tiers)*len(rates))
-			// Stagger tier order across workers so both tiers race into
-			// the same width's builder.
-			for ti := range tiers {
-				v := views[(w+ti)%len(tiers)]
-				for ri, r := range rates {
-					y := v.Infer(r, inputs[ri], arena).Clone()
-					outs[w][(w+ti)%len(tiers)*len(rates)+ri] = y
-					arena.Reset()
+		const workers = 9
+		outs := make([][]*tensor.Tensor, workers) // worker → tier*rate
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				arena := tensor.NewArena()
+				outs[w] = make([]*tensor.Tensor, len(tiers)*len(rates))
+				// Stagger tier order across workers so both tiers race into
+				// the same width's builder.
+				for ti := range tiers {
+					v := views[(w+ti)%len(tiers)]
+					for ri, r := range rates {
+						y := v.Infer(r, inputs[ri], arena).Clone()
+						outs[w][(w+ti)%len(tiers)*len(rates)+ri] = y
+						arena.Reset()
+					}
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w := 1; w < workers; w++ {
-		for k := range outs[0] {
-			a, b := outs[0][k], outs[w][k]
-			for i := range a.Data {
-				if a.Data[i] != b.Data[i] {
-					t.Fatalf("worker %d diverged from worker 0 on slot %d", w, k)
+			}(w)
+		}
+		wg.Wait()
+		for w := 1; w < workers; w++ {
+			for k := range outs[0] {
+				a, b := outs[0][k], outs[w][k]
+				for i := range a.Data {
+					if a.Data[i] != b.Data[i] {
+						t.Fatalf("%s: worker %d diverged from worker 0 on slot %d", tc.name, w, k)
+					}
 				}
 			}
 		}

@@ -103,7 +103,7 @@ func (t *Trainer) Step(b train.Batch) StepStats {
 	if n := len(lt); n > 1 {
 		inv := 1 / float64(n)
 		for _, p := range params {
-			p.Grad.Scale(inv)
+			p.Grad().Scale(inv)
 		}
 	}
 	if t.ClipNorm > 0 {

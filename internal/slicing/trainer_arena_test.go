@@ -107,7 +107,7 @@ func heapStep(model nn.Layer, rates RateList, sched Scheduler, opt *train.SGD, r
 	params := model.Params()
 	if n := len(lt); n > 1 {
 		for _, p := range params {
-			p.Grad.Scale(1 / float64(n))
+			p.Grad().Scale(1 / float64(n))
 		}
 	}
 	opt.Step(params)
@@ -162,8 +162,8 @@ func TestTrainerArenaBitIdentical(t *testing.T) {
 					t.Fatalf("rate %v input gradient [%d] = %v, heap %v", r, j, dx[0][j], dx[1][j])
 				}
 				for i := range pa {
-					if j := diffBits(pa[i].Grad.Data, ph[i].Grad.Data); j >= 0 {
-						t.Fatalf("rate %v %s gradient [%d] = %v, heap %v", r, pa[i].Name, j, pa[i].Grad.Data[j], ph[i].Grad.Data[j])
+					if j := diffBits(pa[i].Grad().Data, ph[i].Grad().Data); j >= 0 {
+						t.Fatalf("rate %v %s gradient [%d] = %v, heap %v", r, pa[i].Name, j, pa[i].Grad().Data[j], ph[i].Grad().Data[j])
 					}
 				}
 			}

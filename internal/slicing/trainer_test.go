@@ -94,7 +94,7 @@ func TestTrainerAccumulatesSubnetGradients(t *testing.T) {
 	// Model B: two separate passes, grads summed manually.
 	accum := make([]*tensor.Tensor, len(b.Params()))
 	for i := range accum {
-		accum[i] = tensor.New(b.Params()[i].Grad.Shape...)
+		accum[i] = tensor.New(b.Params()[i].Grad().Shape...)
 	}
 	for _, r := range []float64{0.5, 1.0} {
 		train.ZeroGrad(b.Params())
@@ -103,12 +103,12 @@ func TestTrainerAccumulatesSubnetGradients(t *testing.T) {
 		_, dy := nn.SoftmaxCrossEntropy(logits, batch.Labels)
 		b.Backward(ctx, dy)
 		for i, p := range b.Params() {
-			accum[i].Add(p.Grad)
+			accum[i].Add(p.Grad())
 		}
 	}
 	for i, p := range a.Params() {
-		for j := range p.Grad.Data {
-			if math.Abs(p.Grad.Data[j]-accum[i].Data[j]) > 1e-10 {
+		for j := range p.Grad().Data {
+			if math.Abs(p.Grad().Data[j]-accum[i].Data[j]) > 1e-10 {
 				t.Fatalf("gradient accumulation mismatch at param %d elem %d", i, j)
 			}
 		}

@@ -15,10 +15,12 @@ import (
 // the O(W·G·params) of per-worker Extract replica sets. Output rescaling
 // (Dense/RNN Rescale) is applied on the activations at inference time, which
 // computes the same function the Extract path bakes into its copied weights.
-// Weight-bearing layers lazily build one micro-panel pack per active width —
-// under a once-per-width lock, then lock-free and read-only for all server
-// workers — so serving memory stays O(params + packs), with packs reported
-// by PackCacheBytes.
+// Convolutions read their weight prefix in place on both engine tiers; only
+// a Dense above tensor.GemmTBPrefersPacked lazily builds one pack of its
+// transposed weight per active width — under a once-per-width lock, then
+// lock-free and read-only for all server workers. Serving memory is the
+// parameters plus those dense packs (PackCacheBytes) plus one activation
+// arena per worker; no parameter holds a gradient until something trains.
 //
 // A Shared is safe for concurrent use: the inference path (nn.Infer) never
 // writes to the model, and each call's activations come from the caller's
@@ -35,8 +37,8 @@ type Shared struct {
 	// slicing still reads prefix views in place.
 	fused nn.Layer
 	rates RateList
-	// tier selects the GEMM engine tier of every inference pass's packed
-	// weight products (tensor/tier.go): exact by default, fma when the
+	// tier selects the GEMM engine tier of every inference pass's weight
+	// products (tensor/tier.go): exact by default, fma when the
 	// operator accepts the tier's pinned accuracy budget for its throughput.
 	tier tensor.EngineTier
 }
@@ -60,15 +62,16 @@ func (s *Shared) Model() nn.Layer { return s.model }
 // The default comes from MS_ENGINE_TIER at construction (exact when unset or
 // on hosts without FMA). Call before serving; the value is read
 // concurrently by inference workers. Switching tiers keeps already-built
-// packs — both tiers stream the same f64 panels.
+// dense packs — both tiers stream the same f64 tiles, and both read a
+// conv's weight prefix in place.
 func (s *Shared) SetTier(t tensor.EngineTier) { s.tier = t }
 
 // Tier returns the engine tier inference passes run at.
 func (s *Shared) Tier() tensor.EngineTier { return s.tier }
 
-// PackCacheBytes reports the resident per-width weight-pack memory this
-// Shared's model is holding — the O(packs) term of the serving memory story,
-// exposed as a gauge on the server's /metrics.
+// PackCacheBytes reports the resident per-width dense weight-pack memory
+// this Shared's model is holding — the serving memory beyond the parameters
+// and the workers' arenas, exposed as a gauge on the server's /metrics.
 func (s *Shared) PackCacheBytes() int64 { return nn.PackCacheBytes(s.model) }
 
 // EngineStats summarizes the shared engine's resource posture for the

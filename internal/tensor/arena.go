@@ -175,7 +175,11 @@ func (a *Arena) Flip(m ArenaMark, release bool) {
 
 // Reset invalidates every tensor handed out since the previous Reset and
 // makes their storage reusable. A half whose finished cycle peaked past its
-// slab grows to that peak, so the next cycle allocates nothing.
+// slab grows to that peak, so the next cycle allocates nothing. Growing also
+// drops the recycled headers' data: they would otherwise keep the outgrown
+// slab and the cycle's spilled buffers reachable until a later pass reuses
+// each of them. Only a cycle that spilled grows a half, so the steady state
+// clears nothing.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
@@ -185,6 +189,9 @@ func (a *Arena) Reset() {
 		h := &a.halves[i]
 		if h.peak > len(h.slab) {
 			h.slab = make([]float64, h.peak)
+			for _, t := range a.hdrs {
+				t.Data = nil
+			}
 		}
 		h.off, h.virt, h.peak = 0, 0, 0
 		total += len(h.slab)

@@ -1,6 +1,10 @@
 package tensor
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 func TestArenaGetZeroed(t *testing.T) {
 	a := NewArena()
@@ -239,4 +243,44 @@ func TestArenaGetUninitReusesSlabWithoutClearing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestArenaResetDropsOutgrownMemory: once Reset has grown a half, neither
+// the slab it outgrew nor the finished cycle's spilled buffers may stay
+// reachable through the arena's recycled headers.
+func TestArenaResetDropsOutgrownMemory(t *testing.T) {
+	a := NewArena()
+	spilled, outgrown := make(chan struct{}), make(chan struct{})
+	func() {
+		a.Get(100) // spills: the slab is empty
+		a.Reset()
+		// The next cycle fills the 100-element slab and spills past it, so
+		// Reset replaces the slab.
+		runtime.SetFinalizer(&a.halves[0].slab[0], func(*float64) { close(outgrown) })
+		a.Get(100)
+		x := a.Get(300)
+		runtime.SetFinalizer(&x.Data[0], func(*float64) { close(spilled) })
+		a.Reset()
+	}()
+	for name, freed := range map[string]chan struct{}{"spilled buffer": spilled, "outgrown slab": outgrown} {
+		for tries := 0; ; tries++ {
+			runtime.GC()
+			select {
+			case <-freed:
+			case <-time.After(10 * time.Millisecond):
+				if tries < 200 {
+					continue
+				}
+				t.Fatalf("the %s is still reachable after Reset", name)
+			}
+			break
+		}
+	}
+	if got := a.Footprint(); got != 400 {
+		t.Fatalf("footprint %d after the growing cycle, want 400", got)
+	}
+	if x := a.Get(400); len(x.Data) != 400 {
+		t.Fatalf("Get after Reset returned %d elements", len(x.Data))
+	}
+	runtime.KeepAlive(a)
 }

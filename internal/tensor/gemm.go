@@ -30,11 +30,13 @@ import (
 // differs between entries, and the engine takes it as an operand kind:
 // strided, transposed (Aᵀ for GemmTA, Bᵀ for GemmTB; repacked into
 // row-major panels from a buffer pool so the micro-kernel always streams
-// contiguously), a persistent PackedMat for immutable inference weights
-// (pack.go), or the shifted rows of a padded image (shift.go). Every product runs on the calling goroutine. Serving's
-// parallelism is the server's shards; in training only Conv2D splits the
-// batch (nn.parallelFor), and Dense and the recurrent layers run each
-// whole-batch product on one goroutine.
+// contiguously), a persistent PackedMat for a served dense weight's Bᵀ
+// (pack.go), or the shifted rows of a padded image (shift.go). A served
+// conv's weight is A, read in place as a strided prefix of the parent.
+// Every product runs on the calling goroutine. Serving's parallelism is the
+// server's shards; in training only Conv2D splits the batch
+// (nn.parallelFor), and Dense and the recurrent layers run each whole-batch
+// product on one goroutine.
 
 // Blocking parameters.
 const (
@@ -128,9 +130,9 @@ var packPool = sync.Pool{
 	},
 }
 
-// Gemm computes C[m×n] += A[m×k] · B[k×n] on the exact tier. Training and
-// every unpacked product run exact; only the packed entries that serve
-// immutable weights (GemmPackedExT, GemmTBPackedExT) take a tier.
+// Gemm computes C[m×n] += A[m×k] · B[k×n] on the exact tier. Training runs
+// exact; only the entries that serve immutable weights (GemmExT,
+// GemmTBPackedExT) take a tier.
 func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	checkMat("Gemm A", m, k, lda, len(a))
 	checkMat("Gemm B", k, n, ldb, len(b))
@@ -146,10 +148,18 @@ func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, 
 // zeroed C, so results are bit-identical to the unfused sequence when the
 // epilogue steps match.
 func GemmEx(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
+	GemmExT(TierExact, m, n, k, a, lda, b, ldb, c, ldc, ep)
+}
+
+// GemmExT is GemmEx on an explicit engine tier. It is the served
+// convolution's product: the weight prefix, read in place with the parent's
+// row stride, as A, and a per-call column matrix as B. Both tiers stream A
+// straight from the parent buffer, so no width keeps a copy of it.
+func GemmExT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
 	checkMat("GemmEx A", m, k, lda, len(a))
 	checkMat("GemmEx B", k, n, ldb, len(b))
 	checkMat("GemmEx C", m, n, ldc, len(c))
-	gemmAssign(TierExact, m, n, k, operand{data: a, ld: lda}, operand{data: b, ld: ldb}, c, ldc, ep)
+	gemmAssign(tier, m, n, k, operand{data: a, ld: lda}, operand{data: b, ld: ldb}, c, ldc, ep)
 }
 
 // GemmTBEx computes C[m×n] = epilogue(A · Bᵀ) where B is stored as [n×k] —
@@ -299,7 +309,7 @@ type opKind uint8
 const (
 	opStrided opKind = iota // row-major with row stride ld, read in place
 	opTrans                 // stored transposed (row stride ld), repacked per panel
-	opPacked                // a PackedMat's panels (data is the pack's storage)
+	opPacked                // B only: a PackedMat's tiles (data is the pack's storage)
 	opShift                 // B only: the shifted-row windows of an image (shift.go)
 )
 
@@ -313,17 +323,14 @@ type operand struct {
 	plane  int // opShift: channel stride of the image
 }
 
-// aPanel returns the block A[ic:ic+mcb, pc:pc+kcb] of an m-row A in
-// row-major form with its row stride, transposing it into scratch first when
-// A is stored transposed.
-func (o operand) aPanel(scratch []float64, m, pc, kcb, ic, mcb int) ([]float64, int) {
-	switch o.kind {
-	case opTrans:
+// aPanel returns the block A[ic:ic+mcb, pc:pc+kcb] in row-major form with
+// its row stride, transposing it into scratch first when A is stored
+// transposed.
+func (o operand) aPanel(scratch []float64, pc, kcb, ic, mcb int) ([]float64, int) {
+	if o.kind == opTrans {
 		// scratch[i×kcb] = A[pc:pc+kcb, ic:ic+mcb]ᵀ.
 		packTrans(scratch, mcb, kcb, o.data, o.ld, pc, ic)
 		return scratch, kcb
-	case opPacked:
-		return o.data[m*pc+ic*kcb:], kcb
 	}
 	return o.data[ic*o.ld+pc:], o.ld
 }
@@ -430,7 +437,7 @@ func gemmBlocked(tier EngineTier, m, n, k int, a, b operand, c []float64, ldc in
 		kcb := min(kcBlock, k-pc)
 		for ic := 0; ic < m; ic += icStep {
 			mcb := min(icStep, m-ic)
-			ablk, lda := a.aPanel(aPack, m, pc, kcb, ic, mcb)
+			ablk, lda := a.aPanel(aPack, pc, kcb, ic, mcb)
 			for jc := 0; jc < n; jc += jcStep {
 				ncb := min(jcStep, n-jc)
 				bp, ldb := b.bPanel(bPack, n, pc, kcb, jc, ncb)

@@ -193,12 +193,12 @@ func TestGemmRandomShapes(t *testing.T) {
 // FuzzGemm is the engine's property test: one differential over entry ×
 // m, n, k × leading-dimension pads × epilogue mask × tier. On the exact tier
 // every entry agrees with the naive oracle to 1e-10·√k; on the fma tier,
-// which only the packed entries take, each stays within fmaKernelTol
-// (relative) of its own exact-tier result. The packed entries and
-// GemmPackedShiftEx must equal the strided product on the same tier bit for
-// bit (GemmShiftTB, a dot product in its own lane order, answers to the
-// oracle only), and no entry may touch C's slack past n in a row, past its
-// last row, or its operands.
+// which only the served weight entries (GemmExT, GemmTBPackedExT) take, each
+// stays within fmaKernelTol (relative) of its own exact-tier result.
+// GemmTBPackedExT and GemmShiftEx must equal the strided product over the
+// materialized operand on the same tier bit for bit (GemmShiftTB, a dot
+// product in its own lane order, answers to the oracle only), and no entry
+// may touch C's slack past n in a row, past its last row, or its operands.
 func FuzzGemm(f *testing.F) {
 	add := func(entry, m, n, k, padA, padB, padC, mask int, tier EngineTier) {
 		f.Add(uint8(entry), uint16(m-1), uint16(n-1), uint16(k), uint8(padA), uint8(padB), uint8(padC), uint8(mask), uint8(tier))
@@ -239,7 +239,7 @@ func FuzzGemm(f *testing.F) {
 			case 29:
 				pad := rng.Intn(8)
 				padB, padC := rng.Intn(8), rng.Intn(8)
-				add(fuzzGemmPackedExT, m, n, k, pad, padB, padC, mask, TierExact)
+				add(fuzzGemmExT, m, n, k, pad, padB, padC, mask, TierExact)
 				add(fuzzGemmTBPackedExT, m, n, k, pad, pad, padC, mask, TierExact)
 			}
 		}
@@ -256,8 +256,8 @@ func FuzzGemm(f *testing.F) {
 		pA, pB, pC := int(padA)%16, int(padB)%16, int(padC)%16
 		tier := EngineTier(tierRaw % NumTiers)
 		assign := e >= fuzzGemmEx
-		if e != fuzzGemmPackedExT && e != fuzzGemmTBPackedExT {
-			tier = TierExact // only the packed entries take a tier
+		if e != fuzzGemmExT && e != fuzzGemmTBPackedExT {
+			tier = TierExact // only the served weight entries take a tier
 		}
 		rng := rand.New(rand.NewSource(int64((((e*331+m)*331+n)*421+k)*4096 + pA*256 + pB*16 + pC)))
 
@@ -274,7 +274,7 @@ func FuzzGemm(f *testing.F) {
 		// channels of kh×kw tap windows.
 		var kh, kw, ldImg, plane int
 		switch e {
-		case fuzzGemmPackedShiftEx:
+		case fuzzGemmShiftEx:
 			kh, kw = 1+pA%3, 1+pB%3
 			k = (k + kh*kw - 1) / (kh * kw) * (kh * kw)
 			aCols, bRows = k, k
@@ -292,7 +292,7 @@ func FuzzGemm(f *testing.F) {
 		fillRand(rng, b)
 		var img []float64
 		switch e {
-		case fuzzGemmPackedShiftEx:
+		case fuzzGemmShiftEx:
 			img = make([]float64, max(k/(kh*kw)-1, 0)*plane+(kh-1)*ldImg+kw-1+n+7)
 			fillRand(rng, img)
 			b, ldb = shiftRowsOracle(k, n, kh, kw, img, ldImg, plane), n
@@ -324,12 +324,12 @@ func FuzzGemm(f *testing.F) {
 				GemmEx(m, n, k, a, lda, b, ldb, c, ldc, ep)
 			case fuzzGemmTBEx:
 				GemmTBEx(m, n, k, a, lda, b, ldb, c, ldc, ep)
-			case fuzzGemmPackedExT:
-				GemmPackedExT(tier, m, n, k, PackA(m, k, a, lda), b, ldb, c, ldc, ep)
+			case fuzzGemmExT:
+				GemmExT(tier, m, n, k, a, lda, b, ldb, c, ldc, ep)
 			case fuzzGemmTBPackedExT:
 				GemmTBPackedExT(tier, m, n, k, a, lda, PackTB(n, k, b, ldb), c, ldc, ep)
-			case fuzzGemmPackedShiftEx:
-				GemmPackedShiftEx(m, n, kh, kw, PackA(m, k, a, lda), img, ldImg, plane, c, ldc, ep)
+			case fuzzGemmShiftEx:
+				GemmShiftEx(m, n, k, kh, kw, a, lda, img, ldImg, plane, c, ldc, ep)
 			}
 			return c
 		}
@@ -376,7 +376,7 @@ func FuzzGemm(f *testing.F) {
 			}
 		}
 
-		if e >= fuzzGemmPackedExT {
+		if e >= fuzzGemmTBPackedExT {
 			strided := slices.Clone(c0)
 			bOp := operand{data: b, ld: ldb}
 			if e == fuzzGemmTBPackedExT {
@@ -400,9 +400,9 @@ const (
 	fuzzGemmShiftTB
 	fuzzGemmEx
 	fuzzGemmTBEx
-	fuzzGemmPackedExT
+	fuzzGemmExT
 	fuzzGemmTBPackedExT
-	fuzzGemmPackedShiftEx
+	fuzzGemmShiftEx
 	fuzzEntries
 )
 
@@ -617,10 +617,10 @@ func TestGemmExBitIdenticalToGemm(t *testing.T) {
 				assign, acc func(c []float64)
 			}
 			ops := []op{
-				{"GemmPackedExT", func(c []float64) { GemmPackedExT(tier, m, n, k, PackA(m, k, a, k), b, n, c, n, nil) }, acc},
+				{"GemmExT", func(c []float64) { GemmExT(tier, m, n, k, a, k, b, n, c, n, nil) }, acc},
 				{"GemmTBPackedExT", func(c []float64) { GemmTBPackedExT(tier, m, n, k, a, k, PackTB(n, k, bt, k), c, n, nil) }, accTB},
 			}
-			if tier == TierExact { // the unpacked entries run exact only
+			if tier == TierExact { // GemmEx and GemmTBEx run exact only
 				ops = append(ops,
 					op{"GemmEx", func(c []float64) { GemmEx(m, n, k, a, k, b, n, c, n, nil) }, acc},
 					op{"GemmTBEx", func(c []float64) { GemmTBEx(m, n, k, a, k, bt, k, c, n, nil) }, func(c []float64) {
@@ -735,6 +735,38 @@ func BenchmarkGemmTA256(b *testing.B) { benchGemmSize(b, 256, GemmTA) }
 func BenchmarkGemmTB256(b *testing.B) { benchGemmSize(b, 256, GemmTB) }
 
 func BenchmarkGemmRef256(b *testing.B) { benchGemmSize(b, 256, gemmRef) }
+
+// BenchmarkGemmPaperShapes times the served conv product — GemmExT, the
+// weight prefix read in place as A — at VGG-13's stage shapes and at three of
+// VGG13Mini's (m = output channels, n = output pixels, k = input
+// channels·9) on both tiers: at r = 1, and at r = 0.25 as the quarter prefix
+// of the r = 1 parent (m/4 rows, k/4 columns, lda = the parent's k).
+func BenchmarkGemmPaperShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	for _, s := range [][3]int{
+		{512, 64, 4608}, {256, 64, 2304}, {128, 64, 1152}, {64, 1024, 576}, // VGG-13
+		{8, 256, 72}, {64, 16, 576}, {32, 64, 288}, // VGG13Mini
+	} {
+		M, N, K := s[0], s[1], s[2]
+		w := make([]float64, M*K)
+		col := make([]float64, K*N)
+		c := make([]float64, M*N)
+		fillRand(rng, w)
+		fillRand(rng, col)
+		ep := &Epilogue{RowShift: make([]float64, M), ReLU: true}
+		for _, r := range []float64{1, 0.25} {
+			m, k := int(float64(M)*r), int(float64(K)*r)
+			for _, tier := range []EngineTier{TierExact, TierFMA} {
+				b.Run(fmt.Sprintf("%dx%dx%d/r%g/%v", M, N, K, r, tier), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						GemmExT(tier, m, N, k, w, K, col, N, c, N, ep)
+					}
+					b.ReportMetric(2*float64(m*N*k)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOPS")
+				})
+			}
+		}
+	}
+}
 
 // vggConvShapes lists VGG13Mini's eight 3×3 convolutions as (input
 // channels, output channels, output side); the first layer's input is never

@@ -6,21 +6,19 @@ import (
 	"testing"
 )
 
-// packedCase runs one (m,n,k,ld,epilogue) configuration through both packed
-// entry points and demands BIT-identical results against the unpacked blocked
-// engine (gemmBlocked in assign mode — the path GemmEx always takes and
-// GemmTBEx takes above its small-product threshold). The packed layout
-// preserves the engine's per-element accumulation order, so the comparison is
-// exact equality, not a tolerance.
-func packedCase(t *testing.T, m, n, k, lda, ldbT, ldbS, ldc int, ep *Epilogue) {
+// packedCase runs one (m,n,k,ld,epilogue) configuration through the packed
+// entry point and demands BIT-identical results against the unpacked blocked
+// engine (gemmBlocked in assign mode — the path GemmTBEx takes above its
+// small-product threshold). The packed layout preserves the engine's
+// per-element accumulation order, so the comparison is exact equality, not a
+// tolerance.
+func packedCase(t *testing.T, m, n, k, lda, ldbT, ldc int, ep *Epilogue) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(m*131071 + n*257 + k)))
 	a := make([]float64, (m-1)*lda+k+3)
-	bt := make([]float64, (n-1)*ldbT+k+3) // B stored [n×k] for the TB pair
-	bs := make([]float64, (k-1)*ldbS+n+3) // B stored [k×n] for the straight pair
+	bt := make([]float64, (n-1)*ldbT+k+3) // B stored [n×k]
 	fillRand(rng, a)
 	fillRand(rng, bt)
-	fillRand(rng, bs)
 
 	check := func(name string, got, want []float64) {
 		t.Helper()
@@ -32,21 +30,13 @@ func packedCase(t *testing.T, m, n, k, lda, ldbT, ldbS, ldc int, ep *Epilogue) {
 		}
 	}
 
-	// GemmPackedEx (packed A · streamed B) vs the unpacked blocked engine.
+	// GemmTBPackedEx (streamed A · packed Bᵀ) vs the unpacked blocked engine.
 	want := make([]float64, (m-1)*ldc+n+3)
 	fillRand(rng, want)
 	got := append([]float64(nil), want...)
-	gemmBlocked(TierExact, m, n, k, operand{data: a, ld: lda}, operand{data: bs, ld: ldbS}, want, ldc, true, ep)
-	GemmPackedExT(TierExact, m, n, k, PackA(m, k, a, lda), bs, ldbS, got, ldc, ep)
-	check("GemmPackedEx", got, want)
-
-	// GemmTBPackedEx (streamed A · packed Bᵀ) vs the unpacked blocked engine.
-	want2 := make([]float64, (m-1)*ldc+n+3)
-	fillRand(rng, want2)
-	got2 := append([]float64(nil), want2...)
-	gemmBlocked(TierExact, m, n, k, operand{data: a, ld: lda}, operand{kind: opTrans, data: bt, ld: ldbT}, want2, ldc, true, ep)
-	GemmTBPackedExT(TierExact, m, n, k, a, lda, PackTB(n, k, bt, ldbT), got2, ldc, ep)
-	check("GemmTBPackedEx", got2, want2)
+	gemmBlocked(TierExact, m, n, k, operand{data: a, ld: lda}, operand{kind: opTrans, data: bt, ld: ldbT}, want, ldc, true, ep)
+	GemmTBPackedExT(TierExact, m, n, k, a, lda, PackTB(n, k, bt, ldbT), got, ldc, ep)
+	check("GemmTBPackedEx", got, want)
 }
 
 // TestPackedGemmDeterministicShapes sweeps shapes across the kc/nc panel
@@ -73,7 +63,7 @@ func TestPackedGemmDeterministicShapes(t *testing.T) {
 	for _, s := range shapes {
 		for _, mask := range []int{0, 1, 6, 8, 16, epilogueMasks - 1} {
 			ep := epilogueCase(rng, mask, s.m, s.n)
-			packedCase(t, s.m, s.n, s.k, s.k+s.pad, s.k+s.pad, s.n+s.pad, s.n+s.pad, ep)
+			packedCase(t, s.m, s.n, s.k, s.k+s.pad, s.k+s.pad, s.n+s.pad, ep)
 		}
 	}
 }
@@ -103,7 +93,7 @@ func TestPackedGemmRandomShapes(t *testing.T) {
 		}
 		ep := epilogueCase(rng, rng.Intn(epilogueMasks), m, n)
 		pad := rng.Intn(8)
-		packedCase(t, m, n, k, k+pad, k+pad, n+rng.Intn(8), n+rng.Intn(8), ep)
+		packedCase(t, m, n, k, k+pad, k+pad, n+rng.Intn(8), ep)
 	}
 }
 
@@ -120,20 +110,21 @@ func TestPackedGemmAllEpilogueMasks(t *testing.T) {
 	for _, s := range shapes {
 		for mask := 0; mask < epilogueMasks; mask++ {
 			ep := epilogueCase(rng, mask, s.m, s.n)
-			packedCase(t, s.m, s.n, s.k, s.k+s.pad, s.k+s.pad, s.n+s.pad, s.n+s.pad, ep)
+			packedCase(t, s.m, s.n, s.k, s.k+s.pad, s.k+s.pad, s.n+s.pad, ep)
 		}
 	}
 }
 
-// TestPackedGemmEmptyK pins the assign-mode contract at k = 0 for both packed
-// entry points: zeros plus epilogue, slack columns untouched.
+// TestPackedGemmEmptyK pins the assign-mode contract at k = 0 for both
+// tiered weight entries, the strided-A one on the fma tier: zeros plus
+// epilogue, slack columns untouched.
 func TestPackedGemmEmptyK(t *testing.T) {
 	c := []float64{7, 7, 7, 7, 7, 7}
-	GemmPackedExT(TierExact, 2, 2, 0, PackA(2, 0, nil, 0), nil, 2, c, 3, &Epilogue{RowShift: []float64{1, 2}})
+	GemmExT(TierFMA, 2, 2, 0, nil, 0, nil, 2, c, 3, &Epilogue{RowShift: []float64{1, 2}})
 	want := []float64{1, 1, 7, 2, 2, 7}
 	for i := range want {
 		if c[i] != want[i] {
-			t.Fatalf("GemmPackedEx k=0: c[%d] = %g, want %g", i, c[i], want[i])
+			t.Fatalf("GemmExT k=0: c[%d] = %g, want %g", i, c[i], want[i])
 		}
 	}
 	c2 := []float64{7, 7, 7, 7}
@@ -152,7 +143,6 @@ func TestPackedGemmShapeChecks(t *testing.T) {
 	a := make([]float64, 6*8)
 	b := make([]float64, 8*4)
 	c := make([]float64, 6*4)
-	pa := PackA(6, 8, a, 8)
 	pb := PackTB(4, 8, b, 8)
 	expectPanic := func(name string, fn func()) {
 		t.Helper()
@@ -163,26 +153,16 @@ func TestPackedGemmShapeChecks(t *testing.T) {
 		}()
 		fn()
 	}
-	GemmPackedExT(TierExact, 6, 4, 8, pa, b, 4, c, 4, nil)   // well-formed
 	GemmTBPackedExT(TierExact, 6, 4, 8, a, 8, pb, c, 4, nil) // well-formed
-	expectPanic("wrong m", func() { GemmPackedExT(TierExact, 5, 4, 8, pa, b, 4, c, 4, nil) })
-	expectPanic("wrong k", func() { GemmPackedExT(TierExact, 6, 4, 7, pa, b, 4, c, 4, nil) })
-	expectPanic("layout mixup A", func() { GemmTBPackedExT(TierExact, 6, 8, 8, a, 8, pa, c, 8, nil) })
-	expectPanic("layout mixup B", func() { GemmPackedExT(TierExact, 8, 4, 4, pb, b, 4, c, 4, nil) })
-	expectPanic("nil pack", func() { GemmPackedExT(TierExact, 6, 4, 8, nil, b, 4, c, 4, nil) })
+	expectPanic("wrong n", func() { GemmTBPackedExT(TierExact, 6, 3, 8, a, 8, pb, c, 4, nil) })
+	expectPanic("wrong k", func() { GemmTBPackedExT(TierExact, 6, 4, 7, a, 8, pb, c, 4, nil) })
+	expectPanic("transposed dims", func() { GemmTBPackedExT(TierExact, 4, 8, 4, a, 8, pb, c, 8, nil) })
+	expectPanic("nil pack", func() { GemmTBPackedExT(TierExact, 6, 4, 8, a, 8, nil, c, 4, nil) })
 }
 
 // TestPackedMatDims pins the accessor contract and the exact (unpadded)
 // memory accounting: a pack costs rows·cols elements, ragged edges included.
 func TestPackedMatDims(t *testing.T) {
-	a := make([]float64, 70*300)
-	p := PackA(70, 300, a, 300)
-	if r, c := p.Dims(); r != 70 || c != 300 {
-		t.Fatalf("PackA dims = %d×%d, want 70×300", r, c)
-	}
-	if p.Bytes() != 70*300*8 {
-		t.Fatalf("PackA bytes = %d, want %d", p.Bytes(), 70*300*8)
-	}
 	b := make([]float64, 70*300)
 	pb := PackTB(70, 300, b, 300)
 	if r, c := pb.Dims(); r != 300 || c != 70 {
@@ -200,12 +180,12 @@ func TestPackedGemmSharedConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const m, n, k = 32, 96, 80
 	a := make([]float64, m*k)
-	b := make([]float64, k*n)
+	b := make([]float64, n*k)
 	fillRand(rng, a)
 	fillRand(rng, b)
-	pa := PackA(m, k, a, k)
+	pb := PackTB(n, k, b, k)
 	want := make([]float64, m*n)
-	GemmPackedExT(TierExact, m, n, k, pa, b, n, want, n, nil)
+	GemmTBPackedExT(TierExact, m, n, k, a, k, pb, want, n, nil)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -214,9 +194,9 @@ func TestPackedGemmSharedConcurrent(t *testing.T) {
 			defer wg.Done()
 			c := make([]float64, m*n)
 			for it := 0; it < 20; it++ {
-				GemmPackedExT(TierExact, m, n, k, pa, b, n, c, n, &Epilogue{ReLU: it%2 == 0})
+				GemmTBPackedExT(TierExact, m, n, k, a, k, pb, c, n, &Epilogue{ReLU: it%2 == 0})
 			}
-			GemmPackedExT(TierExact, m, n, k, pa, b, n, c, n, nil)
+			GemmTBPackedExT(TierExact, m, n, k, a, k, pb, c, n, nil)
 			for i := range want {
 				if c[i] != want[i] {
 					t.Errorf("concurrent packed GEMM diverged at %d", i)
@@ -228,39 +208,8 @@ func TestPackedGemmSharedConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// --- benchmarks: packed vs unpacked on the serving shapes ---
+// --- benchmarks: the serving shapes ---
 
-// benchConvShape times the conv orientation (weight as A) at a VGG-stage-like
-// shape, packed against unpacked.
-func benchConvShape(b *testing.B, m, n, k int, packed bool) {
-	rng := rand.New(rand.NewSource(2))
-	w := make([]float64, m*k)
-	col := make([]float64, k*n)
-	c := make([]float64, m*n)
-	fillRand(rng, w)
-	fillRand(rng, col)
-	ep := &Epilogue{RowShift: make([]float64, m), ReLU: true}
-	b.ReportAllocs()
-	if packed {
-		pa := PackA(m, k, w, k)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			GemmPackedExT(TierExact, m, n, k, pa, col, n, c, n, ep)
-		}
-		return
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GemmEx(m, n, k, w, k, col, n, c, n, ep)
-	}
-}
-
-func BenchmarkConvGemmUnpacked8x256x72(b *testing.B)  { benchConvShape(b, 8, 256, 72, false) }
-func BenchmarkConvGemmPacked8x256x72(b *testing.B)    { benchConvShape(b, 8, 256, 72, true) }
-func BenchmarkConvGemmUnpacked64x16x576(b *testing.B) { benchConvShape(b, 64, 16, 576, false) }
-func BenchmarkConvGemmPacked64x16x576(b *testing.B)   { benchConvShape(b, 64, 16, 576, true) }
-func BenchmarkConvGemmUnpacked32x64x288(b *testing.B) { benchConvShape(b, 32, 64, 288, false) }
-func BenchmarkConvGemmPacked32x64x288(b *testing.B)   { benchConvShape(b, 32, 64, 288, true) }
 func BenchmarkDenseGemmUnpacked32x256x256(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	const m, n, k = 32, 256, 256

@@ -16,30 +16,17 @@ import "fmt"
 // windows as the rows of a Bᵀ: a same convolution's weight gradient, as dot
 // products.
 
-// GemmPackedShiftEx computes C[m×n] = epilogue(A · B) on the exact tier like
-// GemmPackedExT, but B is never materialized: its k rows (k = the pack's
-// column count, a multiple of kh·kw) are windows of img, row p = (ci·kh +
+// GemmShiftEx computes C[m×n] = epilogue(A · B) on the exact tier like
+// GemmEx, with A[m×k] strided (row stride lda), but B is never materialized:
+// its k rows (k a multiple of kh·kw) are windows of img, row p = (ci·kh +
 // ki)·kw + kj being img[ci·plane + ki·ld + kj:][:n]. Column epilogue vectors
-// index the n columns of C as for any product. There is no fma-tier twin: its
-// C-resident 4×8 kernel needs B rows at a fixed stride, and on the
-// column matrix it beat this loop at full width (DESIGN §8).
-func GemmPackedShiftEx(m, n, kh, kw int, pa *PackedMat, img []float64, ld, plane int, c []float64, ldc int, ep *Epilogue) {
-	if pa == nil || !pa.aLayout {
-		panic("tensor: GemmPackedShiftEx: A operand is not an A-layout pack (PackA)")
-	}
-	if pa.rows != m {
-		panic(fmt.Sprintf("tensor: GemmPackedShiftEx: packed A has %d rows, product wants %d", pa.rows, m))
-	}
-	b := shiftRows("GemmPackedShiftEx", pa.cols, n, kh, kw, img, ld, plane)
-	checkMat("GemmPackedShiftEx C", m, n, ldc, len(c))
-	gemmAssign(TierExact, m, n, pa.cols, operand{kind: opPacked, data: pa.data}, b, c, ldc, ep)
-}
-
-// GemmShiftEx is GemmPackedShiftEx with a strided A[m×k] (row stride lda)
-// in place of the pack: training's same convolutions, whose forward weight
-// prefix and flipped data-gradient kernel change every step and so are never
-// packed. The product is the same panel loop over the same B offsets, so it
-// is bit-identical to GemmEx over the materialized column matrix.
+// index the n columns of C as for any product. Every same convolution runs
+// on it: served, A is the weight prefix read in place from the parent;
+// trained, the prefix and the flipped data-gradient kernel. The product is
+// the same panel loop over the same B offsets, so it is bit-identical to
+// GemmEx over the materialized column matrix. There is no fma-tier twin: its
+// C-resident 4×8 kernel needs B rows at a fixed stride, and on the column
+// matrix it beat this loop at full width (DESIGN §8).
 func GemmShiftEx(m, n, k, kh, kw int, a []float64, lda int, img []float64, ld, plane int, c []float64, ldc int, ep *Epilogue) {
 	checkMat("GemmShiftEx A", m, k, lda, len(a))
 	b := shiftRows("GemmShiftEx", k, n, kh, kw, img, ld, plane)

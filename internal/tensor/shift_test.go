@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// shiftRowsOracle materializes the B operand GemmPackedShiftEx reads in
+// shiftRowsOracle materializes the B operand GemmShiftEx reads in
 // place: row p = (ci·kh + ki)·kw + kj is img[ci·plane + ki·ld + kj:][:n].
 func shiftRowsOracle(k, n, kh, kw int, img []float64, ld, plane int) []float64 {
 	b := make([]float64, k*n)
@@ -18,10 +18,10 @@ func shiftRowsOracle(k, n, kh, kw int, img []float64, ld, plane int) []float64 {
 	return b
 }
 
-// TestGemmPackedShiftMatchesMaterialized holds the shifted-row products —
-// on a pack (GemmPackedShiftEx) and on the strided weight it was packed from
-// (GemmShiftEx) — to GemmPackedExT over the materialized matrix, bit for
-// bit: random tap
+// TestGemmPackedShiftMatchesMaterialized holds the shifted-row product
+// (GemmShiftEx) — on a weight of exactly k columns (training's flipped
+// kernel) and on the k-column prefix of a wider parent, read in place as
+// served — to GemmEx over the materialized matrix, bit for bit: random tap
 // geometries (rows that overlap, abut or leave gaps), k past one 256-row
 // panel, C wider than a column panel, odd m, every epilogue mask, and both
 // the AVX and the scalar panel loops.
@@ -46,32 +46,33 @@ func TestGemmPackedShiftMatchesMaterialized(t *testing.T) {
 		last := (channels-1)*plane + (kh-1)*ld + kw - 1
 		img := make([]float64, last+n+rng.Intn(3))
 		fillRand(rng, img)
-		a := make([]float64, m*k)
+		// The parent has 1–4 times the prefix's channels.
+		lda := k * (1 + rng.Intn(4))
+		a := make([]float64, m*lda)
 		fillRand(rng, a)
-		pa := PackA(m, k, a, k)
 		ldc := n + rng.Intn(3)
 		ep := epilogueCase(rng, it%epilogueMasks, m, n)
 
 		want := make([]float64, m*ldc)
-		GemmPackedExT(TierExact, m, n, k, pa, shiftRowsOracle(k, n, kh, kw, img, ld, plane), n, want, ldc, ep)
+		GemmEx(m, n, k, a, lda, shiftRowsOracle(k, n, kh, kw, img, ld, plane), n, want, ldc, ep)
 		for _, avx := range []bool{saved, false} {
 			useAVX = avx
-			for _, packed := range []bool{true, false} {
+			for _, prefix := range []bool{true, false} {
 				got := make([]float64, m*ldc)
 				for i := range got {
 					got[i] = math.NaN() // assign mode overwrites every element
 				}
-				if packed {
-					GemmPackedShiftEx(m, n, kh, kw, pa, img, ld, plane, got, ldc, ep)
+				if prefix {
+					GemmShiftEx(m, n, k, kh, kw, a, lda, img, ld, plane, got, ldc, ep)
 				} else {
-					GemmShiftEx(m, n, k, kh, kw, a, k, img, ld, plane, got, ldc, ep)
+					GemmShiftEx(m, n, k, kh, kw, compactRows(a, m, k, lda), k, img, ld, plane, got, ldc, ep)
 				}
 				for i := 0; i < m; i++ {
 					for j := 0; j < n; j++ {
 						g, w := got[i*ldc+j], want[i*ldc+j]
 						if math.Float64bits(g) != math.Float64bits(w) {
-							t.Fatalf("it %d (m=%d n=%d k=%d %dx%d ld=%d plane=%d mask=%06b avx=%v packed=%v): C[%d,%d]=%v, materialized %v",
-								it, m, n, k, kh, kw, ld, plane, it%epilogueMasks, avx, packed, i, j, g, w)
+							t.Fatalf("it %d (m=%d n=%d k=%d lda=%d %dx%d ld=%d plane=%d mask=%06b avx=%v prefix=%v): C[%d,%d]=%v, materialized %v",
+								it, m, n, k, lda, kh, kw, ld, plane, it%epilogueMasks, avx, prefix, i, j, g, w)
 						}
 					}
 				}
@@ -81,12 +82,22 @@ func TestGemmPackedShiftMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// compactRows copies the first k columns of an m-row matrix with row stride
+// lda into a matrix of row stride k.
+func compactRows(a []float64, m, k, lda int) []float64 {
+	out := make([]float64, m*k)
+	for i := 0; i < m; i++ {
+		copy(out[i*k:(i+1)*k], a[i*lda:])
+	}
+	return out
+}
+
 // TestGemmPackedShiftCountsKernels pins the dispatch accounting: one exact
 // tier kernel per C panel, vector or scalar by the engine's width rule, and
 // one per GemmShiftTB call, vector when its dots are at least one 4-lane
 // vector long.
 func TestGemmPackedShiftCountsKernels(t *testing.T) {
-	pa := PackA(2, 9, make([]float64, 18), 9)
+	a := make([]float64, 18)
 	img := make([]float64, 64)
 	c := make([]float64, 2*40)
 	count := func(name string, n int, wantVec bool, call func()) {
@@ -99,8 +110,8 @@ func TestGemmPackedShiftCountsKernels(t *testing.T) {
 		}
 	}
 	for _, n := range []int{4, 40} {
-		count("GemmPackedShiftEx", n, useAVX && n >= vecMinCols, func() {
-			GemmPackedShiftEx(2, n, 3, 3, pa, img, 5, 0, c, n, nil)
+		count("GemmShiftEx", n, useAVX && n >= vecMinCols, func() {
+			GemmShiftEx(2, n, 9, 3, 3, a, 9, img, 5, 0, c, n, nil)
 		})
 	}
 	for _, k := range []int{3, 40} {
@@ -111,16 +122,14 @@ func TestGemmPackedShiftCountsKernels(t *testing.T) {
 }
 
 func TestGemmPackedShiftShapeChecks(t *testing.T) {
-	pa := PackA(2, 9, make([]float64, 18), 9)
+	a := make([]float64, 27)
 	c := make([]float64, 2*8)
 	for name, call := range map[string]func(){
-		"taps do not divide k": func() { GemmPackedShiftEx(2, 8, 2, 2, pa, make([]float64, 64), 3, 9, c, 8, nil) },
-		"image too short":      func() { GemmPackedShiftEx(2, 8, 3, 3, pa, make([]float64, 8), 3, 9, c, 8, nil) },
-		"wrong row count":      func() { GemmPackedShiftEx(3, 8, 3, 3, pa, make([]float64, 64), 3, 9, c, 8, nil) },
-		"B-layout pack": func() {
-			GemmPackedShiftEx(2, 8, 3, 3, PackTB(2, 9, make([]float64, 18), 9), make([]float64, 64), 3, 9, c, 8, nil)
-		},
-		"strided A too short": func() { GemmShiftEx(2, 8, 9, 3, 3, make([]float64, 17), 9, make([]float64, 64), 3, 9, c, 8, nil) },
+		"taps do not divide k": func() { GemmShiftEx(2, 8, 9, 2, 2, a, 9, make([]float64, 64), 3, 9, c, 8, nil) },
+		"image too short":      func() { GemmShiftEx(2, 8, 9, 3, 3, a, 9, make([]float64, 8), 3, 9, c, 8, nil) },
+		"C too short":          func() { GemmShiftEx(3, 8, 9, 3, 3, a, 9, make([]float64, 64), 3, 9, c, 8, nil) },
+		"prefix wider than A":  func() { GemmShiftEx(2, 8, 18, 3, 3, a, 9, make([]float64, 64), 3, 9, c, 8, nil) },
+		"strided A too short":  func() { GemmShiftEx(2, 8, 9, 3, 3, make([]float64, 17), 9, make([]float64, 64), 3, 9, c, 8, nil) },
 		"taps do not divide the windows": func() {
 			GemmShiftTB(2, 8, 4, 3, 3, make([]float64, 8), 4, make([]float64, 64), 3, 9, c, 8)
 		},

@@ -87,7 +87,7 @@ func TestFastTierFlipBitIdentical(t *testing.T) {
 		fillRand(rng, b)
 		fillRand(rng, bt)
 		ep := epilogueCase(rng, rng.Intn(epilogueMasks), s.m, s.n)
-		pa, pb := PackA(s.m, s.k, a, lda), PackTB(s.n, s.k, bt, ldbT)
+		pb := PackTB(s.n, s.k, bt, ldbT)
 
 		type op struct {
 			name string
@@ -97,7 +97,7 @@ func TestFastTierFlipBitIdentical(t *testing.T) {
 			{"accumulate/fma", func(c []float64) {
 				gemmBlocked(TierFMA, s.m, s.n, s.k, operand{data: a, ld: lda}, operand{data: b, ld: ldb}, c, ldc, false, nil)
 			}},
-			{"GemmPackedExT/fma", func(c []float64) { GemmPackedExT(TierFMA, s.m, s.n, s.k, pa, b, ldb, c, ldc, ep) }},
+			{"GemmExT/fma", func(c []float64) { GemmExT(TierFMA, s.m, s.n, s.k, a, lda, b, ldb, c, ldc, ep) }},
 			{"GemmTBPackedExT/fma", func(c []float64) { GemmTBPackedExT(TierFMA, s.m, s.n, s.k, a, lda, pb, c, ldc, ep) }},
 		}
 		for _, o := range ops {
@@ -150,7 +150,7 @@ func TestFMATierToleranceVsExact(t *testing.T) {
 			want := make([]float64, m*ldc+4)
 			got := make([]float64, len(want))
 			GemmEx(m, n, k, a, lda, b, ldb, want, ldc, ep)
-			GemmPackedExT(TierFMA, m, n, k, PackA(m, k, a, lda), b, ldb, got, ldc, ep)
+			GemmExT(TierFMA, m, n, k, a, lda, b, ldb, got, ldc, ep)
 			if rel := tierMaxRel(m, n, ldc, got, want); rel > fmaKernelTol {
 				t.Fatalf("fma tier m=%d n=%d k=%d mask=%d: rel error %.3g > %g", m, n, k, mask, rel, fmaKernelTol)
 			}
@@ -182,9 +182,8 @@ func TestNarrowPanelTakesScalarPath(t *testing.T) {
 		return d
 	}
 
-	pa := PackA(m, k, a, k)
 	for _, tier := range []EngineTier{TierExact, TierFMA} {
-		d := delta(func() { GemmPackedExT(tier, m, n, k, pa, b, n, c, n, nil) })
+		d := delta(func() { GemmExT(tier, m, n, k, a, k, b, n, c, n, nil) })
 		if d[tier].Scalar == 0 || d[tier].Vector != 0 {
 			t.Fatalf("tier %v, 7-column panel: kernel deltas %+v, want scalar>0 vector=0", tier, d)
 		}
@@ -201,15 +200,15 @@ func TestNarrowPanelTakesScalarPath(t *testing.T) {
 		}
 	}
 	if HasFMA() {
-		if d := delta(func() { GemmPackedExT(TierFMA, m, wn, k, pa, wb, wn, wc, wn, nil) }); d[TierFMA].Vector == 0 {
+		if d := delta(func() { GemmExT(TierFMA, m, wn, k, a, k, wb, wn, wc, wn, nil) }); d[TierFMA].Vector == 0 {
 			t.Fatalf("fma tier, wide panel: kernel deltas %+v, want vector>0", d)
 		}
 	}
 }
 
 // TestFastTierZeroAlloc pins the steady-state allocation contract of the
-// fast-tier entry points: like the exact packed paths, they must not
-// allocate per call.
+// fast-tier entry points: like the exact paths, they must not allocate per
+// call.
 func TestFastTierZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops items by design; alloc counts are meaningless")
@@ -222,10 +221,10 @@ func TestFastTierZeroAlloc(t *testing.T) {
 	fillRand(rng, b)
 	c := make([]float64, m*n)
 	ep := &Epilogue{RowShift: make([]float64, m), ReLU: true}
-	pa, pb := PackA(m, k, a, k), PackTB(n, k, b, k)
+	pb := PackTB(n, k, b, k)
 
 	for name, fn := range map[string]func(){
-		"GemmPackedExT/fma":   func() { GemmPackedExT(TierFMA, m, n, k, pa, b, n, c, n, ep) },
+		"GemmExT/fma":         func() { GemmExT(TierFMA, m, n, k, a, k, b, n, c, n, ep) },
 		"GemmTBPackedExT/fma": func() { GemmTBPackedExT(TierFMA, m, n, k, a, k, pb, c, n, ep) },
 	} {
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {

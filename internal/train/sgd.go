@@ -48,7 +48,7 @@ func (s *SGD) Step(params []*nn.Param) {
 	lr, mu := s.LR, s.Momentum
 	for _, p := range params {
 		w := p.Value.Data
-		g := p.Grad.Data[:len(w)]
+		g := p.Grad().Data[:len(w)]
 		wd := 0.0
 		if p.Decay {
 			wd = s.WeightDecay
@@ -101,7 +101,7 @@ func ZeroGrad(params []*nn.Param) {
 func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 	total := 0.0
 	for _, p := range params {
-		for _, v := range p.Grad.Data {
+		for _, v := range p.Grad().Data {
 			total += v * v
 		}
 	}
@@ -109,7 +109,7 @@ func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 	if norm > maxNorm && norm > 0 {
 		scale := maxNorm / norm
 		for _, p := range params {
-			p.Grad.Scale(scale)
+			p.Grad().Scale(scale)
 		}
 	}
 	return norm

@@ -12,13 +12,13 @@ import (
 func TestSGDPlainStep(t *testing.T) {
 	p := nn.NewParam("w", true, 2)
 	p.Value.Data[0], p.Value.Data[1] = 1, 2
-	p.Grad.Data[0], p.Grad.Data[1] = 0.5, -0.5
+	p.Grad().Data[0], p.Grad().Data[1] = 0.5, -0.5
 	s := NewSGD(0.1, 0, 0)
 	s.Step([]*nn.Param{p})
 	if math.Abs(p.Value.Data[0]-0.95) > 1e-12 || math.Abs(p.Value.Data[1]-2.05) > 1e-12 {
 		t.Fatalf("after step: %v", p.Value.Data)
 	}
-	if p.Grad.Data[0] != 0 {
+	if p.Grad().Data[0] != 0 {
 		t.Fatal("Step must zero the gradient")
 	}
 }
@@ -41,9 +41,9 @@ func TestSGDWeightDecayRespectsFlag(t *testing.T) {
 func TestSGDMomentumAccumulates(t *testing.T) {
 	p := nn.NewParam("w", true, 1)
 	s := NewSGD(1, 0.9, 0)
-	p.Grad.Data[0] = 1
+	p.Grad().Data[0] = 1
 	s.Step([]*nn.Param{p}) // v=1, w=-1
-	p.Grad.Data[0] = 1
+	p.Grad().Data[0] = 1
 	s.Step([]*nn.Param{p}) // v=1.9, w=-2.9
 	if math.Abs(p.Value.Data[0]+2.9) > 1e-12 {
 		t.Fatalf("momentum value %v, want -2.9", p.Value.Data[0])
@@ -52,17 +52,17 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 
 func TestClipGradNorm(t *testing.T) {
 	p := nn.NewParam("w", true, 2)
-	p.Grad.Data[0], p.Grad.Data[1] = 3, 4 // norm 5
+	p.Grad().Data[0], p.Grad().Data[1] = 3, 4 // norm 5
 	norm := ClipGradNorm([]*nn.Param{p}, 1)
 	if math.Abs(norm-5) > 1e-12 {
 		t.Fatalf("pre-clip norm %v", norm)
 	}
-	if math.Abs(p.Grad.Data[0]-0.6) > 1e-12 || math.Abs(p.Grad.Data[1]-0.8) > 1e-12 {
-		t.Fatalf("clipped grads %v", p.Grad.Data)
+	if math.Abs(p.Grad().Data[0]-0.6) > 1e-12 || math.Abs(p.Grad().Data[1]-0.8) > 1e-12 {
+		t.Fatalf("clipped grads %v", p.Grad().Data)
 	}
 	// Below the threshold nothing changes.
 	ClipGradNorm([]*nn.Param{p}, 10)
-	if math.Abs(p.Grad.Data[0]-0.6) > 1e-12 {
+	if math.Abs(p.Grad().Data[0]-0.6) > 1e-12 {
 		t.Fatal("clip must be a no-op under the threshold")
 	}
 }
@@ -193,7 +193,7 @@ func TestHistorySeriesAndFinal(t *testing.T) {
 // gradient clear: the oracle of the one-pass Step.
 func sgdFourPass(s *SGD, vel map[*nn.Param]*tensor.Tensor, params []*nn.Param) {
 	for _, p := range params {
-		g := p.Grad
+		g := p.Grad()
 		if s.WeightDecay != 0 && p.Decay {
 			g.AddScaled(s.WeightDecay, p.Value)
 		}
@@ -239,12 +239,12 @@ func TestSGDOnePassMatchesFourPass(t *testing.T) {
 			vel := map[*nn.Param]*tensor.Tensor{}
 			for step := 0; step < 6; step++ {
 				for k, p := range got {
-					for i := range p.Grad.Data {
+					for i := range p.Grad().Data {
 						v := rng.NormFloat64()
 						if i < len(special) {
 							v = special[(i+step)%len(special)] / 1e200
 						}
-						p.Grad.Data[i], want[k].Grad.Data[i] = v, v
+						p.Grad().Data[i], want[k].Grad().Data[i] = v, v
 					}
 				}
 				s.Step(got)
@@ -256,7 +256,7 @@ func TestSGDOnePassMatchesFourPass(t *testing.T) {
 								momentum, wd, step, p.Name, i, v, want[k].Value.Data[i])
 						}
 					}
-					for i, v := range p.Grad.Data {
+					for i, v := range p.Grad().Data {
 						if math.Float64bits(v) != 0 {
 							t.Fatalf("%s gradient [%d] = %v after Step, want +0", p.Name, i, v)
 						}
