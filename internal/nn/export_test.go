@@ -21,3 +21,11 @@ func HoldHelpers() (release func()) {
 // HasGrad reports whether p's gradient has been allocated, without
 // allocating it.
 func HasGrad(p *Param) bool { return p.grad != nil }
+
+// Unchunked returns a copy of the fused Sequential s that serves its trunk
+// on the whole batch, as a pass did before the trunk was chunked.
+func Unchunked(s *Sequential) *Sequential {
+	u := *s
+	u.trunk = 0
+	return &u
+}

@@ -81,7 +81,59 @@ func fuseSequential(s *Sequential) *Sequential {
 		i++
 	}
 	out.runs = shiftedRuns(out.Layers)
+	out.trunk = trunkLen(out.Layers)
 	return out
+}
+
+// trunkLen is the length of a fused Sequential's trunk, which Infer may
+// serve a chunk of samples at a time: the longest prefix of per-sample
+// layers (sampleShape), ending at the first global average pool.
+func trunkLen(layers []Layer) int {
+	for i, l := range layers {
+		if _, _, _, ok := sampleShape(l, 1, 1, 1, 1); !ok {
+			return i
+		}
+		if _, gap := l.(*GlobalAvgPool); gap {
+			return i + 1
+		}
+	}
+	return len(layers)
+}
+
+// sampleShape is the per-sample output shape of l at rate r for a c×h×w
+// input sample (a global average pool's [c] is c×1×1), and whether l is a
+// per-sample layer: one whose Infer treats each sample on its own, bit for
+// bit at any batch size. Those are the convs and their fusions, the
+// eval-mode norms, ReLU, the pools, and containers of nothing else.
+func sampleShape(l Layer, r float64, c, h, w int) (int, int, int, bool) {
+	ok := true
+	switch v := l.(type) {
+	case *Conv2D:
+		_, c = v.Active(r)
+		h, w = v.OutShape(h, w)
+	case *FusedConvAct:
+		return sampleShape(v.conv, r, c, h, w)
+	case *MaxPool2D:
+		h, w = tensor.ConvOutSize(h, v.K, v.Stride, 0), tensor.ConvOutSize(w, v.K, v.Stride, 0)
+	case *GlobalAvgPool:
+		h, w = 1, 1
+	case *FusedNormAct, actNorm, *ReLU:
+	case *Residual:
+		if v.Short != nil {
+			_, _, _, ok = sampleShape(v.Short, r, c, h, w)
+		}
+		c, h, w, ok2 := sampleShape(v.Body, r, c, h, w)
+		return c, h, w, ok && ok2
+	case *Sequential:
+		for _, l := range v.Layers {
+			if c, h, w, ok = sampleShape(l, r, c, h, w); !ok {
+				break
+			}
+		}
+	default:
+		ok = false
+	}
+	return c, h, w, ok
 }
 
 // maxRun caps the layers of a shifted-row run, so a pass sets its stages up

@@ -326,17 +326,22 @@ func TestFusedInferAllocsFree(t *testing.T) {
 	if f, ok := fused.(*Sequential).Layers[1].(*FusedConvAct); !ok || f.gn == nil {
 		t.Fatalf("layer 1 fused to %T, want the Conv+GN+ReLU FusedConvAct", fused.(*Sequential).Layers[1])
 	}
-	x := randTensor(rng, 4, 3, 6, 6)
-	arena := tensor.NewArena()
-	ctx := &Context{Rate: 0.5, Arena: arena}
-	pass := func() {
-		Infer(fused, ctx, x)
-		arena.Reset()
-	}
-	pass()
-	pass()
-	if allocs := testing.AllocsPerRun(100, pass); allocs > 0 {
-		t.Fatalf("fused arena-backed inference allocates %v times per pass, want 0", allocs)
+	// Batch 4 is one chunk of the trunk; one sample past a chunk (the
+	// trunk's largest activation at r = 0.5 is a conv's 4×6×6 output) takes
+	// two, whose activations and headers the arena must recycle.
+	for _, batch := range []int{4, TrunkChunkBytes/(8*4*6*6) + 1} {
+		x := randTensor(rng, batch, 3, 6, 6)
+		arena := tensor.NewArena()
+		ctx := &Context{Rate: 0.5, Arena: arena}
+		pass := func() {
+			Infer(fused, ctx, x)
+			arena.Reset()
+		}
+		pass()
+		pass()
+		if allocs := testing.AllocsPerRun(100, pass); allocs > 0 {
+			t.Fatalf("batch %d: fused arena-backed inference allocates %v times per pass, want 0", batch, allocs)
+		}
 	}
 }
 

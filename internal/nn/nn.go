@@ -43,7 +43,8 @@ type Context struct {
 	//
 	// On the inference path (Layer.Infer) the outermost Sequential of a
 	// pass releases each layer's activations once the layer after it has
-	// run, so an intermediate is valid only until that loop moves on; the
+	// run, and a trunk chunk's once its output rows are copied out, so an
+	// intermediate is valid only until that loop moves on; the
 	// pass's returned output, and whatever was taken from the arena before
 	// the pass, stay valid until the caller's Arena.Reset. A layer's output
 	// is either new arena (or heap) storage or a view of its input's storage
@@ -74,8 +75,8 @@ type Context struct {
 
 // yield hands the P back to the Go scheduler once an arena-backed pass has
 // held it for yieldAfter. Sequential.Infer calls it between steps and
-// inferShift between sample groups, so a multi-layer run yields as often
-// as single layers do.
+// trunk chunks, and inferShift between sample groups, so a multi-layer run
+// yields as often as single layers do.
 func (c *Context) yield() {
 	if c != nil && c.inPass && time.Since(c.held) >= yieldAfter {
 		runtime.Gosched()
@@ -242,6 +243,9 @@ type Sequential struct {
 	// (shiftedRuns): runs[i] is the length of the run that starts at layer
 	// i, 0 elsewhere. Nil otherwise.
 	runs []int
+	// trunk is the number of leading layers that Infer may serve a chunk of
+	// samples at a time (trunkLen); 0 unless built by Fuse.
+	trunk int
 }
 
 // NewSequential builds a Sequential from the given layers.
@@ -279,6 +283,14 @@ func (s *Sequential) Params() []*Param {
 // would cost a quarter-width pass, whose layers run for ~10 µs.
 const yieldAfter = time.Millisecond
 
+// TrunkChunkBytes is the activation budget of one chunk of a served trunk
+// (Sequential.Infer): a chunk holds as many samples as the trunk's largest
+// per-sample activation at the pass's rate fits into it, and at least one.
+// VGG13Mini's chunks are 8 samples at r = 1 and 32 at r = 0.25. Half the
+// budget, chunks of 4, made its r = 1 pass 3 % slower: a chunk splits the
+// sample groups of the 8×8 and 4×4 shifted-row runs.
+const TrunkChunkBytes = 256 << 10
+
 // Infer runs all layers in order on the read-only inference path.
 //
 // On the exact tier a fused Sequential serves each of its shifted-row runs
@@ -297,23 +309,74 @@ const yieldAfter = time.Millisecond
 // released, and nested calls (Residual bodies) allocate plain bump. The same
 // boundary yields the P once the pass has held it for yieldAfter
 // (Context.yield).
+//
+// That call serves a fused Sequential's trunk (trunkLen) a chunk of samples
+// at a time (TrunkChunkBytes), releasing the arena below each chunk's output
+// rows once they are copied into the batch's trunk output (Arena.Release),
+// and runs the layers after the trunk once on the whole batch. Every bit is
+// the unchunked pass's; a Dense stays whole because the engine picks its
+// kernel, and so its last bits, by the batch.
 func (s *Sequential) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	runs := s.runs
 	if ctx.EffTier() != tensor.TierExact || len(runs) != len(s.Layers) {
 		runs = nil
 	}
 	a := arenaOf(ctx)
-	if a != nil && ctx.inPass {
-		a = nil // a nested call: plain bump
+	if a == nil || ctx.inPass {
+		return s.steps(ctx, nil, runs, x, 0, len(s.Layers)) // no arena, or a nested call: plain bump
 	}
-	var m tensor.ArenaMark
-	if a != nil {
-		ctx.inPass, ctx.held = true, time.Now()
-		defer func() { ctx.inPass = false }()
-		m = a.Mark()
+	ctx.inPass, ctx.held = true, time.Now()
+	defer func() { ctx.inPass = false }()
+	from := 0
+	if s.trunk > 0 && x.Rank() == 4 {
+		x, from = s.inferTrunk(ctx, a, runs, x)
 	}
-	for i := 0; i < len(s.Layers); {
-		if a != nil && i > 0 {
+	return s.steps(ctx, a, runs, x, from, len(s.Layers))
+}
+
+// inferTrunk serves the trunk of x's batch a chunk at a time and returns its
+// output and the trunk's length, or x and 0 when one chunk holds the batch.
+func (s *Sequential) inferTrunk(ctx *Context, a *tensor.Arena, runs []int, x *tensor.Tensor) (*tensor.Tensor, int) {
+	r, batch := ctx.EffRate(), x.Dim(0)
+	shape, act := [4]int{batch, x.Dim(1), x.Dim(2), x.Dim(3)}, 0
+	for _, l := range s.Layers[:s.trunk] {
+		shape[1], shape[2], shape[3], _ = sampleShape(l, r, shape[1], shape[2], shape[3])
+		act = max(act, shape[1]*shape[2]*shape[3])
+	}
+	chunk := max(1, TrunkChunkBytes/max(1, 8*act))
+	if chunk >= batch {
+		return x, 0
+	}
+	rank := 4
+	if _, gap := s.Layers[s.trunk-1].(*GlobalAvgPool); gap {
+		rank = 2
+	}
+	out := a.GetUninit(shape[:rank]...)
+	in, per := len(x.Data)/batch, len(out.Data)/batch
+	m := a.Mark()
+	for b0 := 0; b0 < batch; b0 += chunk {
+		if b0 > 0 {
+			ctx.yield()
+		}
+		n := min(chunk, batch-b0)
+		xc := a.Wrap(x.Data[b0*in:(b0+n)*in], n, x.Dim(1), x.Dim(2), x.Dim(3))
+		y := s.steps(ctx, a, runs, xc, 0, s.trunk)
+		if len(y.Data) != n*per {
+			panic(fmt.Sprintf("nn: trunk output %v, want %d elements a sample", y.Shape, per))
+		}
+		copy(out.Data[b0*per:], y.Data)
+		a.Release(m)
+	}
+	return out, s.trunk
+}
+
+// steps runs layers [from, to) on x as Infer's steps, ping-ponging a's
+// halves (a nil a allocates plain bump). No shifted-row run crosses the end
+// of the trunk: a run's layers are all trunk layers.
+func (s *Sequential) steps(ctx *Context, a *tensor.Arena, runs []int, x *tensor.Tensor, from, to int) *tensor.Tensor {
+	m := a.Mark()
+	for i := from; i < to; {
+		if a != nil && i > from {
 			a.Flip(m, true)
 			ctx.yield()
 		}

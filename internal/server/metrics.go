@@ -173,8 +173,9 @@ type Stats struct {
 	Windows int64
 	// ArenaBytes is the summed high-water activation-arena footprint across
 	// the worker pool, both halves of each arena included: per worker, the
-	// largest shard batch plus two layers' activations and scratch (a
-	// served pass releases the rest as it goes).
+	// largest shard batch and its trunk output plus two layers' activations
+	// and scratch of one chunk of samples (a served pass releases the rest
+	// as it goes).
 	ArenaBytes int64
 	// Latency is the all-queries submission-to-reply latency histogram;
 	// StageLatency breaks it down per pipeline stage and RateLatency per

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"modelslicing/internal/faults"
+	"modelslicing/internal/models"
 	"modelslicing/internal/nn"
 	"modelslicing/internal/serving"
 	"modelslicing/internal/slicing"
@@ -281,6 +282,68 @@ func (l *sleepLayer) Infer(_ *nn.Context, x *tensor.Tensor) *tensor.Tensor {
 	l.shards.Add(1)
 	time.Sleep(time.Duration(x.Dim(0)) * l.perSample)
 	return x
+}
+
+// TestShardArenaWithinChunkBound: a 200-query window at full width runs as
+// one shard on one worker, and the worker's arena stays within one chunk's
+// pass plus the shard's input rows and trunk output (the bound of
+// models.TestSharedInferChunkArenaBound), not a footprint that grows with
+// the shard.
+func TestShardArenaWithinChunkBound(t *testing.T) {
+	const n = 200
+	rng := rand.New(rand.NewSource(9))
+	model, _ := models.NewVGG(models.VGG13Mini(4, models.NormGroup, 1), rng)
+	rates := slicing.NewRateList(0.25, 4)
+	s, err := New(Config{
+		Model:      model,
+		Rates:      rates,
+		FixedRate:  1,
+		InputShape: []int{3, 16, 16},
+		SLO:        20 * time.Second, // no tick in the test's lifetime: Stop closes the one window
+		Workers:    1,
+		SampleTime: func(float64) float64 { return 1e-9 }, // the whole window is one shard
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	chans := make([]<-chan Result, n)
+	for i := range chans {
+		x := tensor.New(3, 16, 16)
+		for j := range x.Data {
+			x.Data[j] = rng.NormFloat64()
+		}
+		if chans[i], err = s.Submit(x); err != nil {
+			t.Fatalf("submit %d of %d: %v", i, n, err)
+		}
+	}
+	s.Stop()
+	for _, ch := range chans {
+		if res := <-ch; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if st := s.Stats(); st.Batches != 1 {
+		t.Fatalf("%d batches, want the one window", st.Batches)
+	}
+
+	// One chunk's pass, from a worker-like arena: the batch is taken from it
+	// before the pass. The largest activation at r = 1 is the 16×16×16
+	// second conv's, and the trunk ends in 64 channels.
+	const in, out = 3 * 16 * 16, 64
+	c := nn.TrunkChunkBytes / (8 * 16 * 16 * 16)
+	shared := slicing.NewShared(model, rates)
+	arena := tensor.NewArena()
+	for i := 0; i < 2; i++ {
+		x := arena.GetUninit(c, 3, 16, 16)
+		shared.Infer(1, x, arena)
+		arena.Reset()
+	}
+	bound := 8 * int64(arena.Footprint()+(n-c)*in+n*out)
+	if got := s.Stats().ArenaBytes; got > bound {
+		t.Fatalf("a %d-query shard left %d arena bytes, want ≤ %d: one %d-sample chunk's pass plus the shard's input rows and trunk output",
+			n, got, bound, c)
+	}
 }
 
 // TestCalibratorDivisor: a window cut into more shards than there are workers

@@ -3,6 +3,7 @@ package slicing
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -59,6 +60,68 @@ func TestSharedPackedMatchesForwardEndToEnd(t *testing.T) {
 			t.Fatalf("%s: Shared served every rate and reports %d pack bytes, want packs %v", tc.name, b, tc.packs)
 		}
 	}
+
+	// The chunk boundary: a CNN's trunk is served a chunk of samples at a
+	// time and its Dense head on the whole batch, so each batch around a
+	// rate's chunk size is held to Forward at that same batch (a Dense's
+	// last bits depend on the batch), bit for bit on the exact tier and
+	// within 1e-12 on fma.
+	resnet, _ := models.NewResNet(models.ResNetMini(4, models.NormGroup, 1), rng)
+	for _, tc := range []struct {
+		name  string
+		model *nn.Sequential
+		hw    int
+	}{{"minicnn", miniCNN(rng), 8}, {"vgg13mini-gn", vgg, 16}, {"resnetmini-gn", resnet, 16}} {
+		shared := NewShared(tc.model, rates)
+		arena := tensor.NewArena()
+		for _, r := range rates {
+			for _, batch := range chunkBatches(trunkChunk(tc.model, r, 3, tc.hw, tc.hw)) {
+				x := randInput(rng, batch, 3, tc.hw, tc.hw)
+				want := evalForward(tc.model, r, x)
+				for _, tier := range []tensor.EngineTier{tensor.TierExact, tensor.TierFMA} {
+					shared.SetTier(tier)
+					got := shared.Infer(r, x, arena)
+					for j, v := range want.Data {
+						if d := math.Abs(got.Data[j] - v); tier == tensor.TierExact && math.Float64bits(got.Data[j]) != math.Float64bits(v) ||
+							d > 1e-12*math.Max(math.Abs(v), 1) {
+							t.Fatalf("%s rate %v batch %d tier %v: Infer[%d]=%v, Forward %v", tc.name, r, batch, tier, j, got.Data[j], v)
+						}
+					}
+					arena.Reset()
+				}
+			}
+		}
+	}
+}
+
+// trunkChunk is the number of samples per chunk in which Shared.Infer serves
+// model's trunk at rate r: nn.TrunkChunkBytes over its largest per-sample
+// activation, measured by walking one sample of the given shape through the
+// layers up to the global average pool.
+func trunkChunk(model *nn.Sequential, r float64, sample ...int) int {
+	x := tensor.New(append([]int{1}, sample...)...)
+	ctx, act := nn.Eval(r), 0
+	for _, l := range model.Layers {
+		x = l.Infer(ctx, x)
+		act = max(act, x.Size())
+		if _, gap := l.(*nn.GlobalAvgPool); gap {
+			break
+		}
+	}
+	return max(1, nn.TrunkChunkBytes/(8*act))
+}
+
+// chunkBatches are the batches that cross a chunk size of c: one and two
+// samples, one chunk less one, one and one more, and 17 and 50, which take
+// several chunks and a short last one.
+func chunkBatches(c int) []int {
+	var bs []int
+	for _, b := range []int{1, 2, c - 1, c, c + 1, 17, 50} {
+		if b > 0 && !slices.Contains(bs, b) {
+			bs = append(bs, b)
+		}
+	}
+	return bs
 }
 
 // mlpBatch is the batch at which packedMLP's hidden layer is above the

@@ -38,7 +38,7 @@ type Arena struct {
 	hw atomic.Int64
 	// hdrs recycles Tensor headers (and their Shape backing arrays) across
 	// cycles; used counts how many are handed out in the current cycle.
-	// Headers are never released mid-cycle: a pass needs a few per layer.
+	// Only Release hands headers back mid-cycle; Flip keeps them.
 	hdrs []*Tensor
 	used int
 }
@@ -54,9 +54,11 @@ type half struct {
 	virt, peak int
 }
 
-// ArenaMark records the offsets of both halves of an arena (Arena.Mark).
+// ArenaMark records the offsets of both halves of an arena, its current
+// half and its count of handed-out headers (Arena.Mark).
 type ArenaMark struct {
 	off, virt [2]int
+	cur, used int
 }
 
 // NewArena returns an empty arena; each half's slab grows to the high-water
@@ -156,7 +158,26 @@ func (a *Arena) Mark() ArenaMark {
 	return ArenaMark{
 		off:  [2]int{a.halves[0].off, a.halves[1].off},
 		virt: [2]int{a.halves[0].virt, a.halves[1].virt},
+		cur:  a.cur,
+		used: a.used,
 	}
+}
+
+// Release rolls the whole arena back to m: both halves, the current half and
+// the headers, so every tensor taken since the mark, and its header, is
+// invalid and reused by the next Get. A loop that releases per iteration
+// (nn.Sequential.Infer's sample chunks) stays within one iteration's
+// storage and headers, however many it runs. m must come from Mark in the
+// same cycle. A nil arena ignores the call.
+func (a *Arena) Release(m ArenaMark) {
+	if a == nil {
+		return
+	}
+	for i := range a.halves {
+		h := &a.halves[i]
+		h.off, h.virt = m.off[i], m.virt[i]
+	}
+	a.cur, a.used = m.cur, m.used
 }
 
 // Flip makes the other half current. With release set it also rolls that

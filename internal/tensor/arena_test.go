@@ -207,6 +207,55 @@ func TestArenaFlippingCycleAllocFree(t *testing.T) {
 	}
 }
 
+// TestArenaReleaseChunkLoop runs the chunk loop of nn.Sequential.Infer: a
+// ping-pong per chunk, each released to a mark taken after the pass's
+// output. Release must roll back both halves, the current half and the
+// headers, so the arena holds one chunk's storage and headers whatever the
+// number of chunks, everything below the mark survives, and the steady
+// state allocates nothing.
+func TestArenaReleaseChunkLoop(t *testing.T) {
+	a := NewArena()
+	chunks := func(n int) {
+		out := a.Get(n)
+		m := a.Mark()
+		for c := 0; c < n; c++ {
+			// pingPong without its slices, which would allocate.
+			y := a.Get(10)
+			for i, size := range [...]int{30, 20} {
+				a.Flip(m, true)
+				y = a.Get(size)
+				y.Data[0] = float64(i + 2)
+			}
+			out.Data[c] = y.Data[0]
+			a.Release(m)
+			if a.Mark() != m {
+				t.Fatalf("chunk %d: Release left the arena at %+v, want the mark %+v", c, a.Mark(), m)
+			}
+		}
+		for c, v := range out.Data {
+			if v != 3 {
+				t.Fatalf("output below the mark overwritten at %d: %g", c, v)
+			}
+		}
+		a.Reset()
+	}
+	chunks(2)
+	chunks(2)
+	fp, hdrs := a.Footprint(), len(a.hdrs)
+	chunks(40)
+	if got := a.Footprint(); got != fp+38 {
+		t.Fatalf("footprint %d after 40 chunks, want %d: one chunk's storage plus the output's extra rows", got, fp+38)
+	}
+	if len(a.hdrs) != hdrs {
+		t.Fatalf("40 chunks handed out %d headers, 2 chunks %d: Release did not recycle them", len(a.hdrs), hdrs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { chunks(40) }); allocs != 0 {
+		t.Fatalf("steady-state chunk loop allocates %v times, want 0", allocs)
+	}
+	var nilArena *Arena
+	nilArena.Release(nilArena.Mark()) // must not panic
+}
+
 func TestArenaGetUninitReusesSlabWithoutClearing(t *testing.T) {
 	a := NewArena()
 	a.Get(16) // first cycle spills to the heap and grows the slab on Reset
