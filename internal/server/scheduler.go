@@ -246,7 +246,7 @@ func (d *scheduler) scanStuck(now time.Time) {
 	d.mu.Lock()
 	d.running -= len(victims)
 	for range victims {
-		d.free = append(d.free, d.srv.newWorker())
+		d.free = append(d.free, newWorker())
 	}
 	d.mu.Unlock()
 	d.notify()
@@ -414,9 +414,9 @@ func (d *scheduler) finish(job *batchJob) {
 	s.metrics.recordBatch(n, job.decision, workerBusy, acc, haveAcc)
 }
 
-// newWorker builds a replacement worker (weights travel with each shard, so
-// a fresh worker is just a fresh arena).
-func (s *Server) newWorker() *worker {
+// newWorker builds a worker: weights travel with each shard, so a worker is
+// just an arena, empty until its first shard sizes it.
+func newWorker() *worker {
 	return &worker{arena: tensor.NewArena()}
 }
 

@@ -381,7 +381,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	workers := make([]*worker, cfg.Workers)
 	for w := range workers {
-		workers[w] = &worker{arena: tensor.NewArena()}
+		workers[w] = newWorker()
 	}
 
 	if cfg.CalibrationBatch <= 0 {
@@ -412,7 +412,7 @@ func New(cfg Config) (*Server, error) {
 			alpha:     ewmaAlpha,
 			minN:      cfg.CalibrationBatch,
 		}
-		measureSampleTimes(s.cal, workers, shared, deploy, cfg.InputShape, cfg.CalibrationBatch)
+		measureSampleTimes(s.cal, cfg.Workers, shared, deploy, cfg.InputShape, cfg.CalibrationBatch)
 	}
 	s.policy = serving.Policy{
 		Rates:      cfg.Rates,
@@ -424,17 +424,22 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// measureSampleTimes times each rate through a sharded worker pool — the
-// same path live batches take — so t(r) reflects pool throughput, not
-// single-worker serial time: one warm-up, then the best of three timed runs
-// (minimum filters scheduler noise; the EWMA absorbs any residual optimism
-// once real traffic flows). This is a genuine hardware measurement, so it
-// reads the wall clock directly — an injected fake clock cannot speed up
-// the silicon it is timing. Both startup calibration (the server's own pool,
-// idle by definition) and Swap recalibration (a temporary pool, so live
-// traffic keeps its workers) run through here.
-func measureSampleTimes(cal *Calibrator, workers []*worker, shared *slicing.Shared,
+// measureSampleTimes times each rate through a throwaway pool of n workers
+// with fresh arenas, sharded the way live batches are, so t(r) reflects pool
+// throughput, not single-worker serial time: one warm-up, then the best of
+// three timed runs (minimum filters scheduler noise; the EWMA absorbs any
+// residual optimism once real traffic flows). This is a genuine hardware
+// measurement, so it reads the wall clock directly — an injected fake clock
+// cannot speed up the silicon it is timing. New and Swap both calibrate
+// here, and the pool is dropped afterwards: no live worker is timed against
+// traffic or keeps a calibration pass's arena, so a live worker's arena is
+// sized by the windows it serves.
+func measureSampleTimes(cal *Calibrator, n int, shared *slicing.Shared,
 	deploy slicing.RateList, inputShape []int, batchN int) {
+	workers := make([]*worker, n)
+	for i := range workers {
+		workers[i] = newWorker()
+	}
 	rng := rand.New(rand.NewSource(0))
 	queries := make([]*query, batchN)
 	for i := range queries {
@@ -465,14 +470,14 @@ func measureSampleTimes(cal *Calibrator, workers []*worker, shared *slicing.Shar
 // from ns; no query is dropped, erred or served a half-swapped model.
 //
 // Before publishing ns, Swap recalibrates t(r) for it — static SampleTime
-// configs are re-queried, measured configs re-time each rate on a temporary
-// worker pool so live traffic keeps its workers — and arms the calibrator's
-// recalibration ramp (swapRampWindows) so the first post-ramp windows
-// decide on estimates that track the new model rather than the old one's
-// stale EWMA. The old model's backing checkpoint (if mmap-ed) must stay open
-// until its last in-flight window settles; msserver simply keeps old
-// mappings open for the process lifetime — their count is bounded by the
-// number of swaps, not by traffic.
+// configs are re-queried, measured configs re-time each rate on a throwaway
+// pool as New does, so live workers keep serving and their arenas stay as
+// traffic left them — and arms the calibrator's recalibration ramp
+// (swapRampWindows) so the first post-ramp windows decide on estimates that
+// track the new model rather than the old one's stale EWMA. The old model's
+// backing checkpoint (if mmap-ed) must stay open until its last in-flight
+// window settles; msserver simply keeps old mappings open for the process
+// lifetime — their count is bounded by the number of swaps, not by traffic.
 func (s *Server) Swap(ns *slicing.Shared, info ModelInfo) error {
 	if ns == nil {
 		return errors.New("server: swap: nil model")
@@ -495,13 +500,7 @@ func (s *Server) Swap(ns *slicing.Shared, info ModelInfo) error {
 			s.cal.set(r, s.cfg.SampleTime(r))
 		}
 	} else {
-		// Measure on a temporary pool: recalibrating on s.workers would
-		// contend with (and be skewed by) the traffic they are serving.
-		tmp := make([]*worker, s.cfg.Workers)
-		for i := range tmp {
-			tmp[i] = &worker{arena: tensor.NewArena()}
-		}
-		measureSampleTimes(s.cal, tmp, ns, deploy, s.cfg.InputShape, s.cfg.CalibrationBatch)
+		measureSampleTimes(s.cal, s.cfg.Workers, ns, deploy, s.cfg.InputShape, s.cfg.CalibrationBatch)
 	}
 	s.cal.Ramp(swapRampWindows)
 	s.mu.Lock()

@@ -346,6 +346,66 @@ func TestShardArenaWithinChunkBound(t *testing.T) {
 	}
 }
 
+// TestServerArenasFollowTraffic: measured calibration runs on a throwaway
+// pool, so a live worker's arena starts empty, a single-query window grows it
+// to one sample's pass and no further, and a measured Swap leaves it alone.
+func TestServerArenasFollowTraffic(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	model, _ := models.NewVGG(models.VGG13Mini(4, models.NormGroup, 1), rng)
+	rates := slicing.NewRateList(0.25, 4)
+	s, err := New(Config{
+		Model:      model,
+		Rates:      rates,
+		InputShape: []int{3, 16, 16},
+		SLO:        200 * time.Millisecond,
+		Workers:    2,
+		// no SampleTime: t(r) is measured at the default CalibrationBatch
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	if got := s.Stats().ArenaBytes; got != 0 {
+		t.Fatalf("ArenaBytes = %d after New, want 0: a live worker kept the calibration pass", got)
+	}
+
+	x := tensor.New(3, 16, 16)
+	for j := range x.Data {
+		x.Data[j] = rng.NormFloat64()
+	}
+	ch, err := s.Submit(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := <-ch; res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	rate := 0.0
+	for _, rec := range s.Recorder().Snapshot() {
+		if rec.Arrivals > 0 {
+			rate = rec.Rate
+		}
+	}
+	// One sample's pass at the served rate, from a worker-like arena.
+	arena := tensor.NewArena()
+	slicing.NewShared(model, rates).Infer(rate, arena.GetUninit(1, 3, 16, 16), arena)
+	arena.Reset()
+	bound := 8 * int64(arena.Footprint())
+	served := s.Stats().ArenaBytes
+	if served == 0 || served > bound {
+		t.Fatalf("ArenaBytes = %d after one single-query window at r = %v, want in (0, %d]: one sample's pass",
+			served, rate, bound)
+	}
+
+	next, _ := models.NewVGG(models.VGG13Mini(4, models.NormGroup, 1), rng)
+	if err := s.Swap(slicing.NewShared(next, rates), ModelInfo{Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().ArenaBytes; got != served {
+		t.Fatalf("ArenaBytes = %d after a measured Swap, want %d as traffic left it", got, served)
+	}
+}
+
 // TestCalibratorDivisor: a window cut into more shards than there are workers
 // must be observed at its pool-effective time — worker·time over the pool
 // size, not over the shard count. The configured t(r) is pool-effective, so
