@@ -203,6 +203,82 @@ func TestFleetChaosHedgeStraggler(t *testing.T) {
 	}
 }
 
+// TestFleetChaosHedgeLoserNotAFailure: when a hedge copy wins, the straggling
+// primary's request is canceled, and that cancellation says nothing about the
+// straggler's health — it is not a failure and does not eject it. No health
+// poll runs, so the forwarded attempts are the only signal.
+func TestFleetChaosHedgeLoserNotAFailure(t *testing.T) {
+	if netFaultsArmed() {
+		t.Skip("network fault injection armed; a dropped attempt is a failure")
+	}
+	coord, tr, urls := liveFleet(t, 2, func(cfg *Config) {
+		cfg.HealthEvery = time.Hour
+		cfg.HedgeAfter = 25 * time.Millisecond
+	})
+	// Replica 0 wins the empty-fleet tie-break; every request to it stalls
+	// far past the hedge delay. Were a canceled loser a failure, the first
+	// two would eject it (FailThreshold 2) while the next hedges wait out
+	// their delay, and it would win no further tie-break.
+	tr.SetDelay(hostOf(urls[0]), 600*time.Millisecond)
+	for j := 0; j < 40 && coord.Stats().HedgeWins < 4; j++ {
+		if _, err := coord.Predict(context.Background(), inputVec(int64(j))); err != nil {
+			t.Fatalf("hedged predict %d: %v", j, err)
+		}
+	}
+	if st := coord.Replicas()[0]; st.ConsecFails != 0 || st.Ejections != 0 {
+		t.Fatalf("straggler after losing %d hedges: ConsecFails=%d Ejections=%d, want 0/0",
+			coord.Stats().HedgeWins, st.ConsecFails, st.Ejections)
+	}
+	if wins := coord.Stats().HedgeWins; wins < 4 {
+		t.Fatalf("%d hedge wins in 40 queries, want 4", wins)
+	}
+}
+
+// TestFleetChaosAttemptTimeoutIsAFailure is the other side of the rule: an
+// attempt that runs out its own predict timeout (8·SLO) on a stalled replica
+// is that replica's failure, counted towards its ejection.
+func TestFleetChaosAttemptTimeoutIsAFailure(t *testing.T) {
+	if netFaultsArmed() {
+		t.Skip("network fault injection armed; failure counts are not deterministic")
+	}
+	coord, tr, urls := liveFleet(t, 1, func(cfg *Config) {
+		cfg.SLO = 25 * time.Millisecond
+		cfg.HealthEvery = time.Hour
+	})
+	tr.SetDelay(hostOf(urls[0]), time.Minute)
+	if _, err := coord.Predict(context.Background(), inputVec(1)); err == nil {
+		t.Fatal("a query to a replica stalled past the predict timeout succeeded")
+	}
+	if f := coord.Replicas()[0].ConsecFails; f != 1 {
+		t.Fatalf("ConsecFails=%d after one timed-out attempt, want 1", f)
+	}
+}
+
+// TestStopCancelsStalledPolls: Stop cancels a health poll in flight and polls
+// no further member, so with every replica stalled it returns in well under
+// one SLO — the bound each stalled poll would otherwise hold it for — and
+// counts none of the canceled polls as a replica failure.
+func TestStopCancelsStalledPolls(t *testing.T) {
+	if netFaultsArmed() {
+		t.Skip("network fault injection armed; a dropped poll is a failure")
+	}
+	coord, tr, urls := liveFleet(t, 3, nil)
+	for _, u := range urls {
+		tr.SetDelay(hostOf(u), time.Minute)
+	}
+	waitFor(t, "a stalled poll", func() bool { return coord.Stats().HealthPolls >= 1 })
+	start := time.Now()
+	coord.Stop()
+	if d, slo := time.Since(start), coord.cfg.SLO; d > slo/4 {
+		t.Fatalf("Stop took %v with every replica stalled, want well under the %v SLO", d, slo)
+	}
+	for _, st := range coord.Replicas() {
+		if st.ConsecFails != 0 {
+			t.Fatalf("replica %s: ConsecFails=%d after Stop canceled its poll, want 0", st.URL, st.ConsecFails)
+		}
+	}
+}
+
 // TestFleetChaosHedgePrimaryWins is the other side of the hedge race: the
 // primary is slow enough to trigger a hedge but still answers before the
 // hedge copy does. The hedge is counted, the win is not.
@@ -339,6 +415,7 @@ func TestFleetHTTPSurface(t *testing.T) {
 		"msfleet_ejections_total",
 		"msfleet_rejoins_total",
 		"msfleet_shed_total",
+		"msfleet_health_polls_total",
 		`msfleet_replica_up{replica="` + urls[0] + `"} 1`,
 		`msfleet_replica_routed_total{replica="` + urls[0] + `"}`,
 		"msfleet_query_latency_seconds_count 2",
@@ -424,7 +501,8 @@ func TestStopClosesReplicaConnections(t *testing.T) {
 
 // TestReplicaShutdownUnderPolling: a replica's graceful http.Server.Shutdown
 // returns within a 2 s deadline while a coordinator polls its /state at the
-// default interval (SLO/2). Shutdown closes the idle keep-alive connections
+// default cadence (base interval SLO/2, stretched while the replica is
+// quiet). Shutdown closes the idle keep-alive connections
 // and waits for the active ones; a poll that lands mid-drain must get its
 // answer on a connection that then closes, not keep the server open.
 func TestReplicaShutdownUnderPolling(t *testing.T) {

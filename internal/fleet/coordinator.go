@@ -43,12 +43,16 @@ type Config struct {
 	// Clock supplies time; nil means the wall clock. The lockstep test
 	// injects a server.FakeClock and advances it window by window.
 	Clock server.Clock
-	// HealthEvery is the health-poll interval (GET /state per replica).
-	// Default SLO/2 — one poll per routing window.
+	// HealthEvery is the health loop's base interval (GET /state per
+	// replica). Default SLO/2 — one tick per routing window. A replica whose
+	// polls bring no news is polled one tick later each time, down to once
+	// every FailThreshold ticks; any news or failure puts it back on every
+	// tick.
 	HealthEvery time.Duration
 	// FailThreshold ejects a replica after this many consecutive failures
-	// (failed health polls or transport errors on forwarded queries).
-	// Default 3.
+	// (failed health polls or transport errors on forwarded queries). It also
+	// caps a quiet replica's poll interval, so a dead replica that gets no
+	// traffic is ejected within 2·FailThreshold−1 ticks. Default 3.
 	FailThreshold int
 	// RejoinAfter readmits an ejected replica after this many consecutive
 	// successful health polls; its backlog model is reseeded from the
@@ -74,10 +78,13 @@ type Config struct {
 
 // replica is one fleet member: its URL, the coordinator's Equation-3 model
 // of it (index-aligned entry in the serving.Cluster), and its health-state
-// machine counters. All fields are guarded by the coordinator's mu.
+// machine counters. url and the two parsed endpoints are fixed at the first
+// join and read without a lock; every other field is guarded by the
+// coordinator's mu.
 type replica struct {
-	url   string
-	model *serving.ReplicaModel
+	url                  string
+	stateURL, predictURL *url.URL
+	model                *serving.ReplicaModel
 	// table is the t(r) table model.Policy.SampleTime was last built from;
 	// polled is the health loop's scratch, touched by that goroutine alone.
 	table  []server.RateTime
@@ -86,6 +93,9 @@ type replica struct {
 	consecFails int
 	consecOK    int
 	left        bool // administratively removed; skipped by health polls
+	// stretch is how many health ticks are skipped after each poll (0: every
+	// tick); skip counts down the ones left before the next poll.
+	stretch, skip int
 
 	routed   int64 // queries routed here (hedges included)
 	ejected  int64 // times ejected
@@ -113,6 +123,11 @@ type Coordinator struct {
 	quit     chan struct{}
 	loopDone chan struct{} // closed when healthLoop returns
 	stopOnce sync.Once
+	// pollCtx parents every health poll; Stop cancels it, so a stalled poll
+	// does not hold Stop for its timeout.
+	pollCtx    context.Context
+	pollCancel context.CancelFunc
+	due        []*replica // healthLoop's scratch: the members polled this tick
 }
 
 // predictTimeout bounds one forwarded attempt: 8·SLO, since a replica may
@@ -158,17 +173,21 @@ func New(cfg Config) (*Coordinator, error) {
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
+	c.pollCtx, c.pollCancel = context.WithCancel(context.Background())
 	c.hedgeNs.Store(int64(2 * cfg.SLO))
 	go c.healthLoop()
 	return c, nil
 }
 
-// Stop halts the health loop, waits for it to exit, and then closes the
-// idle keep-alive connections to the replicas, so a stopped coordinator
-// holds no sockets open on them. In-flight forwarded queries finish on their
-// own contexts.
+// Stop halts the health loop, cancels the poll it may be waiting on, waits
+// for it to exit, and then closes the idle keep-alive connections to the
+// replicas, so a stopped coordinator holds no sockets open on them.
+// In-flight forwarded queries finish on their own contexts.
 func (c *Coordinator) Stop() {
-	c.stopOnce.Do(func() { close(c.quit) })
+	c.stopOnce.Do(func() {
+		close(c.quit)
+		c.pollCancel()
+	})
 	<-c.loopDone
 	c.client.CloseIdleConnections()
 }
@@ -189,8 +208,16 @@ func (c *Coordinator) sinceStart(t time.Time) float64 {
 // place; indices stay stable for the queries in flight. A /state request lost in transit is retried like a
 // forwarded query (retryLost), so one dropped packet does not fail a join.
 func (c *Coordinator) AddReplica(baseURL string) error {
+	stateURL, err := url.Parse(baseURL + "/state")
+	if err != nil {
+		return fmt.Errorf("fleet: join %s: %w", baseURL, err)
+	}
+	predictURL, err := url.Parse(baseURL + "/predict")
+	if err != nil {
+		return fmt.Errorf("fleet: join %s: %w", baseURL, err)
+	}
 	var poll statePoll
-	err := c.retryLost(c.quit, func() error { return c.fetchState(baseURL, &poll) })
+	err = c.retryLost(c.quit, func() error { return c.fetchState(context.Background(), stateURL, &poll) })
 	if err != nil {
 		return fmt.Errorf("fleet: join %s: %w", baseURL, err)
 	}
@@ -212,12 +239,13 @@ func (c *Coordinator) AddReplica(baseURL string) error {
 		if r.url == baseURL {
 			r.left = false
 			r.consecFails, r.consecOK = 0, 0
+			r.stretch, r.skip = 0, 0
 			*r.model = *model // clears the cost curve; setTable rebuilds it
 			r.setTable(st.SampleTimes)
 			return nil
 		}
 	}
-	r := &replica{url: baseURL, model: model}
+	r := &replica{url: baseURL, stateURL: stateURL, predictURL: predictURL, model: model}
 	r.setTable(st.SampleTimes)
 	c.cluster.Replicas = append(c.cluster.Replicas, model)
 	c.replicas = append(c.replicas, r)
@@ -225,13 +253,15 @@ func (c *Coordinator) AddReplica(baseURL string) error {
 }
 
 // setTable installs a polled t(r) table as the replica's cost curve, rebuilt
-// only when it moved (an idle replica reports the same one). Holds c.mu.
-func (r *replica) setTable(ts []server.RateTime) {
+// only when it moved (an idle replica reports the same one); it reports
+// whether it moved. Holds c.mu.
+func (r *replica) setTable(ts []server.RateTime) (moved bool) {
 	if r.model.Policy.SampleTime != nil && slices.Equal(r.table, ts) {
-		return
+		return false
 	}
 	r.table = append(r.table[:0], ts...)
 	r.model.Policy.SampleTime = server.SampleTimeTable(r.table)
+	return true
 }
 
 // RemoveReplica takes a replica out of rotation administratively. The entry
@@ -273,7 +303,7 @@ func (c *Coordinator) advanceLocked(nowF float64) {
 // route books one query into the fleet model and returns the chosen
 // replica. skip lists replica indices this query must avoid (already tried,
 // or the hedge primary).
-func (c *Coordinator) route(skip []int) (int, string, bool) {
+func (c *Coordinator) route(skip []int) (int, *replica, bool) {
 	now := c.clock.Now()
 	nowF := c.sinceStart(now)
 	c.mu.Lock()
@@ -282,11 +312,11 @@ func (c *Coordinator) route(skip []int) (int, string, bool) {
 	closeT := float64(c.curWindow+1) * c.windowS()
 	rd, ok := c.cluster.Route(nowF, closeT, func(i int) bool { return slices.Contains(skip, i) })
 	if !ok {
-		return -1, "", false
+		return -1, nil, false
 	}
 	r := c.replicas[rd.Replica]
 	r.routed++
-	return rd.Replica, r.url, true
+	return rd.Replica, r, true
 }
 
 // recordNetFailure feeds a transport-level failure into the same
@@ -308,9 +338,10 @@ func (c *Coordinator) recordNetOK(idx int) {
 	r.consecFails = 0
 }
 
-// failLocked advances one replica's failure count and ejects it at the
-// threshold: out of rotation, pending bookings forgotten (those queries are
-// being retried elsewhere). It reports an ejection, after which the caller
+// failLocked advances one replica's failure count, puts it back on every
+// health tick, and ejects it at the threshold: out of rotation, pending
+// bookings forgotten (those queries are being retried elsewhere). It reports
+// an ejection, after which the caller
 // closes the idle connections once it has released c.mu (the transport may
 // be caller-supplied code). net/http closes idle connections per pool, not
 // per host, so the other replicas' idle connections go too; they are
@@ -318,6 +349,7 @@ func (c *Coordinator) recordNetOK(idx int) {
 func (c *Coordinator) failLocked(r *replica) (ejected bool) {
 	r.consecOK = 0
 	r.consecFails++
+	r.stretch, r.skip = 0, 0
 	if r.model.Ejected || r.consecFails < c.cfg.FailThreshold {
 		return false
 	}
@@ -328,10 +360,10 @@ func (c *Coordinator) failLocked(r *replica) (ejected bool) {
 	return true
 }
 
-// healthLoop polls every member's /state each HealthEvery: successes refresh
-// the model (t(r) drift, circuit penalty) and drive rejoin; failures drive
-// ejection. Under a fake clock that is only advanced (never ticked) the loop
-// stays dormant — the lockstep tests run the routing arithmetic pure.
+// healthLoop ticks every HealthEvery and polls the members due: successes
+// refresh the model (t(r) drift, circuit penalty) and drive rejoin; failures
+// drive ejection. Under a fake clock that is only advanced (never ticked) the
+// loop stays dormant — the lockstep tests run the routing arithmetic pure.
 func (c *Coordinator) healthLoop() {
 	defer close(c.loopDone)
 	ticks, stop := c.clock.Ticker(c.cfg.HealthEvery)
@@ -347,18 +379,37 @@ func (c *Coordinator) healthLoop() {
 	}
 }
 
+// pollAll is one health tick: it polls every member whose stretched interval
+// has run out. A poll that brings no news — same table, same penalty, not
+// ejected — stretches that member's interval by one tick, up to one poll
+// every FailThreshold ticks; news or a failure (failLocked) resets it to
+// every tick. Forwarded replies prove liveness between polls, and a dead
+// member that gets no traffic is still ejected within 2·FailThreshold−1
+// ticks: one stretched wait, then a poll every tick.
 func (c *Coordinator) pollAll() {
 	c.mu.Lock()
-	members := make([]*replica, 0, len(c.replicas))
+	c.due = c.due[:0]
 	for _, r := range c.replicas {
-		if !r.left {
-			members = append(members, r)
+		if r.left {
+			continue
 		}
+		if r.skip > 0 {
+			r.skip--
+			continue
+		}
+		c.due = append(c.due, r)
 	}
 	c.mu.Unlock()
-	for _, r := range members {
+	for _, r := range c.due {
+		if c.pollCtx.Err() != nil {
+			return // Stopped: poll no further member
+		}
+		c.metrics.healthPolls.Add(1)
 		st := &r.polled.State
-		err := c.fetchState(r.url, &r.polled)
+		err := c.fetchState(c.pollCtx, r.stateURL, &r.polled)
+		if c.pollCtx.Err() != nil {
+			return // Stop canceled the poll; that says nothing about the replica
+		}
 		now := c.clock.Now()
 		c.mu.Lock()
 		if r.left { // removed while we polled
@@ -375,8 +426,15 @@ func (c *Coordinator) pollAll() {
 		}
 		r.consecFails = 0
 		r.consecOK++
-		r.model.Penalized = st.CircuitOpen || st.Stopping
-		r.setTable(st.SampleTimes)
+		penalized := st.CircuitOpen || st.Stopping
+		news := r.setTable(st.SampleTimes) || penalized != r.model.Penalized || r.model.Ejected
+		r.model.Penalized = penalized
+		if news {
+			r.stretch = 0
+		} else {
+			r.stretch = min(r.stretch+1, c.cfg.FailThreshold-1)
+		}
+		r.skip = r.stretch
 		if r.model.Ejected && r.consecOK >= c.cfg.RejoinAfter {
 			// Rejoin: back into rotation with a fresh horizon seeded from
 			// the replica's own report — whatever happened while it was
@@ -399,15 +457,12 @@ type statePoll struct {
 	raw bytes.Buffer
 }
 
-// fetchState polls one replica's /state into p, bounded by one SLO.
-func (c *Coordinator) fetchState(baseURL string, p *statePoll) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.SLO)
+// fetchState polls one replica's /state (u) into p, bounded by one SLO and
+// by ctx.
+func (c *Coordinator) fetchState(ctx context.Context, u *url.URL, p *statePoll) error {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.SLO)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/state", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(req)
+	resp, err := c.client.Do(newRequest(ctx, http.MethodGet, u, nil))
 	if err != nil {
 		return err
 	}

@@ -44,12 +44,16 @@ func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reply, err := c.predictBytes(r.Context(), body.Bytes(), r.URL.RawQuery)
+	if err == nil {
+		w.Header()["Content-Type"] = jsonContentType
+		_, _ = w.Write(reply) // a client that left is not the fleet's error
+		return
+	}
+	// Declared past the success return: errors.As takes its address, which
+	// moves it to the heap, so only a failed query pays that allocation.
 	var aerr *attemptErr
 	failed := errors.As(err, &aerr)
 	switch {
-	case err == nil:
-		w.Header()["Content-Type"] = jsonContentType
-		_, _ = w.Write(reply) // a client that left is not the fleet's error
 	case errors.Is(err, ErrSaturated), errors.Is(err, ErrNoReplicas):
 		// The soonest horizon the shedding replicas derived, if there is one.
 		secs := 1

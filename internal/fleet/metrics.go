@@ -19,7 +19,10 @@ type coordMetrics struct {
 	rejoins   atomic.Int64 // ejected replicas readmitted
 	shed      atomic.Int64 // queries the coordinator itself refused
 	swaps     atomic.Int64 // replica promotions completed by rolling swaps
-	latency   obs.Histogram
+	// healthPolls counts the health loop's GET /state requests, failed ones
+	// included.
+	healthPolls atomic.Int64
+	latency     obs.Histogram
 }
 
 // ReplicaStatus is one fleet member's externally visible state.
@@ -53,8 +56,11 @@ type Stats struct {
 	Rejoins   int64
 	Shed      int64
 	Swaps     int64
-	Replicas  []ReplicaStatus
-	Latency   obs.HistSnapshot
+	// HealthPolls counts the health loop's /state polls; read against
+	// Forwarded, it is what the health cadence costs per query.
+	HealthPolls int64
+	Replicas    []ReplicaStatus
+	Latency     obs.HistSnapshot
 }
 
 // Replicas snapshots every fleet member's status, join order preserved.
@@ -83,16 +89,17 @@ func (c *Coordinator) Replicas() []ReplicaStatus {
 // Stats snapshots the coordinator's aggregate counters.
 func (c *Coordinator) Stats() Stats {
 	return Stats{
-		Forwarded: c.metrics.forwarded.Load(),
-		Retries:   c.metrics.retries.Load(),
-		Hedges:    c.metrics.hedges.Load(),
-		HedgeWins: c.metrics.hedgeWins.Load(),
-		Ejections: c.metrics.ejections.Load(),
-		Rejoins:   c.metrics.rejoins.Load(),
-		Shed:      c.metrics.shed.Load(),
-		Swaps:     c.metrics.swaps.Load(),
-		Replicas:  c.Replicas(),
-		Latency:   c.metrics.latency.Snapshot(),
+		Forwarded:   c.metrics.forwarded.Load(),
+		Retries:     c.metrics.retries.Load(),
+		Hedges:      c.metrics.hedges.Load(),
+		HedgeWins:   c.metrics.hedgeWins.Load(),
+		Ejections:   c.metrics.ejections.Load(),
+		Rejoins:     c.metrics.rejoins.Load(),
+		Shed:        c.metrics.shed.Load(),
+		Swaps:       c.metrics.swaps.Load(),
+		HealthPolls: c.metrics.healthPolls.Load(),
+		Replicas:    c.Replicas(),
+		Latency:     c.metrics.latency.Snapshot(),
 	}
 }
 
@@ -111,6 +118,7 @@ func (s Stats) prometheus() string {
 	counter("msfleet_ejections_total", "Replicas ejected on consecutive failures.", s.Ejections)
 	counter("msfleet_rejoins_total", "Ejected replicas readmitted after recovery.", s.Rejoins)
 	counter("msfleet_swaps_total", "Replica promotions completed by rolling model swaps.", s.Swaps)
+	counter("msfleet_health_polls_total", "Health-loop GET /state polls sent to replicas.", s.HealthPolls)
 	b = append(b, "# HELP msfleet_replica_up 1 while the replica is in rotation, 0 while ejected or left.\n# TYPE msfleet_replica_up gauge\n"...)
 	for _, r := range s.Replicas {
 		up := 1

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -79,12 +81,12 @@ func (c *Coordinator) predictBytes(ctx context.Context, body []byte, rawQuery st
 	var last *attemptErr
 	sawSaturated, retryAfter := false, 0
 	for attempt := 0; ; attempt++ {
-		idx, url, ok := c.route(tried)
+		idx, r, ok := c.route(tried)
 		if !ok {
 			break // every replica in rotation has been tried (or none exists)
 		}
 		tried = append(tried, idx)
-		reply, hedged, aerr := c.sendHedged(ctx, idx, url, body, rawQuery, tried)
+		reply, hedged, aerr := c.sendHedged(ctx, idx, r, body, rawQuery, tried)
 		if hedged >= 0 {
 			tried = append(tried, hedged)
 		}
@@ -120,35 +122,56 @@ func (c *Coordinator) predictBytes(ctx context.Context, body []byte, rawQuery st
 	}
 }
 
+// errAttemptTimeout is the cause an attempt's context carries when its own
+// predictTimeout ran out — the one cancellation that is the replica's fault.
+var errAttemptTimeout = errors.New("fleet: attempt timed out")
+
+// attemptCtx bounds one forwarded copy: ctx plus predictTimeout, which
+// expires with errAttemptTimeout as its cause.
+func (c *Coordinator) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	return context.WithTimeoutCause(ctx, c.predictTimeout(), errAttemptTimeout)
+}
+
 // sendHedged forwards one attempt with straggler hedging: if the primary has
 // not answered within the hedge delay, the query is also routed to the
 // next-best replica (booked into the fleet model like any other traffic) and
 // whichever reply lands first wins — the loser's request is canceled through
-// the shared context. The channel is buffered to the number of launched
-// copies, so a losing goroutine never blocks on a caller that has left.
-// hedged is the replica the hedge copy went to, -1 if none was launched.
-func (c *Coordinator) sendHedged(ctx context.Context, idx int, url string, body []byte, rawQuery string, tried []int) (reply []byte, hedged int, err *attemptErr) {
+// its own attempt context when this returns. The channel is buffered to the
+// number of launched copies, so a losing goroutine never blocks on a caller
+// that has left. hedged is the replica the hedge copy went to, -1 if none was
+// launched.
+func (c *Coordinator) sendHedged(ctx context.Context, idx int, r *replica, body []byte, rawQuery string, tried []int) (reply []byte, hedged int, err *attemptErr) {
 	hedged = -1
 	delay := c.hedgeDelay()
 	if delay < 0 {
-		reply, err = c.forward(ctx, idx, url, body, rawQuery)
+		actx, cancel := c.attemptCtx(ctx)
+		defer cancel()
+		reply, err = c.forward(actx, idx, r, body, rawQuery)
 		return reply, hedged, err
 	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	type outcome struct {
 		reply []byte
 		err   *attemptErr
 		hedge bool // produced by the hedge copy, not the primary
 	}
 	results := make(chan outcome, 2)
-	launch := func(i int, u string, hedge bool) {
+	var cancels [2]context.CancelFunc
+	launch := func(n, i int, to *replica) {
+		actx, cancel := c.attemptCtx(ctx)
+		cancels[n] = cancel
 		go func() {
-			r, e := c.forward(hctx, i, u, body, rawQuery)
-			results <- outcome{r, e, hedge}
+			reply, err := c.forward(actx, i, to, body, rawQuery)
+			results <- outcome{reply, err, n == 1}
 		}()
 	}
-	launch(idx, url, false)
+	defer func() {
+		for _, cancel := range cancels {
+			if cancel != nil {
+				cancel()
+			}
+		}
+	}()
+	launch(0, idx, r)
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	launched, outstanding, retryAfter := 1, 1, 0
@@ -175,13 +198,13 @@ func (c *Coordinator) sendHedged(ctx context.Context, idx int, url string, body 
 			if launched > 1 {
 				continue
 			}
-			bidx, burl, ok := c.route(tried)
+			bidx, br, ok := c.route(tried)
 			if !ok {
 				continue // nowhere to hedge to; keep waiting on the primary
 			}
 			hedged = bidx
 			c.metrics.hedges.Add(1)
-			launch(bidx, burl, true)
+			launch(1, bidx, br)
 			launched, outstanding = 2, outstanding+1
 		case <-ctx.Done():
 			return nil, hedged, &attemptErr{err: ctx.Err()}
@@ -211,31 +234,27 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	return time.Duration(c.hedgeNs.Load())
 }
 
-// forward performs one HTTP attempt against one replica and classifies the
-// outcome. Transport-level failures also feed the ejection state machine —
-// a replica that eats queries should leave rotation before the health
-// poller notices. A 200's body is handed back unparsed.
-func (c *Coordinator) forward(ctx context.Context, idx int, baseURL string, body []byte, rawQuery string) ([]byte, *attemptErr) {
-	actx, cancel := context.WithTimeout(ctx, c.predictTimeout())
-	defer cancel()
-	target := baseURL + "/predict"
+// forward performs one HTTP attempt against one replica on the attempt's own
+// context actx (attemptCtx) and classifies the outcome. Transport-level
+// failures, and the attempt's own timeout, also feed the ejection state
+// machine — a replica that eats queries should leave rotation before the
+// health poller notices. Any other cancellation (the caller left, or the
+// winning hedge copy canceled this one) says nothing about the replica. A
+// 200's body is handed back unparsed.
+func (c *Coordinator) forward(actx context.Context, idx int, r *replica, body []byte, rawQuery string) ([]byte, *attemptErr) {
+	u := r.predictURL
 	if rawQuery != "" {
-		target += "?" + rawQuery
+		withQuery := *u
+		withQuery.RawQuery = rawQuery
+		u = &withQuery
 	}
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, target, bytes.NewReader(body))
+	resp, err := c.client.Do(newRequest(actx, http.MethodPost, u, body))
 	if err != nil {
-		return nil, &attemptErr{err: err}
-	}
-	req.Header["Content-Type"] = jsonContentType
-	resp, err := c.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			// The caller (or the winning hedge copy) canceled us; that says
-			// nothing about the replica's health.
-			return nil, &attemptErr{err: ctx.Err()}
+		if actx.Err() != nil && context.Cause(actx) != errAttemptTimeout {
+			return nil, &attemptErr{err: context.Cause(actx)}
 		}
 		c.recordNetFailure(idx)
-		return nil, &attemptErr{err: fmt.Errorf("fleet: %s: %w", baseURL, err), retryable: true}
+		return nil, &attemptErr{err: fmt.Errorf("fleet: %s: %w", r.url, err), retryable: true}
 	}
 	defer resp.Body.Close()
 	c.recordNetOK(idx)
@@ -246,25 +265,60 @@ func (c *Coordinator) forward(ctx context.Context, idx int, baseURL string, body
 			err = io.ErrUnexpectedEOF
 		}
 		if err != nil {
-			return nil, &attemptErr{err: fmt.Errorf("fleet: %s: bad reply: %w", baseURL, err), retryable: true}
+			return nil, &attemptErr{err: fmt.Errorf("fleet: %s: bad reply: %w", r.url, err), retryable: true}
 		}
 		return reply, nil
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		secs, _ := strconv.Atoi(resp.Header.Get("Retry-After")) // 0 (none) if absent or malformed
 		return nil, &attemptErr{
-			err:       fmt.Errorf("fleet: %s shed the query: %s", baseURL, readErr(resp.Body)),
+			err:       fmt.Errorf("fleet: %s shed the query: %s", r.url, readErr(resp.Body)),
 			retryable: true, saturated: true, retryAfter: max(secs, 0),
 		}
 	case resp.StatusCode >= 500:
 		// Shard failure on the replica (panic, stuck, expired): the replica
 		// has already repaired itself; the query deserves a different one.
 		return nil, &attemptErr{
-			err:       fmt.Errorf("fleet: %s failed the query: %s", baseURL, readErr(resp.Body)),
+			err:       fmt.Errorf("fleet: %s failed the query: %s", r.url, readErr(resp.Body)),
 			retryable: true,
 		}
 	default:
-		return nil, &attemptErr{err: fmt.Errorf("fleet: %s: HTTP %d: %s", baseURL, resp.StatusCode, readErr(resp.Body))}
+		return nil, &attemptErr{err: fmt.Errorf("fleet: %s: HTTP %d: %s", r.url, resp.StatusCode, readErr(resp.Body))}
 	}
+}
+
+// predictHeader and stateHeader are the attempts' and polls' request headers.
+// They are shared: neither the client (no cookie jar, no client timeout, no
+// userinfo in the URL) nor a RoundTripper writes to a request's header.
+var (
+	predictHeader = http.Header{"Content-Type": jsonContentType}
+	stateHeader   = http.Header{}
+)
+
+// attemptBody is a request body over a shared byte slice: one allocation
+// where io.NopCloser(bytes.NewReader(b)) takes two.
+type attemptBody struct{ bytes.Reader }
+
+func (*attemptBody) Close() error { return nil }
+
+func newAttemptBody(b []byte) *attemptBody {
+	ab := new(attemptBody)
+	ab.Reset(b)
+	return ab
+}
+
+// newRequest builds a request to an already parsed URL, as
+// http.NewRequestWithContext would but without parsing it again per call. A
+// non-nil body is posted as JSON and can be replayed (GetBody), so the
+// transport may resend it on a stale keep-alive connection.
+func newRequest(ctx context.Context, method string, u *url.URL, body []byte) *http.Request {
+	req := http.Request{Method: method, URL: u, Host: u.Host, Header: stateHeader}
+	if body != nil {
+		req.Header = predictHeader
+		req.Body = newAttemptBody(body)
+		req.ContentLength = int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) { return newAttemptBody(body), nil }
+	}
+	return req.WithContext(ctx)
 }
 
 // readErr extracts a short error string from a replica's failure body.

@@ -101,7 +101,7 @@ func (c *Coordinator) gatePromotion(ctx context.Context, r *replica, want SwapRe
 	deadline := time.Now().Add(c.predictTimeout())
 	for {
 		var st statePoll
-		err := c.fetchState(r.url, &st)
+		err := c.fetchState(ctx, r.stateURL, &st)
 		if err == nil && st.ModelEpoch == want.Epoch && st.ModelCRC == want.CRC &&
 			!st.Stopping && !st.CircuitOpen {
 			c.mu.Lock()
