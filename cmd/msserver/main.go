@@ -15,10 +15,12 @@
 //	curl -s localhost:8080/predict -d '{"input":[...16 floats...]}'
 //
 // Checkpoints (format v3, the only one persist reads) are memory-mapped, not
-// read: cold start is O(1) in model size, and pages fault in lazily as the
-// first windows touch them. A model served from a checkpoint can be replaced
-// without dropping a query — retrain (or re-save) into the same path, then
-// either signal the process or hit the admin endpoint:
+// read: opening and binding one is O(1) in model size, and pages fault in
+// lazily as the first windows touch them. The first answer waits for t(r)'s
+// calibration, a few passes of the model per rate (DESIGN.md §15). A model
+// served from a checkpoint can be replaced without dropping a query —
+// retrain (or re-save) into the same path, then either signal the process or
+// hit the admin endpoint:
 //
 //	kill -HUP $(pidof msserver)
 //	curl -X POST localhost:8080/admin/swap
@@ -74,7 +76,7 @@ func main() {
 	tier := flag.String("tier", "", "GEMM engine tier: exact|fma (empty = MS_ENGINE_TIER, default exact)")
 	traceSample := flag.Int("trace-sample", 16, "sample every k-th query's span into /debug/trace (negative disables the ring)")
 	dropExpired := flag.Bool("drop-expired", false, "answer queries whose SLO already expired with an error instead of computing them late")
-	verify := flag.Bool("verify", true, "CRC-sweep mapped checkpoints before serving them (disable for the pure O(1) cold start)")
+	verify := flag.Bool("verify", true, "CRC-sweep mapped checkpoints before serving them (disable for an O(1) open and bind)")
 	seed := flag.Int64("seed", 1, "random seed")
 	coordinator := flag.Bool("coordinator", false, "front a fleet of replicas instead of serving a model (see -replicas)")
 	replicaList := flag.String("replicas", "", "comma-separated replica base URLs for -coordinator (more can join at runtime via POST /replicas)")
@@ -262,9 +264,9 @@ func buildNet(model string, gran, nRates int, rng *rand.Rand) (nn.Layer, []int) 
 }
 
 // loadCheckpoint binds params to the checkpoint at path. The checkpoint is
-// memory-mapped and bound in place — O(1) cold start, with an optional full
-// CRC sweep first — and the mapping stays live for as long as the process
-// serves those tensors.
+// memory-mapped and bound in place — O(1) in model size, with an optional
+// full CRC sweep first; server.New's calibration comes after — and the
+// mapping stays live for as long as the process serves those tensors.
 func loadCheckpoint(path string, params []*nn.Param, verify bool) (server.ModelInfo, error) {
 	ckpt, err := persist.Open(path)
 	if err != nil {

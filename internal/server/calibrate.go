@@ -1,11 +1,14 @@
 package server
 
 import (
+	"math"
+	"math/rand"
 	"sync"
 	"time"
 
 	"modelslicing/internal/faults"
 	"modelslicing/internal/slicing"
+	"modelslicing/internal/tensor"
 )
 
 // Calibrator maintains the measured per-sample inference time t(r) for every
@@ -31,6 +34,10 @@ type Calibrator struct {
 	minN      int                 // smallest batch worth folding in
 	rampLeft  int                 // observations left at the boosted post-swap alpha
 }
+
+// minObservedBatch is a measured calibrator's minN: the smallest served
+// batch Observe folds in (see the type doc).
+const minObservedBatch = 32
 
 // ewmaAlpha weights online observations: high enough to track thermal or
 // load drift within a few hundred batches, low enough that one noisy batch
@@ -68,10 +75,10 @@ func (c *Calibrator) set(r, perSample float64) {
 }
 
 // Observe folds a served batch's measured duration into the estimate.
-// Batches smaller than the calibration batch are ignored (see type doc), as
-// are non-positive durations: batch times come from the injected clock, and
-// a fake clock that does not advance during processing must not collapse
-// the estimates to zero.
+// Batches smaller than minN are ignored (see type doc), as are non-positive
+// durations: batch times come from the injected clock, and a fake clock that
+// does not advance during processing must not collapse the estimates to
+// zero.
 func (c *Calibrator) Observe(r float64, n int, elapsed time.Duration) {
 	if n < c.minN || n <= 0 || c.alpha == 0 || elapsed <= 0 {
 		return
@@ -140,4 +147,60 @@ func (c *Calibrator) Snapshot() map[float64]float64 {
 		out[r] = t
 	}
 	return out
+}
+
+// measureSampleTimes times each rate through a throwaway pool of n workers
+// with fresh arenas, sharded the way live batches are, so t(r) reflects pool
+// throughput, not single-worker serial time. Per rate, a warm-up of one
+// sample a worker builds the width's packs and sizes the timed passes
+// (passSamples) to about one live shard's work a worker, so a slow model
+// calibrates on a few of its own samples; t(r) is the best of three passes
+// (minimum filters scheduler noise; the EWMA absorbs any residual optimism
+// once real traffic flows). This is a genuine hardware measurement, so it
+// reads the wall clock directly — an injected fake clock cannot speed up the
+// silicon it is timing. New and Swap both calibrate here, and the pool is
+// dropped afterwards: no live worker is timed against traffic or keeps a
+// calibration pass's arena, so a live worker's arena is sized by the windows
+// it serves. It returns each rate's samples a worker, in deploy order.
+func measureSampleTimes(cal *Calibrator, n int, shared *slicing.Shared,
+	deploy slicing.RateList, inputShape []int) []int {
+	workers := make([]*worker, n)
+	for i := range workers {
+		workers[i] = newWorker()
+	}
+	rng := rand.New(rand.NewSource(0))
+	queries := make([]*query, n*minShard)
+	for i := range queries {
+		x := tensor.New(inputShape...)
+		for j := range x.Data {
+			x.Data[j] = rng.NormFloat64()
+		}
+		queries[i] = &query{x: x}
+	}
+	ks := make([]int, len(deploy))
+	for i, r := range deploy {
+		start := time.Now()
+		runBatchOn(workers, shared, queries[:n], r, inputShape)
+		k := passSamples(time.Since(start))
+		pass := queries[:n*k]
+		best := time.Duration(math.MaxInt64)
+		for range 3 {
+			start := time.Now()
+			runBatchOn(workers, shared, pass, r, inputShape)
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		cal.set(r, best.Seconds()/float64(len(pass)))
+		ks[i] = k
+	}
+	return ks
+}
+
+// passSamples sizes a timed calibration pass from its one-sample-a-worker
+// warm-up: the samples a worker needs for about shardWork of work, at least
+// one and at most minShard. Below minShard samples the per-pass fixed cost
+// would show in a cheap model's t(r).
+func passSamples(warmUp time.Duration) int {
+	return int(min(max(math.Ceil(shardWork/warmUp.Seconds()), 1), minShard))
 }

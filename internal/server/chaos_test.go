@@ -336,14 +336,13 @@ func TestChaosSoakEveryFaultPoint(t *testing.T) {
 	for _, tc := range points {
 		faults.Reset()
 		s, err := New(Config{
-			Model:            testServerModel(),
-			Rates:            testServerRates(),
-			InputShape:       []int{4},
-			SLO:              tc.slo,
-			Workers:          2,
-			QueueFactor:      64,
-			CalibrationBatch: 2,
-			SampleTime:       func(r float64) float64 { return 1e-5 },
+			Model:       testServerModel(),
+			Rates:       testServerRates(),
+			InputShape:  []int{4},
+			SLO:         tc.slo,
+			Workers:     2,
+			QueueFactor: 64,
+			SampleTime:  func(r float64) float64 { return 1e-5 },
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.point, err)

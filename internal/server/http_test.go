@@ -20,11 +20,10 @@ func liveServer(t *testing.T) *Server {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	s, err := New(Config{
-		Model:            models.NewMLP(4, []int{8, 8}, 3, 4, rng),
-		Rates:            slicing.NewRateList(0.25, 4),
-		InputShape:       []int{4},
-		SLO:              20 * time.Millisecond,
-		CalibrationBatch: 8,
+		Model:      models.NewMLP(4, []int{8, 8}, 3, 4, rng),
+		Rates:      slicing.NewRateList(0.25, 4),
+		InputShape: []int{4},
+		SLO:        20 * time.Millisecond,
 		// Pin the tier so the /metrics assertions survive the CI sweeps
 		// over MS_ENGINE_TIER.
 		Tier: "exact",

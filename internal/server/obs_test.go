@@ -220,7 +220,6 @@ func TestHTTPDebugTrace(t *testing.T) {
 		Rates:            slicing.NewRateList(0.25, 4),
 		InputShape:       []int{4},
 		SLO:              20 * time.Millisecond,
-		CalibrationBatch: 8,
 		TraceSampleEvery: 1,
 	})
 	if err != nil {

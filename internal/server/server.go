@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -124,9 +123,6 @@ type Config struct {
 	// SampleTime, when non-nil, fixes t(r) instead of measuring it at
 	// startup (tests and pre-profiled deployments).
 	SampleTime func(r float64) float64
-	// CalibrationBatch is the batch size used to measure t(r) at startup
-	// (default 32); ignored when SampleTime is set.
-	CalibrationBatch int
 	// TraceSampleEvery samples every k-th query's full span into the trace
 	// ring dumped by /debug/trace. 0 means the default of 16; negative
 	// disables the ring (the per-stage histograms stay on — they are
@@ -169,7 +165,7 @@ const (
 	// traceLog is the trace ring size (sampled spans retained).
 	traceLog = 256
 	// swapRampWindows is the recalibration ramp after a Swap: for this many
-	// observed windows (at least CalibrationBatch samples each) the
+	// observed windows (at least minObservedBatch samples each) the
 	// calibrator weighs fresh observations heavily (rampAlpha instead of the
 	// steady-state EWMA), so t(r) converges onto the new model within the
 	// ramp instead of over hundreds of batches.
@@ -384,9 +380,6 @@ func New(cfg Config) (*Server, error) {
 		workers[w] = newWorker()
 	}
 
-	if cfg.CalibrationBatch <= 0 {
-		cfg.CalibrationBatch = 32
-	}
 	if cfg.TraceSampleEvery == 0 {
 		cfg.TraceSampleEvery = 16
 	}
@@ -410,9 +403,9 @@ func New(cfg Config) (*Server, error) {
 		s.cal = &Calibrator{
 			perSample: make(map[float64]float64),
 			alpha:     ewmaAlpha,
-			minN:      cfg.CalibrationBatch,
+			minN:      minObservedBatch,
 		}
-		measureSampleTimes(s.cal, cfg.Workers, shared, deploy, cfg.InputShape, cfg.CalibrationBatch)
+		measureSampleTimes(s.cal, cfg.Workers, shared, deploy, cfg.InputShape)
 	}
 	s.policy = serving.Policy{
 		Rates:      cfg.Rates,
@@ -422,45 +415,6 @@ func New(cfg Config) (*Server, error) {
 	s.sched = newScheduler(s, workers)
 	go s.batchLoop()
 	return s, nil
-}
-
-// measureSampleTimes times each rate through a throwaway pool of n workers
-// with fresh arenas, sharded the way live batches are, so t(r) reflects pool
-// throughput, not single-worker serial time: one warm-up, then the best of
-// three timed runs (minimum filters scheduler noise; the EWMA absorbs any
-// residual optimism once real traffic flows). This is a genuine hardware
-// measurement, so it reads the wall clock directly — an injected fake clock
-// cannot speed up the silicon it is timing. New and Swap both calibrate
-// here, and the pool is dropped afterwards: no live worker is timed against
-// traffic or keeps a calibration pass's arena, so a live worker's arena is
-// sized by the windows it serves.
-func measureSampleTimes(cal *Calibrator, n int, shared *slicing.Shared,
-	deploy slicing.RateList, inputShape []int, batchN int) {
-	workers := make([]*worker, n)
-	for i := range workers {
-		workers[i] = newWorker()
-	}
-	rng := rand.New(rand.NewSource(0))
-	queries := make([]*query, batchN)
-	for i := range queries {
-		x := tensor.New(inputShape...)
-		for j := range x.Data {
-			x.Data[j] = rng.NormFloat64()
-		}
-		queries[i] = &query{x: x}
-	}
-	for _, r := range deploy {
-		runBatchOn(workers, shared, queries, r, inputShape)
-		best := time.Duration(math.MaxInt64)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			runBatchOn(workers, shared, queries, r, inputShape)
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		cal.set(r, best.Seconds()/float64(batchN))
-	}
 }
 
 // Swap replaces the served model with ns between windows — zero-downtime
@@ -500,7 +454,7 @@ func (s *Server) Swap(ns *slicing.Shared, info ModelInfo) error {
 			s.cal.set(r, s.cfg.SampleTime(r))
 		}
 	} else {
-		measureSampleTimes(s.cal, s.cfg.Workers, ns, deploy, s.cfg.InputShape, s.cfg.CalibrationBatch)
+		measureSampleTimes(s.cal, s.cfg.Workers, ns, deploy, s.cfg.InputShape)
 	}
 	s.cal.Ramp(swapRampWindows)
 	s.mu.Lock()

@@ -427,7 +427,6 @@ func TestStartupCalibrationMeasuresEveryRate(t *testing.T) {
 		SLO:        time.Second,
 		Clock:      NewFakeClock(time.Unix(0, 0)),
 		// no SampleTime: the real calibrator must run
-		CalibrationBatch: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -359,7 +359,7 @@ func TestServerArenasFollowTraffic(t *testing.T) {
 		InputShape: []int{3, 16, 16},
 		SLO:        200 * time.Millisecond,
 		Workers:    2,
-		// no SampleTime: t(r) is measured at the default CalibrationBatch
+		// no SampleTime: t(r) is measured
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -139,12 +139,16 @@ func TestSwapLockstepZeroDowntime(t *testing.T) {
 }
 
 // TestSwapRampCountsObservedWindows: the swap-ramp gauge counts the windows
-// the calibrator folds at the boosted weight. Windows smaller than
-// CalibrationBatch are not observed, so they leave the ramp where Swap armed
-// it; a full-size window takes exactly one off.
+// the calibrator folds at the boosted weight. Windows smaller than a measured
+// calibrator's floor, minObservedBatch, are not observed, so they leave the
+// ramp where Swap armed it; a full-size window takes exactly one off.
 func TestSwapRampCountsObservedWindows(t *testing.T) {
-	const calBatch = 4
-	s, clk, gate := gatedServerWith(t, func(c *Config) { c.CalibrationBatch = calBatch })
+	const calBatch = minObservedBatch
+	// A t(r) small enough that a calBatch window is admitted whole and runs
+	// as one shard: one gate release a window.
+	s, clk, gate := gatedServerWith(t, func(c *Config) {
+		c.SampleTime = func(r float64) float64 { return 1e-6 * r * r }
+	})
 	// An EWMA calibrator that sees a millisecond of worker time per shard.
 	gate.passed = func() { clk.Advance(time.Millisecond) }
 	s.cal.alpha, s.cal.minN = ewmaAlpha, calBatch
@@ -168,7 +172,7 @@ func TestSwapRampCountsObservedWindows(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		if got := window(calBatch - 1); got != swapRampWindows {
-			t.Fatalf("after %d windows under CalibrationBatch: SwapRampWindows = %d, want %d", i+1, got, swapRampWindows)
+			t.Fatalf("after %d windows under the floor: SwapRampWindows = %d, want %d", i+1, got, swapRampWindows)
 		}
 	}
 	if got := window(calBatch); got != swapRampWindows-1 {

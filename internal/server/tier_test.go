@@ -17,12 +17,11 @@ import (
 func TestServerTierConfig(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	cfg := Config{
-		Model:            models.NewMLP(4, []int{8, 8}, 3, 4, rng),
-		Rates:            slicing.NewRateList(0.25, 4),
-		InputShape:       []int{4},
-		SLO:              20 * time.Millisecond,
-		CalibrationBatch: 4,
-		Tier:             "fma",
+		Model:      models.NewMLP(4, []int{8, 8}, 3, 4, rng),
+		Rates:      slicing.NewRateList(0.25, 4),
+		InputShape: []int{4},
+		SLO:        20 * time.Millisecond,
+		Tier:       "fma",
 	}
 	s, err := New(cfg)
 	if err != nil {
