@@ -73,8 +73,9 @@ func (c *Conv2D) OutShape(h, w int) (int, int) {
 // colRows×spatial buffer per worker per step. Buffers are size-promoted on
 // demand and fully (re)written before every read — Im2Col writes padding taps
 // too, and Backward zeroes its dcol explicitly — so recycled contents never
-// leak between steps. Only strided and non-same convolutions build column
-// matrices; same ones train on the shifted rows.
+// leak between steps. Only convolutions that are neither same nor point-wise
+// build column matrices: same ones train on the shifted rows, point-wise ones
+// on their input.
 var im2colPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // padPool recycles the shifted-row lowering's training scratch the same way:
@@ -98,10 +99,11 @@ func poolGet(pool *sync.Pool, n int) *[]float64 {
 	return buf
 }
 
-// Forward computes y[B, aOut, outH, outW] from x[B, aIn, H, W]. A same
-// convolution runs the shifted-row lowering Infer serves it on, with the
-// weight prefix as a strided A (forwardShift); other shapes build one im2col
-// column matrix per sample. Either way y is bit-identical to Infer's.
+// Forward computes y[B, aOut, outH, outW] from x[B, aIn, H, W] on the
+// lowering Infer serves the shape on: a same convolution on the shifted rows,
+// with the weight prefix as a strided A (forwardShift); a point-wise one on
+// its input plane as the column matrix; other shapes on one im2col column
+// matrix per sample. Either way y is bit-identical to Infer's.
 func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	return c.forward(ctx, x, nil)
 }
@@ -142,18 +144,17 @@ func (c *Conv2D) forward(ctx *Context, x *tensor.Tensor, gn *GroupNorm) *tensor.
 	inPlane := c.aIn * c.h * c.w
 	outPlane := c.aOut * c.outH * c.outW
 	spatial := c.outH * c.outW
+	colLen := c.colLen(colRows, spatial)
 	nw := maxWorkers(batch)
 	var cols [maxBatchWorkers][]float64
 	var bufs [maxBatchWorkers]*[]float64
 	for i := 0; i < nw; i++ {
-		bufs[i] = poolGet(&im2colPool, colRows*spatial)
-		cols[i] = (*bufs[i])[:colRows*spatial]
+		bufs[i] = poolGet(&im2colPool, colLen)
+		cols[i] = (*bufs[i])[:colLen]
 	}
 	parallelFor(nw, func(i int) {
-		col := cols[i]
 		for b, end := span(batch, nw, i); b < end; b++ {
-			src := x.Data[b*inPlane : (b+1)*inPlane]
-			tensor.Im2Col(src, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, col)
+			col := c.columns(x.Data[b*inPlane:(b+1)*inPlane], c.aIn, c.h, c.w, cols[i])
 			dst := y.Data[b*outPlane : (b+1)*outPlane]
 			tensor.GemmEx(c.aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial, &tensor.Epilogue{RowShift: bias})
 		}
@@ -172,7 +173,7 @@ func (c *Conv2D) forward(ctx *Context, x *tensor.Tensor, gn *GroupNorm) *tensor.
 // recording the statistics (normGrid).
 func (c *Conv2D) forwardShift(x, y *tensor.Tensor, bias []float64, gn *GroupNorm, out *tensor.Tensor) {
 	batch := x.Dim(0)
-	s := c.shiftGeom(batch, c.h, c.w)
+	s := c.shiftGeom(tensor.TierExact, batch, c.h, c.w)
 	nw := maxWorkers(s.groups(batch))
 	imgLen := s.imgLen(c.aIn)
 	dense := denseLayout(c.aOut, c.h, c.w)
@@ -208,9 +209,9 @@ func padScratch(nw, images, grid int) (scratch [maxBatchWorkers][]float64, bufs 
 
 // Infer computes y[B, aOut, outH, outW] on the read-only inference path: a
 // same convolution on the shifted rows (inferShift), other shapes on one
-// cache-hot column matrix per sample (inferIm2col). Both read the weight
-// prefix in place from the parent buffer. The bias is applied as a fused
-// GEMM epilogue.
+// cache-hot column matrix per sample (inferIm2col), on either tier. Both
+// read the weight prefix in place from the parent buffer. The bias is
+// applied as a fused GEMM epilogue.
 func (c *Conv2D) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	return c.stage(ctx).infer(ctx, x)
 }
@@ -233,8 +234,8 @@ func (c *Conv2D) stage(*Context) shiftStage {
 // copy-out, so the conv output never exists; after the im2col lowering it
 // normalizes the output in place.
 func (st shiftStage) infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	c, tier := st.conv, ctx.EffTier()
-	if tier == tensor.TierExact && c.sameConv() {
+	c := st.conv
+	if c.sameConv() {
 		run := [1]shiftStage{st}
 		return inferShift(ctx, x, run[:])
 	}
@@ -247,7 +248,7 @@ func (st shiftStage) infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	outH, outW := c.OutShape(x.Dim(2), x.Dim(3))
 	// Every output element is written by the assign-mode GEMM.
 	y := arenaOf(ctx).GetUninit(batch, aOut, outH, outW)
-	c.inferIm2col(arenaOf(ctx), tier, x, y, &st.ep)
+	c.inferIm2col(arenaOf(ctx), ctx.EffTier(), x, y, &st.ep)
 	if gn := st.gn; gn != nil {
 		hw := outH * outW
 		gn.normalize(y.Data, denseLayout(aOut, 1, hw), nil, y.Data, batch, gn.activeGroups(aOut), gn.packedGroup(hw), aOut*hw, true)
@@ -265,33 +266,52 @@ func (c *Conv2D) inferIm2col(arena *tensor.Arena, tier tensor.EngineTier, x, y *
 	inPlane := aIn * h * w
 	outPlane := aOut * spatial
 	colRows := aIn * c.KH * c.KW
-	// A point-wise convolution's column matrix is the input itself
-	// ([aIn × h·w], row stride h·w): hand it to the GEMM as B, no copy.
-	pointwise := c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
-	var col []float64
-	if !pointwise {
-		col = arena.GetUninit(colRows, spatial).Data
+	var scratch []float64
+	if n := c.colLen(colRows, spatial); n > 0 {
+		scratch = arena.GetUninit(n).Data
 	}
 	for b := 0; b < batch; b++ {
-		src := x.Data[b*inPlane : (b+1)*inPlane]
-		if pointwise {
-			col = src
-		} else {
-			tensor.Im2Col(src, aIn, h, w, c.KH, c.KW, c.Stride, c.Pad, col)
-		}
+		col := c.columns(x.Data[b*inPlane:(b+1)*inPlane], aIn, h, w, scratch)
 		dst := y.Data[b*outPlane : (b+1)*outPlane]
 		tensor.GemmExT(tier, aOut, spatial, colRows, c.W.Value.Data, c.In*c.KH*c.KW, col, spatial, dst, spatial, ep)
 	}
 }
 
+// pointwise reports whether the layer is a 1×1, stride-1, unpadded
+// convolution, whose column matrix is its input plane itself ([aIn × h·w],
+// row stride h·w).
+func (c *Conv2D) pointwise() bool {
+	return c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
+}
+
+// colLen is the column-matrix scratch one sample of the im2col lowering
+// needs: none for a point-wise convolution.
+func (c *Conv2D) colLen(colRows, spatial int) int {
+	if c.pointwise() {
+		return 0
+	}
+	return colRows * spatial
+}
+
+// columns returns one sample's column matrix: the input plane src of a
+// point-wise convolution, read in place, or else col, which Im2Col fills.
+func (c *Conv2D) columns(src []float64, aIn, h, w int, col []float64) []float64 {
+	if c.pointwise() {
+		return src
+	}
+	tensor.Im2Col(src, aIn, h, w, c.KH, c.KW, c.Stride, c.Pad, col)
+	return col
+}
+
 // sameConv reports whether the layer is a stride-1 "same" convolution: it
-// serves (Infer), trains (Forward) and takes its data gradient on the
-// shifted-row lowering (shiftConv), and its weight gradient as windowed dot
-// products (tensor.GemmShiftTB); no column matrix is built for it. Strided,
-// point-wise and other shapes keep im2col, GemmTA and Col2Im, which stay
-// the oracle route. BenchmarkConvInferLowering found no VGG13Mini shape, at
-// any rate, where im2col serves faster beyond noise (DESIGN §8), so the
-// lowering has no further shape rule.
+// serves (Infer, on either tier), trains (Forward) and takes its data
+// gradient on the shifted-row lowering (shiftConv), and its weight gradient
+// as windowed dot products (tensor.GemmShiftTB); no column matrix is built
+// for it. Strided and other shapes keep im2col, GemmTA and Col2Im, which
+// stay the oracle route; a point-wise conv reads its input as the column
+// matrix. BenchmarkConvInferLowering found no VGG13Mini shape, at any rate,
+// where im2col serves faster beyond noise (DESIGN §8), so the lowering has
+// no further shape rule.
 func (c *Conv2D) sameConv() bool {
 	return c.Stride == 1 && c.Pad > 0 && c.KH == 2*c.Pad+1 && c.KW == c.KH
 }
@@ -313,17 +333,18 @@ const shiftGridCols = 256
 // the group's extended grid — g frames of ld-wide rows — and the h×w part of
 // each frame is a sample's output plane.
 type shiftGeom struct {
+	tier      tensor.EngineTier // the products' engine tier
 	h, w, pad int
 	ld, frame int // row stride; one sample's rows and its pad rows
 	g, plane  int // samples per group; channel stride of the image
 	n         int // a full group's grid
 }
 
-func (c *Conv2D) shiftGeom(batch, h, w int) shiftGeom {
+func (c *Conv2D) shiftGeom(tier tensor.EngineTier, batch, h, w int) shiftGeom {
 	ld := w + c.Pad
 	frame := (h + c.Pad) * ld
 	g := max(1, min(batch, shiftGridCols/frame))
-	s := shiftGeom{h: h, w: w, pad: c.Pad, ld: ld, frame: frame, g: g, plane: c.Pad*ld + g*frame}
+	s := shiftGeom{tier: tier, h: h, w: w, pad: c.Pad, ld: ld, frame: frame, g: g, plane: c.Pad*ld + g*frame}
 	s.n = s.grid(g)
 	return s
 }
@@ -343,10 +364,13 @@ func span(batch, nw, i int) (lo, hi int) {
 }
 
 // grid is the width of a gb-sample group's product: it ends at the last
-// sample's last pixel, rounded up to whole 4-lane vectors (a column past the
-// plane costs less than a scalar tail). The columns past a pixel row or a
-// group's last pixel read the pad zeros.
-func (s shiftGeom) grid(gb int) int { return ((gb-1)*s.frame + (s.h-1)*s.ld + s.w + 3) &^ 3 }
+// sample's last pixel, rounded up to the tier's column block (a column past
+// the plane costs less than a column tail). The columns past a pixel row or
+// a group's last pixel read the pad zeros.
+func (s shiftGeom) grid(gb int) int {
+	cb := s.tier.ColBlock()
+	return ((gb-1)*s.frame + (s.h-1)*s.ld + s.w + cb - 1) / cb * cb
+}
 
 // origin is the offset of a sample's first pixel in its frame.
 func (s shiftGeom) origin() int { return s.pad*s.ld + s.pad }
@@ -420,7 +444,7 @@ func (c *Conv2D) weightA(aIn int, ep *tensor.Epilogue) shiftA {
 // of the grid out (copyOut) or normalizes it straight out of the grid
 // (normGrid).
 func (c *Conv2D) shiftConv(s shiftGeom, a shiftA, m, gb int, img, ext []float64) {
-	tensor.GemmShiftEx(m, s.grid(gb), a.k, c.KH, c.KW, a.a, a.lda, img, s.ld, s.plane, ext, s.n, a.ep)
+	tensor.GemmShiftEx(s.tier, m, s.grid(gb), a.k, c.KH, c.KW, a.a, a.lda, img, s.ld, s.plane, ext, s.n, a.ep)
 }
 
 // copyOut writes the part of the grid ext (m channels) that belongs to each
@@ -494,7 +518,7 @@ func inferShift(ctx *Context, x *tensor.Tensor, stages []shiftStage) *tensor.Ten
 		h, w = tensor.ConvOutSize(h, p.K, p.Stride, 0), tensor.ConvOutSize(w, p.K, p.Stride, 0)
 		convs = stages[1:]
 	}
-	s := convs[0].conv.shiftGeom(batch, h, w)
+	s := convs[0].conv.shiftGeom(ctx.EffTier(), batch, h, w)
 	maxOut := 0
 	for t := range convs {
 		st := &convs[t]
@@ -566,7 +590,7 @@ func (c *Conv2D) backward(ctx *Context, dy *tensor.Tensor, gn *GroupNorm) *tenso
 	var s shiftGeom
 	units := batch
 	if same {
-		s = c.shiftGeom(batch, c.h, c.w)
+		s = c.shiftGeom(tensor.TierExact, batch, c.h, c.w)
 		units = s.groups(batch)
 	}
 	nw := maxWorkers(units)
@@ -683,10 +707,12 @@ func (c *Conv2D) backwardShift(s shiftGeom, nw int, dy, dx *tensor.Tensor, dws, 
 }
 
 // backwardIm2col is Backward of every other shape, one part of the batch
-// per call of the worker loop, a sample at a time: dW += dy_b · im2col(x_b)ᵀ
+// per call of the worker loop, a sample at a time: dW += dy_b · col_bᵀ
 // (GemmTB), and dcol = Wᵀ·dy_b (GemmTA) scattered back into dx_b (Col2Im),
 // both on pooled column matrices (dcol is zeroed before its accumulating
-// product).
+// product). A point-wise convolution's column matrices are x_b and dx_b
+// themselves (columns): dx is zeroed, so its product accumulates straight
+// into dx_b, which is the sum Col2Im would have added to it.
 func (c *Conv2D) backwardIm2col(nw int, dy, dx *tensor.Tensor, dws, dbs [maxBatchWorkers][]float64) {
 	batch := dy.Dim(0)
 	inPlane := c.aIn * c.h * c.w
@@ -694,23 +720,28 @@ func (c *Conv2D) backwardIm2col(nw int, dy, dx *tensor.Tensor, dws, dbs [maxBatc
 	outPlane := c.aOut * spatial
 	colRows := c.aIn * c.KH * c.KW
 	ldW := c.In * c.KH * c.KW
+	colLen := c.colLen(colRows, spatial)
 	var cols, dcols [maxBatchWorkers][]float64
 	var bufs [2 * maxBatchWorkers]*[]float64
 	for i := 0; i < nw; i++ {
-		bufs[2*i] = poolGet(&im2colPool, colRows*spatial)
-		bufs[2*i+1] = poolGet(&im2colPool, colRows*spatial)
-		cols[i] = (*bufs[2*i])[:colRows*spatial]
-		dcols[i] = (*bufs[2*i+1])[:colRows*spatial]
+		bufs[2*i] = poolGet(&im2colPool, colLen)
+		bufs[2*i+1] = poolGet(&im2colPool, colLen)
+		cols[i] = (*bufs[2*i])[:colLen]
+		dcols[i] = (*bufs[2*i+1])[:colLen]
 	}
 	parallelFor(nw, func(i int) {
-		col, dcol := cols[i], dcols[i]
 		for b, end := span(batch, nw, i); b < end; b++ {
-			tensor.Im2Col(c.x.Data[b*inPlane:(b+1)*inPlane], c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, col)
+			dxb := dx.Data[b*inPlane : (b+1)*inPlane]
+			col := c.columns(c.x.Data[b*inPlane:(b+1)*inPlane], c.aIn, c.h, c.w, cols[i])
 			g := dy.Data[b*outPlane : (b+1)*outPlane]
 			tensor.GemmTB(c.aOut, colRows, spatial, g, spatial, col, spatial, dws[i], colRows)
-			clear(dcol)
-			tensor.GemmTA(colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, dcol, spatial)
-			tensor.Col2Im(dcol, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, dx.Data[b*inPlane:(b+1)*inPlane])
+			if c.pointwise() {
+				tensor.GemmTA(colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, dxb, spatial)
+			} else {
+				clear(dcols[i])
+				tensor.GemmTA(colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, dcols[i], spatial)
+				tensor.Col2Im(dcols[i], c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, dxb)
+			}
 			if c.B != nil {
 				addBiasGrad(dbs[i], g, 1, spatial, spatial, spatial)
 			}

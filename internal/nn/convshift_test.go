@@ -11,14 +11,19 @@ import (
 )
 
 // Oracles and the shape sweep of the shifted-row conv lowering
-// (Conv2D.shiftConv): served and trained, it must reproduce the im2col
-// lowering bit for bit, and the windowed weight gradient must agree with
-// GemmTB over the column matrix to rounding.
+// (Conv2D.shiftConv): served on either tier and trained, it must reproduce
+// the im2col lowering bit for bit, and the windowed weight gradient must
+// agree with GemmTB over the column matrix to rounding.
 
-// shiftVsIm2col runs one same convolution through both served lowerings,
-// each reading the weight prefix in place, and reports the first element
-// where they differ.
-func shiftVsIm2col(c *Conv2D, x *tensor.Tensor, aOut int, ep *tensor.Epilogue) error {
+// tiers are the engine tiers the served oracles run on. On the fma tier the
+// shifted rows must match GemmExT over the column matrix bit for bit too: a
+// fused ascending-k chain has no grouping freedom.
+var tiers = []tensor.EngineTier{tensor.TierExact, tensor.TierFMA}
+
+// shiftVsIm2col runs one same convolution through both served lowerings on
+// tier, each reading the weight prefix in place, and reports the first
+// element where they differ.
+func shiftVsIm2col(tier tensor.EngineTier, c *Conv2D, x *tensor.Tensor, aOut int, ep *tensor.Epilogue) error {
 	aIn, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
 	arena := tensor.NewArena()
 	want := tensor.New(x.Dim(0), aOut, h, w)
@@ -26,15 +31,15 @@ func shiftVsIm2col(c *Conv2D, x *tensor.Tensor, aOut int, ep *tensor.Epilogue) e
 	for i := range got.Data {
 		got.Data[i] = math.NaN() // every element must be written
 	}
-	c.inferIm2col(arena, tensor.TierExact, x, want, ep)
+	c.inferIm2col(arena, tier, x, want, ep)
 	st := [1]shiftStage{{conv: c}}
 	if ep != nil {
 		st[0].ep = *ep
 	}
-	copy(got.Data, inferShift(&Context{Arena: arena}, x, st[:]).Data)
+	copy(got.Data, inferShift(&Context{Arena: arena, Tier: tier}, x, st[:]).Data)
 	for i := range want.Data {
 		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-			return fmt.Errorf("in=%d out=%d %dx%d k=%dx%d: shift[%d]=%v, im2col %v", aIn, aOut, h, w, c.KH, c.KW, i, got.Data[i], want.Data[i])
+			return fmt.Errorf("%v in=%d out=%d %dx%d k=%dx%d: shift[%d]=%v, im2col %v", tier, aIn, aOut, h, w, c.KH, c.KW, i, got.Data[i], want.Data[i])
 		}
 	}
 	return nil
@@ -143,10 +148,10 @@ func randEpilogue(rng *rand.Rand, mask, m int) *tensor.Epilogue {
 	return ep
 }
 
-// TestConvShiftMatchesIm2col is the property test of the lowering: random
-// channel counts (odd aOut included, and k = aIn·9 past one 256-row k-panel),
-// planes 1…17 on a side (narrower than the kernel included), 3×3 and 5×5
-// kernels, every conv epilogue mask.
+// TestConvShiftMatchesIm2col is the property test of the lowering on both
+// tiers: random channel counts (odd aOut included, and k = aIn·9 past one
+// 256-row k-panel), planes 1…17 on a side (narrower than the kernel
+// included), 3×3 and 5×5 kernels, every conv epilogue mask.
 func TestConvShiftMatchesIm2col(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	iters := 300
@@ -167,8 +172,11 @@ func TestConvShiftMatchesIm2col(t *testing.T) {
 		k := 2*pad + 1
 		c := NewConv2D(aIn, aOut, k, k, 1, pad, Fixed(), Fixed(), false, rng)
 		x := randTensor(rng, 1+rng.Intn(5), aIn, h, w)
-		if err := shiftVsIm2col(c, x, aOut, randEpilogue(rng, mask, aOut)); err != nil {
-			t.Fatalf("mask %04b: %v", mask, err)
+		ep := randEpilogue(rng, mask, aOut)
+		for _, tier := range tiers {
+			if err := shiftVsIm2col(tier, c, x, aOut, ep); err != nil {
+				t.Fatalf("mask %04b: %v", mask, err)
+			}
 		}
 	}
 }
@@ -240,33 +248,36 @@ func fusedTrainVsChain(c *Conv2D, x *tensor.Tensor, normGroups int, rng *rand.Ra
 
 // runVsDense serves two shifted-row runs into a same conv, next, of c's
 // padding, and holds each to its layers served one at a time, dense in and
-// out, bit for bit: c → next (c copied out, or with gn normalized with a
-// ReLU straight out of its grid, into next's padded image) and a 2×2
-// max-pool → next (pooled into it). The batch is one sample more than a
-// group holds, so the last group is short.
+// out, bit for bit, on both tiers: c → next (c copied out, or with gn
+// normalized with a ReLU straight out of its grid, into next's padded image)
+// and a 2×2 max-pool → next (pooled into it). The batch is one sample more
+// than a group holds, so the last group is short.
 func runVsDense(c *Conv2D, ep tensor.Epilogue, gn *GroupNorm, h, w int, rng *rand.Rand) error {
 	next := NewConv2D(c.Out, 2, c.KH, c.KW, 1, c.Pad, Fixed(), Fixed(), true, rng)
 	tensor.InitNormal(next.B.Value, 1, rng)
-	batch := next.shiftGeom(shiftGridCols, h, w).g + 1
-	ctx := &Context{Arena: tensor.NewArena()}
+	batch := next.shiftGeom(tensor.TierExact, shiftGridCols, h, w).g + 1
 	pool := NewMaxPool2D(2, 2)
-	for _, tc := range []struct {
-		edge  string
-		first shiftStage
-		x     *tensor.Tensor
-		dense func(x *tensor.Tensor) *tensor.Tensor
-	}{
-		{"conv", shiftStage{conv: c, ep: ep, gn: gn}, randTensor(rng, batch, c.In, h, w),
-			func(x *tensor.Tensor) *tensor.Tensor { return shiftStage{conv: c, ep: ep, gn: gn}.infer(ctx, x) }},
-		{"pool", shiftStage{pool: pool}, randTensor(rng, batch, c.Out, 2*h, 2*w),
-			func(x *tensor.Tensor) *tensor.Tensor { return pool.Infer(ctx, x) }},
-	} {
-		want := next.Infer(ctx, tc.dense(tc.x))
-		got := inferShift(ctx, tc.x, []shiftStage{tc.first, next.stage(ctx)})
-		for i, v := range want.Data {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
-				return fmt.Errorf("%s→conv run, in=%d out=%d batch %d %dx%d k=%dx%d gn=%v: run[%d]=%v, layer by layer %v",
-					tc.edge, c.In, c.Out, batch, h, w, c.KH, c.KW, gn != nil, i, got.Data[i], v)
+	convIn, poolIn := randTensor(rng, batch, c.In, h, w), randTensor(rng, batch, c.Out, 2*h, 2*w)
+	for _, tier := range tiers {
+		ctx := &Context{Arena: tensor.NewArena(), Tier: tier}
+		for _, tc := range []struct {
+			edge  string
+			first shiftStage
+			x     *tensor.Tensor
+			dense func(x *tensor.Tensor) *tensor.Tensor
+		}{
+			{"conv", shiftStage{conv: c, ep: ep, gn: gn}, convIn,
+				func(x *tensor.Tensor) *tensor.Tensor { return shiftStage{conv: c, ep: ep, gn: gn}.infer(ctx, x) }},
+			{"pool", shiftStage{pool: pool}, poolIn,
+				func(x *tensor.Tensor) *tensor.Tensor { return pool.Infer(ctx, x) }},
+		} {
+			want := next.Infer(ctx, tc.dense(tc.x))
+			got := inferShift(ctx, tc.x, []shiftStage{tc.first, next.stage(ctx)})
+			for i, v := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+					return fmt.Errorf("%v %s→conv run, in=%d out=%d batch %d %dx%d k=%dx%d gn=%v: run[%d]=%v, layer by layer %v",
+						tier, tc.edge, c.In, c.Out, batch, h, w, c.KH, c.KW, gn != nil, i, got.Data[i], v)
+				}
 			}
 		}
 	}
@@ -274,7 +285,7 @@ func runVsDense(c *Conv2D, ep tensor.Epilogue, gn *GroupNorm, h, w int, rng *ran
 }
 
 // FuzzConvShift decodes a conv shape from bytes and holds the shifted-row
-// lowering to the im2col one: the served product on a packed weight, then a
+// lowering to the im2col one: the served product on both tiers, then a
 // training pass (Forward and Backward, with a bias when seed&4 is set). It
 // then serves and trains the conv fused with a GroupNorm and ReLU (norm
 // groups the largest divisor of the output channels up to 1+mask%8) against
@@ -300,8 +311,11 @@ func FuzzConvShift(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		c := NewConv2D(aIn, aOut, 2*p+1, 2*p+1, 1, p, Fixed(), Fixed(), false, rng)
 		x := randTensor(rng, 1+int(seed&3), aIn, hh, ww)
-		if err := shiftVsIm2col(c, x, aOut, randEpilogue(rng, m, aOut)); err != nil {
-			t.Fatal(err)
+		ep := randEpilogue(rng, m, aOut)
+		for _, tier := range tiers {
+			if err := shiftVsIm2col(tier, c, x, aOut, ep); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if seed&4 != 0 {
 			c.B = NewParam("conv.B", false, aOut)

@@ -31,7 +31,7 @@ import (
 //	    normalization's write pass (tensor.NormAffine).
 //
 // It then marks the shifted-row runs of each Sequential (shiftedRuns):
-// chains of same convs, opened by a conv or a max-pool, that the exact tier
+// chains of same convs, opened by a conv or a max-pool, that either tier
 // serves a sample group at a time, each layer writing its output straight
 // into the next conv's padded image.
 //
@@ -145,7 +145,7 @@ const maxRun = 8
 // that starts at layer i. A run is a chain of handoff edges, each into a
 // same conv on the shifted rows (a Conv2D or FusedConvAct) from a same conv
 // of its padding, whose product grid has the image's rows, or, opening the
-// run, from a max-pool; Sequential.Infer serves it on the exact tier as one
+// run, from a max-pool; Sequential.Infer serves it on either tier as one
 // step (inferShift), group by group, each producer writing straight into
 // the interior of the next conv's padded image.
 func shiftedRuns(layers []Layer) []int {

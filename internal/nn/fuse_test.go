@@ -347,8 +347,7 @@ func TestFusedInferAllocsFree(t *testing.T) {
 
 // TestFusedConvGroupNormBitIdentical holds a same Conv→GroupNorm→ReLU,
 // fused into one FusedConvAct, to the unfused chain bit for bit at every
-// rate and on every route: the grid pass of the exact tier and the fma
-// tier's im2col product normalized in place. It sweeps 3×3 and 5×5
+// rate and on both tiers, each on the grid pass. It sweeps 3×3 and 5×5
 // kernels; 16×16, 8×8 and 4×4 planes (the block bodies) and 6×5 (the Go
 // twin); batches 1, 3 and 11 (a short last sample group on the small
 // planes); a bias or none; norm groups equal to the slice groups and twice

@@ -211,9 +211,12 @@ func poolTap(b byte) float64 {
 	return float64(int(b)/8%5 - 2)
 }
 
-// TestConv1x1SkipsIm2Col pins the point-wise bypass: the per-sample lowering
-// hands the input plane to the GEMM directly — bit-identical to the im2col
-// route (Forward), with no column scratch in the arena.
+// TestConv1x1SkipsIm2Col pins the point-wise bypass: served, the per-sample
+// lowering hands the input plane to the GEMM directly, with no column
+// scratch in the arena; trained, Forward reads x in place and Backward
+// reads x and accumulates dx in place. y, dx, dW and dB are bit-identical
+// to the im2col route (pointwiseIm2colRoute) at every rate, with a bias and
+// without.
 func TestConv1x1SkipsIm2Col(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	for _, bias := range []bool{false, true} {
@@ -231,8 +234,70 @@ func TestConv1x1SkipsIm2Col(t *testing.T) {
 			if got, want := arena.HighWaterBytes(), int64(8*3*aOut*25); got != want {
 				t.Fatalf("r=%v: arena holds %d bytes, want %d (the output alone)", r, got, want)
 			}
+
+			dy := randTensor(rng, 3, aOut, 5, 5)
+			c.W.ZeroGrad()
+			if bias {
+				c.B.ZeroGrad()
+			}
+			ctx := &Context{Training: true, Rate: r, Arena: tensor.NewArena()}
+			y := c.Forward(ctx, x).Clone()
+			dx := c.Backward(ctx, dy)
+			got, names := [][]float64{y.Data, dx.Data, c.W.Grad().Data}, []string{"y", "dx", "dW", "dB"}
+			if bias {
+				got = append(got, c.B.Grad().Data)
+			}
+			want := pointwiseIm2colRoute(c, aIn, aOut, x, dy)
+			for k, name := range names[:len(got)] {
+				for i, v := range want[k] {
+					if math.Float64bits(got[k][i]) != math.Float64bits(v) {
+						t.Fatalf("bias=%v r=%v: %s[%d]=%v, im2col route %v", bias, r, name, i, got[k][i], v)
+					}
+				}
+			}
 		}
 	}
+}
+
+// pointwiseIm2colRoute is the im2col route of a point-wise conv's training
+// pass at widths aIn → aOut: per sample, y over Im2Col(x) with the bias as
+// the epilogue, dW += dy·colᵀ, and dcol = Wᵀ·dy scattered into a zeroed dx
+// by Col2Im; per batch part (as Backward cuts the batch) a private dW and
+// dB, added into the gradients in part order, dW's zeros skipped. It returns
+// y, dx, dW (row stride In) and dB.
+func pointwiseIm2colRoute(c *Conv2D, aIn, aOut int, x, dy *tensor.Tensor) [4][]float64 {
+	batch, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	spatial := h * w
+	var bias []float64
+	if c.B != nil {
+		bias = c.B.Value.Data
+	}
+	y, dx := make([]float64, batch*aOut*spatial), make([]float64, batch*aIn*spatial)
+	dW, dB := make([]float64, aOut*c.In), make([]float64, aOut)
+	col, dcol := make([]float64, aIn*spatial), make([]float64, aIn*spatial)
+	nw := maxWorkers(batch)
+	for i := 0; i < nw; i++ {
+		dw, db := make([]float64, aOut*aIn), make([]float64, aOut)
+		for b, end := span(batch, nw, i); b < end; b++ {
+			tensor.Im2Col(x.Data[b*aIn*spatial:], aIn, h, w, 1, 1, 1, 0, col)
+			tensor.GemmEx(aOut, spatial, aIn, c.W.Value.Data, c.In, col, spatial, y[b*aOut*spatial:], spatial, &tensor.Epilogue{RowShift: bias})
+			g := dy.Data[b*aOut*spatial : (b+1)*aOut*spatial]
+			tensor.GemmTB(aOut, aIn, spatial, g, spatial, col, spatial, dw, aIn)
+			clear(dcol)
+			tensor.GemmTA(aIn, spatial, aOut, c.W.Value.Data, c.In, g, spatial, dcol, spatial)
+			tensor.Col2Im(dcol, aIn, h, w, 1, 1, 1, 0, dx[b*aIn*spatial:])
+			addBiasGrad(db, g, 1, spatial, spatial, spatial)
+		}
+		for oc := 0; oc < aOut; oc++ {
+			for j, v := range dw[oc*aIn : (oc+1)*aIn] {
+				if v != 0 {
+					dW[oc*c.In+j] += v
+				}
+			}
+			dB[oc] += db[oc]
+		}
+	}
+	return [4][]float64{y, dx, dW, dB}
 }
 
 // TestKernelPassesAllocFree: on an arena-backed context the three passes

@@ -60,8 +60,10 @@ type Context struct {
 	// Tier selects the GEMM engine tier of the inference path's weight
 	// products (Layer.Infer and the fused serving views): tensor.TierExact
 	// (zero value) keeps the bit-exact engine, TierFMA trades a pinned
-	// accuracy budget for throughput (see tensor/tier.go). Training and the
-	// shifted-row convs run exact.
+	// accuracy budget for throughput (see tensor/tier.go). It picks only the
+	// micro-kernel: every conv shape has one lowering on both tiers, and the
+	// fma tier's shifted-row grid is rounded to its 8-column kernel
+	// (tensor.EngineTier.ColBlock). Training runs exact.
 	Tier tensor.EngineTier
 
 	// inPass is set while the outermost Sequential.Infer of an arena-backed
@@ -293,9 +295,9 @@ const TrunkChunkBytes = 256 << 10
 
 // Infer runs all layers in order on the read-only inference path.
 //
-// On the exact tier a fused Sequential serves each of its shifted-row runs
-// (runs) as one step: inferShift takes the run's layers a sample group at a
-// time, each writing its output straight into the interior of the next
+// A fused Sequential serves each of its shifted-row runs (runs) as one
+// step, on either tier: inferShift takes the run's layers a sample group at
+// a time, each writing its output straight into the interior of the next
 // conv's padded image, so no conv but the run's first pads its input. Every
 // other layer is a step of its own; each layer's Infer, called alone, stays
 // dense in and out.
@@ -318,7 +320,7 @@ const TrunkChunkBytes = 256 << 10
 // kernel, and so its last bits, by the batch.
 func (s *Sequential) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	runs := s.runs
-	if ctx.EffTier() != tensor.TierExact || len(runs) != len(s.Layers) {
+	if len(runs) != len(s.Layers) {
 		runs = nil
 	}
 	a := arenaOf(ctx)

@@ -194,7 +194,7 @@ func TestConvForwardScratchRecycled(t *testing.T) {
 	}
 	ctx := &Context{Training: true}
 	same := NewConv2D(3, 4, 3, 3, 1, 1, Fixed(), Fixed(), false, rng)
-	geo := same.shiftGeom(2, 8, 8)
+	geo := same.shiftGeom(tensor.TierExact, 2, 8, 8)
 	for _, tc := range []struct {
 		name string
 		conv *Conv2D

@@ -132,7 +132,7 @@ var packPool = sync.Pool{
 
 // Gemm computes C[m×n] += A[m×k] · B[k×n] on the exact tier. Training runs
 // exact; only the entries that serve immutable weights (GemmExT,
-// GemmTBPackedExT) take a tier.
+// GemmShiftEx, GemmTBPackedExT) take a tier.
 func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	checkMat("Gemm A", m, k, lda, len(a))
 	checkMat("Gemm B", k, n, ldb, len(b))
@@ -411,8 +411,7 @@ func gemmAssign(tier EngineTier, m, n, k int, a, b operand, c []float64, ldc int
 // With assign set, each C tile is zeroed just before its first k-panel
 // (β=0), so callers may hand in uninitialized storage. A non-nil epilogue is
 // applied to each C tile right after its final k-panel, while the tile is
-// still cache-hot. Shifted rows run on the exact tier only: the fma tier's
-// kernels read B at one stride.
+// still cache-hot.
 func gemmBlocked(tier EngineTier, m, n, k int, a, b operand, c []float64, ldc int, assign bool, ep *Epilogue) {
 	var aPack, bPack []float64
 	if a.kind == opTrans {
@@ -445,10 +444,11 @@ func gemmBlocked(tier EngineTier, m, n, k int, a, b operand, c []float64, ldc in
 				if assign && pc == 0 {
 					zeroTile(mcb, ncb, ct, ldc)
 				}
+				rows := b.rowOffsets(offs[:kcb], pc, ldb)
 				if tier == TierExact {
-					gemmPanel(mcb, ncb, kcb, ablk, lda, bp, b.rowOffsets(offs[:kcb], pc, ldb), ct, ldc)
+					gemmPanel(mcb, ncb, kcb, ablk, lda, bp, rows, ct, ldc)
 				} else {
-					gemmPanelFMA(mcb, ncb, kcb, ablk, lda, bp, ldb, ct, ldc)
+					gemmPanelFMA(mcb, ncb, kcb, ablk, lda, bp, rows, ct, ldc)
 				}
 				if pc+kcb == k && ep != nil {
 					applyEpilogue(mcb, ncb, ct, ldc, ep, ic, jc)

@@ -193,12 +193,13 @@ func TestGemmRandomShapes(t *testing.T) {
 // FuzzGemm is the engine's property test: one differential over entry ×
 // m, n, k × leading-dimension pads × epilogue mask × tier. On the exact tier
 // every entry agrees with the naive oracle to 1e-10·√k; on the fma tier,
-// which only the served weight entries (GemmExT, GemmTBPackedExT) take, each
-// stays within fmaKernelTol (relative) of its own exact-tier result.
-// GemmTBPackedExT and GemmShiftEx must equal the strided product over the
-// materialized operand on the same tier bit for bit (GemmShiftTB, a dot
-// product in its own lane order, answers to the oracle only), and no entry
-// may touch C's slack past n in a row, past its last row, or its operands.
+// which only the served weight entries (GemmExT, GemmTBPackedExT,
+// GemmShiftEx) take, each stays within fmaKernelTol (relative) of its own
+// exact-tier result. GemmTBPackedExT and GemmShiftEx must equal the strided
+// product over the materialized operand on the same tier bit for bit
+// (GemmShiftTB, a dot product in its own lane order, answers to the oracle
+// only), and no entry may touch C's slack past n in a row, past its last
+// row, or its operands.
 func FuzzGemm(f *testing.F) {
 	add := func(entry, m, n, k, padA, padB, padC, mask int, tier EngineTier) {
 		f.Add(uint8(entry), uint16(m-1), uint16(n-1), uint16(k), uint8(padA), uint8(padB), uint8(padC), uint8(mask), uint8(tier))
@@ -250,13 +251,20 @@ func FuzzGemm(f *testing.F) {
 		add(e, 65, 300, 270, 3, 0, 2, e*9, TierFMA)
 		add(e, 2, 8, 27, 2, 2, 0, 33, TierExact)
 	}
+	// The fma tier's tails on 3×3 tap windows: n ≡ 4 (mod 8) leaves a column
+	// tail behind the 4×8 dot kernel, m = 9 a row tail, and k = 306 runs two
+	// k-panels.
+	for _, e := range []int{fuzzGemmExT, fuzzGemmTBPackedExT, fuzzGemmShiftEx} {
+		add(e, 9, 20, 300, 2, 2, 1, 4, TierFMA)
+		add(e, 4, 196, 27, 2, 2, 4, 16, TierFMA)
+	}
 	f.Fuzz(func(t *testing.T, entry uint8, mRaw, nRaw, kRaw uint16, padA, padB, padC, maskRaw, tierRaw uint8) {
 		e := int(entry) % fuzzEntries
 		m, n, k := 1+int(mRaw)%320, 1+int(nRaw)%320, int(kRaw)%420
 		pA, pB, pC := int(padA)%16, int(padB)%16, int(padC)%16
 		tier := EngineTier(tierRaw % NumTiers)
 		assign := e >= fuzzGemmEx
-		if e != fuzzGemmExT && e != fuzzGemmTBPackedExT {
+		if e != fuzzGemmExT && e != fuzzGemmTBPackedExT && e != fuzzGemmShiftEx {
 			tier = TierExact // only the served weight entries take a tier
 		}
 		rng := rand.New(rand.NewSource(int64((((e*331+m)*331+n)*421+k)*4096 + pA*256 + pB*16 + pC)))
@@ -329,7 +337,7 @@ func FuzzGemm(f *testing.F) {
 			case fuzzGemmTBPackedExT:
 				GemmTBPackedExT(tier, m, n, k, a, lda, PackTB(n, k, b, ldb), c, ldc, ep)
 			case fuzzGemmShiftEx:
-				GemmShiftEx(m, n, k, kh, kw, a, lda, img, ldImg, plane, c, ldc, ep)
+				GemmShiftEx(tier, m, n, k, kh, kw, a, lda, img, ldImg, plane, c, ldc, ep)
 			}
 			return c
 		}
@@ -736,11 +744,15 @@ func BenchmarkGemmTB256(b *testing.B) { benchGemmSize(b, 256, GemmTB) }
 
 func BenchmarkGemmRef256(b *testing.B) { benchGemmSize(b, 256, gemmRef) }
 
-// BenchmarkGemmPaperShapes times the served conv product — GemmExT, the
-// weight prefix read in place as A — at VGG-13's stage shapes and at three of
-// VGG13Mini's (m = output channels, n = output pixels, k = input
-// channels·9) on both tiers: at r = 1, and at r = 0.25 as the quarter prefix
-// of the r = 1 parent (m/4 rows, k/4 columns, lda = the parent's k).
+// BenchmarkGemmPaperShapes times the served conv product — GemmShiftEx, the
+// weight prefix read in place as A times the tap windows of one padded
+// sample — at VGG-13's stage shapes and at three of VGG13Mini's (m = output
+// channels, n = output pixels, k = input channels·9) on both tiers: at
+// r = 1, and at r = 0.25 as the quarter prefix of the r = 1 parent (m/4
+// rows, k/4 columns, lda = the parent's k). The image is laid out as a
+// same conv's shifted-row lowering lays out one sample (pad 1, rows at
+// stride w+1), and the grid is rounded up to the tier's column block; the
+// GFLOPS count only the n output pixels.
 func BenchmarkGemmPaperShapes(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	for _, s := range [][3]int{
@@ -748,18 +760,23 @@ func BenchmarkGemmPaperShapes(b *testing.B) {
 		{8, 256, 72}, {64, 16, 576}, {32, 64, 288}, // VGG13Mini
 	} {
 		M, N, K := s[0], s[1], s[2]
+		hw := int(math.Sqrt(float64(N)))
+		ld := hw + 1
+		plane := (hw + 2) * ld
 		w := make([]float64, M*K)
-		col := make([]float64, K*N)
-		c := make([]float64, M*N)
+		img := make([]float64, K/9*plane+8)
+		c := make([]float64, M*(N+8*hw))
 		fillRand(rng, w)
-		fillRand(rng, col)
+		fillRand(rng, img)
 		ep := &Epilogue{RowShift: make([]float64, M), ReLU: true}
 		for _, r := range []float64{1, 0.25} {
 			m, k := int(float64(M)*r), int(float64(K)*r)
 			for _, tier := range []EngineTier{TierExact, TierFMA} {
+				cb := tier.ColBlock()
+				n := ((hw-1)*ld + hw + cb - 1) / cb * cb
 				b.Run(fmt.Sprintf("%dx%dx%d/r%g/%v", M, N, K, r, tier), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						GemmExT(tier, m, N, k, w, K, col, N, c, N, ep)
+						GemmShiftEx(tier, m, n, k, 3, 3, w, K, img, ld, plane, c, n, ep)
 					}
 					b.ReportMetric(2*float64(m*N*k)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOPS")
 				})

@@ -10,64 +10,8 @@ package tensor
 // Every element of the column matrix is written (padding taps included), so
 // col may be uninitialized.
 func Im2Col(src []float64, channels, h, w, kh, kw, stride, pad int, col []float64) (outH, outW int) {
-	if stride == 1 && kw == 2*pad+1 && h+2*pad >= kh {
-		im2colShift(src, channels, h, w, kh, kw, pad, col)
-	} else {
-		im2colRows(src, channels, h, w, kh, kw, stride, pad, col)
-	}
-	return (h+2*pad-kh)/stride + 1, (w+2*pad-kw)/stride + 1
-}
-
-// im2colShift is Im2Col for stride 1 with the output as wide as the input
-// (kw = 2·pad+1, every "same" convolution). Source and destination rows then
-// share one stride, so a kernel tap (ki, kj) is the whole plane shifted by
-// (ki−pad)·w + (kj−pad): one bulk copy per (channel, tap) instead of one per
-// output row. The copy drags each row's out-of-range columns in from the
-// neighbouring row; those few elements, and the rows above and below the
-// image, are zeroed afterwards. Results equal im2colRows exactly.
-func im2colShift(src []float64, channels, h, w, kh, kw, pad int, col []float64) {
-	outH := h + 2*pad - kh + 1
-	band := outH * w
-	idx := 0
-	for c := 0; c < channels; c++ {
-		plane := src[c*h*w : (c+1)*h*w]
-		for ki := 0; ki < kh; ki++ {
-			// oy ∈ [oyLo, oyHi) reads a row inside the image.
-			oyLo := min(max(pad-ki, 0), outH)
-			oyHi := max(min(h+pad-ki, outH), oyLo)
-			for kj := 0; kj < kw; kj++ {
-				dst := col[idx*band : (idx+1)*band]
-				idx++
-				// ox ∈ [lo, hi) reads a column inside the row.
-				lo := min(max(pad-kj, 0), w)
-				hi := max(min(w+pad-kj, w), lo)
-				if oyLo == oyHi || lo == hi {
-					clear(dst)
-					continue
-				}
-				shift := (ki-pad)*w + kj - pad
-				first, last := oyLo*w+lo, (oyHi-1)*w+hi
-				clear(dst[:first])
-				copy(dst[first:last], plane[first+shift:last+shift])
-				clear(dst[last:])
-				// The gap is a column or two: plain stores beat a clear call.
-				gap := w - hi + lo
-				for p := oyLo*w + hi; p < last; p += w {
-					for q := p; q < p+gap; q++ {
-						dst[q] = 0
-					}
-				}
-			}
-		}
-	}
-}
-
-// im2colRows is the general Im2Col — any stride, any output width — one
-// copy or gather per output row. It is also the oracle im2colShift is tested
-// against.
-func im2colRows(src []float64, channels, h, w, kh, kw, stride, pad int, col []float64) {
-	outH := (h+2*pad-kh)/stride + 1
-	outW := (w+2*pad-kw)/stride + 1
+	outH = (h+2*pad-kh)/stride + 1
+	outW = (w+2*pad-kw)/stride + 1
 	// For a fixed kernel tap kj, the in-range output columns are those with
 	// 0 ≤ ox·stride − pad + kj < w; hoisting that interval out of the inner
 	// loop replaces the per-element bounds test with two zero fills and one
@@ -126,6 +70,7 @@ func im2colRows(src []float64, channels, h, w, kh, kw, stride, pad int, col []fl
 			}
 		}
 	}
+	return outH, outW
 }
 
 // Col2Im is the adjoint of Im2Col: it scatter-adds the column matrix back

@@ -22,12 +22,12 @@ import "math"
 // explicit SetTier callers get correct, slower results.)
 
 // gemmPanelFMA is the fma-tier form of gemmPanel: C[rows×ncb] +=
-// A[rows×kcb] · B[kcb×ncb] with fused multiply-adds, B at row stride ldb.
-func gemmPanelFMA(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+// A[rows×kcb] · B with fused multiply-adds, B row p being b[offs[p]:][:ncb].
+func gemmPanelFMA(rows, ncb, kcb int, a []float64, lda int, b []float64, offs []int, c []float64, ldc int) {
 	vec := useFMA && ncb >= vecMinCols
 	countPanel(TierFMA, vec)
 	if !vec {
-		gemmPanelFMAScalar(rows, ncb, kcb, a, lda, b, ldb, c, ldc)
+		gemmPanelFMAScalar(rows, ncb, kcb, a, lda, b, offs, c, ldc)
 		return
 	}
 	i := 0
@@ -39,16 +39,16 @@ func gemmPanelFMA(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int
 		ci := i * ldc
 		j := 0
 		for ; j+8 <= ncb; j += 8 {
-			fmaDot4x8(kcb, a0, a1, a2, a3, b[j:], ldb,
+			fmaDot4x8(kcb, a0, a1, a2, a3, b[j:], offs,
 				c[ci+j:ci+j+8], c[ci+ldc+j:ci+ldc+j+8],
 				c[ci+2*ldc+j:ci+2*ldc+j+8], c[ci+3*ldc+j:ci+3*ldc+j+8])
 		}
 		if j < ncb {
-			gemmPanelFMAAxpy(4, ncb-j, kcb, a[i*lda:], lda, b[j:], ldb, c[ci+j:], ldc)
+			gemmPanelFMAAxpy(4, ncb-j, kcb, a[i*lda:], lda, b[j:], offs, c[ci+j:], ldc)
 		}
 	}
 	if i < rows {
-		gemmPanelFMAAxpy(rows-i, ncb, kcb, a[i*lda:], lda, b, ldb, c[i*ldc:], ldc)
+		gemmPanelFMAAxpy(rows-i, ncb, kcb, a[i*lda:], lda, b, offs, c[i*ldc:], ldc)
 	}
 }
 
@@ -56,7 +56,7 @@ func gemmPanelFMA(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int
 // kernels of the original fma-tier loop, serving the row and column ranges
 // the 4×8 dot kernel cannot tile. Same ascending-k fused chain per element,
 // so mixing the two inside one panel keeps every element bit-identical.
-func gemmPanelFMAAxpy(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+func gemmPanelFMAAxpy(rows, ncb, kcb int, a []float64, lda int, b []float64, offs []int, c []float64, ldc int) {
 	i := 0
 	for ; i+2 <= rows; i += 2 {
 		ai0 := a[i*lda : i*lda+kcb]
@@ -66,13 +66,12 @@ func gemmPanelFMAAxpy(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb
 		p := 0
 		for ; p+4 <= kcb; p += 4 {
 			axpyQuad2FMA(ci0, ci1,
-				b[p*ldb:p*ldb+ncb], b[(p+1)*ldb:(p+1)*ldb+ncb],
-				b[(p+2)*ldb:(p+2)*ldb+ncb], b[(p+3)*ldb:(p+3)*ldb+ncb],
+				b[offs[p]:][:ncb], b[offs[p+1]:][:ncb], b[offs[p+2]:][:ncb], b[offs[p+3]:][:ncb],
 				ai0[p:p+4], ai1[p:p+4])
 		}
 		for ; p < kcb; p++ {
 			a0v, a1v := ai0[p], ai1[p]
-			bp := b[p*ldb : p*ldb+ncb]
+			bp := b[offs[p]:][:ncb]
 			for j, bv := range bp {
 				ci0[j] = math.FMA(a0v, bv, ci0[j])
 				ci1[j] = math.FMA(a1v, bv, ci1[j])
@@ -85,13 +84,12 @@ func gemmPanelFMAAxpy(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb
 		p := 0
 		for ; p+4 <= kcb; p += 4 {
 			axpyQuad1FMA(ci,
-				b[p*ldb:p*ldb+ncb], b[(p+1)*ldb:(p+1)*ldb+ncb],
-				b[(p+2)*ldb:(p+2)*ldb+ncb], b[(p+3)*ldb:(p+3)*ldb+ncb],
+				b[offs[p]:][:ncb], b[offs[p+1]:][:ncb], b[offs[p+2]:][:ncb], b[offs[p+3]:][:ncb],
 				ai[p:p+4])
 		}
 		for ; p < kcb; p++ {
 			av := ai[p]
-			bp := b[p*ldb : p*ldb+ncb]
+			bp := b[offs[p]:][:ncb]
 			for j, bv := range bp {
 				ci[j] = math.FMA(av, bv, ci[j])
 			}
@@ -101,12 +99,12 @@ func gemmPanelFMAAxpy(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb
 
 // gemmPanelFMAScalar is the pure-Go fallback of gemmPanelFMA: the same fused
 // ascending-k chain per element, via math.FMA.
-func gemmPanelFMAScalar(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+func gemmPanelFMAScalar(rows, ncb, kcb int, a []float64, lda int, b []float64, offs []int, c []float64, ldc int) {
 	for i := 0; i < rows; i++ {
 		ai := a[i*lda : i*lda+kcb]
 		ci := c[i*ldc : i*ldc+ncb]
 		for p, av := range ai {
-			bp := b[p*ldb : p*ldb+ncb]
+			bp := b[offs[p]:][:ncb]
 			for j, bv := range bp {
 				ci[j] = math.FMA(av, bv, ci[j])
 			}

@@ -33,14 +33,14 @@ func axpyQuad1FMA(c0, b0, b1, b2, b3, a0 []float64)
 
 // fmaDot4x8 is the C-resident 4×8 dot micro-kernel: it computes, for four C
 // row slices c0..c3 (each at least 8 wide) against four A row slices a0..a3
-// (each at least kcb long) and a B panel with row stride ldb,
+// (each at least kcb long) and a B panel whose row p is b[offs[p]:],
 //
 //	cr[j] = fma(ar[kcb-1],b[kcb-1][j], ... fma(ar[1],b[1][j], fma(ar[0],b[0][j], cr[j])))
 //
 // for r in 0..3 and j in 0..7 — the same ascending-k fused chain as the
 // axpyQuad kernels and math.FMA, carried in registers across the whole kcb
-// panel instead of spilling to C every four k steps. b must hold at least
-// (kcb-1)·ldb + 8 elements.
+// panel instead of spilling to C every four k steps. offs must hold at
+// least kcb offsets, and b at least offs[p] + 8 elements for each of them.
 //
 //go:noescape
-func fmaDot4x8(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []float64)
+func fmaDot4x8(kcb int, a0, a1, a2, a3, b []float64, offs []int, c0, c1, c2, c3 []float64)

@@ -172,7 +172,7 @@ rdone:
 	VZEROUPPER
 	RET
 
-// func fmaDot4x8(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []float64)
+// func fmaDot4x8(kcb int, a0, a1, a2, a3, b []float64, offs []int, c0, c1, c2, c3 []float64)
 //
 // C-resident 4×8 dot micro-kernel: eight YMM accumulators (4 C rows × 8
 // columns) are loaded once, carry the fused chain across the entire kcb
@@ -180,20 +180,20 @@ rdone:
 // (the axpy kernels above) to one per panel, and each B row is streamed
 // once per four C rows instead of per two. Per element the chain is the
 // same ascending-k acc = fma(a,b,acc) the axpy kernels and math.FMA
-// evaluate, so results stay bit-identical across all three paths.
-TEXT ·fmaDot4x8(SB), NOSPLIT, $0-232
+// evaluate, so results stay bit-identical across all three paths. B row p
+// starts offs[p] elements into b, so stored and shifted rows run alike.
+TEXT ·fmaDot4x8(SB), NOSPLIT, $0-248
 	MOVQ kcb+0(FP), CX
 	MOVQ a0_base+8(FP), R8
 	MOVQ a1_base+32(FP), R9
 	MOVQ a2_base+56(FP), R10
 	MOVQ a3_base+80(FP), R11
 	MOVQ b_base+104(FP), SI
-	MOVQ ldb+128(FP), R12
-	SHLQ $3, R12
-	MOVQ c0_base+136(FP), DI
-	MOVQ c1_base+160(FP), AX
-	MOVQ c2_base+184(FP), BX
-	MOVQ c3_base+208(FP), DX
+	MOVQ offs_base+128(FP), R12
+	MOVQ c0_base+152(FP), DI
+	MOVQ c1_base+176(FP), AX
+	MOVQ c2_base+200(FP), BX
+	MOVQ c3_base+224(FP), DX
 
 	VMOVUPD (DI), Y0
 	VMOVUPD 32(DI), Y1
@@ -205,8 +205,9 @@ TEXT ·fmaDot4x8(SB), NOSPLIT, $0-232
 	VMOVUPD 32(DX), Y7
 
 dloop:
-	VMOVUPD      (SI), Y8
-	VMOVUPD      32(SI), Y9
+	MOVQ         (R12), R13
+	VMOVUPD      (SI)(R13*8), Y8
+	VMOVUPD      32(SI)(R13*8), Y9
 	VBROADCASTSD (R8), Y10
 	VBROADCASTSD (R9), Y11
 	VBROADCASTSD (R10), Y12
@@ -223,7 +224,7 @@ dloop:
 	ADDQ         $8, R9
 	ADDQ         $8, R10
 	ADDQ         $8, R11
-	ADDQ         R12, SI
+	ADDQ         $8, R12
 	DECQ         CX
 	JNZ          dloop
 

@@ -21,7 +21,7 @@ func dot2x4AVX(a0, a1, b0, b1, b2, b3 []float64, out *[8]float64) { panic("tenso
 func axpyQuad2FMA(c0, c1, b0, b1, b2, b3, a0, a1 []float64) { panic("tensor: no vector kernel") }
 func axpyQuad1FMA(c0, b0, b1, b2, b3, a0 []float64)         { panic("tensor: no vector kernel") }
 
-func fmaDot4x8(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []float64) {
+func fmaDot4x8(kcb int, a0, a1, a2, a3, b []float64, offs []int, c0, c1, c2, c3 []float64) {
 	panic("tensor: no vector kernel")
 }
 

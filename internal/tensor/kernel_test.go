@@ -65,7 +65,7 @@ func TestVectorKernelBitIdenticalToScalar(t *testing.T) {
 			case 2:
 				GemmTBEx(s.m, s.n, s.k, a, lda, bt, ldbt, dst, ldc, ep)
 			case 3:
-				GemmShiftEx(s.m, s.n, ks, 3, 3, as, ks, img, ld, plane, dst, ldc, ep)
+				GemmShiftEx(TierExact, s.m, s.n, ks, 3, 3, as, ks, img, ld, plane, dst, ldc, ep)
 			case 4:
 				GemmTBPackedExT(TierExact, s.m, s.n, s.k, a, lda, PackTB(s.n, s.k, bt, ldbt), dst, ldc, ep)
 			case 5:

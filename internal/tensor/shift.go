@@ -16,22 +16,20 @@ import "fmt"
 // windows as the rows of a Bᵀ: a same convolution's weight gradient, as dot
 // products.
 
-// GemmShiftEx computes C[m×n] = epilogue(A · B) on the exact tier like
-// GemmEx, with A[m×k] strided (row stride lda), but B is never materialized:
-// its k rows (k a multiple of kh·kw) are windows of img, row p = (ci·kh +
-// ki)·kw + kj being img[ci·plane + ki·ld + kj:][:n]. Column epilogue vectors
-// index the n columns of C as for any product. Every same convolution runs
-// on it: served, A is the weight prefix read in place from the parent;
-// trained, the prefix and the flipped data-gradient kernel. The product is
-// the same panel loop over the same B offsets, so it is bit-identical to
-// GemmEx over the materialized column matrix. There is no fma-tier twin: its
-// C-resident 4×8 kernel needs B rows at a fixed stride, and on the column
-// matrix it beat this loop at full width (DESIGN §8).
-func GemmShiftEx(m, n, k, kh, kw int, a []float64, lda int, img []float64, ld, plane int, c []float64, ldc int, ep *Epilogue) {
+// GemmShiftEx computes C[m×n] = epilogue(A · B) on the given tier like
+// GemmExT, with A[m×k] strided (row stride lda), but B is never
+// materialized: its k rows (k a multiple of kh·kw) are windows of img, row
+// p = (ci·kh + ki)·kw + kj being img[ci·plane + ki·ld + kj:][:n]. Column
+// epilogue vectors index the n columns of C as for any product. Every same
+// convolution runs on it: served, A is the weight prefix read in place from
+// the parent; trained, the prefix and the flipped data-gradient kernel. The
+// product is the same panel loop over the same B offsets, so on either tier
+// it is bit-identical to GemmExT over the materialized column matrix.
+func GemmShiftEx(tier EngineTier, m, n, k, kh, kw int, a []float64, lda int, img []float64, ld, plane int, c []float64, ldc int, ep *Epilogue) {
 	checkMat("GemmShiftEx A", m, k, lda, len(a))
 	b := shiftRows("GemmShiftEx", k, n, kh, kw, img, ld, plane)
 	checkMat("GemmShiftEx C", m, n, ldc, len(c))
-	gemmAssign(TierExact, m, n, k, operand{data: a, ld: lda}, b, c, ldc, ep)
+	gemmAssign(tier, m, n, k, operand{data: a, ld: lda}, b, c, ldc, ep)
 }
 
 // shiftRows validates k tap windows of length n in img — k a multiple of

@@ -21,14 +21,14 @@ func shiftRowsOracle(k, n, kh, kw int, img []float64, ld, plane int) []float64 {
 // TestGemmPackedShiftMatchesMaterialized holds the shifted-row product
 // (GemmShiftEx) — on a weight of exactly k columns (training's flipped
 // kernel) and on the k-column prefix of a wider parent, read in place as
-// served — to GemmEx over the materialized matrix, bit for bit: random tap
-// geometries (rows that overlap, abut or leave gaps), k past one 256-row
-// panel, C wider than a column panel, odd m, every epilogue mask, and both
-// the AVX and the scalar panel loops.
+// served — to GemmExT over the materialized matrix on the same tier, bit for
+// bit: random tap geometries (rows that overlap, abut or leave gaps), k past
+// one 256-row panel, C wider than a column panel, odd m, every epilogue
+// mask, on both tiers, each on its vector and its scalar panel loops.
 func TestGemmPackedShiftMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	saved := useAVX
-	defer func() { useAVX = saved }()
+	savedAVX, savedFMA := useAVX, useFMA
+	defer func() { useAVX, useFMA = savedAVX, savedFMA }()
 	for it := 0; it < 160; it++ {
 		kh, kw := 1+rng.Intn(4), 1+rng.Intn(4)
 		channels := 1 + rng.Intn(6)
@@ -53,32 +53,34 @@ func TestGemmPackedShiftMatchesMaterialized(t *testing.T) {
 		ldc := n + rng.Intn(3)
 		ep := epilogueCase(rng, it%epilogueMasks, m, n)
 
-		want := make([]float64, m*ldc)
-		GemmEx(m, n, k, a, lda, shiftRowsOracle(k, n, kh, kw, img, ld, plane), n, want, ldc, ep)
-		for _, avx := range []bool{saved, false} {
-			useAVX = avx
-			for _, prefix := range []bool{true, false} {
-				got := make([]float64, m*ldc)
-				for i := range got {
-					got[i] = math.NaN() // assign mode overwrites every element
-				}
-				if prefix {
-					GemmShiftEx(m, n, k, kh, kw, a, lda, img, ld, plane, got, ldc, ep)
-				} else {
-					GemmShiftEx(m, n, k, kh, kw, compactRows(a, m, k, lda), k, img, ld, plane, got, ldc, ep)
-				}
-				for i := 0; i < m; i++ {
-					for j := 0; j < n; j++ {
-						g, w := got[i*ldc+j], want[i*ldc+j]
-						if math.Float64bits(g) != math.Float64bits(w) {
-							t.Fatalf("it %d (m=%d n=%d k=%d lda=%d %dx%d ld=%d plane=%d mask=%06b avx=%v prefix=%v): C[%d,%d]=%v, materialized %v",
-								it, m, n, k, lda, kh, kw, ld, plane, it%epilogueMasks, avx, prefix, i, j, g, w)
+		for _, tier := range []EngineTier{TierExact, TierFMA} {
+			want := make([]float64, m*ldc)
+			GemmExT(tier, m, n, k, a, lda, shiftRowsOracle(k, n, kh, kw, img, ld, plane), n, want, ldc, ep)
+			for _, vec := range []bool{true, false} {
+				useAVX, useFMA = savedAVX && vec, savedFMA && vec
+				for _, prefix := range []bool{true, false} {
+					got := make([]float64, m*ldc)
+					for i := range got {
+						got[i] = math.NaN() // assign mode overwrites every element
+					}
+					if prefix {
+						GemmShiftEx(tier, m, n, k, kh, kw, a, lda, img, ld, plane, got, ldc, ep)
+					} else {
+						GemmShiftEx(tier, m, n, k, kh, kw, compactRows(a, m, k, lda), k, img, ld, plane, got, ldc, ep)
+					}
+					for i := 0; i < m; i++ {
+						for j := 0; j < n; j++ {
+							g, w := got[i*ldc+j], want[i*ldc+j]
+							if math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("it %d %v (m=%d n=%d k=%d lda=%d %dx%d ld=%d plane=%d mask=%06b vec=%v prefix=%v): C[%d,%d]=%v, materialized %v",
+									it, tier, m, n, k, lda, kh, kw, ld, plane, it%epilogueMasks, vec, prefix, i, j, g, w)
+							}
 						}
 					}
 				}
 			}
+			useAVX, useFMA = savedAVX, savedFMA
 		}
-		useAVX = saved
 	}
 }
 
@@ -111,7 +113,7 @@ func TestGemmPackedShiftCountsKernels(t *testing.T) {
 	}
 	for _, n := range []int{4, 40} {
 		count("GemmShiftEx", n, useAVX && n >= vecMinCols, func() {
-			GemmShiftEx(2, n, 9, 3, 3, a, 9, img, 5, 0, c, n, nil)
+			GemmShiftEx(TierExact, 2, n, 9, 3, 3, a, 9, img, 5, 0, c, n, nil)
 		})
 	}
 	for _, k := range []int{3, 40} {
@@ -125,11 +127,13 @@ func TestGemmPackedShiftShapeChecks(t *testing.T) {
 	a := make([]float64, 27)
 	c := make([]float64, 2*8)
 	for name, call := range map[string]func(){
-		"taps do not divide k": func() { GemmShiftEx(2, 8, 9, 2, 2, a, 9, make([]float64, 64), 3, 9, c, 8, nil) },
-		"image too short":      func() { GemmShiftEx(2, 8, 9, 3, 3, a, 9, make([]float64, 8), 3, 9, c, 8, nil) },
-		"C too short":          func() { GemmShiftEx(3, 8, 9, 3, 3, a, 9, make([]float64, 64), 3, 9, c, 8, nil) },
-		"prefix wider than A":  func() { GemmShiftEx(2, 8, 18, 3, 3, a, 9, make([]float64, 64), 3, 9, c, 8, nil) },
-		"strided A too short":  func() { GemmShiftEx(2, 8, 9, 3, 3, make([]float64, 17), 9, make([]float64, 64), 3, 9, c, 8, nil) },
+		"taps do not divide k": func() { GemmShiftEx(TierExact, 2, 8, 9, 2, 2, a, 9, make([]float64, 64), 3, 9, c, 8, nil) },
+		"image too short":      func() { GemmShiftEx(TierExact, 2, 8, 9, 3, 3, a, 9, make([]float64, 8), 3, 9, c, 8, nil) },
+		"C too short":          func() { GemmShiftEx(TierExact, 3, 8, 9, 3, 3, a, 9, make([]float64, 64), 3, 9, c, 8, nil) },
+		"prefix wider than A":  func() { GemmShiftEx(TierExact, 2, 8, 18, 3, 3, a, 9, make([]float64, 64), 3, 9, c, 8, nil) },
+		"strided A too short": func() {
+			GemmShiftEx(TierExact, 2, 8, 9, 3, 3, make([]float64, 17), 9, make([]float64, 64), 3, 9, c, 8, nil)
+		},
 		"taps do not divide the windows": func() {
 			GemmShiftTB(2, 8, 4, 3, 3, make([]float64, 8), 4, make([]float64, 64), 3, 9, c, 8)
 		},

@@ -48,6 +48,17 @@ func (t EngineTier) String() string {
 	return fmt.Sprintf("tier(%d)", uint8(t))
 }
 
+// ColBlock is the column width the tier's vector kernel steps C by: one
+// 4-lane vector on the exact tier, the 4×8 dot kernel's eight columns on the
+// fma tier. A product whose n is a multiple of it runs no column tail, so a
+// caller free to widen n (the shifted-row grid) rounds it up to this.
+func (t EngineTier) ColBlock() int {
+	if t == TierFMA {
+		return 8
+	}
+	return 4
+}
+
 // ParseTier parses a config spelling into an EngineTier. The empty string
 // parses as TierExact so absent config keys need no special-casing.
 func ParseTier(s string) (EngineTier, error) {

@@ -88,6 +88,13 @@ func TestFastTierFlipBitIdentical(t *testing.T) {
 		fillRand(rng, bt)
 		ep := epilogueCase(rng, rng.Intn(epilogueMasks), s.m, s.n)
 		pb := PackTB(s.n, s.k, bt, ldbT)
+		// Shifted rows: 3×3 tap windows, k rounded up to whole channels.
+		ks, ld := (s.k+8)/9*9, 4+s.pad
+		plane := 2*ld + s.n
+		as := make([]float64, s.m*ks)
+		img := make([]float64, (ks/9-1)*plane+2*ld+2+s.n)
+		fillRand(rng, as)
+		fillRand(rng, img)
 
 		type op struct {
 			name string
@@ -99,6 +106,7 @@ func TestFastTierFlipBitIdentical(t *testing.T) {
 			}},
 			{"GemmExT/fma", func(c []float64) { GemmExT(TierFMA, s.m, s.n, s.k, a, lda, b, ldb, c, ldc, ep) }},
 			{"GemmTBPackedExT/fma", func(c []float64) { GemmTBPackedExT(TierFMA, s.m, s.n, s.k, a, lda, pb, c, ldc, ep) }},
+			{"GemmShiftEx/fma", func(c []float64) { GemmShiftEx(TierFMA, s.m, s.n, ks, 3, 3, as, ks, img, ld, plane, c, ldc, ep) }},
 		}
 		for _, o := range ops {
 			vec := make([]float64, s.m*ldc+8)

@@ -150,12 +150,6 @@ const (
 // ParseTier maps "exact" or "fma" to its EngineTier.
 func ParseTier(s string) (EngineTier, error) { return tensor.ParseTier(s) }
 
-// MeasureSampleTimes calibrates per-sample inference seconds t(r) at every
-// rate by timing the zero-copy path, for use as Policy.SampleTime.
-func MeasureSampleTimes(model Layer, rates RateList, inShape []int, batch int) func(r float64) float64 {
-	return serving.MeasureSampleTimes(model, rates, inShape, batch)
-}
-
 // CostProfile reports multiply-accumulates, resident parameters and
 // activation volume of one forward pass.
 type CostProfile = cost.Profile
