@@ -88,7 +88,7 @@ func TestPruneVGGIdentityAtFullKeep(t *testing.T) {
 	b := d.TrainBatches(16, false, rng)[0]
 	ctx := &nn.Context{Training: true, Rate: 1, RNG: rng}
 	logits := m.Forward(ctx, b.X)
-	_, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
+	_, dy := nn.SoftmaxCrossEntropy(nil, logits, b.Labels)
 	m.Backward(ctx, dy)
 
 	pruned := PruneVGG(m, 1.0, rng)
@@ -152,7 +152,7 @@ func TestL1GammaPenaltyDrivesSparsity(t *testing.T) {
 		for _, b := range d.TrainBatches(16, false, rng) {
 			ctx := &nn.Context{Training: true, Rate: 1, RNG: rng}
 			logits := m.Forward(ctx, b.X)
-			_, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
+			_, dy := nn.SoftmaxCrossEntropy(nil, logits, b.Labels)
 			m.Backward(ctx, dy)
 			L1GammaPenalty(m, 0.01)
 			opt.Step(m.Params())
@@ -176,7 +176,7 @@ func TestPruneResNetIdentityAtFullKeepAndShrinks(t *testing.T) {
 	if logits.Dim(1) != 10 {
 		t.Fatalf("resnet logits %v", logits.Shape)
 	}
-	_, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
+	_, dy := nn.SoftmaxCrossEntropy(nil, logits, b.Labels)
 	m.Backward(ctx, dy)
 
 	x := d.TestBatches(4)[0].X
@@ -391,7 +391,7 @@ func TestSkipNetLiteTrainerMatchesPlainLoop(t *testing.T) {
 	for step, b := range batches {
 		got := tr.Step(b).Losses
 		ctx := &nn.Context{Training: true, Rate: 1, RNG: rngH}
-		want, dy := nn.SoftmaxCrossEntropy(h.Forward(ctx, b.X), b.Labels)
+		want, dy := nn.SoftmaxCrossEntropy(nil, h.Forward(ctx, b.X), b.Labels)
 		h.Backward(ctx, dy)
 		opt.Step(h.Params())
 		for i, g := range h.gates {

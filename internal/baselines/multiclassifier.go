@@ -107,7 +107,7 @@ func (m *MultiClassifier) TrainStep(ctx *nn.Context, b train.Batch, opt *train.S
 		}
 		prev = m.Taps[i]
 		logits := m.Heads[i].Forward(ctx, h)
-		loss, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
+		loss, dy := nn.SoftmaxCrossEntropy(ctx.Arena, logits, b.Labels)
 		w := 1.0 / float64(k)
 		if m.Weights != nil {
 			w = m.Weights[i]

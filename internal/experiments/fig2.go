@@ -156,7 +156,7 @@ func trainSlimCNN(model nn.Layer, d *data.Images, sz cnnSizing, lambda float64, 
 		for _, b := range d.TrainBatches(sz.Batch, sz.Augment, rng) {
 			ctx := &nn.Context{Training: true, Rate: 1, RNG: rng}
 			logits := model.Forward(ctx, b.X)
-			_, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
+			_, dy := nn.SoftmaxCrossEntropy(nil, logits, b.Labels)
 			model.Backward(ctx, dy)
 			baselines.L1GammaPenalty(model, lambda)
 			opt.Step(model.Params())

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"modelslicing/internal/tensor"
 )
@@ -29,7 +28,43 @@ type Conv2D struct {
 	aIn, aOut  int
 	h, w       int
 	outH, outW int
+
+	// region is the parallelFor region running on the layer (run).
+	region convRegion
 }
+
+// convRegion is the per-call state of a Conv2D's parallelFor region. The
+// layer itself is the region's part (runPart), so handing it to the helpers
+// allocates nothing, and its parts read their arguments here. run sets it
+// just before the region and clears it when the region ends, so neither a
+// parked helper nor the trained model keeps a step's tensors or scratch
+// reachable; a copy of the layer runs its regions on its own copy.
+type convRegion struct {
+	body func(c *Conv2D, i int) // the region's part: a *Part method
+	nw   int                    // parts
+	s    shiftGeom              // a same conv's geometry
+	// Forward's output y and, with gn, the ReLU output out; Backward's
+	// output gradient dy and input gradient dx.
+	y, out, dy, dx *tensor.Tensor
+	gn             *GroupNorm
+	bias           []float64
+	wf             []float64 // Backward's flipped kernel (flippedKernel)
+	part           []float64 // gn's dγ and dβ partials, per sample
+	// Each part's scratch (scratch; dcols is im2col's column gradient),
+	// and its dW and dB accumulators.
+	scratch, dcols, dws, dbs [maxBatchWorkers][]float64
+}
+
+// run runs the region rg on parallelFor, the layer as its part, and clears
+// it when the region ends.
+func (c *Conv2D) run(rg convRegion) {
+	c.region = rg
+	defer func() { c.region = convRegion{} }()
+	parallelFor(rg.nw, c)
+}
+
+// runPart runs part i of the region in c.region.
+func (c *Conv2D) runPart(i int) { c.region.body(c, i) }
 
 // NewConv2D constructs a convolution with He initialization.
 func NewConv2D(in, out, kh, kw, stride, pad int, inSpec, outSpec SliceSpec, bias bool, rng *rand.Rand) *Conv2D {
@@ -67,36 +102,24 @@ func (c *Conv2D) OutShape(h, w int) (int, int) {
 	return tensor.ConvOutSize(h, c.KH, c.Stride, c.Pad), tensor.ConvOutSize(w, c.KW, c.Stride, c.Pad)
 }
 
-// im2colPool recycles the worker-local im2col (and column-gradient) scratch
-// of the training path across steps, the way the GEMM engine recycles its
-// transpose panels: Forward/Backward used to allocate one fresh
-// colRows×spatial buffer per worker per step. Buffers are size-promoted on
-// demand and fully (re)written before every read — Im2Col writes padding taps
-// too, and Backward zeroes its dcol explicitly — so recycled contents never
-// leak between steps. Only convolutions that are neither same nor point-wise
-// build column matrices: same ones train on the shifted rows, point-wise ones
-// on their input.
-var im2colPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// padPool recycles the shifted-row lowering's training scratch the same way:
-// one buffer per worker holds the padded images of x (and dy), zeroed once
-// per call because only their interiors are rewritten, and a product grid,
-// which every product overwrites.
-var padPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// gradPool recycles Backward's per-part dW+dB accumulator. It is
-// kept apart from the scratch pools so weight-sized buffers never promote
-// image buffers (or the reverse). Callers zero what they accumulate into.
-var gradPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// poolGet hands out a buffer of at least n elements from one of the pools
-// above.
-func poolGet(pool *sync.Pool, n int) *[]float64 {
-	buf := pool.Get().(*[]float64)
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
+// scratch takes nw parts' n-element training scratch from arena (nil: the
+// heap), the first zeroed elements of each zeroed: im2col column matrices,
+// which Im2Col rewrites whole, padded images, whose pads only a clear
+// writes, product grids, and gradient accumulators. A region's caller marks
+// the arena before it takes the scratch and releases it to the mark once the
+// region has ended, so a pass holds one region's scratch at a time and a
+// step recycles it with its arena. Unlike a sync.Pool, which misses when
+// the caller has moved to another P since its last Put, the arena hands the
+// same slab back every step.
+func scratch(arena *tensor.Arena, nw, n, zeroed int) (bufs [maxBatchWorkers][]float64) {
+	if n == 0 {
+		return bufs
 	}
-	return buf
+	for i := 0; i < nw; i++ {
+		bufs[i] = arena.GetUninit(n).Data
+		clear(bufs[i][:zeroed])
+	}
+	return bufs
 }
 
 // Forward computes y[B, aOut, outH, outW] from x[B, aIn, H, W] on the
@@ -124,7 +147,8 @@ func (c *Conv2D) forward(ctx *Context, x *tensor.Tensor, gn *GroupNorm) *tensor.
 	c.outH, c.outW = c.OutShape(c.h, c.w)
 	c.x = x
 	// Every output element is written by the assign-mode GEMM.
-	y := arenaOf(ctx).GetUninit(batch, c.aOut, c.outH, c.outW)
+	arena := arenaOf(ctx)
+	y := arena.GetUninit(batch, c.aOut, c.outH, c.outW)
 
 	var bias []float64
 	if c.B != nil {
@@ -135,76 +159,70 @@ func (c *Conv2D) forward(ctx *Context, x *tensor.Tensor, gn *GroupNorm) *tensor.
 		if gn != nil {
 			out = gn.startForward(ctx, y)
 		}
-		c.forwardShift(x, y, bias, gn, out)
+		c.forwardShift(arena, y, bias, gn, out)
 		return out
 	}
 
-	colRows := c.aIn * c.KH * c.KW
-	ldW := c.In * c.KH * c.KW
-	inPlane := c.aIn * c.h * c.w
-	outPlane := c.aOut * c.outH * c.outW
-	spatial := c.outH * c.outW
-	colLen := c.colLen(colRows, spatial)
-	nw := maxWorkers(batch)
-	var cols [maxBatchWorkers][]float64
-	var bufs [maxBatchWorkers]*[]float64
-	for i := 0; i < nw; i++ {
-		bufs[i] = poolGet(&im2colPool, colLen)
-		cols[i] = (*bufs[i])[:colLen]
-	}
-	parallelFor(nw, func(i int) {
-		for b, end := span(batch, nw, i); b < end; b++ {
-			col := c.columns(x.Data[b*inPlane:(b+1)*inPlane], c.aIn, c.h, c.w, cols[i])
-			dst := y.Data[b*outPlane : (b+1)*outPlane]
-			tensor.GemmEx(c.aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial, &tensor.Epilogue{RowShift: bias})
-		}
-	})
-	for i := 0; i < nw; i++ {
-		im2colPool.Put(bufs[i])
-	}
+	mark := arena.Mark()
+	rg := convRegion{body: (*Conv2D).forwardIm2colPart, nw: maxWorkers(batch), y: y, bias: bias}
+	rg.scratch = scratch(arena, rg.nw, c.colLen(c.aIn*c.KH*c.KW, c.outH*c.outW), 0)
+	c.run(rg)
+	arena.Release(mark)
 	return y
 }
 
-// forwardShift is Forward on the shifted-row lowering: the sample groups of
-// shiftConv split across the batch workers, each on its own pooled image
-// and grid, with the weight prefix as a strided A and the bias as the
-// epilogue's row shift. Each group's grid is copied out into y and, with a
-// non-nil gn, normalized with the ReLU into out while it is cache-hot, gn
-// recording the statistics (normGrid).
-func (c *Conv2D) forwardShift(x, y *tensor.Tensor, bias []float64, gn *GroupNorm, out *tensor.Tensor) {
-	batch := x.Dim(0)
-	s := c.shiftGeom(tensor.TierExact, batch, c.h, c.w)
-	nw := maxWorkers(s.groups(batch))
-	imgLen := s.imgLen(c.aIn)
-	dense := denseLayout(c.aOut, c.h, c.w)
-	scratch, bufs := padScratch(nw, imgLen, c.aOut*s.n)
-	parallelFor(nw, func(i int) {
-		img, ext := scratch[i][:imgLen], scratch[i][imgLen:]
-		a := c.weightA(c.aIn, &tensor.Epilogue{RowShift: bias})
-		for b0, end := span(batch, nw, i); b0 < end; b0 += s.g {
-			gb := min(s.g, end-b0)
-			s.padIn(img, x.Data, c.aIn, b0, gb)
-			c.shiftConv(s, a, c.aOut, gb, img, ext)
-			s.copyOut(y.Data, dense, ext, c.aOut, b0, gb)
-			if gn != nil {
-				s.normGrid(gn, out.Data, dense, gn.stats, ext, c.aOut, b0, gb)
-			}
-		}
-	})
-	for _, buf := range bufs[:nw] {
-		padPool.Put(buf)
+// forwardIm2colPart is part i of Forward on the im2col lowering: a sample
+// at a time of its span, each on the part's column matrix.
+func (c *Conv2D) forwardIm2colPart(i int) {
+	rg := &c.region
+	batch := c.x.Dim(0)
+	colRows := c.aIn * c.KH * c.KW
+	ldW := c.In * c.KH * c.KW
+	inPlane := c.aIn * c.h * c.w
+	spatial := c.outH * c.outW
+	outPlane := c.aOut * spatial
+	for b, end := span(batch, rg.nw, i); b < end; b++ {
+		col := c.columns(c.x.Data[b*inPlane:(b+1)*inPlane], c.aIn, c.h, c.w, rg.scratch[i])
+		dst := rg.y.Data[b*outPlane : (b+1)*outPlane]
+		tensor.GemmEx(c.aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial, &tensor.Epilogue{RowShift: rg.bias})
 	}
 }
 
-// padScratch takes one buffer per worker from padPool: zeroed images, then
-// grid elements that are left as they are.
-func padScratch(nw, images, grid int) (scratch [maxBatchWorkers][]float64, bufs [maxBatchWorkers]*[]float64) {
-	for i := 0; i < nw; i++ {
-		bufs[i] = poolGet(&padPool, images+grid)
-		scratch[i] = (*bufs[i])[:images+grid]
-		clear(scratch[i][:images])
+// forwardShift is Forward on the shifted-row lowering: the sample groups of
+// shiftConv split across the batch workers, each on its own image and grid,
+// with the weight prefix as a strided A and the bias as the epilogue's row
+// shift. Each group's grid is copied out into y and, with a
+// non-nil gn, normalized with the ReLU into out while it is cache-hot, gn
+// recording the statistics (normGrid).
+func (c *Conv2D) forwardShift(arena *tensor.Arena, y *tensor.Tensor, bias []float64, gn *GroupNorm, out *tensor.Tensor) {
+	batch := c.x.Dim(0)
+	s := c.shiftGeom(tensor.TierExact, batch, c.h, c.w)
+	mark := arena.Mark()
+	rg := convRegion{body: (*Conv2D).forwardShiftPart, nw: maxWorkers(s.groups(batch)), s: s, y: y, out: out, gn: gn, bias: bias}
+	imgLen := s.imgLen(c.aIn)
+	rg.scratch = scratch(arena, rg.nw, imgLen+c.aOut*s.n, imgLen)
+	c.run(rg)
+	arena.Release(mark)
+}
+
+// forwardShiftPart is part i of forwardShift: its span a sample group at a
+// time, on the part's image and grid.
+func (c *Conv2D) forwardShiftPart(i int) {
+	rg := &c.region
+	s, gn := rg.s, rg.gn
+	imgLen := s.imgLen(c.aIn)
+	img, ext := rg.scratch[i][:imgLen], rg.scratch[i][imgLen:]
+	a := c.weightA(c.aIn, &tensor.Epilogue{RowShift: rg.bias})
+	dense := denseLayout(c.aOut, c.h, c.w)
+	for b0, end := span(c.x.Dim(0), rg.nw, i); b0 < end; b0 += s.g {
+		gb := min(s.g, end-b0)
+		s.padIn(img, c.x.Data, c.aIn, b0, gb)
+		c.shiftConv(s, a, c.aOut, gb, img, ext)
+		s.copyOut(rg.y.Data, dense, ext, c.aOut, b0, gb)
+		if gn != nil {
+			s.normGrid(gn, rg.out.Data, dense, gn.stats, ext, c.aOut, b0, gb)
+		}
 	}
-	return scratch, bufs
 }
 
 // Infer computes y[B, aOut, outH, outW] on the read-only inference path: a
@@ -593,39 +611,37 @@ func (c *Conv2D) backward(ctx *Context, dy *tensor.Tensor, gn *GroupNorm) *tenso
 		s = c.shiftGeom(tensor.TierExact, batch, c.h, c.w)
 		units = s.groups(batch)
 	}
-	nw := maxWorkers(units)
-	var dws, dbs [maxBatchWorkers][]float64
-	var gradBufs [maxBatchWorkers]*[]float64
-	dwLen := c.aOut * colRows
-	for i := 0; i < nw; i++ {
-		gradBufs[i] = poolGet(&gradPool, dwLen+c.aOut)
-		grad := (*gradBufs[i])[:dwLen+c.aOut]
-		clear(grad)
-		dws[i], dbs[i] = grad[:dwLen], grad[dwLen:]
-	}
-	var dx *tensor.Tensor
+	arena := arenaOf(ctx)
+	rg := convRegion{nw: maxWorkers(units), s: s, dy: dy, gn: gn}
 	if same {
 		// The shifted product assigns every dx element.
-		arena := arenaOf(ctx)
-		dx = arena.GetUninit(batch, c.aIn, c.h, c.w)
-		var part []float64
+		rg.dx = arena.GetUninit(batch, c.aIn, c.h, c.w)
 		if gn != nil {
-			part = arena.GetUninit(2 * batch * c.aOut).Data
-		}
-		c.backwardShift(s, nw, dy, dx, dws, dbs, gn, part)
-		if gn != nil {
-			gn.addPartials(part, batch)
+			rg.part = arena.GetUninit(2 * batch * c.aOut).Data
 		}
 	} else {
 		// Col2Im accumulates.
-		dx = arenaOf(ctx).Get(batch, c.aIn, c.h, c.w)
-		c.backwardIm2col(nw, dy, dx, dws, dbs)
+		rg.dx = arena.Get(batch, c.aIn, c.h, c.w)
+	}
+	mark := arena.Mark()
+	dwLen := c.aOut * colRows
+	grads := scratch(arena, rg.nw, dwLen+c.aOut, dwLen+c.aOut)
+	for i, g := range grads[:rg.nw] {
+		rg.dws[i], rg.dbs[i] = g[:dwLen], g[dwLen:]
+	}
+	if same {
+		c.backwardShift(arena, rg)
+		if gn != nil {
+			gn.addPartials(rg.part, batch)
+		}
+	} else {
+		c.backwardIm2col(arena, rg)
 	}
 	gW := c.W.Grad().Data
-	for i := 0; i < nw; i++ {
+	for i := 0; i < rg.nw; i++ {
 		for oc := 0; oc < c.aOut; oc++ {
 			gw := gW[oc*ldW : oc*ldW+colRows]
-			for j, v := range dws[i][oc*colRows : (oc+1)*colRows] {
+			for j, v := range rg.dws[i][oc*colRows : (oc+1)*colRows] {
 				if v != 0 {
 					gw[j] += v
 				}
@@ -633,19 +649,19 @@ func (c *Conv2D) backward(ctx *Context, dy *tensor.Tensor, gn *GroupNorm) *tenso
 		}
 		if c.B != nil {
 			gb := c.B.Grad().Data
-			for j, v := range dbs[i] {
+			for j, v := range rg.dbs[i] {
 				gb[j] += v
 			}
 		}
-		gradPool.Put(gradBufs[i])
 	}
+	arena.Release(mark)
 	c.x = nil
-	return dx
+	return rg.dx
 }
 
 // backwardShift is Backward of a same convolution on the shifted-row
-// lowering, one part of the batch per call of the worker loop, a sample
-// group at a time. The data gradient is itself a same convolution: dy
+// lowering, one part of the batch per part of its region
+// (backwardShiftPart), a sample group at a time. The data gradient is itself a same convolution: dy
 // through the kernel flipped in space and transposed in channels (wf [aIn ×
 // aOut·KH·KW], built once per call), run by shiftConv on dy's padded image
 // straight into dx. That image, read from the first pixel on, is the output
@@ -658,15 +674,26 @@ func (c *Conv2D) backward(ctx *Context, dy *tensor.Tensor, gn *GroupNorm) *tenso
 // writes each sample's conv output gradient into it, the ReLU mask and x̂
 // recomputed from gn's cache (the conv output and its statistics), with its
 // dγ and dβ shares in part.
-func (c *Conv2D) backwardShift(s shiftGeom, nw int, dy, dx *tensor.Tensor, dws, dbs [maxBatchWorkers][]float64, gn *GroupNorm, part []float64) {
-	batch := dy.Dim(0)
+func (c *Conv2D) backwardShift(arena *tensor.Arena, rg convRegion) {
+	s := rg.s
+	rg.wf = arena.GetUninit(c.aIn * c.aOut * c.KH * c.KW).Data
+	c.flippedKernel(rg.wf)
+	images := s.imgLen(c.aIn) + s.imgLen(c.aOut)
+	rg.scratch = scratch(arena, rg.nw, images+c.aIn*s.n, images)
+	rg.body = (*Conv2D).backwardShiftPart
+	c.run(rg)
+}
+
+// backwardShiftPart is part i of backwardShift: its span a sample group at
+// a time, on the part's images and grid.
+func (c *Conv2D) backwardShiftPart(i int) {
+	rg := &c.region
+	s, gn, dy := rg.s, rg.gn, rg.dy
 	colRows, dcolRows := c.aIn*c.KH*c.KW, c.aOut*c.KH*c.KW
-	wfBuf := poolGet(&gradPool, c.aIn*dcolRows)
-	wf := (*wfBuf)[:c.aIn*dcolRows]
-	c.flippedKernel(wf)
-	a := shiftA{a: wf, lda: dcolRows, k: dcolRows}
+	a := shiftA{a: rg.wf, lda: dcolRows, k: dcolRows}
 	xLen, dyLen := s.imgLen(c.aIn), s.imgLen(c.aOut)
-	scratch, bufs := padScratch(nw, xLen+dyLen, c.aIn*s.n)
+	sc := rg.scratch[i]
+	ximg, dyimg, ext := sc[:xLen], sc[xLen:xLen+dyLen], sc[xLen+dyLen:]
 	plane := c.aOut * c.h * c.w
 	dxPlanes := denseLayout(c.aIn, c.h, c.w)
 	var ag int
@@ -675,80 +702,68 @@ func (c *Conv2D) backwardShift(s shiftGeom, nw int, dy, dx *tensor.Tensor, dws, 
 		ag = gn.activeGroups(c.aOut)
 		gnOut = tensor.Grid{Ch: gn.C / gn.NormGroups, Rows: s.h, Cols: s.w, LD: s.ld, CS: s.plane}
 	}
-	parallelFor(nw, func(i int) {
-		sc := scratch[i]
-		ximg, dyimg, ext := sc[:xLen], sc[xLen:xLen+dyLen], sc[xLen+dyLen:]
-		for b0, end := span(batch, nw, i); b0 < end; b0 += s.g {
-			gb := min(s.g, end-b0)
-			if gn == nil {
-				s.padIn(dyimg, dy.Data, c.aOut, b0, gb)
-			} else {
-				for b := b0; b < b0+gb; b++ {
-					lo := b * plane
-					gn.backwardSample(dyimg[(b-b0)*s.frame+s.origin():], gnOut, dy.Data[lo:lo+plane], gn.x.Data[lo:lo+plane],
-						gn.stats[2*b*ag:], ag, true, part[2*b*c.aOut:], ext)
-				}
-			}
-			c.shiftConv(s, a, c.aIn, gb, dyimg, ext)
-			s.copyOut(dx.Data, dxPlanes, ext, c.aIn, b0, gb)
-			s.padIn(ximg, c.x.Data, c.aIn, b0, gb)
-			tensor.GemmShiftTB(c.aOut, colRows, s.grid(gb), c.KH, c.KW, dyimg[s.origin():], s.plane, ximg, s.ld, s.plane, dws[i], colRows)
-			if c.B != nil {
-				for sm := 0; sm < gb; sm++ {
-					addBiasGrad(dbs[i], dyimg[sm*s.frame+s.origin():], s.h, s.w, s.ld, s.plane)
-				}
+	for b0, end := span(dy.Dim(0), rg.nw, i); b0 < end; b0 += s.g {
+		gb := min(s.g, end-b0)
+		if gn == nil {
+			s.padIn(dyimg, dy.Data, c.aOut, b0, gb)
+		} else {
+			for b := b0; b < b0+gb; b++ {
+				lo := b * plane
+				gn.backwardSample(dyimg[(b-b0)*s.frame+s.origin():], gnOut, dy.Data[lo:lo+plane], gn.x.Data[lo:lo+plane],
+					gn.stats[2*b*ag:], ag, true, rg.part[2*b*c.aOut:], ext)
 			}
 		}
-	})
-	for _, buf := range bufs[:nw] {
-		padPool.Put(buf)
+		c.shiftConv(s, a, c.aIn, gb, dyimg, ext)
+		s.copyOut(rg.dx.Data, dxPlanes, ext, c.aIn, b0, gb)
+		s.padIn(ximg, c.x.Data, c.aIn, b0, gb)
+		tensor.GemmShiftTB(c.aOut, colRows, s.grid(gb), c.KH, c.KW, dyimg[s.origin():], s.plane, ximg, s.ld, s.plane, rg.dws[i], colRows)
+		if c.B != nil {
+			for sm := 0; sm < gb; sm++ {
+				addBiasGrad(rg.dbs[i], dyimg[sm*s.frame+s.origin():], s.h, s.w, s.ld, s.plane)
+			}
+		}
 	}
-	gradPool.Put(wfBuf)
 }
 
 // backwardIm2col is Backward of every other shape, one part of the batch
-// per call of the worker loop, a sample at a time: dW += dy_b · col_bᵀ
-// (GemmTB), and dcol = Wᵀ·dy_b (GemmTA) scattered back into dx_b (Col2Im),
-// both on pooled column matrices (dcol is zeroed before its accumulating
+// per part of its region (backwardIm2colPart), a sample at a time: dW +=
+// dy_b · col_bᵀ (GemmTB), and dcol = Wᵀ·dy_b (GemmTA) scattered back into
+// dx_b (Col2Im), both on the part's column matrices (dcol is zeroed before its accumulating
 // product). A point-wise convolution's column matrices are x_b and dx_b
 // themselves (columns): dx is zeroed, so its product accumulates straight
 // into dx_b, which is the sum Col2Im would have added to it.
-func (c *Conv2D) backwardIm2col(nw int, dy, dx *tensor.Tensor, dws, dbs [maxBatchWorkers][]float64) {
-	batch := dy.Dim(0)
+func (c *Conv2D) backwardIm2col(arena *tensor.Arena, rg convRegion) {
+	colLen := c.colLen(c.aIn*c.KH*c.KW, c.outH*c.outW)
+	rg.scratch, rg.dcols = scratch(arena, rg.nw, colLen, 0), scratch(arena, rg.nw, colLen, 0)
+	rg.body = (*Conv2D).backwardIm2colPart
+	c.run(rg)
+}
+
+// backwardIm2colPart is part i of backwardIm2col: its span a sample at a
+// time, on the part's column matrices.
+func (c *Conv2D) backwardIm2colPart(i int) {
+	rg := &c.region
+	dy, dx := rg.dy, rg.dx
 	inPlane := c.aIn * c.h * c.w
 	spatial := c.outH * c.outW
 	outPlane := c.aOut * spatial
 	colRows := c.aIn * c.KH * c.KW
 	ldW := c.In * c.KH * c.KW
-	colLen := c.colLen(colRows, spatial)
-	var cols, dcols [maxBatchWorkers][]float64
-	var bufs [2 * maxBatchWorkers]*[]float64
-	for i := 0; i < nw; i++ {
-		bufs[2*i] = poolGet(&im2colPool, colLen)
-		bufs[2*i+1] = poolGet(&im2colPool, colLen)
-		cols[i] = (*bufs[2*i])[:colLen]
-		dcols[i] = (*bufs[2*i+1])[:colLen]
-	}
-	parallelFor(nw, func(i int) {
-		for b, end := span(batch, nw, i); b < end; b++ {
-			dxb := dx.Data[b*inPlane : (b+1)*inPlane]
-			col := c.columns(c.x.Data[b*inPlane:(b+1)*inPlane], c.aIn, c.h, c.w, cols[i])
-			g := dy.Data[b*outPlane : (b+1)*outPlane]
-			tensor.GemmTB(c.aOut, colRows, spatial, g, spatial, col, spatial, dws[i], colRows)
-			if c.pointwise() {
-				tensor.GemmTA(colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, dxb, spatial)
-			} else {
-				clear(dcols[i])
-				tensor.GemmTA(colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, dcols[i], spatial)
-				tensor.Col2Im(dcols[i], c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, dxb)
-			}
-			if c.B != nil {
-				addBiasGrad(dbs[i], g, 1, spatial, spatial, spatial)
-			}
+	for b, end := span(dy.Dim(0), rg.nw, i); b < end; b++ {
+		dxb := dx.Data[b*inPlane : (b+1)*inPlane]
+		col := c.columns(c.x.Data[b*inPlane:(b+1)*inPlane], c.aIn, c.h, c.w, rg.scratch[i])
+		g := dy.Data[b*outPlane : (b+1)*outPlane]
+		tensor.GemmTB(c.aOut, colRows, spatial, g, spatial, col, spatial, rg.dws[i], colRows)
+		if c.pointwise() {
+			tensor.GemmTA(colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, dxb, spatial)
+		} else {
+			clear(rg.dcols[i])
+			tensor.GemmTA(colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, rg.dcols[i], spatial)
+			tensor.Col2Im(rg.dcols[i], c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, dxb)
 		}
-	})
-	for _, buf := range bufs[:2*nw] {
-		im2colPool.Put(buf)
+		if c.B != nil {
+			addBiasGrad(rg.dbs[i], g, 1, spatial, spatial, spatial)
+		}
 	}
 }
 

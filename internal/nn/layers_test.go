@@ -183,7 +183,7 @@ func TestEmbeddingRejectsOutOfRange(t *testing.T) {
 
 func TestSoftmaxCrossEntropyKnownValues(t *testing.T) {
 	logits := tensor.FromSlice([]float64{0, 0, 0, 0}, 2, 2)
-	loss, d := SoftmaxCrossEntropy(logits, []int{0, 1})
+	loss, d := SoftmaxCrossEntropy(nil, logits, []int{0, 1})
 	if math.Abs(loss-math.Log(2)) > 1e-12 {
 		t.Fatalf("uniform logits loss %v, want ln2", loss)
 	}
@@ -197,14 +197,14 @@ func TestSoftmaxCrossEntropyGradientNumerically(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	logits := randTensor(rng, 3, 5)
 	labels := []int{1, 4, 0}
-	_, d := SoftmaxCrossEntropy(logits, labels)
+	_, d := SoftmaxCrossEntropy(nil, logits, labels)
 	eps := 1e-6
 	for i := range logits.Data {
 		orig := logits.Data[i]
 		logits.Data[i] = orig + eps
-		lp, _ := SoftmaxCrossEntropy(logits, labels)
+		lp, _ := SoftmaxCrossEntropy(nil, logits, labels)
 		logits.Data[i] = orig - eps
-		lm, _ := SoftmaxCrossEntropy(logits, labels)
+		lm, _ := SoftmaxCrossEntropy(nil, logits, labels)
 		logits.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-d.Data[i]) > 1e-6 {
@@ -215,7 +215,7 @@ func TestSoftmaxCrossEntropyGradientNumerically(t *testing.T) {
 
 func TestSoftmaxCrossEntropyStability(t *testing.T) {
 	logits := tensor.FromSlice([]float64{1000, 0, -1000, 1000}, 2, 2)
-	loss, d := SoftmaxCrossEntropy(logits, []int{0, 1})
+	loss, d := SoftmaxCrossEntropy(nil, logits, []int{0, 1})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) || !d.AllFinite() {
 		t.Fatal("softmax cross-entropy must be stable for large logits")
 	}

@@ -9,9 +9,10 @@ import (
 
 // SoftmaxCrossEntropy computes the mean negative log-likelihood of integer
 // labels under the softmax of the logits, together with the gradient with
-// respect to the logits. It is used as the training criterion for both the
+// respect to the logits, which it takes from arena (nil: the heap, as in
+// Context.Arena). It is used as the training criterion for both the
 // classification and language-modeling experiments.
-func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, dlogits *tensor.Tensor) {
+func SoftmaxCrossEntropy(arena *tensor.Arena, logits *tensor.Tensor, labels []int) (loss float64, dlogits *tensor.Tensor) {
 	if logits.Rank() != 2 {
 		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy logits %v, want rank 2", logits.Shape))
 	}
@@ -19,7 +20,8 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, dlo
 	if len(labels) != b {
 		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy %d labels for batch %d", len(labels), b))
 	}
-	dlogits = tensor.New(b, k)
+	// Every element is written below.
+	dlogits = arena.GetUninit(b, k)
 	inv := 1 / float64(b)
 	for i := 0; i < b; i++ {
 		row := logits.Row(i)

@@ -51,9 +51,10 @@ type Context struct {
 	// from its first element (Flatten, eval Dropout).
 	//
 	// In training, Forward and Backward take their outputs, gradients and
-	// cached state from it without releasing anything, so all of a
+	// cached state from it without releasing any of them, so all of a
 	// sub-network's pass stays valid until the caller resets the arena after
-	// Backward (slicing.Trainer.Step). Backward drops every cache that points
+	// Backward (slicing.Trainer.Step); a convolution releases only the
+	// scratch its batch workers took, once they are done. Backward drops every cache that points
 	// into the arena, so a model pins none of it afterwards. The recurrent
 	// layers and Embedding allocate from the heap either way.
 	Arena *tensor.Arena

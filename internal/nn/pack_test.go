@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"modelslicing/internal/tensor"
@@ -182,47 +181,49 @@ func unpackedConv(c *Conv2D, r float64, x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-// TestConvForwardScratchRecycled pins the training-path satellite: the
-// scratch of Conv2D.Forward/Backward comes from pools, so repeated steps stop
+// TestConvForwardScratchRecycled pins the training path's scratch to the
+// pass's arena: Conv2D.Forward/Backward take it from there, so the arena
+// grows by it on the first step and repeated steps on the reset arena stop
 // allocating fresh buffers — the im2col column matrices of a strided conv,
 // and the padded images and product grids of a same conv's shifted rows.
+// AllocsPerRun runs at GOMAXPROCS=1, so the regions run one part.
 func TestConvForwardScratchRecycled(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	x := tensor.New(2, 3, 8, 8)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	ctx := &Context{Training: true}
 	same := NewConv2D(3, 4, 3, 3, 1, 1, Fixed(), Fixed(), false, rng)
 	geo := same.shiftGeom(tensor.TierExact, 2, 8, 8)
 	for _, tc := range []struct {
 		name string
 		conv *Conv2D
-		pool *sync.Pool
 		want int
 	}{
-		// Stride 2: a 27-row column matrix over the 4×4 output.
-		{"im2col", NewConv2D(3, 4, 3, 3, 2, 1, Fixed(), Fixed(), false, rng), &im2colPool, 3 * 9 * 4 * 4},
-		// Same conv: Forward's buffer, the smaller one, holds the padded
+		// Stride 2: a 27-row column matrix over the 4×4 output, and y.
+		{"im2col", NewConv2D(3, 4, 3, 3, 2, 1, Fixed(), Fixed(), false, rng), 3*9*4*4 + 2*4*4*4},
+		// Same conv: Forward's scratch, the smaller one, holds the padded
 		// image of x and the grid of y's four channels.
-		{"shifted rows", same, &padPool, geo.imgLen(3) + 4*geo.n},
+		{"shifted rows", same, geo.imgLen(3) + 4*geo.n + 2*4*8*8},
 	} {
-		// After a step the pool must hold a buffer big enough for this
-		// layer's scratch — evidence Forward/Backward returned theirs
-		// instead of dropping them. A sync.Pool may drop any Put (the race
-		// detector drops one in four by design), so a step whose buffer
-		// was dropped is retried; one that never recycles fails them all.
-		const rounds = 20
-		got := 0
-		for round := 0; round < rounds && got < tc.want; round++ {
+		arena := tensor.NewArena()
+		ctx := &Context{Training: true, Arena: arena}
+		step := func() {
 			y := tc.conv.Forward(ctx, x)
 			tc.conv.Backward(ctx, y)
-			buf := poolGet(tc.pool, 1)
-			got = cap(*buf)
-			tc.pool.Put(buf)
+			arena.Reset()
 		}
-		if got < tc.want {
-			t.Errorf("%s: pooled scratch cap %d after %d steps, want ≥ %d — Forward/Backward did not recycle", tc.name, got, rounds, tc.want)
+		step()
+		grown := arena.Footprint()
+		if grown < tc.want {
+			t.Errorf("%s: arena of %d elements after a step, want ≥ %d — Forward did not take its scratch from it", tc.name, grown, tc.want)
+		}
+		// Under -race the GEMM engine's panel pool drops items by design.
+		if allocs := testing.AllocsPerRun(10, step); allocs != 0 && !raceEnabled {
+			t.Errorf("%s: a repeated step allocates %v times, want 0 — Forward/Backward did not recycle", tc.name, allocs)
+		}
+		if got := arena.Footprint(); got != grown {
+			t.Errorf("%s: arena grew from %d to %d elements over repeated steps", tc.name, grown, got)
 		}
 	}
 }

@@ -176,10 +176,10 @@ func TestLayerInputValidation(t *testing.T) {
 			NewTimeFlatten().Forward(Eval(1), tensor.New(2, 4))
 		}},
 		{"ce label range", func() {
-			SoftmaxCrossEntropy(tensor.New(1, 3), []int{7})
+			SoftmaxCrossEntropy(nil, tensor.New(1, 3), []int{7})
 		}},
 		{"ce batch mismatch", func() {
-			SoftmaxCrossEntropy(tensor.New(2, 3), []int{0})
+			SoftmaxCrossEntropy(nil, tensor.New(2, 3), []int{0})
 		}},
 	}
 	for _, tc := range cases {

@@ -28,10 +28,16 @@ func maxWorkers(n int) int {
 	return w
 }
 
-// parallelFor runs fn(i) for each part i in [0, nw), nw ≤ maxBatchWorkers,
-// one part per worker. The caller cuts its work into the nw parts and keys
-// everything a part touches (its span, its partial sums, its scratch) by i,
-// so no bit depends on which goroutine ran a part.
+// A part is the work of a parallelFor region, run once per part index.
+// Callers hand parallelFor a long-lived value whose per-region arguments
+// live in its fields (a Conv2D and its convRegion), not a closure: a
+// closure the helpers can reach escapes to the heap, once per region.
+type part interface{ runPart(i int) }
+
+// parallelFor runs p.runPart(i) for each part i in [0, nw), nw ≤
+// maxBatchWorkers, one part per worker. The caller cuts its work into the nw
+// parts and keys everything a part touches (its span, its partial sums, its
+// scratch) by i, so no bit depends on which goroutine ran a part.
 //
 // The caller runs part 0 itself; parts 1.. run on persistent helpers
 // (helper), claimed for the region and released when it ends. While another
@@ -39,22 +45,22 @@ func maxWorkers(n int) int {
 // panic in a helper's part ends the process, as in any goroutine; one in the
 // caller's part unwinds only after every helper has finished and been
 // released.
-func parallelFor(nw int, fn func(i int)) {
+func parallelFor(nw int, p part) {
 	var claimed [maxBatchWorkers - 1]*helper
 	hs := claimed[:max(nw-1, 0)]
 	if len(hs) == 0 || !claimHelpers(hs) {
 		for i := 0; i < nw; i++ {
-			fn(i)
+			p.runPart(i)
 		}
 		return
 	}
 	defer releaseHelpers(hs)
 	for k, h := range hs {
-		h.fn, h.i = fn, k+1
+		h.p, h.i = p, k+1
 		h.seq++
 		h.job.advance(h.seq)
 	}
-	fn(0)
+	p.runPart(0)
 }
 
 // releaseHelpers waits for each claimed helper's part and releases it.
@@ -105,12 +111,23 @@ func (s *signal) await(want uint64) {
 		if s.n.Load() >= want && s.parked.CompareAndSwap(true, false) {
 			return
 		}
+		if c := parkHook.Load(); c != nil {
+			select {
+			case *c <- s:
+			default:
+			}
+		}
 		// The token may come from the advance before the one awaited: its
 		// waker, delayed between its store and its CAS, saw this park.
 		// The loop then parks again.
 		<-s.wake
 	}
 }
+
+// parkHook, when set, is sent each signal whose waiter parks, just before
+// it blocks, if the channel has room: a test waits on it to see the helpers
+// park instead of sleeping out the spin window.
+var parkHook atomic.Pointer[chan *signal]
 
 // advance sets the counter to n and wakes the waiter if it has parked.
 func (s *signal) advance(n uint64) {
@@ -122,17 +139,17 @@ func (s *signal) advance(n uint64) {
 
 // A helper is one of parallelFor's persistent workers. A caller owns it
 // from claimHelpers until releaseHelpers stores busy false; in that time
-// it writes the region's closure and part and advances job, and the helper
-// runs the part and advances done. Its goroutine starts at its first claim and lives as long as the
-// process, parked when no region is running.
+// it writes the region's part and index and advances job, and the helper
+// runs the part and advances done. Its goroutine starts at its first claim
+// and lives as long as the process, parked when no region is running.
 type helper struct {
 	busy      atomic.Bool
 	seq       uint64 // regions handed over; owner only
 	job, done signal
-	// The region's closure and part, written by the owner before job
+	// The region's part and index, written by the owner before job
 	// advances.
-	fn func(i int)
-	i  int
+	p part
+	i int
 }
 
 // helpers are the maxBatchWorkers−1 workers a region needs besides its
@@ -168,13 +185,14 @@ func claimHelpers(hs []*helper) bool {
 }
 
 // run is a helper's goroutine: one part per region. It drops the region's
-// closure before it signals done, so a parked helper never keeps what the
-// closure references (a training step's arena) alive.
+// part before it signals done, so a parked helper never keeps what the part
+// references (a layer, and through its region a training step's arena)
+// alive.
 func (h *helper) run() {
 	for seq := uint64(1); ; seq++ {
 		h.job.await(seq)
-		h.fn(h.i)
-		h.fn = nil
+		h.p.runPart(h.i)
+		h.p = nil
 		h.done.advance(seq)
 	}
 }

@@ -10,7 +10,9 @@ import (
 // whose sub-networks are trained on the current batch (Algorithm 1 /
 // Section 3.4). Implementations must be deterministic given the rng.
 type Scheduler interface {
-	// Next returns the slice rates for one training pass.
+	// Next returns the slice rates for one training pass in one new
+	// slice, allocated at its final length: the caller keeps it
+	// (Trainer.Step returns it as StepStats.Rates).
 	Next(rng *rand.Rand) []float64
 	// Name identifies the scheme in reports (Table 1 column headers).
 	Name() string
@@ -190,7 +192,7 @@ func NewRMinMax(rates RateList) *RandomStatic {
 
 // Next returns the pinned rates plus K uniform samples from the pool.
 func (rs *RandomStatic) Next(rng *rand.Rand) []float64 {
-	out := append([]float64(nil), rs.Static...)
+	out := append(make([]float64, 0, len(rs.Static)+rs.K), rs.Static...)
 	for i := 0; i < rs.K && len(rs.pool) > 0; i++ {
 		out = append(out, rs.pool[rng.Intn(len(rs.pool))])
 	}

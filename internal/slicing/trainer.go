@@ -33,6 +33,10 @@ type Trainer struct {
 	// shares Model's parameters, and each same Conv→GroupNorm→ReLU in it
 	// trains as one pass, bit-identical to the unfused chain.
 	net nn.Layer
+	// ctx is the context of the sub-network a step is running, reused so a
+	// step does not allocate one per sub-network. Step clears it on return:
+	// it points at the step arena.
+	ctx nn.Context
 }
 
 // stepArenas recycles the arena a step runs its sub-networks on. A Trainer
@@ -76,22 +80,25 @@ func (s StepStats) MeanLoss() float64 {
 
 // Step performs one training step on the batch. Each scheduled sub-network
 // runs on a pooled arena that is reset after its Backward: the layers drop
-// their arena-backed caches there, so nothing of a pass outlives it.
+// their arena-backed caches there, so nothing of a pass outlives it. The
+// returned slices are the step's only allocations.
 func (t *Trainer) Step(b train.Batch) StepStats {
 	lt := t.Sched.Next(t.RNG)
 	if len(lt) == 0 {
 		panic("slicing: scheduler returned an empty rate list")
 	}
-	stats := StepStats{Rates: lt}
+	stats := StepStats{Rates: lt, Losses: make([]float64, 0, len(lt))}
 	arena := stepArenas.Get().(*tensor.Arena)
+	ctx := &t.ctx
 	for _, r := range lt {
-		ctx := &nn.Context{Training: true, Rate: r, WidthIdx: t.Rates.WidthIdx(r), RNG: t.RNG, Arena: arena}
+		*ctx = nn.Context{Training: true, Rate: r, WidthIdx: t.Rates.WidthIdx(r), RNG: t.RNG, Arena: arena}
 		logits := t.net.Forward(ctx, b.X)
-		loss, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
+		loss, dy := nn.SoftmaxCrossEntropy(arena, logits, b.Labels)
 		t.net.Backward(ctx, dy)
 		arena.Reset()
 		stats.Losses = append(stats.Losses, loss)
 	}
+	*ctx = nn.Context{}
 	if t.params == nil {
 		t.params = t.Model.Params()
 	}

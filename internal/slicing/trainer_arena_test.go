@@ -100,7 +100,7 @@ func heapStep(model nn.Layer, rates RateList, sched Scheduler, opt *train.SGD, r
 	for _, r := range lt {
 		ctx := &nn.Context{Training: true, Rate: r, WidthIdx: rates.WidthIdx(r), RNG: rng}
 		logits := model.Forward(ctx, b.X)
-		loss, dy := nn.SoftmaxCrossEntropy(logits, b.Labels)
+		loss, dy := nn.SoftmaxCrossEntropy(nil, logits, b.Labels)
 		model.Backward(ctx, dy)
 		losses = append(losses, loss)
 	}
@@ -149,7 +149,7 @@ func TestTrainerArenaBitIdentical(t *testing.T) {
 					if k == 0 {
 						ctx.Arena = arena
 					}
-					_, dy := nn.SoftmaxCrossEntropy(m.Forward(ctx, batch.X), batch.Labels)
+					_, dy := nn.SoftmaxCrossEntropy(ctx.Arena, m.Forward(ctx, batch.X), batch.Labels)
 					if d := m.Backward(ctx, dy); d != nil {
 						dx[k] = d.Clone().Data
 					}
@@ -256,55 +256,71 @@ func TestTrainerFusedMatchesChain(t *testing.T) {
 	}
 }
 
-// stepAllocsBound is what a VGG13Mini R-min-max step at batch 32 allocates
-// (68) plus 10 %: Conv2D's per-call closures (60) and each sub-network's
-// context and loss gradient. It holds at GOMAXPROCS=1, where parallelFor
-// runs inline, and at 2, where its regions run on persistent helpers.
-const stepAllocsBound = 75
+// stepAllocsBound is what an R-min-max step may allocate: the two slices
+// it returns, StepStats.Rates (Scheduler.Next) and StepStats.Losses. It
+// holds at GOMAXPROCS=1, where parallelFor runs inline, and at 2, where its
+// regions run on persistent helpers.
+const stepAllocsBound = 2
+
+// imageCases are the arenaCases that take an image batch: the models
+// whose convs run parallelFor regions.
+var imageCases = arenaCases[:3]
 
 func TestTrainerStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race by design")
 	}
 	rates := NewRateList(0.25, 4)
-	rng := rand.New(rand.NewSource(35))
-	tr := NewTrainer(arenaCases[0].build(rng), rates, NewRMinMax(rates), train.NewSGD(0.01, 0.9, 0), rng)
-	batch := imageBatch(32, 36)
-	tr.Step(batch) // grows the pooled arena to the full-width sub-network
-	if allocs := testing.AllocsPerRun(5, func() { tr.Step(batch) }); allocs > stepAllocsBound {
-		t.Errorf("a step allocates %v times, want ≤ %v", allocs, stepAllocsBound)
+	for _, tc := range imageCases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(35))
+			tr := NewTrainer(tc.build(rng), rates, NewRMinMax(rates), train.NewSGD(0.01, 0.9, 0), rng)
+			batch := tc.batch(32, 36)
+			tr.Step(batch) // grows the pooled arena to the full-width sub-network
+			if allocs := testing.AllocsPerRun(5, func() { tr.Step(batch) }); allocs > stepAllocsBound {
+				t.Errorf("a step allocates %v times, want ≤ %v", allocs, stepAllocsBound)
+			}
+		})
 	}
 }
 
 // TestTrainerStepAllocsTwoProcs is TestTrainerStepAllocs at GOMAXPROCS=2.
 // testing.AllocsPerRun pins GOMAXPROCS to 1, where parallelFor runs inline,
-// so it would not see a region that spawns goroutines; this counts the
-// process's mallocs over whole steps instead. Those include whatever the
-// runtime and other goroutines allocate meanwhile, so it takes the least of
-// three 10-step counts.
+// so it would not see a region that allocates to hand its parts over; this
+// counts the process's mallocs over whole steps instead. Those include what
+// the runtime allocates meanwhile while its per-P caches fill, over a
+// process's first few hundred steps: a sudog for a helper that parks on a
+// P whose cache is empty, a GEMM panel the engine's pool misses after the
+// caller moved to another P. A step's own allocation is in every count and
+// those are not, so it takes the least of up to ten 10-step counts,
+// stopping at the first within the bound.
 func TestTrainerStepAllocsTwoProcs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race by design")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	rates := NewRateList(0.25, 4)
-	rng := rand.New(rand.NewSource(35))
-	tr := NewTrainer(arenaCases[0].build(rng), rates, NewRMinMax(rates), train.NewSGD(0.01, 0.9, 0), rng)
-	batch := imageBatch(32, 36)
-	tr.Step(batch) // grows the pooled arena and starts the helpers
-	const steps = 10
-	least := math.Inf(1)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < steps; i++ {
-			tr.Step(batch)
-		}
-		runtime.ReadMemStats(&after)
-		least = min(least, float64(after.Mallocs-before.Mallocs)/steps)
-	}
-	if least > stepAllocsBound {
-		t.Errorf("a step at GOMAXPROCS=2 allocates %v times (least of three runs), want ≤ %v", least, stepAllocsBound)
+	for _, tc := range imageCases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(35))
+			tr := NewTrainer(tc.build(rng), rates, NewRMinMax(rates), train.NewSGD(0.01, 0.9, 0), rng)
+			batch := tc.batch(32, 36)
+			tr.Step(batch) // grows the pooled arena and starts the helpers
+			const steps = 10
+			least := math.Inf(1)
+			for k := 0; k < 10 && least > stepAllocsBound; k++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < steps; i++ {
+					tr.Step(batch)
+				}
+				runtime.ReadMemStats(&after)
+				least = min(least, float64(after.Mallocs-before.Mallocs)/steps)
+			}
+			if least > stepAllocsBound {
+				t.Errorf("a step at GOMAXPROCS=2 allocates %v times (least of ten runs), want ≤ %v", least, stepAllocsBound)
+			}
+		})
 	}
 }
 
@@ -398,7 +414,7 @@ func TestTrainerFixedRateMatchesPlainLoop(t *testing.T) {
 				batch := imageBatch(13, int64(53+step))
 				got := tr.Step(batch).Losses
 				ctx := &nn.Context{Training: true, Rate: 1, RNG: rngH}
-				want, dy := nn.SoftmaxCrossEntropy(h.Forward(ctx, batch.X), batch.Labels)
+				want, dy := nn.SoftmaxCrossEntropy(nil, h.Forward(ctx, batch.X), batch.Labels)
 				h.Backward(ctx, dy)
 				opt.Step(h.Params())
 				if len(got) != 1 || math.Float64bits(got[0]) != math.Float64bits(want) {

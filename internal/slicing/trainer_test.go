@@ -88,7 +88,7 @@ func TestTrainerAccumulatesSubnetGradients(t *testing.T) {
 	for _, r := range []float64{0.5, 1.0} {
 		ctx := &nn.Context{Training: true, Rate: r, RNG: rngA}
 		logits := a.Forward(ctx, batch.X)
-		_, dy := nn.SoftmaxCrossEntropy(logits, batch.Labels)
+		_, dy := nn.SoftmaxCrossEntropy(nil, logits, batch.Labels)
 		a.Backward(ctx, dy)
 	}
 	// Model B: two separate passes, grads summed manually.
@@ -100,7 +100,7 @@ func TestTrainerAccumulatesSubnetGradients(t *testing.T) {
 		train.ZeroGrad(b.Params())
 		ctx := &nn.Context{Training: true, Rate: r, RNG: rngB}
 		logits := b.Forward(ctx, batch.X)
-		_, dy := nn.SoftmaxCrossEntropy(logits, batch.Labels)
+		_, dy := nn.SoftmaxCrossEntropy(nil, logits, batch.Labels)
 		b.Backward(ctx, dy)
 		for i, p := range b.Params() {
 			accum[i].Add(p.Grad())

@@ -42,7 +42,7 @@ func Evaluate(model nn.Layer, rate float64, widthIdx int, batches []Batch) EvalR
 	totalLoss := 0.0
 	correct := 0
 	inferBatches(model, rate, widthIdx, batches, func(b Batch, logits *tensor.Tensor) {
-		loss, _ := nn.SoftmaxCrossEntropy(logits, b.Labels)
+		loss, _ := nn.SoftmaxCrossEntropy(nil, logits, b.Labels)
 		totalLoss += loss * float64(len(b.Labels))
 		for i := range b.Labels {
 			if logits.ArgMaxRow(i) == b.Labels[i] {
