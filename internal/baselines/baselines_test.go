@@ -59,9 +59,10 @@ func TestMultiClassifierTrainsAndEvaluates(t *testing.T) {
 			t.Fatalf("exit %d loss did not decrease: %.3f → %.3f", k, first[k], last[k])
 		}
 	}
-	res := mc.EvaluateExits(d.TestBatches(16))
-	if len(res) != 2 || res[0].N == 0 {
-		t.Fatalf("exit evaluation %+v", res)
+	for k := 0; k < mc.NumExits(); k++ {
+		if res := train.Evaluate(mc.ExitModel(k), 1, 0, d.TestBatches(16)); res.N == 0 {
+			t.Fatalf("exit %d evaluation %+v", k, res)
+		}
 	}
 	// Later exits must cost more.
 	in := []int{3, 8, 8}
@@ -325,31 +326,6 @@ func TestSkipNetStochasticDepthDuringTraining(t *testing.T) {
 	if drops < 40 || drops > 110 {
 		t.Fatalf("stochastic depth dropped %d times, want ≈75", drops)
 	}
-}
-
-func TestEnsembleSelection(t *testing.T) {
-	e := &Ensemble{}
-	e.Add(EnsembleMember{Name: "s", MACs: 100, Params: 10})
-	e.Add(EnsembleMember{Name: "m", MACs: 400, Params: 40})
-	e.Add(EnsembleMember{Name: "l", MACs: 1600, Params: 160})
-	if e.Best(500).Name != "m" {
-		t.Fatalf("Best(500) = %s", e.Best(500).Name)
-	}
-	if e.Best(50).Name != "s" {
-		t.Fatal("must fall back to cheapest")
-	}
-	if e.Best(1e9).Name != "l" {
-		t.Fatal("must pick largest within budget")
-	}
-	if e.TotalParams() != 210 {
-		t.Fatalf("total params %d", e.TotalParams())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-order member")
-		}
-	}()
-	e.Add(EnsembleMember{Name: "bad", MACs: 1})
 }
 
 // TestTrainFixedLearns trains a fixed-width model the way the experiments

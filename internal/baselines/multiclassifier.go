@@ -135,13 +135,3 @@ func (m *MultiClassifier) Params() []*nn.Param {
 	}
 	return ps
 }
-
-// EvaluateExits evaluates every exit over the batches (full width) and
-// returns per-exit results.
-func (m *MultiClassifier) EvaluateExits(batches []train.Batch) []train.EvalResult {
-	out := make([]train.EvalResult, m.NumExits())
-	for k := range m.Heads {
-		out[k] = train.Evaluate(m.ExitModel(k), 1, 0, batches)
-	}
-	return out
-}

@@ -197,50 +197,3 @@ func (s *SkipNetLite) CurrentCost(inShape []int) int64 {
 	}
 	return total
 }
-
-// Ensemble is a set of independently trained fixed-width models with their
-// costs — the "ensemble of varying width/depth" baselines. Members must be
-// appended in ascending cost order.
-type Ensemble struct {
-	Members []EnsembleMember
-}
-
-// EnsembleMember couples a model with its cost and identity.
-type EnsembleMember struct {
-	Name  string
-	Model nn.Layer
-	MACs  int64
-	// Params is the full parameter count (storage footprint term of
-	// Table 5's comparison).
-	Params int64
-}
-
-// Add appends a member (enforcing ascending MACs).
-func (e *Ensemble) Add(m EnsembleMember) {
-	if len(e.Members) > 0 && m.MACs < e.Members[len(e.Members)-1].MACs {
-		panic("baselines: ensemble members must be added in ascending cost order")
-	}
-	e.Members = append(e.Members, m)
-}
-
-// Best returns the most expensive member within the MAC budget, falling back
-// to the cheapest member.
-func (e *Ensemble) Best(budget int64) EnsembleMember {
-	best := e.Members[0]
-	for _, m := range e.Members {
-		if m.MACs <= budget {
-			best = m
-		}
-	}
-	return best
-}
-
-// TotalParams sums the storage footprint of all members — the deployment
-// cost an ensemble pays that a sliced model does not (Section 5.4).
-func (e *Ensemble) TotalParams() int64 {
-	var t int64
-	for _, m := range e.Members {
-		t += m.Params
-	}
-	return t
-}

@@ -119,17 +119,16 @@ func walk(layer nn.Layer, in []int, r float64, p *Profile) []int {
 		// a deployed subnet.
 		return walk(l.BNs[0], in, r, p)
 
-	case gateBlocks:
-		// G gate blocks of x- and h-side products per step, and the biases.
+	case *nn.LSTM:
+		// Four gate blocks of x- and h-side products per step, and the bias.
 		aIn, aH := l.Active(r)
-		g, nb := l.Blocks()
 		steps := int64(1)
 		if len(in) == 2 { // [T, features]
 			steps = int64(in[0])
 		}
-		gates, in64, h64 := int64(g), int64(aIn), int64(aH)
-		p.MACs += steps * gates * (in64*h64 + h64*h64)
-		p.Params += gates * (in64*h64 + h64*h64 + int64(nb)*h64)
+		in64, h64 := int64(aIn), int64(aH)
+		p.MACs += steps * 4 * (in64*h64 + h64*h64)
+		p.Params += 4 * (in64*h64 + h64*h64 + h64)
 		out := []int{aH}
 		if len(in) == 2 {
 			out = []int{in[0], aH}
@@ -182,22 +181,4 @@ func Ratio(layer nn.Layer, inShape []int, r float64) float64 {
 		return 0
 	}
 	return FLOPs(layer, inShape, r) / full
-}
-
-// ParamRatio returns params(r)/params(1) — the Mt column of Table 4.
-func ParamRatio(layer nn.Layer, inShape []int, r float64) float64 {
-	pf, _ := Measure(layer, inShape, 1)
-	pr, _ := Measure(layer, inShape, r)
-	if pf.Params == 0 {
-		return 0
-	}
-	return float64(pr.Params) / float64(pf.Params)
-}
-
-// gateBlocks is a recurrent layer (LSTM, GRU or RNN) seen through the core
-// the three share: G stacked gate blocks over the active (input, hidden)
-// widths, and the number of G·Hidden bias vectors.
-type gateBlocks interface {
-	Active(r float64) (aIn, aH int)
-	Blocks() (gates, biases int)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"modelslicing/internal/nn"
+	"modelslicing/internal/slicing"
 )
 
 func TestDenseCost(t *testing.T) {
@@ -90,31 +91,25 @@ func TestLSTMCostScalesWithSequence(t *testing.T) {
 	}
 }
 
-// TestRecurrentCostMatchesExtract: at every rate a recurrent layer costs
-// what its extracted fixed-width copy holds — its parameters, and per step
-// one MAC per Wx and Wh weight.
+// TestRecurrentCostMatchesExtract: at every rate an LSTM costs what its
+// extracted fixed-width copy holds — its parameters, and per step one MAC
+// per Wx and Wh weight.
 func TestRecurrentCostMatchesExtract(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, l := range []interface {
-		nn.Layer
-		Extract(r float64) nn.Layer
-	}{
-		nn.NewLSTM(16, 32, nn.Sliced(4), nn.Sliced(4), true, rng),
-		nn.NewGRU(16, 32, nn.Sliced(4), nn.Sliced(4), false, rng),
-		nn.NewRNN(16, 32, nn.Sliced(4), nn.Sliced(4), false, rng),
-	} {
+	for _, rescale := range []bool{false, true} {
+		l := nn.NewLSTM(16, 32, nn.Sliced(4), nn.Sliced(4), rescale, rng)
 		for _, r := range []float64{0.25, 0.5, 1} {
 			p, _ := Measure(l, []int{10, 16}, r)
 			var params, weights int64
-			for i, q := range l.Extract(r).Params() {
+			for i, q := range slicing.Extract(l, r, nil).Params() {
 				params += int64(q.Value.Size())
 				if i < 2 { // Wx, Wh
 					weights += int64(q.Value.Size())
 				}
 			}
 			if p.Params != params || p.MACs != 10*weights {
-				t.Errorf("%T r=%v: params %d MACs %d, extracted copy holds %d params and %d weights a step",
-					l, r, p.Params, p.MACs, params, weights)
+				t.Errorf("rescale=%v r=%v: params %d MACs %d, extracted copy holds %d params and %d weights a step",
+					rescale, r, p.Params, p.MACs, params, weights)
 			}
 		}
 	}
@@ -172,8 +167,9 @@ func TestParamRatioQuadratic(t *testing.T) {
 		nn.NewDense(32, 32, nn.Sliced(4), nn.Sliced(4), false, rng),
 		nn.NewDense(32, 32, nn.Sliced(4), nn.Sliced(4), false, rng),
 	)
-	got := ParamRatio(model, []int{32}, 0.5)
-	if math.Abs(got-0.25) > 1e-9 {
+	full, _ := Measure(model, []int{32}, 1)
+	half, _ := Measure(model, []int{32}, 0.5)
+	if got := float64(half.Params) / float64(full.Params); math.Abs(got-0.25) > 1e-9 {
 		t.Fatalf("param ratio %v, want 0.25", got)
 	}
 }

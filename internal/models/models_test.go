@@ -214,44 +214,6 @@ func TestSwitchableNormVGGBuilds(t *testing.T) {
 	}
 }
 
-func TestNNLMRecurrentCellVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for _, cell := range []string{"lstm", "gru", "rnn"} {
-		cfg := NNLMMini(30, 4)
-		cfg.Cell = cell
-		cfg.Embed, cfg.Hidden = 8, 8
-		m := NewNNLM(cfg, rng)
-		ids := tensor.FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-		for _, r := range []float64{1.0, 0.5} {
-			y := m.Forward(nn.Eval(r), ids)
-			if y.Dim(0) != 4 || y.Dim(1) != 30 || !y.AllFinite() {
-				t.Fatalf("%s at rate %v: output %v", cell, r, y.Shape)
-			}
-		}
-		// Extraction must support every cell type.
-		rates := slicing.NewRateList(0.25, 4)
-		want := slicing.Predict(m, rates, 0.5, ids)
-		got := slicing.Extract(m, 0.5, rates).Forward(nn.Eval(1), ids)
-		for i := range want.Data {
-			if math.Abs(want.Data[i]-got.Data[i]) > 1e-9 {
-				t.Fatalf("%s: extraction differs", cell)
-			}
-		}
-	}
-}
-
-func TestNNLMRejectsUnknownCell(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	cfg := NNLMMini(10, 4)
-	cfg.Cell = "transformer"
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unknown cell")
-		}
-	}()
-	NewNNLM(cfg, rng)
-}
-
 // TestVGGSharedInferAllocFree is the whole-model allocation gate of the
 // serving path: once packs and arena are warm, a batch-8 VGG13Mini pass
 // through Shared.Infer allocates nothing at any rate. Mallocs are read from

@@ -1,7 +1,6 @@
 package models
 
 import (
-	"fmt"
 	"math/rand"
 
 	"modelslicing/internal/nn"
@@ -25,9 +24,6 @@ type NNLMConfig struct {
 	// decoder always rescales its sliced input (the paper's "output dense
 	// layer with output rescaling").
 	RescaleLSTM bool
-	// Cell selects the recurrent cell: "lstm" (default), "gru" or "rnn" —
-	// Section 3.3 applies model slicing to all of them identically.
-	Cell string
 }
 
 // NNLMPaper returns the PTB configuration of Section 5.2.2: embedding 650,
@@ -69,18 +65,7 @@ func NewNNLM(cfg NNLMConfig, rng *rand.Rand) *nn.Sequential {
 	inSpec := nn.Fixed() // embedding output is full width
 	hidSpec := nn.Sliced(cfg.Groups)
 	for l := 0; l < cfg.Layers; l++ {
-		var cell nn.Layer
-		switch cfg.Cell {
-		case "", "lstm":
-			cell = nn.NewLSTM(in, cfg.Hidden, inSpec, hidSpec, cfg.RescaleLSTM, rng)
-		case "gru":
-			cell = nn.NewGRU(in, cfg.Hidden, inSpec, hidSpec, cfg.RescaleLSTM, rng)
-		case "rnn":
-			cell = nn.NewRNN(in, cfg.Hidden, inSpec, hidSpec, cfg.RescaleLSTM, rng)
-		default:
-			panic(fmt.Sprintf("models: unknown recurrent cell %q", cfg.Cell))
-		}
-		seq.Layers = append(seq.Layers, cell)
+		seq.Layers = append(seq.Layers, nn.NewLSTM(in, cfg.Hidden, inSpec, hidSpec, cfg.RescaleLSTM, rng))
 		if cfg.Dropout > 0 {
 			seq.Layers = append(seq.Layers, nn.NewDropout(cfg.Dropout))
 		}

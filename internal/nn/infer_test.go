@@ -120,14 +120,10 @@ func TestInferMatchesForwardNorms(t *testing.T) {
 func TestInferMatchesForwardRecurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, rescale := range []bool{false, true} {
-		rn := NewRNN(8, 12, Sliced(4), Sliced(4), rescale, rng)
-		gr := NewGRU(8, 12, Sliced(4), Sliced(4), rescale, rng)
 		ls := NewLSTM(8, 12, Sliced(4), Sliced(4), rescale, rng)
 		for _, r := range inferRates {
-			aIn, _ := rn.Active(r)
+			aIn, _ := ls.Active(r)
 			x := randTensor(rng, 5, 3, aIn)
-			checkInferMatchesForward(t, "RNN", rn, x, r, 0)
-			checkInferMatchesForward(t, "GRU", gr, x, r, 0)
 			checkInferMatchesForward(t, "LSTM", ls, x, r, 0)
 		}
 	}

@@ -235,18 +235,6 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	}
 }
 
-func TestMSEGradient(t *testing.T) {
-	pred := tensor.FromSlice([]float64{1, 2}, 1, 2)
-	target := tensor.FromSlice([]float64{0, 0}, 1, 2)
-	loss, d := MSE(pred, target)
-	if math.Abs(loss-2.5) > 1e-12 {
-		t.Fatalf("MSE loss %v, want 2.5", loss)
-	}
-	if d.Data[0] != 1 || d.Data[1] != 2 {
-		t.Fatalf("MSE grad %v", d.Data)
-	}
-}
-
 func TestSequentialComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	seq := NewSequential(

@@ -78,19 +78,3 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 	}
 	return out
 }
-
-// MSE computes the mean squared error ½‖pred−target‖²/B and its gradient.
-func MSE(pred, target *tensor.Tensor) (loss float64, dpred *tensor.Tensor) {
-	if len(pred.Data) != len(target.Data) {
-		panic("nn: MSE size mismatch")
-	}
-	b := pred.Dim(0)
-	dpred = tensor.New(pred.Shape...)
-	inv := 1 / float64(b)
-	for i := range pred.Data {
-		d := pred.Data[i] - target.Data[i]
-		loss += 0.5 * d * d
-		dpred.Data[i] = d * inv
-	}
-	return loss * inv, dpred
-}

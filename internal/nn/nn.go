@@ -1,8 +1,8 @@
 // Package nn implements a slicing-aware neural-network layer framework with
 // manual back-propagation, built on internal/tensor.
 //
-// Every width-bearing layer (Dense, Conv2D, GroupNorm, BatchNorm, RNN, GRU,
-// LSTM) supports *prefix slicing* per the model-slicing paper (Cai et al.,
+// Every width-bearing layer (Dense, Conv2D, GroupNorm, BatchNorm, LSTM)
+// supports *prefix slicing* per the model-slicing paper (Cai et al.,
 // VLDB 2019): the layer's components (neurons, channels, hidden units) are
 // divided into ordered groups, and a slice rate r ∈ (0,1] carried by Context
 // selects the leading ⌈r·G⌉ groups for both the forward and backward pass.
@@ -55,8 +55,7 @@ type Context struct {
 	// sub-network's pass stays valid until the caller resets the arena after
 	// Backward (slicing.Trainer.Step); a convolution releases only the
 	// scratch its batch workers took, once they are done. Backward drops every cache that points
-	// into the arena, so a model pins none of it afterwards. The recurrent
-	// layers and Embedding allocate from the heap either way.
+	// into the arena, so a model pins none of it afterwards.
 	Arena *tensor.Arena
 	// Tier selects the GEMM engine tier of the inference path's weight
 	// products (Layer.Infer and the fused serving views): tensor.TierExact

@@ -161,9 +161,9 @@ func TestLayerInputValidation(t *testing.T) {
 			l := NewLSTM(4, 4, Fixed(), Fixed(), false, rng)
 			l.Forward(Eval(1), tensor.New(2, 2, 3))
 		}},
-		{"gru rank", func() {
-			g := NewGRU(4, 4, Fixed(), Fixed(), false, rng)
-			g.Forward(Eval(1), tensor.New(2, 4))
+		{"lstm rank", func() {
+			l := NewLSTM(4, 4, Fixed(), Fixed(), false, rng)
+			l.Forward(Eval(1), tensor.New(2, 4))
 		}},
 		{"groupnorm rank", func() {
 			g := NewGroupNorm(4, 2, Fixed(), 1e-5)

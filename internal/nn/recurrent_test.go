@@ -16,9 +16,10 @@ func TestLSTMShapes(t *testing.T) {
 	if y.Dim(0) != 3 || y.Dim(1) != 2 || y.Dim(2) != 8 {
 		t.Fatalf("LSTM output shape %v", y.Shape)
 	}
-	y = l.Forward(Eval(0.5), x)
-	if y.Dim(2) != 4 {
-		t.Fatalf("sliced LSTM output width %d, want 4", y.Dim(2))
+	for r, want := range map[float64]int{0.5: 4, 0.75: 6} {
+		if y = l.Forward(Eval(r), x); y.Dim(2) != want {
+			t.Fatalf("LSTM output width %d at rate %v, want %d", y.Dim(2), r, want)
+		}
 	}
 }
 
@@ -89,68 +90,6 @@ func TestLSTMSlicePrefixEquivalence(t *testing.T) {
 		if math.Abs(y.Data[i]-ys.Data[i]) > 1e-12 {
 			t.Fatalf("sliced LSTM differs from extracted subnet at %d: %v vs %v", i, y.Data[i], ys.Data[i])
 		}
-	}
-}
-
-func TestRNNGradCheckFullAndSliced(t *testing.T) {
-	rng := rand.New(rand.NewSource(56))
-	r := NewRNN(6, 6, Sliced(3), Sliced(3), false, rng)
-	x := randTensor(rng, 3, 2, 6)
-	if err := CheckGradients(r, Train(1, rng), x, nil, 0); err != nil {
-		t.Fatalf("full: %v", err)
-	}
-	x2 := randTensor(rng, 3, 2, 4)
-	if err := CheckGradients(r, Train(2.0/3.0, rng), x2, nil, 0); err != nil {
-		t.Fatalf("sliced: %v", err)
-	}
-}
-
-func TestRNNGradCheckRescaled(t *testing.T) {
-	rng := rand.New(rand.NewSource(57))
-	r := NewRNN(6, 6, Sliced(3), Sliced(3), true, rng)
-	x := randTensor(rng, 2, 2, 2)
-	if err := CheckGradients(r, Train(1.0/3.0, rng), x, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGRUGradCheckFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(58))
-	g := NewGRU(5, 6, Fixed(), Sliced(2), false, rng)
-	x := randTensor(rng, 3, 2, 5)
-	if err := CheckGradients(g, Train(1, rng), x, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGRUGradCheckSliced(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	g := NewGRU(8, 8, Sliced(4), Sliced(4), false, rng)
-	for _, r := range []float64{0.25, 0.5, 0.75} {
-		aIn, _ := g.Active(r)
-		x := randTensor(rng, 2, 2, aIn)
-		if err := CheckGradients(g, Train(r, rng), x, nil, 0); err != nil {
-			t.Fatalf("rate %v: %v", r, err)
-		}
-	}
-}
-
-func TestGRUGradCheckRescaled(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	g := NewGRU(8, 8, Sliced(4), Sliced(4), true, rng)
-	x := randTensor(rng, 2, 2, 4)
-	if err := CheckGradients(g, Train(0.5, rng), x, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGRUShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	g := NewGRU(6, 8, Fixed(), Sliced(4), false, rng)
-	x := randTensor(rng, 2, 3, 6)
-	y := g.Forward(Eval(0.75), x)
-	if y.Dim(0) != 2 || y.Dim(1) != 3 || y.Dim(2) != 6 {
-		t.Fatalf("GRU output shape %v, want [2 3 6]", y.Shape)
 	}
 }
 

@@ -222,6 +222,9 @@ func TestSwapHammer(t *testing.T) {
 
 	const swaps = 20
 	done := make(chan struct{})
+	// progress carries a token after each served query, so the swap loop
+	// can wait for traffic instead of sleeping.
+	progress := make(chan struct{}, 1)
 	var served, badSig atomic.Int64
 	var wg sync.WaitGroup
 	for p := 0; p < 2; p++ {
@@ -241,6 +244,10 @@ func TestSwapHammer(t *testing.T) {
 					continue
 				}
 				served.Add(1)
+				select {
+				case progress <- struct{}{}:
+				default:
+				}
 				if got := res.Output.Data[0]; got != sigA && got != sigB {
 					badSig.Add(1)
 				}
@@ -251,11 +258,22 @@ func TestSwapHammer(t *testing.T) {
 		slicing.NewShared(signatureModel(sigA), rates),
 		slicing.NewShared(signatureModel(sigB), rates),
 	}
+	deadline := time.After(30 * time.Second)
 	for i := 0; i < swaps; i++ {
 		if err := s.Swap(shareds[i%2], ModelInfo{Epoch: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		// Let at least one query complete after this swap before the next.
+		// A token consumed here may predate the swap, so recheck the count.
+		for n := served.Load(); served.Load() == n; {
+			select {
+			case <-progress:
+			case <-deadline:
+				close(done)
+				wg.Wait()
+				t.Fatalf("swap %d: no query served within 30 s of the first swap", i)
+			}
+		}
 	}
 	close(done)
 	wg.Wait()

@@ -22,7 +22,7 @@ import (
 // rates supplies the width index for layers with per-width state
 // (SwitchableBatchNorm). Extract panics on layer types it does not know.
 func Extract(layer nn.Layer, r float64, rates RateList) nn.Layer {
-	// The extractor never uses randomness; initializers run on throwaway
+	// Extract never uses randomness; initializers run on throwaway
 	// buffers that are immediately overwritten.
 	rng := rand.New(rand.NewSource(0))
 	switch l := layer.(type) {
@@ -93,8 +93,22 @@ func Extract(layer nn.Layer, r float64, rates RateList) nn.Layer {
 		idx := rates.MustIndex(rates.Nearest(r))
 		return Extract(l.BNs[idx], r, rates)
 
-	case extractor:
-		return l.Extract(r)
+	case *nn.LSTM:
+		// The leading aH rows of every gate block, with the rescale
+		// factors folded into the weights.
+		aIn, aH := l.Active(r)
+		sx, sh := 1.0, 1.0
+		if l.Rescale && aIn < l.In {
+			sx = float64(l.In) / float64(aIn)
+		}
+		if l.Rescale && aH < l.Hidden {
+			sh = float64(l.Hidden) / float64(aH)
+		}
+		out := nn.NewLSTM(aIn, aH, nn.Fixed(), nn.Fixed(), false, rng)
+		copyGateBlocks(aH, aIn, l.Hidden, out.Wx.Value.Data, l.Wx.Value.Data, l.In, sx)
+		copyGateBlocks(aH, aH, l.Hidden, out.Wh.Value.Data, l.Wh.Value.Data, l.Hidden, sh)
+		copyGateBlocks(aH, 1, l.Hidden, out.B.Value.Data, l.B.Value.Data, 1, 1)
+		return out
 
 	case *nn.Embedding:
 		out := nn.NewEmbedding(l.V, l.E, rng)
@@ -119,8 +133,16 @@ func Extract(layer nn.Layer, r float64, rates RateList) nn.Layer {
 	}
 }
 
-// extractor is a layer that builds its own fixed-width copy: the recurrent
-// cells, whose shared core knows their gate-block layout.
-type extractor interface {
-	Extract(r float64) nn.Layer
+// copyGateBlocks copies, for each of an LSTM's four stacked
+// [hidden × srcLD] gate blocks, the leading aRows×aCols sub-matrix into a
+// [4·aRows × aCols] destination, scaling values by scale.
+func copyGateBlocks(aRows, aCols, hidden int, dst, src []float64, srcLD int, scale float64) {
+	for k := 0; k < 4; k++ {
+		for r := 0; r < aRows; r++ {
+			d := dst[(k*aRows+r)*aCols : (k*aRows+r+1)*aCols]
+			for j, v := range src[(k*hidden+r)*srcLD : (k*hidden+r)*srcLD+aCols] {
+				d[j] = v * scale
+			}
+		}
+	}
 }

@@ -96,35 +96,6 @@ func TestExtractLSTMStackWithRescale(t *testing.T) {
 	}
 }
 
-func TestExtractGRUAndRNN(t *testing.T) {
-	rng := rand.New(rand.NewSource(203))
-	for name, model := range map[string]*nn.Sequential{
-		"gru": nn.NewSequential(
-			nn.NewGRU(8, 8, nn.Fixed(), nn.Sliced(4), false, rng),
-			nn.NewTimeFlatten(),
-			nn.NewDense(8, 5, nn.Sliced(4), nn.Fixed(), true, rng),
-		),
-		"rnn": nn.NewSequential(
-			nn.NewRNN(8, 8, nn.Fixed(), nn.Sliced(4), false, rng),
-			nn.NewTimeFlatten(),
-			nn.NewDense(8, 5, nn.Sliced(4), nn.Fixed(), true, rng),
-		),
-	} {
-		rates := NewRateList(0.25, 4)
-		x := randInput(rng, 3, 2, 8)
-		for _, r := range rates {
-			want := Predict(model, rates, r, x)
-			sub := Extract(model, r, rates)
-			got := sub.Forward(nn.Eval(1), x)
-			for i := range want.Data {
-				if math.Abs(want.Data[i]-got.Data[i]) > 1e-9 {
-					t.Fatalf("%s rate %v: extraction differs at %d", name, r, i)
-				}
-			}
-		}
-	}
-}
-
 func TestExtractResidualBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(204))
 	body := nn.NewSequential(

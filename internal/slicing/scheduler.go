@@ -78,43 +78,6 @@ func NewRandomWeighted(rates RateList, weights []float64, k int) *Random {
 	return &Random{Rates: rates, Probs: p, K: k, label: fmt.Sprintf("R-weighted-%d", k)}
 }
 
-// NewRandomFromDensity parameterizes the categorical distribution from a
-// continuous density f(r) via Equation 8: each rate's probability is the
-// integral of f between the midpoints of its neighbours.
-func NewRandomFromDensity(rates RateList, cdf func(float64) float64, k int, label string) *Random {
-	g := len(rates)
-	p := make([]float64, g)
-	for i := range rates {
-		switch {
-		case g == 1:
-			p[i] = 1
-		case i == 0:
-			p[i] = cdf((rates[0] + rates[1]) / 2)
-		case i == g-1:
-			p[i] = 1 - cdf((rates[g-2]+rates[g-1])/2)
-		default:
-			p[i] = cdf((rates[i]+rates[i+1])/2) - cdf((rates[i-1]+rates[i])/2)
-		}
-	}
-	// Normalize residual mass (a density may not integrate to 1 over (0,1]).
-	sum := 0.0
-	for _, v := range p {
-		sum += v
-	}
-	for i := range p {
-		p[i] /= sum
-	}
-	return &Random{Rates: rates, Probs: p, K: k, label: label}
-}
-
-// NormalCDF returns the CDF of N(mu, sigma²) for use with
-// NewRandomFromDensity.
-func NormalCDF(mu, sigma float64) func(float64) float64 {
-	return func(x float64) float64 {
-		return 0.5 * (1 + math.Erf((x-mu)/(sigma*math.Sqrt2)))
-	}
-}
-
 // Next samples K rates (with replacement, matching the paper's independent
 // draws per forward pass).
 func (r *Random) Next(rng *rand.Rand) []float64 {

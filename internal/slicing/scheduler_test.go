@@ -61,46 +61,6 @@ func TestRandomUniformK(t *testing.T) {
 	}
 }
 
-func TestRandomFromDensityEquation8(t *testing.T) {
-	// A uniform density over (0,1] must give boundary rates half the inner
-	// mass plus the tail: p(r1)=F(0.375)=0.375, inner p=0.25, p(rG)=0.375
-	// before normalization (already sums to 1 for U(0,1)).
-	rates := NewRateList(0.25, 4)
-	uniformCDF := func(x float64) float64 {
-		if x < 0 {
-			return 0
-		}
-		if x > 1 {
-			return 1
-		}
-		return x
-	}
-	s := NewRandomFromDensity(rates, uniformCDF, 1, "R-U(0,1)")
-	want := []float64{0.375, 0.25, 0.25, 0.125}
-	// p(0.25) = F(0.375) = 0.375; p(0.5) = F(0.625)-F(0.375) = 0.25;
-	// p(0.75) = F(0.875)-F(0.625) = 0.25; p(1.0) = 1-F(0.875) = 0.125.
-	for i := range want {
-		if math.Abs(s.Probs[i]-want[i]) > 1e-9 {
-			t.Fatalf("Equation 8 probs %v, want %v", s.Probs, want)
-		}
-	}
-}
-
-func TestNormalCDFMonotone(t *testing.T) {
-	cdf := NormalCDF(0.5, 0.2)
-	if cdf(0.5) < 0.499 || cdf(0.5) > 0.501 {
-		t.Fatalf("CDF at mean = %v", cdf(0.5))
-	}
-	prev := -1.0
-	for x := 0.0; x <= 1.0; x += 0.1 {
-		v := cdf(x)
-		if v < prev {
-			t.Fatal("CDF must be monotone")
-		}
-		prev = v
-	}
-}
-
 func TestRandomStaticAlwaysIncludesPinned(t *testing.T) {
 	rates := NewRateList(0.25, 4)
 	rng := rand.New(rand.NewSource(2))

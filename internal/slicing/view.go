@@ -13,7 +13,7 @@ import (
 // prefix of each parent weight buffer in place; nothing is materialized per
 // rate, so serving G rates from W workers costs O(params) memory instead of
 // the O(W·G·params) of per-worker Extract replica sets. Output rescaling
-// (Dense/RNN Rescale) is applied on the activations at inference time, which
+// (Dense/LSTM Rescale) is applied on the activations at inference time, which
 // computes the same function the Extract path bakes into its copied weights.
 // Convolutions read their weight prefix in place on both engine tiers; only
 // a Dense above tensor.GemmTBPrefersPacked lazily builds one pack of its

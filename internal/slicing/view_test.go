@@ -47,13 +47,9 @@ func sharedCases(rng *rand.Rand) []sharedCase {
 		nn.NewTimeFlatten(),
 		nn.NewDense(8, 20, nn.Sliced(4), nn.Fixed(), true, rng),
 	)
-	gru := nn.NewSequential(
-		nn.NewGRU(8, 8, nn.Fixed(), nn.Sliced(4), false, rng),
-		nn.NewTimeFlatten(),
-		nn.NewDense(8, 5, nn.Sliced(4), nn.Fixed(), true, rng),
-	)
-	rnn := nn.NewSequential(
-		nn.NewRNN(8, 8, nn.Fixed(), nn.Sliced(4), false, rng),
+	lstmStack := nn.NewSequential(
+		nn.NewLSTM(8, 8, nn.Fixed(), nn.Sliced(4), false, rng),
+		nn.NewLSTM(8, 8, nn.Sliced(4), nn.Sliced(4), false, rng),
 		nn.NewTimeFlatten(),
 		nn.NewDense(8, 5, nn.Sliced(4), nn.Fixed(), true, rng),
 	)
@@ -93,8 +89,7 @@ func sharedCases(rng *rand.Rand) []sharedCase {
 		{"lstm-rescale", lstm, func(rng *rand.Rand) *tensor.Tensor {
 			return tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2)
 		}, 1e-12},
-		{"gru", gru, func(rng *rand.Rand) *tensor.Tensor { return randInput(rng, 3, 2, 8) }, 0},
-		{"rnn", rnn, func(rng *rand.Rand) *tensor.Tensor { return randInput(rng, 3, 2, 8) }, 0},
+		{"lstm-stack", lstmStack, func(rng *rand.Rand) *tensor.Tensor { return randInput(rng, 3, 2, 8) }, 0},
 		{"residual", residual, func(rng *rand.Rand) *tensor.Tensor { return randInput(rng, 2, 3, 6, 6) }, 0},
 		{"switchable-bn", bnNet, func(rng *rand.Rand) *tensor.Tensor { return randInput(rng, 3, 6) }, 0},
 	}

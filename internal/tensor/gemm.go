@@ -35,7 +35,7 @@ import (
 // conv's weight is A, read in place as a strided prefix of the parent.
 // Every product runs on the calling goroutine. Serving's parallelism is the
 // server's shards; in training only Conv2D splits the batch
-// (nn.parallelFor), and Dense and the recurrent layers run each whole-batch
+// (nn.parallelFor), and Dense and the LSTM run each whole-batch
 // product on one goroutine.
 
 // Blocking parameters.

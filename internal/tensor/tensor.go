@@ -180,16 +180,6 @@ func (t *Tensor) AddScaled(a float64, o *Tensor) {
 	}
 }
 
-// Mul computes t *= o element-wise (Hadamard product).
-func (t *Tensor) Mul(o *Tensor) {
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: Mul size mismatch")
-	}
-	for i, v := range o.Data {
-		t.Data[i] *= v
-	}
-}
-
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
 	s := 0.0
@@ -201,17 +191,6 @@ func (t *Tensor) Sum() float64 {
 
 // Mean returns the arithmetic mean of all elements.
 func (t *Tensor) Mean() float64 { return t.Sum() / float64(len(t.Data)) }
-
-// MaxAbs returns the largest absolute element value.
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
 
 // L2Norm returns the Euclidean norm of the flattened tensor.
 func (t *Tensor) L2Norm() float64 {

@@ -1,7 +1,5 @@
 package train
 
-import "fmt"
-
 // History records per-epoch evaluation at a set of slice rates, backing the
 // learning-curve reproduction (Figure 7) and the γ-evolution heat map
 // (Figure 6).
@@ -28,30 +26,3 @@ func NewHistory(rates []float64) *History {
 
 // Append adds an epoch record.
 func (h *History) Append(rec EpochRecord) { h.Epochs = append(h.Epochs, rec) }
-
-// Series returns the per-epoch values of metric for the i-th rate.
-func (h *History) Series(i int, metric func(EvalResult) float64) []float64 {
-	out := make([]float64, len(h.Epochs))
-	for e, rec := range h.Epochs {
-		out[e] = metric(rec.PerRate[i])
-	}
-	return out
-}
-
-// Final returns the last epoch's evaluation for the i-th rate.
-func (h *History) Final(i int) EvalResult {
-	if len(h.Epochs) == 0 {
-		return EvalResult{}
-	}
-	return h.Epochs[len(h.Epochs)-1].PerRate[i]
-}
-
-// RateIndex returns the index of rate r in the history, or an error.
-func (h *History) RateIndex(r float64) (int, error) {
-	for i, v := range h.Rates {
-		if v == r {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("train: rate %v not tracked (have %v)", r, h.Rates)
-}

@@ -41,8 +41,8 @@ func Evaluate(model nn.Layer, rate float64, widthIdx int, batches []Batch) EvalR
 	var res EvalResult
 	totalLoss := 0.0
 	correct := 0
-	inferBatches(model, rate, widthIdx, batches, func(b Batch, logits *tensor.Tensor) {
-		loss, _ := nn.SoftmaxCrossEntropy(nil, logits, b.Labels)
+	inferBatches(model, rate, widthIdx, batches, func(arena *tensor.Arena, b Batch, logits *tensor.Tensor) {
+		loss, _ := nn.SoftmaxCrossEntropy(arena, logits, b.Labels)
 		totalLoss += loss * float64(len(b.Labels))
 		for i := range b.Labels {
 			if logits.ArgMaxRow(i) == b.Labels[i] {
@@ -59,11 +59,13 @@ func Evaluate(model nn.Layer, rate float64, widthIdx int, batches []Batch) EvalR
 }
 
 // inferBatches runs model.Infer over each batch at the given rate and hands
-// the batch's logits to visit before the next pass reuses their arena.
-func inferBatches(model nn.Layer, rate float64, widthIdx int, batches []Batch, visit func(b Batch, logits *tensor.Tensor)) {
+// the batch's logits, and the arena they live in, to visit before the next
+// pass resets that arena.
+func inferBatches(model nn.Layer, rate float64, widthIdx int, batches []Batch, visit func(arena *tensor.Arena, b Batch, logits *tensor.Tensor)) {
 	arena := tensor.NewArena()
+	ctx := &nn.Context{Rate: rate, WidthIdx: widthIdx, Arena: arena}
 	for _, b := range batches {
-		visit(b, model.Infer(&nn.Context{Rate: rate, WidthIdx: widthIdx, Arena: arena}, b.X))
+		visit(arena, b, model.Infer(ctx, b.X))
 		arena.Reset()
 	}
 }
@@ -93,7 +95,7 @@ func InclusionCoefficient(wrongA, wrongB map[int]bool) float64 {
 func WrongSet(model nn.Layer, rate float64, widthIdx int, batches []Batch) map[int]bool {
 	wrong := make(map[int]bool)
 	base := 0
-	inferBatches(model, rate, widthIdx, batches, func(b Batch, logits *tensor.Tensor) {
+	inferBatches(model, rate, widthIdx, batches, func(_ *tensor.Arena, b Batch, logits *tensor.Tensor) {
 		for i := range b.Labels {
 			if logits.ArgMaxRow(i) != b.Labels[i] {
 				wrong[base+i] = true

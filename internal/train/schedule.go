@@ -1,10 +1,5 @@
 package train
 
-// LRSchedule maps a zero-based epoch to a learning rate.
-type LRSchedule interface {
-	LR(epoch int) float64
-}
-
 // StepDecay divides the base learning rate by Gamma at each milestone epoch,
 // the schedule the paper uses for CIFAR (÷10 at 50% and 75%) and ImageNet
 // (÷10 at 30%, 60%, 90%).
@@ -38,26 +33,6 @@ func (s *StepDecay) LR(epoch int) float64 {
 		}
 	}
 	return lr
-}
-
-// WarmupStepDecay prepends a linear warm-up over the first Warmup epochs to
-// a StepDecay schedule (the paper's gradual warmup for ImageNet training).
-type WarmupStepDecay struct {
-	Inner  *StepDecay
-	Warmup int
-}
-
-// NewWarmupStepDecay wraps a step decay with warmup epochs.
-func NewWarmupStepDecay(inner *StepDecay, warmup int) *WarmupStepDecay {
-	return &WarmupStepDecay{Inner: inner, Warmup: warmup}
-}
-
-// LR returns the warmed-up learning rate for the given epoch.
-func (w *WarmupStepDecay) LR(epoch int) float64 {
-	if epoch < w.Warmup {
-		return w.Inner.Base * float64(epoch+1) / float64(w.Warmup+1)
-	}
-	return w.Inner.LR(epoch)
 }
 
 // AdaptiveDecay implements the NNLM schedule of the paper: the learning rate

@@ -86,19 +86,6 @@ func TestMilestonesAt(t *testing.T) {
 	}
 }
 
-func TestWarmupStepDecay(t *testing.T) {
-	w := NewWarmupStepDecay(NewStepDecay(1, 10, 10), 4)
-	if w.LR(0) >= w.LR(3) {
-		t.Fatal("warmup must ramp up")
-	}
-	if w.LR(5) != 1 {
-		t.Fatalf("post-warmup LR %v", w.LR(5))
-	}
-	if w.LR(10) != 0.1 {
-		t.Fatalf("post-milestone LR %v", w.LR(10))
-	}
-}
-
 func TestAdaptiveDecay(t *testing.T) {
 	a := NewAdaptiveDecay(20, 4)
 	a.Observe(100) // first observation sets the best
@@ -147,6 +134,51 @@ func TestEvaluateAggregates(t *testing.T) {
 	}
 }
 
+// TestEvaluateAllocsFlatInBatches: once the first batch has grown the pass
+// arena, Evaluate allocates nothing more per batch — the loss's gradient
+// comes from that arena too — and its result is the heap loop's, bit for
+// bit.
+func TestEvaluateAllocsFlatInBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	model := nn.NewSequential(
+		nn.NewDense(6, 16, nn.Fixed(), nn.Sliced(4), true, rng),
+		nn.NewReLU(),
+		nn.NewDense(16, 5, nn.Sliced(4), nn.Fixed(), true, rng),
+	)
+	batches := make([]Batch, 8)
+	for i := range batches {
+		x := tensor.New(4, 6)
+		for j := range x.Data {
+			x.Data[j] = rng.NormFloat64()
+		}
+		batches[i] = Batch{X: x, Labels: []int{0, 1, 2, i % 5}}
+	}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(10, func() { Evaluate(model, 0.5, 0, batches[:n]) })
+	}
+	if a2, a8 := allocs(2), allocs(8); a8 > a2 {
+		t.Errorf("Evaluate allocates %v times over 8 batches, %v over 2", a8, a2)
+	}
+
+	var want EvalResult
+	totalLoss, correct := 0.0, 0
+	for _, b := range batches {
+		logits := model.Infer(nn.Eval(0.5), b.X)
+		loss, _ := nn.SoftmaxCrossEntropy(nil, logits, b.Labels)
+		totalLoss += loss * float64(len(b.Labels))
+		for i, l := range b.Labels {
+			if logits.ArgMaxRow(i) == l {
+				correct++
+			}
+		}
+		want.N += len(b.Labels)
+	}
+	want.Loss, want.Accuracy = totalLoss/float64(want.N), float64(correct)/float64(want.N)
+	if got := Evaluate(model, 0.5, 0, batches); got != want {
+		t.Fatalf("Evaluate = %+v, heap loop %+v", got, want)
+	}
+}
+
 func TestInclusionCoefficient(t *testing.T) {
 	a := map[int]bool{1: true, 2: true}
 	b := map[int]bool{2: true, 3: true, 4: true}
@@ -166,25 +198,6 @@ func TestWrongSet(t *testing.T) {
 	// Zero input → identical logits per row → one class wins both labels.
 	if len(wrong) != 2 {
 		t.Fatalf("expected exactly the 2 rows of the losing class, got %d", len(wrong))
-	}
-}
-
-func TestHistorySeriesAndFinal(t *testing.T) {
-	h := NewHistory([]float64{0.5, 1.0})
-	h.Append(EpochRecord{Epoch: 0, PerRate: []EvalResult{{Loss: 2}, {Loss: 1}}})
-	h.Append(EpochRecord{Epoch: 1, PerRate: []EvalResult{{Loss: 1.5}, {Loss: 0.5}}})
-	s := h.Series(1, func(e EvalResult) float64 { return e.Loss })
-	if s[0] != 1 || s[1] != 0.5 {
-		t.Fatalf("series %v", s)
-	}
-	if h.Final(0).Loss != 1.5 {
-		t.Fatalf("final %v", h.Final(0))
-	}
-	if _, err := h.RateIndex(0.5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.RateIndex(0.75); err == nil {
-		t.Fatal("expected error for untracked rate")
 	}
 }
 
